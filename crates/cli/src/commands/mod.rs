@@ -1528,9 +1528,26 @@ mod tests {
         ]))
         .unwrap();
         assert!(out.contains("probability 0.280000"), "{out}");
-        assert!(out.contains("gf[RC+LR, k=2]:"), "{out}");
+        // U-TopK reads only the scan records: no gf row is maintained.
+        assert!(!out.contains("gf["), "{out}");
         assert!(
             out.contains("u-topk[best-first vector] (unpruned: no sound bounds): answers=2"),
+            "{out}"
+        );
+        // U-KRanks maintains the row and names its stop with the depth.
+        let out = dispatch(&args(&[
+            "sql",
+            file.as_str(),
+            "EXPLAIN ANALYZE SELECT UKRANKS 2 FROM panda ORDER BY duration",
+        ]))
+        .unwrap();
+        assert!(out.contains("gf[RC+LR, k=2]:"), "{out}");
+        assert!(
+            out.contains("stop[ub every 64]: scanned=6 stop=none"),
+            "{out}"
+        );
+        assert!(
+            out.contains("u-kranks[argmax per rank]: answers=2"),
             "{out}"
         );
     }
@@ -1676,6 +1693,85 @@ mod tests {
         assert!(line.contains("\"thresholds\":[0.35,0.2]"), "{line}");
     }
 
+    /// A `RANK BY` query that stops early says so in its flight record, on
+    /// every path that answers one: `sql`, `query --semantics` and
+    /// `scan --semantics`. Semantics without a bound leave `stop` empty.
+    #[test]
+    fn rank_by_audit_records_the_stop() {
+        let csv = dispatch(&args(&[
+            "generate",
+            "synthetic",
+            "--tuples",
+            "500",
+            "--rules",
+            "60",
+            "--seed",
+            "11",
+        ]))
+        .unwrap();
+        let file = tempfile::csv(&csv);
+        let audit = |argv: &[&str]| {
+            let out = dispatch(&args(argv)).unwrap();
+            out.lines()
+                .find(|l| l.starts_with("audit: {"))
+                .unwrap()
+                .to_owned()
+        };
+        for semantics in ["GLOBAL_TOPK", "U_KRANKS"] {
+            let line = audit(&[
+                "sql",
+                file.as_str(),
+                &format!("SELECT TOP 5 FROM t ORDER BY score RANK BY {semantics}"),
+                "--audit",
+            ]);
+            assert!(line.contains("\"stop\":\"UpperBound\""), "{line}");
+            assert!(line.contains("\"engine.stop.upper_bound\":1"), "{line}");
+        }
+        let line = audit(&[
+            "sql",
+            file.as_str(),
+            "SELECT TOP 5 FROM t ORDER BY score RANK BY EXPECTED_RANK",
+            "--audit",
+        ]);
+        assert!(line.contains("\"stop\":\"\""), "{line}");
+        assert!(line.contains("\"engine.dp_cells\":0"), "{line}");
+        assert!(line.contains("\"engine.scanned\":500"), "{line}");
+        let line = audit(&[
+            "query",
+            file.as_str(),
+            "--k",
+            "5",
+            "--rank-by",
+            "score",
+            "--semantics",
+            "u_kranks",
+            "--audit",
+        ]);
+        assert!(line.contains("\"stop\":\"UpperBound\""), "{line}");
+        let run = tempfile::path("run");
+        dispatch(&args(&[
+            "pack",
+            file.as_str(),
+            "--rank-by",
+            "score",
+            "--out",
+            run.as_str(),
+            "--block-size",
+            "1024",
+        ]))
+        .unwrap();
+        let line = audit(&[
+            "scan",
+            run.as_str(),
+            "--k",
+            "5",
+            "--semantics",
+            "global_topk",
+            "--audit",
+        ]);
+        assert!(line.contains("\"stop\":\"UpperBound\""), "{line}");
+    }
+
     #[test]
     fn scan_audit_carries_pool_residency_counters() {
         let file = panda_file();
@@ -1709,8 +1805,9 @@ mod tests {
     }
 
     /// Golden EXPLAIN output for a `RANK BY` statement: the plan line must
-    /// render the actual generating-function semantics stage, not the PT-k
-    /// `dp[..]` pipeline, and must say the scan runs unpruned.
+    /// render the actual generating-function semantics stages, not the PT-k
+    /// `dp[..]` pipeline — the stop for a semantics with a sound bound,
+    /// and "unpruned" for one without.
     #[test]
     fn sql_explain_renders_the_semantics_stage() {
         let file = panda_file();
@@ -1724,11 +1821,25 @@ mod tests {
             out.contains(
                 "plan: RankedView::build (predicate + sort + rule projection) -> \
                  ranked-retrieval -> rule-compression -> gf[RC+LR, k=2] -> \
-                 u-kranks[argmax per rank] (unpruned: no sound bounds)"
+                 stop[ub every 64] -> u-kranks[argmax per rank]\n"
             ),
             "{out}"
         );
         assert!(out.contains("stats: view of 6 tuples / 2 rules"), "{out}");
+        let out = dispatch(&args(&[
+            "sql",
+            file.as_str(),
+            "EXPLAIN SELECT TOP 2 FROM panda ORDER BY duration RANK BY EXPECTED_RANK",
+        ]))
+        .unwrap();
+        assert!(
+            out.contains(
+                "plan: RankedView::build (predicate + sort + rule projection) -> \
+                 ranked-retrieval -> rule-compression -> \
+                 expected-rank[closed form] (unpruned: no sound bounds)"
+            ),
+            "{out}"
+        );
         // The PT-k EXPLAIN stays byte-for-byte on its historical pipeline.
         let out = dispatch(&args(&[
             "sql",

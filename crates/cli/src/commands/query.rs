@@ -12,8 +12,8 @@ use ptk_sampling::{sample_topk_recorded, sample_topk_traced, SamplingOptions};
 use ptk_worlds::naive;
 
 use super::render::{
-    attrs_of, ptk_header, stats_mode, write_audit, write_batch_answers, write_membership_row,
-    write_ptk_rows, write_semantics_answer, write_snapshot, write_stats,
+    absorb_semantics_flight, attrs_of, ptk_header, stats_mode, write_audit, write_batch_answers,
+    write_membership_row, write_ptk_rows, write_semantics_answer, write_snapshot, write_stats,
 };
 use super::sql::flight_fingerprint;
 use super::trace::{trace_opts, RING_CAPACITY};
@@ -392,7 +392,7 @@ fn query_semantics(
     }
     write_stats(out, stats, &metrics)?;
     if let Some(mut f) = flight {
-        f.absorb_counters(&metrics.snapshot());
+        absorb_semantics_flight(&mut f, &metrics.snapshot());
         write_audit(out, f)?;
     }
     Ok(())

@@ -3,7 +3,7 @@
 use std::io::Write;
 
 use ptk_core::{RankedView, UncertainTable};
-use ptk_engine::{PtkResult, SemanticsAnswer};
+use ptk_engine::{ExecStats, PtkResult, SemanticsAnswer};
 use ptk_obs::{Metrics, QueryFlight, QueryRecord, Snapshot};
 
 use super::{CmdError, Flags};
@@ -75,6 +75,16 @@ pub(super) fn write_audit(out: &mut dyn Write, flight: QueryFlight) -> Result<()
     };
     writeln!(out, "audit: {}", record.to_json(false))?;
     Ok(())
+}
+
+/// Completes a `RANK BY` query's flight record from its recorded
+/// counters: the stop reason (a semantics answer carries no stats, so it
+/// is read back from the counters) and the counter delta.
+pub(super) fn absorb_semantics_flight(flight: &mut QueryFlight, snapshot: &Snapshot) {
+    flight.stop = ExecStats::from_snapshot(snapshot)
+        .stop
+        .map_or(String::new(), |s| format!("{s:?}"));
+    flight.absorb_counters(snapshot);
 }
 
 /// The header line of a PT-k answer listing, shared by `ptk query` and

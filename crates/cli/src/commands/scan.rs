@@ -17,7 +17,7 @@ use ptk_engine::{
 };
 use ptk_obs::{Metrics, Noop, QueryFlight, Recorder, SharedRecorder, SharedSink, Tracer};
 
-use super::render::{stats_mode, write_audit, write_stats};
+use super::render::{absorb_semantics_flight, stats_mode, write_audit, write_stats};
 use super::sql::flight_fingerprint;
 use super::trace::trace_opts;
 use super::{build_ranking, load_from_flags, semantics_from_flags, CmdError, Flags};
@@ -361,7 +361,7 @@ fn scan_semantics(
     }
     write_stats(out, stats, &metrics)?;
     if let Some(mut f) = flight {
-        f.absorb_counters(&metrics.snapshot());
+        absorb_semantics_flight(&mut f, &metrics.snapshot());
         write_audit(out, f)?;
     }
     Ok(())

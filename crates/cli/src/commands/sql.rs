@@ -18,8 +18,8 @@ use ptk_sampling::{sample_ptk_recorded, SamplingOptions};
 use ptk_worlds::naive;
 
 use super::render::{
-    ptk_header, stats_mode, write_audit, write_batch_answers, write_ptk_rows,
-    write_semantics_answer, write_snapshot, write_stats, StatsMode,
+    absorb_semantics_flight, ptk_header, stats_mode, write_audit, write_batch_answers,
+    write_ptk_rows, write_semantics_answer, write_snapshot, write_stats, StatsMode,
 };
 use super::{load_from_flags, pool_from_flags, CmdError, Flags};
 
@@ -293,7 +293,7 @@ fn sql_semantics(
         .execute_semantics_snapshot(view, &options.pool)
         .map_err(|e| e.to_string())?;
     if let Some(f) = flight {
-        f.absorb_counters(&metrics.snapshot());
+        absorb_semantics_flight(f, &metrics.snapshot());
     }
     write_semantics_answer(out, view, table, k, &answer)?;
     if statement.analyze {

@@ -74,8 +74,10 @@ answers with: `ptk` (the default, needs `--p`), `u_topk`, `u_kranks`,
 statement's `RANK BY <semantics>` clause on a `SELECT TOP` query (the
 legacy `SELECT UTOPK|UKRANKS|GLOBALTOPK|ERANK` kind keywords still parse).
 Every semantics runs through one generating-function scan of the ranked
-view; only PT-k has sound pruning bounds, so the others scan unpruned —
-EXPLAIN says so. Thresholds (`--p` / `WITH PROBABILITY`) parameterize
+view. PT-k, `global_topk` and `u_kranks` stop early once no unseen tuple
+can change the answer (`--no-prune` scans in full, to the same answer);
+`u_topk` and `expected_rank` have no sound bound and always scan in full —
+EXPLAIN says which. Thresholds (`--p` / `WITH PROBABILITY`) parameterize
 PT-k only.
 
 `--explain` (or the `EXPLAIN ANALYZE` statement prefix under `ptk sql`)
@@ -102,8 +104,8 @@ count — threads only change wall-clock time. Batched sql statements must
 be exact PT-k queries sharing one WHERE and ORDER BY.
 
 `--no-prune` (query, sql; exact method only) disables the paper's §4.4
-pruning rules so every tuple is evaluated and all answer probabilities are
-reported. Pruning-free scans are also the shape the executor can partition:
+pruning rules and the Global-Topk / U-KRanks stop, so every tuple is
+evaluated and all answer probabilities are reported. Pruning-free scans are also the shape the executor can partition:
 with `--threads N` it splits even a single query's ranked scan at
 rule-closed cuts and runs the per-segment dynamic programs on the pool,
 still bit-identical to the sequential answer. Such cuts exist when rules

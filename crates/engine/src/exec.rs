@@ -17,7 +17,8 @@
 //! ordering, which shares less but computes the same probabilities (Eq. 4
 //! is order-independent).
 
-use std::collections::HashMap;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -31,8 +32,8 @@ use ptk_par::{StealStats, ThreadPool};
 
 use crate::dp;
 use crate::gf::{
-    expected_ranks_closed, utopk_search, AbsorbSpec, Compressor, GfState, RankSemantics,
-    ScanRecord, SemanticsAnswer, SemanticsError, SemanticsRow, UTOPK_MAX_STATES,
+    expected_ranks_closed, unseen_may_reach, utopk_search, AbsorbSpec, Compressor, GfState,
+    RankSemantics, ScanRecord, SemanticsAnswer, SemanticsError, SemanticsRow, UTOPK_MAX_STATES,
 };
 use crate::layout::{LayoutCursor, ScanLayout, StableSeed};
 use crate::plan::{PtkBatch, PtkPlan};
@@ -103,7 +104,44 @@ struct RuleFail {
     failed_member_max: f64,
 }
 
-/// An upper bound on `Pr^k(t')` for every tuple `t'` not yet scanned.
+/// An `f64` ordered by `total_cmp`, so Global-Topk's running k best can
+/// sit in a [`BinaryHeap`].
+#[derive(Debug, Clone, Copy)]
+struct TotalF64(f64);
+
+impl PartialEq for TotalF64 {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for TotalF64 {}
+impl PartialOrd for TotalF64 {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for TotalF64 {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
+/// PT-k's early-exit test (line 6 of Figure 3): whether some tuple not
+/// yet scanned could still have `Pr^k >= threshold`. Its Eq. 4 factor is
+/// `Σ_{j<k}` over its dominant set, which [`unseen_may_reach`] bounds;
+/// membership probability is bounded by 1. For thresholds in `(0, 1]` it
+/// answers exactly `future_upper_bound(comp) >= threshold`, so stop
+/// ranks, answers and [`ExecStats`] do not depend on which one runs.
+fn unseen_may_pass(comp: &mut Compressor, threshold: f64) -> bool {
+    let pool = comp.pool_row();
+    unseen_may_reach(&pool, &comp.open_masses(), 0.0, |row, slack| {
+        dp::partial_sum(row) + slack >= threshold
+    })
+}
+
+/// An upper bound on `Pr^k(t')` for every tuple `t'` not yet scanned: the
+/// value [`unseen_may_pass`] compares with the threshold without
+/// computing in full, kept as its reference.
 ///
 /// For a future independent tuple, the dominant set contains at least the
 /// whole current pool, so `Σ_{j<k} Pr(S, j)` over the pool bounds its Eq. 4
@@ -111,10 +149,11 @@ struct RuleFail {
 /// gain mass). For a future member of an open rule `R`, the dominant set
 /// excludes `R`'s own rule-tuple, so the bound deconvolves that entry out.
 /// Membership probability is bounded by 1.
-fn future_upper_bound(comp: &Compressor) -> f64 {
+#[cfg(test)]
+fn future_upper_bound(comp: &mut Compressor) -> f64 {
     let pool = comp.pool_row();
     let mut ub: f64 = dp::partial_sum(&pool);
-    for (_, mass) in comp.open_rules() {
+    for mass in comp.open_masses() {
         let without = match dp::deconvolve(&pool, mass) {
             // Slack covers mass the ill-conditioned inversion can shed
             // without tripping its own guards; losing it here would make
@@ -274,7 +313,7 @@ impl<'a> PtkExecutor<'a> {
                     }
                     if stats.scanned % interval == 0 {
                         bound_checks += 1;
-                        if bound_clock.time(|| future_upper_bound(&comp)) < threshold {
+                        if !bound_clock.time(|| unseen_may_pass(&mut comp, threshold)) {
                             stats.stop = Some(StopReason::UpperBound);
                             if let Some(t) = tracer {
                                 t.instant(Mark::Stop {
@@ -415,7 +454,7 @@ impl<'a> PtkExecutor<'a> {
                 // cannot reach the threshold, stop.
                 if stats.scanned % options.ub_check_interval.max(1) == 0 {
                     bound_checks += 1;
-                    if bound_clock.time(|| future_upper_bound(&comp)) < threshold {
+                    if !bound_clock.time(|| unseen_may_pass(&mut comp, threshold)) {
                         stats.stop = Some(StopReason::UpperBound);
                         if let Some(t) = tracer {
                             t.instant(Mark::Stop {
@@ -538,13 +577,15 @@ impl<'a> PtkExecutor<'a> {
     ///
     /// PT-k delegates to [`PtkExecutor::execute`] unchanged — same float
     /// operations in the same order, bit-identical answers, pruning and
-    /// all. Every other semantics runs the unpruned generating-function
-    /// scan (`GfState`, the `gf` module's core): one pass in ranking
-    /// order maintaining the
-    /// full-pool coefficient row incrementally, then the semantics'
-    /// finisher over the collected per-rank data. Recording and tracing
-    /// work exactly as for PT-k (same counter names and span layout, plus
-    /// the `engine.gf.*` row counters).
+    /// all. Every other semantics runs one generating-function scan in
+    /// ranking order, then the semantics' finisher over what it
+    /// collected. U-KRanks and Global-Topk maintain the full-pool
+    /// coefficient row incrementally (`GfState`, the `gf` module's core)
+    /// and, with `options.pruning`, stop at the shared stopping bound,
+    /// answering bit-identically to the full scan; U-TopK and expected
+    /// rank read only the scan records and scan in full. Recording and
+    /// tracing work as for PT-k (same counter names and span layout, plus
+    /// the `engine.gf.*` row counters and an `engine.phase.finish` span).
     ///
     /// # Panics
     /// Panics if the source delivers scores out of order.
@@ -595,17 +636,20 @@ impl<'a> PtkExecutor<'a> {
         let clocks_live = recorder.enabled() || tracer.is_some();
         let mut retrieval_clock = PhaseClock::enabled_if(clocks_live);
         let mut dp_clock = PhaseClock::enabled_if(clocks_live);
+        let mut bound_clock = PhaseClock::enabled_if(clocks_live);
         let mut finish_clock = PhaseClock::enabled_if(clocks_live);
         let query_begin = tracer.map_or(0, |t| t.begin(Stage::Query));
 
-        // Whether the finisher consumes the per-rank coefficient rows
-        // (U-KRanks / Global-Topk) or only the scan records (U-TopK's
-        // conditional factors, expected-rank's closed form).
-        let wants_rows = matches!(
-            semantics,
-            RankSemantics::UKRanks | RankSemantics::GlobalTopk
-        );
-        let mut gf = GfState::new(k, options.variant);
+        // U-KRanks and Global-Topk read per-rank coefficient rows, and
+        // their stopping bound is read off the same pool row. U-TopK's
+        // conditional factors and expected rank's closed form need only
+        // the scan records, so those two maintain no row at all.
+        let mut gf = semantics
+            .has_pruning_bounds()
+            .then(|| GfState::new(k, options.variant));
+        let stops_early = options.pruning && gf.is_some();
+        let interval = options.ub_check_interval.max(1);
+        let mut bound_checks = 0u64;
         let mut stats = ExecStats::default();
         let mut records: Vec<ScanRecord> = Vec::new();
         // Per-rule absorbed mass so far, for `mates_above`.
@@ -615,10 +659,13 @@ impl<'a> PtkExecutor<'a> {
         // ascending, strictly-better-by-1e-15 to win (ties keep the
         // earlier position — the literature's convention and the worlds
         // oracle's).
-        let mut ukr_best_prob = vec![f64::NEG_INFINITY; if wants_rows { k } else { 0 }];
+        let ukranks = semantics == RankSemantics::UKRanks;
+        let mut ukr_best_prob = vec![f64::NEG_INFINITY; if ukranks { k } else { 0 }];
         let mut ukr_best_pos = vec![0usize; ukr_best_prob.len()];
-        // Global-Topk: every tuple's `Pr^k`.
+        // Global-Topk: every tuple's `Pr^k`, and — for the stopping bound —
+        // the k best so far in a min-heap whose root is the k-th best.
         let mut prks: Vec<f64> = Vec::new();
+        let mut best_prks: BinaryHeap<Reverse<TotalF64>> = BinaryHeap::new();
         let mut last_score = f64::INFINITY;
 
         while let Some(tuple) = retrieval_clock.time(|| source.next_ranked()) {
@@ -644,45 +691,49 @@ impl<'a> PtkExecutor<'a> {
                 prefix_above,
             });
 
-            if wants_rows {
+            if let Some(gf) = gf.as_mut() {
                 // The coefficient row over the dominant set T(t): the pool
                 // so far, own rule excluded (Corollary 2).
                 let row = dp_clock.time(|| gf.row_excluding(tuple.rule));
-                match semantics {
-                    RankSemantics::UKRanks => {
-                        for j in 0..k {
-                            let pr = tuple.prob * row[j];
-                            if pr > ukr_best_prob[j] + 1e-15 {
-                                ukr_best_prob[j] = pr;
-                                ukr_best_pos[j] = rank;
-                            }
+                if ukranks {
+                    for j in 0..k {
+                        let pr = tuple.prob * row[j];
+                        if pr > ukr_best_prob[j] + 1e-15 {
+                            ukr_best_prob[j] = pr;
+                            ukr_best_pos[j] = rank;
                         }
                     }
-                    RankSemantics::GlobalTopk => {
-                        prks.push(tuple.prob * dp::partial_sum(&row));
+                } else {
+                    let prk = tuple.prob * dp::partial_sum(&row);
+                    prks.push(prk);
+                    if stops_early {
+                        best_prks.push(Reverse(TotalF64(prk)));
+                        if best_prks.len() > k {
+                            best_prks.pop();
+                        }
                     }
-                    _ => unreachable!(),
                 }
-            }
 
-            // Fold the tuple into the pool, with whatever layout hints the
-            // source can give (they drive the refold fallback's ordering).
-            let (rule_len, next_member_rank) = match tuple.rule {
-                Some(key) => (
-                    source.rule_len(key),
-                    source.rule_member_rank(key, gf.absorbed(key) as usize + 1),
-                ),
-                None => (None, None),
-            };
-            dp_clock.time(|| {
-                gf.absorb(AbsorbSpec {
-                    tag: rank,
-                    prob: tuple.prob,
-                    rule: tuple.rule,
-                    rule_len,
-                    next_member_rank,
-                })
-            });
+                // Fold the tuple into the pool, with whatever layout hints
+                // the source can give (they drive the refold fallback's
+                // ordering and close completed rules for the bound).
+                let (rule_len, next_member_rank) = match tuple.rule {
+                    Some(key) => (
+                        source.rule_len(key),
+                        source.rule_member_rank(key, gf.absorbed(key) as usize + 1),
+                    ),
+                    None => (None, None),
+                };
+                dp_clock.time(|| {
+                    gf.absorb(AbsorbSpec {
+                        tag: rank,
+                        prob: tuple.prob,
+                        rule: tuple.rule,
+                        rule_len,
+                        next_member_rank,
+                    })
+                });
+            }
             if let Some(key) = tuple.rule {
                 // Mirror the view's mass clamp so `mates_above` agrees
                 // with the compressed pool bit for bit.
@@ -690,6 +741,44 @@ impl<'a> PtkExecutor<'a> {
                 *seen = (*seen + tuple.prob).min(1.0);
             }
             prefix_above += tuple.prob;
+
+            // The stopping bound, checked periodically: stop once no
+            // unseen tuple can displace a row of the answer. Unseen tuples
+            // rank below every seen one, so they lose every tie and must
+            // beat the incumbent strictly.
+            if stops_early && stats.scanned % interval == 0 {
+                bound_checks += 1;
+                let gf = gf.as_ref().expect("bounded semantics keep a gf row");
+                let may_reach = bound_clock.time(|| {
+                    if ukranks {
+                        // Rank j+1 needs exactly j dominators, at most
+                        // `Σ_{i≤j}` of the row; beat the best at rank j+1.
+                        gf.unseen_may_reach(|row, slack| {
+                            let mut at_most = 0.0;
+                            row.iter().zip(&ukr_best_prob).any(|(&c, &best)| {
+                                at_most += c;
+                                at_most + slack >= best
+                            })
+                        })
+                    } else {
+                        // Global-Topk: beat the k-th best `Pr^k` seen.
+                        match best_prks.peek() {
+                            Some(&Reverse(TotalF64(kth))) if best_prks.len() == k => gf
+                                .unseen_may_reach(|row, slack| dp::partial_sum(row) + slack >= kth),
+                            _ => true,
+                        }
+                    }
+                });
+                if !may_reach {
+                    stats.stop = Some(StopReason::UpperBound);
+                    if let Some(t) = tracer {
+                        t.instant(Mark::Stop {
+                            rule: StopRule::UpperBound,
+                        });
+                    }
+                    break;
+                }
+            }
         }
 
         let make_row = |pos: usize, value: f64| SemanticsRow {
@@ -748,15 +837,19 @@ impl<'a> PtkExecutor<'a> {
         });
         let answer = answer?;
 
-        stats.dp_cells = gf.dp_cells();
-        stats.entries_recomputed = gf.entries_recomputed();
-        stats.rules_compressed = gf.rules_compressed();
+        // Counters report the work done: U-TopK and expected rank fold no
+        // coefficients. Every semantics compresses each rule it meets.
+        if let Some(gf) = gf.as_ref() {
+            stats.dp_cells = gf.dp_cells();
+            stats.entries_recomputed = gf.entries_recomputed();
+        }
+        stats.rules_compressed = rule_seen.len() as u64;
         if let Some(t) = tracer {
             // Same synthetic back-to-back phase layout as the PT-k scan;
             // the finisher's time rides under the DP stage (it is the
             // semantics' "evaluation" phase).
             let mut at = query_begin;
-            let phases = [
+            let mut phases = vec![
                 (
                     Stage::Retrieval,
                     retrieval_clock.nanos(),
@@ -773,6 +866,15 @@ impl<'a> PtkExecutor<'a> {
                     },
                 ),
             ];
+            if stops_early {
+                phases.push((
+                    Stage::Bound,
+                    bound_clock.nanos(),
+                    Payload::Bound {
+                        checks: bound_checks,
+                    },
+                ));
+            }
             for (stage, nanos, payload) in phases {
                 t.span_at(stage, at, at + nanos, payload);
                 at += nanos;
@@ -790,10 +892,16 @@ impl<'a> PtkExecutor<'a> {
         }
         retrieval_clock.flush(recorder, "engine.phase.retrieval");
         dp_clock.flush(recorder, "engine.phase.dp");
-        finish_clock.flush(recorder, "engine.phase.bound");
+        if stops_early {
+            bound_clock.flush(recorder, "engine.phase.bound");
+        }
+        finish_clock.flush(recorder, "engine.phase.finish");
         stats.record_to(recorder);
-        recorder.add(counters::GF_ROWS_INCREMENTAL, gf.rows_incremental());
-        recorder.add(counters::GF_ROWS_REFOLDED, gf.rows_refolded());
+        let (rows_incremental, rows_refolded) = gf
+            .as_ref()
+            .map_or((0, 0), |gf| (gf.rows_incremental(), gf.rows_refolded()));
+        recorder.add(counters::GF_ROWS_INCREMENTAL, rows_incremental);
+        recorder.add(counters::GF_ROWS_REFOLDED, rows_refolded);
         recorder.add(counters::ANSWERS, answer.answer_count() as u64);
         Ok(answer)
     }
@@ -1309,4 +1417,49 @@ fn stitch_segments(n: usize, segments: Vec<SegmentOutcome>) -> (PtkResult, u64, 
         reorder_nanos,
         dp_nanos,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use ptk_core::check::{check, Config};
+    use ptk_core::prop_assert_eq;
+    use ptk_core::rng::RngExt;
+
+    use super::*;
+    use crate::gf::tests::random_scan;
+    use crate::plan::SharingVariant;
+
+    #[test]
+    fn short_circuit_test_decides_like_the_bound_it_replaces() {
+        check(
+            "!unseen_may_pass == (future_upper_bound < threshold)",
+            Config::cases(400).sizes(1, 24).seed(0x9001_0003),
+            |rng, size| {
+                let (k, specs) = random_scan(rng, size);
+                let depth = rng.random_range(0..=specs.len());
+                let mut comp = Compressor::new(k, SharingVariant::Lazy);
+                for spec in specs.into_iter().take(depth) {
+                    comp.absorb(spec);
+                }
+                let ub = future_upper_bound(&mut comp);
+                // Thresholds within a few ulps of the bound, the bound
+                // itself, and one anywhere; plans only take (0, 1].
+                let mut thresholds = vec![ub, rng.random_range(0.0..=1.0f64)];
+                let (mut up, mut down) = (ub, ub);
+                for _ in 0..3 {
+                    up = up.next_up();
+                    down = down.next_down();
+                    thresholds.extend([up, down]);
+                }
+                for t in thresholds.into_iter().filter(|&t| t > 0.0 && t <= 1.0) {
+                    prop_assert_eq!(
+                        !unseen_may_pass(&mut comp, t),
+                        ub < t,
+                        "k={k} bound={ub:e} threshold={t:e}"
+                    );
+                }
+                Ok(())
+            },
+        );
+    }
 }

@@ -22,9 +22,14 @@
 //!
 //! PT-k keeps its original [`Compressor`]-driven path untouched — same
 //! float operations in the same order, so answers stay bit-identical to
-//! the pre-refactor engine — and the pruning bounds of Theorems 3–5 remain
-//! PT-k-only: they bound `Pr^k`, not vector probabilities or expectations,
-//! so every other semantics runs unpruned (and says so in `EXPLAIN`).
+//! the pre-refactor engine. Theorems 3–5 stay PT-k-only, but one stopping
+//! bound ([`unseen_may_reach`]) serves PT-k, Global-Topk and U-KRanks:
+//! every unseen tuple's dominant set contains the current pool (its own
+//! rule excepted), and the probability that at most `j` members of a set
+//! appear only falls as the set grows or its masses rise, so the pool's
+//! prefix sums bound every unseen tuple's `Pr^k` and its probability of
+//! any exact rank. U-TopK's vector probabilities and expected ranks have
+//! no such bound, so those two scan in full (and say so in `EXPLAIN`).
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
@@ -42,8 +47,8 @@ use crate::plan::SharingVariant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RankSemantics {
     /// PT-k (the paper): every tuple whose top-k probability `Pr^k` passes
-    /// a threshold. The only semantics with sound pruning bounds
-    /// (Theorems 3–5 bound `Pr^k` directly).
+    /// a threshold. The only semantics with per-tuple pruning (Theorems
+    /// 3–5 bound `Pr^k` directly).
     #[default]
     Ptk,
     /// U-TopK (Soliman et al.): the most probable top-k *vector*.
@@ -109,13 +114,21 @@ impl RankSemantics {
         }
     }
 
-    /// Whether the §4.4 pruning bounds are sound for this semantics.
-    /// Theorems 3–5 bound the top-k probability `Pr^k` of unseen tuples;
-    /// vector probabilities, exact-rank probabilities and expectations are
-    /// not monotone in `Pr^k`, so every other semantics must scan the full
-    /// ranked input.
+    /// Whether a sound bound can stop this semantics' scan early.
+    ///
+    /// An unseen tuple's dominant set contains the current pool (its own
+    /// rule excepted), and `Pr(at most j of S appear)` only falls as `S`
+    /// grows or its masses rise. So the pool's prefix sums `Σ_{i≤j}` bound
+    /// every unseen tuple's `Pr^k` (`j = k − 1`: PT-k's threshold test,
+    /// Global-Topk's k-th best) and its probability of ranking exactly
+    /// `j + 1`-th (U-KRanks' per-rank best). A U-TopK vector's probability
+    /// and an expected rank are no function of one tuple's prefix sums,
+    /// so those two semantics scan the full ranked input.
     pub fn has_pruning_bounds(self) -> bool {
-        matches!(self, RankSemantics::Ptk)
+        matches!(
+            self,
+            RankSemantics::Ptk | RankSemantics::UKRanks | RankSemantics::GlobalTopk
+        )
     }
 
     /// The `EXPLAIN` stage label of the semantics' finisher.
@@ -271,6 +284,11 @@ pub(crate) struct Compressor {
     spare_rows: Vec<Vec<f64>>,
     /// Stable-group items in availability order.
     stable: Vec<StableItem>,
+    /// [`Compressor::pool_row`]'s cache: the DP row of
+    /// `stable[..stable_folded]`, folded in availability order. Stable
+    /// items never change, so later calls only fold the new ones.
+    stable_row: Vec<f64>,
+    stable_folded: usize,
     /// Rule states in first-absorption order; `PoolEntry::Rule::idx` and
     /// `StableItem::CompletedRule` index into this, so the hot per-entry
     /// checks never touch a map.
@@ -302,6 +320,8 @@ impl Compressor {
             rows: vec![dp::unit_row(k)],
             spare_rows: Vec::new(),
             stable: Vec::new(),
+            stable_row: dp::unit_row(k),
+            stable_folded: 0,
             rule_states: Vec::new(),
             rule_index: HashMap::new(),
             rule_order: Vec::new(),
@@ -540,6 +560,13 @@ impl Compressor {
                     }
                 };
                 let rs = &mut self.rule_states[idx as usize];
+                if rs.completed {
+                    // The source understated the rule's length: a stable
+                    // rule-tuple's mass changes after all, so the cached
+                    // stable fold is stale.
+                    self.stable_row = dp::unit_row(self.k);
+                    self.stable_folded = 0;
+                }
                 // A rule's mass is a probability: member probabilities that
                 // mathematically sum to 1 can overshoot by an ulp in f64,
                 // and the DP rejects q > 1. Clamp exactly as the view does
@@ -569,15 +596,21 @@ impl Compressor {
     /// absorbed tuple compressed, no rule excluded. This is what a future
     /// independent tuple's dominant set would contain if scanning stopped
     /// here; used by the early-exit upper bound.
-    pub(crate) fn pool_row(&self) -> Vec<f64> {
-        let mut row = dp::unit_row(self.k);
-        for item in &self.stable {
+    ///
+    /// Folds the stable group in availability order, then the open
+    /// rule-tuples in rule order. Stable items fold into a cached row as
+    /// they arrive, so a call costs `O((new stable items + open rules)·k)`
+    /// and returns the same bits as a fold from the unit row.
+    pub(crate) fn pool_row(&mut self) -> Vec<f64> {
+        for item in &self.stable[self.stable_folded..] {
             let mass = match *item {
                 StableItem::Indep { prob, .. } => prob,
                 StableItem::CompletedRule(idx) => self.rule_states[idx as usize].mass,
             };
-            dp::convolve_in_place(&mut row, mass);
+            dp::convolve_in_place(&mut self.stable_row, mass);
         }
+        self.stable_folded = self.stable.len();
+        let mut row = self.stable_row.clone();
         for &idx in &self.rule_order {
             let rs = &self.rule_states[idx as usize];
             if !rs.completed {
@@ -598,6 +631,21 @@ impl Compressor {
             .filter(|rs| !rs.completed)
             .map(|rs| (rs.key, rs.mass))
             .collect()
+    }
+
+    /// The absorbed masses of the rules that have members in the pool but
+    /// are not (known to be) complete, largest first. A future member of
+    /// such a rule excludes this mass from its dominant set; the largest
+    /// exclusion leaves the largest prefix sums, so it dominates the rest,
+    /// which follow in no particular order (a test that gets past the
+    /// largest is about to stop, and must try them all anyway).
+    pub(crate) fn open_masses(&self) -> Vec<f64> {
+        let mut masses: Vec<f64> = self.open_rules().into_iter().map(|(_, m)| m).collect();
+        let largest = (0..masses.len()).max_by(|&a, &b| masses[a].total_cmp(&masses[b]));
+        if let Some(i) = largest {
+            masses.swap(0, i);
+        }
+        masses
     }
 
     /// Whether a previously-built entry still denotes a live, unchanged
@@ -682,6 +730,44 @@ pub(crate) fn common_prefix(a: &[PoolEntry], b: &[PoolEntry]) -> usize {
         .zip(b.iter())
         .take_while(|(x, y)| x.same(y))
         .count()
+}
+
+/// The one stopping bound behind PT-k, Global-Topk and U-KRanks (line 6 of
+/// Figure 3, generalized): whether some tuple not yet scanned could still
+/// reach its semantics' target.
+///
+/// Every unseen tuple's dominant set contains the current pool, except
+/// for a member of an open rule, whose own rule-tuple is left out
+/// (Corollary 2). Members of rules with no member seen yet, and
+/// independents, see at least `pool` itself; a future member of an open
+/// rule sees at least `pool` with that rule's mass deconvolved out. The
+/// probability that at most `j` dominators appear only falls as the set
+/// grows or its masses rise, so each candidate row's prefix sums bound
+/// every tuple it stands for. `reaches(row, slack)` says whether a tuple
+/// bounded by `row` — whose prefix sums may understate the truth by up
+/// to `slack` — could reach the target.
+///
+/// The test short-circuits on the first candidate that can still reach:
+/// the pool row first, then the open rules in the order given (largest
+/// mass first: it leaves the largest prefix sums, so it is the one most
+/// likely to keep the scan going). An uncertifiable deconvolution counts
+/// as reaching. The answer does not depend on the order, only the cost
+/// does: a check that keeps scanning usually costs one `O(k)` pass.
+pub(crate) fn unseen_may_reach(
+    pool: &[f64],
+    open_masses: &[f64],
+    pool_slack: f64,
+    reaches: impl Fn(&[f64], f64) -> bool,
+) -> bool {
+    reaches(pool, pool_slack)
+        || open_masses
+            .iter()
+            .any(|&mass| match dp::deconvolve(pool, mass) {
+                // The inversion sheds at most its certified error; the
+                // slack restores it (see `DECONVOLVE_MASS_SLACK`).
+                Some(row) => reaches(&row, dp::DECONVOLVE_MASS_SLACK),
+                None => true,
+            })
 }
 
 /// The Chang et al. incremental layer over [`Compressor`]: one full-pool
@@ -774,6 +860,20 @@ impl GfState {
         self.comp.absorbed(rule)
     }
 
+    /// [`unseen_may_reach`] over the incremental pool row — the row every
+    /// later tuple's coefficients derive from. Unlike the PT-k test, the
+    /// pool candidate carries slack too: each incremental update may drift
+    /// the row by up to the certified deconvolve error, and the bound must
+    /// cover the values an unpruned scan would compute, not exact ones.
+    pub(crate) fn unseen_may_reach(&self, reaches: impl Fn(&[f64], f64) -> bool) -> bool {
+        unseen_may_reach(
+            &self.pool_row,
+            &self.comp.open_masses(),
+            dp::DECONVOLVE_MASS_SLACK,
+            reaches,
+        )
+    }
+
     /// Rows served through the O(k) incremental recurrence.
     pub(crate) fn rows_incremental(&self) -> u64 {
         self.rows_incremental
@@ -792,10 +892,6 @@ impl GfState {
 
     pub(crate) fn entries_recomputed(&self) -> u64 {
         self.comp.entries_recomputed()
-    }
-
-    pub(crate) fn rules_compressed(&self) -> u64 {
-        self.comp.rules_compressed()
     }
 }
 
@@ -1172,4 +1268,164 @@ pub(crate) fn expected_ranks_closed(records: &[ScanRecord]) -> Vec<f64> {
             p * rank_if_present + (1.0 - p) * rank_if_absent
         })
         .collect()
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use std::cell::Cell;
+
+    use ptk_core::check::{check, Config};
+    use ptk_core::prop_assert_eq;
+    use ptk_core::rng::{RngExt, StdRng};
+
+    use super::*;
+
+    /// Gaps below 1 straddling `deconvolve`'s `1 − q < 1e-6` guard:
+    /// exactly on it, just inside, just outside, and comfortably clear.
+    const GUARD_DELTAS: [f64; 5] = [0.0, 5e-7, 1e-6, 2e-6, 1e-3];
+
+    /// A random scan to feed a [`Compressor`]: a depth `k` and the absorb
+    /// sequence. Independents are random, certain or tiny. Rules take 2–4
+    /// members, and about half of them total a mass just under 1, around
+    /// the deconvolve guard. Each rule declares its length (so it
+    /// completes), leaves it unknown (so it stays open), or understates it
+    /// by one, as a source lying about its layout would.
+    pub(crate) fn random_scan(rng: &mut StdRng, size: usize) -> (usize, Vec<AbsorbSpec>) {
+        let k = rng.random_range(1..=8usize);
+        let mut events: Vec<(Option<u32>, f64)> = (0..rng.random_range(0..=size))
+            .map(|_| {
+                let prob = match rng.random_range(0..6u32) {
+                    0 => 1.0,
+                    1 => 1e-9,
+                    _ => rng.random_range(0.01..=1.0f64),
+                };
+                (None, prob)
+            })
+            .collect();
+        let rules = rng.random_range(0..=size.div_ceil(3)) as u32;
+        let mut declared: Vec<Option<usize>> = Vec::new();
+        for rule in 0..rules {
+            let members = rng.random_range(2..=4usize);
+            let total = if rng.random_bool(0.5) {
+                1.0 - GUARD_DELTAS[rng.random_range(0..GUARD_DELTAS.len())]
+            } else {
+                rng.random_range(0.05..=1.0f64)
+            };
+            let weights: Vec<f64> = (0..members)
+                .map(|_| rng.random_range(0.1..=1.0f64))
+                .collect();
+            let sum: f64 = weights.iter().sum();
+            events.extend(weights.iter().map(|w| (Some(rule), total * w / sum)));
+            declared.push(match rng.random_range(0..4u32) {
+                0 => None,
+                1 => Some(members - 1),
+                _ => Some(members),
+            });
+        }
+        rng.shuffle(&mut events);
+        let specs = events
+            .iter()
+            .enumerate()
+            .map(|(rank, &(rule, prob))| {
+                let len = rule.and_then(|r| declared[r as usize]);
+                let next_member_rank = rule.filter(|_| len.is_some()).and_then(|r| {
+                    events[rank + 1..]
+                        .iter()
+                        .position(|&(other, _)| other == Some(r))
+                        .map(|offset| rank + 1 + offset)
+                });
+                AbsorbSpec {
+                    tag: rank,
+                    prob,
+                    rule: rule.map(RuleKey),
+                    rule_len: len,
+                    next_member_rank,
+                }
+            })
+            .collect();
+        (k, specs)
+    }
+
+    /// The pool row folded from the unit row: the stable group in
+    /// availability order, then the open rule-tuples in rule order.
+    fn pool_row_from_scratch(comp: &Compressor) -> Vec<f64> {
+        let mut row = dp::unit_row(comp.k);
+        for item in &comp.stable {
+            let mass = match *item {
+                StableItem::Indep { prob, .. } => prob,
+                StableItem::CompletedRule(idx) => comp.rule_states[idx as usize].mass,
+            };
+            dp::convolve_in_place(&mut row, mass);
+        }
+        for &idx in &comp.rule_order {
+            let rs = &comp.rule_states[idx as usize];
+            if !rs.completed {
+                dp::convolve_in_place(&mut row, rs.mass);
+            }
+        }
+        row
+    }
+
+    fn bits(row: &[f64]) -> Vec<u64> {
+        row.iter().map(|x| x.to_bits()).collect()
+    }
+
+    const VARIANTS: [SharingVariant; 3] = [
+        SharingVariant::Rc,
+        SharingVariant::Aggressive,
+        SharingVariant::Lazy,
+    ];
+
+    #[test]
+    fn lazy_pool_row_matches_a_fold_from_scratch() {
+        check(
+            "lazily folded pool_row == fold from scratch, bit for bit",
+            Config::cases(300).sizes(1, 24).seed(0x9001_0001),
+            |rng, size| {
+                let (k, specs) = random_scan(rng, size);
+                let variant = VARIANTS[rng.random_range(0..VARIANTS.len())];
+                let mut comp = Compressor::new(k, variant);
+                for spec in specs {
+                    // Interleave the prefix-shared refold with absorbs and
+                    // pool-row reads at random points.
+                    if rng.random_bool(0.3) {
+                        let desired = comp.desired_list(spec.rule);
+                        comp.recompute(desired);
+                    }
+                    comp.absorb(spec);
+                    if rng.random_bool(0.4) {
+                        let lazy = comp.pool_row();
+                        prop_assert_eq!(bits(&lazy), bits(&pool_row_from_scratch(&comp)));
+                    }
+                }
+                let lazy = comp.pool_row();
+                prop_assert_eq!(bits(&lazy), bits(&pool_row_from_scratch(&comp)));
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn gf_refold_fallback_reads_the_same_pool_row() {
+        // GfState's refold fallback rebuilds its row from the compressor's
+        // pool row; masses at the deconvolve guard force that path.
+        let refolds = Cell::new(0u64);
+        check(
+            "pool_row under GfState absorbs and refolds == fold from scratch",
+            Config::cases(300).sizes(1, 24).seed(0x9001_0002),
+            |rng, size| {
+                let (k, specs) = random_scan(rng, size);
+                let mut gf = GfState::new(k, SharingVariant::Lazy);
+                for spec in specs {
+                    let _ = gf.row_excluding(spec.rule);
+                    gf.absorb(spec);
+                    let lazy = gf.comp.pool_row();
+                    prop_assert_eq!(bits(&lazy), bits(&pool_row_from_scratch(&gf.comp)));
+                }
+                refolds.set(refolds.get() + gf.rows_refolded());
+                Ok(())
+            },
+        );
+        assert!(refolds.get() > 0, "no case exercised the refold fallback");
+    }
 }

@@ -17,7 +17,7 @@ use ptk_core::PtkQuery;
 use ptk_obs::Snapshot;
 
 use crate::gf::RankSemantics;
-use crate::stats::{counters, ExecStats};
+use crate::stats::{counters, ExecStats, StopReason};
 
 /// How the compressed dominant set is ordered between consecutive steps
 /// (§4.3.2 of the paper).
@@ -57,12 +57,13 @@ pub struct EngineOptions {
     /// default.
     pub variant: SharingVariant,
     /// Whether the pruning rules of §4.4 (Theorems 3–5 plus the early-exit
-    /// upper bound) are applied. With pruning off the whole ranked list is
+    /// upper bound) are applied, and the same stopping bound for
+    /// Global-Topk and U-KRanks. With pruning off the whole ranked list is
     /// scanned and every tuple's exact `Pr^k` is reported.
     pub pruning: bool,
     /// How often (in scanned tuples) the early-exit upper bound is
-    /// recomputed. The bound costs `O(|pool|·k)`, so it is checked
-    /// periodically rather than per tuple.
+    /// checked. A check that stops tries every open rule, `O(open·k)`, so
+    /// it runs periodically rather than per tuple.
     pub ub_check_interval: usize,
 }
 
@@ -125,15 +126,22 @@ pub enum PlanStage {
     },
     /// Maintain the generating-function coefficient row over the compressed
     /// pool with the O(k) incremental convolve/deconvolve recurrence
-    /// (non-PT-k semantics; replaces [`PlanStage::PrefixSharedDp`], which
-    /// remains the refold fallback).
+    /// (U-KRanks and Global-Topk; replaces [`PlanStage::PrefixSharedDp`],
+    /// which remains the refold fallback).
     GfRows {
         /// The refold fallback's prefix-sharing policy.
         variant: SharingVariant,
     },
-    /// The non-PT-k semantics' finisher over the scan's coefficients:
-    /// always unpruned — the §4.4 bounds are sound for `Pr^k` thresholds
-    /// only.
+    /// The stopping bound of U-KRanks and Global-Topk, checked
+    /// periodically: stop retrieval once no unseen tuple can displace a
+    /// row of the answer (see [`RankSemantics::has_pruning_bounds`]).
+    UpperBoundStop {
+        /// Cadence, in scanned tuples, of the check.
+        ub_check_interval: usize,
+    },
+    /// The non-PT-k semantics' finisher over the scan: the per-rank rows
+    /// (U-KRanks, Global-Topk) or the scan records alone (U-TopK,
+    /// expected rank, which have no sound bound and scan in full).
     SemanticsFinish {
         /// The semantics being answered.
         semantics: RankSemantics,
@@ -275,9 +283,9 @@ impl PtkPlan {
     ///
     /// PT-k requires a threshold (its answer *is* "every tuple passing
     /// `p`"); every other semantics takes none — its answer shape is fixed
-    /// by `k` alone — and runs unpruned, because the §4.4 bounds are sound
-    /// for `Pr^k` thresholds only (the executor enforces this regardless
-    /// of `options.pruning`).
+    /// by `k` alone. With `options.pruning`, Global-Topk and U-KRanks stop
+    /// at the stopping bound; U-TopK and expected rank have no sound bound
+    /// and always scan in full.
     pub fn try_semantics(
         semantics: RankSemantics,
         k: usize,
@@ -372,16 +380,23 @@ impl PtkPlan {
     /// The lowered stage pipeline, in execution order.
     pub fn stages(&self) -> Vec<PlanStage> {
         if self.semantics != RankSemantics::Ptk {
-            return vec![
-                PlanStage::RankedRetrieval,
-                PlanStage::RuleCompression,
-                PlanStage::GfRows {
+            let mut stages = vec![PlanStage::RankedRetrieval, PlanStage::RuleCompression];
+            // The semantics with a stopping bound are exactly the ones
+            // reading coefficient rows: the bound is read off the pool row.
+            if self.semantics.has_pruning_bounds() {
+                stages.push(PlanStage::GfRows {
                     variant: self.options.variant,
-                },
-                PlanStage::SemanticsFinish {
-                    semantics: self.semantics,
-                },
-            ];
+                });
+                if self.options.pruning {
+                    stages.push(PlanStage::UpperBoundStop {
+                        ub_check_interval: self.options.ub_check_interval,
+                    });
+                }
+            }
+            stages.push(PlanStage::SemanticsFinish {
+                semantics: self.semantics,
+            });
+            return stages;
         }
         let mut stages = vec![
             PlanStage::RankedRetrieval,
@@ -402,17 +417,29 @@ impl PtkPlan {
     }
 
     /// A one-line rendering of the pipeline, for `EXPLAIN`-style output.
-    /// Renders the actual semantics stage: PT-k keeps its historical
-    /// `dp[...]`/pruning/emit pipeline verbatim; the other semantics show
-    /// the generating-function stage and say they run unpruned.
+    /// Renders the actual semantics stages: PT-k keeps its historical
+    /// `dp[...]`/pruning/emit pipeline verbatim; U-KRanks and Global-Topk
+    /// show the generating-function stage and their stop; U-TopK and
+    /// expected rank say they run unpruned.
     pub fn describe(&self) -> String {
         if self.semantics != RankSemantics::Ptk {
-            return format!(
-                "ranked-retrieval -> rule-compression -> gf[{}, k={}] -> {} (unpruned: no sound bounds)",
-                self.options.variant.paper_name(),
-                self.k,
-                self.semantics.stage_label()
-            );
+            let parts: Vec<String> = self
+                .stages()
+                .into_iter()
+                .map(|stage| match stage {
+                    PlanStage::RankedRetrieval => "ranked-retrieval".to_owned(),
+                    PlanStage::RuleCompression => "rule-compression".to_owned(),
+                    PlanStage::GfRows { variant } => {
+                        format!("gf[{}, k={}]", variant.paper_name(), self.k)
+                    }
+                    PlanStage::UpperBoundStop { ub_check_interval } => {
+                        format!("stop[ub every {ub_check_interval}]")
+                    }
+                    PlanStage::SemanticsFinish { semantics } => finish_label(semantics),
+                    other => unreachable!("PT-k stage {other:?} in a semantics plan"),
+                })
+                .collect();
+            return parts.join(" -> ");
         }
         let mut out = format!(
             "ranked-retrieval -> rule-compression -> dp[{}, k={}]",
@@ -489,15 +516,12 @@ impl PtkPlan {
                     push_timing(&mut out, snapshot, "engine.phase.dp", include_timings);
                 }
                 PlanStage::Pruning { ub_check_interval } => {
-                    let stop = match stats.stop {
-                        Some(crate::stats::StopReason::TotalTopK) => "total-topk",
-                        Some(crate::stats::StopReason::UpperBound) => "upper-bound",
-                        None => "none",
-                    };
                     let _ = write!(
                         out,
-                        "pruning[T3-T5, ub every {ub_check_interval}]: pruned_membership={} pruned_rule={} stop={stop}",
-                        stats.pruned_membership, stats.pruned_rule
+                        "pruning[T3-T5, ub every {ub_check_interval}]: pruned_membership={} pruned_rule={} stop={}",
+                        stats.pruned_membership,
+                        stats.pruned_rule,
+                        stop_label(stats.stop)
                     );
                     push_timing(&mut out, snapshot, "engine.phase.bound", include_timings);
                 }
@@ -524,14 +548,23 @@ impl PtkPlan {
                     );
                     push_timing(&mut out, snapshot, "engine.phase.dp", include_timings);
                 }
+                PlanStage::UpperBoundStop { ub_check_interval } => {
+                    let _ = write!(
+                        out,
+                        "stop[ub every {ub_check_interval}]: scanned={} stop={}",
+                        stats.scanned,
+                        stop_label(stats.stop)
+                    );
+                    push_timing(&mut out, snapshot, "engine.phase.bound", include_timings);
+                }
                 PlanStage::SemanticsFinish { semantics } => {
                     let _ = write!(
                         out,
-                        "{} (unpruned: no sound bounds): answers={}",
-                        semantics.stage_label(),
+                        "{}: answers={}",
+                        finish_label(semantics),
                         snapshot.counter(counters::ANSWERS)
                     );
-                    push_timing(&mut out, snapshot, "engine.phase.bound", include_timings);
+                    push_timing(&mut out, snapshot, "engine.phase.finish", include_timings);
                 }
             }
             out.push('\n');
@@ -546,6 +579,25 @@ impl PtkPlan {
         push_timing(&mut out, snapshot, "engine.query", include_timings);
         out.push('\n');
         out
+    }
+}
+
+/// A semantics finisher's `EXPLAIN` label, flagged when the semantics has
+/// no stopping bound and so always scans in full.
+fn finish_label(semantics: RankSemantics) -> String {
+    if semantics.has_pruning_bounds() {
+        semantics.stage_label().to_owned()
+    } else {
+        format!("{} (unpruned: no sound bounds)", semantics.stage_label())
+    }
+}
+
+/// The `EXPLAIN ANALYZE` name of a scan's stop reason.
+fn stop_label(stop: Option<StopReason>) -> &'static str {
+    match stop {
+        Some(StopReason::TotalTopK) => "total-topk",
+        Some(StopReason::UpperBound) => "upper-bound",
+        None => "none",
     }
 }
 
@@ -634,6 +686,92 @@ mod tests {
     }
 
     #[test]
+    fn semantics_stages_show_the_stop_and_drop_unread_rows() {
+        let opts = EngineOptions::default();
+        for semantics in [RankSemantics::UKRanks, RankSemantics::GlobalTopk] {
+            let plan = PtkPlan::try_semantics(semantics, 3, None, &opts).unwrap();
+            assert_eq!(
+                plan.stages(),
+                vec![
+                    PlanStage::RankedRetrieval,
+                    PlanStage::RuleCompression,
+                    PlanStage::GfRows {
+                        variant: SharingVariant::Lazy
+                    },
+                    PlanStage::UpperBoundStop {
+                        ub_check_interval: 64
+                    },
+                    PlanStage::SemanticsFinish { semantics },
+                ]
+            );
+            assert_eq!(
+                plan.describe(),
+                format!(
+                    "ranked-retrieval -> rule-compression -> gf[RC+LR, k=3] -> \
+                     stop[ub every 64] -> {}",
+                    semantics.stage_label()
+                )
+            );
+            // --no-prune keeps the rows and drops the stop.
+            let unpruned = EngineOptions::without_pruning(SharingVariant::Lazy);
+            let plan = PtkPlan::try_semantics(semantics, 3, None, &unpruned).unwrap();
+            assert!(!plan
+                .stages()
+                .iter()
+                .any(|s| matches!(s, PlanStage::UpperBoundStop { .. })));
+            assert!(!plan.describe().contains("stop["), "{}", plan.describe());
+        }
+        for semantics in [RankSemantics::UTopK, RankSemantics::ExpectedRank] {
+            let plan = PtkPlan::try_semantics(semantics, 3, None, &opts).unwrap();
+            assert_eq!(
+                plan.stages(),
+                vec![
+                    PlanStage::RankedRetrieval,
+                    PlanStage::RuleCompression,
+                    PlanStage::SemanticsFinish { semantics },
+                ]
+            );
+            assert_eq!(
+                plan.describe(),
+                format!(
+                    "ranked-retrieval -> rule-compression -> {} (unpruned: no sound bounds)",
+                    semantics.stage_label()
+                )
+            );
+        }
+    }
+
+    #[test]
+    fn explain_analyze_shows_the_semantics_stop_and_depth() {
+        use ptk_obs::Recorder as _;
+        let plan = PtkPlan::try_semantics(
+            RankSemantics::GlobalTopk,
+            2,
+            None,
+            &EngineOptions::default(),
+        )
+        .unwrap();
+        let metrics = ptk_obs::Metrics::new();
+        let stats = ExecStats {
+            scanned: 128,
+            evaluated: 128,
+            stop: Some(StopReason::UpperBound),
+            ..ExecStats::default()
+        };
+        stats.record_to(&metrics);
+        metrics.add(counters::ANSWERS, 2);
+        let text = plan.explain_analyze(&metrics.snapshot(), false);
+        assert!(
+            text.contains("stop[ub every 64]: scanned=128 stop=upper-bound\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("global-topk[top-k by Pr^k]: answers=2\n"),
+            "{text}"
+        );
+    }
+
+    #[test]
     fn multi_scan_threshold_is_the_minimum() {
         let plan = PtkPlan::multi(2, &[0.9, 0.35, 0.5], &EngineOptions::default());
         assert_eq!(plan.scan_threshold(), 0.35);
@@ -665,7 +803,7 @@ mod tests {
             dp_cells: 42,
             entries_recomputed: 21,
             rules_compressed: 2,
-            stop: Some(crate::stats::StopReason::UpperBound),
+            stop: Some(StopReason::UpperBound),
         };
         stats.record_to(&metrics);
         metrics.add(counters::ANSWERS, 4);

@@ -156,7 +156,7 @@ impl<'v> Scanner<'v> {
     /// scanned tuple compressed, no rule excluded. This is what a future
     /// independent tuple's dominant set would contain if scanning stopped
     /// here; used by the early-exit upper bound.
-    pub fn pool_row(&self) -> Vec<f64> {
+    pub fn pool_row(&mut self) -> Vec<f64> {
         self.comp.pool_row()
     }
 

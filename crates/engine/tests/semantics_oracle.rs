@@ -1,8 +1,9 @@
 //! Cross-semantics oracle tests: every [`RankSemantics`] answered through
 //! the generating-function scan must agree with naive possible-world
 //! enumeration — on the paper's panda example, on uniform random
-//! x-relations, and on rule-span clustered synthetic data — and must be
-//! bit-identical at every thread width.
+//! x-relations, and on rule-span clustered synthetic data, at the default
+//! upper-bound cadence and with the bound checked after every tuple — and
+//! must be bit-identical at every thread width.
 #![allow(clippy::needless_range_loop)] // index-paired loops over parallel arrays
 
 use ptk_access::ViewSource;
@@ -73,11 +74,29 @@ fn clustered_view(seed: u64, tuples: usize, rules: usize, span: usize) -> Ranked
     SyntheticDataset::generate(&config).view
 }
 
-fn plan_for(semantics: RankSemantics, k: usize, threshold: f64) -> PtkPlan {
+/// Upper-bound check cadences every oracle comparison runs at: the
+/// default, and every tuple. These views are far smaller than the
+/// default cadence, so only the second lets a stopping bound fire.
+const INTERVALS: [usize; 2] = [64, 1];
+
+fn plan_at(semantics: RankSemantics, k: usize, threshold: f64, interval: usize) -> PtkPlan {
+    let options = EngineOptions {
+        ub_check_interval: interval,
+        ..EngineOptions::default()
+    };
     match semantics {
-        RankSemantics::Ptk => PtkPlan::new(k, threshold, &EngineOptions::default()),
-        other => PtkPlan::try_semantics(other, k, None, &EngineOptions::default()).unwrap(),
+        RankSemantics::Ptk => PtkPlan::new(k, threshold, &options),
+        other => PtkPlan::try_semantics(other, k, None, &options).unwrap(),
     }
+}
+
+fn plan_for(semantics: RankSemantics, k: usize, threshold: f64) -> PtkPlan {
+    plan_at(
+        semantics,
+        k,
+        threshold,
+        EngineOptions::default().ub_check_interval,
+    )
 }
 
 fn answer_of(view: &RankedView, plan: &PtkPlan) -> SemanticsAnswer {
@@ -110,84 +129,102 @@ fn assert_ranked_list(rows: &[SemanticsRow], oracle: &[(usize, f64)], values: &[
     }
 }
 
-/// Checks one view against every oracle, for every semantics.
+/// Checks one view against every oracle, for every semantics, at every
+/// upper-bound cadence in [`INTERVALS`].
 fn check_view(view: &RankedView, k: usize, threshold: f64, ctx: &str) {
-    // PT-k: exact answer set.
-    let oracle = naive::ptk_answer(view, k, threshold).unwrap();
-    match answer_of(view, &plan_for(RankSemantics::Ptk, k, threshold)) {
-        SemanticsAnswer::Ptk(result) => {
-            assert_eq!(result.answer_ranks(), oracle, "{ctx}: ptk");
-        }
-        other => panic!("{ctx}: ptk answered {:?}", other.semantics()),
-    }
-
-    // U-TopK: vector + probability (vectors may differ only on a true tie).
+    let ptk_oracle = naive::ptk_answer(view, k, threshold).unwrap();
     let (vector, probability) = naive::utopk(view, k).unwrap();
-    match answer_of(view, &plan_for(RankSemantics::UTopK, k, threshold)) {
-        SemanticsAnswer::UTopK {
-            rows,
-            probability: engine_prob,
-            ..
-        } => {
-            assert!(
-                (engine_prob - probability).abs() < TOL,
-                "{ctx}: u-topk probability {engine_prob} vs oracle {probability}"
-            );
-            let engine_vec: Vec<usize> = rows.iter().map(|r| r.position).collect();
-            if engine_vec != vector {
-                assert!(
-                    (engine_prob - probability).abs() < TIE,
-                    "{ctx}: u-topk vector {engine_vec:?} vs oracle {vector:?}"
-                );
-            }
-        }
-        other => panic!("{ctx}: u-topk answered {:?}", other.semantics()),
-    }
-
-    // U-KRanks: winner per rank over the full position-probability matrix.
     let pr_positions = naive::position_probabilities(view, k).unwrap();
-    let oracle = naive::ukranks(view, k).unwrap();
-    match answer_of(view, &plan_for(RankSemantics::UKRanks, k, threshold)) {
-        SemanticsAnswer::UKRanks(rows) => {
-            assert_eq!(rows.len(), oracle.len(), "{ctx}: u-kranks length");
-            for (j, (row, &(pos, value))) in rows.iter().zip(&oracle).enumerate() {
+    let ukranks_oracle = naive::ukranks(view, k).unwrap();
+    let pr_topk = naive::topk_probabilities(view, k).unwrap();
+    let global_oracle = naive::global_topk(view, k).unwrap();
+    let ranks = naive::expected_ranks(view).unwrap();
+    let erank_oracle = naive::expected_rank_topk(view, k).unwrap();
+    for interval in INTERVALS {
+        let ctx = format!("{ctx} ub every {interval}");
+        let answer = |semantics| answer_of(view, &plan_at(semantics, k, threshold, interval));
+
+        // PT-k: exact answer set.
+        match answer(RankSemantics::Ptk) {
+            SemanticsAnswer::Ptk(result) => {
+                assert_eq!(result.answer_ranks(), ptk_oracle, "{ctx}: ptk");
+            }
+            other => panic!("{ctx}: ptk answered {:?}", other.semantics()),
+        }
+
+        // U-TopK: vector + probability (vectors may differ only on a true
+        // tie).
+        match answer(RankSemantics::UTopK) {
+            SemanticsAnswer::UTopK {
+                rows,
+                probability: engine_prob,
+                ..
+            } => {
                 assert!(
-                    (row.value - value).abs() < TOL,
-                    "{ctx} rank {}: engine {} vs oracle {value}",
-                    j + 1,
-                    row.value
+                    (engine_prob - probability).abs() < TOL,
+                    "{ctx}: u-topk probability {engine_prob} vs oracle {probability}"
                 );
-                if row.position != pos {
+                let engine_vec: Vec<usize> = rows.iter().map(|r| r.position).collect();
+                if engine_vec != vector {
                     assert!(
-                        (pr_positions[row.position][j] - pr_positions[pos][j]).abs() < TIE,
-                        "{ctx} rank {}: engine pos {} vs oracle pos {pos}",
-                        j + 1,
-                        row.position
+                        (engine_prob - probability).abs() < TIE,
+                        "{ctx}: u-topk vector {engine_vec:?} vs oracle {vector:?}"
                     );
                 }
             }
+            other => panic!("{ctx}: u-topk answered {:?}", other.semantics()),
         }
-        other => panic!("{ctx}: u-kranks answered {:?}", other.semantics()),
-    }
 
-    // Global-Topk: top-k by Pr^k.
-    let pr_topk = naive::topk_probabilities(view, k).unwrap();
-    let oracle = naive::global_topk(view, k).unwrap();
-    match answer_of(view, &plan_for(RankSemantics::GlobalTopk, k, threshold)) {
-        SemanticsAnswer::GlobalTopk(rows) => {
-            assert_ranked_list(&rows, &oracle, &pr_topk, &format!("{ctx}: global-topk"));
+        // U-KRanks: winner per rank over the full position-probability
+        // matrix.
+        match answer(RankSemantics::UKRanks) {
+            SemanticsAnswer::UKRanks(rows) => {
+                assert_eq!(rows.len(), ukranks_oracle.len(), "{ctx}: u-kranks length");
+                for (j, (row, &(pos, value))) in rows.iter().zip(&ukranks_oracle).enumerate() {
+                    assert!(
+                        (row.value - value).abs() < TOL,
+                        "{ctx} rank {}: engine {} vs oracle {value}",
+                        j + 1,
+                        row.value
+                    );
+                    if row.position != pos {
+                        assert!(
+                            (pr_positions[row.position][j] - pr_positions[pos][j]).abs() < TIE,
+                            "{ctx} rank {}: engine pos {} vs oracle pos {pos}",
+                            j + 1,
+                            row.position
+                        );
+                    }
+                }
+            }
+            other => panic!("{ctx}: u-kranks answered {:?}", other.semantics()),
         }
-        other => panic!("{ctx}: global-topk answered {:?}", other.semantics()),
-    }
 
-    // Expected rank: smallest-expected-rank top-k.
-    let ranks = naive::expected_ranks(view).unwrap();
-    let oracle = naive::expected_rank_topk(view, k).unwrap();
-    match answer_of(view, &plan_for(RankSemantics::ExpectedRank, k, threshold)) {
-        SemanticsAnswer::ExpectedRank(rows) => {
-            assert_ranked_list(&rows, &oracle, &ranks, &format!("{ctx}: expected-rank"));
+        // Global-Topk: top-k by Pr^k.
+        match answer(RankSemantics::GlobalTopk) {
+            SemanticsAnswer::GlobalTopk(rows) => {
+                assert_ranked_list(
+                    &rows,
+                    &global_oracle,
+                    &pr_topk,
+                    &format!("{ctx}: global-topk"),
+                );
+            }
+            other => panic!("{ctx}: global-topk answered {:?}", other.semantics()),
         }
-        other => panic!("{ctx}: expected-rank answered {:?}", other.semantics()),
+
+        // Expected rank: smallest-expected-rank top-k.
+        match answer(RankSemantics::ExpectedRank) {
+            SemanticsAnswer::ExpectedRank(rows) => {
+                assert_ranked_list(
+                    &rows,
+                    &erank_oracle,
+                    &ranks,
+                    &format!("{ctx}: expected-rank"),
+                );
+            }
+            other => panic!("{ctx}: expected-rank answered {:?}", other.semantics()),
+        }
     }
 }
 
