@@ -11,6 +11,9 @@
 //!   its membership probability and (optionally) a generation-rule key;
 //! * [`ViewSource`] — adapter over a materialized
 //!   [`RankedView`](ptk_core::RankedView);
+//! * [`SelectionSource`] — a scan over a query's
+//!   [`Selection`](ptk_core::Selection) of a table's shared ranked view,
+//!   delivering what a `ViewSource` over the materialized selection would;
 //! * [`SortedVecSource`] — a sorted in-memory list built directly from
 //!   `(score, probability, rule)` triples;
 //! * [`TaSource`] — a middleware in the spirit of Fagin, Lotem and Naor's
@@ -92,7 +95,7 @@ pub use block::{
 pub use bytebuf::ByteBuf;
 pub use file::{write_run, FileSource};
 pub use source::{
-    BlockBounds, RankedSource, RuleKey, SnapshotSource, SortedVecCursor, SortedVecSource,
-    SourceTuple, ViewSource,
+    BlockBounds, RankedSource, RuleKey, SelectionSource, SnapshotSource, SortedVecCursor,
+    SortedVecSource, SourceTuple, ViewSource,
 };
 pub use ta::{AggregateFn, SortedList, TaSource};

@@ -1,6 +1,11 @@
 //! The ranked-source abstraction and its basic implementations.
 
-use ptk_core::{ModelError, Probability, RankedView, TupleId};
+use std::borrow::Cow;
+use std::collections::HashMap;
+
+use ptk_core::{
+    ModelError, Probability, RankedView, RuleHandle, RuleProjection, Selection, TupleId,
+};
 
 /// Identifies a generation rule within a source's scope. Tuples sharing a
 /// key are mutually exclusive. The streaming engine never needs the rule's
@@ -145,37 +150,29 @@ pub trait SnapshotSource: Sync {
 pub struct ViewSource<'v> {
     view: &'v RankedView,
     cursor: usize,
-    /// Whether the view's ranking keys can serve as scores (all present and
-    /// non-increasing in ranked order). Views ranked ascending, or built
-    /// from probabilities alone, fall back to position stand-ins.
-    keyed: bool,
 }
 
 impl<'v> ViewSource<'v> {
     /// Wraps a ranked view.
     pub fn new(view: &'v RankedView) -> ViewSource<'v> {
-        let mut keyed = true;
-        let mut last = f64::INFINITY;
-        for pos in 0..view.len() {
-            match view.tuple(pos).key {
-                Some(key) if key <= last => last = key,
-                _ => {
-                    keyed = false;
-                    break;
-                }
-            }
-        }
-        ViewSource {
-            view,
-            cursor: 0,
-            keyed,
-        }
+        ViewSource { view, cursor: 0 }
     }
 }
 
 impl SnapshotSource for RankedView {
     fn fork(&self) -> Box<dyn RankedSource + '_> {
         Box::new(ViewSource::new(self))
+    }
+}
+
+/// The scan score of the tuple at position `pos`: its ranking key when the
+/// keys can serve as scores ([`RankedView::keys_descend`]), else a negated
+/// position stand-in, so scores never increase either way.
+fn scan_score(keys_descend: bool, key: Option<f64>, pos: usize) -> f64 {
+    if keys_descend {
+        key.expect("descending keys are all present")
+    } else {
+        -(pos as f64)
     }
 }
 
@@ -189,13 +186,7 @@ impl RankedSource for ViewSource<'_> {
         let t = self.view.tuple(pos);
         Some(SourceTuple {
             id: t.id,
-            // Ranked positions stand in for scores (negated so they are
-            // non-increasing) unless the ranking keys are usable as-is.
-            score: if self.keyed {
-                t.key.expect("keyed views have every key")
-            } else {
-                -(pos as f64)
-            },
+            score: scan_score(self.view.keys_descend(), t.key, pos),
             prob: t.prob,
             rule: t.rule.map(|h| RuleKey(h.index() as u32)),
         })
@@ -228,6 +219,117 @@ impl RankedSource for ViewSource<'_> {
 
     fn retrieved(&self) -> usize {
         self.cursor
+    }
+}
+
+/// A [`RankedSource`] over a [`Selection`]: walks the table's shared
+/// ranked view, skips the tuples the predicate dropped, and projects each
+/// rule onto the selection when it first meets one of its members.
+///
+/// It delivers exactly what a [`ViewSource`] over
+/// [`Selection::materialize`] delivers — ids, scores, probabilities,
+/// positions, and the same answers to every rule question — except that
+/// rule keys are the shared view's rule handles rather than the
+/// materialized view's dense ones. Dropping rules keeps the handles'
+/// order, and keys are only compared and ordered, so a scan over either
+/// computes the same thing.
+#[derive(Debug)]
+pub struct SelectionSource<'s> {
+    selection: &'s Selection,
+    /// The next ranked position of the shared view to examine.
+    ranked: usize,
+    /// Tuples delivered so far.
+    delivered: usize,
+    /// Rules met so far, projected onto the selection (`None`: fewer than
+    /// two members selected, so its members are delivered as independent).
+    /// Unused when every tuple is selected.
+    met: HashMap<RuleKey, Option<RuleProjection>>,
+}
+
+impl<'s> SelectionSource<'s> {
+    /// A cursor before the selection's first tuple.
+    pub fn new(selection: &'s Selection) -> SelectionSource<'s> {
+        SelectionSource {
+            selection,
+            ranked: 0,
+            delivered: 0,
+            met: HashMap::new(),
+        }
+    }
+
+    /// The projection of the shared view's rule `key`, or `None` for a key
+    /// that is not a rule of the selection.
+    fn rule(&self, key: RuleKey) -> Option<Cow<'_, RuleProjection>> {
+        if key.0 as usize >= self.selection.view().rules().len() {
+            return None;
+        }
+        match self.met.get(&key) {
+            Some(met) => met.as_ref().map(Cow::Borrowed),
+            None => self
+                .selection
+                .project(RuleHandle::from_index(key.0 as usize)),
+        }
+    }
+}
+
+impl SnapshotSource for Selection {
+    fn fork(&self) -> Box<dyn RankedSource + '_> {
+        Box::new(SelectionSource::new(self))
+    }
+}
+
+impl RankedSource for SelectionSource<'_> {
+    fn next_ranked(&mut self) -> Option<SourceTuple> {
+        let view = self.selection.view();
+        let (t, pos) = loop {
+            let ranked = self.ranked;
+            if ranked >= view.len() {
+                return None;
+            }
+            self.ranked += 1;
+            if let Some(pos) = self.selection.position(ranked) {
+                break (view.tuple(ranked), pos);
+            }
+        };
+        self.delivered += 1;
+        let selection = self.selection;
+        let rule = t.rule.filter(|&h| {
+            let key = RuleKey(h.index() as u32);
+            // With every tuple selected, every rule survives whole.
+            selection.len() == view.len()
+                || self
+                    .met
+                    .entry(key)
+                    .or_insert_with(|| selection.project(h).map(Cow::into_owned))
+                    .is_some()
+        });
+        Some(SourceTuple {
+            id: t.id,
+            score: scan_score(selection.keys_descend(), t.key, pos),
+            prob: t.prob,
+            rule: rule.map(|h| RuleKey(h.index() as u32)),
+        })
+    }
+
+    fn rule_mass(&self, rule: RuleKey) -> Option<f64> {
+        self.rule(rule).map(|r| r.mass)
+    }
+
+    fn rule_len(&self, rule: RuleKey) -> Option<usize> {
+        self.rule(rule).map(|r| r.members.len())
+    }
+
+    fn rule_member_rank(&self, rule: RuleKey, member: usize) -> Option<usize> {
+        // Projected members are selection positions, which are scan ranks.
+        self.rule(rule).and_then(|r| r.members.get(member).copied())
+    }
+
+    fn len_hint(&self) -> Option<usize> {
+        Some(self.selection.len())
+    }
+
+    fn retrieved(&self) -> usize {
+        self.delivered
     }
 }
 
@@ -495,6 +597,48 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 3);
+    }
+
+    #[test]
+    fn selection_source_mirrors_the_materialized_selection() {
+        use ptk_core::{ComparisonOp, Predicate, Ranking, TopKQuery, UncertainTableBuilder};
+        // Rules {0, 1} and {2, 3, 4}; dropping score 2.0 leaves the first a
+        // lone survivor (independent) and the second two members.
+        let mut b = UncertainTableBuilder::single_column();
+        let ids: Vec<_> = [(0.3, 5.0), (0.4, 2.0), (0.2, 4.0), (0.5, 3.0), (0.1, 1.0)]
+            .iter()
+            .map(|&(p, s)| b.push_scored(p, s).unwrap())
+            .collect();
+        b.exclusive(&ids[..2]).unwrap();
+        b.exclusive(&ids[2..]).unwrap();
+        let table = b.finish().unwrap();
+        let query = TopKQuery::new(
+            1,
+            Predicate::compare(0, ComparisonOp::Ne, 2.0),
+            Ranking::descending(0),
+        )
+        .unwrap();
+        let selection = Selection::new(&table, &query).unwrap();
+        let view = selection.materialize();
+        let mut got = SelectionSource::new(&selection);
+        let mut want = ViewSource::new(&view);
+        while let Some(w) = want.next_ranked() {
+            let g = got.next_ranked().unwrap();
+            assert_eq!((g.id, g.score, g.prob), (w.id, w.score, w.prob));
+            assert_eq!(g.rule.is_some(), w.rule.is_some());
+            if let (Some(gk), Some(wk)) = (g.rule, w.rule) {
+                assert_eq!(got.rule_mass(gk), want.rule_mass(wk));
+                assert_eq!(got.rule_len(gk), want.rule_len(wk));
+                for m in 0..3 {
+                    assert_eq!(got.rule_member_rank(gk, m), want.rule_member_rank(wk, m));
+                }
+            }
+        }
+        assert!(got.next_ranked().is_none());
+        assert_eq!((got.retrieved(), got.len_hint()), (4, Some(4)));
+        // The dropped rule and unknown keys answer nothing.
+        assert_eq!(got.rule_mass(RuleKey(0)), None);
+        assert_eq!(got.rule_len(RuleKey(9)), None);
     }
 
     #[test]

@@ -1819,7 +1819,7 @@ mod tests {
         .unwrap();
         assert!(
             out.contains(
-                "plan: RankedView::build (predicate + sort + rule projection) -> \
+                "plan: Selection::new (predicate over the shared ranked view) -> \
                  ranked-retrieval -> rule-compression -> gf[RC+LR, k=2] -> \
                  stop[ub every 64] -> u-kranks[argmax per rank]\n"
             ),
@@ -1834,7 +1834,7 @@ mod tests {
         .unwrap();
         assert!(
             out.contains(
-                "plan: RankedView::build (predicate + sort + rule projection) -> \
+                "plan: Selection::new (predicate over the shared ranked view) -> \
                  ranked-retrieval -> rule-compression -> \
                  expected-rank[closed form] (unpruned: no sound bounds)"
             ),

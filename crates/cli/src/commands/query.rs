@@ -6,14 +6,15 @@ use std::sync::Arc;
 
 use ptk_core::{Predicate, PtkQuery, RankedView, Ranking, TopKQuery, UncertainTable};
 use ptk_engine::{PtkExecutor, PtkPlan, RankSemantics};
-use ptk_obs::{Metrics, Noop, QueryFlight, Recorder, SharedSink, Tracer};
+use ptk_obs::{Noop, QueryFlight, Recorder, SharedSink, Tracer};
 use ptk_rankers::{expected_rank_topk, ukranks, utopk, UTopKOptions};
 use ptk_sampling::{sample_topk_recorded, sample_topk_traced, SamplingOptions};
 use ptk_worlds::naive;
 
 use super::render::{
-    absorb_semantics_flight, attrs_of, ptk_header, stats_mode, write_audit, write_batch_answers,
-    write_membership_row, write_ptk_rows, write_semantics_answer, write_snapshot, write_stats,
+    absorb_semantics_flight, answer_rows, attrs_of, ptk_header, registry, stats_mode, view_rows,
+    write_audit, write_batch_answers, write_membership_row, write_ptk_rows, write_semantics_answer,
+    write_snapshot, write_stats, PtkRow,
 };
 use super::sql::flight_fingerprint;
 use super::trace::{trace_opts, RING_CAPACITY};
@@ -57,10 +58,11 @@ pub(super) fn cmd_query(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErr
         return Err("--trace/--slow-ms: the naive method is not instrumented".into());
     }
     let audit = flags.switch("audit");
-    let metrics = Metrics::new();
     // EXPLAIN ANALYZE annotates the plan with the run's actual counters, so
     // it needs a live recorder even without --stats; so does the --audit
-    // flight record, which carries the per-query counter delta.
+    // flight record, which carries the per-query counter delta (counters
+    // alone, so it reads no clock).
+    let metrics = registry(stats.is_some() || explain);
     let recorder: &dyn Recorder = if stats.is_some() || explain || audit {
         &metrics
     } else {
@@ -79,7 +81,7 @@ pub(super) fn cmd_query(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErr
         .map(|s| Tracer::new(Arc::clone(s) as SharedSink, 0, 0));
 
     let mut analysis = String::new();
-    let (answers, probabilities, note): (Vec<usize>, Vec<Option<f64>>, String) = match method {
+    let (rows, note): (Vec<PtkRow>, String) = match method {
         "exact" => {
             let plan = PtkPlan::try_new(
                 ptk.k(),
@@ -95,14 +97,13 @@ pub(super) fn cmd_query(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErr
             if let Some(t) = tracer.as_ref() {
                 executor = executor.with_tracer(t);
             }
-            let mut result = executor.execute_snapshot(&view, &pool);
+            let result = executor.execute_snapshot(&view, &pool);
             if let Some(f) = flight.as_mut() {
                 f.stop = result
                     .stats
                     .stop
                     .map_or(String::new(), |s| format!("{s:?}"));
             }
-            result.probabilities.resize(view.len(), None);
             let note = format!(
                 "scanned {} of {} tuples{}",
                 result.stats.scanned,
@@ -115,7 +116,7 @@ pub(super) fn cmd_query(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErr
             if explain {
                 analysis = plan.explain_analyze(&metrics.snapshot(), true);
             }
-            (result.answer_ranks(), result.probabilities, note)
+            (answer_rows(&result), note)
         }
         "sampling" => {
             if let Some(f) = flight.as_mut() {
@@ -132,10 +133,8 @@ pub(super) fn cmd_query(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErr
             };
             let answers = estimate.answers(p);
             recorder.add(ptk_engine::counters::ANSWERS, answers.len() as u64);
-            let probabilities = estimate.probabilities.iter().map(|&x| Some(x)).collect();
             (
-                answers,
-                probabilities,
+                view_rows(&view, &answers, &estimate.probabilities),
                 format!("{} sample units", estimate.units),
             )
         }
@@ -148,18 +147,16 @@ pub(super) fn cmd_query(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErr
             recorder.add(ptk_engine::counters::SCANNED, view.len() as u64);
             recorder.add(ptk_engine::counters::EVALUATED, view.len() as u64);
             recorder.add(ptk_engine::counters::ANSWERS, answers.len() as u64);
-            let probabilities = pr.iter().map(|&x| Some(x)).collect();
             (
-                answers,
-                probabilities,
+                view_rows(&view, &answers, &pr),
                 "full possible-world enumeration".to_owned(),
             )
         }
         other => return Err(format!("unknown --method '{other}' (exact|sampling|naive)").into()),
     };
 
-    writeln!(out, "{}", ptk_header(k, p, &note, answers.len()))?;
-    write_ptk_rows(out, &view, &table, &answers, &probabilities)?;
+    writeln!(out, "{}", ptk_header(k, p, &note, rows.len()))?;
+    write_ptk_rows(out, &table, &rows)?;
     if !analysis.is_empty() {
         write!(out, "{analysis}")?;
     }
@@ -263,8 +260,11 @@ fn query_batch(
         let (results, snapshot, events) =
             PtkExecutor::execute_batch_traced(&batch, &view, &pool, RING_CAPACITY);
         (results, Some(snapshot), Some(events))
-    } else if stats.is_some() || audit {
+    } else if stats.is_some() {
         let (results, snapshot) = PtkExecutor::execute_batch_recorded(&batch, &view, &pool);
+        (results, Some(snapshot), None)
+    } else if audit {
+        let (results, snapshot) = PtkExecutor::execute_batch_counted(&batch, &view, &pool);
         (results, Some(snapshot), None)
     } else {
         (PtkExecutor::execute_batch(&batch, &view, &pool), None, None)
@@ -277,7 +277,7 @@ fn query_batch(
         view.len(),
         pool.threads()
     )?;
-    write_batch_answers(out, &view, table, results, &labels)?;
+    write_batch_answers(out, view.len(), table, &results, &labels)?;
     if let Some(events) = &events {
         trace.write_file(events)?;
         // The batch shares one epoch, so the latest event offset is the
@@ -348,7 +348,7 @@ fn query_semantics(
     let trace = trace_opts(flags)?;
     let explain = flags.switch("explain");
     let audit = flags.switch("audit");
-    let metrics = Metrics::new();
+    let metrics = registry(stats.is_some() || explain);
     let recorder: &dyn Recorder = if stats.is_some() || explain || audit {
         &metrics
     } else {
@@ -376,7 +376,7 @@ fn query_semantics(
     let answer = executor
         .execute_semantics_snapshot(&view, &pool)
         .map_err(|e| e.to_string())?;
-    write_semantics_answer(out, &view, table, k, &answer)?;
+    write_semantics_answer(out, table, k, &answer)?;
     if explain {
         write!(out, "{}", plan.explain_analyze(&metrics.snapshot(), true))?;
     }
@@ -411,7 +411,7 @@ pub(super) fn cmd_utopk(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErr
         answer.probability, answer.states_explored
     )?;
     for &pos in &answer.vector {
-        write_membership_row(out, &view, &table, pos)?;
+        write_membership_row(out, &table, pos, view.tuple(pos).id)?;
     }
     Ok(())
 }
@@ -430,7 +430,7 @@ pub(super) fn cmd_ukranks(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdE
             entry.rank,
             entry.position + 1,
             entry.probability,
-            attrs_of(&view, &table, entry.position)
+            attrs_of(&table, view.tuple(entry.position).id)
         )?;
     }
     Ok(())
@@ -451,7 +451,7 @@ pub(super) fn cmd_erank(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErr
             e.expected_rank,
             e.position + 1,
             t.prob,
-            attrs_of(&view, &table, e.position)
+            attrs_of(&table, t.id)
         )?;
     }
     Ok(())

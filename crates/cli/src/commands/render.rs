@@ -2,11 +2,22 @@
 
 use std::io::Write;
 
-use ptk_core::{RankedView, UncertainTable};
+use ptk_core::{RankedView, TupleId, UncertainTable};
 use ptk_engine::{ExecStats, PtkResult, SemanticsAnswer};
 use ptk_obs::{Metrics, QueryFlight, QueryRecord, Snapshot};
 
 use super::{CmdError, Flags};
+
+/// The registry a command records into: timed when `--stats` or EXPLAIN
+/// ANALYZE reads its timings, counters-only otherwise — a flight record
+/// keeps counters alone, so it need not arm a single clock.
+pub(super) fn registry(timed: bool) -> Metrics {
+    if timed {
+        Metrics::new()
+    } else {
+        Metrics::counters_only()
+    }
+}
 
 /// How `--stats` renders the metrics snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,26 +104,61 @@ pub(super) fn ptk_header(k: usize, p: f64, note: &str, count: usize) -> String {
     format!("{count} tuples pass Pr^{k} >= {p} ({note})")
 }
 
+/// One row of a PT-k answer listing.
+pub(super) struct PtkRow {
+    /// The tuple's 0-based position in the query's ranked `P(T)`.
+    pub(super) pos: usize,
+    pub(super) id: TupleId,
+    /// Its top-k probability `Pr^k`.
+    pub(super) prk: f64,
+}
+
+/// The rows of an exact PT-k answer, straight from the scan's answers.
+pub(super) fn answer_rows(result: &PtkResult) -> Vec<PtkRow> {
+    result
+        .answers
+        .iter()
+        .map(|a| PtkRow {
+            pos: a.rank,
+            id: a.id,
+            prk: a.probability,
+        })
+        .collect()
+}
+
+/// The rows of an answer given as positions into a materialized view with
+/// every position's `Pr^k` (the sampling and naive methods).
+pub(super) fn view_rows(
+    view: &RankedView,
+    answers: &[usize],
+    probabilities: &[f64],
+) -> Vec<PtkRow> {
+    answers
+        .iter()
+        .map(|&pos| PtkRow {
+            pos,
+            id: view.tuple(pos).id,
+            prk: probabilities[pos],
+        })
+        .collect()
+}
+
 /// Renders a PT-k answer set, one row per answer, in the format shared by
 /// `ptk query` and `ptk sql`. The header line comes from [`ptk_header`].
 pub(super) fn write_ptk_rows(
     out: &mut dyn Write,
-    view: &RankedView,
     table: &UncertainTable,
-    answers: &[usize],
-    probabilities: &[Option<f64>],
+    rows: &[PtkRow],
 ) -> Result<(), CmdError> {
-    for &pos in answers {
-        let t = view.tuple(pos);
-        let row = table.tuple(t.id);
-        let attrs: Vec<String> = row.attrs().iter().map(ToString::to_string).collect();
+    for row in rows {
+        let t = table.tuple(row.id);
         writeln!(
             out,
             "  rank {:>4}  Pr^k={:.4}  membership={:.3}  [{}]",
-            pos + 1,
-            probabilities[pos].unwrap_or(f64::NAN),
-            t.prob,
-            attrs.join(", ")
+            row.pos + 1,
+            row.prk,
+            t.membership().value(),
+            attrs_of(table, row.id)
         )?;
     }
     Ok(())
@@ -120,64 +166,55 @@ pub(super) fn write_ptk_rows(
 
 /// Renders a batch of PT-k answers, one `--`-prefixed header per query,
 /// in plan order — the format shared by the batch modes of `ptk query` and
-/// `ptk sql`. `labels` pairs each result with its `(k, p)`.
+/// `ptk sql`. `len` is the size of the shared `P(T)`; `labels` pairs each
+/// result with its `(k, p)`.
 pub(super) fn write_batch_answers(
     out: &mut dyn Write,
-    view: &RankedView,
+    len: usize,
     table: &UncertainTable,
-    results: Vec<PtkResult>,
+    results: &[PtkResult],
     labels: &[(usize, f64)],
 ) -> Result<(), CmdError> {
-    for (mut result, &(k, p)) in results.into_iter().zip(labels) {
-        result.probabilities.resize(view.len(), None);
+    for (result, &(k, p)) in results.iter().zip(labels) {
         let note = format!(
-            "scanned {} of {} tuples{}",
+            "scanned {} of {len} tuples{}",
             result.stats.scanned,
-            view.len(),
             result
                 .stats
                 .stop
                 .map_or(String::new(), |s| format!(", stopped early: {s:?}"))
         );
-        let answers = result.answer_ranks();
-        writeln!(out, "-- {}", ptk_header(k, p, &note, answers.len()))?;
-        write_ptk_rows(out, view, table, &answers, &result.probabilities)?;
+        writeln!(out, "-- {}", ptk_header(k, p, &note, result.answers.len()))?;
+        write_ptk_rows(out, table, &answer_rows(result))?;
     }
     Ok(())
 }
 
 /// Renders one ranked tuple with its membership probability — the row
 /// format shared by the U-TopK listings in `ptk utopk` and `ptk sql`.
+/// `pos` is the tuple's 0-based position in `P(T)`.
 pub(super) fn write_membership_row(
     out: &mut dyn Write,
-    view: &RankedView,
     table: &UncertainTable,
     pos: usize,
+    id: TupleId,
 ) -> Result<(), CmdError> {
-    let t = view.tuple(pos);
-    let attrs: Vec<String> = table
-        .tuple(t.id)
-        .attrs()
-        .iter()
-        .map(ToString::to_string)
-        .collect();
     writeln!(
         out,
         "  rank {:>4}  membership={:.3}  [{}]",
         pos + 1,
-        t.prob,
-        attrs.join(", ")
+        table.tuple(id).membership().value(),
+        attrs_of(table, id)
     )?;
     Ok(())
 }
 
-/// Renders a non-PT-k [`SemanticsAnswer`] over a ranked view — the answer
-/// formats shared by `ptk query --semantics` and the `RANK BY` statements
-/// of `ptk sql` (and therefore `ptk serve`). PT-k answers render through
-/// [`write_ptk_rows`] instead, so this rejects them.
+/// Renders a non-PT-k [`SemanticsAnswer`] from its rows' positions and ids
+/// — the answer formats shared by `ptk query --semantics` and the `RANK BY`
+/// statements of `ptk sql` (and therefore `ptk serve`). PT-k answers render
+/// through [`write_ptk_rows`] instead, so this rejects them.
 pub(super) fn write_semantics_answer(
     out: &mut dyn Write,
-    view: &RankedView,
     table: &UncertainTable,
     k: usize,
     answer: &SemanticsAnswer,
@@ -194,7 +231,7 @@ pub(super) fn write_semantics_answer(
                 "most probable top-{k} vector (probability {probability:.6}):"
             )?;
             for row in rows {
-                write_membership_row(out, view, table, row.position)?;
+                write_membership_row(out, table, row.position, row.id)?;
             }
             Ok(())
         }
@@ -207,7 +244,7 @@ pub(super) fn write_semantics_answer(
                     j + 1,
                     row.position + 1,
                     row.value,
-                    attrs_of(view, table, row.position)
+                    attrs_of(table, row.id)
                 )?;
             }
             Ok(())
@@ -220,7 +257,7 @@ pub(super) fn write_semantics_answer(
                     "  Pr^k = {:.4}  ranked position {:>4}  [{}]",
                     row.value,
                     row.position + 1,
-                    attrs_of(view, table, row.position)
+                    attrs_of(table, row.id)
                 )?;
             }
             Ok(())
@@ -233,7 +270,7 @@ pub(super) fn write_semantics_answer(
                     "  expected rank {:>8.2}  ranked position {:>4}  [{}]",
                     row.value,
                     row.position + 1,
-                    attrs_of(view, table, row.position)
+                    attrs_of(table, row.id)
                 )?;
             }
             Ok(())
@@ -241,11 +278,10 @@ pub(super) fn write_semantics_answer(
     }
 }
 
-/// The comma-joined attribute rendering of a ranked tuple's source row.
-pub(super) fn attrs_of(view: &RankedView, table: &UncertainTable, pos: usize) -> String {
-    let t = view.tuple(pos);
+/// The comma-joined attribute rendering of a tuple's source row.
+pub(super) fn attrs_of(table: &UncertainTable, id: TupleId) -> String {
     let attrs: Vec<String> = table
-        .tuple(t.id)
+        .tuple(id)
         .attrs()
         .iter()
         .map(ToString::to_string)

@@ -15,9 +15,9 @@ use ptk_engine::{
     evaluate_ptk_source_recorded, PtkExecutor, PtkPlan, RankSemantics, SemanticsAnswer,
     StreamOptions,
 };
-use ptk_obs::{Metrics, Noop, QueryFlight, Recorder, SharedRecorder, SharedSink, Tracer};
+use ptk_obs::{Noop, QueryFlight, Recorder, SharedRecorder, SharedSink, Tracer};
 
-use super::render::{absorb_semantics_flight, stats_mode, write_audit, write_stats};
+use super::render::{absorb_semantics_flight, registry, stats_mode, write_audit, write_stats};
 use super::sql::flight_fingerprint;
 use super::trace::trace_opts;
 use super::{build_ranking, load_from_flags, semantics_from_flags, CmdError, Flags};
@@ -123,7 +123,8 @@ pub(super) fn cmd_scan(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErro
     let trace = trace_opts(flags)?;
     let audit = flags.switch("audit");
     let recording = stats.is_some() || audit;
-    let metrics = Arc::new(Metrics::new());
+    // A flight record alone keeps counters only, so it reads no clock.
+    let metrics = Arc::new(registry(stats.is_some()));
     let recorder: &dyn Recorder = if recording { metrics.as_ref() } else { &Noop };
     let mut flight = audit.then(|| {
         let label = format!("scan k={k} p={p}");
@@ -247,7 +248,8 @@ fn scan_semantics(
     let stats = stats_mode(flags)?;
     let audit = flags.switch("audit");
     let recording = stats.is_some() || audit;
-    let metrics = Arc::new(Metrics::new());
+    // A flight record alone keeps counters only, so it reads no clock.
+    let metrics = Arc::new(registry(stats.is_some()));
     let recorder: &dyn Recorder = if recording { metrics.as_ref() } else { &Noop };
     let flight = audit.then(|| {
         let label = format!("scan --semantics {} k={k}", semantics.keyword());

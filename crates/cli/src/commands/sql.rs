@@ -10,16 +10,17 @@
 
 use std::io::Write;
 
-use ptk_core::{RankedView, UncertainTable};
+use ptk_core::{Selection, UncertainTable};
 use ptk_engine::{EngineOptions, PtkExecutor, PtkPlan, RankSemantics};
-use ptk_obs::{Metrics, Noop, QueryFlight, Recorder};
+use ptk_obs::{Noop, QueryFlight, Recorder};
 use ptk_par::ThreadPool;
 use ptk_sampling::{sample_ptk_recorded, SamplingOptions};
 use ptk_worlds::naive;
 
 use super::render::{
-    absorb_semantics_flight, ptk_header, stats_mode, write_audit, write_batch_answers,
-    write_ptk_rows, write_semantics_answer, write_snapshot, write_stats, StatsMode,
+    absorb_semantics_flight, answer_rows, ptk_header, registry, stats_mode, view_rows, write_audit,
+    write_batch_answers, write_ptk_rows, write_semantics_answer, write_snapshot, write_stats,
+    PtkRow, StatsMode,
 };
 use super::{load_from_flags, pool_from_flags, CmdError, Flags};
 
@@ -42,6 +43,10 @@ pub(super) fn flight_fingerprint(label: &str, plan_fingerprints: &[u64]) -> u64 
     }
     h
 }
+
+/// EXPLAIN's name for the first stage of every exact plan: the query's
+/// `P(T)` selected from the table's shared ranked view.
+const SELECT_STAGE: &str = "Selection::new (predicate over the shared ranked view)";
 
 /// Maps a parsed statement kind to the engine's ranking semantics. The SQL
 /// crate depends only on `ptk-core`, so the two enums are defined apart and
@@ -131,7 +136,7 @@ fn sql_single(
     let statement = ptk_sql::parse_statement(statement_text).map_err(|e| e.to_string())?;
     let parsed = statement.query.clone();
     let query = parsed.bind(table).map_err(|e| e.to_string())?;
-    let view = RankedView::build(table, query.query()).map_err(|e| e.to_string())?;
+    let selection = Selection::new(table, query.query()).map_err(|e| e.to_string())?;
     let k = query.k();
     let p = query.threshold().value();
 
@@ -143,7 +148,7 @@ fn sql_single(
     if semantics != RankSemantics::Ptk {
         return sql_semantics(
             table,
-            &view,
+            &selection,
             semantics,
             k,
             statement_text,
@@ -155,10 +160,11 @@ fn sql_single(
     }
 
     let stats = options.stats;
-    let metrics = Metrics::new();
     // EXPLAIN ANALYZE annotates the plan with the run's actual counters and
     // phase timings, so it records even without --stats; a flight record
-    // carries the per-query counter delta, so it forces recording too.
+    // carries the per-query counter delta, so it forces recording too, of
+    // counters alone.
+    let metrics = registry(stats.is_some() || statement.analyze);
     let recorder: &dyn Recorder = if stats.is_some() || statement.analyze || flight.is_some() {
         &metrics
     } else {
@@ -171,27 +177,25 @@ fn sql_single(
     }
 
     let mut explain_note = String::new();
-    let (answers, probabilities, note): (Vec<usize>, Vec<Option<f64>>, String) = match parsed.method
-    {
+    let (rows, note): (Vec<PtkRow>, String) = match parsed.method {
         ptk_sql::Method::Exact => {
             let plan = PtkPlan::try_new(k, p, &options.engine).map_err(|e| e.to_string())?;
             if let Some(f) = flight.as_deref_mut() {
                 f.plan = plan.describe();
                 f.fingerprint = Some(flight_fingerprint(statement_text, &[plan.fingerprint()]));
             }
-            let mut result =
-                PtkExecutor::with_recorder(&plan, recorder).execute_snapshot(&view, &pool);
+            let result =
+                PtkExecutor::with_recorder(&plan, recorder).execute_snapshot(&selection, &pool);
             if let Some(f) = flight.as_deref_mut() {
                 f.stop = result
                     .stats
                     .stop
                     .map_or(String::new(), |s| format!("{s:?}"));
             }
-            result.probabilities.resize(view.len(), None);
             let note = format!(
                 "exact; scanned {} of {} tuples",
                 result.stats.scanned,
-                view.len()
+                selection.len()
             );
             if statement.analyze {
                 // Per-stage annotation from the same counter names --stats
@@ -202,7 +206,7 @@ fn sql_single(
                     .to_owned();
             } else if statement.explain {
                 explain_note = format!(
-                    "plan: RankedView::build (predicate + sort + rule projection) -> {}\n\
+                    "plan: {SELECT_STAGE} -> {}\n\
                      stats: scanned {}, evaluated {}, pruned {} (membership {}, rule {}), dp entries {}, stop {:?}",
                     plan.describe(),
                     result.stats.scanned,
@@ -214,7 +218,7 @@ fn sql_single(
                     result.stats.stop,
                 );
             }
-            (result.answer_ranks(), result.probabilities, note)
+            (answer_rows(&result), note)
         }
         ptk_sql::Method::Sampling => {
             if let Some(f) = flight.as_deref_mut() {
@@ -224,12 +228,11 @@ fn sql_single(
                 seed: options.seed,
                 ..Default::default()
             };
+            let view = selection.materialize();
             let (answers, estimate) = sample_ptk_recorded(&view, k, p, &sampling, recorder);
             recorder.add(ptk_engine::counters::ANSWERS, answers.len() as u64);
-            let probabilities = estimate.probabilities.iter().map(|&x| Some(x)).collect();
             (
-                answers,
-                probabilities,
+                view_rows(&view, &answers, &estimate.probabilities),
                 format!("sampling; {} units", estimate.units),
             )
         }
@@ -237,21 +240,24 @@ fn sql_single(
             if let Some(f) = flight.as_deref_mut() {
                 f.plan = format!("naive possible-world enumeration (k={k})");
             }
+            let view = selection.materialize();
             let pr = naive::topk_probabilities(&view, k).map_err(|e| e.to_string())?;
             let answers: Vec<usize> = (0..view.len()).filter(|&i| pr[i] >= p).collect();
             recorder.add(ptk_engine::counters::SCANNED, view.len() as u64);
             recorder.add(ptk_engine::counters::EVALUATED, view.len() as u64);
             recorder.add(ptk_engine::counters::ANSWERS, answers.len() as u64);
-            let probabilities = pr.iter().map(|&x| Some(x)).collect();
-            (answers, probabilities, "naive enumeration".to_owned())
+            (
+                view_rows(&view, &answers, &pr),
+                "naive enumeration".to_owned(),
+            )
         }
     };
 
     if let Some(f) = flight {
         f.absorb_counters(&metrics.snapshot());
     }
-    writeln!(out, "{}", ptk_header(k, p, &note, answers.len()))?;
-    write_ptk_rows(out, &view, table, &answers, &probabilities)?;
+    writeln!(out, "{}", ptk_header(k, p, &note, rows.len()))?;
+    write_ptk_rows(out, table, &rows)?;
     if !explain_note.is_empty() {
         writeln!(out, "{explain_note}")?;
     }
@@ -265,7 +271,7 @@ fn sql_single(
 #[allow(clippy::too_many_arguments)]
 fn sql_semantics(
     table: &UncertainTable,
-    view: &RankedView,
+    selection: &Selection,
     semantics: RankSemantics,
     k: usize,
     statement_text: &str,
@@ -277,7 +283,7 @@ fn sql_semantics(
     let plan =
         PtkPlan::try_semantics(semantics, k, None, &options.engine).map_err(|e| e.to_string())?;
     let stats = options.stats;
-    let metrics = Metrics::new();
+    let metrics = registry(stats.is_some() || statement.analyze);
     let recorder: &dyn Recorder = if stats.is_some() || statement.analyze || flight.is_some() {
         &metrics
     } else {
@@ -290,12 +296,12 @@ fn sql_semantics(
         f.fingerprint = Some(flight_fingerprint(statement_text, &[plan.fingerprint()]));
     }
     let answer = PtkExecutor::with_recorder(&plan, recorder)
-        .execute_semantics_snapshot(view, &options.pool)
+        .execute_semantics_snapshot(selection, &options.pool)
         .map_err(|e| e.to_string())?;
     if let Some(f) = flight {
         absorb_semantics_flight(f, &metrics.snapshot());
     }
-    write_semantics_answer(out, view, table, k, &answer)?;
+    write_semantics_answer(out, table, k, &answer)?;
     if statement.analyze {
         writeln!(
             out,
@@ -303,16 +309,12 @@ fn sql_semantics(
             plan.explain_analyze(&metrics.snapshot(), true).trim_end()
         )?;
     } else if statement.explain {
-        writeln!(
-            out,
-            "plan: RankedView::build (predicate + sort + rule projection) -> {}",
-            plan.describe()
-        )?;
+        writeln!(out, "plan: {SELECT_STAGE} -> {}", plan.describe())?;
         writeln!(
             out,
             "stats: view of {} tuples / {} rules, {} answer rows",
-            view.len(),
-            view.rules().len(),
+            selection.len(),
+            selection.materialize().rules().len(),
             answer.answer_count()
         )?;
     }
@@ -320,7 +322,7 @@ fn sql_semantics(
 }
 
 /// The multi-statement path of `ptk sql`: `;`-separated `SELECT TOP`
-/// statements become one plan batch over a shared view. Every statement
+/// statements become one plan batch over a shared selection. Every statement
 /// must be an exact PT-k query with the same `WHERE` and `ORDER BY` — the
 /// batch executor scans a single snapshot, so predicate and ranking are
 /// per-batch, while `k` and the probability threshold vary per statement.
@@ -371,7 +373,7 @@ fn sql_batch(
 
     let mut plans = Vec::with_capacity(parsed.len());
     let mut labels = Vec::with_capacity(parsed.len());
-    let mut view = None;
+    let mut selection = None;
     for (i, q) in parsed.iter().enumerate() {
         let bound = q
             .bind(table)
@@ -381,11 +383,11 @@ fn sql_batch(
                 .map_err(|e| format!("statement {}: {e}", i + 1))?,
         );
         labels.push((bound.k(), bound.threshold().value()));
-        if view.is_none() {
-            view = Some(RankedView::build(table, bound.query()).map_err(|e| e.to_string())?);
+        if selection.is_none() {
+            selection = Some(Selection::new(table, bound.query()).map_err(|e| e.to_string())?);
         }
     }
-    let view = view.expect("at least two statements were parsed");
+    let selection = selection.expect("at least two statements were parsed");
     let batch = PtkPlan::batch(&plans);
     let pool = options.pool;
     let stats = options.stats;
@@ -402,11 +404,15 @@ fn sql_batch(
         f.fingerprint = Some(flight_fingerprint(&statements.join("; "), &fingerprints));
     }
 
-    let (results, snapshot) = if stats.is_some() || flight.is_some() {
-        let (results, snapshot) = PtkExecutor::execute_batch_recorded(&batch, &view, &pool);
+    // A flight record alone keeps counters only, so it reads no clock.
+    let (results, snapshot) = if stats.is_some() {
+        let (results, snapshot) = PtkExecutor::execute_batch_recorded(&batch, &selection, &pool);
+        (results, Some(snapshot))
+    } else if flight.is_some() {
+        let (results, snapshot) = PtkExecutor::execute_batch_counted(&batch, &selection, &pool);
         (results, Some(snapshot))
     } else {
-        (PtkExecutor::execute_batch(&batch, &view, &pool), None)
+        (PtkExecutor::execute_batch(&batch, &selection, &pool), None)
     };
     if let (Some(f), Some(snapshot)) = (flight, snapshot.as_ref()) {
         f.absorb_counters(snapshot);
@@ -416,10 +422,10 @@ fn sql_batch(
         out,
         "batch of {} statements over {} tuples ({} threads)",
         results.len(),
-        view.len(),
+        selection.len(),
         pool.threads()
     )?;
-    write_batch_answers(out, &view, table, results, &labels)?;
+    write_batch_answers(out, selection.len(), table, &results, &labels)?;
     match snapshot {
         Some(snapshot) => write_snapshot(out, stats, &snapshot),
         None => Ok(()),

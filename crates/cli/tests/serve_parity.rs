@@ -19,8 +19,11 @@ const PANDA_CSV: &str = "prob,rule,duration,rid
 ";
 
 /// The mixed statement batch every client fires: single exact queries, a
-/// `;`-batch, an ascending scan, an EXPLAIN, and two non-PT-k semantics.
-const STATEMENTS: [&str; 7] = [
+/// `;`-batch, an ascending scan, an EXPLAIN, and two non-PT-k semantics —
+/// each with and without `WHERE`, so concurrent requests share the table's
+/// ranked views and select from them. `duration > 12` drops R4 and R6,
+/// leaving rule `e` one member; the filtered batch shares one selection.
+const STATEMENTS: [&str; 12] = [
     "SELECT TOP 2 FROM t ORDER BY duration DESC WITH PROBABILITY >= 0.35",
     "SELECT TOP 1 FROM t ORDER BY duration DESC WITH PROBABILITY >= 0.5",
     "SELECT TOP 2 FROM t ORDER BY duration DESC WITH PROBABILITY >= 0.35; \
@@ -29,6 +32,12 @@ const STATEMENTS: [&str; 7] = [
     "EXPLAIN SELECT TOP 2 FROM t ORDER BY duration DESC WITH PROBABILITY >= 0.35",
     "SELECT TOP 2 FROM t ORDER BY duration DESC RANK BY U_TOPK",
     "SELECT TOP 2 FROM t ORDER BY duration DESC RANK BY GLOBAL_TOPK",
+    "SELECT TOP 2 FROM t WHERE duration > 12 ORDER BY duration DESC WITH PROBABILITY >= 0.3",
+    "SELECT TOP 2 FROM t WHERE duration > 12 ORDER BY duration DESC WITH PROBABILITY >= 0.3; \
+     SELECT TOP 3 FROM t WHERE duration > 12 ORDER BY duration DESC WITH PROBABILITY >= 0.2",
+    "SELECT TOP 2 FROM t WHERE duration < 20 ORDER BY duration ASC WITH PROBABILITY >= 0.2",
+    "EXPLAIN SELECT TOP 2 FROM t WHERE duration > 12 ORDER BY duration DESC RANK BY U_KRANKS",
+    "SELECT TOP 2 FROM t WHERE duration > 12 ORDER BY duration DESC RANK BY GLOBAL_TOPK",
 ];
 
 struct TempFile(PathBuf);

@@ -15,7 +15,9 @@
 //! consumed by every query-evaluation engine in the workspace: the tuples
 //! satisfying the query predicate, sorted in the ranking order, with
 //! generation rules projected onto the selected tuples (the table `P(T)` of
-//! the paper, §4).
+//! the paper, §4). A table ranks itself once per ranking
+//! ([`UncertainTable::ranked`]); a query's `P(T)` is a [`Selection`] over
+//! that shared view, materialized only for consumers that need a view.
 //!
 //! Two infrastructure modules support the workspace's zero-dependency
 //! policy: [`rng`] (the deterministic in-repo PRNG stack behind the
@@ -49,6 +51,7 @@ mod query;
 mod ranked;
 pub mod rng;
 mod rule;
+mod selection;
 mod table;
 mod tuple;
 mod value;
@@ -58,6 +61,7 @@ pub use prob::Probability;
 pub use query::{ComparisonOp, Predicate, PtkQuery, Ranking, SortDirection, TopKQuery};
 pub use ranked::{RankedTuple, RankedView, RuleHandle, RuleProjection};
 pub use rule::{GenerationRule, RuleId, RuleKind};
+pub use selection::Selection;
 pub use table::{UncertainTable, UncertainTableBuilder};
 pub use tuple::{Tuple, TupleId};
 pub use value::Value;

@@ -7,8 +7,14 @@
 //! is the sum of the surviving members' probabilities). [`RankedView`]
 //! materializes exactly that object and is consumed by every engine in the
 //! workspace — exact, sampling, U-TopK and U-KRanks.
+//!
+//! A table ranks itself once per ranking (see [`UncertainTable::ranked`]);
+//! a query's `P(T)` is a [`Selection`](crate::Selection) over that shared
+//! view, and [`RankedView::build`] materializes the selection.
 
-use crate::{ModelError, Probability, Result, RuleId, TopKQuery, TupleId, UncertainTable};
+use std::sync::Arc;
+
+use crate::{ModelError, Probability, Ranking, Result, RuleId, TopKQuery, TupleId, UncertainTable};
 
 /// Index of a projected rule inside a [`RankedView`].
 ///
@@ -77,95 +83,138 @@ impl RuleProjection {
     pub fn span(&self) -> usize {
         self.last() - self.first()
     }
+
+    /// Projects a rule onto the tuples that survive a selection — the one
+    /// projection routine behind every view and selection. `survivors`
+    /// yields each surviving member's position and probability in rank
+    /// order. Fewer than two survivors leave no rule (a lone survivor is an
+    /// independent tuple); otherwise the mass is the survivors'
+    /// probabilities summed in rank order, clamped to 1.
+    pub(crate) fn project(
+        source: Option<RuleId>,
+        survivors: impl IntoIterator<Item = (usize, f64)>,
+    ) -> Option<RuleProjection> {
+        let mut members = Vec::new();
+        let mut mass = 0.0f64;
+        for (pos, prob) in survivors {
+            members.push(pos);
+            mass += prob;
+        }
+        (members.len() >= 2).then(|| RuleProjection {
+            source,
+            members,
+            mass: mass.min(1.0),
+        })
+    }
 }
 
 /// Tuples satisfying a query predicate, in ranking order, with projected
 /// generation rules — the paper's `P(T)`.
+///
+/// Tuples and rules sit behind [`Arc`], so a clone shares them and costs
+/// O(1): a table's ranked view is built once and handed to every query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankedView {
-    tuples: Vec<RankedTuple>,
-    rules: Vec<RuleProjection>,
+    tuples: Arc<[RankedTuple]>,
+    rules: Arc<[RuleProjection]>,
+    /// Whether every tuple has a numeric key and the keys never increase
+    /// along the ranking (vacuously true when empty).
+    keys_descend: bool,
+}
+
+impl Default for RankedView {
+    fn default() -> RankedView {
+        RankedView::from_parts(Vec::new(), Vec::new())
+    }
 }
 
 impl RankedView {
-    /// Builds the ranked view of `table` under `query`: filters by the
-    /// predicate, sorts by the ranking function, projects the rules.
+    /// Builds the ranked view of `table` under `query`: the tuples passing
+    /// the predicate, in ranking order, with the rules projected onto them.
+    ///
+    /// Without a `WHERE` predicate this is the table's shared ranked view
+    /// for the query's ranking (built on first use, see
+    /// [`UncertainTable::ranked`]), so repeated builds share storage.
+    /// Otherwise it materializes the query's
+    /// [`Selection`](crate::Selection) over that view.
     ///
     /// # Errors
     /// Propagates predicate/ranking evaluation errors (unknown columns).
     pub fn build(table: &UncertainTable, query: &TopKQuery) -> Result<RankedView> {
-        let mut selected = Vec::with_capacity(table.len());
-        for t in table.tuples() {
-            if query.predicate().eval(t)? {
-                selected.push(t.id());
-            }
-        }
-        // Sort by ranking order; propagate the first comparison error, if
-        // any, by pre-validating that every selected tuple has the column.
-        for &id in &selected {
-            let t = table.tuple(id);
-            if t.attr(query.ranking().column()).is_none() {
-                return Err(ModelError::UnknownColumn(query.ranking().column()));
-            }
-        }
-        selected.sort_by(|&a, &b| {
-            query
-                .ranking()
-                .compare(table.tuple(a), table.tuple(b))
-                .expect("columns validated above")
-        });
+        Ok(crate::Selection::new(table, query)?.materialize())
+    }
 
-        let mut position_of = vec![usize::MAX; table.len()];
-        for (pos, &id) in selected.iter().enumerate() {
+    /// Ranks every tuple of `table` by `ranking` and projects every rule
+    /// onto the ranked positions — the predicate-free view a table keeps
+    /// per ranking. Ties are broken by tuple id, so the order is total and
+    /// any subset of it is in the subset's own ranking order.
+    ///
+    /// # Panics
+    /// Panics if a tuple lacks the ranked column; callers check the column
+    /// against the schema first.
+    pub(crate) fn rank(table: &UncertainTable, ranking: &Ranking) -> RankedView {
+        let mut order: Vec<TupleId> = table.tuples().iter().map(|t| t.id()).collect();
+        order.sort_by(|&a, &b| {
+            ranking
+                .compare(table.tuple(a), table.tuple(b))
+                .expect("the ranked column is in the schema")
+        });
+        let mut position_of = vec![0usize; table.len()];
+        for (pos, &id) in order.iter().enumerate() {
             position_of[id.index()] = pos;
         }
+        let prob = |pos: usize| table.tuple(order[pos]).membership().value();
 
-        // Project rules: keep only members that survived the predicate, and
-        // only rules with >= 2 survivors.
         let mut rules = Vec::new();
-        let mut rule_handle_of = vec![None; table.len()];
+        let mut rule_at = vec![None; table.len()];
         for rule in table.rules() {
             let mut members: Vec<usize> = rule
                 .members()
                 .iter()
-                .filter_map(|m| {
-                    let p = position_of[m.index()];
-                    (p != usize::MAX).then_some(p)
-                })
+                .map(|m| position_of[m.index()])
                 .collect();
-            if members.len() < 2 {
-                continue;
-            }
             members.sort_unstable();
-            let mass: f64 = members
-                .iter()
-                .map(|&p| table.tuple(selected[p]).membership().value())
-                .sum();
-            let handle = RuleHandle(u32::try_from(rules.len()).expect("rule count fits u32"));
-            for &p in &members {
-                rule_handle_of[selected[p].index()] = Some(handle);
+            let survivors = members.into_iter().map(|pos| (pos, prob(pos)));
+            if let Some(projection) = RuleProjection::project(Some(rule.id()), survivors) {
+                let handle = RuleHandle::from_index(rules.len());
+                for &pos in &projection.members {
+                    rule_at[pos] = Some(handle);
+                }
+                rules.push(projection);
             }
-            rules.push(RuleProjection {
-                source: Some(rule.id()),
-                members,
-                mass: mass.min(1.0),
-            });
         }
 
-        let tuples = selected
+        let tuples = order
             .iter()
-            .map(|&id| {
+            .zip(rule_at)
+            .map(|(&id, rule)| {
                 let t = table.tuple(id);
                 RankedTuple {
                     id,
                     prob: t.membership().value(),
-                    rule: rule_handle_of[id.index()],
-                    key: t.attr(query.ranking().column()).and_then(|v| v.as_f64()),
+                    rule,
+                    key: t.attr(ranking.column()).and_then(|v| v.as_f64()),
                 }
             })
             .collect();
+        RankedView::from_parts(tuples, rules)
+    }
 
-        Ok(RankedView { tuples, rules })
+    /// Assembles a view from its ranked tuples and projected rules.
+    pub(crate) fn from_parts(tuples: Vec<RankedTuple>, rules: Vec<RuleProjection>) -> RankedView {
+        let mut last = f64::INFINITY;
+        let keys_descend = tuples.iter().all(|t| match t.key {
+            Some(key) if key <= last => {
+                last = key;
+                true
+            }
+            _ => false,
+        });
+        RankedView {
+            tuples: tuples.into(),
+            rules: rules.into(),
+            keys_descend,
+        }
     }
 
     /// Builds a view directly from an already-ranked probability list plus
@@ -214,7 +263,7 @@ impl RankedView {
                     total: mass,
                 });
             }
-            let handle = RuleHandle(u32::try_from(rules.len()).expect("rule count fits u32"));
+            let handle = RuleHandle::from_index(rules.len());
             for &m in &members {
                 rule_of[m] = Some(handle);
             }
@@ -234,7 +283,7 @@ impl RankedView {
                 key: None,
             })
             .collect();
-        Ok(RankedView { tuples, rules })
+        Ok(RankedView::from_parts(tuples, rules))
     }
 
     /// The ranked tuples, highest rank first.
@@ -259,6 +308,14 @@ impl RankedView {
     #[inline]
     pub fn rules(&self) -> &[RuleProjection] {
         &self.rules
+    }
+
+    /// Whether every tuple has a numeric ranking key and the keys never
+    /// increase along the ranking, so they can serve as scan scores.
+    /// Computed once, when the view is assembled.
+    #[inline]
+    pub fn keys_descend(&self) -> bool {
+        self.keys_descend
     }
 
     /// The projected rule at `handle`.

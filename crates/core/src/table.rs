@@ -1,6 +1,11 @@
 //! Uncertain tables and their builder.
 
-use crate::{GenerationRule, ModelError, Probability, Result, RuleId, Tuple, TupleId, Value};
+use std::sync::OnceLock;
+
+use crate::{
+    GenerationRule, ModelError, Probability, RankedView, Ranking, Result, RuleId, SortDirection,
+    Tuple, TupleId, Value,
+};
 
 /// Tolerance used when checking that a rule's membership probabilities sum to
 /// at most one: real-world confidences are often renormalized quotients whose
@@ -122,6 +127,7 @@ impl UncertainTableBuilder {
     /// `Result` return type leaves room for whole-table checks.
     pub fn finish(self) -> Result<UncertainTable> {
         Ok(UncertainTable {
+            ranked: self.columns.iter().map(|_| Default::default()).collect(),
             columns: self.columns,
             tuples: self.tuples,
             rules: self.rules,
@@ -135,12 +141,19 @@ impl UncertainTableBuilder {
 ///
 /// Tuples not covered by any multi-tuple rule are *independent*; the paper's
 /// conceptual singleton rules are not materialized.
+///
+/// The table also keeps its predicate-free ranked view per ranking, built on
+/// first use (see [`UncertainTable::ranked`]). The table is immutable, so a
+/// kept view never goes stale, and the table can be shared across threads.
 #[derive(Debug, Clone)]
 pub struct UncertainTable {
     columns: Vec<String>,
     tuples: Vec<Tuple>,
     rules: Vec<GenerationRule>,
     rule_of: Vec<Option<RuleId>>,
+    /// `ranked[c][d]`: the ranked view by column `c`, descending (`d = 0`)
+    /// or ascending (`d = 1`), once some query has asked for it.
+    ranked: Vec<[OnceLock<RankedView>; 2]>,
 }
 
 impl UncertainTable {
@@ -199,6 +212,30 @@ impl UncertainTable {
     /// Whether `tuple` participates in a multi-tuple rule.
     pub fn is_dependent(&self, tuple: TupleId) -> bool {
         self.rule_of(tuple).is_some()
+    }
+
+    /// Every tuple in ranking order with every rule projected onto the
+    /// ranked positions: the predicate-free `P(T)` for `ranking`. The first
+    /// call per column and direction builds it (sort plus rule projection);
+    /// later calls return a clone sharing the same storage, so the table
+    /// holds one view per ranking in use.
+    ///
+    /// # Errors
+    /// Fails with [`ModelError::UnknownColumn`] if the ranked column is not
+    /// in the schema and the table has tuples (an empty table ranks to an
+    /// empty view whatever the column).
+    pub fn ranked(&self, ranking: &Ranking) -> Result<RankedView> {
+        let Some(slots) = self.ranked.get(ranking.column()) else {
+            if self.is_empty() {
+                return Ok(RankedView::default());
+            }
+            return Err(ModelError::UnknownColumn(ranking.column()));
+        };
+        let slot = match ranking.direction() {
+            SortDirection::Descending => &slots[0],
+            SortDirection::Ascending => &slots[1],
+        };
+        Ok(slot.get_or_init(|| RankedView::rank(self, ranking)).clone())
     }
 
     /// The number of possible worlds:

@@ -249,7 +249,10 @@ mod tests {
             sample_size: 10,
             result: None,
         };
-        b.iter(|| (0..1000u64).sum::<u64>());
+        // Each input goes through black_box: release builds would otherwise
+        // fold the sum to a constant (or a closed form under a nanosecond),
+        // leaving nothing to time.
+        b.iter(|| (0..1000u64).map(std::hint::black_box).sum::<u64>());
         let s = b.result.expect("iter records a sample");
         assert!(s.median > Duration::ZERO);
         assert!(s.low <= s.median && s.median <= s.high);

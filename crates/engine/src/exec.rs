@@ -991,7 +991,7 @@ impl<'a> PtkExecutor<'a> {
         source: &S,
         pool: &ThreadPool,
     ) -> Vec<PtkResult> {
-        Self::batch_inner(batch, source, pool, false).0
+        Self::batch_inner(batch, source, pool, Recording::Off).0
     }
 
     /// Like [`PtkExecutor::execute_batch`], but recording: the returned
@@ -1011,21 +1011,39 @@ impl<'a> PtkExecutor<'a> {
         source: &S,
         pool: &ThreadPool,
     ) -> (Vec<PtkResult>, Snapshot) {
-        let (results, snapshot) = Self::batch_inner(batch, source, pool, true);
+        let (results, snapshot) = Self::batch_inner(batch, source, pool, Recording::Full);
         (
             results,
             snapshot.expect("recorded batches always build a snapshot"),
         )
     }
 
-    /// The shared batch driver behind [`PtkExecutor::execute_batch`] and
-    /// [`PtkExecutor::execute_batch_recorded`].
+    /// Like [`PtkExecutor::execute_batch_recorded`], but recording into
+    /// [`Metrics::counters_only`] registries: no clock is read, and the
+    /// snapshot carries the same counters and no timings. For callers that
+    /// keep only counters, such as a flight record.
+    pub fn execute_batch_counted<S: SnapshotSource + ?Sized>(
+        batch: &PtkBatch,
+        source: &S,
+        pool: &ThreadPool,
+    ) -> (Vec<PtkResult>, Snapshot) {
+        let (results, snapshot) = Self::batch_inner(batch, source, pool, Recording::Counters);
+        (
+            results,
+            snapshot.expect("recorded batches always build a snapshot"),
+        )
+    }
+
+    /// The batch implementation shared by [`PtkExecutor::execute_batch`],
+    /// [`PtkExecutor::execute_batch_recorded`] and
+    /// [`PtkExecutor::execute_batch_counted`].
     fn batch_inner<S: SnapshotSource + ?Sized>(
         batch: &PtkBatch,
         source: &S,
         pool: &ThreadPool,
-        record: bool,
+        recording: Recording,
     ) -> (Vec<PtkResult>, Option<Snapshot>) {
+        let record = recording != Recording::Off;
         let plans = batch.plans();
         // A materialized layout pays for itself when several queries share
         // it or a single deep scan can be partitioned over it; a lone
@@ -1035,7 +1053,7 @@ impl<'a> PtkExecutor<'a> {
             // Sequential short-circuit: no workers, no per-query
             // registries, no merge — one shared registry accumulates every
             // query, which is bit-equal to merging per-query snapshots.
-            let shared = record.then(Metrics::new);
+            let shared = recording.registry();
             let mut results = Vec::with_capacity(plans.len());
             for plan in plans {
                 let mut cursor = source.fork();
@@ -1088,8 +1106,7 @@ impl<'a> PtkExecutor<'a> {
             BatchTask::Whole { plan_idx } => {
                 let plan = &plans[*plan_idx];
                 let mut cursor = LayoutCursor::new(layout_ref);
-                if record {
-                    let metrics = Metrics::new();
+                if let Some(metrics) = recording.registry() {
                     let result = PtkExecutor::with_recorder(plan, &metrics).execute(&mut cursor);
                     TaskOut::Whole(result, Some(metrics.snapshot()))
                 } else {
@@ -1097,7 +1114,13 @@ impl<'a> PtkExecutor<'a> {
                 }
             }
             BatchTask::Segment { plan_idx, task } => {
-                TaskOut::Segment(run_segment(&plans[*plan_idx], layout_ref, task, record))
+                let clocks_live = recording == Recording::Full;
+                TaskOut::Segment(run_segment(
+                    &plans[*plan_idx],
+                    layout_ref,
+                    task,
+                    clocks_live,
+                ))
             }
         });
 
@@ -1126,13 +1149,12 @@ impl<'a> PtkExecutor<'a> {
                 None => {
                     let (result, reorder_nanos, dp_nanos) =
                         stitch_segments(layout.len(), std::mem::take(&mut seg_outs[p]));
-                    let snap = record.then(|| {
+                    let snap = recording.registry().map(|metrics| {
                         // Mirror what a sequential recorded run of this
                         // plan would put in its registry: the exec
                         // counters, the answer count, and the phase
                         // timings (timings are non-deterministic and
                         // excluded from deterministic renderings anyway).
-                        let metrics = Metrics::new();
                         result.stats.record_to(&metrics);
                         metrics.add(counters::ANSWERS, result.answers.len() as u64);
                         metrics.record_nanos("engine.phase.reorder", reorder_nanos);
@@ -1211,6 +1233,27 @@ impl<'a> PtkExecutor<'a> {
         }
         publish_scheduler(&mut merged, steal, 0, 0);
         (results, merged, events)
+    }
+}
+
+/// What a batch records into its per-query registries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Recording {
+    Off,
+    /// Counters and histograms, no clock read.
+    Counters,
+    /// Counters, histograms and phase timings.
+    Full,
+}
+
+impl Recording {
+    /// A fresh registry for one query (or a whole sequential batch).
+    fn registry(self) -> Option<Metrics> {
+        match self {
+            Recording::Off => None,
+            Recording::Counters => Some(Metrics::counters_only()),
+            Recording::Full => Some(Metrics::new()),
+        }
     }
 }
 

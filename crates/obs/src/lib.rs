@@ -53,9 +53,11 @@ use std::time::Instant;
 /// their counters with literals, and the registry never allocates for a
 /// name.
 pub trait Recorder: Send + Sync {
-    /// Whether anything is listening. Instrumented code consults this
-    /// before doing work that only exists to be recorded (reading clocks,
-    /// formatting); counters should be recorded unconditionally.
+    /// Whether anything is listening for timings. Instrumented code
+    /// consults this before doing work that only exists to be recorded
+    /// (reading clocks, formatting); counters should be recorded
+    /// unconditionally, so a recorder may keep counters while reporting
+    /// `false` (see [`Metrics::counters_only`]).
     fn enabled(&self) -> bool {
         false
     }
@@ -150,15 +152,37 @@ struct Registry {
 /// behind one mutex. Cheap enough for per-phase and per-unit recording;
 /// hot loops should accumulate locally (e.g. via [`PhaseClock`] or
 /// `ExecStats`-style structs) and flush once.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Metrics {
     inner: Mutex<Registry>,
+    /// Whether span timings are recorded (and so clocks read at all).
+    timed: bool,
+}
+
+impl Default for Metrics {
+    fn default() -> Metrics {
+        Metrics::new()
+    }
 }
 
 impl Metrics {
-    /// Creates an empty registry.
+    /// Creates an empty registry that records everything.
     pub fn new() -> Metrics {
-        Metrics::default()
+        Metrics {
+            inner: Mutex::default(),
+            timed: true,
+        }
+    }
+
+    /// Creates an empty registry that records counters and histograms but
+    /// no timings: it reports [`Recorder::enabled`] `false`, so
+    /// instrumented code reads no clock, and drops any timing it is handed.
+    /// For consumers that keep only counters, such as a flight record.
+    pub fn counters_only() -> Metrics {
+        Metrics {
+            inner: Mutex::default(),
+            timed: false,
+        }
     }
 
     /// Takes a consistent snapshot of everything recorded so far.
@@ -207,7 +231,7 @@ impl Metrics {
 
 impl Recorder for Metrics {
     fn enabled(&self) -> bool {
-        true
+        self.timed
     }
 
     fn add(&self, name: &'static str, delta: u64) {
@@ -221,6 +245,9 @@ impl Recorder for Metrics {
     }
 
     fn record_nanos(&self, name: &'static str, nanos: u64) {
+        if !self.timed {
+            return;
+        }
         let mut inner = self.inner.lock().expect("metrics registry poisoned");
         let timing = inner.timings.entry(name).or_default();
         timing.count += 1;
@@ -921,6 +948,26 @@ mod tests {
         let mut dead = PhaseClock::new(&Noop);
         assert_eq!(dead.time(|| 1), 1);
         dead.flush(&Noop, "phase");
+    }
+
+    #[test]
+    fn counters_only_reads_no_clock_and_keeps_counters() {
+        let m = Metrics::counters_only();
+        assert!(!m.enabled());
+        {
+            let _s = span(&m, "work");
+        }
+        let mut clock = PhaseClock::new(&m);
+        clock.time(|| std::hint::black_box(1));
+        clock.flush(&m, "phase");
+        m.record_nanos("handed", 5);
+        m.add("engine.scanned", 3);
+        m.observe("h", 2.0);
+        let s = m.snapshot();
+        assert!(s.timings.is_empty(), "{:?}", s.timings);
+        assert_eq!(clock.nanos(), 0);
+        assert_eq!(s.counter("engine.scanned"), 3);
+        assert_eq!(s.histogram("h").map(|h| h.count), Some(1));
     }
 
     #[test]
