@@ -32,8 +32,8 @@ use ptk_par::{StealStats, ThreadPool};
 
 use crate::dp;
 use crate::gf::{
-    expected_ranks_closed, unseen_may_reach, utopk_search, AbsorbSpec, Compressor, GfState,
-    RankSemantics, ScanRecord, SemanticsAnswer, SemanticsError, SemanticsRow, UTOPK_MAX_STATES,
+    expected_ranks_closed, utopk_search, AbsorbSpec, Compressor, GfState, RankSemantics,
+    ScanRecord, SemanticsAnswer, SemanticsError, SemanticsRow, RULE_MASS_SLACK, UTOPK_MAX_STATES,
 };
 use crate::layout::{LayoutCursor, ScanLayout, StableSeed};
 use crate::plan::{PtkBatch, PtkPlan};
@@ -127,33 +127,34 @@ impl Ord for TotalF64 {
 }
 
 /// PT-k's early-exit test (line 6 of Figure 3): whether some tuple not
-/// yet scanned could still have `Pr^k >= threshold`. Its Eq. 4 factor is
-/// `Σ_{j<k}` over its dominant set, which [`unseen_may_reach`] bounds;
-/// membership probability is bounded by 1. For thresholds in `(0, 1]` it
-/// answers exactly `future_upper_bound(comp) >= threshold`, so stop
-/// ranks, answers and [`ExecStats`] do not depend on which one runs.
+/// yet scanned could still have `Pr^k >= threshold`.
+///
+/// One `O(k)` pass over the pool row: its partial sum bounds every unseen
+/// tuple's `Pr^k`, a future member of an open rule included, up to the
+/// rule-mass tolerance that only such a member needs (see
+/// [`RULE_MASS_SLACK`]). It stops no later than the per-open-rule test it
+/// replaced (`future_upper_bound`), which deconvolved each open rule out
+/// of the pool and counted a heavy rule it could not certify as reaching.
 fn unseen_may_pass(comp: &mut Compressor, threshold: f64) -> bool {
-    let pool = comp.pool_row();
-    unseen_may_reach(&pool, &comp.open_masses(), 0.0, |row, slack| {
-        dp::partial_sum(row) + slack >= threshold
-    })
+    let slack = if comp.has_open_rule() {
+        RULE_MASS_SLACK
+    } else {
+        0.0
+    };
+    dp::partial_sum(&comp.pool_row()) + slack >= threshold
 }
 
-/// An upper bound on `Pr^k(t')` for every tuple `t'` not yet scanned: the
-/// value [`unseen_may_pass`] compares with the threshold without
-/// computing in full, kept as its reference.
-///
-/// For a future independent tuple, the dominant set contains at least the
-/// whole current pool, so `Σ_{j<k} Pr(S, j)` over the pool bounds its Eq. 4
-/// factor (the partial sum is non-increasing as elements are added or
-/// gain mass). For a future member of an open rule `R`, the dominant set
-/// excludes `R`'s own rule-tuple, so the bound deconvolves that entry out.
-/// Membership probability is bounded by 1.
+/// The upper bound on `Pr^k(t')` for every unseen tuple `t'` that PT-k's
+/// early exit compared with the threshold before [`unseen_may_pass`]:
+/// the pool's partial sum, and for a future member of each open rule `R`
+/// the partial sum with `R`'s rule-tuple deconvolved out (plus the
+/// deconvolve slack, or 1 when the inversion cannot be certified). Kept as
+/// the reference the pool-row test must stop no later than.
 #[cfg(test)]
 fn future_upper_bound(comp: &mut Compressor) -> f64 {
     let pool = comp.pool_row();
     let mut ub: f64 = dp::partial_sum(&pool);
-    for mass in comp.open_masses() {
+    for (_, mass) in comp.open_rules() {
         let without = match dp::deconvolve(&pool, mass) {
             // Slack covers mass the ill-conditioned inversion can shed
             // without tripping its own guards; losing it here would make
@@ -392,8 +393,7 @@ impl<'a> PtkExecutor<'a> {
                 }
                 probabilities.push(None);
             } else {
-                let desired = reorder_clock.time(|| comp.desired_list(tuple.rule));
-                dp_clock.time(|| comp.recompute(desired));
+                comp.build_timed(tuple.rule, &mut reorder_clock, &mut dp_clock);
                 let prk = tuple.prob * dp::partial_sum(comp.last_row());
                 stats.evaluated += 1;
                 probabilities.push(Some(prk));
@@ -1400,8 +1400,7 @@ fn run_segment(
     for rank in task.start..task.end {
         let rec = &layout.tuples[rank];
         let tuple = rec.tuple;
-        let desired = reorder_clock.time(|| comp.desired_list(tuple.rule));
-        dp_clock.time(|| comp.recompute(desired));
+        comp.build_timed(tuple.rule, &mut reorder_clock, &mut dp_clock);
         let prk = tuple.prob * dp::partial_sum(comp.last_row());
         probabilities.push(prk);
         if prk >= threshold {
@@ -1465,7 +1464,7 @@ fn stitch_segments(n: usize, segments: Vec<SegmentOutcome>) -> (PtkResult, u64, 
 #[cfg(test)]
 mod tests {
     use ptk_core::check::{check, Config};
-    use ptk_core::prop_assert_eq;
+    use ptk_core::prop_assert;
     use ptk_core::rng::RngExt;
 
     use super::*;
@@ -1473,9 +1472,9 @@ mod tests {
     use crate::plan::SharingVariant;
 
     #[test]
-    fn short_circuit_test_decides_like_the_bound_it_replaces() {
+    fn pool_row_test_stops_no_later_than_the_per_rule_bound() {
         check(
-            "!unseen_may_pass == (future_upper_bound < threshold)",
+            "future_upper_bound < threshold => !unseen_may_pass",
             Config::cases(400).sizes(1, 24).seed(0x9001_0003),
             |rng, size| {
                 let (k, specs) = random_scan(rng, size);
@@ -1494,12 +1493,69 @@ mod tests {
                     down = down.next_down();
                     thresholds.extend([up, down]);
                 }
-                for t in thresholds.into_iter().filter(|&t| t > 0.0 && t <= 1.0) {
-                    prop_assert_eq!(
+                for t in thresholds.into_iter().filter(|&t| t > ub && t <= 1.0) {
+                    prop_assert!(
                         !unseen_may_pass(&mut comp, t),
-                        ub < t,
                         "k={k} bound={ub:e} threshold={t:e}"
                     );
+                }
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn pool_row_dominates_every_open_rule_and_every_unseen_tuple() {
+        check(
+            "(1 - m_R)·Σ(pool \\ R) <= Σ(pool), and every later Pr^k <= Σ(pool) + slack",
+            Config::cases(400).sizes(1, 24).seed(0x9001_0005),
+            |rng, size| {
+                let (k, specs) = random_scan(rng, size);
+                let depth = rng.random_range(0..=specs.len());
+                let mut comp = Compressor::new(k, SharingVariant::Lazy);
+                for &spec in &specs[..depth] {
+                    comp.absorb(spec);
+                }
+                let pool = dp::partial_sum(&comp.pool_row());
+                let open = comp.open_rules();
+                for &(rule, mass) in &open {
+                    // `pool \ R` folded from scratch: every scanned tuple
+                    // outside R, the other rules compressed, clamped as
+                    // the compressor clamps them.
+                    let mut masses: Vec<(Option<RuleKey>, f64)> = Vec::new();
+                    for spec in &specs[..depth] {
+                        match spec.rule {
+                            Some(r) if r == rule => {}
+                            Some(r) => match masses.iter_mut().find(|(key, _)| *key == Some(r)) {
+                                Some((_, m)) => *m = (*m + spec.prob).min(1.0),
+                                None => masses.push((Some(r), spec.prob.min(1.0))),
+                            },
+                            None => masses.push((None, spec.prob)),
+                        }
+                    }
+                    let without =
+                        dp::partial_sum(&dp::poisson_binomial(masses.iter().map(|&(_, m)| m), k));
+                    prop_assert!(
+                        (1.0 - mass) * without <= pool + 1e-12,
+                        "k={k} m_R={mass:e}: {:e} > {pool:e}",
+                        (1.0 - mass) * without
+                    );
+                }
+                // Every tuple the scan would evaluate later stays under the
+                // bound the pool-row test compares with the threshold.
+                let slack = if open.is_empty() {
+                    0.0
+                } else {
+                    RULE_MASS_SLACK
+                };
+                for &spec in &specs[depth..] {
+                    comp.build(spec.rule);
+                    let prk = spec.prob * dp::partial_sum(comp.last_row());
+                    prop_assert!(
+                        prk <= pool + slack + 1e-12,
+                        "k={k} Pr^k={prk:e} > bound {pool:e} + {slack:e}"
+                    );
+                    comp.absorb(spec);
                 }
                 Ok(())
             },

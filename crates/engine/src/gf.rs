@@ -23,19 +23,23 @@
 //! PT-k keeps its original [`Compressor`]-driven path untouched — same
 //! float operations in the same order, so answers stay bit-identical to
 //! the pre-refactor engine. Theorems 3–5 stay PT-k-only, but one stopping
-//! bound ([`unseen_may_reach`]) serves PT-k, Global-Topk and U-KRanks:
-//! every unseen tuple's dominant set contains the current pool (its own
-//! rule excepted), and the probability that at most `j` members of a set
-//! appear only falls as the set grows or its masses rise, so the pool's
-//! prefix sums bound every unseen tuple's `Pr^k` and its probability of
-//! any exact rank. U-TopK's vector probabilities and expected ranks have
-//! no such bound, so those two scan in full (and say so in `EXPLAIN`).
+//! bound serves PT-k, Global-Topk and U-KRanks: the prefix sums of the
+//! pool row alone. Every unseen tuple's dominant set contains the current
+//! pool, its own rule-tuple excepted; the probability that at most `j`
+//! members of a set appear only falls as the set grows or its masses
+//! rise; and a future member of an open rule has membership at most
+//! `1 − m_R`, which pays for leaving out the rule's mass `m_R` (see
+//! [`RULE_MASS_SLACK`]). So the pool's prefix sums bound every unseen
+//! tuple's `Pr^k` and its probability of any exact rank. U-TopK's vector
+//! probabilities and expected ranks have no such bound, so those two scan
+//! in full (and say so in `EXPLAIN`).
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 
 use ptk_access::RuleKey;
 use ptk_core::TupleId;
+use ptk_obs::PhaseClock;
 
 use crate::dp;
 use crate::exec::PtkResult;
@@ -116,14 +120,17 @@ impl RankSemantics {
 
     /// Whether a sound bound can stop this semantics' scan early.
     ///
-    /// An unseen tuple's dominant set contains the current pool (its own
-    /// rule excepted), and `Pr(at most j of S appear)` only falls as `S`
-    /// grows or its masses rise. So the pool's prefix sums `Σ_{i≤j}` bound
-    /// every unseen tuple's `Pr^k` (`j = k − 1`: PT-k's threshold test,
-    /// Global-Topk's k-th best) and its probability of ranking exactly
-    /// `j + 1`-th (U-KRanks' per-rank best). A U-TopK vector's probability
-    /// and an expected rank are no function of one tuple's prefix sums,
-    /// so those two semantics scan the full ranked input.
+    /// An unseen tuple's dominant set contains the current pool, its own
+    /// rule-tuple excepted, and `Pr(at most j of S appear)` only falls as
+    /// `S` grows or its masses rise. A future member of an open rule with
+    /// scanned mass `m_R` has membership at most `1 − m_R`, which pays for
+    /// the rule-tuple it leaves out (DESIGN.md §13). So the pool's prefix
+    /// sums `Σ_{i≤j}` alone bound every unseen tuple's `Pr^k`
+    /// (`j = k − 1`: PT-k's threshold test, Global-Topk's k-th best) and
+    /// its probability of ranking exactly `j + 1`-th (U-KRanks' per-rank
+    /// best). A U-TopK vector's probability and an expected rank are no
+    /// function of one tuple's prefix sums, so those two semantics scan
+    /// the full ranked input.
     pub fn has_pruning_bounds(self) -> bool {
         matches!(
             self,
@@ -228,9 +235,16 @@ struct RuleState {
     /// Whether every member has been absorbed (requires `len`). Completed
     /// rule-tuples join the stable group and never change again.
     completed: bool,
-    /// Lazy-variant scratch: stamp marking membership in the kept prefix.
-    kept_stamp: u64,
+    /// `RC+LR` bookkeeping: position of the rule's entry in the built
+    /// list, or [`NOT_LISTED`].
+    list_pos: u32,
+    /// `RC+LR` bookkeeping: absorbed into since the last build (and queued
+    /// in `Compressor::touched`).
+    touched: bool,
 }
+
+/// [`RuleState::list_pos`] of a rule with no entry in the built list.
+const NOT_LISTED: u32 = u32::MAX;
 
 /// An item of the "stable" group: independents and completed rule-tuples,
 /// in the order they became available (observation 1 of §4.3.2).
@@ -267,9 +281,19 @@ pub(crate) struct AbsorbSpec {
 /// the stable group keeps availability order; open rule-tuples are ordered
 /// by next-member rank descending when the layout is known (the paper's
 /// aggressive policy), falling back to absorption recency otherwise; and
-/// rules iterate in ascending `RuleKey` order (`rule_order` is kept sorted
-/// by key), which for dense view-derived keys is exactly the view's
-/// rule-index order.
+/// rules break ties in ascending `RuleKey` order, which for dense
+/// view-derived keys is exactly the view's rule-index order.
+///
+/// Under `RC+LR` a build pays only for what changed (DESIGN.md §3.3),
+/// resting on two invariants of every built list:
+///
+/// * its stable items are `stable[..n]` (all `n` available at build time)
+///   in availability order, interleaved with open rule-tuples — so a kept
+///   prefix holding `s` of them continues with `stable[s..]`;
+/// * an entry goes stale only when its rule is the next tuple's own rule
+///   or has absorbed a member since the build — so the kept prefix ends at
+///   the first entry of one of those rules, found through
+///   `RuleState::list_pos` without walking the list.
 #[derive(Debug)]
 pub(crate) struct Compressor {
     k: usize,
@@ -278,6 +302,9 @@ pub(crate) struct Compressor {
     entries: Vec<PoolEntry>,
     /// `rows[m]` is the DP row after `entries[..m]`; `rows.len() == entries.len() + 1`.
     rows: Vec<Vec<f64>>,
+    /// `RC+LR` bookkeeping: `list_stable[m]` counts the stable items among
+    /// `entries[..m]`, so `list_stable.len() == rows.len()`.
+    list_stable: Vec<usize>,
     /// Freelist of retired row buffers (all length `k`), so recomputing a
     /// suffix recycles the truncated rows' allocations instead of hitting
     /// the allocator once per entry.
@@ -295,17 +322,25 @@ pub(crate) struct Compressor {
     rule_states: Vec<RuleState>,
     /// `RuleKey` → dense slot in `rule_states`.
     rule_index: HashMap<RuleKey, u32>,
-    /// Dense slots sorted by ascending `RuleKey` — the canonical rule
-    /// iteration order.
-    rule_order: Vec<u32>,
+    /// Dense slots of the open rules (absorbed members, not known to be
+    /// complete), in ascending `RuleKey` order.
+    open: Vec<u32>,
+    /// `RC+LR` bookkeeping: dense slots of the rules absorbed into since
+    /// the last build, each once (flagged by `RuleState::touched`), so
+    /// bounded by the rule count however many tuples are absorbed between
+    /// builds.
+    touched: Vec<u32>,
+    /// `RC+LR` bookkeeping: the last build's own rule, which its list left
+    /// out.
+    last_own: Option<u32>,
+    /// `RC+LR` scratch reused across builds: the retired suffix of the
+    /// list, and the open rule-tuples to append.
+    dropped: Vec<PoolEntry>,
+    queued: Vec<u32>,
     /// DP cells computed so far (`k` per recomputed entry).
     dp_cells: u64,
     /// Entries recomputed so far (the paper's Eq. 5 cost itself).
     entries_recomputed: u64,
-    /// Lazy-variant scratch: stamps marking independents (by tag) already
-    /// in the kept prefix, so membership tests are O(1).
-    kept_indep_stamp: Vec<u64>,
-    stamp: u64,
     /// Absorption counter driving `last_touch`.
     step: usize,
 }
@@ -318,17 +353,20 @@ impl Compressor {
             variant,
             entries: Vec::new(),
             rows: vec![dp::unit_row(k)],
+            list_stable: vec![0],
             spare_rows: Vec::new(),
             stable: Vec::new(),
             stable_row: dp::unit_row(k),
             stable_folded: 0,
             rule_states: Vec::new(),
             rule_index: HashMap::new(),
-            rule_order: Vec::new(),
+            open: Vec::new(),
+            touched: Vec::new(),
+            last_own: None,
+            dropped: Vec::new(),
+            queued: Vec::new(),
             dp_cells: 0,
             entries_recomputed: 0,
-            kept_indep_stamp: Vec::new(),
-            stamp: 0,
             step: 0,
         }
     }
@@ -347,11 +385,14 @@ impl Compressor {
     /// `boundary - 1` — making it the own rule — or at `>= boundary`,
     /// contradicting rule closure), so it is precisely the stable items
     /// available through rank `boundary - 2`, in availability order, for
-    /// every [`SharingVariant`]. The DP rows *under* the last one are
-    /// seeded as placeholders: `RC` rebuilds from `rows[0]` (the unit row)
-    /// anyway, and the prefix-sharing variants keep `rows[..=entry_count]`
-    /// intact and only ever read the last, so no placeholder is read and
-    /// the forked state stays bit-identical to the sequential one.
+    /// every [`SharingVariant`]. That own rule completed at `boundary - 1`,
+    /// so no open rule waits to be appended and none of the list's entries
+    /// is stale: the sequential scan's next build keeps the whole list,
+    /// as this one's does. The DP rows *under* the last one are seeded as
+    /// placeholders: `RC` rebuilds from `rows[0]` (the unit row) anyway,
+    /// and the prefix-sharing variants keep `rows[..=entry_count]` intact
+    /// and only ever read the last, so no placeholder is read and the
+    /// forked state stays bit-identical to the sequential one.
     ///
     /// Counters start at zero: the seeded prefix's DP work was already
     /// counted by whoever produced `boundary_row` (the preceding
@@ -375,10 +416,6 @@ impl Compressor {
                     mass,
                 } => {
                     let idx = comp.rule_states.len() as u32;
-                    let states = &comp.rule_states;
-                    let pos = comp
-                        .rule_order
-                        .partition_point(|&j| states[j as usize].key < key);
                     comp.rule_states.push(RuleState {
                         key,
                         mass,
@@ -387,30 +424,19 @@ impl Compressor {
                         next_rank: None,
                         len: Some(absorbed as usize),
                         completed: true,
-                        kept_stamp: 0,
+                        list_pos: NOT_LISTED,
+                        touched: false,
                     });
-                    comp.rule_order.insert(pos, idx);
                     comp.rule_index.insert(key, idx);
                     comp.stable.push(StableItem::CompletedRule(idx));
                 }
             }
         }
         debug_assert!(entry_count <= comp.stable.len());
-        comp.entries = comp.stable[..entry_count]
-            .iter()
-            .map(|item| match *item {
-                StableItem::Indep { tag, prob } => PoolEntry::Indep { tag, prob },
-                StableItem::CompletedRule(idx) => {
-                    let rs = &comp.rule_states[idx as usize];
-                    PoolEntry::Rule {
-                        key: rs.key,
-                        idx,
-                        absorbed: rs.absorbed,
-                        mass: rs.mass,
-                    }
-                }
-            })
-            .collect();
+        for s in 0..entry_count {
+            let entry = comp.stable_entry(comp.stable[s]);
+            comp.push_entry(entry, true);
+        }
         if entry_count > 0 {
             // `rows[0]` stays the unit row; only the last row is real.
             comp.rows.extend((1..entry_count).map(|_| Vec::new()));
@@ -431,6 +457,13 @@ impl Compressor {
         self.rule_index
             .get(&rule)
             .map_or(0.0, |&i| self.rule_states[i as usize].mass)
+    }
+
+    /// Whether some rule has absorbed members but is not (known to be)
+    /// complete: a later member of it would leave its rule-tuple out of
+    /// its dominant set.
+    pub(crate) fn has_open_rule(&self) -> bool {
+        !self.open.is_empty()
     }
 
     pub(crate) fn dp_cells(&self) -> u64 {
@@ -457,56 +490,142 @@ impl Compressor {
         self.rows.last().expect("rows never empty")
     }
 
-    /// Builds the desired (ordered) compressed dominant set for a tuple
-    /// belonging to `own_rule`, per the configured [`SharingVariant`].
-    pub(crate) fn desired_list(&mut self, own_rule: Option<RuleKey>) -> Vec<PoolEntry> {
+    /// Builds the compressed dominant set of a tuple belonging to
+    /// `own_rule`, ordered per the configured [`SharingVariant`], and its
+    /// DP rows, reusing the rows of the longest prefix shared with the
+    /// previous list (none under `RC`).
+    pub(crate) fn build(&mut self, own_rule: Option<RuleKey>) {
+        let shared = self.reorder(own_rule);
+        self.refold(shared);
+    }
+
+    /// [`Compressor::build`], timing the list under `reorder_clock` and the
+    /// DP rows under `dp_clock`.
+    pub(crate) fn build_timed(
+        &mut self,
+        own_rule: Option<RuleKey>,
+        reorder_clock: &mut PhaseClock,
+        dp_clock: &mut PhaseClock,
+    ) {
+        let shared = reorder_clock.time(|| self.reorder(own_rule));
+        dp_clock.time(|| self.refold(shared));
+    }
+
+    /// Rewrites the entry list for a tuple of `own_rule` and returns how
+    /// many leading entries keep their DP rows.
+    ///
+    /// The list is the whole pool in canonical order: the stable items in
+    /// availability order, then the open rule-tuples other than the own
+    /// rule (Corollary 2) by next-member rank descending, falling back to
+    /// absorption recency (oldest first) when the layout is unknown. `RC`
+    /// and `RC+AR` rebuild it at every step; `RC+LR` keeps a prefix of the
+    /// previous list and appends the rest in that order
+    /// ([`Compressor::reorder_lazy`]).
+    fn reorder(&mut self, own_rule: Option<RuleKey>) -> usize {
+        let own = own_rule.and_then(|key| self.rule_index.get(&key).copied());
         match self.variant {
-            SharingVariant::Rc | SharingVariant::Aggressive => self.canonical_list(own_rule, None),
-            SharingVariant::Lazy => {
-                // Keep the longest still-valid prefix of the previous list.
-                let valid_len = self
-                    .entries
-                    .iter()
-                    .take_while(|e| self.entry_still_valid(e, own_rule))
-                    .count();
-                // Mark the kept prefix so membership tests are O(1).
-                self.stamp += 1;
-                let stamp = self.stamp;
-                for i in 0..valid_len {
-                    match self.entries[i] {
-                        PoolEntry::Indep { tag, .. } => {
-                            if self.kept_indep_stamp.len() <= tag {
-                                self.kept_indep_stamp.resize(tag + 1, 0);
-                            }
-                            self.kept_indep_stamp[tag] = stamp;
-                        }
-                        PoolEntry::Rule { idx, .. } => {
-                            self.rule_states[idx as usize].kept_stamp = stamp;
-                        }
-                    }
-                }
-                let mut list = self.entries[..valid_len].to_vec();
-                // Append everything not already kept, in canonical order.
-                list.extend(self.canonical_list(own_rule, Some(stamp)));
-                list
+            SharingVariant::Rc => {
+                self.entries = self.canonical_list(own);
+                0
             }
+            SharingVariant::Aggressive => {
+                let desired = self.canonical_list(own);
+                let shared = common_prefix(&self.entries, &desired);
+                self.entries = desired;
+                shared
+            }
+            SharingVariant::Lazy => self.reorder_lazy(own),
         }
     }
 
-    /// Recomputes the DP rows for `desired`, reusing the rows of the
-    /// longest common prefix with the previous list (none under `RC`).
-    pub(crate) fn recompute(&mut self, desired: Vec<PoolEntry>) {
-        let prefix = match self.variant {
-            SharingVariant::Rc => 0,
-            SharingVariant::Aggressive | SharingVariant::Lazy => {
-                common_prefix(&self.entries, &desired)
+    /// The `RC` and `RC+AR` list: the whole pool in canonical order.
+    fn canonical_list(&self, own: Option<u32>) -> Vec<PoolEntry> {
+        let mut list: Vec<PoolEntry> = Vec::with_capacity(self.stable.len() + self.open.len());
+        list.extend(self.stable.iter().map(|&item| self.stable_entry(item)));
+        let mut open: Vec<u32> = self
+            .open
+            .iter()
+            .copied()
+            .filter(|&idx| Some(idx) != own)
+            .collect();
+        open.sort_unstable_by_key(|&idx| self.open_order(idx));
+        list.extend(open.into_iter().map(|idx| self.rule_entry(idx)));
+        list
+    }
+
+    /// The `RC+LR` step, in place: keeps every entry before the first stale
+    /// one, then appends the stable items the kept prefix lacks and the
+    /// open rule-tuples it lacks, which can only be those it drops, those
+    /// absorbed into since the last build, and the last build's own rule.
+    fn reorder_lazy(&mut self, own: Option<u32>) -> usize {
+        // `NOT_LISTED` exceeds every position, so unlisted rules never
+        // shorten the kept prefix.
+        let kept = own
+            .iter()
+            .chain(&self.touched)
+            .map(|&idx| self.rule_states[idx as usize].list_pos as usize)
+            .fold(self.entries.len(), usize::min);
+
+        let mut dropped = std::mem::take(&mut self.dropped);
+        let mut queued = std::mem::take(&mut self.queued);
+        dropped.clear();
+        queued.clear();
+        dropped.extend(self.entries.drain(kept..));
+        self.list_stable.truncate(kept + 1);
+        for e in &dropped {
+            if let PoolEntry::Rule { idx, .. } = *e {
+                self.rule_states[idx as usize].list_pos = NOT_LISTED;
+                queued.push(idx);
             }
+        }
+        queued.extend(&self.touched);
+        queued.extend(self.last_own);
+        for &idx in &self.touched {
+            self.rule_states[idx as usize].touched = false;
+        }
+        self.touched.clear();
+        self.last_own = own;
+
+        for s in self.list_stable[kept]..self.stable.len() {
+            let entry = self.stable_entry(self.stable[s]);
+            self.push_entry(entry, true);
+        }
+        let states = &self.rule_states;
+        queued.retain(|&idx| !states[idx as usize].completed && Some(idx) != own);
+        queued.sort_unstable_by_key(|&idx| self.open_order(idx));
+        queued.dedup();
+        for &idx in &queued {
+            debug_assert_eq!(self.rule_states[idx as usize].list_pos, NOT_LISTED);
+            let entry = self.rule_entry(idx);
+            self.push_entry(entry, false);
+        }
+
+        let shared = kept + common_prefix(&dropped, &self.entries[kept..]);
+        self.dropped = dropped;
+        self.queued = queued;
+        shared
+    }
+
+    /// An open rule-tuple's place in canonical order: known next-member
+    /// ranks descending ahead of the recency-ordered remainder (oldest
+    /// touch first), ties broken by `RuleKey`.
+    fn open_order(&self, idx: u32) -> ((u8, usize), RuleKey) {
+        let rs = &self.rule_states[idx as usize];
+        let order = match rs.next_rank {
+            Some(rank) => (0u8, usize::MAX - rank),
+            None => (1u8, rs.last_touch),
         };
-        let recomputed = desired.len() - prefix;
+        (order, rs.key)
+    }
+
+    /// Recomputes the DP rows of `entries[shared..]`, keeping
+    /// `rows[..=shared]`.
+    fn refold(&mut self, shared: usize) {
+        let recomputed = self.entries.len() - shared;
         self.entries_recomputed += recomputed as u64;
         self.dp_cells += (recomputed * self.k) as u64;
-        self.spare_rows.extend(self.rows.drain(prefix + 1..));
-        for e in &desired[prefix..] {
+        self.spare_rows.extend(self.rows.drain(shared + 1..));
+        for m in shared..self.entries.len() {
             // Recycle a retired buffer when one is free; copying the last
             // row into it is the same f64 sequence as cloning it, so the
             // DP stays bit-identical either way.
@@ -520,10 +639,39 @@ impl Compressor {
                 }
                 None => last.clone(),
             };
-            dp::convolve_in_place(&mut row, e.mass());
+            dp::convolve_in_place(&mut row, self.entries[m].mass());
             self.rows.push(row);
         }
-        self.entries = desired;
+    }
+
+    /// Appends `entry` to the built list, keeping `list_stable` and the
+    /// rule's `list_pos` in step.
+    fn push_entry(&mut self, entry: PoolEntry, stable: bool) {
+        if let PoolEntry::Rule { idx, .. } = entry {
+            self.rule_states[idx as usize].list_pos = self.entries.len() as u32;
+        }
+        let before = *self.list_stable.last().expect("list_stable never empty");
+        self.list_stable.push(before + usize::from(stable));
+        self.entries.push(entry);
+    }
+
+    /// The current entry of a rule-tuple.
+    fn rule_entry(&self, idx: u32) -> PoolEntry {
+        let rs = &self.rule_states[idx as usize];
+        PoolEntry::Rule {
+            key: rs.key,
+            idx,
+            absorbed: rs.absorbed,
+            mass: rs.mass,
+        }
+    }
+
+    /// The current entry of a stable item.
+    fn stable_entry(&self, item: StableItem) -> PoolEntry {
+        match item {
+            StableItem::Indep { tag, prob } => PoolEntry::Indep { tag, prob },
+            StableItem::CompletedRule(idx) => self.rule_entry(idx),
+        }
     }
 
     /// Folds a scanned tuple into the pool (after its evaluation, or as the
@@ -540,10 +688,6 @@ impl Compressor {
                     Some(&i) => i,
                     None => {
                         let i = self.rule_states.len() as u32;
-                        let states = &self.rule_states;
-                        let pos = self
-                            .rule_order
-                            .partition_point(|&j| states[j as usize].key < key);
                         self.rule_states.push(RuleState {
                             key,
                             mass: 0.0,
@@ -552,9 +696,12 @@ impl Compressor {
                             next_rank: None,
                             len: None,
                             completed: false,
-                            kept_stamp: 0,
+                            list_pos: NOT_LISTED,
+                            touched: false,
                         });
-                        self.rule_order.insert(pos, i);
+                        let states = &self.rule_states;
+                        let pos = self.open.partition_point(|&j| states[j as usize].key < key);
+                        self.open.insert(pos, i);
                         self.rule_index.insert(key, i);
                         i
                     }
@@ -580,12 +727,22 @@ impl Compressor {
                 if rs.len.is_none() {
                     rs.len = spec.rule_len;
                 }
+                if self.variant == SharingVariant::Lazy && !rs.touched {
+                    rs.touched = true;
+                    self.touched.push(idx);
+                }
                 if rs.len == Some(rs.absorbed as usize) {
                     // The rule just completed: it joins the stable group at
                     // this availability point. Without a known length the
                     // rule-tuple simply stays open, which is equally
                     // correct (it contributes the same mass either way).
                     rs.completed = true;
+                    let pos = self
+                        .open
+                        .iter()
+                        .position(|&j| j == idx)
+                        .expect("an open rule is listed");
+                    self.open.remove(pos);
                     self.stable.push(StableItem::CompletedRule(idx));
                 }
             }
@@ -593,14 +750,15 @@ impl Compressor {
     }
 
     /// The subset-probability row over the *entire current pool* — every
-    /// absorbed tuple compressed, no rule excluded. This is what a future
-    /// independent tuple's dominant set would contain if scanning stopped
-    /// here; used by the early-exit upper bound.
+    /// absorbed tuple compressed, no rule excluded. Its prefix sums bound
+    /// every unseen tuple (see [`RULE_MASS_SLACK`]): PT-k's early-exit
+    /// test reads it.
     ///
     /// Folds the stable group in availability order, then the open
-    /// rule-tuples in rule order. Stable items fold into a cached row as
-    /// they arrive, so a call costs `O((new stable items + open rules)·k)`
-    /// and returns the same bits as a fold from the unit row.
+    /// rule-tuples in ascending `RuleKey` order. Stable items fold into a
+    /// cached row as they arrive, so a call costs
+    /// `O((new stable items + open rules)·k)` and returns the same bits as
+    /// a fold from the unit row.
     pub(crate) fn pool_row(&mut self) -> Vec<f64> {
         for item in &self.stable[self.stable_folded..] {
             let mass = match *item {
@@ -611,115 +769,20 @@ impl Compressor {
         }
         self.stable_folded = self.stable.len();
         let mut row = self.stable_row.clone();
-        for &idx in &self.rule_order {
-            let rs = &self.rule_states[idx as usize];
-            if !rs.completed {
-                dp::convolve_in_place(&mut row, rs.mass);
-            }
+        for &idx in &self.open {
+            dp::convolve_in_place(&mut row, self.rule_states[idx as usize].mass);
         }
         row
     }
 
     /// Rules that currently have absorbed members but are not (known to be)
-    /// complete, with their absorbed mass. Used by the early-exit upper
-    /// bound: a future member of such a rule excludes this mass from its
-    /// dominant set.
+    /// complete, with their absorbed mass, in ascending `RuleKey` order.
     pub(crate) fn open_rules(&self) -> Vec<(RuleKey, f64)> {
-        self.rule_order
+        self.open
             .iter()
             .map(|&idx| &self.rule_states[idx as usize])
-            .filter(|rs| !rs.completed)
             .map(|rs| (rs.key, rs.mass))
             .collect()
-    }
-
-    /// The absorbed masses of the rules that have members in the pool but
-    /// are not (known to be) complete, largest first. A future member of
-    /// such a rule excludes this mass from its dominant set; the largest
-    /// exclusion leaves the largest prefix sums, so it dominates the rest,
-    /// which follow in no particular order (a test that gets past the
-    /// largest is about to stop, and must try them all anyway).
-    pub(crate) fn open_masses(&self) -> Vec<f64> {
-        let mut masses: Vec<f64> = self.open_rules().into_iter().map(|(_, m)| m).collect();
-        let largest = (0..masses.len()).max_by(|&a, &b| masses[a].total_cmp(&masses[b]));
-        if let Some(i) = largest {
-            masses.swap(0, i);
-        }
-        masses
-    }
-
-    /// Whether a previously-built entry still denotes a live, unchanged
-    /// pseudo-tuple for a step whose tuple belongs to `own_rule`.
-    fn entry_still_valid(&self, e: &PoolEntry, own_rule: Option<RuleKey>) -> bool {
-        match e {
-            PoolEntry::Indep { .. } => true,
-            PoolEntry::Rule {
-                key, idx, absorbed, ..
-            } => Some(*key) != own_rule && self.rule_states[*idx as usize].absorbed == *absorbed,
-        }
-    }
-
-    /// The canonical (aggressive) ordering of the current pool, excluding
-    /// `own_rule` (Corollary 2) and — when `skip_stamp` is set — every
-    /// entry already stamped into the lazy kept prefix: stable group first
-    /// in availability order, then open rule-tuples by next-member rank
-    /// descending (falling back to absorption recency, oldest first, when
-    /// the layout is unknown).
-    fn canonical_list(&self, own_rule: Option<RuleKey>, skip_stamp: Option<u64>) -> Vec<PoolEntry> {
-        let mut list = Vec::with_capacity(self.stable.len() + 4);
-        for item in &self.stable {
-            let (kept, e) = match *item {
-                StableItem::Indep { tag, prob } => (
-                    self.kept_indep_stamp.get(tag).copied().unwrap_or(0),
-                    PoolEntry::Indep { tag, prob },
-                ),
-                StableItem::CompletedRule(idx) => {
-                    let rs = &self.rule_states[idx as usize];
-                    (
-                        rs.kept_stamp,
-                        PoolEntry::Rule {
-                            key: rs.key,
-                            idx,
-                            absorbed: rs.absorbed,
-                            mass: rs.mass,
-                        },
-                    )
-                }
-            };
-            // `skip_stamp` is always >= 1 when set, so an unstamped entry
-            // (kept == 0) is never skipped.
-            if skip_stamp != Some(kept) {
-                list.push(e);
-            }
-        }
-        let mut open: Vec<((u8, usize), PoolEntry)> = Vec::new();
-        for &idx in &self.rule_order {
-            let rs = &self.rule_states[idx as usize];
-            if rs.completed || Some(rs.key) == own_rule {
-                continue;
-            }
-            if skip_stamp.is_some_and(|s| rs.kept_stamp == s) {
-                continue;
-            }
-            // Known next-member ranks sort descending ahead of the
-            // recency-ordered remainder (oldest touch first).
-            let order = match rs.next_rank {
-                Some(rank) => (0u8, usize::MAX - rank),
-                None => (1u8, rs.last_touch),
-            };
-            open.push((
-                order,
-                PoolEntry::Rule {
-                    key: rs.key,
-                    idx,
-                    absorbed: rs.absorbed,
-                    mass: rs.mass,
-                },
-            ));
-        }
-        open.sort_by_key(|(order, _)| *order);
-        list.extend(open.into_iter().map(|(_, e)| e));
-        list
     }
 }
 
@@ -732,43 +795,23 @@ pub(crate) fn common_prefix(a: &[PoolEntry], b: &[PoolEntry]) -> usize {
         .count()
 }
 
-/// The one stopping bound behind PT-k, Global-Topk and U-KRanks (line 6 of
-/// Figure 3, generalized): whether some tuple not yet scanned could still
-/// reach its semantics' target.
+/// The tolerance by which a generation rule's total membership mass may
+/// exceed 1: the model's validators (`UncertainTableBuilder`,
+/// `RankedView::from_ranked_probs`, the run-file packer) accept rules
+/// summing to at most `1 + 1e-9`, and the pool clamps an absorbed rule
+/// mass at 1.
 ///
-/// Every unseen tuple's dominant set contains the current pool, except
-/// for a member of an open rule, whose own rule-tuple is left out
-/// (Corollary 2). Members of rules with no member seen yet, and
-/// independents, see at least `pool` itself; a future member of an open
-/// rule sees at least `pool` with that rule's mass deconvolved out. The
-/// probability that at most `j` dominators appear only falls as the set
-/// grows or its masses rise, so each candidate row's prefix sums bound
-/// every tuple it stands for. `reaches(row, slack)` says whether a tuple
-/// bounded by `row` — whose prefix sums may understate the truth by up
-/// to `slack` — could reach the target.
-///
-/// The test short-circuits on the first candidate that can still reach:
-/// the pool row first, then the open rules in the order given (largest
-/// mass first: it leaves the largest prefix sums, so it is the one most
-/// likely to keep the scan going). An uncertifiable deconvolution counts
-/// as reaching. The answer does not depend on the order, only the cost
-/// does: a check that keeps scanning usually costs one `O(k)` pass.
-pub(crate) fn unseen_may_reach(
-    pool: &[f64],
-    open_masses: &[f64],
-    pool_slack: f64,
-    reaches: impl Fn(&[f64], f64) -> bool,
-) -> bool {
-    reaches(pool, pool_slack)
-        || open_masses
-            .iter()
-            .any(|&mass| match dp::deconvolve(pool, mass) {
-                // The inversion sheds at most its certified error; the
-                // slack restores it (see `DECONVOLVE_MASS_SLACK`).
-                Some(row) => reaches(&row, dp::DECONVOLVE_MASS_SLACK),
-                None => true,
-            })
-}
+/// It is the one slack the pool-row stopping bound needs. A future member
+/// `t` of an open rule `R`, whose scanned members carry mass `m_R`, has
+/// `Pr(t) ≤ 1 + RULE_MASS_SLACK − m_R`, and its dominant set contains
+/// `pool \ R`. Splitting the pool on `R`'s rule-tuple,
+/// `Pr(≤ j of pool) = (1 − m_R)·Pr(≤ j of pool \ R) + m_R·Pr(≤ j − 1 of pool \ R)
+///  ≥ (1 − m_R)·Pr(≤ j of pool \ R)`, so
+/// `Pr(t)·Pr(≤ j of pool \ R) ≤ Pr(≤ j of pool) + RULE_MASS_SLACK`. Every
+/// other unseen tuple (an independent, or a member of a rule with no
+/// member scanned yet) has `Pr(t) ≤ 1` and a dominant set containing the
+/// whole pool, so the pool's prefix sums bound it with no slack at all.
+pub(crate) const RULE_MASS_SLACK: f64 = 1e-9;
 
 /// The Chang et al. incremental layer over [`Compressor`]: one full-pool
 /// coefficient row maintained in O(k) per absorbed tuple.
@@ -819,8 +862,7 @@ impl GfState {
             return row;
         }
         self.rows_refolded += 1;
-        let desired = self.comp.desired_list(own_rule);
-        self.comp.recompute(desired);
+        self.comp.build(own_rule);
         self.comp.last_row().to_vec()
     }
 
@@ -860,18 +902,23 @@ impl GfState {
         self.comp.absorbed(rule)
     }
 
-    /// [`unseen_may_reach`] over the incremental pool row — the row every
-    /// later tuple's coefficients derive from. Unlike the PT-k test, the
-    /// pool candidate carries slack too: each incremental update may drift
-    /// the row by up to the certified deconvolve error, and the bound must
-    /// cover the values an unpruned scan would compute, not exact ones.
+    /// The one stopping bound behind Global-Topk and U-KRanks (line 6 of
+    /// Figure 3, generalized): whether some tuple not yet scanned could
+    /// still reach its semantics' target. `reaches(row, slack)` says
+    /// whether a tuple bounded by `row` — whose prefix sums may understate
+    /// the truth by up to `slack` — could reach it.
+    ///
+    /// The incremental pool row alone bounds every unseen tuple's prefix
+    /// sums, a future member of an open rule included (see
+    /// [`RULE_MASS_SLACK`]), so a check is one `O(k)` pass with no
+    /// deconvolution. Unlike the PT-k test, the row carries slack:
+    /// [`dp::DECONVOLVE_MASS_SLACK`] covers both the drift of the
+    /// incremental updates (each within the certified deconvolve error —
+    /// the bound must cover the values an unpruned scan would compute, not
+    /// exact ones) and, four orders of magnitude over, the rule-mass
+    /// tolerance.
     pub(crate) fn unseen_may_reach(&self, reaches: impl Fn(&[f64], f64) -> bool) -> bool {
-        unseen_may_reach(
-            &self.pool_row,
-            &self.comp.open_masses(),
-            dp::DECONVOLVE_MASS_SLACK,
-            reaches,
-        )
+        reaches(&self.pool_row, dp::DECONVOLVE_MASS_SLACK)
     }
 
     /// Rows served through the O(k) incremental recurrence.
@@ -1273,6 +1320,7 @@ pub(crate) fn expected_ranks_closed(records: &[ScanRecord]) -> Vec<f64> {
 #[cfg(test)]
 pub(crate) mod tests {
     use std::cell::Cell;
+    use std::collections::HashSet;
 
     use ptk_core::check::{check, Config};
     use ptk_core::prop_assert_eq;
@@ -1281,13 +1329,15 @@ pub(crate) mod tests {
     use super::*;
 
     /// Gaps below 1 straddling `deconvolve`'s `1 − q < 1e-6` guard:
-    /// exactly on it, just inside, just outside, and comfortably clear.
-    const GUARD_DELTAS: [f64; 5] = [0.0, 5e-7, 1e-6, 2e-6, 1e-3];
+    /// exactly on it, just inside, just outside, and comfortably clear;
+    /// and one ulp *over* 1, a total the model's `1 + 1e-9` tolerance
+    /// admits and the pool clamps.
+    const GUARD_DELTAS: [f64; 6] = [0.0, 5e-7, 1e-6, 2e-6, 1e-3, -f64::EPSILON];
 
     /// A random scan to feed a [`Compressor`]: a depth `k` and the absorb
     /// sequence. Independents are random, certain or tiny. Rules take 2–4
     /// members, and about half of them total a mass just under 1, around
-    /// the deconvolve guard. Each rule declares its length (so it
+    /// the deconvolve guard, or one ulp over. Each rule declares its length (so it
     /// completes), leaves it unknown (so it stays open), or understates it
     /// by one, as a source lying about its layout would.
     pub(crate) fn random_scan(rng: &mut StdRng, size: usize) -> (usize, Vec<AbsorbSpec>) {
@@ -1357,13 +1407,106 @@ pub(crate) mod tests {
             };
             dp::convolve_in_place(&mut row, mass);
         }
-        for &idx in &comp.rule_order {
+        for idx in by_key(comp) {
             let rs = &comp.rule_states[idx as usize];
             if !rs.completed {
                 dp::convolve_in_place(&mut row, rs.mass);
             }
         }
         row
+    }
+
+    /// Every rule's dense slot, in ascending `RuleKey` order.
+    fn by_key(comp: &Compressor) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..comp.rule_states.len() as u32).collect();
+        order.sort_by_key(|&idx| comp.rule_states[idx as usize].key);
+        order
+    }
+
+    /// The list builder [`Compressor::build`] replaced, kept as its
+    /// reference: `desired_list` rebuilt the whole list — under `RC+LR`
+    /// the valid prefix found by walking the previous list, then every
+    /// pool item not in it in canonical order — and `recompute` refolded
+    /// the rows after the longest common prefix.
+    fn reference_build(comp: &mut Compressor, own_rule: Option<RuleKey>) {
+        let desired = reference_desired_list(comp, own_rule);
+        let prefix = match comp.variant {
+            SharingVariant::Rc => 0,
+            SharingVariant::Aggressive | SharingVariant::Lazy => {
+                common_prefix(&comp.entries, &desired)
+            }
+        };
+        let recomputed = desired.len() - prefix;
+        comp.entries_recomputed += recomputed as u64;
+        comp.dp_cells += (recomputed * comp.k) as u64;
+        comp.rows.truncate(prefix + 1);
+        for e in &desired[prefix..] {
+            let mut row = comp.rows.last().expect("rows never empty").clone();
+            dp::convolve_in_place(&mut row, e.mass());
+            comp.rows.push(row);
+        }
+        comp.entries = desired;
+    }
+
+    fn reference_desired_list(comp: &Compressor, own_rule: Option<RuleKey>) -> Vec<PoolEntry> {
+        let still_valid = |e: &PoolEntry| match e {
+            PoolEntry::Indep { .. } => true,
+            PoolEntry::Rule {
+                key, idx, absorbed, ..
+            } => Some(*key) != own_rule && comp.rule_states[*idx as usize].absorbed == *absorbed,
+        };
+        let mut list: Vec<PoolEntry> = match comp.variant {
+            SharingVariant::Rc | SharingVariant::Aggressive => Vec::new(),
+            SharingVariant::Lazy => comp
+                .entries
+                .iter()
+                .take_while(|e| still_valid(e))
+                .cloned()
+                .collect(),
+        };
+        let mut kept_tags = HashSet::new();
+        let mut kept_rules = HashSet::new();
+        for e in &list {
+            match *e {
+                PoolEntry::Indep { tag, .. } => kept_tags.insert(tag),
+                PoolEntry::Rule { idx, .. } => kept_rules.insert(idx),
+            };
+        }
+        let rule_entry = |idx: u32| {
+            let rs = &comp.rule_states[idx as usize];
+            PoolEntry::Rule {
+                key: rs.key,
+                idx,
+                absorbed: rs.absorbed,
+                mass: rs.mass,
+            }
+        };
+        for item in &comp.stable {
+            match *item {
+                StableItem::Indep { tag, prob } if !kept_tags.contains(&tag) => {
+                    list.push(PoolEntry::Indep { tag, prob });
+                }
+                StableItem::CompletedRule(idx) if !kept_rules.contains(&idx) => {
+                    list.push(rule_entry(idx));
+                }
+                _ => {}
+            }
+        }
+        let mut open: Vec<((u8, usize), PoolEntry)> = Vec::new();
+        for idx in by_key(comp) {
+            let rs = &comp.rule_states[idx as usize];
+            if rs.completed || Some(rs.key) == own_rule || kept_rules.contains(&idx) {
+                continue;
+            }
+            let order = match rs.next_rank {
+                Some(rank) => (0u8, usize::MAX - rank),
+                None => (1u8, rs.last_touch),
+            };
+            open.push((order, rule_entry(idx)));
+        }
+        open.sort_by_key(|(order, _)| *order);
+        list.extend(open.into_iter().map(|(_, e)| e));
+        list
     }
 
     fn bits(row: &[f64]) -> Vec<u64> {
@@ -1389,8 +1532,7 @@ pub(crate) mod tests {
                     // Interleave the prefix-shared refold with absorbs and
                     // pool-row reads at random points.
                     if rng.random_bool(0.3) {
-                        let desired = comp.desired_list(spec.rule);
-                        comp.recompute(desired);
+                        comp.build(spec.rule);
                     }
                     comp.absorb(spec);
                     if rng.random_bool(0.4) {
@@ -1427,5 +1569,59 @@ pub(crate) mod tests {
             },
         );
         assert!(refolds.get() > 0, "no case exercised the refold fallback");
+    }
+
+    #[test]
+    fn incremental_build_matches_the_rebuilding_reference() {
+        let builds = Cell::new(0u64);
+        check(
+            "build == desired_list + recompute: entries, row bits, counters",
+            Config::cases(3000).sizes(1, 32).seed(0x9001_0004),
+            |rng, size| {
+                let (k, specs) = random_scan(rng, size);
+                let variant = VARIANTS[rng.random_range(0..VARIANTS.len())];
+                let mut fast = Compressor::new(k, variant);
+                let mut slow = Compressor::new(k, variant);
+                let rules: Vec<RuleKey> = specs.iter().filter_map(|s| s.rule).collect();
+                for spec in specs {
+                    // Build for the tuple about to be absorbed, as a scan
+                    // does; or skip it, as for a pruned tuple; and build
+                    // again, for it or for a rule it does not belong to —
+                    // seen, unseen, or none — as `GfState`'s refold may.
+                    let mut owns = Vec::new();
+                    if rng.random_bool(0.7) {
+                        owns.push(spec.rule);
+                    }
+                    while rng.random_bool(0.3) {
+                        owns.push(match rng.random_range(0..4u32) {
+                            0 => None,
+                            1 => spec.rule,
+                            2 => Some(RuleKey(u32::MAX - 1)),
+                            _ if rules.is_empty() => None,
+                            _ => Some(rules[rng.random_range(0..rules.len())]),
+                        });
+                    }
+                    for own in owns {
+                        fast.build(own);
+                        reference_build(&mut slow, own);
+                        builds.set(builds.get() + 1);
+                        prop_assert_eq!(fast.entries(), slow.entries(), "{variant:?} own={own:?}");
+                        let fast_rows: Vec<Vec<u64>> = fast.rows.iter().map(|r| bits(r)).collect();
+                        let slow_rows: Vec<Vec<u64>> = slow.rows.iter().map(|r| bits(r)).collect();
+                        prop_assert_eq!(fast_rows, slow_rows);
+                        prop_assert_eq!(fast.dp_cells(), slow.dp_cells());
+                        prop_assert_eq!(fast.entries_recomputed(), slow.entries_recomputed());
+                    }
+                    fast.absorb(spec);
+                    slow.absorb(spec);
+                }
+                Ok(())
+            },
+        );
+        assert!(
+            builds.get() > 10_000,
+            "only {} builds checked",
+            builds.get()
+        );
     }
 }

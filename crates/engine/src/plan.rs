@@ -62,8 +62,10 @@ pub struct EngineOptions {
     /// scanned and every tuple's exact `Pr^k` is reported.
     pub pruning: bool,
     /// How often (in scanned tuples) the early-exit upper bound is
-    /// checked. A check that stops tries every open rule, `O(open·k)`, so
-    /// it runs periodically rather than per tuple.
+    /// checked. A check reads the prefix sums of the pool row alone, which
+    /// bound every unseen tuple, open-rule members included; PT-k first
+    /// folds the open rule-tuples into that row, `O(open·k)`, so the check
+    /// runs periodically rather than per tuple.
     pub ub_check_interval: usize,
 }
 

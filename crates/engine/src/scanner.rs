@@ -132,8 +132,7 @@ impl<'v> Scanner<'v> {
     pub fn step(&mut self) -> Option<StepRow<'_>> {
         let pos = self.position()?;
         let own_rule = self.view.rule_at(pos).map(key_of);
-        let desired = self.comp.desired_list(own_rule);
-        self.comp.recompute(desired);
+        self.comp.build(own_rule);
         self.advance_pool(pos);
         self.cursor += 1;
         Some(StepRow {
@@ -155,14 +154,15 @@ impl<'v> Scanner<'v> {
     /// The subset-probability row over the *entire current pool* — every
     /// scanned tuple compressed, no rule excluded. This is what a future
     /// independent tuple's dominant set would contain if scanning stopped
-    /// here; used by the early-exit upper bound.
+    /// here; its prefix sums are the early-exit upper bound.
     pub fn pool_row(&mut self) -> Vec<f64> {
         self.comp.pool_row()
     }
 
     /// Rules that currently have both scanned and unscanned members, with
-    /// their scanned mass. Used by the early-exit upper bound: a future
-    /// member of such a rule excludes this mass from its dominant set.
+    /// their scanned mass. A future member of such a rule leaves this mass
+    /// out of its dominant set (Corollary 2), and its own membership is at
+    /// most one minus it.
     pub fn open_rules(&self) -> Vec<(RuleHandle, f64)> {
         self.comp
             .open_rules()

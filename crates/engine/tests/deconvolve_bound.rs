@@ -1,18 +1,28 @@
-//! Property tests for the deconvolution fallback (§4.3's prefix-sharing
-//! trick) and the upper-bound early exit that consumes it.
+//! Property tests for the deconvolution behind the generating-function
+//! core's incremental rows, and for the upper-bound early exit under the
+//! near-one rule masses where that inversion is least stable.
 //!
 //! `deconvolve` removes one tuple's contribution from a subset-probability
 //! DP row. Near `q = 1` the recurrence divides by `1 − q` and is
 //! numerically unstable; the engine's contract is that `deconvolve` either
 //! returns an accurate row or `None` (never a silently wrong row), because
-//! `future_upper_bound` treats `None` as "bound = 1.0" — conservative, so
-//! the early exit can only fire late, never wrongly.
+//! `GfState` falls back to the exact refold on `None`.
+//!
+//! The early exit no longer deconvolves at all: the pool row's prefix sums
+//! bound every unseen tuple, a future member of an open rule included (its
+//! membership is at most `1 − m_R`). The per-open-rule test it replaced
+//! counted an uncertifiable rule as "may still reach" and held the scan
+//! open until the rule completed; the last test here pins that it no
+//! longer does.
 
+use ptk_access::ViewSource;
 use ptk_core::check::{check, Config};
 use ptk_core::rng::{RngExt, StdRng};
 use ptk_core::{prop_assert, prop_assert_eq, RankedView};
 use ptk_engine::dp::{convolve, deconvolve, partial_sum, poisson_binomial, DECONVOLVE_MASS_SLACK};
-use ptk_engine::{evaluate_ptk, EngineOptions, SharingVariant};
+use ptk_engine::{
+    evaluate_ptk, EngineOptions, PtkExecutor, PtkPlan, RankSemantics, SharingVariant, StopReason,
+};
 use ptk_worlds::naive;
 
 /// Deltas that straddle the `1 − q < 1e-6` guard inside `deconvolve`:
@@ -171,4 +181,58 @@ fn upper_bound_early_exit_stays_conservative_under_adversarial_masses() {
             Ok(())
         },
     );
+}
+
+/// A rule whose first member carries mass `1 − 1e-7` — inside
+/// `deconvolve`'s `1 − q < 1e-6` guard, so it can never be deconvolved out
+/// — and whose last member comes only after a long tail of independents.
+fn heavy_open_rule_view(tail: usize) -> RankedView {
+    let mut probs = vec![1.0 - 1e-7];
+    probs.extend(std::iter::repeat_n(0.2, tail));
+    probs.push(1e-7);
+    RankedView::from_ranked_probs(&probs, &[vec![0, tail + 1]]).unwrap()
+}
+
+#[test]
+fn an_uncertifiable_open_rule_does_not_hold_the_scan_open() {
+    // Once a few 0.2 tuples sit under the heavy rule, no unseen tuple can
+    // reach the target, and the pool row says so at the first check. The
+    // per-open-rule test could not deconvolve the rule out, counted its
+    // future member as reaching, and so read all 1,002 tuples: the rule
+    // completes only at the last one.
+    let view = heavy_open_rule_view(1_000);
+    let options = EngineOptions::default();
+    let full = EngineOptions::without_pruning(SharingVariant::Lazy);
+
+    let exact = evaluate_ptk(&view, 2, 0.3, &options);
+    assert_eq!(exact.stats.stop, Some(StopReason::UpperBound));
+    assert_eq!(exact.stats.scanned, options.ub_check_interval);
+    let all = evaluate_ptk(&view, 2, 0.3, &full);
+    assert_eq!(exact.answer_ranks(), all.answer_ranks());
+    assert_eq!(exact.answer_ranks(), vec![0]);
+
+    for semantics in [RankSemantics::GlobalTopk, RankSemantics::UKRanks] {
+        let answer = |options: &EngineOptions| {
+            let plan = PtkPlan::try_semantics(semantics, 2, None, options).unwrap();
+            let metrics = ptk_obs::Metrics::counters_only();
+            let answer = PtkExecutor::with_recorder(&plan, &metrics)
+                .execute_semantics(&mut ViewSource::new(&view))
+                .unwrap();
+            let rows: Vec<(usize, u64)> = answer
+                .rows()
+                .unwrap()
+                .iter()
+                .map(|r| (r.position, r.value.to_bits()))
+                .collect();
+            (
+                rows,
+                ptk_engine::ExecStats::from_snapshot(&metrics.snapshot()),
+            )
+        };
+        let (rows, stats) = answer(&options);
+        let (all_rows, _) = answer(&full);
+        assert_eq!(rows, all_rows, "{semantics:?}");
+        assert_eq!(stats.stop, Some(StopReason::UpperBound), "{semantics:?}");
+        assert_eq!(stats.scanned, options.ub_check_interval, "{semantics:?}");
+    }
 }

@@ -498,6 +498,7 @@ fn metric_help(name: &str) -> &'static str {
         "serve.requests" => "Requests fully read off the wire.",
         "serve.responses_ok" => "Requests answered 200.",
         "serve.query_errors" => "Statements rejected by the handler (400).",
+        "serve.panics" => "Statements whose handler panicked (500).",
         "serve.http_errors" => "Malformed HTTP requests (truncated, garbage, oversized).",
         "serve.rejected.queue_full" => "Connections rejected 429 by admission control.",
         "serve.rejected.timeout" => "Requests rejected 408 after the per-request timeout.",

@@ -9,7 +9,9 @@
 //! bound (overflow is answered `429` immediately) plus a per-request
 //! timeout covering queue wait and request read (`408`). Execution itself
 //! is never preempted — a query that has started runs to completion, which
-//! keeps the engine free of cancellation points.
+//! keeps the engine free of cancellation points. A handler that panics
+//! fails only its own request: the panic is caught, answered `500`,
+//! recorded with outcome `panic`, and the worker lane serves on.
 //!
 //! The daemon is generic over a [`QueryHandler`] so the HTTP machinery,
 //! admission control and cache stay zero-dependency; the `ptk serve` CLI
@@ -17,9 +19,11 @@
 //! statements through `PtkPlan`/`PtkExecutor`, byte-identical to the
 //! one-shot `ptk sql` path.
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self as unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -40,6 +44,9 @@ pub mod counters {
     /// Statements the handler rejected (answered `400` with a structured
     /// JSON error).
     pub const QUERY_ERRORS: &str = "serve.query_errors";
+    /// Statements whose handler panicked (answered `500` with a structured
+    /// JSON error; the worker lane keeps serving).
+    pub const PANICS: &str = "serve.panics";
     /// Malformed HTTP requests (truncated, garbage, oversized).
     pub const HTTP_ERRORS: &str = "serve.http_errors";
     /// Connections rejected `429` because the admission queue was full.
@@ -565,10 +572,24 @@ impl<H: QueryHandler> Server<H> {
             }
         }
 
-        let key = self
-            .handler
-            .fingerprint(statement, stats)
-            .map(|fp| (self.epoch(), fp));
+        // A handler panic is isolated to its request: caught here, it
+        // becomes a 500 and a flight record, and the lane serves on.
+        let key = match unwind::catch_unwind(AssertUnwindSafe(|| {
+            self.handler.fingerprint(statement, stats)
+        })) {
+            Ok(fingerprint) => fingerprint.map(|fp| (self.epoch(), fp)),
+            Err(payload) => {
+                self.answer_panic(
+                    stream,
+                    flight,
+                    &*payload,
+                    queue_wait,
+                    Duration::ZERO,
+                    enqueued,
+                );
+                return;
+            }
+        };
         if let Some(key) = key {
             if let Some(body) = self.cache.get(key) {
                 self.metrics.add(counters::CACHE_HITS, 1);
@@ -587,14 +608,16 @@ impl<H: QueryHandler> Server<H> {
         }
 
         let started = Instant::now();
-        let outcome = self.handler.execute(statement, stats, &mut flight);
+        let outcome = unwind::catch_unwind(AssertUnwindSafe(|| {
+            self.handler.execute(statement, stats, &mut flight)
+        }));
         let exec = started.elapsed();
         self.metrics.record_nanos(
             counters::REQUEST_SPAN,
             u64::try_from(exec.as_nanos()).unwrap_or(u64::MAX),
         );
         match outcome {
-            Ok(body) => {
+            Ok(Ok(body)) => {
                 let cache_state = match key {
                     Some(key) => {
                         self.metrics.add(counters::CACHE_MISSES, 1);
@@ -623,7 +646,7 @@ impl<H: QueryHandler> Server<H> {
                     &body,
                 );
             }
-            Err(message) => {
+            Ok(Err(message)) => {
                 self.metrics.add(counters::QUERY_ERRORS, 1);
                 self.finish(
                     "query_error",
@@ -641,7 +664,44 @@ impl<H: QueryHandler> Server<H> {
                     &http::error_body("query", &message),
                 );
             }
+            Err(payload) => {
+                self.answer_panic(stream, flight, &*payload, queue_wait, exec, enqueued);
+            }
         }
+    }
+
+    /// Answers a request whose handler panicked: counted, recorded with
+    /// outcome `panic`, answered `500`, never cached.
+    fn answer_panic(
+        &self,
+        stream: &mut TcpStream,
+        flight: QueryFlight,
+        payload: &(dyn Any + Send),
+        queue_wait: Duration,
+        exec: Duration,
+        enqueued: Instant,
+    ) {
+        self.metrics.add(counters::PANICS, 1);
+        self.finish(
+            "panic",
+            "none",
+            flight,
+            queue_wait,
+            exec,
+            enqueued.elapsed(),
+        );
+        let reason = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string panic payload");
+        self.respond(
+            stream,
+            500,
+            "application/json",
+            &[],
+            &http::error_body("internal", &format!("query handler panicked: {reason}")),
+        );
     }
 
     /// Records one finished request into the flight ring, feeds the

@@ -10,9 +10,11 @@ use std::time::Duration;
 use ptk_obs::QueryFlight;
 use ptk_serve::{QueryHandler, Server, ServerConfig, ServerHandle};
 
-/// Echoes statements; errors on `boom`; counts executions so cache tests
-/// can prove the handler was bypassed on a hit. `block` gates execution so
-/// admission tests can wedge every worker deterministically.
+/// Echoes statements; errors on `boom`; panics on `explode` (while
+/// executing) and `unhashable` (while fingerprinting); counts executions
+/// so cache tests can prove the handler was bypassed on a hit. `block`
+/// gates execution so admission tests can wedge every worker
+/// deterministically.
 struct StubHandler {
     entered: AtomicUsize,
     executions: AtomicUsize,
@@ -67,6 +69,9 @@ impl QueryHandler for &'static StubHandler {
         if statement.contains("boom") {
             return Err(format!("cannot execute '{statement}'"));
         }
+        if statement.contains("explode") {
+            panic!("stub handler exploded on '{statement}'");
+        }
         match stats {
             Some(mode) => Ok(format!("echo: {statement}\nstats: {mode}\n")),
             None => Ok(format!("echo: {statement}\n")),
@@ -76,6 +81,9 @@ impl QueryHandler for &'static StubHandler {
     fn fingerprint(&self, statement: &str, stats: Option<&str>) -> Option<u64> {
         if stats.is_some() {
             return None;
+        }
+        if statement.contains("unhashable") {
+            panic!("stub handler cannot fingerprint '{statement}'");
         }
         // FNV-1a over the statement text.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -188,6 +196,49 @@ fn health_metrics_and_routing() {
     );
     assert_eq!(metric_value(&metrics, "ptk_serve_query_errors"), 2);
     assert!(metric_value(&metrics, "ptk_serve_http_errors") >= 3);
+
+    handle.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn handler_panic_answers_500_and_the_lone_worker_serves_on() {
+    // One worker: its lane runs inline in `Server::run`, so an uncaught
+    // panic would leave the daemon accepting with nobody answering.
+    let config = ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    };
+    let handle = spawn(leak_handler(), config);
+    let addr = handle.addr();
+
+    for statement in ["SELECT explode", "SELECT unhashable"] {
+        for _ in 0..2 {
+            // Twice: a panicked response is never cached.
+            let response = post_sql(addr, statement);
+            assert_eq!(status_of(&response), 500, "{response}");
+            let body = body_of(&response);
+            assert_valid_json(body);
+            assert!(
+                body.contains("\"code\":\"internal\"") && body.contains("panicked"),
+                "{body}"
+            );
+        }
+        let next = post_sql(addr, "SELECT 1");
+        assert_eq!(status_of(&next), 200, "the worker must survive: {next}");
+        assert_eq!(body_of(&next), "echo: SELECT 1\n");
+    }
+
+    let queries = roundtrip(addr, "GET /debug/queries HTTP/1.1\r\n\r\n");
+    let body = body_of(&queries);
+    assert_valid_json(body);
+    assert_eq!(body.matches("\"outcome\":\"panic\"").count(), 4, "{body}");
+    assert!(
+        body.contains("\"label\":\"SELECT explode\"")
+            && body.contains("\"plan\":\"stub(SELECT explode)\""),
+        "the panicked statement's record keeps what the handler filled in: {body}"
+    );
+    let metrics = metrics_text(addr);
+    assert_eq!(metric_value(&metrics, "ptk_serve_panics"), 4, "{metrics}");
 
     handle.shutdown().expect("clean shutdown");
 }
