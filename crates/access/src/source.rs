@@ -62,10 +62,27 @@ pub trait RankedSource {
     fn next_ranked(&mut self) -> Option<SourceTuple>;
 
     /// The total membership mass of a rule, if the source knows it ahead of
-    /// time. Enables the engine's Theorem 3(2) pruning; returning `None` is
-    /// always safe.
+    /// time. Enables the engine's Theorem 3(2) pruning, and — for a source
+    /// that also reports [`RankedSource::total_mass`] — the expected rank
+    /// of a rule member before its later mates are scanned. Returning
+    /// `None` is always safe.
     fn rule_mass(&self, rule: RuleKey) -> Option<f64> {
         let _ = rule;
+        None
+    }
+
+    /// The sum of every tuple's membership probability, if the source
+    /// knows it ahead of time: a hint that lets expected rank stop early
+    /// (a scanned tuple's expected rank needs the whole selection's mass).
+    ///
+    /// The contract is bit-exact, because answers must not depend on the
+    /// hint: the value is the scan-order sum (`0.0 + p₀ + p₁ + …` in
+    /// delivery order), and a source reporting it reports
+    /// [`RankedSource::rule_mass`] for every rule it delivers as that
+    /// rule's members summed in scan order and clamped to 1. Returning
+    /// `None` — the default — is always safe: the engine then scans in
+    /// full and takes both totals from the records.
+    fn total_mass(&self) -> Option<f64> {
         None
     }
 
@@ -196,6 +213,12 @@ impl RankedSource for ViewSource<'_> {
         self.view.rules().get(rule.0 as usize).map(|r| r.mass)
     }
 
+    fn total_mass(&self) -> Option<f64> {
+        // Rule masses are rank-order sums clamped once, which is the scan
+        // order here (see `RuleProjection`).
+        Some(self.view.total_mass())
+    }
+
     fn rule_len(&self, rule: RuleKey) -> Option<usize> {
         self.view
             .rules()
@@ -313,6 +336,10 @@ impl RankedSource for SelectionSource<'_> {
 
     fn rule_mass(&self, rule: RuleKey) -> Option<f64> {
         self.rule(rule).map(|r| r.mass)
+    }
+
+    fn total_mass(&self) -> Option<f64> {
+        Some(self.selection.total_mass())
     }
 
     fn rule_len(&self, rule: RuleKey) -> Option<usize> {

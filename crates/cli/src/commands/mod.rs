@@ -928,6 +928,71 @@ mod tests {
         assert!(err.contains("checksum"), "{err}");
     }
 
+    /// U-TopK pulls its records on demand: a corrupt block inside the
+    /// ranks its search reads fails the scan with the checksum error, never
+    /// a short vector, and one past that depth is never read, as for an
+    /// early-stopped PT-k scan. Expected rank reads a run file in full (it
+    /// reports no total mass), so it fails on either.
+    #[test]
+    fn on_demand_u_topk_fails_on_a_bad_block_it_reads_and_only_then() {
+        let csv = dispatch(&args(&[
+            "generate",
+            "synthetic",
+            "--tuples",
+            "600",
+            "--rules",
+            "60",
+            "--seed",
+            "17",
+        ]))
+        .unwrap();
+        let file = tempfile::csv(&csv);
+        let run = tempfile::path("run");
+        dispatch(&args(&[
+            "pack",
+            file.as_str(),
+            "--rank-by",
+            "score",
+            "--out",
+            run.as_str(),
+            "--block-size",
+            "1024",
+        ]))
+        .unwrap();
+        let scan = |semantics: &str| {
+            dispatch(&args(&[
+                "scan",
+                run.as_str(),
+                "--k",
+                "5",
+                "--semantics",
+                semantics,
+            ]))
+        };
+        let clean = scan("u_topk").unwrap();
+        // 42 records a block: the search reads inside block 0 alone.
+        assert!(clean.contains("streamed 14 of 600 records"), "{clean}");
+        // The data section is the file's tail: 15 blocks of 1024 B.
+        let pristine = std::fs::read(run.as_str()).unwrap();
+        let data_start = pristine.len() - 15 * 1024;
+        let corrupt = |offset: usize| {
+            let mut bytes = pristine.clone();
+            bytes[offset] ^= 0xFF;
+            std::fs::write(run.as_str(), &bytes).unwrap();
+        };
+        // A bad score byte in block 0's first record, which the search reads.
+        corrupt(data_start + 8);
+        for semantics in ["u_topk", "expected_rank"] {
+            let err = scan(semantics).unwrap_err();
+            assert!(err.contains("checksum"), "{semantics}: {err}");
+        }
+        // A bad score byte in the last block, which it never reads.
+        corrupt(data_start + 14 * 1024 + 8);
+        assert_eq!(scan("u_topk").unwrap(), clean);
+        let err = scan("expected_rank").unwrap_err();
+        assert!(err.contains("checksum"), "{err}");
+    }
+
     #[test]
     fn inspect_prints_the_block_directory() {
         let file = panda_file();
@@ -1528,10 +1593,12 @@ mod tests {
         ]))
         .unwrap();
         assert!(out.contains("probability 0.280000"), "{out}");
-        // U-TopK reads only the scan records: no gf row is maintained.
+        // U-TopK reads only the scan records: no gf row is maintained,
+        // and its search pulls the 4 ranks it needs of the 6.
         assert!(!out.contains("gf["), "{out}");
+        assert!(out.contains("ranked-retrieval: scanned=4"), "{out}");
         assert!(
-            out.contains("u-topk[best-first vector] (unpruned: no sound bounds): answers=2"),
+            out.contains("\nu-topk[best-first vector]: answers=2"),
             "{out}"
         );
         // U-KRanks maintains the row and names its stop with the depth.
@@ -1695,7 +1762,7 @@ mod tests {
 
     /// A `RANK BY` query that stops early says so in its flight record, on
     /// every path that answers one: `sql`, `query --semantics` and
-    /// `scan --semantics`. Semantics without a bound leave `stop` empty.
+    /// `scan --semantics`.
     #[test]
     fn rank_by_audit_records_the_stop() {
         let csv = dispatch(&args(&[
@@ -1717,7 +1784,7 @@ mod tests {
                 .unwrap()
                 .to_owned()
         };
-        for semantics in ["GLOBAL_TOPK", "U_KRANKS"] {
+        for semantics in ["GLOBAL_TOPK", "U_KRANKS", "EXPECTED_RANK"] {
             let line = audit(&[
                 "sql",
                 file.as_str(),
@@ -1726,16 +1793,13 @@ mod tests {
             ]);
             assert!(line.contains("\"stop\":\"UpperBound\""), "{line}");
             assert!(line.contains("\"engine.stop.upper_bound\":1"), "{line}");
+            if semantics == "EXPECTED_RANK" {
+                // It stops on its prefix-mass floor at the third check,
+                // reading no coefficient rows.
+                assert!(line.contains("\"engine.dp_cells\":0"), "{line}");
+                assert!(line.contains("\"engine.scanned\":192"), "{line}");
+            }
         }
-        let line = audit(&[
-            "sql",
-            file.as_str(),
-            "SELECT TOP 5 FROM t ORDER BY score RANK BY EXPECTED_RANK",
-            "--audit",
-        ]);
-        assert!(line.contains("\"stop\":\"\""), "{line}");
-        assert!(line.contains("\"engine.dp_cells\":0"), "{line}");
-        assert!(line.contains("\"engine.scanned\":500"), "{line}");
         let line = audit(&[
             "query",
             file.as_str(),
@@ -1806,8 +1870,8 @@ mod tests {
 
     /// Golden EXPLAIN output for a `RANK BY` statement: the plan line must
     /// render the actual generating-function semantics stages, not the PT-k
-    /// `dp[..]` pipeline — the stop for a semantics with a sound bound,
-    /// and "unpruned" for one without.
+    /// `dp[..]` pipeline — the gf rows for a semantics that reads them,
+    /// and the stop for one with a sound bound.
     #[test]
     fn sql_explain_renders_the_semantics_stage() {
         let file = panda_file();
@@ -1835,8 +1899,8 @@ mod tests {
         assert!(
             out.contains(
                 "plan: Selection::new (predicate over the shared ranked view) -> \
-                 ranked-retrieval -> rule-compression -> \
-                 expected-rank[closed form] (unpruned: no sound bounds)"
+                 ranked-retrieval -> rule-compression -> stop[ub every 64] -> \
+                 expected-rank[closed form]\n"
             ),
             "{out}"
         );
@@ -1988,7 +2052,9 @@ mod tests {
             out.contains("row      4") && out.contains("row      2"),
             "{out}"
         );
-        assert!(out.contains("streamed 6 of 6 records"), "{out}");
+        // The search pulls 4 of the 6 records; expected rank over a run
+        // file, which reports no total mass, reads all 6.
+        assert!(out.contains("streamed 4 of 6 records"), "{out}");
         let out = dispatch(&args(&[
             "scan",
             run.as_str(),
@@ -2000,7 +2066,10 @@ mod tests {
             "json",
         ]))
         .unwrap();
-        assert!(out.contains("expected rank"), "{out}");
+        assert!(
+            out.contains("top-2 by expected rank (streamed 6 of 6 records)"),
+            "{out}"
+        );
         let json = out.lines().last().unwrap();
         assert!(json.contains("\"engine.gf.rows_incremental\""), "{out}");
         let err = dispatch(&args(&[

@@ -74,10 +74,12 @@ answers with: `ptk` (the default, needs `--p`), `u_topk`, `u_kranks`,
 statement's `RANK BY <semantics>` clause on a `SELECT TOP` query (the
 legacy `SELECT UTOPK|UKRANKS|GLOBALTOPK|ERANK` kind keywords still parse).
 Every semantics runs through one generating-function scan of the ranked
-view. PT-k, `global_topk` and `u_kranks` stop early once no unseen tuple
-can change the answer (`--no-prune` scans in full, to the same answer);
-`u_topk` and `expected_rank` have no sound bound and always scan in full —
-EXPLAIN says which. Thresholds (`--p` / `WITH PROBABILITY`) parameterize
+view. PT-k, `global_topk`, `u_kranks` and `expected_rank` stop early once
+no unseen tuple can change the answer (`--no-prune` scans in full, to the
+same answer) — `expected_rank` only over a table, since a run file does
+not carry the total mass it needs, so `scan` reads one in full; `u_topk`
+reads only the ranks its best-first search expands. EXPLAIN says which
+stop a plan runs. Thresholds (`--p` / `WITH PROBABILITY`) parameterize
 PT-k only.
 
 `--explain` (or the `EXPLAIN ANALYZE` statement prefix under `ptk sql`)

@@ -120,6 +120,8 @@ pub struct RankedView {
     /// Whether every tuple has a numeric key and the keys never increase
     /// along the ranking (vacuously true when empty).
     keys_descend: bool,
+    /// The tuples' membership probabilities summed in rank order.
+    total_mass: f64,
 }
 
 impl Default for RankedView {
@@ -210,10 +212,12 @@ impl RankedView {
             }
             _ => false,
         });
+        let total_mass = tuples.iter().fold(0.0, |mass, t| mass + t.prob);
         RankedView {
             tuples: tuples.into(),
             rules: rules.into(),
             keys_descend,
+            total_mass,
         }
     }
 
@@ -316,6 +320,14 @@ impl RankedView {
     #[inline]
     pub fn keys_descend(&self) -> bool {
         self.keys_descend
+    }
+
+    /// The sum of every tuple's membership probability, added in rank
+    /// order from `0.0` — the same bits as a scan that sums what it reads.
+    /// Computed once, when the view is assembled.
+    #[inline]
+    pub fn total_mass(&self) -> f64 {
+        self.total_mass
     }
 
     /// The projected rule at `handle`.

@@ -30,6 +30,8 @@ pub struct Selection {
     before: Option<Vec<u32>>,
     /// [`RankedView::keys_descend`] over the selected tuples only.
     keys_descend: bool,
+    /// [`RankedView::total_mass`] over the selected tuples only.
+    total_mass: f64,
 }
 
 impl Selection {
@@ -60,10 +62,12 @@ impl Selection {
         let mut count = 0u32;
         let mut last = f64::INFINITY;
         let mut keys_descend = true;
+        let mut total_mass = 0.0;
         before.push(count);
         for t in view.tuples() {
             if keep[t.id.index()] {
                 count += 1;
+                total_mass += t.prob;
                 match t.key {
                     Some(key) if key <= last => last = key,
                     _ => keys_descend = false,
@@ -76,6 +80,7 @@ impl Selection {
             before: (count as usize != view.len()).then_some(before),
             view,
             keys_descend,
+            total_mass,
         })
     }
 
@@ -83,6 +88,7 @@ impl Selection {
     fn all(view: RankedView) -> Selection {
         Selection {
             keys_descend: view.keys_descend(),
+            total_mass: view.total_mass(),
             view,
             before: None,
         }
@@ -124,6 +130,12 @@ impl Selection {
     /// ranking keys can serve as scan scores.
     pub fn keys_descend(&self) -> bool {
         self.keys_descend
+    }
+
+    /// [`RankedView::total_mass`] over the selected tuples: their
+    /// membership probabilities added in rank order from `0.0`.
+    pub fn total_mass(&self) -> f64 {
+        self.total_mass
     }
 
     /// The shared view's rule `handle` projected onto the selection: its

@@ -32,8 +32,9 @@ use ptk_par::{StealStats, ThreadPool};
 
 use crate::dp;
 use crate::gf::{
-    expected_ranks_closed, utopk_search, AbsorbSpec, Compressor, GfState, RankSemantics,
-    ScanRecord, SemanticsAnswer, SemanticsError, SemanticsRow, RULE_MASS_SLACK, UTOPK_MAX_STATES,
+    expected_rank, expected_rank_slack, expected_ranks_closed, utopk_search, AbsorbSpec,
+    Compressor, GfState, RankSemantics, ScanRecord, SemanticsAnswer, SemanticsError, SemanticsRow,
+    RULE_MASS_SLACK, UTOPK_MAX_STATES,
 };
 use crate::layout::{LayoutCursor, ScanLayout, StableSeed};
 use crate::plan::{PtkBatch, PtkPlan};
@@ -104,8 +105,8 @@ struct RuleFail {
     failed_member_max: f64,
 }
 
-/// An `f64` ordered by `total_cmp`, so Global-Topk's running k best can
-/// sit in a [`BinaryHeap`].
+/// An `f64` ordered by `total_cmp`, so the running k best of Global-Topk and
+/// expected rank can sit in a [`BinaryHeap`].
 #[derive(Debug, Clone, Copy)]
 struct TotalF64(f64);
 
@@ -581,11 +582,16 @@ impl<'a> PtkExecutor<'a> {
     /// ranking order, then the semantics' finisher over what it
     /// collected. U-KRanks and Global-Topk maintain the full-pool
     /// coefficient row incrementally (`GfState`, the `gf` module's core)
-    /// and, with `options.pruning`, stop at the shared stopping bound,
-    /// answering bit-identically to the full scan; U-TopK and expected
-    /// rank read only the scan records and scan in full. Recording and
-    /// tracing work as for PT-k (same counter names and span layout, plus
-    /// the `engine.gf.*` row counters and an `engine.phase.finish` span).
+    /// and, with `options.pruning`, stop at the shared stopping bound.
+    /// Expected rank reads only the scan records and, with
+    /// `options.pruning`, stops at its prefix-mass floor when the source
+    /// knows its total mass ([`RankedSource::total_mass`]); over any other
+    /// source it scans in full. U-TopK's search pulls each record from the
+    /// source only when it first needs it, pruning or not, so the scan is
+    /// as deep as the search. Every answer is bit-identical to the full
+    /// scan's. Recording and tracing work as for PT-k (same counter names
+    /// and span layout, plus the `engine.gf.*` row counters and an
+    /// `engine.phase.finish` span).
     ///
     /// # Panics
     /// Panics if the source delivers scores out of order.
@@ -634,27 +640,28 @@ impl<'a> PtkExecutor<'a> {
         let tracer = self.tracer.filter(|t| t.enabled());
         let _query_span = ptk_obs::span(recorder, "engine.query");
         let clocks_live = recorder.enabled() || tracer.is_some();
-        let mut retrieval_clock = PhaseClock::enabled_if(clocks_live);
         let mut dp_clock = PhaseClock::enabled_if(clocks_live);
         let mut bound_clock = PhaseClock::enabled_if(clocks_live);
         let mut finish_clock = PhaseClock::enabled_if(clocks_live);
         let query_begin = tracer.map_or(0, |t| t.begin(Stage::Query));
 
+        let mut scan = RecordScan::new(source, PhaseClock::enabled_if(clocks_live));
         // U-KRanks and Global-Topk read per-rank coefficient rows, and
         // their stopping bound is read off the same pool row. U-TopK's
         // conditional factors and expected rank's closed form need only
         // the scan records, so those two maintain no row at all.
         let mut gf = semantics
-            .has_pruning_bounds()
+            .reads_gf_rows()
             .then(|| GfState::new(k, options.variant));
-        let stops_early = options.pruning && gf.is_some();
+        // A scanned tuple's expected rank needs the selection's total mass;
+        // without it up front, the records supply it after a full scan.
+        let total_mass = (semantics == RankSemantics::ExpectedRank)
+            .then(|| scan.source.total_mass())
+            .flatten();
+        let stops_early = options.pruning && (gf.is_some() || total_mass.is_some());
         let interval = options.ub_check_interval.max(1);
         let mut bound_checks = 0u64;
         let mut stats = ExecStats::default();
-        let mut records: Vec<ScanRecord> = Vec::new();
-        // Per-rule absorbed mass so far, for `mates_above`.
-        let mut rule_seen: HashMap<RuleKey, f64> = HashMap::new();
-        let mut prefix_above = 0.0f64;
         // U-KRanks streaming argmax: winner per rank j, scanned positions
         // ascending, strictly-better-by-1e-15 to win (ties keep the
         // earlier position — the literature's convention and the worlds
@@ -666,184 +673,195 @@ impl<'a> PtkExecutor<'a> {
         // the k best so far in a min-heap whose root is the k-th best.
         let mut prks: Vec<f64> = Vec::new();
         let mut best_prks: BinaryHeap<Reverse<TotalF64>> = BinaryHeap::new();
-        let mut last_score = f64::INFINITY;
+        // Expected rank over a source that knows its total mass: every
+        // tuple's expected rank as it is scanned, and — for the stopping
+        // bound — the k smallest so far in a max-heap whose root is the
+        // k-th best.
+        let mut ers: Vec<f64> = Vec::new();
+        let mut best_ers: BinaryHeap<TotalF64> = BinaryHeap::new();
 
-        while let Some(tuple) = retrieval_clock.time(|| source.next_ranked()) {
-            assert!(
-                tuple.score <= last_score + 1e-9,
-                "source delivered scores out of order: {} after {last_score}",
-                tuple.score
-            );
-            last_score = tuple.score;
-            let rank = stats.scanned;
-            stats.scanned += 1;
-            stats.evaluated += 1;
-
-            let mates_above = tuple
-                .rule
-                .map_or(0.0, |key| rule_seen.get(&key).copied().unwrap_or(0.0));
-            records.push(ScanRecord {
-                id: tuple.id,
-                score: tuple.score,
-                prob: tuple.prob,
-                rule: tuple.rule,
-                mates_above,
-                prefix_above,
-            });
-
-            if let Some(gf) = gf.as_mut() {
-                // The coefficient row over the dominant set T(t): the pool
-                // so far, own rule excluded (Corollary 2).
-                let row = dp_clock.time(|| gf.row_excluding(tuple.rule));
-                if ukranks {
-                    for j in 0..k {
-                        let pr = tuple.prob * row[j];
-                        if pr > ukr_best_prob[j] + 1e-15 {
-                            ukr_best_prob[j] = pr;
-                            ukr_best_pos[j] = rank;
+        // U-TopK's search pulls its records itself, on demand.
+        if semantics != RankSemantics::UTopK {
+            while let Some(record) = scan.pull() {
+                let rank = scan.scanned() - 1;
+                if let Some(gf) = gf.as_mut() {
+                    // The coefficient row over the dominant set T(t): the
+                    // pool so far, own rule excluded (Corollary 2).
+                    let row = dp_clock.time(|| gf.row_excluding(record.rule));
+                    if ukranks {
+                        for j in 0..k {
+                            let pr = record.prob * row[j];
+                            if pr > ukr_best_prob[j] + 1e-15 {
+                                ukr_best_prob[j] = pr;
+                                ukr_best_pos[j] = rank;
+                            }
+                        }
+                    } else {
+                        let prk = record.prob * dp::partial_sum(&row);
+                        prks.push(prk);
+                        if stops_early {
+                            best_prks.push(Reverse(TotalF64(prk)));
+                            if best_prks.len() > k {
+                                best_prks.pop();
+                            }
                         }
                     }
-                } else {
-                    let prk = tuple.prob * dp::partial_sum(&row);
-                    prks.push(prk);
+
+                    // Fold the tuple into the pool, with whatever layout
+                    // hints the source can give (they drive the refold
+                    // fallback's ordering and close completed rules for
+                    // the bound).
+                    let (rule_len, next_member_rank) = match record.rule {
+                        Some(key) => (
+                            scan.source.rule_len(key),
+                            scan.source
+                                .rule_member_rank(key, gf.absorbed(key) as usize + 1),
+                        ),
+                        None => (None, None),
+                    };
+                    dp_clock.time(|| {
+                        gf.absorb(AbsorbSpec {
+                            tag: rank,
+                            prob: record.prob,
+                            rule: record.rule,
+                            rule_len,
+                            next_member_rank,
+                        })
+                    });
+                }
+                if let Some(total) = total_mass {
+                    let rule_total = record.rule.map_or(0.0, |key| {
+                        scan.source
+                            .rule_mass(key)
+                            .expect("a source reporting its total mass reports every rule's")
+                    });
+                    let er = expected_rank(&record, total, rule_total);
+                    ers.push(er);
                     if stops_early {
-                        best_prks.push(Reverse(TotalF64(prk)));
-                        if best_prks.len() > k {
-                            best_prks.pop();
+                        best_ers.push(TotalF64(er));
+                        if best_ers.len() > k {
+                            best_ers.pop();
                         }
                     }
                 }
 
-                // Fold the tuple into the pool, with whatever layout hints
-                // the source can give (they drive the refold fallback's
-                // ordering and close completed rules for the bound).
-                let (rule_len, next_member_rank) = match tuple.rule {
-                    Some(key) => (
-                        source.rule_len(key),
-                        source.rule_member_rank(key, gf.absorbed(key) as usize + 1),
-                    ),
-                    None => (None, None),
-                };
-                dp_clock.time(|| {
-                    gf.absorb(AbsorbSpec {
-                        tag: rank,
-                        prob: tuple.prob,
-                        rule: tuple.rule,
-                        rule_len,
-                        next_member_rank,
-                    })
-                });
-            }
-            if let Some(key) = tuple.rule {
-                // Mirror the view's mass clamp so `mates_above` agrees
-                // with the compressed pool bit for bit.
-                let seen = rule_seen.entry(key).or_insert(0.0);
-                *seen = (*seen + tuple.prob).min(1.0);
-            }
-            prefix_above += tuple.prob;
-
-            // The stopping bound, checked periodically: stop once no
-            // unseen tuple can displace a row of the answer. Unseen tuples
-            // rank below every seen one, so they lose every tie and must
-            // beat the incumbent strictly.
-            if stops_early && stats.scanned % interval == 0 {
-                bound_checks += 1;
-                let gf = gf.as_ref().expect("bounded semantics keep a gf row");
-                let may_reach = bound_clock.time(|| {
-                    if ukranks {
-                        // Rank j+1 needs exactly j dominators, at most
-                        // `Σ_{i≤j}` of the row; beat the best at rank j+1.
-                        gf.unseen_may_reach(|row, slack| {
-                            let mut at_most = 0.0;
-                            row.iter().zip(&ukr_best_prob).any(|(&c, &best)| {
-                                at_most += c;
-                                at_most + slack >= best
+                // The stopping bound, checked periodically: stop once no
+                // unseen tuple can displace a row of the answer. Unseen
+                // tuples rank below every seen one, so they lose every tie
+                // and must beat the incumbent strictly.
+                if stops_early && scan.scanned().is_multiple_of(interval) {
+                    bound_checks += 1;
+                    let may_reach = bound_clock.time(|| match (semantics, gf.as_ref()) {
+                        (RankSemantics::UKRanks, Some(gf)) => {
+                            // Rank j+1 needs exactly j dominators, at most
+                            // `Σ_{i≤j}` of the row; beat the best at rank j+1.
+                            gf.unseen_may_reach(|row, slack| {
+                                let mut at_most = 0.0;
+                                row.iter().zip(&ukr_best_prob).any(|(&c, &best)| {
+                                    at_most += c;
+                                    at_most + slack >= best
+                                })
                             })
-                        })
-                    } else {
+                        }
                         // Global-Topk: beat the k-th best `Pr^k` seen.
-                        match best_prks.peek() {
+                        (RankSemantics::GlobalTopk, Some(gf)) => match best_prks.peek() {
                             Some(&Reverse(TotalF64(kth))) if best_prks.len() == k => gf
                                 .unseen_may_reach(|row, slack| dp::partial_sum(row) + slack >= kth),
                             _ => true,
+                        },
+                        // Expected rank: beat the k-th smallest seen. No
+                        // unseen tuple's is below the prefix's mass, up to
+                        // the slack (see `expected_rank_slack`).
+                        (RankSemantics::ExpectedRank, None) => {
+                            let total = total_mass.expect("expected rank stops only with a total");
+                            match best_ers.peek() {
+                                Some(&TotalF64(kth)) if best_ers.len() == k => {
+                                    kth + expected_rank_slack(total) > scan.prefix_mass
+                                }
+                                _ => true,
+                            }
                         }
+                        other => unreachable!("{other:?} has no gf stopping bound"),
+                    });
+                    if !may_reach {
+                        stats.stop = Some(StopReason::UpperBound);
+                        if let Some(t) = tracer {
+                            t.instant(Mark::Stop {
+                                rule: StopRule::UpperBound,
+                            });
+                        }
+                        break;
                     }
-                });
-                if !may_reach {
-                    stats.stop = Some(StopReason::UpperBound);
-                    if let Some(t) = tracer {
-                        t.instant(Mark::Stop {
-                            rule: StopRule::UpperBound,
-                        });
-                    }
-                    break;
                 }
             }
         }
 
-        let make_row = |pos: usize, value: f64| SemanticsRow {
-            position: pos,
-            id: records[pos].id,
-            score: records[pos].score,
-            membership: records[pos].prob,
-            value,
-        };
+        // U-TopK pulls inside the finisher; its pulls count as retrieval.
+        let pulled_before = scan.clock.nanos();
         let answer = finish_clock.time(|| match semantics {
             RankSemantics::UTopK => {
-                let (chosen, probability, states) = utopk_search(&records, k, UTOPK_MAX_STATES)?;
+                let (chosen, probability, states) =
+                    utopk_search(|pos| scan.get(pos), k, UTOPK_MAX_STATES)?;
                 Ok(SemanticsAnswer::UTopK {
                     rows: chosen
                         .into_iter()
-                        .map(|pos| make_row(pos, records[pos].prob))
+                        .map(|pos| semantics_row(&scan.records, pos, scan.records[pos].prob))
                         .collect(),
                     probability,
                     states_explored: states,
                 })
             }
-            RankSemantics::UKRanks => Ok(SemanticsAnswer::UKRanks(if records.is_empty() {
+            RankSemantics::UKRanks => Ok(SemanticsAnswer::UKRanks(if scan.records.is_empty() {
                 Vec::new()
             } else {
                 // One winner per rank, even when no tuple can occupy it
                 // (probability clamps to 0) — the answer shape callers and
                 // the oracle expect.
                 (0..k)
-                    .map(|j| make_row(ukr_best_pos[j], ukr_best_prob[j].max(0.0)))
+                    .map(|j| {
+                        semantics_row(&scan.records, ukr_best_pos[j], ukr_best_prob[j].max(0.0))
+                    })
                     .collect()
             })),
-            RankSemantics::GlobalTopk => {
-                let mut order: Vec<usize> = (0..prks.len()).collect();
-                order.sort_by(|&a, &b| prks[b].total_cmp(&prks[a]).then(a.cmp(&b)));
-                order.truncate(k);
-                Ok(SemanticsAnswer::GlobalTopk(
-                    order
-                        .into_iter()
-                        .map(|pos| make_row(pos, prks[pos]))
-                        .collect(),
-                ))
-            }
+            RankSemantics::GlobalTopk => Ok(SemanticsAnswer::GlobalTopk(
+                k_best(prks.len(), k, |&a, &b| {
+                    prks[b].total_cmp(&prks[a]).then(a.cmp(&b))
+                })
+                .into_iter()
+                .map(|pos| semantics_row(&scan.records, pos, prks[pos]))
+                .collect(),
+            )),
             RankSemantics::ExpectedRank => {
-                let ranks = expected_ranks_closed(&records);
-                let mut order: Vec<usize> = (0..ranks.len()).collect();
-                order.sort_by(|&a, &b| ranks[a].total_cmp(&ranks[b]).then(a.cmp(&b)));
-                order.truncate(k);
+                let ranks = match total_mass {
+                    Some(_) => ers,
+                    None => expected_ranks_closed(&scan.records),
+                };
                 Ok(SemanticsAnswer::ExpectedRank(
-                    order
-                        .into_iter()
-                        .map(|pos| make_row(pos, ranks[pos]))
-                        .collect(),
+                    k_best(ranks.len(), k, |&a, &b| {
+                        ranks[a].total_cmp(&ranks[b]).then(a.cmp(&b))
+                    })
+                    .into_iter()
+                    .map(|pos| semantics_row(&scan.records, pos, ranks[pos]))
+                    .collect(),
                 ))
             }
             RankSemantics::Ptk => unreachable!(),
         });
         let answer = answer?;
+        let finish_nanos = finish_clock
+            .nanos()
+            .saturating_sub(scan.clock.nanos() - pulled_before);
 
         // Counters report the work done: U-TopK and expected rank fold no
         // coefficients. Every semantics compresses each rule it meets.
+        stats.scanned = scan.scanned();
+        stats.evaluated = stats.scanned;
         if let Some(gf) = gf.as_ref() {
             stats.dp_cells = gf.dp_cells();
             stats.entries_recomputed = gf.entries_recomputed();
         }
-        stats.rules_compressed = rule_seen.len() as u64;
+        stats.rules_compressed = scan.rule_seen.len() as u64;
+        let retrieval_nanos = scan.clock.nanos();
         if let Some(t) = tracer {
             // Same synthetic back-to-back phase layout as the PT-k scan;
             // the finisher's time rides under the DP stage (it is the
@@ -852,14 +870,14 @@ impl<'a> PtkExecutor<'a> {
             let mut phases = vec![
                 (
                     Stage::Retrieval,
-                    retrieval_clock.nanos(),
+                    retrieval_nanos,
                     Payload::Retrieval {
                         tuples: stats.scanned as u64,
                     },
                 ),
                 (
                     Stage::Dp,
-                    dp_clock.nanos() + finish_clock.nanos(),
+                    dp_clock.nanos() + finish_nanos,
                     Payload::Dp {
                         cells: stats.dp_cells,
                         entries: stats.entries_recomputed,
@@ -890,12 +908,14 @@ impl<'a> PtkExecutor<'a> {
                 },
             );
         }
-        retrieval_clock.flush(recorder, "engine.phase.retrieval");
+        scan.clock.flush(recorder, "engine.phase.retrieval");
         dp_clock.flush(recorder, "engine.phase.dp");
         if stops_early {
             bound_clock.flush(recorder, "engine.phase.bound");
         }
-        finish_clock.flush(recorder, "engine.phase.finish");
+        if clocks_live {
+            recorder.record_nanos("engine.phase.finish", finish_nanos);
+        }
         stats.record_to(recorder);
         let (rows_incremental, rows_refolded) = gf
             .as_ref()
@@ -1236,6 +1256,120 @@ impl<'a> PtkExecutor<'a> {
     }
 }
 
+/// The records of one gf scan, each built once, when its tuple is pulled
+/// from the source: by the scan loop in rank order, or by the U-TopK
+/// search on demand.
+struct RecordScan<'s, S: ?Sized> {
+    source: &'s mut S,
+    records: Vec<ScanRecord>,
+    /// Per-rule mass pulled so far, for `mates_above`.
+    rule_seen: HashMap<RuleKey, f64>,
+    /// Every membership probability pulled so far, summed in scan order:
+    /// the next record's `prefix_above`.
+    prefix_mass: f64,
+    last_score: f64,
+    /// Set once the source returns `None`; it is not asked again. The
+    /// U-TopK search may ask for the end rank more than once, and a source
+    /// may resume after a `None` (a v1 `FileSource` that met a corrupt
+    /// record reads on past it).
+    exhausted: bool,
+    /// Time spent in the source.
+    clock: PhaseClock,
+}
+
+impl<'s, S: RankedSource + ?Sized> RecordScan<'s, S> {
+    fn new(source: &'s mut S, clock: PhaseClock) -> Self {
+        RecordScan {
+            source,
+            records: Vec::new(),
+            rule_seen: HashMap::new(),
+            prefix_mass: 0.0,
+            last_score: f64::INFINITY,
+            exhausted: false,
+            clock,
+        }
+    }
+
+    /// Tuples pulled so far.
+    fn scanned(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Pulls the next tuple and builds its record.
+    ///
+    /// # Panics
+    /// Panics if the source delivers scores out of order.
+    fn pull(&mut self) -> Option<ScanRecord> {
+        if self.exhausted {
+            return None;
+        }
+        let Some(tuple) = self.clock.time(|| self.source.next_ranked()) else {
+            self.exhausted = true;
+            return None;
+        };
+        assert!(
+            tuple.score <= self.last_score + 1e-9,
+            "source delivered scores out of order: {} after {}",
+            tuple.score,
+            self.last_score
+        );
+        self.last_score = tuple.score;
+        let record = ScanRecord {
+            id: tuple.id,
+            score: tuple.score,
+            prob: tuple.prob,
+            rule: tuple.rule,
+            mates_above: tuple
+                .rule
+                .map_or(0.0, |key| self.rule_seen.get(&key).copied().unwrap_or(0.0)),
+            prefix_above: self.prefix_mass,
+        };
+        if let Some(key) = tuple.rule {
+            // Mirror the view's mass clamp so `mates_above` agrees with
+            // the compressed pool bit for bit.
+            let seen = self.rule_seen.entry(key).or_insert(0.0);
+            *seen = (*seen + tuple.prob).min(1.0);
+        }
+        self.prefix_mass += tuple.prob;
+        self.records.push(record);
+        Some(record)
+    }
+
+    /// The record at scan rank `pos`, pulling up to it on first need;
+    /// `None` past the end of the source.
+    fn get(&mut self, pos: usize) -> Option<ScanRecord> {
+        while self.records.len() <= pos {
+            self.pull()?;
+        }
+        Some(self.records[pos])
+    }
+}
+
+/// The answer row of the record at scan rank `pos`.
+fn semantics_row(records: &[ScanRecord], pos: usize, value: f64) -> SemanticsRow {
+    let record = &records[pos];
+    SemanticsRow {
+        position: pos,
+        id: record.id,
+        score: record.score,
+        membership: record.prob,
+        value,
+    }
+}
+
+/// The `k` best of the positions `0..n` under `order`, best first: select
+/// them, then sort only those. `order` is total, so these are the rows a
+/// full sort truncated to `k` would keep, in the same order.
+fn k_best(n: usize, k: usize, order: impl Fn(&usize, &usize) -> Ordering) -> Vec<usize> {
+    let mut best: Vec<usize> = (0..n).collect();
+    if k < n {
+        best.select_nth_unstable_by(k - 1, &order);
+        best.truncate(k);
+    }
+    best.sort_unstable_by(&order);
+    best
+}
+
 /// What a batch records into its per-query registries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Recording {
@@ -1463,13 +1597,16 @@ fn stitch_segments(n: usize, segments: Vec<SegmentOutcome>) -> (PtkResult, u64, 
 
 #[cfg(test)]
 mod tests {
+    use ptk_access::ViewSource;
     use ptk_core::check::{check, Config};
     use ptk_core::prop_assert;
-    use ptk_core::rng::RngExt;
+    use ptk_core::rng::{RngExt, SeedableRng, StdRng};
+    use ptk_core::RankedView;
+    use ptk_datagen::{RulePlacement, SyntheticConfig, SyntheticDataset};
 
     use super::*;
-    use crate::gf::tests::random_scan;
-    use crate::plan::SharingVariant;
+    use crate::gf::tests::{random_scan, reference_utopk_search};
+    use crate::plan::{EngineOptions, SharingVariant};
 
     #[test]
     fn pool_row_test_stops_no_later_than_the_per_rule_bound() {
@@ -1560,5 +1697,181 @@ mod tests {
                 Ok(())
             },
         );
+    }
+
+    /// The semantics oracle's tables: the panda example, uniform random
+    /// x-relations (rules of 2–4 members), and clustered synthetic views.
+    fn oracle_tables() -> Vec<RankedView> {
+        let mut views = vec![RankedView::from_ranked_probs(
+            &[0.3, 0.4, 0.8, 0.5, 1.0, 0.2],
+            &[vec![1, 3], vec![2, 5]],
+        )
+        .unwrap()];
+        let mut rng = StdRng::seed_from_u64(0x5eed_0011);
+        for _ in 0..60 {
+            let n = rng.random_range(1..=24usize);
+            let probs: Vec<f64> = (0..n)
+                .map(|_| match rng.random_range(0..5u32) {
+                    0 => 1.0,
+                    _ => rng.random_range(0.05..=1.0f64),
+                })
+                .collect();
+            let mut positions: Vec<usize> = (0..n).collect();
+            rng.shuffle(&mut positions);
+            let mut groups: Vec<Vec<usize>> = Vec::new();
+            for chunk in positions.chunks(rng.random_range(2..=4usize)) {
+                let mass: f64 = chunk.iter().map(|&p| probs[p]).sum();
+                if chunk.len() >= 2 && mass <= 1.0 && rng.random_bool(0.6) {
+                    groups.push(chunk.to_vec());
+                }
+            }
+            views.push(RankedView::from_ranked_probs(&probs, &groups).unwrap());
+        }
+        for seed in [0x5eed_0012u64, 0x5eed_0013, 0x5eed_0014, 0x5eed_0015] {
+            let config = SyntheticConfig {
+                tuples: 200,
+                rules: 30,
+                seed,
+                rule_size_mean: 2.0,
+                rule_size_sd: 0.5,
+                placement: RulePlacement::Clustered { span: 4 },
+                ..SyntheticConfig::default()
+            };
+            views.push(SyntheticDataset::generate(&config).view);
+        }
+        views
+    }
+
+    #[test]
+    fn utopk_on_demand_matches_the_search_over_a_full_scan() {
+        for (t, view) in oracle_tables().iter().enumerate() {
+            // The reference reads every record, built by one full scan.
+            let mut source = ViewSource::new(view);
+            let mut full = RecordScan::new(&mut source, PhaseClock::enabled_if(false));
+            while full.pull().is_some() {}
+            assert_eq!(full.scanned(), view.len());
+            for k in 1..=5 {
+                let (want, want_prob, want_states, deepest) =
+                    reference_utopk_search(&full.records, k, UTOPK_MAX_STATES).unwrap();
+                // Not a pruning bound: the same pulls with pruning off.
+                for options in [
+                    EngineOptions::default(),
+                    EngineOptions::without_pruning(SharingVariant::Lazy),
+                ] {
+                    let ctx = format!("table {t} n={} k={k}", view.len());
+                    let plan =
+                        PtkPlan::try_semantics(RankSemantics::UTopK, k, None, &options).unwrap();
+                    let metrics = Metrics::new();
+                    let answer = PtkExecutor::with_recorder(&plan, &metrics)
+                        .execute_semantics(&mut ViewSource::new(view))
+                        .unwrap();
+                    let SemanticsAnswer::UTopK {
+                        rows,
+                        probability,
+                        states_explored,
+                    } = answer
+                    else {
+                        panic!("{ctx}: not a U-TopK answer");
+                    };
+                    let got: Vec<usize> = rows.iter().map(|r| r.position).collect();
+                    assert_eq!(got, want, "{ctx}: vector");
+                    assert_eq!(probability.to_bits(), want_prob.to_bits(), "{ctx}");
+                    assert_eq!(states_explored, want_states, "{ctx}: states");
+                    let stats = ExecStats::from_snapshot(&metrics.snapshot());
+                    let bound = deepest.map_or(0, |d| d + 1);
+                    assert!(
+                        stats.scanned <= bound,
+                        "{ctx}: scanned {} past the deepest expanded rank {deepest:?} + 1",
+                        stats.scanned
+                    );
+                    assert_eq!(stats.stop, None, "{ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn k_best_keeps_what_a_full_sort_keeps() {
+        check(
+            "k_best == sort + truncate",
+            Config::cases(400).sizes(0, 40).seed(0x9001_0007),
+            |rng, size| {
+                // Few distinct values, so ties are broken by position.
+                let values: Vec<f64> = (0..size)
+                    .map(|_| f64::from(rng.random_range(0..6u32)) / 4.0)
+                    .collect();
+                let k = rng.random_range(1..=size + 2);
+                let order = |a: &usize, b: &usize| values[*a].total_cmp(&values[*b]).then(a.cmp(b));
+                let mut sorted: Vec<usize> = (0..size).collect();
+                sorted.sort_by(order);
+                sorted.truncate(k);
+                prop_assert!(k_best(size, k, order) == sorted, "k={k} values={values:?}");
+                Ok(())
+            },
+        );
+    }
+
+    /// A source that returns `None` once, at rank `end`, then goes on.
+    struct Resuming {
+        tuples: Vec<ptk_access::SourceTuple>,
+        end: usize,
+        next: usize,
+        ended: bool,
+    }
+
+    impl RankedSource for Resuming {
+        fn next_ranked(&mut self) -> Option<ptk_access::SourceTuple> {
+            if self.next == self.end && !self.ended {
+                self.ended = true;
+                return None;
+            }
+            let t = self.tuples.get(self.next).copied();
+            self.next += usize::from(t.is_some());
+            t
+        }
+
+        fn retrieved(&self) -> usize {
+            self.next
+        }
+    }
+
+    #[test]
+    fn a_source_that_ended_is_not_asked_again() {
+        // Certain-free independents: U-TopK's vector needs more ranks than
+        // the 3 before the end, so the search asks for the end rank from
+        // several states.
+        let tuples: Vec<ptk_access::SourceTuple> = (0..12)
+            .map(|i| ptk_access::SourceTuple {
+                id: TupleId::new(i),
+                score: -(i as f64),
+                prob: 0.6 + 0.02 * i as f64,
+                rule: None,
+            })
+            .collect();
+        let plan = PtkPlan::try_semantics(RankSemantics::UTopK, 5, None, &EngineOptions::default())
+            .unwrap();
+        let run = |source: &mut dyn RankedSource| {
+            let metrics = Metrics::new();
+            let answer = PtkExecutor::with_recorder(&plan, &metrics)
+                .execute_semantics(source)
+                .unwrap();
+            let rows: Vec<usize> = answer.rows().unwrap().iter().map(|r| r.position).collect();
+            (rows, ExecStats::from_snapshot(&metrics.snapshot()).scanned)
+        };
+        let mut resuming = Resuming {
+            tuples: tuples.clone(),
+            end: 3,
+            next: 0,
+            ended: false,
+        };
+        let mut short = Resuming {
+            tuples: tuples[..3].to_vec(),
+            end: 3,
+            next: 0,
+            ended: false,
+        };
+        let got = run(&mut resuming);
+        assert_eq!(got, run(&mut short));
+        assert_eq!(got, (vec![0, 1, 2], 3));
     }
 }

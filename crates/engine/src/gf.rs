@@ -30,9 +30,11 @@
 //! rise; and a future member of an open rule has membership at most
 //! `1 − m_R`, which pays for leaving out the rule's mass `m_R` (see
 //! [`RULE_MASS_SLACK`]). So the pool's prefix sums bound every unseen
-//! tuple's `Pr^k` and its probability of any exact rank. U-TopK's vector
-//! probabilities and expected ranks have no such bound, so those two scan
-//! in full (and say so in `EXPLAIN`).
+//! tuple's `Pr^k` and its probability of any exact rank. Expected rank
+//! stops on a bound of its own: no unseen tuple's expected rank is below
+//! the scanned prefix's mass (see [`expected_rank_slack`]). U-TopK needs
+//! no bound: its best-first search reads each rank only when it first
+//! expands it ([`utopk_search`]), so the scan is as deep as the search.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
@@ -118,6 +120,17 @@ impl RankSemantics {
         }
     }
 
+    /// Whether the semantics reads per-rank coefficient rows: PT-k through
+    /// its prefix-shared DP, U-KRanks and Global-Topk through the
+    /// incremental gf row. U-TopK's conditional factors and expected
+    /// rank's closed form need only the scan records.
+    pub fn reads_gf_rows(self) -> bool {
+        matches!(
+            self,
+            RankSemantics::Ptk | RankSemantics::UKRanks | RankSemantics::GlobalTopk
+        )
+    }
+
     /// Whether a sound bound can stop this semantics' scan early.
     ///
     /// An unseen tuple's dominant set contains the current pool, its own
@@ -128,14 +141,14 @@ impl RankSemantics {
     /// sums `Σ_{i≤j}` alone bound every unseen tuple's `Pr^k`
     /// (`j = k − 1`: PT-k's threshold test, Global-Topk's k-th best) and
     /// its probability of ranking exactly `j + 1`-th (U-KRanks' per-rank
-    /// best). A U-TopK vector's probability and an expected rank are no
-    /// function of one tuple's prefix sums, so those two semantics scan
-    /// the full ranked input.
-    pub fn has_pruning_bounds(self) -> bool {
-        matches!(
-            self,
-            RankSemantics::Ptk | RankSemantics::UKRanks | RankSemantics::GlobalTopk
-        )
+    /// best). An unseen tuple's expected rank is at least the scanned
+    /// prefix's mass, so expected rank stops too — over a source that
+    /// knows its total mass ahead of time, which a scanned tuple's
+    /// expected rank needs. A U-TopK vector's probability is no function
+    /// of one tuple's prefix quantities, so U-TopK has no stopping bound;
+    /// its search reads the source only as deep as it expands instead.
+    pub fn has_stopping_bound(self) -> bool {
+        self != RankSemantics::UTopK
     }
 
     /// The `EXPLAIN` stage label of the semantics' finisher.
@@ -1073,8 +1086,8 @@ struct VectorState {
     depth: usize,
     prob: f64,
     chosen: Vec<usize>,
-    /// Rules (by dense first-appearance index) with a chosen member.
-    rules_chosen: Vec<u32>,
+    /// Rules with a chosen member.
+    rules_chosen: Vec<RuleKey>,
 }
 
 impl PartialEq for VectorState {
@@ -1100,30 +1113,24 @@ impl Ord for VectorState {
     }
 }
 
-/// The U-TopK best-first vector search over one scan's records.
+/// The U-TopK best-first vector search over one scan's records, read
+/// through `record(d)`: the record at scan rank `d`, or `None` past the
+/// end of the scan.
+///
+/// The search asks for rank `d` only once its greedy seed or a state at
+/// depth `d` needs it, and asks for a rank first only after every rank
+/// above it, so a caller can pull the records from its source on demand:
+/// the scan then reads no deeper than the search expands, plus the one
+/// rank that shows where the input ends.
 ///
 /// The state probability is admissible (future factors ≤ 1), so the first
 /// complete state popped is optimal; a greedy completion seeds a lower
 /// bound that keeps the frontier small on high-probability inputs.
 pub(crate) fn utopk_search(
-    records: &[ScanRecord],
+    mut record: impl FnMut(usize) -> Option<ScanRecord>,
     k: usize,
     max_states: u64,
 ) -> Result<(Vec<usize>, f64, u64), SemanticsError> {
-    let n = records.len();
-    // Rules by dense first-appearance index, so rule membership checks in
-    // states are small-vector scans.
-    let mut rule_idx: HashMap<RuleKey, u32> = HashMap::new();
-    let rule_of: Vec<Option<u32>> = records
-        .iter()
-        .map(|rec| {
-            rec.rule.map(|key| {
-                let next = rule_idx.len() as u32;
-                *rule_idx.entry(key).or_insert(next)
-            })
-        })
-        .collect();
-
     // Seed a lower bound with the greedy completion (include every tuple
     // the rules allow until the vector is full): any state whose upper
     // bound falls below a known complete vector's probability can never be
@@ -1131,26 +1138,26 @@ pub(crate) fn utopk_search(
     let lower_bound = {
         let mut prob = 1.0f64;
         let mut chosen = 0usize;
-        let mut taken: Vec<u32> = Vec::new();
-        for (pos, rec) in records.iter().enumerate() {
-            if chosen == k {
-                break;
-            }
+        let mut taken: Vec<RuleKey> = Vec::new();
+        let mut pos = 0;
+        while chosen < k {
+            let Some(rec) = record(pos) else { break };
+            pos += 1;
             let p = rec.prob;
-            match rule_of[pos] {
+            match rec.rule {
                 None => {
                     prob *= p;
                     chosen += 1;
                 }
-                Some(idx) => {
-                    if taken.contains(&idx) {
+                Some(key) => {
+                    if taken.contains(&key) {
                         continue; // forced exclusion, factor 1
                     }
                     let remaining = 1.0 - rec.mates_above;
                     if remaining > 1e-12 {
                         prob *= (p / remaining).min(1.0);
                         chosen += 1;
-                        taken.push(idx);
+                        taken.push(key);
                     }
                     // remaining ~ 0: the tuple cannot exist; skip.
                 }
@@ -1181,12 +1188,16 @@ pub(crate) fn utopk_search(
         if popped > max_states {
             return Err(SemanticsError::SearchExhausted { max_states });
         }
-        if state.chosen.len() == k || state.depth == n {
+        if state.chosen.len() == k {
             return Ok((state.chosen, state.prob, popped));
         }
         let pos = state.depth;
-        let p = records[pos].prob;
-        match rule_of[pos] {
+        let Some(rec) = record(pos) else {
+            // The input ended before the vector filled.
+            return Ok((state.chosen, state.prob, popped));
+        };
+        let p = rec.prob;
+        match rec.rule {
             None => {
                 // Include.
                 if p > 0.0 {
@@ -1215,8 +1226,8 @@ pub(crate) fn utopk_search(
                     );
                 }
             }
-            Some(idx) => {
-                if state.rules_chosen.contains(&idx) {
+            Some(key) => {
+                if state.rules_chosen.contains(&key) {
                     // Another member of the rule is already in the vector:
                     // this tuple is absent with conditional probability 1.
                     push_state(
@@ -1231,7 +1242,7 @@ pub(crate) fn utopk_search(
                 } else {
                     // No member chosen yet: condition on "no member of the
                     // rule ranked above this one appeared".
-                    let remaining = 1.0 - records[pos].mates_above;
+                    let remaining = 1.0 - rec.mates_above;
                     debug_assert!(remaining > -1e-12);
                     let include = if remaining > 1e-12 {
                         p / remaining
@@ -1242,7 +1253,7 @@ pub(crate) fn utopk_search(
                         let mut chosen = state.chosen.clone();
                         chosen.push(pos);
                         let mut rules_chosen = state.rules_chosen.clone();
-                        rules_chosen.push(idx);
+                        rules_chosen.push(key);
                         push_state(
                             &mut heap,
                             VectorState {
@@ -1273,24 +1284,42 @@ pub(crate) fn utopk_search(
             }
         }
     }
-    // Heap drained without a complete state: only possible on an empty scan
-    // (the initial state is complete there) or if every branch had
-    // probability zero — the empty vector.
+    // Heap drained without a complete state: only possible if every
+    // branch had probability zero — the empty vector.
     Ok((Vec::new(), 0.0, popped))
 }
 
-/// The Cormode et al. closed-form expected rank of every scanned tuple
-/// (0-based; a tuple absent from a world ranks at the bottom, `|W|`).
+/// The Cormode et al. closed-form expected rank of one scanned tuple
+/// (0-based; a tuple absent from a world ranks at the bottom, `|W|`),
+/// given `total_mass`, the selection's summed membership, and for a rule
+/// member `rule_total`, its rule's summed membership clamped to 1
+/// (ignored for an independent tuple):
 ///
 /// * present: the higher-ranked co-occurring mass, `prefix − mates_above`
 ///   (rule-mates cannot appear with the tuple);
 /// * absent: every other tuple with its conditional probability — each
 ///   rule-mate `u` has `Pr(u | t absent) = Pr(u) / (1 − Pr(t))`.
-///
-/// Plain sums over the scan's records: O(n), no coefficients needed.
+pub(crate) fn expected_rank(record: &ScanRecord, total_mass: f64, rule_total: f64) -> f64 {
+    let p = record.prob;
+    let (mates_above, mates_total) = match record.rule {
+        None => (0.0, 0.0),
+        Some(_) => (record.mates_above, rule_total - p),
+    };
+    let rank_if_present = record.prefix_above - mates_above;
+    let rank_if_absent = if p >= 1.0 {
+        0.0 // never absent; the term is weighted by zero anyway
+    } else {
+        (total_mass - p - mates_total) + mates_total / (1.0 - p)
+    };
+    p * rank_if_present + (1.0 - p) * rank_if_absent
+}
+
+/// [`expected_rank`] of every record of a full scan, with both totals
+/// taken from the records: the selection's mass summed in scan order, and
+/// each rule's members summed in scan order and clamped to 1, exactly as a
+/// view stores it. Plain sums, O(n).
 pub(crate) fn expected_ranks_closed(records: &[ScanRecord]) -> Vec<f64> {
-    let total_mass: f64 = records.iter().map(|rec| rec.prob).sum();
-    // Per rule: total member mass, clamped to 1 exactly as a view stores it.
+    let total_mass = records.iter().fold(0.0, |mass, rec| mass + rec.prob);
     let mut rule_total: HashMap<RuleKey, f64> = HashMap::new();
     for rec in records {
         if let Some(key) = rec.rule {
@@ -1301,20 +1330,31 @@ pub(crate) fn expected_ranks_closed(records: &[ScanRecord]) -> Vec<f64> {
     records
         .iter()
         .map(|rec| {
-            let p = rec.prob;
-            let (mates_above, mates_total) = match rec.rule {
-                None => (0.0, 0.0),
-                Some(key) => (rec.mates_above, rule_total[&key] - p),
-            };
-            let rank_if_present = rec.prefix_above - mates_above;
-            let rank_if_absent = if p >= 1.0 {
-                0.0 // never absent; the term is weighted by zero anyway
-            } else {
-                (total_mass - p - mates_total) + mates_total / (1.0 - p)
-            };
-            p * rank_if_present + (1.0 - p) * rank_if_absent
+            let rule_total = rec.rule.map_or(0.0, |key| rule_total[&key]);
+            expected_rank(rec, total_mass, rule_total)
         })
         .collect()
+}
+
+/// The slack of expected rank's stopping bound, in a selection of mass
+/// `total`: `1e-9·(1 + T)`.
+///
+/// The bound is a floor. Every tuple `u` ranked below a scanned prefix of
+/// mass `S` has expected rank at least `S`: in every world each present
+/// prefix tuple ranks above `u` — above it when `u` is present, and `u`
+/// ranks last when absent — so `rank(u)` is at least the number of present
+/// prefix tuples, whose expectation is `S`. Through the closed form the
+/// same holds up to two things. A rule's members may sum to
+/// `1 + RULE_MASS_SLACK`, so a rule member's mates above it may outweigh
+/// what the absent term gives back by that much, which costs at most
+/// `p·1e-9 ≤ 1e-9`. And the closed form takes about ten rounded operations
+/// on magnitudes at most `2T + 2`, each off by at most `2⁻⁵³` relative,
+/// while `T` and `S` are rounded sums of the same scan-order terms, so
+/// `T − p ≥ S` holds to an ulp of `T`: together well under
+/// `1e-14·(1 + T)`. The slack covers the first exactly and the second a
+/// hundred thousand times over; at `T = 10⁴` it is `1e-5` of a rank.
+pub(crate) fn expected_rank_slack(total: f64) -> f64 {
+    RULE_MASS_SLACK * (1.0 + total)
 }
 
 #[cfg(test)]
@@ -1323,8 +1363,8 @@ pub(crate) mod tests {
     use std::collections::HashSet;
 
     use ptk_core::check::{check, Config};
-    use ptk_core::prop_assert_eq;
     use ptk_core::rng::{RngExt, StdRng};
+    use ptk_core::{prop_assert, prop_assert_eq};
 
     use super::*;
 
@@ -1507,6 +1547,247 @@ pub(crate) mod tests {
         open.sort_by_key(|(order, _)| *order);
         list.extend(open.into_iter().map(|(_, e)| e));
         list
+    }
+
+    /// The U-TopK search [`utopk_search`] replaced, kept as its reference:
+    /// it reads a fully materialized record slice, with rules numbered
+    /// densely by first appearance. Also returns the deepest rank a state
+    /// expanded.
+    pub(crate) fn reference_utopk_search(
+        records: &[ScanRecord],
+        k: usize,
+        max_states: u64,
+    ) -> Result<(Vec<usize>, f64, u64, Option<usize>), SemanticsError> {
+        let n = records.len();
+        // Rules by dense first-appearance index, so rule membership checks in
+        // states are small-vector scans.
+        let mut rule_idx: HashMap<RuleKey, u32> = HashMap::new();
+        let rule_of: Vec<Option<u32>> = records
+            .iter()
+            .map(|rec| {
+                rec.rule.map(|key| {
+                    let next = rule_idx.len() as u32;
+                    *rule_idx.entry(key).or_insert(next)
+                })
+            })
+            .collect();
+
+        // Seed a lower bound with the greedy completion (include every tuple
+        // the rules allow until the vector is full): any state whose upper
+        // bound falls below a known complete vector's probability can never be
+        // optimal, so it is not even pushed.
+        let lower_bound = {
+            let mut prob = 1.0f64;
+            let mut chosen = 0usize;
+            let mut taken: Vec<u32> = Vec::new();
+            for (pos, rec) in records.iter().enumerate() {
+                if chosen == k {
+                    break;
+                }
+                let p = rec.prob;
+                match rule_of[pos] {
+                    None => {
+                        prob *= p;
+                        chosen += 1;
+                    }
+                    Some(idx) => {
+                        if taken.contains(&idx) {
+                            continue; // forced exclusion, factor 1
+                        }
+                        let remaining = 1.0 - rec.mates_above;
+                        if remaining > 1e-12 {
+                            prob *= (p / remaining).min(1.0);
+                            chosen += 1;
+                            taken.push(idx);
+                        }
+                        // remaining ~ 0: the tuple cannot exist; skip.
+                    }
+                }
+                if prob == 0.0 {
+                    break;
+                }
+            }
+            prob
+        };
+
+        let push_state = |heap: &mut BinaryHeap<VectorState>, s: VectorState| {
+            if s.prob >= lower_bound {
+                heap.push(s);
+            }
+        };
+        let mut heap = BinaryHeap::new();
+        heap.push(VectorState {
+            depth: 0,
+            prob: 1.0,
+            chosen: Vec::new(),
+            rules_chosen: Vec::new(),
+        });
+        let mut popped: u64 = 0;
+        let mut deepest: Option<usize> = None;
+
+        while let Some(state) = heap.pop() {
+            popped += 1;
+            if popped > max_states {
+                return Err(SemanticsError::SearchExhausted { max_states });
+            }
+            if state.chosen.len() == k || state.depth == n {
+                return Ok((state.chosen, state.prob, popped, deepest));
+            }
+            let pos = state.depth;
+            deepest = deepest.max(Some(pos));
+            let p = records[pos].prob;
+            match rule_of[pos] {
+                None => {
+                    // Include.
+                    if p > 0.0 {
+                        let mut chosen = state.chosen.clone();
+                        chosen.push(pos);
+                        push_state(
+                            &mut heap,
+                            VectorState {
+                                depth: pos + 1,
+                                prob: state.prob * p,
+                                chosen,
+                                rules_chosen: state.rules_chosen.clone(),
+                            },
+                        );
+                    }
+                    // Exclude.
+                    if p < 1.0 {
+                        push_state(
+                            &mut heap,
+                            VectorState {
+                                depth: pos + 1,
+                                prob: state.prob * (1.0 - p),
+                                chosen: state.chosen,
+                                rules_chosen: state.rules_chosen,
+                            },
+                        );
+                    }
+                }
+                Some(idx) => {
+                    if state.rules_chosen.contains(&RuleKey(idx)) {
+                        // Another member of the rule is already in the vector:
+                        // this tuple is absent with conditional probability 1.
+                        push_state(
+                            &mut heap,
+                            VectorState {
+                                depth: pos + 1,
+                                prob: state.prob,
+                                chosen: state.chosen,
+                                rules_chosen: state.rules_chosen,
+                            },
+                        );
+                    } else {
+                        // No member chosen yet: condition on "no member of the
+                        // rule ranked above this one appeared".
+                        let remaining = 1.0 - records[pos].mates_above;
+                        debug_assert!(remaining > -1e-12);
+                        let include = if remaining > 1e-12 {
+                            p / remaining
+                        } else {
+                            0.0
+                        };
+                        if include > 0.0 {
+                            let mut chosen = state.chosen.clone();
+                            chosen.push(pos);
+                            let mut rules_chosen = state.rules_chosen.clone();
+                            rules_chosen.push(RuleKey(idx));
+                            push_state(
+                                &mut heap,
+                                VectorState {
+                                    depth: pos + 1,
+                                    prob: state.prob * include.min(1.0),
+                                    chosen,
+                                    rules_chosen,
+                                },
+                            );
+                        }
+                        let exclude = if remaining > 1e-12 {
+                            ((remaining - p) / remaining).max(0.0)
+                        } else {
+                            1.0
+                        };
+                        if exclude > 0.0 {
+                            push_state(
+                                &mut heap,
+                                VectorState {
+                                    depth: pos + 1,
+                                    prob: state.prob * exclude,
+                                    chosen: state.chosen,
+                                    rules_chosen: state.rules_chosen,
+                                },
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // Heap drained without a complete state: only possible on an empty scan
+        // (the initial state is complete there) or if every branch had
+        // probability zero — the empty vector.
+        Ok((Vec::new(), 0.0, popped, deepest))
+    }
+
+    /// The records a scan of `specs` builds, in scan order.
+    fn records_of(specs: &[AbsorbSpec]) -> Vec<ScanRecord> {
+        let mut rule_seen: HashMap<RuleKey, f64> = HashMap::new();
+        let mut prefix = 0.0;
+        specs
+            .iter()
+            .map(|spec| {
+                let record = ScanRecord {
+                    id: TupleId::new(spec.tag),
+                    score: 0.0,
+                    prob: spec.prob,
+                    rule: spec.rule,
+                    mates_above: spec
+                        .rule
+                        .map_or(0.0, |key| rule_seen.get(&key).copied().unwrap_or(0.0)),
+                    prefix_above: prefix,
+                };
+                if let Some(key) = spec.rule {
+                    let seen = rule_seen.entry(key).or_insert(0.0);
+                    *seen = (*seen + spec.prob).min(1.0);
+                }
+                prefix += spec.prob;
+                record
+            })
+            .collect()
+    }
+
+    #[test]
+    fn no_tuple_below_a_prefix_has_an_expected_rank_under_its_mass() {
+        // `random_scan` draws certain and 1e-9 tuples, and rules whose
+        // members sum to just under 1, to the deconvolve guard, or to
+        // 1 + 1 ulp.
+        let attained = Cell::new(0u64);
+        check(
+            "full-scan expected rank at rank >= n >= S_n - slack",
+            Config::cases(2000).sizes(1, 32).seed(0x9001_0006),
+            |rng, size| {
+                let (_, specs) = random_scan(rng, size);
+                let records = records_of(&specs);
+                let ranks = expected_ranks_closed(&records);
+                let total = records.iter().fold(0.0, |mass, rec| mass + rec.prob);
+                let slack = expected_rank_slack(total);
+                for (n, record) in records.iter().enumerate() {
+                    let prefix = record.prefix_above;
+                    for (pos, &rank) in ranks.iter().enumerate().skip(n) {
+                        prop_assert!(
+                            rank + slack >= prefix,
+                            "rank {pos}: ER {rank:e} under the mass {prefix:e} of ranks 0..{n}"
+                        );
+                        if rank - prefix < 1e-9 {
+                            attained.set(attained.get() + 1);
+                        }
+                    }
+                }
+                Ok(())
+            },
+        );
+        // A certain independent tuple right below the prefix sits on it.
+        assert!(attained.get() > 0, "the floor was never attained");
     }
 
     fn bits(row: &[f64]) -> Vec<u64> {

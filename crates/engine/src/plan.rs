@@ -57,9 +57,11 @@ pub struct EngineOptions {
     /// default.
     pub variant: SharingVariant,
     /// Whether the pruning rules of §4.4 (Theorems 3–5 plus the early-exit
-    /// upper bound) are applied, and the same stopping bound for
-    /// Global-Topk and U-KRanks. With pruning off the whole ranked list is
-    /// scanned and every tuple's exact `Pr^k` is reported.
+    /// upper bound) are applied, and the stopping bounds of Global-Topk,
+    /// U-KRanks and expected rank. With pruning off the whole ranked list
+    /// is scanned and every tuple's exact `Pr^k` is reported. (U-TopK's
+    /// search reads only the ranks it expands either way: that is no
+    /// pruning bound.)
     pub pruning: bool,
     /// How often (in scanned tuples) the early-exit upper bound is
     /// checked. A check reads the prefix sums of the pool row alone, which
@@ -134,16 +136,17 @@ pub enum PlanStage {
         /// The refold fallback's prefix-sharing policy.
         variant: SharingVariant,
     },
-    /// The stopping bound of U-KRanks and Global-Topk, checked
-    /// periodically: stop retrieval once no unseen tuple can displace a
-    /// row of the answer (see [`RankSemantics::has_pruning_bounds`]).
+    /// The stopping bound of U-KRanks, Global-Topk and expected rank,
+    /// checked periodically: stop retrieval once no unseen tuple can
+    /// displace a row of the answer (see
+    /// [`RankSemantics::has_stopping_bound`]).
     UpperBoundStop {
         /// Cadence, in scanned tuples, of the check.
         ub_check_interval: usize,
     },
     /// The non-PT-k semantics' finisher over the scan: the per-rank rows
-    /// (U-KRanks, Global-Topk) or the scan records alone (U-TopK,
-    /// expected rank, which have no sound bound and scan in full).
+    /// (U-KRanks, Global-Topk) or the scan records alone (expected rank,
+    /// and U-TopK, whose search pulls the records it expands).
     SemanticsFinish {
         /// The semantics being answered.
         semantics: RankSemantics,
@@ -285,9 +288,10 @@ impl PtkPlan {
     ///
     /// PT-k requires a threshold (its answer *is* "every tuple passing
     /// `p`"); every other semantics takes none — its answer shape is fixed
-    /// by `k` alone. With `options.pruning`, Global-Topk and U-KRanks stop
-    /// at the stopping bound; U-TopK and expected rank have no sound bound
-    /// and always scan in full.
+    /// by `k` alone. With `options.pruning`, Global-Topk, U-KRanks and
+    /// expected rank stop at their stopping bounds (expected rank over a
+    /// source that knows its total mass); U-TopK has none, and reads only
+    /// the ranks its search expands.
     pub fn try_semantics(
         semantics: RankSemantics,
         k: usize,
@@ -383,17 +387,15 @@ impl PtkPlan {
     pub fn stages(&self) -> Vec<PlanStage> {
         if self.semantics != RankSemantics::Ptk {
             let mut stages = vec![PlanStage::RankedRetrieval, PlanStage::RuleCompression];
-            // The semantics with a stopping bound are exactly the ones
-            // reading coefficient rows: the bound is read off the pool row.
-            if self.semantics.has_pruning_bounds() {
+            if self.semantics.reads_gf_rows() {
                 stages.push(PlanStage::GfRows {
                     variant: self.options.variant,
                 });
-                if self.options.pruning {
-                    stages.push(PlanStage::UpperBoundStop {
-                        ub_check_interval: self.options.ub_check_interval,
-                    });
-                }
+            }
+            if self.semantics.has_stopping_bound() && self.options.pruning {
+                stages.push(PlanStage::UpperBoundStop {
+                    ub_check_interval: self.options.ub_check_interval,
+                });
             }
             stages.push(PlanStage::SemanticsFinish {
                 semantics: self.semantics,
@@ -421,8 +423,8 @@ impl PtkPlan {
     /// A one-line rendering of the pipeline, for `EXPLAIN`-style output.
     /// Renders the actual semantics stages: PT-k keeps its historical
     /// `dp[...]`/pruning/emit pipeline verbatim; U-KRanks and Global-Topk
-    /// show the generating-function stage and their stop; U-TopK and
-    /// expected rank say they run unpruned.
+    /// show the generating-function stage and their stop, expected rank
+    /// its stop alone, and U-TopK neither.
     pub fn describe(&self) -> String {
         if self.semantics != RankSemantics::Ptk {
             let parts: Vec<String> = self
@@ -437,7 +439,7 @@ impl PtkPlan {
                     PlanStage::UpperBoundStop { ub_check_interval } => {
                         format!("stop[ub every {ub_check_interval}]")
                     }
-                    PlanStage::SemanticsFinish { semantics } => finish_label(semantics),
+                    PlanStage::SemanticsFinish { semantics } => semantics.stage_label().to_owned(),
                     other => unreachable!("PT-k stage {other:?} in a semantics plan"),
                 })
                 .collect();
@@ -563,7 +565,7 @@ impl PtkPlan {
                     let _ = write!(
                         out,
                         "{}: answers={}",
-                        finish_label(semantics),
+                        semantics.stage_label(),
                         snapshot.counter(counters::ANSWERS)
                     );
                     push_timing(&mut out, snapshot, "engine.phase.finish", include_timings);
@@ -581,16 +583,6 @@ impl PtkPlan {
         push_timing(&mut out, snapshot, "engine.query", include_timings);
         out.push('\n');
         out
-    }
-}
-
-/// A semantics finisher's `EXPLAIN` label, flagged when the semantics has
-/// no stopping bound and so always scans in full.
-fn finish_label(semantics: RankSemantics) -> String {
-    if semantics.has_pruning_bounds() {
-        semantics.stage_label().to_owned()
-    } else {
-        format!("{} (unpruned: no sound bounds)", semantics.stage_label())
     }
 }
 
@@ -723,8 +715,36 @@ mod tests {
                 .any(|s| matches!(s, PlanStage::UpperBoundStop { .. })));
             assert!(!plan.describe().contains("stop["), "{}", plan.describe());
         }
-        for semantics in [RankSemantics::UTopK, RankSemantics::ExpectedRank] {
-            let plan = PtkPlan::try_semantics(semantics, 3, None, &opts).unwrap();
+        // Expected rank stops on its prefix-mass floor and reads no rows.
+        let semantics = RankSemantics::ExpectedRank;
+        let plan = PtkPlan::try_semantics(semantics, 3, None, &opts).unwrap();
+        assert_eq!(
+            plan.stages(),
+            vec![
+                PlanStage::RankedRetrieval,
+                PlanStage::RuleCompression,
+                PlanStage::UpperBoundStop {
+                    ub_check_interval: 64
+                },
+                PlanStage::SemanticsFinish { semantics },
+            ]
+        );
+        assert_eq!(
+            plan.describe(),
+            "ranked-retrieval -> rule-compression -> stop[ub every 64] -> \
+             expected-rank[closed form]"
+        );
+        let unpruned = EngineOptions::without_pruning(SharingVariant::Lazy);
+        let plan = PtkPlan::try_semantics(semantics, 3, None, &unpruned).unwrap();
+        assert_eq!(
+            plan.describe(),
+            "ranked-retrieval -> rule-compression -> expected-rank[closed form]"
+        );
+        // U-TopK's search reads what it expands: no rows, no stop, pruning
+        // or not.
+        let semantics = RankSemantics::UTopK;
+        for options in [opts, unpruned] {
+            let plan = PtkPlan::try_semantics(semantics, 3, None, &options).unwrap();
             assert_eq!(
                 plan.stages(),
                 vec![
@@ -735,10 +755,7 @@ mod tests {
             );
             assert_eq!(
                 plan.describe(),
-                format!(
-                    "ranked-retrieval -> rule-compression -> {} (unpruned: no sound bounds)",
-                    semantics.stage_label()
-                )
+                "ranked-retrieval -> rule-compression -> u-topk[best-first vector]"
             );
         }
     }

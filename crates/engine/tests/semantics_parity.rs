@@ -1,18 +1,24 @@
 //! Early-stop parity for the ranking semantics with a stopping bound:
-//! Global-Topk and U-KRanks answered with pruning on must be bit-identical
-//! — every row's position, id and `value.to_bits()` — to the full scan of
-//! `EngineOptions::without_pruning`, across uniform random, rule-span
-//! clustered and multi-thousand-tuple views, `k >= n`, `n = 1`, tied
+//! Global-Topk, U-KRanks and expected rank answered with pruning on must
+//! be bit-identical — every row's position, id and `value.to_bits()` — to
+//! the full scan of `EngineOptions::without_pruning`, across uniform
+//! random, rule-span clustered and multi-thousand-tuple views, query
+//! selections with and without `WHERE`, `k >= n`, `n = 1`, tied
 //! probabilities, certain tuples and rule masses of 1 + 1 ulp. The check
 //! runs through both the cursor path and the snapshot path at the ambient
 //! `PTK_THREADS` width, so the CI matrix covers it at widths 1 and 4.
 //!
-//! U-TopK and expected rank have no bound: they must scan in full and, as
-//! they read only the scan records, report no coefficient work.
+//! Expected rank stops only over a source that knows its total mass up
+//! front (a view or a selection); the same rows through a
+//! `SortedVecSource`, which does not, scan in full and must rank every
+//! tuple to the same bits. U-TopK and expected rank read only the scan
+//! records, so they report no coefficient work.
 
-use ptk_access::ViewSource;
+use std::collections::HashSet;
+
+use ptk_access::{RankedSource, SnapshotSource, SortedVecSource, ViewSource};
 use ptk_core::rng::{RngExt, SeedableRng, StdRng};
-use ptk_core::RankedView;
+use ptk_core::{ComparisonOp, Predicate, RankedView, Ranking, Selection, TopKQuery};
 use ptk_datagen::{RulePlacement, SyntheticConfig, SyntheticDataset};
 use ptk_engine::{
     counters, EngineOptions, ExecStats, PtkExecutor, PtkPlan, RankSemantics, SemanticsAnswer,
@@ -21,7 +27,11 @@ use ptk_engine::{
 use ptk_obs::Metrics;
 use ptk_par::ThreadPool;
 
-const BOUNDED: [RankSemantics; 2] = [RankSemantics::GlobalTopk, RankSemantics::UKRanks];
+const BOUNDED: [RankSemantics; 3] = [
+    RankSemantics::GlobalTopk,
+    RankSemantics::UKRanks,
+    RankSemantics::ExpectedRank,
+];
 
 /// Upper-bound cadences under test: the default, every tuple, and an odd
 /// one that lands checks mid-rule.
@@ -37,9 +47,9 @@ fn row_bits(answer: &SemanticsAnswer) -> Vec<(usize, usize, u64)> {
         .collect()
 }
 
-/// Runs `semantics` over `view` through the cursor path, recording.
-fn run(
-    view: &RankedView,
+/// Runs `semantics` over `source` through the cursor path, recording.
+fn run_on(
+    source: &mut dyn RankedSource,
     semantics: RankSemantics,
     k: usize,
     options: &EngineOptions,
@@ -47,25 +57,54 @@ fn run(
     let plan = PtkPlan::try_semantics(semantics, k, None, options).unwrap();
     let metrics = Metrics::new();
     let answer = PtkExecutor::with_recorder(&plan, &metrics)
-        .execute_semantics(&mut ViewSource::new(view))
+        .execute_semantics(source)
         .unwrap();
     let stats = ExecStats::from_snapshot(&metrics.snapshot());
     (answer, stats, metrics)
 }
 
-/// Asserts early-stop parity for both bounded semantics at every cadence;
-/// returns how many of those runs stopped before the end of the view.
-fn check_parity(view: &RankedView, k: usize, ctx: &str) -> usize {
+/// [`run_on`] over a view's cursor.
+fn run(
+    view: &RankedView,
+    semantics: RankSemantics,
+    k: usize,
+    options: &EngineOptions,
+) -> (SemanticsAnswer, ExecStats, Metrics) {
+    run_on(&mut ViewSource::new(view), semantics, k, options)
+}
+
+/// The rows of `view` as a `SortedVecSource`, which knows rule masses but
+/// not the total mass: scores fall with the position, so the scan order
+/// is the view's, and tuple ids are positions.
+fn sorted_vec(view: &RankedView) -> SortedVecSource {
+    let n = view.len();
+    let rows = (0..n)
+        .map(|pos| {
+            let t = view.tuple(pos);
+            ((n - pos) as f64, t.prob, t.rule.map(|h| h.index() as u32))
+        })
+        .collect();
+    SortedVecSource::from_unsorted(rows).unwrap()
+}
+
+/// Early stops per semantics of [`BOUNDED`], in its order.
+type Stops = [usize; BOUNDED.len()];
+
+/// Asserts early-stop parity for every bounded semantics at every cadence
+/// over the `n` tuples of `snapshot` (a view or a selection), through a
+/// forked cursor and the snapshot path; returns how many of those runs
+/// stopped before the end.
+fn check_parity<S: SnapshotSource>(snapshot: &S, n: usize, k: usize, ctx: &str) -> Stops {
     let pool = ThreadPool::from_env();
-    let mut stops = 0;
-    for semantics in BOUNDED {
-        let (full, full_stats, _) = run(
-            view,
+    let mut stops = Stops::default();
+    for (s, semantics) in BOUNDED.into_iter().enumerate() {
+        let (full, full_stats, _) = run_on(
+            snapshot.fork().as_mut(),
             semantics,
             k,
             &EngineOptions::without_pruning(SharingVariant::Lazy),
         );
-        assert_eq!(full_stats.scanned, view.len(), "{ctx} {semantics:?}");
+        assert_eq!(full_stats.scanned, n, "{ctx} {semantics:?}");
         assert_eq!(full_stats.stop, None, "{ctx} {semantics:?}");
         let expected = row_bits(&full);
         for interval in INTERVALS {
@@ -74,26 +113,66 @@ fn check_parity(view: &RankedView, k: usize, ctx: &str) -> usize {
                 ..EngineOptions::default()
             };
             let ctx = format!("{ctx} {semantics:?} k={k} ub every {interval}");
-            let (pruned, stats, _) = run(view, semantics, k, &options);
+            let (pruned, stats, _) = run_on(snapshot.fork().as_mut(), semantics, k, &options);
             assert_eq!(row_bits(&pruned), expected, "{ctx}: answer rows");
             // A stop is the bound's, happens on a check, and is the only
-            // way a scan ends short of the view.
+            // way a scan ends short of the input.
             match stats.stop {
                 Some(StopReason::UpperBound) => {
                     assert_eq!(stats.scanned % interval, 0, "{ctx}: stop off a check");
-                    assert!(stats.scanned <= view.len(), "{ctx}");
-                    stops += usize::from(stats.scanned < view.len());
+                    assert!(stats.scanned <= n, "{ctx}");
+                    stops[s] += usize::from(stats.scanned < n);
                 }
                 Some(StopReason::TotalTopK) => panic!("{ctx}: Theorem 5 is PT-k's"),
-                None => assert_eq!(stats.scanned, view.len(), "{ctx}: short scan"),
+                None => assert_eq!(stats.scanned, n, "{ctx}: short scan"),
             }
             assert_eq!(stats.evaluated, stats.scanned, "{ctx}");
             let plan = PtkPlan::try_semantics(semantics, k, None, &options).unwrap();
-            let snapshot = PtkExecutor::new(&plan)
-                .execute_semantics_snapshot(view, &pool)
+            let answer = PtkExecutor::new(&plan)
+                .execute_semantics_snapshot(snapshot, &pool)
                 .unwrap();
-            assert_eq!(row_bits(&snapshot), expected, "{ctx}: snapshot path");
+            assert_eq!(row_bits(&answer), expected, "{ctx}: snapshot path");
         }
+    }
+    stops
+}
+
+/// [`check_parity`] over a view, plus expected rank over the same rows in
+/// a `SortedVecSource`: without a total-mass hint it scans in full, pruning
+/// or not, and takes both totals from the records — to the same bits as
+/// the view's hints.
+fn check_view(view: &RankedView, k: usize, ctx: &str) -> Stops {
+    let stops = check_parity(view, view.len(), k, ctx);
+    let (hinted, _, _) = run(
+        view,
+        RankSemantics::ExpectedRank,
+        k,
+        &EngineOptions::default(),
+    );
+    let position_bits = |answer: &SemanticsAnswer| -> Vec<(usize, u64)> {
+        row_bits(answer)
+            .into_iter()
+            .map(|(position, _, bits)| (position, bits))
+            .collect()
+    };
+    let source = sorted_vec(view);
+    for options in [
+        EngineOptions::default(),
+        EngineOptions::without_pruning(SharingVariant::Lazy),
+    ] {
+        let (unhinted, stats, _) = run_on(
+            source.fork().as_mut(),
+            RankSemantics::ExpectedRank,
+            k,
+            &options,
+        );
+        assert_eq!(
+            position_bits(&unhinted),
+            position_bits(&hinted),
+            "{ctx} k={k}: SortedVecSource"
+        );
+        assert_eq!(stats.scanned, view.len(), "{ctx} k={k}: SortedVecSource");
+        assert_eq!(stats.stop, None, "{ctx} k={k}: SortedVecSource");
     }
     stops
 }
@@ -136,29 +215,47 @@ fn synthetic_view(seed: u64, tuples: usize, rules: usize, placement: RulePlaceme
     SyntheticDataset::generate(&config).view
 }
 
+/// Adds one run's stops into a running total.
+fn add(total: &mut Stops, stops: Stops) {
+    for (t, s) in total.iter_mut().zip(stops) {
+        *t += s;
+    }
+}
+
+/// Asserts that every bounded semantics stopped early somewhere.
+fn assert_all_stopped(stops: Stops, ctx: &str) {
+    for (semantics, count) in BOUNDED.iter().zip(stops) {
+        assert!(count > 0, "{ctx}: {semantics:?} never stopped early");
+    }
+}
+
 #[test]
 fn uniform_random_views_stop_without_changing_a_bit() {
     let mut rng = StdRng::seed_from_u64(0x5eed_0101);
-    let mut stops = 0;
+    let mut stops = Stops::default();
     for trial in 0..60 {
         let view = random_view(&mut rng, 40);
         // k from 1 up to past n.
         let k = rng.random_range(1..=view.len() + 2);
-        stops += check_parity(&view, k, &format!("uniform trial {trial} n={}", view.len()));
+        let ctx = format!("uniform trial {trial} n={}", view.len());
+        add(&mut stops, check_view(&view, k, &ctx));
     }
-    assert!(stops > 0, "no uniform trial stopped early");
+    assert_all_stopped(stops, "uniform");
 }
 
 #[test]
 fn clustered_views_stop_without_changing_a_bit() {
-    let mut stops = 0;
+    let mut stops = Stops::default();
     for seed in [0x5eed_0102u64, 0x5eed_0103, 0x5eed_0104] {
         let view = synthetic_view(seed, 300, 40, RulePlacement::Clustered { span: 8 });
         for k in [1, 3, 10] {
-            stops += check_parity(&view, k, &format!("clustered seed {seed:#x}"));
+            add(
+                &mut stops,
+                check_view(&view, k, &format!("clustered seed {seed:#x}")),
+            );
         }
     }
-    assert!(stops > 0, "no clustered view stopped early");
+    assert_all_stopped(stops, "clustered");
 }
 
 #[test]
@@ -171,7 +268,7 @@ fn multi_thousand_tuple_views_stop_at_the_default_cadence() {
     ] {
         let view = synthetic_view(seed, 2_500, 250, placement);
         for k in [1, 5, 20, 100] {
-            check_parity(&view, k, &format!("{placement:?} seed {seed:#x}"));
+            check_view(&view, k, &format!("{placement:?} seed {seed:#x}"));
             for semantics in BOUNDED {
                 let (_, stats, _) = run(&view, semantics, k, &EngineOptions::default());
                 assert!(
@@ -181,6 +278,55 @@ fn multi_thousand_tuple_views_stop_at_the_default_cadence() {
             }
         }
     }
+}
+
+#[test]
+fn selections_with_and_without_where_stop_without_changing_a_bit() {
+    // A selection's cursor reports the selection's own total mass: the
+    // whole view's without `WHERE`, the kept tuples' with one.
+    let mut stops = Stops::default();
+    for (seed, placement) in [
+        (0x5eed_0108u64, RulePlacement::Uniform),
+        (0x5eed_0109, RulePlacement::Clustered { span: 8 }),
+    ] {
+        let table = SyntheticDataset::generate(&SyntheticConfig {
+            tuples: 600,
+            rules: 80,
+            seed,
+            rule_size_mean: 3.0,
+            rule_size_sd: 1.0,
+            placement,
+            ..SyntheticConfig::default()
+        })
+        .table;
+        let score = |op, x: f64| Predicate::compare(0, op, x);
+        for (name, predicate) in [
+            ("no WHERE", Predicate::True),
+            ("WHERE score >= 150", score(ComparisonOp::Ge, 150.0)),
+            (
+                "WHERE score < 100 OR score > 400",
+                score(ComparisonOp::Lt, 100.0).or(score(ComparisonOp::Gt, 400.0)),
+            ),
+        ] {
+            let query = TopKQuery::new(1, predicate, Ranking::descending(0)).unwrap();
+            let selection = Selection::new(&table, &query).unwrap();
+            let view = selection.materialize();
+            assert_eq!(
+                selection.total_mass().to_bits(),
+                view.total_mass().to_bits(),
+                "{name}"
+            );
+            for k in [1, 4, 30] {
+                let ctx = format!("seed {seed:#x} {name} n={}", selection.len());
+                add(
+                    &mut stops,
+                    check_parity(&selection, selection.len(), k, &ctx),
+                );
+                check_view(&view, k, &ctx);
+            }
+        }
+    }
+    assert_all_stopped(stops, "selections");
 }
 
 #[test]
@@ -217,6 +363,21 @@ fn edge_shapes_stay_bit_identical() {
             "all certain",
             RankedView::from_ranked_probs(&[1.0; 12], &[]).unwrap(),
         ),
+        // Expected rank's floor is tight: the certain tuple below rank 0
+        // has expected rank 0.5, exactly the prefix mass, and rank 0's is
+        // only 5e-8 above it.
+        (
+            "a certain tuple on the floor",
+            RankedView::from_ranked_probs(&[0.5, 1.0, 1e-7], &[]).unwrap(),
+        ),
+        // A rule summing to 1 + 9e-10 puts rank 1's expected rank 4.5e-10
+        // under the prefix mass, and rank 0's just over it: only the slack
+        // keeps the scan going.
+        (
+            "a rule mass inside the tolerance over 1",
+            RankedView::from_ranked_probs(&[0.500_000_000_3, 0.500_000_000_6], &[vec![0, 1]])
+                .unwrap(),
+        ),
         (
             "rule masses of 1 + 1 ulp",
             RankedView::from_ranked_probs(
@@ -237,18 +398,54 @@ fn edge_shapes_stay_bit_identical() {
             .unwrap(),
         ),
     ];
+    let mut stops = Stops::default();
     for (name, view) in &cases {
         for k in [1, 2, 3, view.len(), view.len() + 3] {
-            check_parity(view, k, name);
+            add(&mut stops, check_view(view, k, name));
         }
     }
+    assert_all_stopped(stops, "edge shapes");
 }
 
+/// Scan depths at k = 5 over the 600-tuple view of
+/// `row_free_semantics_fold_no_rows_and_read_a_prefix`, default options.
+const UTOPK_DEPTH: usize = 9;
+const EXPECTED_RANK_DEPTH: usize = 192;
+
 #[test]
-fn unbounded_semantics_scan_in_full_and_fold_no_rows() {
+fn row_free_semantics_fold_no_rows_and_read_a_prefix() {
     let view = synthetic_view(0x5eed_0107, 600, 60, RulePlacement::Uniform);
-    // PT-k's unpruned scan counts distinct rules through its own
-    // compressor: the reference for `rules_compressed`.
+    // U-TopK reads the ranks its search expands; expected rank stops on
+    // its floor at a default-cadence check.
+    for (semantics, scanned, stop) in [
+        (RankSemantics::UTopK, UTOPK_DEPTH, None),
+        (
+            RankSemantics::ExpectedRank,
+            EXPECTED_RANK_DEPTH,
+            Some(StopReason::UpperBound),
+        ),
+    ] {
+        let (_, stats, metrics) = run(&view, semantics, 5, &EngineOptions::default());
+        let snapshot = metrics.snapshot();
+        assert_eq!(stats.scanned, scanned, "{semantics:?}");
+        assert_eq!(stats.stop, stop, "{semantics:?}");
+        assert_eq!(stats.dp_cells, 0, "{semantics:?}");
+        assert_eq!(stats.entries_recomputed, 0, "{semantics:?}");
+        assert_eq!(snapshot.counter(counters::GF_ROWS_INCREMENTAL), 0);
+        assert_eq!(snapshot.counter(counters::GF_ROWS_REFOLDED), 0);
+        // Every rule met in the scanned prefix, and no other.
+        let prefix_rules: HashSet<_> = view.tuples()[..scanned]
+            .iter()
+            .filter_map(|t| t.rule)
+            .collect();
+        assert_eq!(
+            stats.rules_compressed,
+            prefix_rules.len() as u64,
+            "{semantics:?}"
+        );
+    }
+    // The row-reading semantics' full scans count the same rules as PT-k's
+    // unpruned scan, through its own compressor.
     let reference = PtkExecutor::new(&PtkPlan::new(
         5,
         0.5,
@@ -258,19 +455,7 @@ fn unbounded_semantics_scan_in_full_and_fold_no_rows() {
     .stats
     .rules_compressed;
     assert!(reference > 0);
-    for semantics in [RankSemantics::UTopK, RankSemantics::ExpectedRank] {
-        let (_, stats, metrics) = run(&view, semantics, 5, &EngineOptions::default());
-        let snapshot = metrics.snapshot();
-        assert_eq!(stats.scanned, view.len(), "{semantics:?}");
-        assert_eq!(stats.stop, None, "{semantics:?}");
-        assert_eq!(stats.dp_cells, 0, "{semantics:?}");
-        assert_eq!(stats.entries_recomputed, 0, "{semantics:?}");
-        assert_eq!(snapshot.counter(counters::GF_ROWS_INCREMENTAL), 0);
-        assert_eq!(snapshot.counter(counters::GF_ROWS_REFOLDED), 0);
-        assert_eq!(stats.rules_compressed, reference, "{semantics:?}");
-    }
-    // The row-reading semantics count the same rules.
-    for semantics in BOUNDED {
+    for semantics in [RankSemantics::GlobalTopk, RankSemantics::UKRanks] {
         let (_, stats, _) = run(
             &view,
             semantics,
