@@ -114,6 +114,10 @@ pub struct FileSource {
     retrieved: usize,
     recorder: SharedRecorder,
     tracer: Option<Arc<Tracer>>,
+    /// The error that ended the stream, held for [`FileSource::take_error`].
+    /// Once set, the stream stays ended.
+    error: Option<io::Error>,
+    dead: bool,
 }
 
 impl std::fmt::Debug for FileSource {
@@ -223,6 +227,8 @@ impl FileSource {
             retrieved: 0,
             recorder,
             tracer: None,
+            error: None,
+            dead: false,
         })
     }
 
@@ -293,13 +299,22 @@ impl FileSource {
         Ok(())
     }
 
+    /// The error that ended the stream, if any. [`RankedSource::next_ranked`]
+    /// reports an IO or corruption error as end-of-stream; callers that
+    /// must not mistake a truncated scan for a clean early stop check here
+    /// after the scan.
+    pub fn take_error(&mut self) -> Option<io::Error> {
+        self.error.take()
+    }
+
     /// Fallible form of [`RankedSource::next_ranked`]: decoding errors are
     /// surfaced instead of ending the stream.
     ///
     /// # Errors
-    /// Fails on IO errors, truncation, or out-of-order scores (corruption).
+    /// Fails on IO errors, truncation, or a NaN or out-of-order score
+    /// (corruption).
     pub fn try_next(&mut self) -> io::Result<Option<SourceTuple>> {
-        if self.remaining == 0 {
+        if self.dead || self.remaining == 0 {
             return Ok(None);
         }
         if self.buffer.len() < RECORD_BYTES {
@@ -318,7 +333,7 @@ impl FileSource {
                 prob,
             ));
         }
-        if score > self.last_score {
+        if score.is_nan() || score > self.last_score {
             return Err(corrupt(
                 rec_off + 8,
                 format!("record {} score", self.retrieved),
@@ -351,10 +366,18 @@ impl FileSource {
 }
 
 impl RankedSource for FileSource {
-    /// Streams the next record. IO and corruption errors end the stream
-    /// (use [`FileSource::try_next`] to observe them).
+    /// Streams the next record. An IO or corruption error ends the stream
+    /// for good (use [`FileSource::try_next`] to observe errors as they
+    /// happen, or [`FileSource::take_error`] after a scan).
     fn next_ranked(&mut self) -> Option<SourceTuple> {
-        self.try_next().ok().flatten()
+        match self.try_next() {
+            Ok(t) => t,
+            Err(e) => {
+                self.dead = true;
+                self.error = Some(e);
+                None
+            }
+        }
     }
 
     fn rule_mass(&self, rule: RuleKey) -> Option<f64> {
@@ -595,6 +618,31 @@ mod tests {
         let mut src = FileSource::open(&f.0).unwrap();
         assert!(src.try_next().unwrap().is_some());
         assert!(src.try_next().is_err());
+    }
+
+    #[test]
+    fn a_corrupt_record_ends_the_stream_for_good() {
+        // Record 2's score, then its probability: a NaN score slips past a
+        // plain `>` order check, and the record after the corrupt one is
+        // intact, so a reader that skipped on would deliver it.
+        let record2 = 8 + 8 + 4 + 2 * 8 + 2 * RECORD_BYTES;
+        for (offset, value) in [(record2 + 8, f64::NAN), (record2 + 16, 2.0)] {
+            let f = temp();
+            write_run(&f.0, &panda_rows()).unwrap();
+            let mut bytes = std::fs::read(&f.0).unwrap();
+            bytes[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
+            std::fs::write(&f.0, &bytes).unwrap();
+            let mut src = FileSource::open(&f.0).unwrap();
+            assert!(src.take_error().is_none());
+            assert!(src.next_ranked().is_some());
+            assert!(src.next_ranked().is_some());
+            assert!(src.next_ranked().is_none(), "{value}");
+            assert!(src.next_ranked().is_none(), "{value}: read past the error");
+            assert_eq!(src.retrieved(), 2);
+            let err = src.take_error().expect("the error is held");
+            assert!(err.to_string().contains("record 2"), "{err}");
+            assert!(src.take_error().is_none());
+        }
     }
 
     #[test]

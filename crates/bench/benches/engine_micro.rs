@@ -8,9 +8,7 @@ use std::hint::black_box;
 
 use ptk_access::ViewSource;
 use ptk_datagen::{SyntheticConfig, SyntheticDataset};
-use ptk_engine::{
-    dp, evaluate_ptk, evaluate_ptk_source, EngineOptions, SharingVariant, StreamOptions,
-};
+use ptk_engine::{dp, evaluate_ptk, EngineOptions, PtkExecutor, PtkPlan, SharingVariant};
 
 fn bench_dp(c: &mut Criterion) {
     let mut group = c.benchmark_group("dp_primitives");
@@ -100,10 +98,11 @@ fn bench_stream_vs_materialized(c: &mut Criterion) {
     group.bench_function("materialized", |b| {
         b.iter(|| evaluate_ptk(black_box(&ds.view), 100, 0.3, &EngineOptions::default()))
     });
+    let plan = PtkPlan::try_new(100, 0.3, &EngineOptions::default()).unwrap();
     group.bench_function("stream_over_view", |b| {
         b.iter(|| {
             let mut source = ViewSource::new(black_box(&ds.view));
-            evaluate_ptk_source(&mut source, 100, 0.3, &StreamOptions::default())
+            PtkExecutor::new(&plan).execute(&mut source)
         })
     });
     group.finish();

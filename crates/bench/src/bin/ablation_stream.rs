@@ -13,7 +13,7 @@ use ptk_bench::{sweeps, time_ms, Report};
 use ptk_core::rng::{RngExt, SeedableRng, StdRng};
 use ptk_core::RankedView;
 use ptk_datagen::{SyntheticConfig, SyntheticDataset};
-use ptk_engine::{evaluate_ptk, evaluate_ptk_source, EngineOptions, StreamOptions};
+use ptk_engine::{evaluate_ptk, EngineOptions, PtkExecutor, PtkPlan};
 
 fn main() {
     let ds = SyntheticDataset::generate(&SyntheticConfig::with_seed(sweeps::SEED));
@@ -53,10 +53,11 @@ fn main() {
 
     for k in [50usize, 100, 200, 400] {
         let (mat, mat_ms) = time_ms(|| evaluate_ptk(&ds.view, k, p, &EngineOptions::default()));
+        let plan = PtkPlan::try_new(k, p, &EngineOptions::default()).expect("a valid PT-k plan");
 
         let (sv, sv_ms) = time_ms(|| {
             let mut source = ViewSource::new(&ds.view);
-            let r = evaluate_ptk_source(&mut source, k, p, &StreamOptions::default());
+            let r = PtkExecutor::new(&plan).execute(&mut source);
             (r, source.retrieved())
         });
         let (stream_view, retrieved) = sv;
@@ -64,7 +65,7 @@ fn main() {
         let (ta, ta_ms) = time_ms(|| {
             let mut source = TaSource::new(&attrs, probs.clone(), rules.clone(), AggregateFn::Sum)
                 .expect("generated TA input is valid");
-            let r = evaluate_ptk_source(&mut source, k, p, &StreamOptions::default());
+            let r = PtkExecutor::new(&plan).execute(&mut source);
             (r, source.sorted_accesses())
         });
         let (stream_ta, sorted_accesses) = ta;

@@ -67,14 +67,12 @@ fn main() {
     // Machine-readable artifact: lap times above plus the engine counters
     // of a full recorded PT-2 query on the same view.
     let metrics = ptk_obs::Metrics::new();
+    let plan = ptk_engine::PtkPlan::try_new(2, 0.35, &ptk_engine::EngineOptions::default())
+        .expect("a valid PT-2 plan");
+    let view = view();
     bench.time(|| {
-        ptk_engine::evaluate_ptk_recorded(
-            &view(),
-            2,
-            0.35,
-            &ptk_engine::EngineOptions::default(),
-            &metrics,
-        )
+        ptk_engine::PtkExecutor::with_recorder(&plan, &metrics)
+            .execute(&mut ptk_access::ViewSource::new(&view))
     });
     bench.set_metrics(metrics.snapshot());
     bench.write();

@@ -224,7 +224,7 @@ fn main() {
     let mut plans = Vec::new();
     for &k in ks {
         for &p in &BATCH_PS {
-            plans.push(PtkPlan::new(k, p, &EngineOptions::default()));
+            plans.push(PtkPlan::try_new(k, p, &EngineOptions::default()).unwrap());
         }
     }
     let batch = PtkPlan::batch(&plans);
@@ -233,7 +233,7 @@ fn main() {
     let mut deep_plans = Vec::new();
     for &k in deep_ks {
         for &p in &DEEP_PS {
-            deep_plans.push(PtkPlan::new(k, p, &deep_options));
+            deep_plans.push(PtkPlan::try_new(k, p, &deep_options).unwrap());
         }
     }
     let deep_batch = PtkPlan::batch(&deep_plans);

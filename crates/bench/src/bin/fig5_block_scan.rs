@@ -21,7 +21,7 @@ use ptk_access::{
 };
 use ptk_bench::{time_ms, BenchRecord, Report};
 use ptk_datagen::{deep_scan_rows, DeepScanConfig};
-use ptk_engine::{evaluate_ptk_source, EngineOptions, ExecStats};
+use ptk_engine::{EngineOptions, ExecStats, PtkExecutor, PtkPlan};
 use ptk_obs::{Metrics, SharedRecorder};
 
 const K: usize = 100;
@@ -39,7 +39,8 @@ fn main() {
         seed: 17,
     };
     let rows = deep_scan_rows(&config);
-    let options = EngineOptions::default();
+    let plan = PtkPlan::try_new(K, P, &EngineOptions::default()).expect("a valid PT-k plan");
+    let executor = PtkExecutor::new(&plan);
 
     // In-memory streamed baseline (also the parity oracle).
     let mut baseline_ms = Vec::with_capacity(REPS);
@@ -47,7 +48,7 @@ fn main() {
     let mut oracle_depth = 0usize;
     for _ in 0..REPS {
         let mut source = SortedVecSource::from_unsorted(rows.clone()).unwrap();
-        let (result, ms) = time_ms(|| evaluate_ptk_source(&mut source, K, P, &options));
+        let (result, ms) = time_ms(|| executor.execute(&mut source));
         baseline_ms.push(ms);
         oracle_depth = source.retrieved();
         oracle = Some(result);
@@ -98,7 +99,7 @@ fn main() {
         let mut laps = Vec::with_capacity(REPS);
         for _ in 0..REPS {
             let mut cursor = run.cursor();
-            let (result, ms) = time_ms(|| evaluate_ptk_source(&mut cursor, K, P, &options));
+            let (result, ms) = time_ms(|| executor.execute(&mut cursor));
             laps.push(ms);
             if block_size == 4 << 10 {
                 bench.lap_ms(ms);

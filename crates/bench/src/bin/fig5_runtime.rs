@@ -106,13 +106,13 @@ fn main() {
     // Timing-free counters of one default-options query on the reference
     // dataset, so the artifact is diffable across machines.
     let metrics = ptk_obs::Metrics::new();
-    ptk_engine::evaluate_ptk_recorded(
-        &ds.view,
+    let plan = PtkPlan::try_new(
         sweeps::DEFAULT_K,
         sweeps::DEFAULT_P,
         &EngineOptions::default(),
-        &metrics,
-    );
+    )
+    .expect("the default sweep point is a valid plan");
+    PtkExecutor::with_recorder(&plan, &metrics).execute(&mut ViewSource::new(&ds.view));
     bench.set_metrics(metrics.snapshot());
     bench.write();
 
@@ -159,7 +159,7 @@ fn measure_semantics(view: &RankedView) {
             _ => sweeps::DEFAULT_K,
         };
         let plan = match semantics {
-            RankSemantics::Ptk => PtkPlan::new(k, sweeps::DEFAULT_P, &options),
+            RankSemantics::Ptk => PtkPlan::try_new(k, sweeps::DEFAULT_P, &options).unwrap(),
             other => PtkPlan::try_semantics(other, k, None, &options).unwrap(),
         };
         let executor = PtkExecutor::new(&plan);

@@ -1,9 +1,10 @@
 //! Reproduces Tables 1–3 of the paper: the panda-detection running example,
 //! its possible worlds, and the top-2 probability of every record.
 
+use ptk_access::ViewSource;
 use ptk_bench::{BenchRecord, Report};
 use ptk_core::RankedView;
-use ptk_engine::{evaluate_ptk_recorded, EngineOptions};
+use ptk_engine::{EngineOptions, PtkExecutor, PtkPlan};
 use ptk_obs::Metrics;
 use ptk_worlds::{enumerate, naive};
 
@@ -71,12 +72,12 @@ fn main() {
     // few laps with the engine counters attached as the bench artifact.
     let mut bench = BenchRecord::new("table1_3");
     let metrics = Metrics::new();
+    let plan = PtkPlan::try_new(2, 0.35, &EngineOptions::default()).expect("a valid PT-2 plan");
     let mut result = None;
     for _ in 0..5 {
-        result =
-            Some(bench.time(|| {
-                evaluate_ptk_recorded(&view, 2, 0.35, &EngineOptions::default(), &metrics)
-            }));
+        result = Some(bench.time(|| {
+            PtkExecutor::with_recorder(&plan, &metrics).execute(&mut ViewSource::new(&view))
+        }));
     }
     let result = result.expect("at least one lap ran");
     bench.set_metrics(metrics.snapshot());

@@ -1,5 +1,6 @@
 //! Reproduces the §6.1 experiment (Tables 5–6): PT-k vs. U-TopK vs.
-//! U-KRanks on an IIP-iceberg-like dataset, k = 10, p = 0.5.
+//! U-KRanks on an IIP-iceberg-like dataset, k = 10, p = 0.5 — all three
+//! answered by the one engine, on one scan each.
 //!
 //! The real IIP Iceberg Sightings Database is replaced by the seeded
 //! synthesizer of `ptk-datagen::iip` (see DESIGN.md); the experiment's
@@ -7,10 +8,13 @@
 //! paper reports, and those are asserted here.
 #![allow(clippy::needless_range_loop)] // index-paired loops over parallel arrays
 
+use ptk_access::ViewSource;
 use ptk_bench::Report;
 use ptk_datagen::{IipConfig, IipDataset};
-use ptk_engine::{evaluate_ptk, topk_probabilities, EngineOptions, SharingVariant};
-use ptk_rankers::{ukranks, utopk, UTopKOptions};
+use ptk_engine::{
+    evaluate_ptk, topk_probabilities, EngineOptions, PtkExecutor, PtkPlan, RankSemantics,
+    SemanticsAnswer, SharingVariant,
+};
 
 fn main() {
     let ds = IipDataset::generate(&IipConfig::default());
@@ -29,23 +33,39 @@ fn main() {
     let ptk = evaluate_ptk(&ds.view, k, p, &EngineOptions::default());
     let ptk_ranks = ptk.answer_ranks();
 
+    let answer = |semantics| {
+        let plan = PtkPlan::try_semantics(semantics, k, None, &EngineOptions::default())
+            .expect("k >= 1 and no threshold");
+        PtkExecutor::new(&plan)
+            .execute_semantics(&mut ViewSource::new(&ds.view))
+            .expect("search completes")
+    };
+
     // U-TopK.
-    let ut = utopk(&ds.view, k, &UTopKOptions::default()).expect("search completes");
+    let SemanticsAnswer::UTopK {
+        rows, probability, ..
+    } = answer(RankSemantics::UTopK)
+    else {
+        unreachable!("a U-TopK plan answers U-TopK")
+    };
+    let ut_vector: Vec<usize> = rows.iter().map(|r| r.position).collect();
 
     // U-KRanks (Table 5's shape).
-    let kr = ukranks(&ds.view, k);
+    let SemanticsAnswer::UKRanks(kr) = answer(RankSemantics::UKRanks) else {
+        unreachable!("a U-KRanks plan answers U-KRanks")
+    };
     let mut t5 = Report::new(
         "table5_ukranks",
         &["rank", "ranked position", "probability at this rank"],
     );
-    for e in &kr {
-        t5.row(&[&e.rank, &(e.position + 1), &format!("{:.3}", e.probability)]);
+    for (j, row) in kr.iter().enumerate() {
+        t5.row(&[&(j + 1), &(row.position + 1), &format!("{:.3}", row.value)]);
     }
     t5.finish();
 
     // Table 6's shape: the top of the ranking with membership and top-10
     // probability, annotated with which queries return each tuple.
-    let kr_positions: Vec<usize> = kr.iter().map(|e| e.position).collect();
+    let kr_positions: Vec<usize> = kr.iter().map(|row| row.position).collect();
     let mut t6 = Report::new(
         "table6_top_tuples",
         &[
@@ -62,7 +82,7 @@ fn main() {
         let mut v: Vec<usize> = (0..25).collect();
         for &a in ptk_ranks
             .iter()
-            .chain(ut.vector.iter())
+            .chain(ut_vector.iter())
             .chain(kr_positions.iter())
         {
             if !v.contains(&a) {
@@ -80,16 +100,15 @@ fn main() {
             &format!("{:.3}", t.prob),
             &format!("{:.3}", pr[pos]),
             &ptk_ranks.contains(&pos),
-            &ut.vector.contains(&pos),
+            &ut_vector.contains(&pos),
             &kr_positions.contains(&pos),
         ]);
     }
     t6.finish();
 
     println!(
-        "\nPT-{k} answer at p = {p}: {} tuples; U-Top{k} vector probability {:.4}",
+        "\nPT-{k} answer at p = {p}: {} tuples; U-Top{k} vector probability {probability:.4}",
         ptk.answers.len(),
-        ut.probability
     );
 
     // The paper's qualitative observations (§6.1):
@@ -100,14 +119,9 @@ fn main() {
     println!("✓ PT-k returns exactly the tuples with top-{k} probability >= {p}");
 
     // 2. The presence probability of the U-TopK vector is low.
-    assert!(
-        ut.probability < 0.5,
-        "U-TopK vector probability {}",
-        ut.probability
-    );
+    assert!(probability < 0.5, "U-TopK vector probability {probability}");
     println!(
-        "✓ the most probable top-{k} list itself has low probability ({:.4}; paper: 0.0299)",
-        ut.probability
+        "✓ the most probable top-{k} list itself has low probability ({probability:.4}; paper: 0.0299)"
     );
 
     // 3. U-KRanks misses high-Pr^k tuples and repeats others.

@@ -758,27 +758,137 @@ mod tests {
 
     #[test]
     fn utopk_and_ukranks_run() {
+        // The paper's §1 answers, pinned byte for byte: U-Top2 <R5, R3> at
+        // 0.28, U-KRanks R5 at both ranks, expected rank R5 then R2.
         let file = panda_file();
-        let out = dispatch(&args(&[
+        let run = |command: &str| {
+            dispatch(&args(&[
+                command,
+                file.as_str(),
+                "--k",
+                "2",
+                "--rank-by",
+                "duration",
+            ]))
+            .unwrap()
+        };
+        assert_eq!(
+            run("utopk"),
+            "most probable top-2 vector (probability 0.280000, 6 states explored):\n\
+             \x20 rank    3  membership=0.800  [17, R5]\n\
+             \x20 rank    4  membership=0.500  [13, R3]\n"
+        );
+        assert_eq!(
+            run("ukranks"),
+            "most probable tuple at each rank:\n\
+             \x20 rank   1: ranked position    3, probability 0.3360  [17, R5]\n\
+             \x20 rank   2: ranked position    3, probability 0.3680  [17, R5]\n"
+        );
+        assert_eq!(
+            run("erank"),
+            "top-2 by expected rank (Cormode et al. semantics):\n\
+             \x20 expected rank     1.20  ranked position    3  membership=0.800  [17, R5]\n\
+             \x20 expected rank     2.00  ranked position    2  membership=0.400  [21, R2]\n"
+        );
+        let err = dispatch(&args(&[
             "utopk",
             file.as_str(),
             "--k",
-            "2",
+            "0",
             "--rank-by",
             "duration",
         ]))
-        .unwrap();
-        assert!(out.contains("0.28"), "{out}");
-        let out = dispatch(&args(&[
+        .unwrap_err();
+        assert_eq!(err, "top-k queries require k >= 1");
+    }
+
+    #[test]
+    fn ukranks_and_the_semantics_path_agree_on_a_rank_no_world_fills() {
+        // At most three of these tuples exist together (the 0.9 and 0.08
+        // rows share a rule), so rank 4 has probability exactly 0 for
+        // everyone: the first ranked position keeps it, on both paths.
+        let file = tempfile::csv("prob,rule,score\n0.19,,4\n0.9,r,3\n0.36,,2\n0.08,r,1\n");
+        let expected = "most probable tuple at each rank:\n\
+                        \x20 rank   1: ranked position    2, probability 0.7290  [3]\n\
+                        \x20 rank   2: ranked position    3, probability 0.2693  [2]\n\
+                        \x20 rank   3: ranked position    3, probability 0.0616  [2]\n\
+                        \x20 rank   4: ranked position    1, probability 0.0000  [4]\n";
+        let ukranks = dispatch(&args(&[
             "ukranks",
             file.as_str(),
             "--k",
-            "2",
+            "4",
             "--rank-by",
-            "duration",
+            "score",
         ]))
         .unwrap();
-        assert!(out.contains("rank   1"), "{out}");
+        assert_eq!(ukranks, expected);
+        let semantics = dispatch(&args(&[
+            "query",
+            file.as_str(),
+            "--k",
+            "4",
+            "--rank-by",
+            "score",
+            "--semantics",
+            "u_kranks",
+        ]))
+        .unwrap();
+        assert_eq!(semantics, expected);
+    }
+
+    #[test]
+    fn a_corrupt_v1_run_fails_the_scan_instead_of_answering_short() {
+        let csv = dispatch(&args(&[
+            "generate",
+            "synthetic",
+            "--tuples",
+            "2000",
+            "--rules",
+            "200",
+            "--seed",
+            "13",
+        ]))
+        .unwrap();
+        let table = tempfile::csv(&csv);
+        let run = tempfile::path("run");
+        dispatch(&args(&[
+            "pack",
+            table.as_str(),
+            "--rank-by",
+            "score",
+            "--out",
+            run.as_str(),
+        ]))
+        .unwrap();
+        let clean = std::fs::read(&run.0).unwrap();
+        // v1 layout: a 20-byte header (magic, record count, rule count),
+        // 8 bytes per rule mass, then 24-byte records of id, rule, score
+        // and probability.
+        let rules = u32::from_le_bytes(clean[16..20].try_into().unwrap()) as usize;
+        let record5 = 20 + 8 * rules + 5 * 24;
+        let scans: [&[&str]; 2] = [
+            &["--k", "10", "--p", "0.3"],
+            &["--k", "10", "--semantics", "global_topk"],
+        ];
+        for scan in scans {
+            let mut argv = vec!["scan", run.as_str()];
+            argv.extend_from_slice(scan);
+            assert!(dispatch(&args(&argv)).is_ok(), "clean file: {scan:?}");
+        }
+        // A probability above 1 and a NaN score fail both scans: neither
+        // may pass for a clean early stop.
+        for (offset, value) in [(record5 + 16, 2.0), (record5 + 8, f64::NAN)] {
+            let mut bytes = clean.clone();
+            bytes[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
+            std::fs::write(&run.0, &bytes).unwrap();
+            for scan in scans {
+                let mut argv = vec!["scan", run.as_str()];
+                argv.extend_from_slice(scan);
+                let err = dispatch(&args(&argv)).unwrap_err();
+                assert!(err.contains("record 5"), "{value} {scan:?}: {err}");
+            }
+        }
     }
 
     #[test]

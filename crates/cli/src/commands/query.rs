@@ -4,10 +4,10 @@
 use std::io::Write;
 use std::sync::Arc;
 
+use ptk_access::ViewSource;
 use ptk_core::{Predicate, PtkQuery, RankedView, Ranking, TopKQuery, UncertainTable};
-use ptk_engine::{PtkExecutor, PtkPlan, RankSemantics};
+use ptk_engine::{EngineOptions, PtkExecutor, PtkPlan, RankSemantics, SemanticsAnswer};
 use ptk_obs::{Noop, QueryFlight, Recorder, SharedSink, Tracer};
-use ptk_rankers::{expected_rank_topk, ukranks, utopk, UTopKOptions};
 use ptk_sampling::{sample_topk_recorded, sample_topk_traced, SamplingOptions};
 use ptk_worlds::naive;
 
@@ -398,60 +398,64 @@ fn query_semantics(
     Ok(())
 }
 
-pub(super) fn cmd_utopk(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
+/// The shared front of `utopk`, `ukranks` and `erank`: the whole table,
+/// ranked by `--rank-by`, answered under `semantics` by the engine.
+fn rank_whole_table(
+    flags: &Flags,
+    semantics: RankSemantics,
+) -> Result<(UncertainTable, usize, SemanticsAnswer), CmdError> {
     let table = load_from_flags(flags)?;
     let k: usize = flags.require("k")?;
     let ranking = build_ranking(flags, &table)?;
     let query = TopKQuery::new(k, Predicate::True, ranking).map_err(|e| e.to_string())?;
     let view = RankedView::build(&table, &query).map_err(|e| e.to_string())?;
-    let answer = utopk(&view, k, &UTopKOptions::default()).map_err(|e| e.to_string())?;
+    let plan = PtkPlan::try_semantics(semantics, k, None, &EngineOptions::default())
+        .map_err(|e| e.to_string())?;
+    let answer = PtkExecutor::new(&plan)
+        .execute_semantics(&mut ViewSource::new(&view))
+        .map_err(|e| e.to_string())?;
+    Ok((table, k, answer))
+}
+
+pub(super) fn cmd_utopk(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
+    let (table, k, answer) = rank_whole_table(flags, RankSemantics::UTopK)?;
+    let SemanticsAnswer::UTopK {
+        rows,
+        probability,
+        states_explored,
+    } = answer
+    else {
+        return Err("internal: a U-TopK plan answered another semantics".into());
+    };
     writeln!(
         out,
-        "most probable top-{k} vector (probability {:.6}, {} states explored):",
-        answer.probability, answer.states_explored
+        "most probable top-{k} vector (probability {probability:.6}, {states_explored} states explored):"
     )?;
-    for &pos in &answer.vector {
-        write_membership_row(out, &table, pos, view.tuple(pos).id)?;
+    for row in &rows {
+        write_membership_row(out, &table, row.position, row.id)?;
     }
     Ok(())
 }
 
 pub(super) fn cmd_ukranks(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
-    let table = load_from_flags(flags)?;
-    let k: usize = flags.require("k")?;
-    let ranking = build_ranking(flags, &table)?;
-    let query = TopKQuery::new(k, Predicate::True, ranking).map_err(|e| e.to_string())?;
-    let view = RankedView::build(&table, &query).map_err(|e| e.to_string())?;
-    writeln!(out, "most probable tuple at each rank:")?;
-    for entry in ukranks(&view, k) {
-        writeln!(
-            out,
-            "  rank {:>3}: ranked position {:>4}, probability {:.4}  [{}]",
-            entry.rank,
-            entry.position + 1,
-            entry.probability,
-            attrs_of(&table, view.tuple(entry.position).id)
-        )?;
-    }
-    Ok(())
+    let (table, k, answer) = rank_whole_table(flags, RankSemantics::UKRanks)?;
+    write_semantics_answer(out, &table, k, &answer)
 }
 
 pub(super) fn cmd_erank(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
-    let table = load_from_flags(flags)?;
-    let k: usize = flags.require("k")?;
-    let ranking = build_ranking(flags, &table)?;
-    let query = TopKQuery::new(k, Predicate::True, ranking).map_err(|e| e.to_string())?;
-    let view = RankedView::build(&table, &query).map_err(|e| e.to_string())?;
+    let (table, k, answer) = rank_whole_table(flags, RankSemantics::ExpectedRank)?;
+    let SemanticsAnswer::ExpectedRank(rows) = answer else {
+        return Err("internal: an expected-rank plan answered another semantics".into());
+    };
     writeln!(out, "top-{k} by expected rank (Cormode et al. semantics):")?;
-    for e in expected_rank_topk(&view, k) {
-        let t = view.tuple(e.position);
+    for row in &rows {
         writeln!(
             out,
             "  expected rank {:>8.2}  ranked position {:>4}  membership={:.3}  [{}]",
-            e.expected_rank,
-            e.position + 1,
-            t.prob,
-            attrs_of(&table, t.id)
+            row.value,
+            row.position + 1,
+            row.membership,
+            attrs_of(&table, row.id)
         )?;
     }
     Ok(())

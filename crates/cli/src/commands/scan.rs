@@ -7,14 +7,11 @@ use std::io::Write;
 use std::sync::Arc;
 
 use ptk_access::{
-    run_format, write_run, write_run_blocked, FileSource, PagedRun, PoolConfig, RankedSource,
-    DEFAULT_FRAME_BYTES, DEFAULT_POOL_FRAMES,
+    run_format, write_run, write_run_blocked, FileSource, PagedCursor, PagedRun, PoolConfig,
+    RankedSource, DEFAULT_FRAME_BYTES, DEFAULT_POOL_FRAMES,
 };
 use ptk_core::{Predicate, RankedView, TopKQuery};
-use ptk_engine::{
-    evaluate_ptk_source_recorded, PtkExecutor, PtkPlan, RankSemantics, SemanticsAnswer,
-    StreamOptions,
-};
+use ptk_engine::{EngineOptions, PtkExecutor, PtkPlan, RankSemantics, SemanticsAnswer};
 use ptk_obs::{Noop, QueryFlight, Recorder, SharedRecorder, SharedSink, Tracer};
 
 use super::render::{absorb_semantics_flight, registry, stats_mode, write_audit, write_stats};
@@ -105,6 +102,20 @@ fn check_pool_flags(flags: &Flags, paged: bool) -> Result<(), String> {
     Ok(())
 }
 
+/// The IO or corruption error that ended a scan of whichever run source
+/// was opened. The engine sees such an error as end-of-stream; a silent
+/// short answer must not pass for a clean early stop.
+fn take_run_error(
+    paged: Option<&mut PagedCursor<'_>>,
+    flat: Option<&mut FileSource>,
+) -> Option<std::io::Error> {
+    match (paged, flat) {
+        (Some(cursor), _) => cursor.take_error(),
+        (None, Some(file)) => file.take_error(),
+        (None, None) => None,
+    }
+}
+
 pub(super) fn cmd_scan(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
     let path = flags.positional.get(1).ok_or("missing run file argument")?;
     let k: usize = flags.require("k")?;
@@ -113,12 +124,10 @@ pub(super) fn cmd_scan(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErro
         return scan_semantics(flags, out, path, k, semantics);
     }
     let p: f64 = flags.require("p")?;
-    // Validate up front: the streaming entry point plans internally and
-    // would panic on k == 0 or a threshold outside (0, 1] (NaN included).
-    // The plan also feeds the --audit flight record (description and
-    // fingerprint) — it is exactly what the streaming evaluator builds.
-    let plan = ptk_engine::PtkPlan::try_new(k, p, &ptk_engine::EngineOptions::default())
-        .map_err(|e| e.to_string())?;
+    // Planning rejects k == 0 and a threshold outside (0, 1] (NaN
+    // included) before the file is opened. The plan also feeds the
+    // --audit flight record (description and fingerprint).
+    let plan = PtkPlan::try_new(k, p, &EngineOptions::default()).map_err(|e| e.to_string())?;
     let stats = stats_mode(flags)?;
     let trace = trace_opts(flags)?;
     let audit = flags.switch("audit");
@@ -152,7 +161,7 @@ pub(super) fn cmd_scan(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErro
     let file_path = std::path::Path::new(path);
     let paged = run_format(file_path) == Some(2);
     check_pool_flags(flags, paged)?;
-    let mut file_source;
+    let mut file_source = None;
     let paged_run;
     let mut paged_cursor = None;
     let (source, total): (&mut dyn RankedSource, u64) = if paged {
@@ -166,17 +175,16 @@ pub(super) fn cmd_scan(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErro
         let total = paged_run.tuples();
         (paged_cursor.insert(paged_run.cursor()), total)
     } else {
-        file_source = match &tracer {
+        let opened = match &tracer {
             Some(t) => FileSource::open_traced(file_path, shared_recorder, Arc::clone(t)),
             None if recording => FileSource::open_recorded(file_path, shared_recorder),
             None => FileSource::open(file_path),
         }
         .map_err(|e| e.to_string())?;
-        let total = file_source.remaining();
-        (&mut file_source, total)
+        let total = opened.remaining();
+        (file_source.insert(opened), total)
     };
-    let result =
-        evaluate_ptk_source_recorded(&mut *source, k, p, &StreamOptions::default(), recorder);
+    let result = PtkExecutor::with_recorder(&plan, recorder).execute(&mut *source);
     if let Some(f) = flight.as_mut() {
         f.stop = result
             .stats
@@ -184,9 +192,7 @@ pub(super) fn cmd_scan(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErro
             .map_or(String::new(), |s| format!("{s:?}"));
     }
     let retrieved = source.retrieved();
-    // The engine sees a cursor IO/corruption error as end-of-stream; a
-    // silent short answer must not pass for a clean early stop.
-    if let Some(e) = paged_cursor.as_mut().and_then(|c| c.take_error()) {
+    if let Some(e) = take_run_error(paged_cursor.as_mut(), file_source.as_mut()) {
         return Err(e.to_string().into());
     }
     writeln!(
@@ -243,7 +249,7 @@ fn scan_semantics(
         )
         .into());
     }
-    let plan = PtkPlan::try_semantics(semantics, k, None, &ptk_engine::EngineOptions::default())
+    let plan = PtkPlan::try_semantics(semantics, k, None, &EngineOptions::default())
         .map_err(|e| e.to_string())?;
     let stats = stats_mode(flags)?;
     let audit = flags.switch("audit");
@@ -270,7 +276,7 @@ fn scan_semantics(
     let file_path = std::path::Path::new(path);
     let paged = run_format(file_path) == Some(2);
     check_pool_flags(flags, paged)?;
-    let mut file_source;
+    let mut file_source = None;
     let paged_run;
     let mut paged_cursor = None;
     let (source, total): (&mut dyn RankedSource, u64) = if paged {
@@ -284,22 +290,20 @@ fn scan_semantics(
         let total = paged_run.tuples();
         (paged_cursor.insert(paged_run.cursor()), total)
     } else {
-        file_source = if recording {
+        let opened = if recording {
             FileSource::open_recorded(file_path, shared_recorder)
         } else {
             FileSource::open(file_path)
         }
         .map_err(|e| e.to_string())?;
-        let total = file_source.remaining();
-        (&mut file_source, total)
+        let total = opened.remaining();
+        (file_source.insert(opened), total)
     };
     let answer = PtkExecutor::with_recorder(&plan, recorder)
         .execute_semantics(&mut *source)
         .map_err(|e| e.to_string())?;
     let streamed = format!("streamed {} of {total} records", source.retrieved());
-    // The engine sees a cursor IO/corruption error as end-of-stream; a
-    // silent short answer must not pass for a clean early stop.
-    if let Some(e) = paged_cursor.as_mut().and_then(|c| c.take_error()) {
+    if let Some(e) = take_run_error(paged_cursor.as_mut(), file_source.as_mut()) {
         return Err(e.to_string().into());
     }
     match &answer {

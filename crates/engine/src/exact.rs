@@ -1,18 +1,15 @@
-//! View-based PT-k entry points (Figure 3 of the paper).
+//! The one-call PT-k form for a materialized view, and the full-scan
+//! top-k distribution.
 //!
-//! Since the planner/executor unification these are thin wrappers: each one
-//! builds a [`PtkPlan`] and runs the shared [`PtkExecutor`] over a
-//! [`ViewSource`] wrapping the materialized
-//! [`RankedView`] — the view path is literally the source path specialized
-//! to in-memory retrieval, and the parity tests pin the two to bit
-//! equality. The full-distribution helpers ([`topk_probabilities`],
-//! [`position_probabilities`], [`topk_probability_profile`]) drive the
-//! [`Scanner`] directly because they need every per-rank DP row, not just
-//! the thresholded answers.
+//! [`evaluate_ptk`] plans the query and runs the shared [`PtkExecutor`]
+//! over a [`ViewSource`] wrapping the [`RankedView`] — the view path is the
+//! source path specialized to in-memory retrieval, and the parity tests pin
+//! the two to bit equality. [`topk_probabilities`] drives the [`Scanner`]
+//! directly because it needs every tuple's `Pr^k`, not just the thresholded
+//! answers.
 
 use ptk_access::ViewSource;
 use ptk_core::RankedView;
-use ptk_obs::{Noop, Recorder};
 
 use crate::exec::{PtkExecutor, PtkResult};
 use crate::plan::{EngineOptions, PtkPlan, SharingVariant};
@@ -26,40 +23,22 @@ use crate::stats::ExecStats;
 /// This is the paper's exact algorithm (Figure 3): one scan of the ranked
 /// list, rule-tuple compression, prefix-shared subset-probability DP, and —
 /// when [`EngineOptions::pruning`] is set — the pruning rules of §4.4.
-/// Delegates to [`PtkExecutor`] over a [`ViewSource`].
+/// Shorthand for [`PtkPlan::try_new`] and [`PtkExecutor::execute`] over a
+/// [`ViewSource`], with [`PtkResult::probabilities`] padded with `None` to
+/// the view's length so `probabilities[pos]` indexes every ranked position.
 ///
 /// # Panics
-/// Panics if `k == 0` or `threshold` is not in `(0, 1]`.
+/// Panics if `k == 0` or `threshold` is not in `(0, 1]`. Build the plan
+/// with [`PtkPlan::try_new`] when the parameters come from user input.
 pub fn evaluate_ptk(
     view: &RankedView,
     k: usize,
     threshold: f64,
     options: &EngineOptions,
 ) -> PtkResult {
-    evaluate_ptk_recorded(view, k, threshold, options, &Noop)
-}
-
-/// [`evaluate_ptk`] with observability: execution counters (under the
-/// [`counters`](crate::counters) names), the answer count, and per-phase
-/// wall-clock spans (`engine.query`, `engine.phase.retrieval`,
-/// `engine.phase.reorder`, `engine.phase.dp`, `engine.phase.bound`) are
-/// recorded into `recorder`. With a disabled recorder this is exactly
-/// [`evaluate_ptk`] — no clock is ever read.
-///
-/// # Panics
-/// Panics if `k == 0` or `threshold` is not in `(0, 1]`.
-pub fn evaluate_ptk_recorded(
-    view: &RankedView,
-    k: usize,
-    threshold: f64,
-    options: &EngineOptions,
-    recorder: &dyn Recorder,
-) -> PtkResult {
-    let plan = PtkPlan::new(k, threshold, options);
-    let mut source = ViewSource::new(view);
-    let mut result = PtkExecutor::with_recorder(&plan, recorder).execute(&mut source);
-    // A view's scan ranks are its ranked positions; pad the tail the early
-    // stop never scanned so `probabilities[pos]` indexes the whole view.
+    let plan = PtkPlan::try_new(k, threshold, options).unwrap_or_else(|e| panic!("{e}"));
+    let mut result = PtkExecutor::new(&plan).execute(&mut ViewSource::new(view));
+    // Pad the tail the early stop never scanned.
     result.probabilities.resize(view.len(), None);
     result
 }
@@ -89,90 +68,6 @@ pub fn topk_probabilities(
         ..Default::default()
     };
     (out, stats)
-}
-
-/// Computes the exact *position* probabilities of every tuple:
-/// `result[pos][j]` is the probability that the tuple at ranked position
-/// `pos` is ranked exactly `j+1`-th in a possible world (Eq. 3), for `j < k`.
-///
-/// This is the quantity U-KRanks maximizes per rank; it falls out of the
-/// same scan because `Pr(t_i, j) = Pr(t_i) · Pr(T(t_i), j−1)`.
-pub fn position_probabilities(
-    view: &RankedView,
-    k: usize,
-    variant: SharingVariant,
-) -> Vec<Vec<f64>> {
-    let mut scanner = Scanner::new(view, k, variant);
-    let mut out = Vec::with_capacity(view.len());
-    while let Some(pos) = scanner.position() {
-        let prob = view.prob(pos);
-        let step = scanner.step().expect("position() was Some");
-        out.push(step.row.iter().map(|&s| prob * s).collect());
-    }
-    out
-}
-
-/// Answers the same top-k query for several probability thresholds in one
-/// scan: `result[i]` is the PT-k answer set (as ranked positions) for
-/// `thresholds[i]`.
-///
-/// The scan runs the pruning machinery keyed to the *smallest* threshold
-/// (the most demanding one — any tuple prunable there is prunable for every
-/// larger threshold), so one pass serves the whole threshold sweep. This is
-/// what the Figure 4(d)/5(d) experiments do implicitly, and what an
-/// interactive client exploring `p` wants. Delegates to [`PtkExecutor`]
-/// through a multi-threshold [`PtkPlan`]; see
-/// [`evaluate_ptk_multi_source`](crate::evaluate_ptk_multi_source) for the
-/// same sweep over any source.
-///
-/// # Panics
-/// Panics if `k == 0`, `thresholds` is empty, or any threshold is outside
-/// `(0, 1]`.
-pub fn evaluate_ptk_multi(
-    view: &RankedView,
-    k: usize,
-    thresholds: &[f64],
-    options: &EngineOptions,
-) -> Vec<Vec<usize>> {
-    let plan = PtkPlan::multi(k, thresholds, options);
-    let mut source = ViewSource::new(view);
-    let result = PtkExecutor::new(&plan).execute(&mut source);
-    thresholds
-        .iter()
-        .map(|&p| result.answers_at(p).iter().map(|a| a.rank).collect())
-        .collect()
-}
-
-/// Computes the full top-k probability *profile* of every tuple in one
-/// scan: `result[pos][k-1] = Pr^k` of the tuple at `pos`, for every depth
-/// `k ∈ 1..=max_k`.
-///
-/// By Eq. 4, `Pr^k(t) = Pr(t) · Σ_{j<k} Pr(T(t), j)`, so the whole profile
-/// is the prefix-sum of the position-probability row — one scan serves all
-/// depths at once, where calling [`topk_probabilities`] per `k` would cost
-/// `max_k` scans.
-pub fn topk_probability_profile(
-    view: &RankedView,
-    max_k: usize,
-    variant: SharingVariant,
-) -> Vec<Vec<f64>> {
-    let mut scanner = Scanner::new(view, max_k, variant);
-    let mut out = Vec::with_capacity(view.len());
-    while let Some(pos) = scanner.position() {
-        let prob = view.prob(pos);
-        let step = scanner.step().expect("position() was Some");
-        let mut acc = 0.0;
-        let profile: Vec<f64> = step
-            .row
-            .iter()
-            .map(|&s| {
-                acc += s;
-                prob * acc
-            })
-            .collect();
-        out.push(profile);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -250,19 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn position_probabilities_row_sums() {
-        let view = panda();
-        let pos = position_probabilities(&view, 2, SharingVariant::Lazy);
-        let (topk, _) = topk_probabilities(&view, 2, SharingVariant::Lazy);
-        for i in 0..view.len() {
-            let s: f64 = pos[i].iter().sum();
-            assert!((s - topk[i]).abs() < 1e-12);
-        }
-        // Pr(R5 ranked first) = 0.336 (see ptk-worlds tests).
-        assert!((pos[2][0] - 0.336).abs() < 1e-12);
-    }
-
-    #[test]
     fn first_k_tuples_have_prk_equal_membership() {
         let view = RankedView::from_ranked_probs(&[0.9, 0.1, 0.5, 0.7], &[]).unwrap();
         let (pr, _) = topk_probabilities(&view, 3, SharingVariant::Lazy);
@@ -282,6 +164,30 @@ mod tests {
         assert!(result.stats.stopped_early());
         assert!(result.stats.scanned < 200);
         assert_eq!(result.answer_ranks(), vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn theorem5_stop_allows_for_a_rule_over_mass_one() {
+        // Rule {0, 2} sums to 1 + 1e-10, inside the model's tolerance, so
+        // the top-2 probabilities may sum to a little more than k. The
+        // first two answers alone hold more than k - p, yet the tuple at
+        // position 2 still passes p: its Pr^2 is its membership, 2e-10.
+        let view =
+            RankedView::from_ranked_probs(&[0.9999999999, 0.99999999995, 2e-10], &[vec![0, 2]])
+                .unwrap();
+        let pruned = evaluate_ptk(&view, 2, 1.6e-10, &EngineOptions::default());
+        let full = evaluate_ptk(
+            &view,
+            2,
+            1.6e-10,
+            &EngineOptions::without_pruning(SharingVariant::Lazy),
+        );
+        assert_eq!(pruned.answer_ranks(), vec![0, 1, 2]);
+        assert_eq!(pruned.answers.len(), full.answers.len());
+        for (a, b) in pruned.answers.iter().zip(&full.answers) {
+            assert_eq!(a.id, b.id);
+            assert_eq!(a.probability.to_bits(), b.probability.to_bits());
+        }
     }
 
     #[test]
@@ -341,53 +247,6 @@ mod tests {
         assert!(result.answers.is_empty());
         assert_eq!(result.stats.scanned, 0);
         assert_eq!(result.answer_mass(), 0.0);
-    }
-
-    #[test]
-    fn multi_threshold_matches_individual_queries() {
-        let view = panda();
-        let thresholds = [0.9, 0.35, 0.1, 0.5];
-        let multi = evaluate_ptk_multi(&view, 2, &thresholds, &EngineOptions::default());
-        for (i, &p) in thresholds.iter().enumerate() {
-            let single = evaluate_ptk(&view, 2, p, &EngineOptions::default());
-            assert_eq!(multi[i], single.answer_ranks(), "threshold {p}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one threshold")]
-    fn multi_threshold_rejects_empty() {
-        let _ = evaluate_ptk_multi(&panda(), 2, &[], &EngineOptions::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "(0, 1]")]
-    fn multi_threshold_rejects_out_of_range_before_scanning() {
-        let _ = evaluate_ptk_multi(&panda(), 2, &[0.5, 1.5], &EngineOptions::default());
-    }
-
-    #[test]
-    fn profile_matches_per_k_scans() {
-        let view = panda();
-        let profile = topk_probability_profile(&view, 4, SharingVariant::Lazy);
-        for k in 1..=4 {
-            let (pr, _) = topk_probabilities(&view, k, SharingVariant::Lazy);
-            for pos in 0..view.len() {
-                assert!(
-                    (profile[pos][k - 1] - pr[pos]).abs() < 1e-12,
-                    "pos {pos} k {k}: {} vs {}",
-                    profile[pos][k - 1],
-                    pr[pos]
-                );
-            }
-        }
-        // Profiles are monotone in k and bounded by membership.
-        for (pos, p) in profile.iter().enumerate() {
-            for w in p.windows(2) {
-                assert!(w[0] <= w[1] + 1e-12);
-            }
-            assert!(p[3] <= view.prob(pos) + 1e-12);
-        }
     }
 
     #[test]

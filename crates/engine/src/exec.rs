@@ -3,9 +3,10 @@
 //! [`PtkExecutor`] drives a [`PtkPlan`] over any [`RankedSource`]: it is the
 //! single implementation of the paper's Figure 3 algorithm — one scan in
 //! ranking order, rule-tuple compression (Corollaries 1–2), prefix-shared
-//! subset-probability DP (§4.3.2), and the §4.4 pruning rules — behind both
-//! the view-based (`evaluate_ptk*`) and source-based
-//! (`evaluate_ptk_source*`) entry points, which are now thin wrappers.
+//! subset-probability DP (§4.3.2), and the §4.4 pruning rules — whether
+//! the source is a materialized view, a run file or TA middleware, and of
+//! every other ranking semantics on the same scan
+//! ([`PtkExecutor::execute_semantics`]).
 //!
 //! The dominant-set bookkeeping lives in the crate-internal [`Compressor`],
 //! shared with [`Scanner`](crate::Scanner) (the view-specialized adapter).
@@ -63,8 +64,9 @@ pub struct PtkResult {
     /// `probabilities[rank]` is `Some(Pr^k)` when the engine computed the
     /// exact top-k probability of the tuple scanned at `rank`, and `None`
     /// when the tuple was pruned (its `Pr^k` is then known to be below the
-    /// threshold). Tuples never scanned (early stop) are absent; the
-    /// view-based wrappers pad with `None` to the view's length.
+    /// threshold). Tuples never scanned (early stop) are absent;
+    /// [`evaluate_ptk`](crate::evaluate_ptk) pads with `None` to the view's
+    /// length.
     pub probabilities: Vec<Option<f64>>,
     /// Execution counters. `scanned` equals the number of tuples actually
     /// pulled from the source.
@@ -440,8 +442,10 @@ impl<'a> PtkExecutor<'a> {
             if options.pruning {
                 // Theorem 5: the total top-k probability over all tuples is
                 // at most k, so once the answers hold more than k − p of
-                // it, no other tuple can reach p.
-                if answer_mass > k as f64 - threshold {
+                // it, no other tuple can reach p. A rule may sum to
+                // 1 + RULE_MASS_SLACK, which lifts the total to at most
+                // k·(1 + RULE_MASS_SLACK) (DESIGN.md §13).
+                if answer_mass > k as f64 * (1.0 + RULE_MASS_SLACK) - threshold {
                     stats.stop = Some(StopReason::TotalTopK);
                     if let Some(t) = tracer {
                         t.instant(Mark::Stop {
@@ -689,8 +693,16 @@ impl<'a> PtkExecutor<'a> {
                     // pool so far, own rule excluded (Corollary 2).
                     let row = dp_clock.time(|| gf.row_excluding(record.rule));
                     if ukranks {
+                        // Rank j+1 needs j dominators present; past the
+                        // dominant set's size that is impossible, whatever
+                        // residue the row holds there.
+                        let max_degree = gf.max_degree(record.rule);
                         for j in 0..k {
-                            let pr = record.prob * row[j];
+                            let pr = if j > max_degree {
+                                0.0
+                            } else {
+                                record.prob * row[j]
+                            };
                             if pr > ukr_best_prob[j] + 1e-15 {
                                 ukr_best_prob[j] = pr;
                                 ukr_best_pos[j] = rank;
@@ -1809,6 +1821,60 @@ mod tests {
                 Ok(())
             },
         );
+    }
+
+    fn ptk_plan(k: usize, threshold: f64) -> PtkPlan {
+        PtkPlan::try_new(k, threshold, &EngineOptions::default()).unwrap()
+    }
+
+    #[test]
+    fn unsorted_rows_answer_example_1() {
+        // The panda example fed as raw (score, prob, rule) rows.
+        let mut source = ptk_access::SortedVecSource::from_unsorted(vec![
+            (25.0, 0.3, None),
+            (21.0, 0.4, Some(0)),
+            (13.0, 0.5, Some(0)),
+            (12.0, 1.0, None),
+            (17.0, 0.8, Some(1)),
+            (11.0, 0.2, Some(1)),
+        ])
+        .unwrap();
+        let result = PtkExecutor::new(&ptk_plan(2, 0.35)).execute(&mut source);
+        let ids: Vec<usize> = result.answers.iter().map(|a| a.id.index()).collect();
+        assert_eq!(ids, vec![1, 4, 2]); // R2, R5, R3 in ranking order
+        assert!((result.answers[1].probability - 0.704).abs() < 1e-12);
+        assert_eq!(result.answers[1].score, 17.0);
+    }
+
+    #[test]
+    fn pruning_stops_retrieval_early() {
+        let view = RankedView::from_ranked_probs(&[0.999; 500], &[]).unwrap();
+        let mut source = ViewSource::new(&view);
+        let result = PtkExecutor::new(&ptk_plan(5, 0.5)).execute(&mut source);
+        assert!(result.stats.stopped_early());
+        assert!(source.retrieved() < 500, "retrieved {}", source.retrieved());
+        assert_eq!(result.answers.len(), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of order")]
+    fn out_of_order_sources_are_rejected() {
+        struct Rising(usize);
+        impl RankedSource for Rising {
+            fn next_ranked(&mut self) -> Option<ptk_access::SourceTuple> {
+                self.0 += 1;
+                (self.0 <= 2).then(|| ptk_access::SourceTuple {
+                    id: TupleId::new(self.0),
+                    score: self.0 as f64, // increasing: illegal
+                    prob: 0.5,
+                    rule: None,
+                })
+            }
+            fn retrieved(&self) -> usize {
+                self.0
+            }
+        }
+        let _ = PtkExecutor::new(&ptk_plan(2, 0.5)).execute(&mut Rising(0));
     }
 
     /// A source that returns `None` once, at rank `end`, then goes on.

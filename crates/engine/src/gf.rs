@@ -824,6 +824,14 @@ pub(crate) fn common_prefix(a: &[PoolEntry], b: &[PoolEntry]) -> usize {
 /// other unseen tuple (an independent, or a member of a rule with no
 /// member scanned yet) has `Pr(t) ≤ 1` and a dominant set containing the
 /// whole pool, so the pool's prefix sums bound it with no slack at all.
+///
+/// It is also the slack of Theorem 5's stop. Scale each rule over 1 down
+/// to mass 1: a member's `Pr^k` drops by at most the factor
+/// `1 + RULE_MASS_SLACK`, since every rule-tuple mass in its dominant set
+/// drops too, which only raises `Pr(fewer than k present)`. The scaled
+/// table is a valid x-relation, whose top-k probabilities sum to at most
+/// `k`, so `Σ_t Pr^k(t) ≤ k·(1 + RULE_MASS_SLACK)`, and PT-k may stop once
+/// its answers hold more than `k·(1 + RULE_MASS_SLACK) − p`.
 pub(crate) const RULE_MASS_SLACK: f64 = 1e-9;
 
 /// The Chang et al. incremental layer over [`Compressor`]: one full-pool
@@ -843,6 +851,9 @@ pub(crate) struct GfState {
     comp: Compressor,
     /// The coefficient row over the entire absorbed pool.
     pool_row: Vec<f64>,
+    /// Elements convolved into the pool: independent tuples and
+    /// rule-tuples. No coefficient of a higher degree can be nonzero.
+    elements: usize,
     rows_incremental: u64,
     rows_refolded: u64,
     dp_cells: u64,
@@ -853,6 +864,7 @@ impl GfState {
         GfState {
             comp: Compressor::new(k, variant),
             pool_row: dp::unit_row(k),
+            elements: 0,
             rows_incremental: 0,
             rows_refolded: 0,
             dp_cells: 0,
@@ -891,6 +903,7 @@ impl GfState {
         };
         self.dp_cells += self.pool_row.len() as u64;
         if old_mass <= 0.0 {
+            self.elements += 1;
             dp::convolve_in_place(&mut self.pool_row, new_mass);
             return;
         }
@@ -913,6 +926,16 @@ impl GfState {
     /// How many members of `rule` have been absorbed so far.
     pub(crate) fn absorbed(&self, rule: RuleKey) -> u32 {
         self.comp.absorbed(rule)
+    }
+
+    /// The most tuples of the dominant set of a tuple of `own_rule` that
+    /// can be present together: the pool's elements, less the own
+    /// rule-tuple when a member of it was absorbed. A coefficient of
+    /// [`GfState::row_excluding`] of a higher degree is exactly zero; the
+    /// row may carry deconvolution residue there.
+    pub(crate) fn max_degree(&self, own_rule: Option<RuleKey>) -> usize {
+        let own = own_rule.is_some_and(|key| self.comp.absorbed(key) > 0);
+        self.elements - usize::from(own)
     }
 
     /// The one stopping bound behind Global-Topk and U-KRanks (line 6 of
@@ -1754,6 +1777,25 @@ pub(crate) mod tests {
                 record
             })
             .collect()
+    }
+
+    #[test]
+    fn utopk_search_stops_at_its_state_cap() {
+        // Forty fair coins: the best top-10 vector lies far below the
+        // first states popped, so a cap of 5 is hit.
+        let specs: Vec<AbsorbSpec> = (0..40)
+            .map(|tag| AbsorbSpec {
+                tag,
+                prob: 0.5,
+                rule: None,
+                rule_len: None,
+                next_member_rank: None,
+            })
+            .collect();
+        let records = records_of(&specs);
+        let err = utopk_search(|d| records.get(d).copied(), 10, 5).unwrap_err();
+        assert_eq!(err, SemanticsError::SearchExhausted { max_states: 5 });
+        assert!(err.to_string().contains("5 states"), "{err}");
     }
 
     #[test]

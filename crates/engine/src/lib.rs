@@ -2,13 +2,13 @@
 //!
 //! The paper's primary contribution (§4): answering probabilistic threshold
 //! top-k queries with **one scan** of the ranked tuple list instead of
-//! enumerating the exponentially many possible worlds.
+//! enumerating the exponentially many possible worlds — and, on the same
+//! scan, every other ranking semantics the paper compares against.
 //!
-//! Since the planner/executor unification, every entry point — view-based,
-//! source-based, single- or multi-threshold — is a thin wrapper over one
-//! pipeline: a [`PtkPlan`] validates the request and lowers it into the
-//! stage list of DESIGN.md §9, and a [`PtkExecutor`] drives that plan over
-//! any [`RankedSource`](ptk_access::RankedSource). The pieces, each in its
+//! There is one pipeline: a [`PtkPlan`] validates the request and lowers
+//! it into the stage list of DESIGN.md §9, and a [`PtkExecutor`] drives
+//! that plan over any [`RankedSource`](ptk_access::RankedSource) — a
+//! materialized view, a run file, TA middleware. The pieces, each in its
 //! own module:
 //!
 //! * [`dp`] — the subset-probability (Poisson-binomial) dynamic program of
@@ -16,17 +16,19 @@
 //! * [`PtkPlan`] / [`PlanStage`] — planning and validation: ranked
 //!   retrieval, rule compression (Corollaries 1–2), prefix-shared DP with
 //!   the reordering strategies of §4.3.2 (selected by [`SharingVariant`]),
-//!   pruning (§4.4), answer emission;
+//!   pruning (§4.4), answer emission. [`PtkPlan::try_new`] and
+//!   [`PtkPlan::try_multi`] plan PT-k, [`PtkPlan::try_semantics`] any
+//!   [`RankSemantics`];
 //! * [`PtkExecutor`] — the full algorithm of Figure 3 with the pruning
-//!   rules of Theorems 3–5 and an early-exit upper bound, over any ranked
-//!   source;
-//! * [`evaluate_ptk`] / [`evaluate_ptk_source`] — the classic view-based
-//!   and source-based entry points, now wrappers over the executor;
-//! * [`Scanner`] — the step-at-a-time view of the compressed dominant set,
-//!   kept for instrumentation and the rankers;
-//! * [`topk_probabilities`] / [`position_probabilities`] — full-scan
-//!   variants exposing the exact distributions (also the building block for
-//!   U-KRanks in `ptk-rankers`).
+//!   rules of Theorems 3–5 and an early-exit upper bound
+//!   ([`PtkExecutor::execute`]), and the generating-function scan that
+//!   answers U-TopK, U-KRanks, Global-Topk and expected rank
+//!   ([`PtkExecutor::execute_semantics`]);
+//! * [`evaluate_ptk`] — the one-call PT-k form for a view;
+//! * [`Scanner`] / [`topk_probabilities`] — the step-at-a-time view of the
+//!   compressed dominant set (Figure 2's walkthrough) and the full-scan
+//!   `Pr^k` of every tuple it yields, the exact ground truth of the
+//!   sampling experiments.
 //!
 //! ```
 //! use ptk_core::RankedView;
@@ -43,6 +45,18 @@
 //! // PT-2 query with p = 0.35 returns {R2, R5, R3} (Example 1).
 //! let result = evaluate_ptk(&view, 2, 0.35, &EngineOptions::default());
 //! assert_eq!(result.answer_ranks(), vec![1, 2, 3]);
+//!
+//! // §1: U-Top2 returns <R5, R3> (positions 2 and 3) with probability 0.28.
+//! use ptk_access::ViewSource;
+//! use ptk_engine::{PtkExecutor, PtkPlan, RankSemantics, SemanticsAnswer};
+//! let plan = PtkPlan::try_semantics(RankSemantics::UTopK, 2, None, &EngineOptions::default())
+//!     .unwrap();
+//! let answer = PtkExecutor::new(&plan)
+//!     .execute_semantics(&mut ViewSource::new(&view))
+//!     .unwrap();
+//! let SemanticsAnswer::UTopK { rows, probability, .. } = answer else { unreachable!() };
+//! assert_eq!(rows.iter().map(|r| r.position).collect::<Vec<_>>(), vec![2, 3]);
+//! assert!((probability - 0.28).abs() < 1e-12);
 //! ```
 
 #![warn(missing_docs)]
@@ -56,18 +70,10 @@ mod layout;
 mod plan;
 mod scanner;
 mod stats;
-mod stream;
 
-pub use exact::{
-    evaluate_ptk, evaluate_ptk_multi, evaluate_ptk_recorded, position_probabilities,
-    topk_probabilities, topk_probability_profile,
-};
+pub use exact::{evaluate_ptk, topk_probabilities};
 pub use exec::{AnswerTuple, PtkExecutor, PtkResult};
 pub use gf::{RankSemantics, SemanticsAnswer, SemanticsError, SemanticsRow, UTOPK_MAX_STATES};
 pub use plan::{EngineOptions, PlanError, PlanStage, PtkBatch, PtkPlan, SharingVariant};
 pub use scanner::{Entry, Scanner, StepRow};
 pub use stats::{counters, ExecStats, StopReason};
-pub use stream::{
-    evaluate_ptk_multi_source, evaluate_ptk_source, evaluate_ptk_source_recorded, StreamAnswer,
-    StreamOptions, StreamPtkResult,
-};

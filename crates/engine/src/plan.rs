@@ -7,13 +7,12 @@
 //! compression, prefix-shared DP, pruning, answer emission — which is what
 //! `EXPLAIN` surfaces and what the executor drives.
 //!
-//! Validation lives here (not in the executor) so every entry point —
-//! view-based, source-based, single- or multi-threshold — rejects malformed
-//! queries identically, before any retrieval happens.
+//! Validation lives here (not in the executor) so every query — single-
+//! or multi-threshold, under any semantics, over any source — is rejected
+//! identically when malformed, before any retrieval happens.
 
 use std::fmt::Write as _;
 
-use ptk_core::PtkQuery;
 use ptk_obs::Snapshot;
 
 use crate::gf::RankSemantics;
@@ -155,11 +154,9 @@ pub enum PlanStage {
 
 /// A malformed PT-k request, rejected before any retrieval happens.
 ///
-/// Returned by the fallible plan constructors ([`PtkPlan::try_new`],
-/// [`PtkPlan::try_multi`]); the panicking constructors ([`PtkPlan::new`],
-/// [`PtkPlan::multi`]) abort with the same messages. Long-lived callers —
-/// the SQL layer, the `ptk serve` daemon — must use the fallible forms so
-/// user-supplied parameters yield a clean error, never a process abort.
+/// Returned by the plan constructors ([`PtkPlan::try_new`],
+/// [`PtkPlan::try_multi`], [`PtkPlan::try_semantics`]), so user-supplied
+/// parameters yield a clean error, never a process abort.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {
     /// The query depth was zero.
@@ -208,9 +205,8 @@ impl std::error::Error for PlanError {}
 ///
 /// Build one with [`PtkPlan::try_new`] (single threshold),
 /// [`PtkPlan::try_multi`] (one scan serving a threshold sweep), or
-/// [`PtkPlan::from_query`] (from a parsed [`PtkQuery`]), then run it with
-/// [`PtkExecutor`](crate::PtkExecutor). [`PtkPlan::new`] and
-/// [`PtkPlan::multi`] are the historical panicking equivalents.
+/// [`PtkPlan::try_semantics`] (any [`RankSemantics`]), then run it with
+/// [`PtkExecutor`](crate::PtkExecutor).
 #[derive(Debug, Clone)]
 pub struct PtkPlan {
     k: usize,
@@ -220,34 +216,9 @@ pub struct PtkPlan {
 }
 
 impl PtkPlan {
-    /// Plans a PT-k query with a single threshold.
-    ///
-    /// # Panics
-    /// Panics if `k == 0` or `threshold` is not in `(0, 1]`. Use
-    /// [`PtkPlan::try_new`] when the parameters come from user input.
-    pub fn new(k: usize, threshold: f64, options: &EngineOptions) -> PtkPlan {
-        PtkPlan::multi(k, &[threshold], options)
-    }
-
-    /// Plans a top-k query answered for several thresholds in one scan.
-    ///
-    /// The scan is keyed to the *smallest* threshold (the most demanding
-    /// one — any tuple prunable there is prunable for every larger
-    /// threshold), so one pass serves the whole sweep.
-    ///
-    /// # Panics
-    /// Panics if `k == 0`, `thresholds` is empty, or any threshold is
-    /// outside `(0, 1]`. Use [`PtkPlan::try_multi`] when the parameters
-    /// come from user input.
-    pub fn multi(k: usize, thresholds: &[f64], options: &EngineOptions) -> PtkPlan {
-        match PtkPlan::try_multi(k, thresholds, options) {
-            Ok(plan) => plan,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`PtkPlan::new`]: rejects `k == 0` and thresholds
-    /// outside `(0, 1]` (including NaN) with a typed [`PlanError`].
+    /// Plans a PT-k query with a single threshold; rejects `k == 0` and
+    /// thresholds outside `(0, 1]` (including NaN) with a typed
+    /// [`PlanError`].
     pub fn try_new(
         k: usize,
         threshold: f64,
@@ -256,9 +227,14 @@ impl PtkPlan {
         PtkPlan::try_multi(k, &[threshold], options)
     }
 
-    /// Fallible form of [`PtkPlan::multi`]: rejects `k == 0`, an empty
-    /// threshold list, and any threshold outside `(0, 1]` (including NaN)
-    /// with a typed [`PlanError`].
+    /// Plans a top-k query answered for several thresholds in one scan;
+    /// rejects `k == 0`, an empty threshold list, and any threshold outside
+    /// `(0, 1]` (including NaN) with a typed [`PlanError`].
+    ///
+    /// The scan is keyed to the *smallest* threshold (the most demanding
+    /// one — any tuple prunable there is prunable for every larger
+    /// threshold), so one pass serves the whole sweep; slice the result
+    /// per threshold with [`PtkResult::answers_at`](crate::PtkResult::answers_at).
     pub fn try_multi(
         k: usize,
         thresholds: &[f64],
@@ -314,14 +290,6 @@ impl PtkPlan {
                 })
             }
         }
-    }
-
-    /// Plans a parsed [`PtkQuery`]. The query's predicate and ranking are
-    /// applied when the view/source is built; the plan takes the depth and
-    /// threshold. Infallible because [`PtkQuery`] enforces the same
-    /// invariants at construction.
-    pub fn from_query(query: &PtkQuery, options: &EngineOptions) -> PtkPlan {
-        PtkPlan::new(query.k(), query.threshold().value(), options)
     }
 
     /// A stable 64-bit fingerprint of the plan: FNV-1a over the ranking
@@ -657,7 +625,7 @@ mod tests {
 
     #[test]
     fn stages_reflect_options() {
-        let plan = PtkPlan::new(3, 0.4, &EngineOptions::default());
+        let plan = PtkPlan::try_new(3, 0.4, &EngineOptions::default()).unwrap();
         assert_eq!(
             plan.stages(),
             vec![
@@ -672,7 +640,8 @@ mod tests {
                 PlanStage::AnswerEmission { thresholds: 1 },
             ]
         );
-        let plan = PtkPlan::new(3, 0.4, &EngineOptions::without_pruning(SharingVariant::Rc));
+        let plan =
+            PtkPlan::try_new(3, 0.4, &EngineOptions::without_pruning(SharingVariant::Rc)).unwrap();
         assert!(!plan
             .stages()
             .iter()
@@ -792,25 +761,25 @@ mod tests {
 
     #[test]
     fn multi_scan_threshold_is_the_minimum() {
-        let plan = PtkPlan::multi(2, &[0.9, 0.35, 0.5], &EngineOptions::default());
+        let plan = PtkPlan::try_multi(2, &[0.9, 0.35, 0.5], &EngineOptions::default()).unwrap();
         assert_eq!(plan.scan_threshold(), 0.35);
         assert_eq!(plan.thresholds(), &[0.9, 0.35, 0.5]);
     }
 
     #[test]
     fn describe_names_the_variant_and_threshold() {
-        let plan = PtkPlan::new(2, 0.35, &EngineOptions::default());
+        let plan = PtkPlan::try_new(2, 0.35, &EngineOptions::default()).unwrap();
         let d = plan.describe();
         assert!(d.contains("RC+LR"), "{d}");
         assert!(d.contains("p >= 0.35"), "{d}");
-        let plan = PtkPlan::multi(2, &[0.2, 0.8], &EngineOptions::default());
+        let plan = PtkPlan::try_multi(2, &[0.2, 0.8], &EngineOptions::default()).unwrap();
         assert!(plan.describe().contains("2 thresholds"));
     }
 
     #[test]
     fn explain_analyze_reads_the_stats_counter_names() {
         use ptk_obs::Recorder as _;
-        let plan = PtkPlan::new(2, 0.35, &EngineOptions::default());
+        let plan = PtkPlan::try_new(2, 0.35, &EngineOptions::default()).unwrap();
         let metrics = ptk_obs::Metrics::new();
         let stats = ExecStats {
             scanned: 10,
@@ -876,62 +845,53 @@ mod tests {
     #[test]
     fn fingerprint_is_stable_and_separates_plans() {
         let opts = EngineOptions::default();
-        let a = PtkPlan::new(2, 0.35, &opts);
+        let a = PtkPlan::try_new(2, 0.35, &opts).unwrap();
         // Same parameters, same fingerprint — across independent builds.
-        assert_eq!(a.fingerprint(), PtkPlan::new(2, 0.35, &opts).fingerprint());
+        assert_eq!(
+            a.fingerprint(),
+            PtkPlan::try_new(2, 0.35, &opts).unwrap().fingerprint()
+        );
         // Any parameter change moves the fingerprint.
         let variants = [
-            PtkPlan::new(3, 0.35, &opts),
-            PtkPlan::new(2, 0.36, &opts),
-            PtkPlan::multi(2, &[0.35, 0.5], &opts),
-            PtkPlan::new(2, 0.35, &EngineOptions::with_variant(SharingVariant::Rc)),
-            PtkPlan::new(
+            PtkPlan::try_new(3, 0.35, &opts).unwrap(),
+            PtkPlan::try_new(2, 0.36, &opts).unwrap(),
+            PtkPlan::try_multi(2, &[0.35, 0.5], &opts).unwrap(),
+            PtkPlan::try_new(2, 0.35, &EngineOptions::with_variant(SharingVariant::Rc)).unwrap(),
+            PtkPlan::try_new(
                 2,
                 0.35,
                 &EngineOptions::without_pruning(SharingVariant::Lazy),
-            ),
-            PtkPlan::new(
+            )
+            .unwrap(),
+            PtkPlan::try_new(
                 2,
                 0.35,
                 &EngineOptions {
                     ub_check_interval: 128,
                     ..EngineOptions::default()
                 },
-            ),
+            )
+            .unwrap(),
         ];
         for (i, other) in variants.iter().enumerate() {
             assert_ne!(a.fingerprint(), other.fingerprint(), "variant {i}");
         }
         // Threshold order matters (answers come back in threshold order).
         assert_ne!(
-            PtkPlan::multi(2, &[0.2, 0.8], &opts).fingerprint(),
-            PtkPlan::multi(2, &[0.8, 0.2], &opts).fingerprint()
+            PtkPlan::try_multi(2, &[0.2, 0.8], &opts)
+                .unwrap()
+                .fingerprint(),
+            PtkPlan::try_multi(2, &[0.8, 0.2], &opts)
+                .unwrap()
+                .fingerprint()
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "k >= 1")]
-    fn zero_k_is_rejected() {
-        let _ = PtkPlan::new(0, 0.5, &EngineOptions::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "(0, 1]")]
-    fn out_of_range_threshold_is_rejected() {
-        let _ = PtkPlan::new(2, 1.5, &EngineOptions::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one threshold")]
-    fn empty_thresholds_are_rejected() {
-        let _ = PtkPlan::multi(2, &[], &EngineOptions::default());
     }
 
     #[test]
     fn batch_keeps_order_and_describes_each_plan() {
         let batch = PtkPlan::batch(&[
-            PtkPlan::new(2, 0.35, &EngineOptions::default()),
-            PtkPlan::new(5, 0.5, &EngineOptions::with_variant(SharingVariant::Rc)),
+            PtkPlan::try_new(2, 0.35, &EngineOptions::default()).unwrap(),
+            PtkPlan::try_new(5, 0.5, &EngineOptions::with_variant(SharingVariant::Rc)).unwrap(),
         ]);
         assert_eq!(batch.len(), 2);
         assert!(!batch.is_empty());

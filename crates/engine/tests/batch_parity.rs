@@ -55,7 +55,7 @@ fn matrix_batch(rng: &mut StdRng) -> Vec<PtkPlan> {
         for _ in 0..2 {
             let k = rng.random_range(1..=5usize);
             let threshold = rng.random_range(0.05..=0.95f64);
-            plans.push(PtkPlan::new(k, threshold, &options));
+            plans.push(PtkPlan::try_new(k, threshold, &options).unwrap());
         }
     }
     plans
@@ -218,7 +218,7 @@ fn batch_works_over_sorted_vec_snapshots() {
     let source = ptk_access::SortedVecSource::from_unsorted(rows).unwrap();
     let plans: Vec<PtkPlan> = [(2, 0.1), (3, 0.2), (5, 0.05), (1, 0.5)]
         .iter()
-        .map(|&(k, p)| PtkPlan::new(k, p, &EngineOptions::default()))
+        .map(|&(k, p)| PtkPlan::try_new(k, p, &EngineOptions::default()).unwrap())
         .collect();
     let batch = PtkPlan::batch(&plans);
 
@@ -273,24 +273,27 @@ fn skewed_batch_with_deep_scan_is_bit_identical_under_stealing() {
     let mut rng = StdRng::seed_from_u64(0x5eed_0b4c);
     let view = deep_view(&mut rng, 600);
     let plans = vec![
-        PtkPlan::new(2, 0.3, &EngineOptions::default()),
-        PtkPlan::new(2, 0.3, &EngineOptions::without_pruning(SharingVariant::Rc)),
-        PtkPlan::new(
+        PtkPlan::try_new(2, 0.3, &EngineOptions::default()).unwrap(),
+        PtkPlan::try_new(2, 0.3, &EngineOptions::without_pruning(SharingVariant::Rc)).unwrap(),
+        PtkPlan::try_new(
             2,
             0.4,
             &EngineOptions::without_pruning(SharingVariant::Aggressive),
-        ),
-        PtkPlan::new(
+        )
+        .unwrap(),
+        PtkPlan::try_new(
             50,
             0.2,
             &EngineOptions::without_pruning(SharingVariant::Lazy),
-        ),
-        PtkPlan::new(2, 0.5, &EngineOptions::with_variant(SharingVariant::Lazy)),
-        PtkPlan::new(
+        )
+        .unwrap(),
+        PtkPlan::try_new(2, 0.5, &EngineOptions::with_variant(SharingVariant::Lazy)).unwrap(),
+        PtkPlan::try_new(
             3,
             0.25,
             &EngineOptions::without_pruning(SharingVariant::Lazy),
-        ),
+        )
+        .unwrap(),
     ];
     let batch = PtkPlan::batch(&plans);
 
@@ -380,7 +383,7 @@ fn partitioned_deep_scan_matches_sequential_for_every_variant() {
     ] {
         let options = EngineOptions::without_pruning(variant);
         for k in [1usize, 2, 7, 50] {
-            let plan = PtkPlan::new(k, 0.25, &options);
+            let plan = PtkPlan::try_new(k, 0.25, &options).unwrap();
             let mut source = ptk_access::ViewSource::new(&view);
             let sequential = PtkExecutor::new(&plan).execute(&mut source);
             for threads in [1usize, 2, 4, 8] {
@@ -400,11 +403,12 @@ fn partitioned_deep_scan_matches_sequential_for_every_variant() {
 fn partitioned_scan_records_and_traces_segments() {
     let mut rng = StdRng::seed_from_u64(0x5eed_0b4e);
     let view = deep_view(&mut rng, 600);
-    let plan = PtkPlan::new(
+    let plan = PtkPlan::try_new(
         10,
         0.2,
         &EngineOptions::without_pruning(SharingVariant::Lazy),
-    );
+    )
+    .unwrap();
     let pool = ThreadPool::new(4);
 
     // Recorded: the partitioned path runs (it records the DP phase but has

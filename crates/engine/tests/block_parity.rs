@@ -12,7 +12,7 @@ use std::sync::Arc;
 use ptk_access::{counters, PagedRun, PoolConfig, RankedSource, SortedVecSource};
 use ptk_core::rng::{RngExt, SeedableRng, StdRng};
 use ptk_core::RankedView;
-use ptk_engine::{evaluate_ptk, evaluate_ptk_source, EngineOptions, ExecStats, SharingVariant};
+use ptk_engine::{evaluate_ptk, EngineOptions, ExecStats, PtkExecutor, PtkPlan, SharingVariant};
 use ptk_obs::{Metrics, SharedRecorder};
 
 struct TempFile(PathBuf);
@@ -152,8 +152,9 @@ fn check_cell(
 ) -> u64 {
     let (view, order) = view_of(rows);
     let batch = evaluate_ptk(&view, k, p, options);
+    let plan = PtkPlan::try_new(k, p, options).unwrap();
     let mut vec_source = SortedVecSource::from_unsorted(rows.to_vec()).unwrap();
-    let stream = evaluate_ptk_source(&mut vec_source, k, p, options);
+    let stream = PtkExecutor::new(&plan).execute(&mut vec_source);
 
     let f = temp();
     ptk_access::write_run_blocked(&f.0, rows, block_size).unwrap();
@@ -168,7 +169,7 @@ fn check_cell(
     )
     .unwrap();
     let mut cursor = run.cursor();
-    let paged = evaluate_ptk_source(&mut cursor, k, p, options);
+    let paged = PtkExecutor::new(&plan).execute(&mut cursor);
 
     // Paged vs. streamed over the same raw rows: everything bit-identical,
     // including the scores carried on answers and the scan depth the

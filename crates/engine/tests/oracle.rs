@@ -5,13 +5,26 @@
 
 use ptk_core::rng::{RngExt, SeedableRng, StdRng};
 
+use ptk_access::ViewSource;
 use ptk_core::RankedView;
 use ptk_engine::{
-    counters, evaluate_ptk, evaluate_ptk_recorded, position_probabilities, topk_probabilities,
-    EngineOptions, ExecStats, SharingVariant,
+    counters, evaluate_ptk, topk_probabilities, EngineOptions, ExecStats, PtkExecutor, PtkPlan,
+    PtkResult, Scanner, SharingVariant,
 };
-use ptk_obs::Metrics;
+use ptk_obs::{Metrics, Recorder};
 use ptk_worlds::naive;
+
+/// Plans a PT-k query and runs it over `view`, recording into `recorder`.
+fn execute_recorded(
+    view: &RankedView,
+    k: usize,
+    threshold: f64,
+    options: &EngineOptions,
+    recorder: &dyn Recorder,
+) -> PtkResult {
+    let plan = PtkPlan::try_new(k, threshold, options).unwrap();
+    PtkExecutor::with_recorder(&plan, recorder).execute(&mut ViewSource::new(view))
+}
 
 /// Generates a random small ranked view: up to `max_n` tuples, random
 /// probabilities, random disjoint rules of size 2–4.
@@ -88,7 +101,7 @@ fn ptk_answers_match_enumeration_with_and_without_pruning() {
                     ub_check_interval: 1, // stress the early-exit bound
                 };
                 let metrics = Metrics::new();
-                let result = evaluate_ptk_recorded(&view, k, threshold, &options, &metrics);
+                let result = execute_recorded(&view, k, threshold, &options, &metrics);
                 assert_eq!(
                     result.answer_ranks(),
                     oracle,
@@ -157,19 +170,22 @@ fn ptk_answers_match_enumeration_with_and_without_pruning() {
 }
 
 #[test]
-fn position_probabilities_match_enumeration() {
+fn scanner_rows_match_rank_probabilities() {
+    // `Pr(t ranked exactly j+1) = Pr(t) · Pr(T(t), j)` (Eq. 3): the
+    // Scanner's per-rank rows against enumeration.
     let mut rng = StdRng::seed_from_u64(0x5eed_0003);
     for trial in 0..40 {
         let view = random_view(&mut rng, 9);
         let k = rng.random_range(1..=4usize);
-        let oracle = naive::position_probabilities(&view, k).unwrap();
-        let engine = position_probabilities(&view, k, SharingVariant::Lazy);
-        for pos in 0..view.len() {
+        let oracle = naive::rank_probabilities(&view, k).unwrap();
+        let mut scanner = Scanner::new(&view, k, SharingVariant::Lazy);
+        while let Some(pos) = scanner.position() {
+            let step = scanner.step().unwrap();
             for j in 0..k {
+                let engine = view.prob(pos) * step.row[j];
                 assert!(
-                    (engine[pos][j] - oracle[pos][j]).abs() < 1e-10,
-                    "trial {trial} pos {pos} rank {j}: {} vs {}",
-                    engine[pos][j],
+                    (engine - oracle[pos][j]).abs() < 1e-10,
+                    "trial {trial} pos {pos} rank {j}: {engine} vs {}",
                     oracle[pos][j]
                 );
             }
@@ -237,12 +253,12 @@ fn registry_accumulates_across_queries() {
     let options = EngineOptions::default();
 
     let single = Metrics::new();
-    evaluate_ptk_recorded(&view, 3, 0.4, &options, &single);
+    execute_recorded(&view, 3, 0.4, &options, &single);
     let single = single.snapshot();
 
     let repeated = Metrics::new();
     for _ in 0..3 {
-        evaluate_ptk_recorded(&view, 3, 0.4, &options, &repeated);
+        execute_recorded(&view, 3, 0.4, &options, &repeated);
     }
     let repeated = repeated.snapshot();
 
@@ -261,15 +277,12 @@ fn registry_accumulates_across_queries() {
 
 #[test]
 fn wrapper_delegates_to_executor_bit_for_bit() {
-    // Parity matrix, wrapper axis: the legacy `evaluate_ptk` entry point
+    // Parity matrix, shortcut axis: the `evaluate_ptk` one-call form
     // must be indistinguishable from planning + executing by hand over a
     // `ViewSource` — bit-identical answers (rank, id, score, Pr^k), the
     // full per-position probability vector, and every counter (scan
     // depth, DP-cell count, recompute cost, stop reason) — across all
     // three sharing variants, with and without pruning.
-    use ptk_access::ViewSource;
-    use ptk_engine::{PtkExecutor, PtkPlan};
-
     let mut rng = StdRng::seed_from_u64(0x5eed_0008);
     for trial in 0..30 {
         let view = random_view(&mut rng, 12);
@@ -288,7 +301,7 @@ fn wrapper_delegates_to_executor_bit_for_bit() {
                 };
                 let wrapper = evaluate_ptk(&view, k, threshold, &options);
 
-                let plan = PtkPlan::new(k, threshold, &options);
+                let plan = PtkPlan::try_new(k, threshold, &options).unwrap();
                 let mut source = ViewSource::new(&view);
                 let mut direct = PtkExecutor::new(&plan).execute(&mut source);
                 // The wrapper pads the probability vector out to the full

@@ -85,7 +85,7 @@ fn plan_at(semantics: RankSemantics, k: usize, threshold: f64, interval: usize) 
         ..EngineOptions::default()
     };
     match semantics {
-        RankSemantics::Ptk => PtkPlan::new(k, threshold, &options),
+        RankSemantics::Ptk => PtkPlan::try_new(k, threshold, &options).unwrap(),
         other => PtkPlan::try_semantics(other, k, None, &options).unwrap(),
     }
 }
@@ -134,12 +134,13 @@ fn assert_ranked_list(rows: &[SemanticsRow], oracle: &[(usize, f64)], values: &[
 fn check_view(view: &RankedView, k: usize, threshold: f64, ctx: &str) {
     let ptk_oracle = naive::ptk_answer(view, k, threshold).unwrap();
     let (vector, probability) = naive::utopk(view, k).unwrap();
-    let pr_positions = naive::position_probabilities(view, k).unwrap();
+    let pr_positions = naive::rank_probabilities(view, k).unwrap();
     let ukranks_oracle = naive::ukranks(view, k).unwrap();
     let pr_topk = naive::topk_probabilities(view, k).unwrap();
     let global_oracle = naive::global_topk(view, k).unwrap();
     let ranks = naive::expected_ranks(view).unwrap();
     let erank_oracle = naive::expected_rank_topk(view, k).unwrap();
+    let worlds = ptk_worlds::enumerate(view).unwrap();
     for interval in INTERVALS {
         let ctx = format!("{ctx} ub every {interval}");
         let answer = |semantics| answer_of(view, &plan_at(semantics, k, threshold, interval));
@@ -171,11 +172,22 @@ fn check_view(view: &RankedView, k: usize, threshold: f64, ctx: &str) {
                         "{ctx}: u-topk vector {engine_vec:?} vs oracle {vector:?}"
                     );
                 }
+                // The engine's own vector really has the probability it
+                // claims, summed over the worlds whose top-k it is.
+                let direct: f64 = worlds
+                    .iter()
+                    .filter(|w| w.top_k(k) == engine_vec.as_slice())
+                    .map(|w| w.prob)
+                    .sum();
+                assert!(
+                    (direct - engine_prob).abs() < 1e-10,
+                    "{ctx}: u-topk claims {engine_prob}, enumeration gives {direct}"
+                );
             }
             other => panic!("{ctx}: u-topk answered {:?}", other.semantics()),
         }
 
-        // U-KRanks: winner per rank over the full position-probability
+        // U-KRanks: winner per rank over the full rank-probability
         // matrix.
         match answer(RankSemantics::UKRanks) {
             SemanticsAnswer::UKRanks(rows) => {
@@ -271,6 +283,76 @@ fn panda_answers_match_the_paper_for_every_semantics() {
             assert!((rows[0].value - 0.336).abs() < 1e-12, "{}", rows[0].value);
         }
         other => panic!("u-kranks answered {:?}", other.semantics()),
+    }
+}
+
+#[test]
+fn tiny_views_match_enumeration_and_an_empty_view_answers_no_rows() {
+    // Fewer tuples than k (a short U-TopK vector), a certain prefix, and
+    // all-certain tuples, whose expected ranks are their positions.
+    let short = RankedView::from_ranked_probs(&[0.7], &[]).unwrap();
+    let certain_prefix = RankedView::from_ranked_probs(&[1.0, 1.0, 0.5], &[]).unwrap();
+    let all_certain = RankedView::from_ranked_probs(&[1.0; 3], &[]).unwrap();
+    check_view(&short, 3, 0.5, "one tuple k=3");
+    check_view(&certain_prefix, 2, 0.5, "certain prefix k=2");
+    check_view(&all_certain, 3, 0.5, "all certain k=3");
+    for (view, k, vector, vector_probability) in [
+        (&short, 3, vec![0], 0.7),
+        (&certain_prefix, 2, vec![0, 1], 1.0),
+    ] {
+        let SemanticsAnswer::UTopK {
+            rows, probability, ..
+        } = answer_of(view, &plan_for(RankSemantics::UTopK, k, 0.5))
+        else {
+            panic!("u-topk answered another semantics");
+        };
+        assert_eq!(rows.iter().map(|r| r.position).collect::<Vec<_>>(), vector);
+        assert!(
+            (probability - vector_probability).abs() < 1e-12,
+            "{probability}"
+        );
+    }
+    let ranks = answer_of(&all_certain, &plan_for(RankSemantics::ExpectedRank, 3, 0.5));
+    let values: Vec<f64> = ranks.rows().unwrap().iter().map(|r| r.value).collect();
+    assert_eq!(values, vec![0.0, 1.0, 2.0]);
+
+    // No input, no rows; the one empty world is U-TopK's empty vector.
+    let empty = RankedView::from_ranked_probs(&[], &[]).unwrap();
+    for semantics in &ALL_SEMANTICS[1..] {
+        let answer = answer_of(&empty, &plan_for(*semantics, 2, 0.5));
+        assert_eq!(answer.answer_count(), 0, "{semantics:?}");
+        if let SemanticsAnswer::UTopK { probability, .. } = answer {
+            assert_eq!(probability, 1.0);
+        }
+    }
+}
+
+#[test]
+fn ukranks_gives_a_rank_no_world_fills_to_the_oracles_position() {
+    // Ranked 0.19, 0.9 (rule r), 0.36, 0.08 (rule r): at most three tuples
+    // exist together, so every tuple's probability of rank 4 is exactly 0.
+    // Deconvolving the rule out of the pool row leaves float residue at
+    // that degree; it must not name a winner.
+    let view = RankedView::from_ranked_probs(&[0.19, 0.9, 0.36, 0.08], &[vec![1, 3]]).unwrap();
+    let oracle = naive::ukranks(&view, 4).unwrap();
+    assert_eq!(oracle[3], (0, 0.0));
+    for pruning in [true, false] {
+        for interval in INTERVALS {
+            let options = EngineOptions {
+                pruning,
+                ub_check_interval: interval,
+                ..EngineOptions::default()
+            };
+            let plan = PtkPlan::try_semantics(RankSemantics::UKRanks, 4, None, &options).unwrap();
+            let SemanticsAnswer::UKRanks(rows) = answer_of(&view, &plan) else {
+                panic!("u-kranks answered another semantics");
+            };
+            let ctx = format!("pruning={pruning} ub every {interval}");
+            let positions: Vec<usize> = rows.iter().map(|r| r.position).collect();
+            let expected: Vec<usize> = oracle.iter().map(|&(pos, _)| pos).collect();
+            assert_eq!(positions, expected, "{ctx}");
+            assert_eq!(rows[3].value.to_bits(), 0, "{ctx}: {}", rows[3].value);
+        }
     }
 }
 

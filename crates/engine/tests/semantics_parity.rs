@@ -446,11 +446,14 @@ fn row_free_semantics_fold_no_rows_and_read_a_prefix() {
     }
     // The row-reading semantics' full scans count the same rules as PT-k's
     // unpruned scan, through its own compressor.
-    let reference = PtkExecutor::new(&PtkPlan::new(
-        5,
-        0.5,
-        &EngineOptions::without_pruning(SharingVariant::Lazy),
-    ))
+    let reference = PtkExecutor::new(
+        &PtkPlan::try_new(
+            5,
+            0.5,
+            &EngineOptions::without_pruning(SharingVariant::Lazy),
+        )
+        .unwrap(),
+    )
     .execute(&mut ViewSource::new(&view))
     .stats
     .rules_compressed;

@@ -4,14 +4,35 @@
 
 use ptk_core::rng::{RngExt, SeedableRng, StdRng};
 
-use ptk_access::{AggregateFn, SortedVecSource, TaSource, ViewSource};
+use ptk_access::{AggregateFn, RankedSource, SortedVecSource, TaSource, ViewSource};
 use ptk_core::RankedView;
 use ptk_engine::{
-    evaluate_ptk, evaluate_ptk_multi_source, evaluate_ptk_source, evaluate_ptk_source_recorded,
-    EngineOptions, ExecStats, StreamOptions,
+    evaluate_ptk, AnswerTuple, EngineOptions, ExecStats, PtkExecutor, PtkPlan, PtkResult,
 };
 use ptk_obs::Metrics;
 use ptk_worlds::naive;
+
+/// Plans a PT-k query and runs it over `source`.
+fn execute<S: RankedSource + ?Sized>(
+    source: &mut S,
+    k: usize,
+    p: f64,
+    options: &EngineOptions,
+) -> PtkResult {
+    let plan = PtkPlan::try_new(k, p, options).unwrap();
+    PtkExecutor::new(&plan).execute(source)
+}
+
+/// One scan of `source` answering every threshold, sliced per threshold.
+fn execute_multi<S: RankedSource + ?Sized>(
+    source: &mut S,
+    k: usize,
+    thresholds: &[f64],
+) -> Vec<Vec<AnswerTuple>> {
+    let plan = PtkPlan::try_multi(k, thresholds, &EngineOptions::default()).unwrap();
+    let result = PtkExecutor::new(&plan).execute(source);
+    thresholds.iter().map(|&p| result.answers_at(p)).collect()
+}
 
 /// Random rows: (score, prob, rule). Rules pair adjacent rows with legal
 /// mass; scores are distinct so the ranked order is unambiguous.
@@ -70,7 +91,7 @@ fn sorted_vec_stream_matches_oracle() {
         let oracle = naive::ptk_answer(&view, k, p).unwrap();
 
         let mut source = SortedVecSource::from_unsorted(rows.clone()).unwrap();
-        let result = evaluate_ptk_source(&mut source, k, p, &StreamOptions::default());
+        let result = execute(&mut source, k, p, &EngineOptions::default());
         // Map oracle positions to original row ids.
         let oracle_ids: Vec<usize> = oracle.iter().map(|&pos| order[pos]).collect();
         let stream_ids: Vec<usize> = result.answers.iter().map(|a| a.id.index()).collect();
@@ -88,12 +109,13 @@ fn stream_probabilities_match_view_engine() {
         let p = rng.random_range(0.1..0.9f64);
         let batch = evaluate_ptk(&view, k, p, &EngineOptions::default());
         let mut source = ViewSource::new(&view);
-        let options = StreamOptions {
+        let options = EngineOptions {
             ub_check_interval: 2,
             ..Default::default()
         };
         let metrics = Metrics::new();
-        let stream = evaluate_ptk_source_recorded(&mut source, k, p, &options, &metrics);
+        let plan = PtkPlan::try_new(k, p, &options).unwrap();
+        let stream = PtkExecutor::with_recorder(&plan, &metrics).execute(&mut source);
         // The streaming engine's stats are a faithful view over the
         // ptk-obs registry, and every scanned tuple is either evaluated
         // or pruned.
@@ -168,7 +190,7 @@ fn ta_stream_matches_oracle_on_multi_attribute_tables() {
         let oracle_ids: Vec<usize> = oracle.iter().map(|&pos| order[pos]).collect();
 
         let mut source = TaSource::new(&attrs, probs, rules, agg).unwrap();
-        let result = evaluate_ptk_source(&mut source, k, p, &StreamOptions::default());
+        let result = execute(&mut source, k, p, &EngineOptions::default());
         let stream_ids: Vec<usize> = result.answers.iter().map(|a| a.id.index()).collect();
         assert_eq!(stream_ids, oracle_ids, "trial {trial} k={k} p={p:.2}");
     }
@@ -177,8 +199,8 @@ fn ta_stream_matches_oracle_on_multi_attribute_tables() {
 #[test]
 fn view_and_source_paths_are_bit_identical_across_variants() {
     // Parity matrix, source axis: the view path (`evaluate_ptk` over the
-    // materialized `RankedView`) and the source path (`evaluate_ptk_source`
-    // over a `SortedVecSource` of the same raw rows) must agree bit for bit
+    // materialized `RankedView`) and the executor over a `SortedVecSource`
+    // of the same raw rows must agree bit for bit
     // — every counter (scan depth, DP cells, recompute cost, stop reason)
     // and every answer probability — across RC / RC+AR / RC+LR, with and
     // without pruning.
@@ -208,7 +230,7 @@ fn view_and_source_paths_are_bit_identical_across_variants() {
                 };
                 let batch = evaluate_ptk(&view, k, p, &options);
                 let mut source = SortedVecSource::from_unsorted(rows.clone()).unwrap();
-                let stream = evaluate_ptk_source(&mut source, k, p, &options);
+                let stream = execute(&mut source, k, p, &options);
 
                 let ctx = format!("trial {trial} k={k} p={p:.3} {variant:?} pruning={pruning}");
                 assert_eq!(stream.stats, batch.stats, "{ctx}: stats");
@@ -240,11 +262,10 @@ fn multi_threshold_works_over_any_source() {
         let thresholds = [0.8, rng.random_range(0.1..0.9f64), 0.25];
 
         let mut source = SortedVecSource::from_unsorted(rows.clone()).unwrap();
-        let multi =
-            evaluate_ptk_multi_source(&mut source, k, &thresholds, &StreamOptions::default());
+        let multi = execute_multi(&mut source, k, &thresholds);
         for (i, &p) in thresholds.iter().enumerate() {
             let mut fresh = SortedVecSource::from_unsorted(rows.clone()).unwrap();
-            let single = evaluate_ptk_source(&mut fresh, k, p, &StreamOptions::default());
+            let single = execute(&mut fresh, k, p, &EngineOptions::default());
             let ids: Vec<usize> = multi[i].iter().map(|a| a.id.index()).collect();
             let expect: Vec<usize> = single.answers.iter().map(|a| a.id.index()).collect();
             assert_eq!(ids, expect, "trial {trial} threshold {p}: ids");
@@ -279,12 +300,11 @@ fn multi_threshold_works_over_any_source() {
 
         let mut source =
             TaSource::new(&attrs, probs.clone(), rules.clone(), AggregateFn::Sum).unwrap();
-        let multi =
-            evaluate_ptk_multi_source(&mut source, k, &thresholds, &StreamOptions::default());
+        let multi = execute_multi(&mut source, k, &thresholds);
         for (i, &p) in thresholds.iter().enumerate() {
             let mut fresh =
                 TaSource::new(&attrs, probs.clone(), rules.clone(), AggregateFn::Sum).unwrap();
-            let single = evaluate_ptk_source(&mut fresh, k, p, &StreamOptions::default());
+            let single = execute(&mut fresh, k, p, &EngineOptions::default());
             let ids: Vec<usize> = multi[i].iter().map(|a| a.id.index()).collect();
             let expect: Vec<usize> = single.answers.iter().map(|a| a.id.index()).collect();
             assert_eq!(ids, expect, "ta trial {trial} threshold {p}");
@@ -294,7 +314,6 @@ fn multi_threshold_works_over_any_source() {
 
 #[test]
 fn ta_emission_order_is_the_sorted_order() {
-    use ptk_access::RankedSource;
     let mut rng = StdRng::seed_from_u64(0x57a6);
     for _ in 0..30 {
         let n = rng.random_range(1..=30usize);

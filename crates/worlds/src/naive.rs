@@ -24,13 +24,13 @@ pub fn topk_probabilities(view: &RankedView, k: usize) -> Result<Vec<f64>, TooMa
     Ok(pr)
 }
 
-/// Exact position probabilities: `pr[pos][j]` is the probability that the
+/// Exact rank probabilities: `pr[pos][j]` is the probability that the
 /// tuple at ranked position `pos` is ranked *exactly* `j+1`-th (0-based `j`)
 /// in a possible world, for `j < k`.
 ///
 /// # Errors
 /// Returns [`TooManyWorlds`] if the view exceeds the enumeration budget.
-pub fn position_probabilities(view: &RankedView, k: usize) -> Result<Vec<Vec<f64>>, TooManyWorlds> {
+pub fn rank_probabilities(view: &RankedView, k: usize) -> Result<Vec<Vec<f64>>, TooManyWorlds> {
     let mut pr = vec![vec![0.0; k]; view.len()];
     for world in enumerate(view)? {
         for (j, &pos) in world.top_k(k).iter().enumerate() {
@@ -92,7 +92,7 @@ pub fn utopk(view: &RankedView, k: usize) -> Result<(Vec<usize>, f64), TooManyWo
 /// # Errors
 /// Returns [`TooManyWorlds`] if the view exceeds the enumeration budget.
 pub fn ukranks(view: &RankedView, k: usize) -> Result<Vec<(usize, f64)>, TooManyWorlds> {
-    let pr = position_probabilities(view, k)?;
+    let pr = rank_probabilities(view, k)?;
     let mut answer = Vec::with_capacity(k);
     #[allow(clippy::needless_range_loop)] // paired indices into pr and view
     for j in 0..k {
@@ -219,9 +219,9 @@ mod tests {
     }
 
     #[test]
-    fn position_probabilities_sum_to_topk_probability() {
+    fn rank_probabilities_sum_to_topk_probability() {
         let view = panda();
-        let pos = position_probabilities(&view, 2).unwrap();
+        let pos = rank_probabilities(&view, 2).unwrap();
         let topk = topk_probabilities(&view, 2).unwrap();
         for i in 0..view.len() {
             let s: f64 = pos[i].iter().sum();

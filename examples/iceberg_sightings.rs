@@ -11,7 +11,7 @@
 
 use ptk::datagen::{IipConfig, IipDataset};
 use ptk::engine::{evaluate_ptk, topk_probabilities, EngineOptions, SharingVariant};
-use ptk::rankers::{expected_rank_topk, ukranks, utopk, UTopKOptions};
+use ptk::{PtkExecutor, PtkPlan, RankSemantics, SemanticsAnswer, ViewSource};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ds = IipDataset::generate(&IipConfig::default());
@@ -50,38 +50,55 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         result.stats.stop
     );
 
+    // The other semantics run on the same engine, one plan each.
+    let answer = |semantics| -> Result<SemanticsAnswer, Box<dyn std::error::Error>> {
+        let plan = PtkPlan::try_semantics(semantics, k, None, &EngineOptions::default())?;
+        Ok(PtkExecutor::new(&plan).execute_semantics(&mut ViewSource::new(&ds.view))?)
+    };
+
     // U-TopK: the most probable top-10 vector.
-    let ut = utopk(&ds.view, k, &UTopKOptions::default())?;
+    let SemanticsAnswer::UTopK {
+        rows,
+        probability,
+        states_explored,
+    } = answer(RankSemantics::UTopK)?
+    else {
+        unreachable!("a U-TopK plan answers U-TopK")
+    };
+    let ut_vector: Vec<usize> = rows.iter().map(|r| r.position).collect();
     println!(
-        "\nU-Top{k} answer (probability {:.4}, {} states explored):",
-        ut.probability, ut.states_explored
+        "\nU-Top{k} answer (probability {probability:.4}, {states_explored} states explored):"
     );
     println!(
         "  ranks: {:?}",
-        ut.vector.iter().map(|&v| v + 1).collect::<Vec<_>>()
+        ut_vector.iter().map(|&v| v + 1).collect::<Vec<_>>()
     );
 
     // U-KRanks: the most probable tuple at each rank.
-    let kr = ukranks(&ds.view, k);
+    let SemanticsAnswer::UKRanks(kr) = answer(RankSemantics::UKRanks)? else {
+        unreachable!("a U-KRanks plan answers U-KRanks")
+    };
     println!("\nU-KRanks answer:");
-    for e in &kr {
+    for (j, row) in kr.iter().enumerate() {
         println!(
             "  rank {:>2}: tuple at ranked position {:>3} with probability {:.3}",
-            e.rank,
-            e.position + 1,
-            e.probability
+            j + 1,
+            row.position + 1,
+            row.value
         );
     }
 
     // Expected ranks (Cormode et al.) as a fourth lens: certain-but-short
     // drifters float to the top under this semantics.
-    let er = expected_rank_topk(&ds.view, k);
+    let SemanticsAnswer::ExpectedRank(er) = answer(RankSemantics::ExpectedRank)? else {
+        unreachable!("an expected-rank plan answers expected rank")
+    };
     println!("\nexpected-rank top-{k} (lowest expected rank first):");
-    for e in &er {
+    for row in &er {
         println!(
             "  ranked position {:>3}  expected rank {:>7.2}",
-            e.position + 1,
-            e.expected_rank
+            row.position + 1,
+            row.value
         );
     }
 
@@ -92,9 +109,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let missed_by_utopk: Vec<usize> = answer_ranks
         .iter()
         .copied()
-        .filter(|pos| !ut.vector.contains(pos))
+        .filter(|pos| !ut_vector.contains(pos))
         .collect();
-    let kr_positions: Vec<usize> = kr.iter().map(|e| e.position).collect();
+    let kr_positions: Vec<usize> = kr.iter().map(|row| row.position).collect();
     let missed_by_ukranks: Vec<usize> = answer_ranks
         .iter()
         .copied()
@@ -116,7 +133,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         distinct.len()
     };
     println!("  {duplicated} U-KRanks ranks are occupied by a repeated tuple");
-    if let Some(&pos) = ut.vector.iter().find(|&&v| !in_ptk(v)) {
+    if let Some(&pos) = ut_vector.iter().find(|&&v| !in_ptk(v)) {
         println!(
             "  the U-TopK vector contains ranked position {} whose Pr^10 is only {:.3}",
             pos + 1,

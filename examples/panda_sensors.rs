@@ -8,11 +8,10 @@
 //!
 //! Run with: `cargo run --example panda_sensors`
 
-use ptk::rankers::{ukranks, utopk, UTopKOptions};
 use ptk::worlds::{enumerate, naive};
 use ptk::{
-    answer_exact, ExactOptions, PtkQuery, RankedView, Ranking, TopKQuery, UncertainTableBuilder,
-    Value,
+    answer_exact, ExactOptions, PtkExecutor, PtkPlan, PtkQuery, RankSemantics, RankedView, Ranking,
+    SemanticsAnswer, TopKQuery, UncertainTableBuilder, Value, ViewSource,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -93,22 +92,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         names.join(", ")
     );
 
-    // §1's comparison: the other two top-k semantics.
-    let ut = utopk(&view, 2, &UTopKOptions::default())?;
-    let ut_names: Vec<String> = ut.vector.iter().map(|&p| name(p)).collect();
+    // §1's comparison: the other two top-k semantics, on the same engine.
+    let answer = |semantics| -> Result<SemanticsAnswer, Box<dyn std::error::Error>> {
+        let plan = PtkPlan::try_semantics(semantics, 2, None, &ExactOptions::default())?;
+        Ok(PtkExecutor::new(&plan).execute_semantics(&mut ViewSource::new(&view))?)
+    };
+    let SemanticsAnswer::UTopK {
+        rows, probability, ..
+    } = answer(RankSemantics::UTopK)?
+    else {
+        unreachable!("a U-TopK plan answers U-TopK")
+    };
+    let ut_names: Vec<String> = rows.iter().map(|r| name(r.position)).collect();
     println!(
         "U-Top2 answer: <{}> with probability {:.3} (the paper expects <R5, R3> at 0.28)",
         ut_names.join(", "),
-        ut.probability
+        probability
     );
 
-    let kr = ukranks(&view, 2);
-    for entry in &kr {
+    let SemanticsAnswer::UKRanks(rows) = answer(RankSemantics::UKRanks)? else {
+        unreachable!("a U-KRanks plan answers U-KRanks")
+    };
+    for (j, row) in rows.iter().enumerate() {
         println!(
             "U-KRanks rank {}: {} with probability {:.3}",
-            entry.rank,
-            name(entry.position),
-            entry.probability
+            j + 1,
+            name(row.position),
+            row.value
         );
     }
     println!("(the paper expects R5 at both ranks)");

@@ -4,8 +4,8 @@
 //! in ranking order (it cites Fagin's TA) so the pruning rules can stop
 //! retrieval early. This example builds a multi-attribute dataset, ranks it
 //! by a weighted sum of two attributes through `TaSource`, and runs the
-//! streaming PT-k engine on top — then shows how little of the sorted lists
-//! was ever touched.
+//! PT-k executor on top — then shows how little of the sorted lists was
+//! ever touched.
 //!
 //! Scenario: apartment listings with a location score and a condition
 //! score, each listing confirmed with some probability (stale listings),
@@ -15,7 +15,7 @@
 
 use ptk::rng::{RngExt, SeedableRng, StdRng};
 
-use ptk::{evaluate_ptk_source, AggregateFn, RankedSource, StreamOptions, TaSource};
+use ptk::{AggregateFn, ExactOptions, PtkExecutor, PtkPlan, RankedSource, TaSource};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = StdRng::seed_from_u64(2024);
@@ -51,7 +51,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     // "Listings with >= 40% probability of being a top-20 result."
-    let result = evaluate_ptk_source(&mut source, 20, 0.4, &StreamOptions::default());
+    let plan = PtkPlan::try_new(20, 0.4, &ExactOptions::default())?;
+    let result = PtkExecutor::new(&plan).execute(&mut source);
 
     println!(
         "PT-20 answers at p = 0.4 ({} listings):",

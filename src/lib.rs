@@ -5,7 +5,8 @@
 //! the x-relation uncertain-data model, the exact one-scan PT-k algorithm
 //! (rule-tuple compression, prefix-shared subset-probability DP, pruning),
 //! the sampling method with Chernoff-bounded and progressive stopping, and
-//! the U-TopK / U-KRanks baselines the paper compares against.
+//! — on the same scan — the U-TopK / U-KRanks baselines the paper compares
+//! against, plus Global-Topk and expected rank.
 //!
 //! This facade crate re-exports the workspace and adds a small high-level
 //! API that works directly on [`UncertainTable`]s and maps results back to
@@ -40,8 +41,13 @@
 //! # let _ = (r1, r4, r6);
 //! ```
 //!
+//! Every ranking semantics runs through the engine: plan with
+//! [`PtkPlan::try_new`] (PT-k) or [`PtkPlan::try_semantics`] (any
+//! [`RankSemantics`]) and run the plan with a [`PtkExecutor`] over any
+//! [`RankedSource`] — a ranked view, a run file, TA middleware.
+//!
 //! The sub-crates are re-exported as modules for direct access:
-//! [`model`] (ptk-core), [`worlds`], [`engine`], [`sampling`], [`rankers`],
+//! [`model`] (ptk-core), [`worlds`], [`engine`], [`sampling`],
 //! [`datagen`], [`access`] (progressive retrieval: TA middleware, disk
 //! runs), [`sql`] (the statement language), [`obs`] (the metrics and
 //! tracing layer behind `--stats` and the bench artifacts) and [`par`]
@@ -61,7 +67,6 @@ pub use ptk_datagen as datagen;
 pub use ptk_engine as engine;
 pub use ptk_obs as obs;
 pub use ptk_par as par;
-pub use ptk_rankers as rankers;
 pub use ptk_sampling as sampling;
 pub use ptk_serve as serve;
 pub use ptk_sql as sql;
@@ -76,11 +81,9 @@ pub use ptk_core::{
     UncertainTableBuilder, Value,
 };
 pub use ptk_engine::{
-    evaluate_ptk_multi_source, evaluate_ptk_source, AnswerTuple, EngineOptions as ExactOptions,
-    ExecStats, PtkBatch, PtkExecutor, PtkPlan, PtkResult, SharingVariant, StopReason,
-    StreamOptions, StreamPtkResult,
+    AnswerTuple, EngineOptions as ExactOptions, ExecStats, PtkBatch, PtkExecutor, PtkPlan,
+    PtkResult, RankSemantics, SemanticsAnswer, SemanticsRow, SharingVariant, StopReason,
 };
-pub use ptk_rankers::{expected_rank_topk, expected_ranks, ukranks, utopk};
 pub use ptk_sampling::{SamplingOptions, StopCriterion};
 
 /// One tuple of a query answer, mapped back to the source table.

@@ -3,7 +3,19 @@
 
 use ptk::rng::{RngExt, SeedableRng, StdRng};
 
-use ptk::RankedView;
+use ptk::{
+    ExactOptions, PtkExecutor, PtkPlan, RankSemantics, RankedView, SemanticsAnswer, ViewSource,
+};
+
+/// Answers `semantics` at depth `k` over `view` through the engine's plan
+/// and executor, with default options.
+pub fn semantics_answer(view: &RankedView, semantics: RankSemantics, k: usize) -> SemanticsAnswer {
+    let plan = PtkPlan::try_semantics(semantics, k, None, &ExactOptions::default())
+        .expect("a non-PT-k plan with k >= 1");
+    PtkExecutor::new(&plan)
+        .execute_semantics(&mut ViewSource::new(view))
+        .expect("the U-TopK search stays under its state cap")
+}
 
 /// The paper's running example (Table 1) in ranked order:
 /// positions 0..=5 are R1 (0.3), R2 (0.4), R5 (0.8), R3 (0.5), R4 (1.0),

@@ -95,13 +95,10 @@ fn estimates_match_golden_bit_patterns() {
 fn recorded_pipeline_json() -> String {
     let view = panda_view();
     let metrics = Metrics::new();
-    ptk::engine::evaluate_ptk_recorded(
-        &view,
-        2,
-        0.35,
-        &ptk::engine::EngineOptions::default(),
-        &metrics,
-    );
+    let plan =
+        ptk::engine::PtkPlan::try_new(2, 0.35, &ptk::engine::EngineOptions::default()).unwrap();
+    ptk::engine::PtkExecutor::with_recorder(&plan, &metrics)
+        .execute(&mut ptk::access::ViewSource::new(&view));
     let options = SamplingOptions {
         stop: StopCriterion::FixedUnits(5_000),
         seed: 7,
@@ -155,7 +152,8 @@ fn traced_panda_logical() -> String {
     let view = panda_view();
     let sink = Arc::new(ptk::obs::RingSink::new(1024));
     let tracer = ptk::obs::Tracer::new(Arc::clone(&sink) as ptk::obs::SharedSink, 0, 0);
-    let plan = ptk::engine::PtkPlan::new(2, 0.35, &ptk::engine::EngineOptions::default());
+    let plan =
+        ptk::engine::PtkPlan::try_new(2, 0.35, &ptk::engine::EngineOptions::default()).unwrap();
     let mut source = ptk::access::ViewSource::new(&view);
     let _ = ptk::engine::PtkExecutor::new(&plan)
         .with_tracer(&tracer)

@@ -4,14 +4,14 @@
 
 mod common;
 
-use common::{panda_view, random_view};
+use common::{panda_view, random_view, semantics_answer};
 use ptk::engine::{evaluate_ptk, topk_probabilities, EngineOptions, SharingVariant};
-use ptk::rankers::{ukranks, utopk, UTopKOptions};
 use ptk::sampling::{sample_topk, SamplingOptions, StopCriterion};
 use ptk::worlds::naive;
 use ptk::{
-    answer_exact, answer_sampling, ComparisonOp, ExactOptions, Predicate, PtkQuery, RankedView,
-    Ranking, TopKQuery, UncertainTableBuilder, Value,
+    answer_exact, answer_sampling, ComparisonOp, ExactOptions, Predicate, PtkExecutor, PtkPlan,
+    PtkQuery, RankSemantics, RankedView, Ranking, SemanticsAnswer, TopKQuery,
+    UncertainTableBuilder, Value,
 };
 
 /// Builds the panda table (Table 1) at the table level.
@@ -110,14 +110,21 @@ fn all_engines_agree_on_random_tables() {
 
 #[test]
 fn rankers_run_end_to_end_on_random_tables() {
+    // U-TopK and U-KRanks through the facade's plan + executor.
     for seed in 100..120u64 {
         let view = random_view(seed, 9);
         let k = 1 + (seed % 3) as usize;
-        let ut = utopk(&view, k, &UTopKOptions::default()).unwrap();
-        let (oracle_vec, oracle_prob) = naive::utopk(&view, k).unwrap();
-        assert!((ut.probability - oracle_prob).abs() < 1e-10, "seed {seed}");
-        let _ = oracle_vec;
-        let kr = ukranks(&view, k);
+        let SemanticsAnswer::UTopK { probability, .. } =
+            semantics_answer(&view, RankSemantics::UTopK, k)
+        else {
+            panic!("seed {seed}: u-topk answered another semantics");
+        };
+        let (_, oracle_prob) = naive::utopk(&view, k).unwrap();
+        assert!((probability - oracle_prob).abs() < 1e-10, "seed {seed}");
+        let SemanticsAnswer::UKRanks(kr) = semantics_answer(&view, RankSemantics::UKRanks, k)
+        else {
+            panic!("seed {seed}: u-kranks answered another semantics");
+        };
         let oracle = naive::ukranks(&view, k).unwrap();
         for j in 0..k {
             assert_eq!(kr[j].position, oracle[j].0, "seed {seed} rank {j}");
@@ -174,8 +181,8 @@ fn file_backed_run_answers_like_the_view_engine() {
     )
     .unwrap();
     let mut source = ptk::FileSource::open(&dir).unwrap();
-    let result =
-        ptk::evaluate_ptk_source(&mut source, 2, 0.35, &ptk::engine::StreamOptions::default());
+    let plan = PtkPlan::try_new(2, 0.35, &ExactOptions::default()).unwrap();
+    let result = PtkExecutor::new(&plan).execute(&mut source);
     let ids: Vec<usize> = result.answers.iter().map(|a| a.id.index()).collect();
     assert_eq!(ids, vec![1, 4, 2]); // R2, R5, R3
     assert!((result.answers[1].probability - 0.704).abs() < 1e-12);

@@ -13,10 +13,7 @@ use ptk::check::{check, Config};
 use ptk::rng::{RngCore, RngExt};
 use ptk::{prop_assert, prop_assert_eq};
 
-use ptk::engine::{
-    dp, evaluate_ptk, position_probabilities, topk_probabilities, EngineOptions, Scanner,
-    SharingVariant,
-};
+use ptk::engine::{dp, evaluate_ptk, topk_probabilities, EngineOptions, Scanner, SharingVariant};
 use ptk::worlds::{enumerate, naive};
 
 /// World probabilities are a distribution: nonnegative, summing to 1.
@@ -142,17 +139,28 @@ fn pruning_is_sound() {
     );
 }
 
-/// Position probabilities are consistent: rows sum to Pr^k, and each
+/// Rank probabilities `Pr(t) · Pr(T(t), j)` (Eq. 3, read off the
+/// Scanner's per-rank rows) are consistent: rows sum to Pr^k, and each
 /// column sums to at most 1 (at most one tuple occupies each rank).
 #[test]
-fn position_probabilities_are_consistent() {
+fn rank_probabilities_are_consistent() {
     check(
-        "position probabilities",
+        "rank probabilities",
         Config::cases(64).sizes(1, 9),
         |rng, size| {
             let k = rng.random_range(1..5usize);
             let view = random_view(rng.next_u64(), size);
-            let pos_pr = position_probabilities(&view, k, SharingVariant::Lazy);
+            let mut scanner = Scanner::new(&view, k, SharingVariant::Lazy);
+            let mut pos_pr = Vec::with_capacity(view.len());
+            while let Some(pos) = scanner.position() {
+                let step = scanner.step().unwrap();
+                pos_pr.push(
+                    step.row
+                        .iter()
+                        .map(|&s| view.prob(pos) * s)
+                        .collect::<Vec<_>>(),
+                );
+            }
             let (topk, _) = topk_probabilities(&view, k, SharingVariant::Lazy);
             for pos in 0..view.len() {
                 let row_sum: f64 = pos_pr[pos].iter().sum();

@@ -4,10 +4,28 @@
 
 mod common;
 
-use common::{panda_view, random_view};
+use common::{panda_view, random_view, semantics_answer};
 use ptk::engine::{topk_probabilities, SharingVariant};
-use ptk::rankers::{expected_rank_topk, expected_ranks, ukranks, utopk, UTopKOptions};
 use ptk::worlds::naive;
+use ptk::{RankSemantics, RankedView, SemanticsAnswer, SemanticsRow};
+
+/// The U-TopK vector (ranked positions) and its probability.
+fn utopk(view: &RankedView, k: usize) -> (Vec<usize>, f64) {
+    match semantics_answer(view, RankSemantics::UTopK, k) {
+        SemanticsAnswer::UTopK {
+            rows, probability, ..
+        } => (rows.iter().map(|r| r.position).collect(), probability),
+        other => panic!("u-topk answered {:?}", other.semantics()),
+    }
+}
+
+/// The rows of a U-KRanks or expected-rank answer.
+fn ranked_rows(view: &RankedView, semantics: RankSemantics, k: usize) -> Vec<SemanticsRow> {
+    semantics_answer(view, semantics, k)
+        .rows()
+        .expect("not a PT-k answer")
+        .to_vec()
+}
 
 #[test]
 fn utopk_vector_probability_never_exceeds_any_members_topk_probability() {
@@ -15,13 +33,12 @@ fn utopk_vector_probability_never_exceeds_any_members_topk_probability() {
     for seed in 0..25u64 {
         let view = random_view(seed.wrapping_mul(7919), 10);
         let k = 1 + (seed % 4) as usize;
-        let answer = utopk(&view, k, &UTopKOptions::default()).unwrap();
+        let (vector, probability) = utopk(&view, k);
         let (pr, _) = topk_probabilities(&view, k, SharingVariant::Lazy);
-        for &pos in &answer.vector {
+        for &pos in &vector {
             assert!(
-                answer.probability <= pr[pos] + 1e-10,
-                "seed {seed}: vector prob {} > Pr^k({pos}) = {}",
-                answer.probability,
+                probability <= pr[pos] + 1e-10,
+                "seed {seed}: vector prob {probability} > Pr^k({pos}) = {}",
                 pr[pos]
             );
         }
@@ -34,14 +51,17 @@ fn ukranks_winners_have_positive_topk_probability() {
         let view = random_view(seed.wrapping_mul(104729), 10);
         let k = 1 + (seed % 4) as usize;
         let (pr, _) = topk_probabilities(&view, k, SharingVariant::Lazy);
-        for entry in ukranks(&view, k) {
-            if entry.probability > 0.0 {
+        for (j, row) in ranked_rows(&view, RankSemantics::UKRanks, k)
+            .iter()
+            .enumerate()
+        {
+            if row.value > 0.0 {
                 assert!(
-                    pr[entry.position] >= entry.probability - 1e-10,
+                    pr[row.position] >= row.value - 1e-10,
                     "seed {seed}: rank-{} winner has Pr^k {} < rank prob {}",
-                    entry.rank,
-                    pr[entry.position],
-                    entry.probability
+                    j + 1,
+                    pr[row.position],
+                    row.value
                 );
             }
         }
@@ -51,11 +71,10 @@ fn ukranks_winners_have_positive_topk_probability() {
 #[test]
 fn expected_rank_of_certain_top_tuple_is_best() {
     // A certain tuple at the top of the ranking minimizes expected rank.
-    let view = ptk::RankedView::from_ranked_probs(&[1.0, 0.6, 0.7, 0.5], &[]).unwrap();
-    let er = expected_ranks(&view);
-    let best = expected_rank_topk(&view, 1);
+    let view = RankedView::from_ranked_probs(&[1.0, 0.6, 0.7, 0.5], &[]).unwrap();
+    let best = ranked_rows(&view, RankSemantics::ExpectedRank, 1);
     assert_eq!(best[0].position, 0);
-    assert_eq!(er[0], 0.0);
+    assert_eq!(best[0].value, 0.0);
 }
 
 #[test]
@@ -65,24 +84,24 @@ fn panda_semantics_disagree_exactly_as_the_paper_describes() {
     let ptk_answer = naive::ptk_answer(&view, 2, 0.35).unwrap();
     assert_eq!(ptk_answer, vec![1, 2, 3]);
     // U-Top2: <R5, R3> — a strict subset of the PT-k answers here.
-    let ut = utopk(&view, 2, &UTopKOptions::default()).unwrap();
-    assert!(ut.vector.iter().all(|pos| ptk_answer.contains(pos)));
+    let (vector, _) = utopk(&view, 2);
+    assert!(vector.iter().all(|pos| ptk_answer.contains(pos)));
     // U-KRanks: R5 twice — covers a strict subset of PT-k answers.
-    let kr = ukranks(&view, 2);
+    let kr = ranked_rows(&view, RankSemantics::UKRanks, 2);
     assert_eq!(kr[0].position, kr[1].position);
     // Expected ranks put R5 first (position 2: high probability AND high
     // rank, er = 0.8*0.7 + 0.2*3.2 = 1.2), ahead of the certain but
     // low-scoring R4 (er = 2.0) — a different winner than U-KRanks' rank-1
     // criterion would suggest from Pr alone.
-    let er = expected_rank_topk(&view, 3);
+    let er = ranked_rows(&view, RankSemantics::ExpectedRank, 3);
     assert_eq!(er[0].position, 2);
-    assert!((er[0].expected_rank - 1.2).abs() < 1e-9);
+    assert!((er[0].value - 1.2).abs() < 1e-9);
     // R2 (position 1) and R4 (position 4) tie at er = 2.0 exactly; the tie
     // breaks toward the higher-ranked position.
     assert_eq!(er[1].position, 1);
     assert_eq!(er[2].position, 4);
-    assert!((er[1].expected_rank - 2.0).abs() < 1e-9);
-    assert!((er[2].expected_rank - 2.0).abs() < 1e-9);
+    assert!((er[1].value - 2.0).abs() < 1e-9);
+    assert!((er[2].value - 2.0).abs() < 1e-9);
 }
 
 #[test]
@@ -90,8 +109,10 @@ fn total_expected_rank_mass_is_conserved() {
     // Σ_t er(t) = Σ_W Pr(W) Σ_t rank(t, W); check against enumeration.
     for seed in 0..15u64 {
         let view = random_view(seed.wrapping_mul(31337), 9);
-        let er = expected_ranks(&view);
-        let total: f64 = er.iter().sum();
+        // k = n: every tuple's expected rank.
+        let er = ranked_rows(&view, RankSemantics::ExpectedRank, view.len());
+        assert_eq!(er.len(), view.len());
+        let total: f64 = er.iter().map(|row| row.value).sum();
         let oracle: f64 = ptk::worlds::enumerate(&view)
             .unwrap()
             .iter()
