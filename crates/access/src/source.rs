@@ -246,8 +246,9 @@ impl RankedSource for ViewSource<'_> {
 }
 
 /// A [`RankedSource`] over a [`Selection`]: walks the table's shared
-/// ranked view, skips the tuples the predicate dropped, and projects each
-/// rule onto the selection when it first meets one of its members.
+/// ranked view from the start of the selection's ranked range, skips the
+/// tuples the predicate dropped, and projects each rule the selection does
+/// not keep whole when it first meets one of its members.
 ///
 /// It delivers exactly what a [`ViewSource`] over
 /// [`Selection::materialize`] delivers — ids, scores, probabilities,
@@ -263,9 +264,9 @@ pub struct SelectionSource<'s> {
     ranked: usize,
     /// Tuples delivered so far.
     delivered: usize,
-    /// Rules met so far, projected onto the selection (`None`: fewer than
-    /// two members selected, so its members are delivered as independent).
-    /// Unused when every tuple is selected.
+    /// Rules met so far that the selection does not keep whole, projected
+    /// onto the selection (`None`: fewer than two members selected, so its
+    /// members are delivered as independent).
     met: HashMap<RuleKey, Option<RuleProjection>>,
 }
 
@@ -274,7 +275,7 @@ impl<'s> SelectionSource<'s> {
     pub fn new(selection: &'s Selection) -> SelectionSource<'s> {
         SelectionSource {
             selection,
-            ranked: 0,
+            ranked: selection.ranked_range().start,
             delivered: 0,
             met: HashMap::new(),
         }
@@ -304,9 +305,10 @@ impl SnapshotSource for Selection {
 impl RankedSource for SelectionSource<'_> {
     fn next_ranked(&mut self) -> Option<SourceTuple> {
         let view = self.selection.view();
+        let end = self.selection.ranked_range().end;
         let (t, pos) = loop {
             let ranked = self.ranked;
-            if ranked >= view.len() {
+            if ranked >= end {
                 return None;
             }
             self.ranked += 1;
@@ -317,12 +319,11 @@ impl RankedSource for SelectionSource<'_> {
         self.delivered += 1;
         let selection = self.selection;
         let rule = t.rule.filter(|&h| {
-            let key = RuleKey(h.index() as u32);
-            // With every tuple selected, every rule survives whole.
-            selection.len() == view.len()
+            // A rule kept whole survives, and `rule` borrows it from the view.
+            selection.keeps_whole(h)
                 || self
                     .met
-                    .entry(key)
+                    .entry(RuleKey(h.index() as u32))
                     .or_insert_with(|| selection.project(h).map(Cow::into_owned))
                     .is_some()
         });
@@ -639,33 +640,38 @@ mod tests {
         b.exclusive(&ids[..2]).unwrap();
         b.exclusive(&ids[2..]).unwrap();
         let table = b.finish().unwrap();
-        let query = TopKQuery::new(
-            1,
-            Predicate::compare(0, ComparisonOp::Ne, 2.0),
-            Ranking::descending(0),
-        )
-        .unwrap();
-        let selection = Selection::new(&table, &query).unwrap();
-        let view = selection.materialize();
-        let mut got = SelectionSource::new(&selection);
-        let mut want = ViewSource::new(&view);
-        while let Some(w) = want.next_ranked() {
-            let g = got.next_ranked().unwrap();
-            assert_eq!((g.id, g.score, g.prob), (w.id, w.score, w.prob));
-            assert_eq!(g.rule.is_some(), w.rule.is_some());
-            if let (Some(gk), Some(wk)) = (g.rule, w.rule) {
-                assert_eq!(got.rule_mass(gk), want.rule_mass(wk));
-                assert_eq!(got.rule_len(gk), want.rule_len(wk));
-                for m in 0..3 {
-                    assert_eq!(got.rule_member_rank(gk, m), want.rule_member_rank(wk, m));
+        // `score != 2` takes the predicate pass; `score <= 3` is the ranked
+        // range 2..5, a suffix that cuts the rules the same way.
+        for (op, selected) in [(ComparisonOp::Ne, 4), (ComparisonOp::Le, 3)] {
+            let score = if op == ComparisonOp::Ne { 2.0 } else { 3.0 };
+            let query = TopKQuery::new(1, Predicate::compare(0, op, score), Ranking::descending(0))
+                .unwrap();
+            let selection = Selection::new(&table, &query).unwrap();
+            assert_eq!(selection.ran_predicate_pass(), op == ComparisonOp::Ne);
+            let view = selection.materialize();
+            let mut got = SelectionSource::new(&selection);
+            let mut want = ViewSource::new(&view);
+            while let Some(w) = want.next_ranked() {
+                let g = got.next_ranked().unwrap();
+                assert_eq!((g.id, g.score, g.prob), (w.id, w.score, w.prob));
+                assert_eq!(g.rule.is_some(), w.rule.is_some());
+                if let (Some(gk), Some(wk)) = (g.rule, w.rule) {
+                    assert_eq!(got.rule_mass(gk), want.rule_mass(wk));
+                    assert_eq!(got.rule_len(gk), want.rule_len(wk));
+                    for m in 0..3 {
+                        assert_eq!(got.rule_member_rank(gk, m), want.rule_member_rank(wk, m));
+                    }
                 }
             }
+            assert!(got.next_ranked().is_none());
+            assert_eq!(
+                (got.retrieved(), got.len_hint()),
+                (selected, Some(selected))
+            );
+            // The dropped rule and unknown keys answer nothing.
+            assert_eq!(got.rule_mass(RuleKey(0)), None);
+            assert_eq!(got.rule_len(RuleKey(9)), None);
         }
-        assert!(got.next_ranked().is_none());
-        assert_eq!((got.retrieved(), got.len_hint()), (4, Some(4)));
-        // The dropped rule and unknown keys answer nothing.
-        assert_eq!(got.rule_mass(RuleKey(0)), None);
-        assert_eq!(got.rule_len(RuleKey(9)), None);
     }
 
     #[test]

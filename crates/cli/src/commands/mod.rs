@@ -1993,7 +1993,7 @@ mod tests {
         .unwrap();
         assert!(
             out.contains(
-                "plan: Selection::new (predicate over the shared ranked view) -> \
+                "plan: Selection::new (ranked range of the shared view) -> \
                  ranked-retrieval -> rule-compression -> gf[RC+LR, k=2] -> \
                  stop[ub every 64] -> u-kranks[argmax per rank]\n"
             ),
@@ -2008,7 +2008,7 @@ mod tests {
         .unwrap();
         assert!(
             out.contains(
-                "plan: Selection::new (predicate over the shared ranked view) -> \
+                "plan: Selection::new (ranked range of the shared view) -> \
                  ranked-retrieval -> rule-compression -> stop[ub every 64] -> \
                  expected-rank[closed form]\n"
             ),
@@ -2023,6 +2023,45 @@ mod tests {
         .unwrap();
         assert!(out.contains("dp[RC+LR, k=2]"), "{out}");
         assert!(out.contains("emit[p >= 0.35]"), "{out}");
+    }
+
+    /// Golden EXPLAIN output for a filtered statement: a comparison of
+    /// the ranked column with a number selects a ranked range, any other
+    /// predicate (here the same cut spelled with `NOT`) runs once per
+    /// tuple; the answer and the stats line are the same.
+    #[test]
+    fn sql_explain_names_the_selection_it_ran() {
+        let file = panda_file();
+        let explain = |condition: &str| {
+            dispatch(&args(&[
+                "sql",
+                file.as_str(),
+                &format!(
+                    "EXPLAIN SELECT TOP 2 FROM panda WHERE {condition} \
+                     ORDER BY duration WITH PROBABILITY >= 0.35"
+                ),
+            ]))
+            .unwrap()
+        };
+        let answer = "3 tuples pass Pr^2 >= 0.35 (exact; scanned 4 of 4 tuples)\n  \
+                      rank    2  Pr^k=0.4000  membership=0.400  [21, R2]\n  \
+                      rank    3  Pr^k=0.7040  membership=0.800  [17, R5]\n  \
+                      rank    4  Pr^k=0.3800  membership=0.500  [13, R3]\n";
+        let pipeline = "ranked-retrieval -> rule-compression -> dp[RC+LR, k=2] -> \
+                        pruning[T3-T5, ub every 64] -> emit[p >= 0.35]\n\
+                        stats: scanned 4, evaluated 4, pruned 0 (membership 0, rule 0), \
+                        dp entries 3, stop None\n";
+        assert_eq!(
+            explain("duration >= 13"),
+            format!("{answer}plan: Selection::new (ranked range of the shared view) -> {pipeline}")
+        );
+        assert_eq!(
+            explain("NOT duration < 13"),
+            format!(
+                "{answer}plan: Selection::new (predicate over the shared ranked view) -> \
+                 {pipeline}"
+            )
+        );
     }
 
     #[test]

@@ -44,9 +44,15 @@ pub(super) fn flight_fingerprint(label: &str, plan_fingerprints: &[u64]) -> u64 
     h
 }
 
-/// EXPLAIN's name for the first stage of every exact plan: the query's
-/// `P(T)` selected from the table's shared ranked view.
-const SELECT_STAGE: &str = "Selection::new (predicate over the shared ranked view)";
+/// EXPLAIN's name for the first stage of every exact plan: how the
+/// query's `P(T)` was selected from the table's shared ranked view.
+fn select_stage(selection: &Selection) -> &'static str {
+    if selection.ran_predicate_pass() {
+        "Selection::new (predicate over the shared ranked view)"
+    } else {
+        "Selection::new (ranked range of the shared view)"
+    }
+}
 
 /// Maps a parsed statement kind to the engine's ranking semantics. The SQL
 /// crate depends only on `ptk-core`, so the two enums are defined apart and
@@ -206,8 +212,9 @@ fn sql_single(
                     .to_owned();
             } else if statement.explain {
                 explain_note = format!(
-                    "plan: {SELECT_STAGE} -> {}\n\
+                    "plan: {} -> {}\n\
                      stats: scanned {}, evaluated {}, pruned {} (membership {}, rule {}), dp entries {}, stop {:?}",
+                    select_stage(&selection),
                     plan.describe(),
                     result.stats.scanned,
                     result.stats.evaluated,
@@ -309,7 +316,12 @@ fn sql_semantics(
             plan.explain_analyze(&metrics.snapshot(), true).trim_end()
         )?;
     } else if statement.explain {
-        writeln!(out, "plan: {SELECT_STAGE} -> {}", plan.describe())?;
+        writeln!(
+            out,
+            "plan: {} -> {}",
+            select_stage(selection),
+            plan.describe()
+        )?;
         writeln!(
             out,
             "stats: view of {} tuples / {} rules, {} answer rows",

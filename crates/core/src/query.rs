@@ -32,6 +32,21 @@ impl ComparisonOp {
             ComparisonOp::Ge => ord != Ordering::Less,
         }
     }
+
+    /// The orderings the operator accepts, as an interval `low..=high` of
+    /// `Less < Equal < Greater`; `None` for `≠`, which accepts two
+    /// disjoint ones.
+    pub(crate) fn accepted(self) -> Option<(Ordering, Ordering)> {
+        use Ordering::{Equal, Greater, Less};
+        match self {
+            ComparisonOp::Eq => Some((Equal, Equal)),
+            ComparisonOp::Ne => None,
+            ComparisonOp::Lt => Some((Less, Less)),
+            ComparisonOp::Le => Some((Less, Equal)),
+            ComparisonOp::Gt => Some((Greater, Greater)),
+            ComparisonOp::Ge => Some((Equal, Greater)),
+        }
+    }
 }
 
 /// The predicate `P` of a top-k query `Q^k(P, f)`: selects which tuples
@@ -305,6 +320,20 @@ mod tests {
         ] {
             let p = Predicate::compare(0, op, 7i64);
             assert_eq!(p.eval(&t).unwrap(), expect, "{op:?}");
+        }
+    }
+
+    #[test]
+    fn accepted_interval_is_what_the_operator_matches() {
+        use ComparisonOp::*;
+        for op in [Eq, Ne, Lt, Le, Gt, Ge] {
+            let Some((low, high)) = op.accepted() else {
+                assert_eq!(op, Ne);
+                continue;
+            };
+            for ord in [Ordering::Less, Ordering::Equal, Ordering::Greater] {
+                assert_eq!(low <= ord && ord <= high, op.matches(ord), "{op:?} {ord:?}");
+            }
         }
     }
 

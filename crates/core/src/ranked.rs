@@ -108,6 +108,20 @@ impl RuleProjection {
     }
 }
 
+/// Whether every tuple has a numeric key and the keys never increase in
+/// iteration order (vacuously true when there are none): whether the keys
+/// can serve as scan scores.
+pub(crate) fn keys_descend<'a>(tuples: impl IntoIterator<Item = &'a RankedTuple>) -> bool {
+    let mut last = f64::INFINITY;
+    tuples.into_iter().all(|t| match t.key {
+        Some(key) if key <= last => {
+            last = key;
+            true
+        }
+        _ => false,
+    })
+}
+
 /// Tuples satisfying a query predicate, in ranking order, with projected
 /// generation rules — the paper's `P(T)`.
 ///
@@ -151,10 +165,16 @@ impl RankedView {
     /// per ranking. Ties are broken by tuple id, so the order is total and
     /// any subset of it is in the subset's own ranking order.
     ///
+    /// Also returns whether the ranked column holds a single numeric type
+    /// (every value `Int`, or every value `Float`), read in the same pass
+    /// as the keys. On such a column `Value::total_cmp` against a numeric
+    /// constant is monotone along the ranking, so a comparison selects a
+    /// run of ranked positions (see [`Selection`](crate::Selection)).
+    ///
     /// # Panics
     /// Panics if a tuple lacks the ranked column; callers check the column
     /// against the schema first.
-    pub(crate) fn rank(table: &UncertainTable, ranking: &Ranking) -> RankedView {
+    pub(crate) fn rank(table: &UncertainTable, ranking: &Ranking) -> (RankedView, bool) {
         let mut order: Vec<TupleId> = table.tuples().iter().map(|t| t.id()).collect();
         order.sort_by(|&a, &b| {
             ranking
@@ -186,32 +206,33 @@ impl RankedView {
             }
         }
 
+        let mut column_type = None;
+        let mut single_numeric = true;
         let tuples = order
             .iter()
             .zip(rule_at)
             .map(|(&id, rule)| {
                 let t = table.tuple(id);
+                let value = t
+                    .attr(ranking.column())
+                    .expect("the ranked column is in the schema");
+                let key = value.as_f64();
+                let kind = std::mem::discriminant(value);
+                single_numeric &= key.is_some() && *column_type.get_or_insert(kind) == kind;
                 RankedTuple {
                     id,
                     prob: t.membership().value(),
                     rule,
-                    key: t.attr(ranking.column()).and_then(|v| v.as_f64()),
+                    key,
                 }
             })
             .collect();
-        RankedView::from_parts(tuples, rules)
+        (RankedView::from_parts(tuples, rules), single_numeric)
     }
 
     /// Assembles a view from its ranked tuples and projected rules.
     pub(crate) fn from_parts(tuples: Vec<RankedTuple>, rules: Vec<RuleProjection>) -> RankedView {
-        let mut last = f64::INFINITY;
-        let keys_descend = tuples.iter().all(|t| match t.key {
-            Some(key) if key <= last => {
-                last = key;
-                true
-            }
-            _ => false,
-        });
+        let keys_descend = keys_descend(&tuples);
         let total_mass = tuples.iter().fold(0.0, |mass, t| mass + t.prob);
         RankedView {
             tuples: tuples.into(),

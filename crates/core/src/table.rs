@@ -152,8 +152,9 @@ pub struct UncertainTable {
     rules: Vec<GenerationRule>,
     rule_of: Vec<Option<RuleId>>,
     /// `ranked[c][d]`: the ranked view by column `c`, descending (`d = 0`)
-    /// or ascending (`d = 1`), once some query has asked for it.
-    ranked: Vec<[OnceLock<RankedView>; 2]>,
+    /// or ascending (`d = 1`), once some query has asked for it, beside
+    /// whether column `c` holds a single numeric type.
+    ranked: Vec<[OnceLock<(RankedView, bool)>; 2]>,
 }
 
 impl UncertainTable {
@@ -225,9 +226,17 @@ impl UncertainTable {
     /// in the schema and the table has tuples (an empty table ranks to an
     /// empty view whatever the column).
     pub fn ranked(&self, ranking: &Ranking) -> Result<RankedView> {
+        Ok(self.ranked_column(ranking)?.0)
+    }
+
+    /// [`UncertainTable::ranked`], plus whether the ranked column holds a
+    /// single numeric type: every value `Int`, or every value `Float`.
+    /// Worked out when the view is built and kept beside it; `false` for
+    /// an empty table ranked by a column it lacks.
+    pub(crate) fn ranked_column(&self, ranking: &Ranking) -> Result<(RankedView, bool)> {
         let Some(slots) = self.ranked.get(ranking.column()) else {
             if self.is_empty() {
-                return Ok(RankedView::default());
+                return Ok((RankedView::default(), false));
             }
             return Err(ModelError::UnknownColumn(ranking.column()));
         };
@@ -235,7 +244,8 @@ impl UncertainTable {
             SortDirection::Descending => &slots[0],
             SortDirection::Ascending => &slots[1],
         };
-        Ok(slot.get_or_init(|| RankedView::rank(self, ranking)).clone())
+        let (view, single_numeric) = slot.get_or_init(|| RankedView::rank(self, ranking));
+        Ok((view.clone(), *single_numeric))
     }
 
     /// The number of possible worlds:

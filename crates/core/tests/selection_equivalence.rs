@@ -1,11 +1,16 @@
 //! `RankedView::build` — a selection over the table's shared ranked view,
 //! materialized — must equal filtering the table, sorting the survivors and
 //! projecting the rules from scratch, bit for bit. The from-scratch builder
-//! is kept here as the reference.
+//! is kept here as the reference. The selection itself (its length, every
+//! position, its score flag, total mass and rule projections) is checked
+//! against the reference too, whether it is a ranked range or took the
+//! predicate pass.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ptk_core::check::{check, Config};
+use ptk_core::prop_assert_eq;
 use ptk_core::rng::{RngExt, StdRng};
-use ptk_core::{prop_assert, prop_assert_eq};
 
 use ptk_core::{
     ComparisonOp, ModelError, Predicate, RankedTuple, RankedView, Ranking, RuleHandle,
@@ -86,8 +91,37 @@ fn reference_build(
 }
 
 /// Columns: 0 `score` (floats and ints with ties), 1 `label` (text),
-/// 2 `maybe` (numeric or NULL), 3 `row` (the row index).
-const COLUMNS: usize = 4;
+/// 2 `maybe` (numeric or NULL), 3 `row` (the row index), 4 `big` (ints
+/// only, beyond ±2^53 too), 5 `real` (floats only, with NaN, ±0.0, ±∞).
+/// Comparisons of a ranked `row`, `big` or `real` with a number select a
+/// ranked range; every other predicate takes the predicate pass.
+const COLUMNS: usize = 6;
+
+const TWO_53: i64 = 1 << 53;
+
+const BIG: [i64; 9] = [
+    i64::MIN,
+    -TWO_53 - 1,
+    -TWO_53,
+    -3,
+    0,
+    7,
+    TWO_53,
+    TWO_53 + 1,
+    i64::MAX,
+];
+
+const REAL: [f64; 9] = [
+    f64::NEG_INFINITY,
+    -2.5,
+    -0.0,
+    0.0,
+    1.0,
+    TWO_53 as f64,
+    f64::INFINITY,
+    f64::NAN,
+    -f64::NAN,
+];
 
 /// Two ulps above 0.5: with a member of exactly 0.5 a rule sums to
 /// `1 + 1 ulp`, which the builder accepts and projection must clamp.
@@ -100,6 +134,8 @@ fn gen_table(rng: &mut StdRng, size: usize) -> UncertainTable {
         "label".into(),
         "maybe".into(),
         "row".into(),
+        "big".into(),
+        "real".into(),
     ]);
     for i in 0..n {
         // Scores from a small set, so ties are common; ints and floats mix.
@@ -119,8 +155,13 @@ fn gen_table(rng: &mut StdRng, size: usize) -> UncertainTable {
             2 => 0.5,
             _ => rng.random_range(0.01..=0.6f64),
         };
-        b.push(prob, vec![score, label, maybe, Value::Int(i as i64)])
-            .expect("valid row");
+        let big = Value::Int(BIG[rng.random_range(0..BIG.len())]);
+        let real = Value::Float(REAL[rng.random_range(0..REAL.len())]);
+        b.push(
+            prob,
+            vec![score, label, maybe, Value::Int(i as i64), big, real],
+        )
+        .expect("valid row");
     }
     // Disjoint rules of 2..=4 random members, kept when the builder
     // accepts their mass (up to 1 + 1e-9, so 1 + 1 ulp passes).
@@ -134,7 +175,9 @@ fn gen_table(rng: &mut StdRng, size: usize) -> UncertainTable {
     b.finish().expect("builder invariants hold")
 }
 
-fn gen_compare(rng: &mut StdRng, n: usize) -> Predicate {
+/// A comparison of `column` with a constant of the column's kind; `big`
+/// and `real` also meet constants of the other numeric type.
+fn gen_compare_on(rng: &mut StdRng, column: usize, n: usize) -> Predicate {
     let op = [
         ComparisonOp::Eq,
         ComparisonOp::Ne,
@@ -143,14 +186,35 @@ fn gen_compare(rng: &mut StdRng, n: usize) -> Predicate {
         ComparisonOp::Gt,
         ComparisonOp::Ge,
     ][rng.random_range(0..6usize)];
-    match rng.random_range(0..5u32) {
-        0 => Predicate::compare(0, op, f64::from(rng.random_range(0..8u32)) * 0.5),
-        1 => Predicate::compare(1, op, "b"),
-        2 => Predicate::compare(2, op, rng.random_range(-5.0..5.0f64)),
+    let value = match column {
+        0 => Value::Float(f64::from(rng.random_range(0..8u32)) * 0.5),
+        1 => Value::from("b"),
+        2 => Value::Float(rng.random_range(-5.0..5.0f64)),
         // `row != i` drops exactly one tuple, `row < i` a suffix: both cut
         // rules down to some or none of their members.
-        _ => Predicate::compare(3, op, rng.random_range(0..=n as i64)),
-    }
+        3 => Value::Int(rng.random_range(0..=n as i64)),
+        4 if rng.random_bool(0.5) => Value::Int(BIG[rng.random_range(0..BIG.len())]),
+        4 => Value::Float(
+            [
+                TWO_53 as f64,
+                -(TWO_53 as f64),
+                9.3e18,
+                -9.3e18,
+                0.5,
+                -0.0,
+                f64::INFINITY,
+                f64::NAN,
+            ][rng.random_range(0..8usize)],
+        ),
+        5 if rng.random_bool(0.5) => Value::Float(REAL[rng.random_range(0..REAL.len())]),
+        _ => Value::Int([0, 1, -3, TWO_53 + 1, i64::MAX][rng.random_range(0..5usize)]),
+    };
+    Predicate::compare(column, op, value)
+}
+
+fn gen_compare(rng: &mut StdRng, n: usize) -> Predicate {
+    let column = rng.random_range(0..COLUMNS);
+    gen_compare_on(rng, column, n)
 }
 
 fn gen_predicate(rng: &mut StdRng, n: usize) -> Predicate {
@@ -176,12 +240,15 @@ fn gen_query(rng: &mut StdRng, n: usize) -> TopKQuery {
     } else {
         SortDirection::Ascending
     };
-    TopKQuery::new(
-        1 + n / 2,
-        gen_predicate(rng, n),
-        Ranking::by_column(column, direction),
-    )
-    .expect("k >= 1")
+    // A third of the queries compare the ranked column itself: on `row`,
+    // `big` and `real` that is a ranked range (on a missing column, the
+    // same error as the predicate pass).
+    let predicate = if rng.random_bool(1.0 / 3.0) {
+        gen_compare_on(rng, column, n)
+    } else {
+        gen_predicate(rng, n)
+    };
+    TopKQuery::new(1 + n / 2, predicate, Ranking::by_column(column, direction)).expect("k >= 1")
 }
 
 fn same_tuples(got: &[RankedTuple], want: &[RankedTuple]) -> Result<(), String> {
@@ -210,8 +277,68 @@ fn same_rules(got: &[RuleProjection], want: &[RuleProjection]) -> Result<(), Str
     Ok(())
 }
 
+/// The selection's own answers against the reference `P(T)`, without
+/// going through `materialize()`: its length, the selection position of
+/// every ranked position of its view, its score flag, its total mass bits
+/// and the projection of every rule of its view.
+fn same_selection(
+    table: &UncertainTable,
+    selection: &Selection,
+    tuples: &[RankedTuple],
+    rules: &[RuleProjection],
+) -> Result<(), String> {
+    prop_assert_eq!(selection.len(), tuples.len());
+    let mut position_of = vec![None; table.len()];
+    for (pos, t) in tuples.iter().enumerate() {
+        position_of[t.id.index()] = Some(pos);
+    }
+    let shared = selection.view();
+    for ranked in 0..=shared.len() {
+        let want = shared
+            .tuples()
+            .get(ranked)
+            .and_then(|t| position_of[t.id.index()]);
+        prop_assert_eq!(selection.position(ranked), want, "position of {}", ranked);
+    }
+    let mut last = f64::INFINITY;
+    let keys_descend = tuples.iter().all(|t| match t.key {
+        Some(key) if key <= last => {
+            last = key;
+            true
+        }
+        _ => false,
+    });
+    prop_assert_eq!(selection.keys_descend(), keys_descend);
+    let mass = tuples.iter().fold(0.0, |mass, t| mass + t.prob);
+    prop_assert_eq!(selection.total_mass().to_bits(), mass.to_bits());
+    let mut projected = 0;
+    for (index, rule) in shared.rules().iter().enumerate() {
+        let got = selection.project(RuleHandle::from_index(index));
+        let want = rules.iter().find(|w| w.source == rule.source);
+        match (got, want) {
+            (Some(got), Some(want)) => {
+                projected += 1;
+                prop_assert_eq!(&got.members, &want.members, "members of rule {}", index);
+                prop_assert_eq!(got.mass.to_bits(), want.mass.to_bits(), "mass of {}", index);
+            }
+            (None, None) => {}
+            (got, want) => {
+                return Err(format!(
+                    "rule {index}: selection {:?} vs reference {want:?}",
+                    got.map(|g| g.members.clone())
+                ))
+            }
+        }
+    }
+    prop_assert_eq!(projected, rules.len());
+    Ok(())
+}
+
 #[test]
 fn build_equals_the_filter_sort_project_reference() {
+    // Filtered selections found as a proper ranked range, neither empty
+    // nor the whole table: the generator must reach them.
+    let proper_ranges = AtomicUsize::new(0);
     check(
         "build_equals_the_filter_sort_project_reference",
         Config::cases(400).sizes(1, 40).seed(0x005e_1ec7),
@@ -228,8 +355,17 @@ fn build_equals_the_filter_sort_project_reference() {
                         same_rules(view.rules(), &rules)?;
                         let selection =
                             Selection::new(&table, &query).map_err(|e| e.to_string())?;
-                        prop_assert_eq!(selection.len(), tuples.len());
-                        prop_assert!(selection.materialize() == view);
+                        same_selection(&table, &selection, &tuples, &rules)?;
+                        if *query.predicate() != Predicate::True
+                            && !selection.ran_predicate_pass()
+                            && (1..table.len()).contains(&selection.len())
+                        {
+                            proper_ranges.fetch_add(1, Ordering::Relaxed);
+                        }
+                        // Bit for bit: `==` fails on the NaN keys of `real`.
+                        let materialized = selection.materialize();
+                        same_tuples(materialized.tuples(), &tuples)?;
+                        same_rules(materialized.rules(), &rules)?;
                     }
                     (Err(got), Err(want)) => prop_assert_eq!(got.to_string(), want.to_string()),
                     (got, want) => {
@@ -244,6 +380,8 @@ fn build_equals_the_filter_sort_project_reference() {
             Ok(())
         },
     );
+    let proper_ranges = proper_ranges.into_inner();
+    assert!(proper_ranges >= 50, "{proper_ranges} proper ranked ranges");
 }
 
 #[test]
@@ -310,4 +448,75 @@ fn where_less_builds_share_the_ranked_view() {
         asc.tuples().as_ptr()
     ));
     assert_eq!(asc.tuple(0).id, first.tuple(5).id);
+}
+
+#[test]
+fn a_mixed_numeric_column_takes_the_predicate_pass() {
+    // Beyond 2^53 an `Int` meets a `Float` through a rounded `f64`, so
+    // `total_cmp` is not transitive: Int(2^53) < Int(2^53 + 1), yet both
+    // equal Float(2^53).
+    let mut b = UncertainTableBuilder::single_column();
+    for value in [
+        Value::Int(TWO_53),
+        Value::Int(TWO_53 + 1),
+        Value::Float(TWO_53 as f64),
+    ] {
+        b.push(0.5, vec![value]).unwrap();
+    }
+    let table = b.finish().unwrap();
+    let ranking = Ranking::descending(0);
+    let ranked: Vec<usize> = table
+        .ranked(&ranking)
+        .unwrap()
+        .tuples()
+        .iter()
+        .map(|t| t.id.index())
+        .collect();
+    assert_eq!(ranked, [1, 0, 2]);
+    let query = TopKQuery::new(
+        1,
+        Predicate::compare(0, ComparisonOp::Ge, TWO_53 + 1),
+        ranking,
+    )
+    .unwrap();
+    // `>=` passes ranked positions 0 and 2: not a prefix of the ranking.
+    let selection = Selection::new(&table, &query).unwrap();
+    assert!(selection.ran_predicate_pass());
+    let positions: Vec<_> = (0..3).map(|r| selection.position(r)).collect();
+    assert_eq!(positions, [Some(0), None, Some(1)]);
+    let (tuples, rules) = reference_build(&table, &query).unwrap();
+    same_selection(&table, &selection, &tuples, &rules).unwrap();
+    same_tuples(selection.materialize().tuples(), &tuples).unwrap();
+}
+
+#[test]
+fn single_type_comparisons_of_the_ranked_column_select_a_range() {
+    let mut b = UncertainTableBuilder::new(vec!["big".into(), "real".into()]);
+    for (big, real) in BIG.iter().zip(REAL) {
+        b.push(0.5, vec![Value::Int(*big), Value::Float(real)])
+            .unwrap();
+    }
+    let table = b.finish().unwrap();
+    for (column, value) in [(0, Value::Float(TWO_53 as f64)), (1, Value::Int(0))] {
+        for direction in [SortDirection::Descending, SortDirection::Ascending] {
+            let query = |op| {
+                let predicate = Predicate::compare(column, op, value.clone());
+                TopKQuery::new(1, predicate, Ranking::by_column(column, direction)).unwrap()
+            };
+            for op in [
+                ComparisonOp::Eq,
+                ComparisonOp::Lt,
+                ComparisonOp::Le,
+                ComparisonOp::Gt,
+                ComparisonOp::Ge,
+            ] {
+                let selection = Selection::new(&table, &query(op)).unwrap();
+                assert!(!selection.ran_predicate_pass(), "{column} {op:?}");
+                let (tuples, rules) = reference_build(&table, &query(op)).unwrap();
+                same_selection(&table, &selection, &tuples, &rules).unwrap();
+            }
+            let selection = Selection::new(&table, &query(ComparisonOp::Ne)).unwrap();
+            assert!(selection.ran_predicate_pass(), "{column} !=");
+        }
+    }
 }

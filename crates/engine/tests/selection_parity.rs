@@ -4,10 +4,14 @@
 //! bit-identical to the same scan over the materialized `P(T)` (a
 //! `ViewSource`, dense keys): positions, ids, scores, `value.to_bits()`,
 //! the full [`ExecStats`] and the stop rank, at upper-bound cadences 64 and
-//! 1, through the cursor and snapshot paths, and for batches. The pool
-//! width is the ambient `PTK_THREADS`, so the CI matrix runs it at 1 and 4.
+//! 1, through the cursor and snapshot paths, and for batches. A selection
+//! found as a ranked range must also scan exactly like the predicate-pass
+//! selection of the same cut spelled with `NOT`. The pool width is the
+//! ambient `PTK_THREADS`, so the CI matrix runs it at 1 and 4.
 
-use ptk_access::{RankedSource, SelectionSource, ViewSource};
+use std::ops::Range;
+
+use ptk_access::{RankedSource, SnapshotSource};
 use ptk_core::rng::{RngExt, SeedableRng, StdRng};
 use ptk_core::{
     ComparisonOp, Predicate, RankedView, Ranking, Selection, SortDirection, TopKQuery, TupleId,
@@ -94,8 +98,9 @@ fn run_cursor(plan: &PtkPlan, source: &mut dyn RankedSource) -> Result<Outcome, 
     outcome(answer, &metrics)
 }
 
-/// Checks every semantics, cadence and path for one selection; returns how
-/// many scans stopped before the end of `P(T)`.
+/// Checks every semantics, cadence and path for one selection against its
+/// materialized `P(T)`; returns how many scans stopped before the end of
+/// `P(T)`.
 fn check_selection(table: &UncertainTable, query: &TopKQuery, ctx: &str) -> usize {
     let selection = Selection::new(table, query).unwrap();
     let view = selection.materialize();
@@ -104,8 +109,14 @@ fn check_selection(table: &UncertainTable, query: &TopKQuery, ctx: &str) -> usiz
         "{ctx}: materialize"
     );
     assert_eq!(selection.len(), view.len(), "{ctx}: length");
+    check_scans(&selection, &view, view.len(), ctx)
+}
+
+/// Checks every semantics, cadence and path of `got` against `want`, two
+/// sources of the same `n`-tuple `P(T)`; returns how many scans stopped
+/// before its end.
+fn check_scans(got: &dyn SnapshotSource, want: &dyn SnapshotSource, n: usize, ctx: &str) -> usize {
     let pool = ThreadPool::from_env();
-    let n = view.len();
     let mut stops = 0;
     for semantics in SEMANTICS {
         // U-TopK's search is exponential in k; keep it small.
@@ -118,24 +129,18 @@ fn check_selection(table: &UncertainTable, query: &TopKQuery, ctx: &str) -> usiz
             for interval in INTERVALS {
                 let plan = plan(semantics, k, 0.3, interval);
                 let ctx = format!("{ctx} {semantics:?} k={k} ub every {interval}");
-                let want = run_cursor(&plan, &mut ViewSource::new(&view));
-                let got = run_cursor(&plan, &mut SelectionSource::new(&selection));
-                assert_eq!(got, want, "{ctx}: cursor");
-                if let Ok(o) = &want {
+                let wanted = run_cursor(&plan, &mut *want.fork());
+                assert_eq!(run_cursor(&plan, &mut *got.fork()), wanted, "{ctx}: cursor");
+                if let Ok(o) = &wanted {
                     stops += usize::from(o.stats.scanned < n);
                 }
-                let on_view = PtkExecutor::new(&plan)
-                    .execute_semantics_snapshot(&view, &pool)
-                    .map_err(|e| e.to_string());
-                let on_selection = PtkExecutor::new(&plan)
-                    .execute_semantics_snapshot(&selection, &pool)
-                    .map_err(|e| e.to_string());
-                let unrecorded = Metrics::new();
-                assert_eq!(
-                    outcome(on_selection, &unrecorded),
-                    outcome(on_view, &unrecorded),
-                    "{ctx}: snapshot"
-                );
+                let snapshot = |source| {
+                    let answer = PtkExecutor::new(&plan)
+                        .execute_semantics_snapshot(source, &pool)
+                        .map_err(|e| e.to_string());
+                    outcome(answer, &Metrics::new())
+                };
+                assert_eq!(snapshot(got), snapshot(want), "{ctx}: snapshot");
             }
         }
     }
@@ -145,18 +150,18 @@ fn check_selection(table: &UncertainTable, query: &TopKQuery, ctx: &str) -> usiz
             .map(|&(k, p)| plan(RankSemantics::Ptk, k, p, interval))
             .collect();
         let batch = PtkPlan::batch(&plans);
-        let (want, want_snap) = PtkExecutor::execute_batch_recorded(&batch, &view, &pool);
-        let (got, got_snap) = PtkExecutor::execute_batch_recorded(&batch, &selection, &pool);
-        let (counted, counted_snap) = PtkExecutor::execute_batch_counted(&batch, &selection, &pool);
-        let want: Vec<Outcome> = want.iter().map(ptk_outcome).collect();
+        let (wanted, want_snap) = PtkExecutor::execute_batch_recorded(&batch, want, &pool);
+        let (recorded, got_snap) = PtkExecutor::execute_batch_recorded(&batch, got, &pool);
+        let (counted, counted_snap) = PtkExecutor::execute_batch_counted(&batch, got, &pool);
+        let wanted: Vec<Outcome> = wanted.iter().map(ptk_outcome).collect();
         assert_eq!(
-            got.iter().map(ptk_outcome).collect::<Vec<_>>(),
-            want,
+            recorded.iter().map(ptk_outcome).collect::<Vec<_>>(),
+            wanted,
             "{ctx}: batch, ub every {interval}"
         );
         assert_eq!(
             counted.iter().map(ptk_outcome).collect::<Vec<_>>(),
-            want,
+            wanted,
             "{ctx}: counted batch, ub every {interval}"
         );
         assert_eq!(got_snap.to_json(false), want_snap.to_json(false), "{ctx}");
@@ -191,6 +196,86 @@ fn query(predicate: Predicate, direction: SortDirection) -> TopKQuery {
     TopKQuery::new(1, predicate, Ranking::by_column(0, direction)).unwrap()
 }
 
+const RANGE_OPS: [ComparisonOp; 5] = [
+    ComparisonOp::Eq,
+    ComparisonOp::Lt,
+    ComparisonOp::Le,
+    ComparisonOp::Ge,
+    ComparisonOp::Gt,
+];
+
+/// `column op value` spelled with `NOT`, which takes the predicate pass:
+/// `score >= x` as `NOT score < x`, `score = x` as `NOT score != x`.
+fn not_spelling(column: usize, op: ComparisonOp, value: Value) -> Predicate {
+    let negated = match op {
+        ComparisonOp::Eq => ComparisonOp::Ne,
+        ComparisonOp::Lt => ComparisonOp::Ge,
+        ComparisonOp::Le => ComparisonOp::Gt,
+        ComparisonOp::Gt => ComparisonOp::Le,
+        ComparisonOp::Ge => ComparisonOp::Lt,
+        ComparisonOp::Ne => unreachable!("`!=` selects no ranked range"),
+    };
+    Predicate::compare(column, negated, value).not()
+}
+
+/// Ranks `table` by `column` and checks the ranked range `column op value`
+/// selects against the predicate pass of its `NOT` spelling, scan for
+/// scan; returns the range.
+fn check_range(
+    table: &UncertainTable,
+    (column, op, value): (usize, ComparisonOp, Value),
+    direction: SortDirection,
+    ctx: &str,
+) -> Range<usize> {
+    let select = |predicate| {
+        let ranking = Ranking::by_column(column, direction);
+        Selection::new(table, &TopKQuery::new(1, predicate, ranking).unwrap()).unwrap()
+    };
+    let range = select(Predicate::compare(column, op, value.clone()));
+    let spelled = select(not_spelling(column, op, value));
+    assert!(!range.ran_predicate_pass(), "{ctx}: a ranked range");
+    assert!(spelled.ran_predicate_pass(), "{ctx}: the predicate pass");
+    assert_eq!(range.len(), spelled.len(), "{ctx}: length");
+    assert!(
+        range.materialize() == spelled.materialize(),
+        "{ctx}: materialize"
+    );
+    check_scans(&range, &spelled, range.len(), ctx);
+    range.ranked_range()
+}
+
+#[test]
+fn ranked_ranges_scan_like_their_not_spelling() {
+    let table = synthetic_table(0x5e1_0004, RulePlacement::Clustered { span: 8 });
+    let n = table.len();
+    // Scores are the floats 1..=400: cut below, on, between and above
+    // them, with float and int constants.
+    let cuts = [
+        Value::Float(0.5),
+        Value::Float(120.0),
+        Value::Int(250),
+        Value::Float(300.5),
+        Value::Int(400),
+        Value::Float(401.0),
+    ];
+    let (mut suffixes, mut empty, mut full) = (0, 0, 0);
+    for direction in [SortDirection::Descending, SortDirection::Ascending] {
+        for op in RANGE_OPS {
+            for value in &cuts {
+                let ctx = format!("score {op:?} {value} {direction:?}");
+                let range = check_range(&table, (0, op, value.clone()), direction, &ctx);
+                suffixes += usize::from(range.start > 0 && range.end == n);
+                empty += usize::from(range.is_empty());
+                full += usize::from(range.len() == n);
+            }
+        }
+    }
+    assert!(
+        suffixes > 0 && empty > 0 && full > 0,
+        "{suffixes} {empty} {full}"
+    );
+}
+
 #[test]
 fn synthetic_selections_scan_bit_identically() {
     let mut stops = 0;
@@ -223,10 +308,11 @@ fn synthetic_selections_scan_bit_identically() {
 }
 
 /// Small tables with tied, text-free numeric and NULL rank keys, scattered
-/// selections (a `row` column), and rules whose mass is 1 + 1 ulp.
+/// selections (a `row` column), a tied int column for ranked ranges
+/// (`tied`), and rules whose mass is 1 + 1 ulp.
 fn random_table(rng: &mut StdRng) -> UncertainTable {
     let n = rng.random_range(1..=40usize);
-    let mut b = UncertainTableBuilder::new(vec!["score".into(), "row".into()]);
+    let mut b = UncertainTableBuilder::new(vec!["score".into(), "row".into(), "tied".into()]);
     for i in 0..n {
         let score = if rng.random_bool(0.1) {
             Value::Null
@@ -238,7 +324,9 @@ fn random_table(rng: &mut StdRng) -> UncertainTable {
             1 => 0.500_000_000_000_000_2,
             _ => rng.random_range(0.05..=0.5f64),
         };
-        b.push(prob, vec![score, Value::Int(i as i64)]).unwrap();
+        let tied = Value::Int(rng.random_range(0..6i64));
+        b.push(prob, vec![score, Value::Int(i as i64), tied])
+            .unwrap();
     }
     let mut free: Vec<usize> = (0..n).collect();
     rng.shuffle(&mut free);
@@ -274,5 +362,26 @@ fn random_selections_scan_bit_identically() {
             &query(predicate, direction),
             &format!("trial {trial} n={n}"),
         );
+    }
+}
+
+#[test]
+fn random_ranges_scan_like_their_not_spelling() {
+    let mut rng = StdRng::seed_from_u64(0x5e1_0005);
+    for trial in 0..40 {
+        let table = random_table(&mut rng);
+        let op = RANGE_OPS[trial % RANGE_OPS.len()];
+        let value = if rng.random_bool(0.5) {
+            Value::Int(rng.random_range(-1..=6i64))
+        } else {
+            Value::Float(f64::from(rng.random_range(-2..=12i32)) * 0.5)
+        };
+        let direction = if trial % 2 == 0 {
+            SortDirection::Descending
+        } else {
+            SortDirection::Ascending
+        };
+        let ctx = format!("trial {trial} n={}: tied {op:?} {value}", table.len());
+        check_range(&table, (2, op, value), direction, &ctx);
     }
 }

@@ -97,7 +97,9 @@ pub fn read_request(stream: &mut dyn Read, max_bytes: usize) -> Result<Request, 
             }
         }
     }
-    if head_end + 4 + content_length > max_bytes {
+    // Compared without overflow: a huge claimed length must not wrap past
+    // the cap.
+    if content_length > max_bytes.saturating_sub(head_end + 4) {
         return Err(ReadError::TooLarge);
     }
 
@@ -262,6 +264,31 @@ mod tests {
             read_request(&mut cursor, 64),
             Err(ReadError::TooLarge)
         ));
+    }
+
+    #[test]
+    fn a_lying_content_length_is_too_large_at_once() {
+        // A length that would wrap `head + length` past the cap.
+        let raw = format!(
+            "POST /sql HTTP/1.1\r\nContent-Length: {}\r\n\r\nhi",
+            usize::MAX
+        );
+        assert!(matches!(read(raw.as_bytes()), Err(ReadError::TooLarge)));
+        // Exactly at the cap the request is read; one byte more is refused.
+        let cap = 64 * 1024;
+        let head =
+            |length: usize| format!("POST /sql HTTP/1.1\r\nContent-Length: {length}\r\n\r\n");
+        let fits = cap - head(10_000).len();
+        let body = "x".repeat(fits);
+        assert_eq!(head(fits).len() + fits, cap);
+        assert_eq!(
+            read(format!("{}{body}", head(fits)).as_bytes())
+                .unwrap()
+                .body,
+            body
+        );
+        let over = format!("{}{body}x", head(fits + 1));
+        assert!(matches!(read(over.as_bytes()), Err(ReadError::TooLarge)));
     }
 
     #[test]

@@ -6,10 +6,18 @@ use crate::ast::{Condition, Literal, Method, ParsedQuery, RankBy};
 use crate::token::{tokenize, Spanned, Token};
 use crate::SqlError;
 
+/// The deepest `WHERE` condition a statement may nest: each `(`, each
+/// `NOT` and each further `AND`/`OR` operand is one level. Parsing,
+/// binding, evaluating and dropping a condition recurse once per level, so
+/// the cap keeps a hostile statement far from the end of the stack.
+const MAX_CONDITION_DEPTH: usize = 128;
+
 struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
     input_len: usize,
+    /// The `(` and `NOT` levels enclosing the condition being parsed.
+    nesting: usize,
 }
 
 impl Parser {
@@ -65,36 +73,65 @@ impl Parser {
         }
     }
 
-    fn parse_condition(&mut self) -> Result<Condition, SqlError> {
-        let mut left = self.parse_and()?;
+    /// `depth`, unless it exceeds [`MAX_CONDITION_DEPTH`].
+    fn within_limit(&self, depth: usize) -> Result<usize, SqlError> {
+        if depth > MAX_CONDITION_DEPTH {
+            return Err(SqlError::at(
+                self.offset(),
+                format!("condition nested deeper than {MAX_CONDITION_DEPTH} levels"),
+            ));
+        }
+        Ok(depth)
+    }
+
+    /// Parses the condition inside one more `(` or `NOT`, refusing to
+    /// recurse past the depth limit.
+    fn parse_nested(
+        &mut self,
+        parse: fn(&mut Parser) -> Result<(Condition, usize), SqlError>,
+    ) -> Result<(Condition, usize), SqlError> {
+        self.nesting = self.within_limit(self.nesting + 1)?;
+        let (inner, depth) = parse(self)?;
+        self.nesting -= 1;
+        Ok((inner, self.within_limit(depth + 1)?))
+    }
+
+    /// Parses `a OR b OR …`. Like every `parse_*` below, returns the
+    /// condition with its depth: the levels on its deepest path, a
+    /// comparison being 0.
+    fn parse_condition(&mut self) -> Result<(Condition, usize), SqlError> {
+        let (mut left, mut depth) = self.parse_and()?;
         while self.eat_keyword("OR") {
-            let right = self.parse_and()?;
+            let (right, right_depth) = self.parse_and()?;
+            depth = self.within_limit(depth.max(right_depth) + 1)?;
             left = Condition::Or(Box::new(left), Box::new(right));
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn parse_and(&mut self) -> Result<Condition, SqlError> {
-        let mut left = self.parse_not()?;
+    fn parse_and(&mut self) -> Result<(Condition, usize), SqlError> {
+        let (mut left, mut depth) = self.parse_not()?;
         while self.eat_keyword("AND") {
-            let right = self.parse_not()?;
+            let (right, right_depth) = self.parse_not()?;
+            depth = self.within_limit(depth.max(right_depth) + 1)?;
             left = Condition::And(Box::new(left), Box::new(right));
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn parse_not(&mut self) -> Result<Condition, SqlError> {
+    fn parse_not(&mut self) -> Result<(Condition, usize), SqlError> {
         if self.eat_keyword("NOT") {
-            Ok(Condition::Not(Box::new(self.parse_not()?)))
+            let (inner, depth) = self.parse_nested(Parser::parse_not)?;
+            Ok((Condition::Not(Box::new(inner)), depth))
         } else {
             self.parse_primary()
         }
     }
 
-    fn parse_primary(&mut self) -> Result<Condition, SqlError> {
+    fn parse_primary(&mut self) -> Result<(Condition, usize), SqlError> {
         if matches!(self.peek(), Some(Token::LParen)) {
             self.pos += 1;
-            let inner = self.parse_condition()?;
+            let inner = self.parse_nested(Parser::parse_condition)?;
             match self.advance() {
                 Some(Token::RParen) => Ok(inner),
                 _ => Err(SqlError::at(self.offset(), "expected ')'")),
@@ -118,7 +155,7 @@ impl Parser {
                 Some(Token::Ident(w)) if w.eq_ignore_ascii_case("null") => Literal::Null,
                 _ => return Err(SqlError::at(self.offset(), "expected a literal")),
             };
-            Ok(Condition::Compare { column, op, value })
+            Ok((Condition::Compare { column, op, value }, 0))
         }
     }
 }
@@ -155,6 +192,7 @@ pub(crate) fn parse_body(
         tokens: tokens.to_vec(),
         pos: 0,
         input_len,
+        nesting: 0,
     };
 
     p.expect_keyword("SELECT")?;
@@ -170,7 +208,7 @@ pub(crate) fn parse_body(
     let table = p.expect_ident("a table name")?;
 
     let condition = if p.eat_keyword("WHERE") {
-        Some(p.parse_condition()?)
+        Some(p.parse_condition()?.0)
     } else {
         None
     };
@@ -377,6 +415,52 @@ mod tests {
         assert!(err.message.contains("unknown method"), "{err}");
         let err = parse("SELECT TOP 3 FROM t WHERE (a = 1 ORDER BY s").unwrap_err();
         assert!(err.message.contains("')'"), "{err}");
+    }
+
+    /// `(` × n around a comparison, `NOT` × n before one, and chains of
+    /// n + 1 comparisons joined by `AND` or by `OR`: each n levels deep.
+    fn nested_conditions(n: usize) -> [String; 4] {
+        let chain = |op: &str| vec!["score = 1"; n + 1].join(op);
+        [
+            format!("{}score = 1{}", "(".repeat(n), ")".repeat(n)),
+            format!("{}score = 1", "NOT ".repeat(n)),
+            chain(" AND "),
+            chain(" OR "),
+        ]
+    }
+
+    #[test]
+    fn conditions_at_the_depth_limit_parse_bind_and_evaluate() {
+        let mut b = ptk_core::UncertainTableBuilder::single_column();
+        b.push(0.5, vec![ptk_core::Value::Int(1)]).unwrap();
+        let table = b.finish().unwrap();
+        let tuple = table.tuple(ptk_core::TupleId::new(0));
+        for condition in nested_conditions(MAX_CONDITION_DEPTH) {
+            let parsed = parse(&format!(
+                "SELECT TOP 1 FROM t WHERE {condition} ORDER BY score"
+            ))
+            .unwrap_or_else(|e| panic!("{e}: {condition:.40}"));
+            let query = parsed.bind(&table).unwrap();
+            // An even number of NOTs: every spelling is true.
+            assert!(query.query().predicate().eval(tuple).unwrap());
+        }
+    }
+
+    #[test]
+    fn conditions_past_the_depth_limit_are_refused() {
+        for condition in nested_conditions(MAX_CONDITION_DEPTH + 1) {
+            let err = parse(&format!(
+                "SELECT TOP 1 FROM t WHERE {condition} ORDER BY score"
+            ))
+            .unwrap_err();
+            assert!(
+                err.message == "condition nested deeper than 128 levels",
+                "{err}: {condition:.40}"
+            );
+        }
+        // Far past it, parsing stops at the limit instead of recursing.
+        let deep = format!("{}score = 1{}", "(".repeat(100_000), ")".repeat(100_000));
+        assert!(parse(&format!("SELECT TOP 1 FROM t WHERE {deep} ORDER BY score")).is_err());
     }
 
     #[test]

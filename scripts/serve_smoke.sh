@@ -2,7 +2,8 @@
 # Smoke test for the `ptk serve` daemon, exactly as CI runs it:
 # start the daemon on a generated dataset, run real queries, sweep
 # malformed inputs (bad thresholds, k = 0, garbage SQL, a truncated
-# request), scrape /metrics, and shut down cleanly — asserting the
+# request, a WHERE nested past the depth limit, a Content-Length past the
+# request cap), scrape /metrics, and shut down cleanly — asserting the
 # process stays up with structured errors throughout.
 #
 # Usage: scripts/serve_smoke.sh [path-to-ptk-binary]
@@ -100,6 +101,28 @@ done
 printf 'POST /sql HTTP/1.1\r\nContent-Length: 50\r\n\r\nshort' \
   | timeout 10 curl -sS -o /dev/null telnet://"$ADDR" 2>/dev/null || true
 assert_up "truncated request"
+
+# A WHERE nested past the parser's depth limit is a query error, not a
+# stack overflow that aborts the daemon: 4,000 parentheses, and a
+# 5,300-term AND chain just under the 64 KiB request cap.
+open="$(printf '(%.0s' $(seq 4000))"
+close="$(printf ')%.0s' $(seq 4000))"
+chain="$(printf 'score=1 AND %.0s' $(seq 5299))score=1"
+for where in "${open}score = 1${close}" "$chain"; do
+  code="$(post_sql "SELECT TOP 5 FROM t WHERE $where ORDER BY score DESC")"
+  [[ "$code" == 400 ]] || fail "deep WHERE (${#where} bytes) returned $code"
+  grep -q '"error":{"code":"query"' "$WORK/body" \
+    || fail "no structured error for a deep WHERE: $(cat "$WORK/body")"
+  grep -q 'nested deeper than 128 levels' "$WORK/body" \
+    || fail "deep WHERE error does not name the limit: $(cat "$WORK/body")"
+  assert_up "deep WHERE (${#where} bytes)"
+done
+
+# A Content-Length that would wrap the cap check is refused at once.
+response="$(printf 'POST /sql HTTP/1.1\r\nContent-Length: 18446744073709551615\r\n\r\nSELECT' \
+  | timeout 10 curl -sS telnet://"$ADDR" 2>/dev/null || true)"
+[[ "$response" == "HTTP/1.1 413 "* ]] || fail "lying Content-Length answered: ${response:0:80}"
+assert_up "lying Content-Length"
 
 # Wrong method and unknown path keep structured shapes.
 code="$(curl -sS -o "$WORK/body" -w '%{http_code}' "http://$ADDR/sql")"
