@@ -49,7 +49,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use ptk_core::TupleId;
-use ptk_obs::{Mark, Noop, Payload, SharedRecorder, Stage, Tracer};
+use ptk_obs::{Mark, Noop, Payload, SharedRecorder, Stage};
 
 use crate::bytebuf::ByteBuf;
 use crate::counters;
@@ -503,7 +503,6 @@ pub struct PagedRun {
     capacity: u64,
     data_start: u64,
     recorder: SharedRecorder,
-    tracer: Option<Arc<Tracer>>,
 }
 
 impl std::fmt::Debug for PagedRun {
@@ -530,6 +529,12 @@ impl PagedRun {
 
     /// Like [`PagedRun::open`], recording access metrics (block reads and
     /// skips, decode bytes, pool hits/misses, file bytes) into `recorder`.
+    /// When `recorder` carries a tracer ([`ptk_obs::Recorder::tracer`]),
+    /// the open becomes a [`Stage::SourceOpen`] span carrying the run's
+    /// tuple and rule counts, closed on error too so the trace stays
+    /// balanced, and every block frame fetched from disk emits a
+    /// [`Mark::FileRead`] instant — so a flame trace shows exactly which
+    /// blocks the paged scan touched.
     ///
     /// The header's `tuples` and `rules` fields are *untrusted input*: no
     /// allocation is sized from them before a bound against the actual
@@ -540,6 +545,29 @@ impl PagedRun {
     /// # Errors
     /// Fails on IO errors or a malformed file.
     pub fn open_recorded(
+        path: &Path,
+        pool: PoolConfig,
+        recorder: SharedRecorder,
+    ) -> io::Result<PagedRun> {
+        let Some(tracer) = recorder.tracer() else {
+            return PagedRun::read_layout(path, pool, recorder);
+        };
+        let _ = tracer.begin(Stage::SourceOpen);
+        let opened = PagedRun::read_layout(path, pool, Arc::clone(&recorder));
+        let payload = match &opened {
+            Ok(run) => Payload::Source {
+                tuples: run.tuples,
+                rules: run.rule_masses.len() as u64,
+            },
+            Err(_) => Payload::None,
+        };
+        tracer.end(Stage::SourceOpen, payload);
+        opened
+    }
+
+    /// Opens the run file and validates its header, rule layout and block
+    /// directory; see [`PagedRun::open_recorded`].
+    fn read_layout(
         path: &Path,
         pool: PoolConfig,
         recorder: SharedRecorder,
@@ -792,43 +820,7 @@ impl PagedRun {
             capacity,
             data_start,
             recorder,
-            tracer: None,
         })
-    }
-
-    /// Like [`PagedRun::open_recorded`], additionally tracing the access
-    /// path: the open becomes a [`Stage::SourceOpen`] span carrying the
-    /// run's tuple and rule counts, and every block frame fetched from
-    /// disk emits a [`Mark::FileRead`] instant — so a flame trace shows
-    /// exactly which blocks the paged scan touched.
-    ///
-    /// # Errors
-    /// Fails on IO errors or a malformed file (the open span is closed
-    /// either way, so the trace stays balanced).
-    pub fn open_traced(
-        path: &Path,
-        pool: PoolConfig,
-        recorder: SharedRecorder,
-        tracer: Arc<Tracer>,
-    ) -> io::Result<PagedRun> {
-        let _ = tracer.begin(Stage::SourceOpen);
-        match PagedRun::open_recorded(path, pool, recorder) {
-            Ok(mut run) => {
-                tracer.end(
-                    Stage::SourceOpen,
-                    Payload::Source {
-                        tuples: run.tuples,
-                        rules: run.rule_masses.len() as u64,
-                    },
-                );
-                run.tracer = Some(tracer);
-                Ok(run)
-            }
-            Err(e) => {
-                tracer.end(Stage::SourceOpen, Payload::None);
-                Err(e)
-            }
-        }
     }
 
     /// Total records in the run.
@@ -921,7 +913,7 @@ impl PagedRun {
         }
         self.recorder
             .add(counters::FILE_BYTES_READ, self.block_size as u64);
-        if let Some(t) = &self.tracer {
+        if let Some(t) = self.recorder.tracer() {
             t.instant(Mark::FileRead {
                 bytes: self.block_size as u64,
             });
@@ -1649,14 +1641,16 @@ mod tests {
     }
 
     #[test]
-    fn open_traced_emits_a_balanced_span_and_read_marks() {
-        use ptk_obs::{to_chrome_json, validate_chrome_trace, RingSink, SharedSink};
+    fn a_traced_recorder_sees_the_open_span_and_block_reads() {
+        use ptk_obs::{
+            to_chrome_json, validate_chrome_trace, Metrics, RingSink, SharedSink, Tracer,
+        };
         let f = temp();
         write_run_blocked(&f.0, &panda_rows(), 48).unwrap();
         let sink = Arc::new(RingSink::new(64));
-        let tracer = Arc::new(Tracer::new(Arc::clone(&sink) as SharedSink, 0, 0));
-        let run =
-            PagedRun::open_traced(&f.0, small_pool(), Arc::new(Noop), Arc::clone(&tracer)).unwrap();
+        let tracer = Tracer::new(Arc::clone(&sink) as SharedSink, 0, 0);
+        let recorder = Arc::new(Metrics::counters_only().with_tracer(tracer));
+        let run = PagedRun::open_recorded(&f.0, small_pool(), recorder).unwrap();
         let mut cur = run.cursor();
         while cur.next_ranked().is_some() {}
         drop(cur);

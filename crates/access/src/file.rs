@@ -24,7 +24,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use ptk_core::TupleId;
-use ptk_obs::{Mark, Noop, Payload, SharedRecorder, Stage, Tracer};
+use ptk_obs::{Mark, Noop, Payload, SharedRecorder, Stage};
 
 use crate::block::corrupt;
 use crate::bytebuf::ByteBuf;
@@ -113,7 +113,6 @@ pub struct FileSource {
     last_score: f64,
     retrieved: usize,
     recorder: SharedRecorder,
-    tracer: Option<Arc<Tracer>>,
     /// The error that ended the stream, held for [`FileSource::take_error`].
     /// Once set, the stream stays ended.
     error: Option<io::Error>,
@@ -141,7 +140,13 @@ impl FileSource {
     }
 
     /// Like [`FileSource::open`], recording retrieval metrics (bytes read,
-    /// records decoded) into `recorder`.
+    /// records decoded) into `recorder`. When `recorder` carries a tracer
+    /// ([`ptk_obs::Recorder::tracer`]), the header read becomes a
+    /// [`Stage::SourceOpen`] span carrying the run's tuple and rule counts,
+    /// closed on error too so the trace stays balanced, and every buffered
+    /// refill emits a [`Mark::FileRead`] instant with the bytes read — so
+    /// a flame trace shows exactly how far into the file the pruned scan
+    /// reached.
     ///
     /// The header's `tuples` and `rules` fields are *untrusted input*:
     /// before any allocation sized from them, they are checked against the
@@ -152,6 +157,25 @@ impl FileSource {
     /// # Errors
     /// Fails on IO errors or a malformed header.
     pub fn open_recorded(path: &Path, recorder: SharedRecorder) -> io::Result<FileSource> {
+        let Some(tracer) = recorder.tracer() else {
+            return FileSource::read_header(path, recorder);
+        };
+        let _ = tracer.begin(Stage::SourceOpen);
+        let opened = FileSource::read_header(path, Arc::clone(&recorder));
+        let payload = match &opened {
+            Ok(src) => Payload::Source {
+                tuples: src.remaining,
+                rules: src.rule_masses.len() as u64,
+            },
+            Err(_) => Payload::None,
+        };
+        tracer.end(Stage::SourceOpen, payload);
+        opened
+    }
+
+    /// Opens the run file and validates its header and rule table; see
+    /// [`FileSource::open_recorded`].
+    fn read_header(path: &Path, recorder: SharedRecorder) -> io::Result<FileSource> {
         let file = File::open(path)?;
         let file_len = file.metadata()?.len();
         let mut reader = BufReader::new(file);
@@ -226,44 +250,9 @@ impl FileSource {
             last_score: f64::INFINITY,
             retrieved: 0,
             recorder,
-            tracer: None,
             error: None,
             dead: false,
         })
-    }
-
-    /// Like [`FileSource::open_recorded`], additionally tracing the access
-    /// path: the header read becomes a [`Stage::SourceOpen`] span carrying
-    /// the run's tuple and rule counts, and every buffered refill emits a
-    /// [`Mark::FileRead`] instant with the bytes read — so a flame trace
-    /// shows exactly how far into the file the pruned scan reached.
-    ///
-    /// # Errors
-    /// Fails on IO errors or a malformed header (the open span is closed
-    /// either way, so the trace stays balanced).
-    pub fn open_traced(
-        path: &Path,
-        recorder: SharedRecorder,
-        tracer: Arc<Tracer>,
-    ) -> io::Result<FileSource> {
-        let _ = tracer.begin(Stage::SourceOpen);
-        match FileSource::open_recorded(path, recorder) {
-            Ok(mut src) => {
-                tracer.end(
-                    Stage::SourceOpen,
-                    Payload::Source {
-                        tuples: src.remaining,
-                        rules: src.rule_masses.len() as u64,
-                    },
-                );
-                src.tracer = Some(tracer);
-                Ok(src)
-            }
-            Err(e) => {
-                tracer.end(Stage::SourceOpen, Payload::None);
-                Err(e)
-            }
-        }
     }
 
     /// Records left to stream.
@@ -292,7 +281,7 @@ impl FileSource {
             )
         })?;
         self.recorder.add(counters::FILE_BYTES_READ, want as u64);
-        if let Some(t) = &self.tracer {
+        if let Some(t) = self.recorder.tracer() {
             t.instant(Mark::FileRead { bytes: want as u64 });
         }
         self.buffer.put_slice(&chunk);
@@ -572,13 +561,16 @@ mod tests {
     }
 
     #[test]
-    fn open_traced_emits_a_balanced_source_span_and_read_marks() {
-        use ptk_obs::{to_chrome_json, validate_chrome_trace, RingSink, SharedSink};
+    fn a_traced_recorder_sees_the_open_span_and_read_marks() {
+        use ptk_obs::{
+            to_chrome_json, validate_chrome_trace, Metrics, RingSink, SharedSink, Tracer,
+        };
         let f = temp();
         write_run(&f.0, &panda_rows()).unwrap();
         let sink = Arc::new(RingSink::new(64));
-        let tracer = Arc::new(Tracer::new(Arc::clone(&sink) as SharedSink, 0, 0));
-        let mut src = FileSource::open_traced(&f.0, Arc::new(Noop), Arc::clone(&tracer)).unwrap();
+        let tracer = Tracer::new(Arc::clone(&sink) as SharedSink, 0, 0);
+        let recorder = Arc::new(Metrics::counters_only().with_tracer(tracer));
+        let mut src = FileSource::open_recorded(&f.0, recorder).unwrap();
         while let Some(_t) = src.next_ranked() {}
         drop(src);
         let events = sink.events();
@@ -593,13 +585,14 @@ mod tests {
     }
 
     #[test]
-    fn open_traced_closes_the_span_on_error() {
-        use ptk_obs::{RingSink, SharedSink};
+    fn a_traced_open_closes_the_span_on_error() {
+        use ptk_obs::{Metrics, RingSink, SharedSink, Tracer};
         let f = temp();
         std::fs::write(&f.0, b"NOTARUN!xxxxxxxxxxxxxxxxxxx").unwrap();
         let sink = Arc::new(RingSink::new(8));
-        let tracer = Arc::new(Tracer::new(Arc::clone(&sink) as SharedSink, 0, 0));
-        assert!(FileSource::open_traced(&f.0, Arc::new(Noop), tracer).is_err());
+        let tracer = Tracer::new(Arc::clone(&sink) as SharedSink, 0, 0);
+        let recorder = Arc::new(Metrics::counters_only().with_tracer(tracer));
+        assert!(FileSource::open_recorded(&f.0, recorder).is_err());
         // The debug drop guard would panic here if the span leaked open.
         let events = sink.events();
         assert_eq!(events.len(), 2, "begin + end despite the error");

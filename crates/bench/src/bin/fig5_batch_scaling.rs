@@ -283,8 +283,8 @@ fn main() {
         "deep batch partitioned {segmented_queries} queries into {segments} rule-closed segments"
     );
 
-    // The merged snapshot is deterministic at any width (per-query
-    // registries merged in plan order); record it timing-free.
+    // The batch's snapshot is deterministic at any width (the engine
+    // records only sums); record it timing-free.
     let (_, snapshot) = PtkExecutor::execute_batch_recorded(&batch, view, &ThreadPool::new(1));
 
     let mut json = format!(

@@ -3,8 +3,10 @@
 //! Each command family lives in its own submodule — `query` (view-based
 //! queries and table introspection), `sql` (the statement language),
 //! `scan` (packed run files and progressive retrieval), `gen`
-//! (dataset generation) — with the shared rendering helpers in `render`.
-//! This module owns the flag parser, the error type, and the dispatcher.
+//! (dataset generation) — with the shared rendering helpers in `render`
+//! and the one observability context every query command records into in
+//! `ctx`. This module owns the flag parser, the error type, and the
+//! dispatcher.
 
 use std::collections::HashMap;
 use std::io::{self, Write};
@@ -14,6 +16,7 @@ use ptk_core::{ComparisonOp, Predicate, Ranking, SortDirection, UncertainTable};
 use crate::load::{load_table, parse_value};
 use crate::USAGE;
 
+mod ctx;
 mod gen;
 mod query;
 mod render;
@@ -187,8 +190,12 @@ fn semantics_from_flags(flags: &Flags) -> Result<ptk_engine::RankSemantics, Stri
     }
 }
 
-/// Parses a `--where` clause of the form `<column><op><value>`.
-fn parse_where(clause: &str, table: &UncertainTable) -> Result<Predicate, String> {
+/// The `--where` predicate, a clause of the form `<column><op><value>`;
+/// without the flag, every tuple qualifies.
+fn where_from_flags(flags: &Flags, table: &UncertainTable) -> Result<Predicate, String> {
+    let Some(clause) = flags.named.get("where") else {
+        return Ok(Predicate::True);
+    };
     // Longest operators first so `<=` wins over `<`.
     const OPS: [(&str, ComparisonOp); 6] = [
         ("!=", ComparisonOp::Ne),
@@ -1758,6 +1765,208 @@ mod tests {
         assert!(err.contains("invalid trace"), "{err}");
         let err = dispatch(&args(&["trace-check"])).unwrap_err();
         assert!(err.contains("missing trace file"), "{err}");
+    }
+
+    /// A synthetic CSV table with its v1 and v2 packings, kept alive
+    /// together for the scan tests.
+    fn synthetic_runs() -> (tempfile::TempPath, tempfile::TempPath, tempfile::TempPath) {
+        let csv = dispatch(&args(&[
+            "generate",
+            "synthetic",
+            "--tuples",
+            "2000",
+            "--rules",
+            "200",
+            "--seed",
+            "13",
+        ]))
+        .unwrap();
+        let table = tempfile::csv(&csv);
+        let (v1, v2) = (tempfile::path("run"), tempfile::path("run"));
+        for (run, extra) in [(&v1, None), (&v2, Some("4096"))] {
+            let mut argv = vec![
+                "pack",
+                table.as_str(),
+                "--rank-by",
+                "score",
+                "--out",
+                run.as_str(),
+            ];
+            if let Some(size) = extra {
+                argv.extend(["--block-size", size]);
+            }
+            dispatch(&args(&argv)).unwrap();
+        }
+        (table, v1, v2)
+    }
+
+    /// `ptk scan --trace` traces the engine's decisions, not only the run
+    /// source: the query span, its stop mark and the file reads share one
+    /// trace, over a flat and a block-native run alike.
+    #[test]
+    fn scan_trace_reaches_the_executor_on_both_run_formats() {
+        let (_table, v1, v2) = synthetic_runs();
+        for run in [&v1, &v2] {
+            let (logical, chrome) = (tempfile::path("txt"), tempfile::path("json"));
+            for (trace, format) in [(&logical, "logical"), (&chrome, "chrome")] {
+                dispatch(&args(&[
+                    "scan",
+                    run.as_str(),
+                    "--k",
+                    "5",
+                    "--p",
+                    "0.3",
+                    "--trace",
+                    trace.as_str(),
+                    "--trace-format",
+                    format,
+                ]))
+                .unwrap();
+            }
+            let text = std::fs::read_to_string(&logical.0).unwrap();
+            assert!(text.contains("q0 #2 B query"), "{text}");
+            assert!(text.contains("i stop rule=upper-bound"), "{text}");
+            assert!(text.contains("i file-read"), "{text}");
+            assert!(text.contains("E query scanned=64"), "{text}");
+            let report = dispatch(&args(&["trace-check", chrome.as_str()])).unwrap();
+            assert!(report.contains("valid Chrome trace"), "{report}");
+        }
+    }
+
+    /// Every query command honours `--stats`, `--audit`, `--trace`,
+    /// `--trace-format` and `--slow-ms`, through the one context: the
+    /// trace file is written and validates, the stats section and the
+    /// audit line follow the answer, and a bad trace format is refused.
+    #[test]
+    fn every_query_path_honours_the_observability_flags() {
+        let (table, v1, v2) = synthetic_runs();
+        let table = table.as_str();
+        let ptk = "SELECT TOP 5 FROM t ORDER BY score WITH PROBABILITY >= 0.3";
+        let batch = format!("{ptk}; SELECT TOP 9 FROM t ORDER BY score WITH PROBABILITY >= 0.2");
+        let rank = ["--rank-by", "score"];
+        let paths: Vec<(&str, Vec<&str>)> = vec![
+            ("query", vec!["query", table, "--k", "5", "--p", "0.3"]),
+            (
+                "query batch",
+                vec!["query", table, "--k", "5,9", "--p", "0.3"],
+            ),
+            (
+                "query --semantics",
+                vec!["query", table, "--k", "5", "--semantics", "u_kranks"],
+            ),
+            ("sql", vec!["sql", table, ptk]),
+            (
+                "sql RANK BY",
+                vec![
+                    "sql",
+                    table,
+                    "SELECT TOP 5 FROM t ORDER BY score RANK BY GLOBAL_TOPK",
+                ],
+            ),
+            ("sql batch", vec!["sql", table, &batch]),
+            (
+                "scan v1",
+                vec!["scan", v1.as_str(), "--k", "5", "--p", "0.3"],
+            ),
+            (
+                "scan v2 --semantics",
+                vec!["scan", v2.as_str(), "--k", "5", "--semantics", "u_kranks"],
+            ),
+            ("utopk", vec!["utopk", table, "--k", "3"]),
+            ("ukranks", vec!["ukranks", table, "--k", "3"]),
+            ("erank", vec!["erank", table, "--k", "3"]),
+        ];
+        for (path, base) in paths {
+            let mut argv = base.clone();
+            if matches!(base[0], "query" | "utopk" | "ukranks" | "erank") {
+                argv.extend(rank);
+            }
+            let trace = tempfile::path("json");
+            let mut traced = argv.clone();
+            traced.extend([
+                "--stats",
+                "text",
+                "--audit",
+                "--trace",
+                trace.as_str(),
+                "--slow-ms",
+                "100000",
+            ]);
+            let out = dispatch(&args(&traced)).unwrap_or_else(|e| panic!("{path}: {e}"));
+            assert!(
+                out.contains("\ncounter   engine.scanned = "),
+                "{path}: no stats section in {out}"
+            );
+            let audit = out.lines().last().unwrap();
+            assert!(
+                audit.starts_with("audit: {"),
+                "{path}: no audit line in {out}"
+            );
+            let report = dispatch(&args(&["trace-check", trace.as_str()]))
+                .unwrap_or_else(|e| panic!("{path}: {e}"));
+            assert!(report.contains("valid Chrome trace"), "{path}: {report}");
+            let json = std::fs::read_to_string(&trace.0).unwrap();
+            assert!(json.contains("\"name\":\"query\""), "{path}: {json}");
+
+            argv.extend(["--trace", trace.as_str(), "--trace-format", "xml"]);
+            let err = dispatch(&args(&argv)).unwrap_err();
+            assert!(err.contains("'chrome' or 'logical'"), "{path}: {err}");
+        }
+    }
+
+    /// `utopk`, `ukranks` and `erank` share `query --semantics`'s front:
+    /// `--where` filters the table, the pool flags are validated, and
+    /// flags they cannot honour are refused.
+    #[test]
+    fn ranking_commands_honour_where_and_refuse_what_they_cannot_run() {
+        let (table, _v1, _v2) = synthetic_runs();
+        let table = table.as_str();
+        let ranked = |argv: &[&str]| {
+            let mut argv = argv.to_vec();
+            argv.extend(["--rank-by", "score", "--k", "3"]);
+            dispatch(&args(&argv))
+        };
+        // The tuples (last bracketed column) and their order, per row.
+        let tuples = |out: &str| -> Vec<String> {
+            out.lines()
+                .skip(1)
+                .map(|l| l.rsplit_once('[').unwrap().1.to_owned())
+                .collect()
+        };
+        let filtered = ranked(&["erank", table, "--where", "score<1000"]).unwrap();
+        let query = ranked(&[
+            "query",
+            table,
+            "--semantics",
+            "expected_rank",
+            "--where",
+            "score<1000",
+        ])
+        .unwrap();
+        assert_eq!(tuples(&filtered), tuples(&query), "{filtered}\n{query}");
+        assert_eq!(tuples(&filtered), ["982]", "942]", "786]"], "{filtered}");
+        let whole = ranked(&["erank", table]).unwrap();
+        assert_ne!(tuples(&whole), tuples(&filtered), "--where was ignored");
+        for command in ["utopk", "ukranks", "erank"] {
+            for (extra, expected) in [
+                (&["--threads", "0"][..], "--threads"),
+                (&["--p", "0.3"], "takes no --p"),
+                (&["--explain"], "takes no --explain"),
+                (&["--semantics", "ptk"], "--semantics belongs to"),
+                (&["--method", "sampling"], "exact engine"),
+            ] {
+                let mut argv = vec![command, table];
+                argv.extend(extra);
+                let err = ranked(&argv).unwrap_err();
+                assert!(err.contains(expected), "{command} {extra:?}: {err}");
+            }
+            // --no-prune scans in full, to the same answer.
+            assert_eq!(
+                ranked(&[command, table, "--no-prune"]).unwrap(),
+                ranked(&[command, table]).unwrap(),
+                "{command}"
+            );
+        }
     }
 
     #[test]

@@ -2,40 +2,35 @@
 //! `worlds`, `inspect`.
 
 use std::io::Write;
-use std::sync::Arc;
 
-use ptk_access::ViewSource;
 use ptk_core::{Predicate, PtkQuery, RankedView, Ranking, TopKQuery, UncertainTable};
-use ptk_engine::{EngineOptions, PtkExecutor, PtkPlan, RankSemantics, SemanticsAnswer};
-use ptk_obs::{Noop, QueryFlight, Recorder, SharedSink, Tracer};
-use ptk_sampling::{sample_topk_recorded, sample_topk_traced, SamplingOptions};
+use ptk_engine::{PtkExecutor, PtkPlan, RankSemantics, SemanticsAnswer};
+use ptk_sampling::{sample_topk_recorded, SamplingOptions};
 use ptk_worlds::naive;
 
+use super::ctx::QueryCtx;
 use super::render::{
-    absorb_semantics_flight, answer_rows, attrs_of, ptk_header, registry, stats_mode, view_rows,
-    write_audit, write_batch_answers, write_membership_row, write_ptk_rows, write_semantics_answer,
-    write_snapshot, write_stats, PtkRow,
+    answer_rows, attrs_of, ptk_header, view_rows, write_batch_answers, write_membership_row,
+    write_ptk_rows, write_semantics_answer, PtkRow,
 };
-use super::sql::flight_fingerprint;
-use super::trace::{trace_opts, RING_CAPACITY};
 use super::{
-    build_ranking, load_from_flags, parse_where, pool_from_flags, semantics_from_flags, CmdError,
-    Flags,
+    build_ranking, engine_options_from_flags, load_from_flags, pool_from_flags,
+    semantics_from_flags, where_from_flags, CmdError, Flags,
 };
 
 pub(super) fn cmd_query(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
     let table = load_from_flags(flags)?;
     let semantics = semantics_from_flags(flags)?;
     if semantics != RankSemantics::Ptk {
-        return query_semantics(flags, out, &table, semantics);
+        let command = format!("query --semantics {}", semantics.keyword());
+        return rank_query(flags, out, &table, semantics, &command, |out, k, answer| {
+            write_semantics_answer(out, &table, k, answer)
+        });
     }
     let ks: Vec<usize> = flags.require_list("k")?;
     let ps: Vec<f64> = flags.require_list("p")?;
     let ranking = build_ranking(flags, &table)?;
-    let predicate = match flags.named.get("where") {
-        Some(clause) => parse_where(clause, &table)?,
-        None => Predicate::True,
-    };
+    let predicate = where_from_flags(flags, &table)?;
     if ks.len() > 1 || ps.len() > 1 {
         return query_batch(flags, out, &table, &ks, &ps, predicate, ranking);
     }
@@ -46,64 +41,32 @@ pub(super) fn cmd_query(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErr
     let query = TopKQuery::new(k, predicate, ranking).map_err(|e| e.to_string())?;
     let ptk = PtkQuery::new(query.clone(), p).map_err(|e| e.to_string())?;
     let view = RankedView::build(&table, &query).map_err(|e| e.to_string())?;
+    let plan = PtkPlan::try_new(
+        ptk.k(),
+        ptk.threshold().value(),
+        &engine_options_from_flags(flags),
+    )
+    .map_err(|e| e.to_string())?;
 
-    let stats = stats_mode(flags)?;
-    let trace = trace_opts(flags)?;
+    let label = format!("query k={k} p={p}");
+    let mut ctx = QueryCtx::from_flags(flags, label.clone())?;
     let explain = flags.switch("explain");
     let method = flags.named.get("method").map_or("exact", String::as_str);
     if explain && method != "exact" {
         return Err("--explain (EXPLAIN ANALYZE) requires --method exact".into());
     }
-    if trace.active() && method == "naive" {
+    if ctx.traced() && method == "naive" {
         return Err("--trace/--slow-ms: the naive method is not instrumented".into());
     }
-    let audit = flags.switch("audit");
-    // EXPLAIN ANALYZE annotates the plan with the run's actual counters, so
-    // it needs a live recorder even without --stats; so does the --audit
-    // flight record, which carries the per-query counter delta (counters
-    // alone, so it reads no clock).
-    let metrics = registry(stats.is_some() || explain);
-    let recorder: &dyn Recorder = if stats.is_some() || explain || audit {
-        &metrics
-    } else {
-        &Noop
-    };
-    let mut flight = audit.then(|| QueryFlight {
-        label: format!("query k={k} p={p}"),
-        semantics: RankSemantics::Ptk.keyword().to_owned(),
-        ks: vec![k as u64],
-        thresholds: vec![p],
-        ..QueryFlight::default()
-    });
-    let sink = trace.active().then(|| trace.sink());
-    let tracer = sink
-        .as_ref()
-        .map(|s| Tracer::new(Arc::clone(s) as SharedSink, 0, 0));
+    if explain {
+        ctx.analyze();
+    }
 
-    let mut analysis = String::new();
     let (rows, note): (Vec<PtkRow>, String) = match method {
         "exact" => {
-            let plan = PtkPlan::try_new(
-                ptk.k(),
-                ptk.threshold().value(),
-                &super::engine_options_from_flags(flags),
-            )
-            .map_err(|e| e.to_string())?;
-            if let Some(f) = flight.as_mut() {
-                f.plan = plan.describe();
-                f.fingerprint = Some(flight_fingerprint(&f.label, &[plan.fingerprint()]));
-            }
-            let mut executor = PtkExecutor::with_recorder(&plan, recorder);
-            if let Some(t) = tracer.as_ref() {
-                executor = executor.with_tracer(t);
-            }
-            let result = executor.execute_snapshot(&view, &pool);
-            if let Some(f) = flight.as_mut() {
-                f.stop = result
-                    .stats
-                    .stop
-                    .map_or(String::new(), |s| format!("{s:?}"));
-            }
+            ctx.plan_flight(std::slice::from_ref(&plan), &label);
+            let result =
+                PtkExecutor::with_recorder(&plan, ctx.recorder()).execute_snapshot(&view, &pool);
             let note = format!(
                 "scanned {} of {} tuples{}",
                 result.stats.scanned,
@@ -113,37 +76,29 @@ pub(super) fn cmd_query(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErr
                     .stop
                     .map_or(String::new(), |s| format!(", stopped early: {s:?}"))
             );
-            if explain {
-                analysis = plan.explain_analyze(&metrics.snapshot(), true);
-            }
             (answer_rows(&result), note)
         }
         "sampling" => {
-            if let Some(f) = flight.as_mut() {
-                f.plan = format!("monte-carlo sampling (k={k})");
-            }
+            ctx.method_flight(&plan, format!("monte-carlo sampling (k={k})"));
             let seed = flags.get("seed")?.unwrap_or(0u64);
             let options = SamplingOptions {
                 seed,
                 ..Default::default()
             };
-            let estimate = match tracer.as_ref() {
-                Some(t) => sample_topk_traced(&view, k, &options, recorder, t),
-                None => sample_topk_recorded(&view, k, &options, recorder),
-            };
+            let estimate = sample_topk_recorded(&view, k, &options, ctx.recorder());
             let answers = estimate.answers(p);
-            recorder.add(ptk_engine::counters::ANSWERS, answers.len() as u64);
+            ctx.recorder()
+                .add(ptk_engine::counters::ANSWERS, answers.len() as u64);
             (
                 view_rows(&view, &answers, &estimate.probabilities),
                 format!("{} sample units", estimate.units),
             )
         }
         "naive" => {
-            if let Some(f) = flight.as_mut() {
-                f.plan = format!("naive possible-world enumeration (k={k})");
-            }
+            ctx.method_flight(&plan, format!("naive possible-world enumeration (k={k})"));
             let pr = naive::topk_probabilities(&view, k).map_err(|e| e.to_string())?;
             let answers: Vec<usize> = (0..view.len()).filter(|&i| pr[i] >= p).collect();
+            let recorder = ctx.recorder();
             recorder.add(ptk_engine::counters::SCANNED, view.len() as u64);
             recorder.add(ptk_engine::counters::EVALUATED, view.len() as u64);
             recorder.add(ptk_engine::counters::ANSWERS, answers.len() as u64);
@@ -157,25 +112,10 @@ pub(super) fn cmd_query(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErr
 
     writeln!(out, "{}", ptk_header(k, p, &note, rows.len()))?;
     write_ptk_rows(out, &table, &rows)?;
-    if !analysis.is_empty() {
-        write!(out, "{analysis}")?;
+    if explain {
+        write!(out, "{}", plan.explain_analyze(&ctx.snapshot(), true))?;
     }
-    if let (Some(sink), Some(tracer)) = (&sink, &tracer) {
-        let events = sink.events();
-        trace.write_file(&events)?;
-        trace.log_slow(
-            &format!("query k={k} p={p}"),
-            tracer.elapsed_nanos(),
-            &events,
-            &mut std::io::stderr(),
-        );
-    }
-    write_stats(out, stats, &metrics)?;
-    if let Some(mut f) = flight {
-        f.absorb_counters(&metrics.snapshot());
-        write_audit(out, f)?;
-    }
-    Ok(())
+    ctx.finish(out)
 }
 
 /// The multi-query path of `ptk query`: comma lists in `--k`/`--p` form a
@@ -201,7 +141,7 @@ fn query_batch(
     // Each (k, p) combination goes through the same query-model validation
     // as the single-query path; the view itself depends only on the shared
     // predicate and ranking, so one build serves every plan.
-    let options = super::engine_options_from_flags(flags);
+    let options = engine_options_from_flags(flags);
     let mut plans = Vec::with_capacity(ks.len() * ps.len());
     let mut labels = Vec::with_capacity(plans.capacity());
     for &k in ks {
@@ -222,53 +162,21 @@ fn query_batch(
     .map_err(|e| e.to_string())?;
     let batch = PtkPlan::batch(&plans);
     let pool = pool_from_flags(flags)?;
-    let stats = stats_mode(flags)?;
-    let trace = trace_opts(flags)?;
+    let list = |values: Vec<String>| values.join(",");
+    let label = format!(
+        "query batch k={} p={}",
+        list(ks.iter().map(usize::to_string).collect()),
+        list(ps.iter().map(f64::to_string).collect())
+    );
+    let mut ctx = QueryCtx::from_flags(flags, label.clone())?;
     if flags.switch("explain") {
         return Err(
             "--explain applies to a single query; for batches use --stats to see merged counters"
                 .into(),
         );
     }
-    let audit = flags.switch("audit");
-    let flight = audit.then(|| {
-        let fingerprints: Vec<u64> = plans.iter().map(PtkPlan::fingerprint).collect();
-        let label = format!(
-            "query batch k={} p={}",
-            ks.iter()
-                .map(usize::to_string)
-                .collect::<Vec<_>>()
-                .join(","),
-            ps.iter().map(f64::to_string).collect::<Vec<_>>().join(",")
-        );
-        QueryFlight {
-            plan: plans
-                .iter()
-                .map(PtkPlan::describe)
-                .collect::<Vec<_>>()
-                .join(" | "),
-            semantics: RankSemantics::Ptk.keyword().to_owned(),
-            ks: labels.iter().map(|&(k, _)| k as u64).collect(),
-            thresholds: labels.iter().map(|&(_, p)| p).collect(),
-            fingerprint: Some(flight_fingerprint(&label, &fingerprints)),
-            label,
-            ..QueryFlight::default()
-        }
-    });
-
-    let (results, snapshot, events) = if trace.active() {
-        let (results, snapshot, events) =
-            PtkExecutor::execute_batch_traced(&batch, &view, &pool, RING_CAPACITY);
-        (results, Some(snapshot), Some(events))
-    } else if stats.is_some() {
-        let (results, snapshot) = PtkExecutor::execute_batch_recorded(&batch, &view, &pool);
-        (results, Some(snapshot), None)
-    } else if audit {
-        let (results, snapshot) = PtkExecutor::execute_batch_counted(&batch, &view, &pool);
-        (results, Some(snapshot), None)
-    } else {
-        (PtkExecutor::execute_batch(&batch, &view, &pool), None, None)
-    };
+    ctx.plan_flight(&plans, &label);
+    let results = ctx.run_batch(&batch, &view, &pool);
 
     writeln!(
         out,
@@ -278,39 +186,25 @@ fn query_batch(
         pool.threads()
     )?;
     write_batch_answers(out, view.len(), table, &results, &labels)?;
-    if let Some(events) = &events {
-        trace.write_file(events)?;
-        // The batch shares one epoch, so the latest event offset is the
-        // batch's wall time.
-        let elapsed = events.iter().map(|e| e.nanos).max().unwrap_or(0);
-        trace.log_slow(
-            &format!("batch of {} queries", labels.len()),
-            elapsed,
-            events,
-            &mut std::io::stderr(),
-        );
-    }
-    if let (Some(mode), Some(snapshot)) = (stats, snapshot.as_ref()) {
-        write_snapshot(out, Some(mode), snapshot)?;
-    }
-    if let Some(mut f) = flight {
-        if let Some(snapshot) = snapshot.as_ref() {
-            f.absorb_counters(snapshot);
-        }
-        write_audit(out, f)?;
-    }
-    Ok(())
+    ctx.finish(out)
 }
 
-/// The `--semantics` path of `ptk query`: a single non-PT-k ranking query
-/// answered through the engine's generating-function scan. Thresholds
-/// parameterize PT-k only, so `--p` is rejected, as are `--k` value lists
-/// (the batch executor is PT-k only) and non-exact methods.
-fn query_semantics(
+/// One non-PT-k ranking query, the shared front of `query --semantics`,
+/// `utopk`, `ukranks` and `erank`: the table ranked by `--rank-by`,
+/// filtered by `--where`, answered by the engine's generating-function
+/// scan under the engine options, pool and observability context the
+/// flags ask for. `command` names the query in its flight record and slow
+/// log (`<command> k=<k>`); `render` writes the answer, which EXPLAIN
+/// ANALYZE and the context's views follow. Thresholds parameterize PT-k
+/// only, so `--p` is rejected, as are `--k` value lists (the batch
+/// executor is PT-k only) and non-exact methods.
+fn rank_query(
     flags: &Flags,
     out: &mut dyn Write,
     table: &UncertainTable,
     semantics: RankSemantics,
+    command: &str,
+    render: impl FnOnce(&mut dyn Write, usize, &SemanticsAnswer) -> Result<(), CmdError>,
 ) -> Result<(), CmdError> {
     let keyword = semantics.keyword();
     if flags.named.contains_key("p") {
@@ -335,130 +229,109 @@ fn query_semantics(
     }
     let k = ks[0];
     let ranking = build_ranking(flags, table)?;
-    let predicate = match flags.named.get("where") {
-        Some(clause) => parse_where(clause, table)?,
-        None => Predicate::True,
-    };
+    let predicate = where_from_flags(flags, table)?;
     let query = TopKQuery::new(k, predicate, ranking).map_err(|e| e.to_string())?;
     let view = RankedView::build(table, &query).map_err(|e| e.to_string())?;
-    let plan = PtkPlan::try_semantics(semantics, k, None, &super::engine_options_from_flags(flags))
+    let plan = PtkPlan::try_semantics(semantics, k, None, &engine_options_from_flags(flags))
         .map_err(|e| e.to_string())?;
     let pool = pool_from_flags(flags)?;
-    let stats = stats_mode(flags)?;
-    let trace = trace_opts(flags)?;
+    let label = format!("{command} k={k}");
+    let mut ctx = QueryCtx::from_flags(flags, label.clone())?;
     let explain = flags.switch("explain");
-    let audit = flags.switch("audit");
-    let metrics = registry(stats.is_some() || explain);
-    let recorder: &dyn Recorder = if stats.is_some() || explain || audit {
-        &metrics
-    } else {
-        &Noop
-    };
-    let flight = audit.then(|| {
-        let label = format!("query --semantics {keyword} k={k}");
-        QueryFlight {
-            plan: plan.describe(),
-            semantics: semantics.keyword().to_owned(),
-            ks: vec![k as u64],
-            fingerprint: Some(flight_fingerprint(&label, &[plan.fingerprint()])),
-            label,
-            ..QueryFlight::default()
-        }
-    });
-    let sink = trace.active().then(|| trace.sink());
-    let tracer = sink
-        .as_ref()
-        .map(|s| Tracer::new(Arc::clone(s) as SharedSink, 0, 0));
-    let mut executor = PtkExecutor::with_recorder(&plan, recorder);
-    if let Some(t) = tracer.as_ref() {
-        executor = executor.with_tracer(t);
+    if explain {
+        ctx.analyze();
     }
-    let answer = executor
+    ctx.plan_flight(std::slice::from_ref(&plan), &label);
+    let answer = PtkExecutor::with_recorder(&plan, ctx.recorder())
         .execute_semantics_snapshot(&view, &pool)
         .map_err(|e| e.to_string())?;
-    write_semantics_answer(out, table, k, &answer)?;
+    render(out, k, &answer)?;
     if explain {
-        write!(out, "{}", plan.explain_analyze(&metrics.snapshot(), true))?;
+        write!(out, "{}", plan.explain_analyze(&ctx.snapshot(), true))?;
     }
-    if let (Some(sink), Some(tracer)) = (&sink, &tracer) {
-        let events = sink.events();
-        trace.write_file(&events)?;
-        trace.log_slow(
-            &format!("query --semantics {keyword} k={k}"),
-            tracer.elapsed_nanos(),
-            &events,
-            &mut std::io::stderr(),
-        );
-    }
-    write_stats(out, stats, &metrics)?;
-    if let Some(mut f) = flight {
-        absorb_semantics_flight(&mut f, &metrics.snapshot());
-        write_audit(out, f)?;
-    }
-    Ok(())
+    ctx.finish(out)
 }
 
-/// The shared front of `utopk`, `ukranks` and `erank`: the whole table,
-/// ranked by `--rank-by`, answered under `semantics` by the engine.
-fn rank_whole_table(
+/// `utopk`, `ukranks` and `erank`: [`rank_query`] under the command's own
+/// semantics, rendered its own way. The command fixes the semantics, and
+/// EXPLAIN stays with `query` and `sql`, so `--semantics` and `--explain`
+/// are refused.
+fn rank_command(
     flags: &Flags,
+    out: &mut dyn Write,
     semantics: RankSemantics,
-) -> Result<(UncertainTable, usize, SemanticsAnswer), CmdError> {
+    render: impl FnOnce(
+        &mut dyn Write,
+        &UncertainTable,
+        usize,
+        &SemanticsAnswer,
+    ) -> Result<(), CmdError>,
+) -> Result<(), CmdError> {
+    let command = flags.positional[0].as_str();
+    if flags.named.contains_key("semantics") {
+        return Err(format!(
+            "{command} answers {}; --semantics belongs to query and scan",
+            semantics.keyword()
+        )
+        .into());
+    }
+    if flags.switch("explain") {
+        return Err(format!("{command} takes no --explain (query and sql do)").into());
+    }
     let table = load_from_flags(flags)?;
-    let k: usize = flags.require("k")?;
-    let ranking = build_ranking(flags, &table)?;
-    let query = TopKQuery::new(k, Predicate::True, ranking).map_err(|e| e.to_string())?;
-    let view = RankedView::build(&table, &query).map_err(|e| e.to_string())?;
-    let plan = PtkPlan::try_semantics(semantics, k, None, &EngineOptions::default())
-        .map_err(|e| e.to_string())?;
-    let answer = PtkExecutor::new(&plan)
-        .execute_semantics(&mut ViewSource::new(&view))
-        .map_err(|e| e.to_string())?;
-    Ok((table, k, answer))
+    rank_query(flags, out, &table, semantics, command, |out, k, answer| {
+        render(out, &table, k, answer)
+    })
 }
 
 pub(super) fn cmd_utopk(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
-    let (table, k, answer) = rank_whole_table(flags, RankSemantics::UTopK)?;
-    let SemanticsAnswer::UTopK {
-        rows,
-        probability,
-        states_explored,
-    } = answer
-    else {
-        return Err("internal: a U-TopK plan answered another semantics".into());
-    };
-    writeln!(
-        out,
-        "most probable top-{k} vector (probability {probability:.6}, {states_explored} states explored):"
-    )?;
-    for row in &rows {
-        write_membership_row(out, &table, row.position, row.id)?;
-    }
-    Ok(())
+    rank_command(flags, out, RankSemantics::UTopK, |out, table, k, answer| {
+        let SemanticsAnswer::UTopK {
+            rows,
+            probability,
+            states_explored,
+        } = answer
+        else {
+            return Err("internal: a U-TopK plan answered another semantics".into());
+        };
+        writeln!(
+            out,
+            "most probable top-{k} vector (probability {probability:.6}, {states_explored} states explored):"
+        )?;
+        for row in rows {
+            write_membership_row(out, table, row.position, row.id)?;
+        }
+        Ok(())
+    })
 }
 
 pub(super) fn cmd_ukranks(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
-    let (table, k, answer) = rank_whole_table(flags, RankSemantics::UKRanks)?;
-    write_semantics_answer(out, &table, k, &answer)
+    rank_command(flags, out, RankSemantics::UKRanks, write_semantics_answer)
 }
 
 pub(super) fn cmd_erank(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
-    let (table, k, answer) = rank_whole_table(flags, RankSemantics::ExpectedRank)?;
-    let SemanticsAnswer::ExpectedRank(rows) = answer else {
-        return Err("internal: an expected-rank plan answered another semantics".into());
-    };
-    writeln!(out, "top-{k} by expected rank (Cormode et al. semantics):")?;
-    for row in &rows {
-        writeln!(
-            out,
-            "  expected rank {:>8.2}  ranked position {:>4}  membership={:.3}  [{}]",
-            row.value,
-            row.position + 1,
-            row.membership,
-            attrs_of(&table, row.id)
-        )?;
-    }
-    Ok(())
+    rank_command(
+        flags,
+        out,
+        RankSemantics::ExpectedRank,
+        |out, table, k, answer| {
+            let SemanticsAnswer::ExpectedRank(rows) = answer else {
+                return Err("internal: an expected-rank plan answered another semantics".into());
+            };
+            writeln!(out, "top-{k} by expected rank (Cormode et al. semantics):")?;
+            for row in rows {
+                writeln!(
+                    out,
+                    "  expected rank {:>8.2}  ranked position {:>4}  membership={:.3}  [{}]",
+                    row.value,
+                    row.position + 1,
+                    row.membership,
+                    attrs_of(table, row.id)
+                )?;
+            }
+            Ok(())
+        },
+    )
 }
 
 pub(super) fn cmd_worlds(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {

@@ -1,102 +1,11 @@
-//! Shared output rendering: `--stats` snapshots and answer-row listings.
+//! Shared output rendering: answer-row listings.
 
 use std::io::Write;
 
 use ptk_core::{RankedView, TupleId, UncertainTable};
-use ptk_engine::{ExecStats, PtkResult, SemanticsAnswer};
-use ptk_obs::{Metrics, QueryFlight, QueryRecord, Snapshot};
+use ptk_engine::{PtkResult, SemanticsAnswer};
 
-use super::{CmdError, Flags};
-
-/// The registry a command records into: timed when `--stats` or EXPLAIN
-/// ANALYZE reads its timings, counters-only otherwise — a flight record
-/// keeps counters alone, so it need not arm a single clock.
-pub(super) fn registry(timed: bool) -> Metrics {
-    if timed {
-        Metrics::new()
-    } else {
-        Metrics::counters_only()
-    }
-}
-
-/// How `--stats` renders the metrics snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum StatsMode {
-    Text,
-    Json,
-    Prom,
-}
-
-pub(super) fn stats_mode(flags: &Flags) -> Result<Option<StatsMode>, String> {
-    match flags.named.get("stats").map(String::as_str) {
-        None => Ok(None),
-        Some("text") => Ok(Some(StatsMode::Text)),
-        Some("json") => Ok(Some(StatsMode::Json)),
-        Some("prom") => Ok(Some(StatsMode::Prom)),
-        Some(other) => Err(format!(
-            "--stats: expected 'text', 'json' or 'prom', got '{other}'"
-        )),
-    }
-}
-
-/// Appends the metrics snapshot in the requested format (JSON includes the
-/// non-deterministic timing section; it is diagnostics, not a golden file).
-pub(super) fn write_stats(
-    out: &mut dyn Write,
-    mode: Option<StatsMode>,
-    metrics: &Metrics,
-) -> Result<(), CmdError> {
-    write_snapshot(out, mode, &metrics.snapshot())
-}
-
-/// [`write_stats`] for an already-rendered [`Snapshot`] — batch commands
-/// merge one snapshot per query and print the sum.
-pub(super) fn write_snapshot(
-    out: &mut dyn Write,
-    mode: Option<StatsMode>,
-    snapshot: &Snapshot,
-) -> Result<(), CmdError> {
-    match mode {
-        None => {}
-        Some(StatsMode::Json) => writeln!(out, "{}", snapshot.to_json(true))?,
-        Some(StatsMode::Prom) => write!(out, "{}", snapshot.to_prometheus())?,
-        Some(StatsMode::Text) => {
-            if snapshot.is_empty() {
-                writeln!(out, "(no metrics recorded)")?;
-            } else {
-                write!(out, "{}", snapshot.to_text())?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The `--audit` tail line: the query's flight record rendered in the
-/// timing-free JSON form — the same split `GET /debug/queries` serves —
-/// so the line is bit-identical at every thread count.
-pub(super) fn write_audit(out: &mut dyn Write, flight: QueryFlight) -> Result<(), CmdError> {
-    let record = QueryRecord {
-        id: 1,
-        outcome: "ok".to_owned(),
-        cache: "none".to_owned(),
-        flight,
-        queue_wait_nanos: 0,
-        exec_nanos: 0,
-        total_nanos: 0,
-    };
-    writeln!(out, "audit: {}", record.to_json(false))?;
-    Ok(())
-}
-
-/// Completes a `RANK BY` query's flight record from its recorded
-/// counters: the stop reason (a semantics answer carries no stats, so it
-/// is read back from the counters) and the counter delta.
-pub(super) fn absorb_semantics_flight(flight: &mut QueryFlight, snapshot: &Snapshot) {
-    flight.stop = ExecStats::from_snapshot(snapshot)
-        .stop
-        .map_or(String::new(), |s| format!("{s:?}"));
-    flight.absorb_counters(snapshot);
-}
+use super::CmdError;
 
 /// The header line of a PT-k answer listing, shared by `ptk query` and
 /// `ptk sql`.

@@ -4,19 +4,17 @@
 //! and the run-file half of `inspect` (header + block directory).
 
 use std::io::Write;
-use std::sync::Arc;
+use std::path::Path;
 
 use ptk_access::{
-    run_format, write_run, write_run_blocked, FileSource, PagedCursor, PagedRun, PoolConfig,
-    RankedSource, DEFAULT_FRAME_BYTES, DEFAULT_POOL_FRAMES,
+    run_format, write_run, write_run_blocked, FileSource, PagedRun, PoolConfig, RankedSource,
+    DEFAULT_FRAME_BYTES, DEFAULT_POOL_FRAMES,
 };
 use ptk_core::{Predicate, RankedView, TopKQuery};
 use ptk_engine::{EngineOptions, PtkExecutor, PtkPlan, RankSemantics, SemanticsAnswer};
-use ptk_obs::{Noop, QueryFlight, Recorder, SharedRecorder, SharedSink, Tracer};
+use ptk_obs::SharedRecorder;
 
-use super::render::{absorb_semantics_flight, registry, stats_mode, write_audit, write_stats};
-use super::sql::flight_fingerprint;
-use super::trace::trace_opts;
+use super::ctx::QueryCtx;
 use super::{build_ranking, load_from_flags, semantics_from_flags, CmdError, Flags};
 
 /// Run-file rows in CSV order: score from the ranked column, rule keys
@@ -73,46 +71,75 @@ pub(super) fn cmd_pack(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErro
     Ok(())
 }
 
-/// The buffer-pool shape `scan` hands to [`PagedRun`]: `--pool-frames`
-/// bounds resident frames (default [`DEFAULT_POOL_FRAMES`]); the frame
-/// size stays at [`DEFAULT_FRAME_BYTES`], so a run packed with larger
-/// blocks gets the reader's pointed repack-or-raise error at open.
-fn pool_from_scan_flags(flags: &Flags) -> Result<PoolConfig, String> {
-    let frames = match flags.get::<usize>("pool-frames")? {
-        Some(0) => return Err("--pool-frames must be at least 1".into()),
-        Some(n) => n,
-        None => DEFAULT_POOL_FRAMES,
-    };
-    Ok(PoolConfig {
-        frames,
-        frame_bytes: DEFAULT_FRAME_BYTES,
-    })
+/// A run file opened for one scan: a block-native (v2) file through the
+/// buffer pool, a flat (v1) file as a stream.
+enum Run {
+    Paged(PagedRun),
+    Flat(FileSource),
 }
 
-/// Rejects `--pool-frames` on files the pool cannot serve, so the flag is
-/// never a silent no-op.
-fn check_pool_flags(flags: &Flags, paged: bool) -> Result<(), String> {
-    if !paged && flags.named.contains_key("pool-frames") {
-        return Err(
-            "--pool-frames applies to block-native (v2) run files; repack this file with \
-             `ptk pack --block-size` first"
-                .into(),
-        );
+impl Run {
+    /// Opens the run at `path` by its format, recording into `recorder`.
+    /// `--pool-frames` bounds a v2 file's resident frames (default
+    /// [`DEFAULT_POOL_FRAMES`]); the frame size stays at
+    /// [`DEFAULT_FRAME_BYTES`], so a run packed with larger blocks gets the
+    /// reader's pointed repack-or-raise error. A v1 file refuses the flag,
+    /// so it is never a silent no-op.
+    fn open(flags: &Flags, path: &str, recorder: SharedRecorder) -> Result<Run, String> {
+        let path = Path::new(path);
+        let opened = if run_format(path) == Some(2) {
+            let frames = match flags.get::<usize>("pool-frames")? {
+                Some(0) => return Err("--pool-frames must be at least 1".into()),
+                Some(n) => n,
+                None => DEFAULT_POOL_FRAMES,
+            };
+            let pool = PoolConfig {
+                frames,
+                frame_bytes: DEFAULT_FRAME_BYTES,
+            };
+            PagedRun::open_recorded(path, pool, recorder).map(Run::Paged)
+        } else if flags.named.contains_key("pool-frames") {
+            return Err(
+                "--pool-frames applies to block-native (v2) run files; repack this file with \
+                 `ptk pack --block-size` first"
+                    .into(),
+            );
+        } else {
+            FileSource::open_recorded(path, recorder).map(Run::Flat)
+        };
+        opened.map_err(|e| e.to_string())
     }
-    Ok(())
-}
 
-/// The IO or corruption error that ended a scan of whichever run source
-/// was opened. The engine sees such an error as end-of-stream; a silent
-/// short answer must not pass for a clean early stop.
-fn take_run_error(
-    paged: Option<&mut PagedCursor<'_>>,
-    flat: Option<&mut FileSource>,
-) -> Option<std::io::Error> {
-    match (paged, flat) {
-        (Some(cursor), _) => cursor.take_error(),
-        (None, Some(file)) => file.take_error(),
-        (None, None) => None,
+    /// Runs `scan` over the run's records, returning its outcome with the
+    /// records it streamed and the run's total. The engine sees an IO or
+    /// corruption error as end-of-stream, so one that ended the stream
+    /// fails the scan: a silent short answer must not pass for a clean
+    /// early stop.
+    fn scan<T>(
+        &mut self,
+        scan: impl FnOnce(&mut dyn RankedSource) -> T,
+    ) -> Result<(T, usize, u64), CmdError> {
+        let (outcome, retrieved, total, error) = match self {
+            Run::Paged(run) => {
+                let mut cursor = run.cursor();
+                let outcome = scan(&mut cursor);
+                (
+                    outcome,
+                    cursor.retrieved(),
+                    run.tuples(),
+                    cursor.take_error(),
+                )
+            }
+            Run::Flat(file) => {
+                let total = file.remaining();
+                let outcome = scan(file);
+                (outcome, file.retrieved(), total, file.take_error())
+            }
+        };
+        match error {
+            Some(e) => Err(e.to_string().into()),
+            None => Ok((outcome, retrieved, total)),
+        }
     }
 }
 
@@ -125,81 +152,18 @@ pub(super) fn cmd_scan(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErro
     }
     let p: f64 = flags.require("p")?;
     // Planning rejects k == 0 and a threshold outside (0, 1] (NaN
-    // included) before the file is opened. The plan also feeds the
-    // --audit flight record (description and fingerprint).
+    // included) before the file is opened.
     let plan = PtkPlan::try_new(k, p, &EngineOptions::default()).map_err(|e| e.to_string())?;
-    let stats = stats_mode(flags)?;
-    let trace = trace_opts(flags)?;
-    let audit = flags.switch("audit");
-    let recording = stats.is_some() || audit;
-    // A flight record alone keeps counters only, so it reads no clock.
-    let metrics = Arc::new(registry(stats.is_some()));
-    let recorder: &dyn Recorder = if recording { metrics.as_ref() } else { &Noop };
-    let mut flight = audit.then(|| {
-        let label = format!("scan k={k} p={p}");
-        QueryFlight {
-            plan: plan.describe(),
-            semantics: RankSemantics::Ptk.keyword().to_owned(),
-            ks: vec![k as u64],
-            thresholds: vec![p],
-            fingerprint: Some(flight_fingerprint(&label, &[plan.fingerprint()])),
-            label,
-            ..QueryFlight::default()
-        }
-    });
-    // Tracing instruments the file source itself (source-open span and
-    // per-refill read marks), so the tracer is threaded into the source.
-    let sink = trace.active().then(|| trace.sink());
-    let tracer = sink
-        .as_ref()
-        .map(|s| Arc::new(Tracer::new(Arc::clone(s) as SharedSink, 0, 0)));
-    let shared_recorder: SharedRecorder = if recording {
-        Arc::clone(&metrics) as SharedRecorder
-    } else {
-        Arc::new(Noop)
-    };
-    let file_path = std::path::Path::new(path);
-    let paged = run_format(file_path) == Some(2);
-    check_pool_flags(flags, paged)?;
-    let mut file_source = None;
-    let paged_run;
-    let mut paged_cursor = None;
-    let (source, total): (&mut dyn RankedSource, u64) = if paged {
-        let pool = pool_from_scan_flags(flags)?;
-        paged_run = match &tracer {
-            Some(t) => PagedRun::open_traced(file_path, pool, shared_recorder, Arc::clone(t)),
-            None if recording => PagedRun::open_recorded(file_path, pool, shared_recorder),
-            None => PagedRun::open(file_path, pool),
-        }
-        .map_err(|e| e.to_string())?;
-        let total = paged_run.tuples();
-        (paged_cursor.insert(paged_run.cursor()), total)
-    } else {
-        let opened = match &tracer {
-            Some(t) => FileSource::open_traced(file_path, shared_recorder, Arc::clone(t)),
-            None if recording => FileSource::open_recorded(file_path, shared_recorder),
-            None => FileSource::open(file_path),
-        }
-        .map_err(|e| e.to_string())?;
-        let total = opened.remaining();
-        (file_source.insert(opened), total)
-    };
-    let result = PtkExecutor::with_recorder(&plan, recorder).execute(&mut *source);
-    if let Some(f) = flight.as_mut() {
-        f.stop = result
-            .stats
-            .stop
-            .map_or(String::new(), |s| format!("{s:?}"));
-    }
-    let retrieved = source.retrieved();
-    if let Some(e) = take_run_error(paged_cursor.as_mut(), file_source.as_mut()) {
-        return Err(e.to_string().into());
-    }
+    let label = format!("scan k={k} p={p}");
+    let mut ctx = QueryCtx::from_flags(flags, label.clone())?;
+    ctx.plan_flight(std::slice::from_ref(&plan), &label);
+    let mut run = Run::open(flags, path, ctx.shared_recorder())?;
+    let (result, retrieved, total) =
+        run.scan(|source| PtkExecutor::with_recorder(&plan, ctx.recorder()).execute(source))?;
     writeln!(
         out,
-        "{} tuples pass Pr^{k} >= {p} (streamed {} of {total} records{})",
+        "{} tuples pass Pr^{k} >= {p} (streamed {retrieved} of {total} records{})",
         result.answers.len(),
-        retrieved,
         result
             .stats
             .stop
@@ -214,22 +178,7 @@ pub(super) fn cmd_scan(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErro
             a.probability
         )?;
     }
-    if let (Some(sink), Some(tracer)) = (&sink, &tracer) {
-        let events = sink.events();
-        trace.write_file(&events)?;
-        trace.log_slow(
-            &format!("scan k={k} p={p}"),
-            tracer.elapsed_nanos(),
-            &events,
-            &mut std::io::stderr(),
-        );
-    }
-    write_stats(out, stats, &metrics)?;
-    if let Some(mut f) = flight {
-        f.absorb_counters(&metrics.snapshot());
-        write_audit(out, f)?;
-    }
-    Ok(())
+    ctx.finish(out)
 }
 
 /// The `--semantics` path of `ptk scan`: progressive retrieval over the run
@@ -251,61 +200,15 @@ fn scan_semantics(
     }
     let plan = PtkPlan::try_semantics(semantics, k, None, &EngineOptions::default())
         .map_err(|e| e.to_string())?;
-    let stats = stats_mode(flags)?;
-    let audit = flags.switch("audit");
-    let recording = stats.is_some() || audit;
-    // A flight record alone keeps counters only, so it reads no clock.
-    let metrics = Arc::new(registry(stats.is_some()));
-    let recorder: &dyn Recorder = if recording { metrics.as_ref() } else { &Noop };
-    let flight = audit.then(|| {
-        let label = format!("scan --semantics {} k={k}", semantics.keyword());
-        QueryFlight {
-            plan: plan.describe(),
-            semantics: semantics.keyword().to_owned(),
-            ks: vec![k as u64],
-            fingerprint: Some(flight_fingerprint(&label, &[plan.fingerprint()])),
-            label,
-            ..QueryFlight::default()
-        }
-    });
-    let shared_recorder: SharedRecorder = if recording {
-        Arc::clone(&metrics) as SharedRecorder
-    } else {
-        Arc::new(Noop)
-    };
-    let file_path = std::path::Path::new(path);
-    let paged = run_format(file_path) == Some(2);
-    check_pool_flags(flags, paged)?;
-    let mut file_source = None;
-    let paged_run;
-    let mut paged_cursor = None;
-    let (source, total): (&mut dyn RankedSource, u64) = if paged {
-        let pool = pool_from_scan_flags(flags)?;
-        paged_run = if recording {
-            PagedRun::open_recorded(file_path, pool, shared_recorder)
-        } else {
-            PagedRun::open(file_path, pool)
-        }
-        .map_err(|e| e.to_string())?;
-        let total = paged_run.tuples();
-        (paged_cursor.insert(paged_run.cursor()), total)
-    } else {
-        let opened = if recording {
-            FileSource::open_recorded(file_path, shared_recorder)
-        } else {
-            FileSource::open(file_path)
-        }
-        .map_err(|e| e.to_string())?;
-        let total = opened.remaining();
-        (file_source.insert(opened), total)
-    };
-    let answer = PtkExecutor::with_recorder(&plan, recorder)
-        .execute_semantics(&mut *source)
-        .map_err(|e| e.to_string())?;
-    let streamed = format!("streamed {} of {total} records", source.retrieved());
-    if let Some(e) = take_run_error(paged_cursor.as_mut(), file_source.as_mut()) {
-        return Err(e.to_string().into());
-    }
+    let label = format!("scan --semantics {} k={k}", semantics.keyword());
+    let mut ctx = QueryCtx::from_flags(flags, label.clone())?;
+    ctx.plan_flight(std::slice::from_ref(&plan), &label);
+    let mut run = Run::open(flags, path, ctx.shared_recorder())?;
+    let (answer, retrieved, total) = run.scan(|source| {
+        PtkExecutor::with_recorder(&plan, ctx.recorder()).execute_semantics(source)
+    })?;
+    let answer = answer.map_err(|e| e.to_string())?;
+    let streamed = format!("streamed {retrieved} of {total} records");
     match &answer {
         SemanticsAnswer::Ptk(_) => {
             return Err("internal: PT-k scans take the threshold path".into())
@@ -365,12 +268,7 @@ fn scan_semantics(
             }
         }
     }
-    write_stats(out, stats, &metrics)?;
-    if let Some(mut f) = flight {
-        absorb_semantics_flight(&mut f, &metrics.snapshot());
-        write_audit(out, f)?;
-    }
-    Ok(())
+    ctx.finish(out)
 }
 
 /// The run-file half of `ptk inspect`: a v2 file prints its header and
@@ -383,7 +281,7 @@ pub(super) fn cmd_inspect_run(
     format: u32,
     out: &mut dyn Write,
 ) -> Result<(), CmdError> {
-    let file_path = std::path::Path::new(path);
+    let file_path = Path::new(path);
     if format == 1 {
         let source = FileSource::open(file_path).map_err(|e| e.to_string())?;
         writeln!(out, "run file (v1, flat)")?;

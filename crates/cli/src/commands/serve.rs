@@ -11,15 +11,14 @@
 use std::io::Write;
 
 use ptk_core::UncertainTable;
-use ptk_engine::{EngineOptions, PtkPlan, RankSemantics};
+use ptk_engine::{PtkPlan, RankSemantics};
 use ptk_obs::QueryFlight;
-use ptk_par::ThreadPool;
 use ptk_serve::{QueryHandler, Server, ServerConfig};
 
-use super::render::StatsMode;
+use super::ctx::{QueryCtx, StatsMode};
 use super::sql::{run_sql, semantics_of, SqlOptions};
 use super::trace::parse_slow_ms;
-use super::{load_from_flags, pool_from_flags, CmdError, Flags};
+use super::{load_from_flags, CmdError, Flags};
 
 pub(super) fn cmd_serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
     if flags.positional.get(1).is_none() {
@@ -30,15 +29,13 @@ pub(super) fn cmd_serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErr
                 .into(),
         );
     }
-    let pool = pool_from_flags(flags)?;
-    let engine = super::engine_options_from_flags(flags);
-    let seed = flags.get("seed")?.unwrap_or(0);
+    let options = SqlOptions::from_flags(flags)?;
     let addr: String = flags
         .get("addr")?
         .unwrap_or_else(|| "127.0.0.1:7071".to_owned());
     let defaults = ServerConfig::default();
     let config = ServerConfig {
-        threads: pool.threads(),
+        threads: options.pool.threads(),
         queue_capacity: flags.get("queue")?.unwrap_or(64),
         timeout_ms: flags.get("timeout-ms")?.unwrap_or(10_000),
         cache_capacity: flags.get("cache")?.unwrap_or(256),
@@ -60,12 +57,8 @@ pub(super) fn cmd_serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErr
 
     // Load once: every request shares this immutable snapshot.
     let table = load_from_flags(flags)?;
-    let handler = SqlHandler {
-        table,
-        pool,
-        engine,
-        seed,
-    };
+    let threads = options.pool.threads();
+    let handler = SqlHandler { table, options };
     let server = Server::new(handler, config);
     let listener =
         std::net::TcpListener::bind(&addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
@@ -75,11 +68,7 @@ pub(super) fn cmd_serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErr
         // for this file can connect immediately.
         std::fs::write(path, format!("{local}\n")).map_err(|e| format!("{path}: {e}"))?;
     }
-    writeln!(
-        out,
-        "serving on http://{local} ({} threads)",
-        pool.threads()
-    )?;
+    writeln!(out, "serving on http://{local} ({threads} threads)")?;
     out.flush()?;
     server.run(listener)?;
     writeln!(out, "shutdown complete")?;
@@ -88,23 +77,10 @@ pub(super) fn cmd_serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErr
 
 /// The daemon's bridge to the CLI execution path: an immutable loaded
 /// table plus the per-daemon options, executing every statement through
-/// [`run_sql`].
+/// [`run_sql`] in a context built from the request.
 struct SqlHandler {
     table: UncertainTable,
-    pool: ThreadPool,
-    engine: EngineOptions,
-    seed: u64,
-}
-
-impl SqlHandler {
-    fn options(&self, stats: Option<StatsMode>) -> SqlOptions {
-        SqlOptions {
-            pool: self.pool,
-            engine: self.engine,
-            stats,
-            seed: self.seed,
-        }
-    }
+    options: SqlOptions,
 }
 
 impl QueryHandler for SqlHandler {
@@ -114,21 +90,19 @@ impl QueryHandler for SqlHandler {
         stats: Option<&str>,
         flight: &mut QueryFlight,
     ) -> Result<String, String> {
-        let mode = match stats {
+        let stats = match stats {
             None => None,
-            Some("text") => Some(StatsMode::Text),
-            Some("json") => Some(StatsMode::Json),
-            Some("prom") => Some(StatsMode::Prom),
-            Some(other) => return Err(format!("stats must be text, json or prom, got '{other}'")),
+            Some(mode) => Some(
+                StatsMode::parse(mode)
+                    .ok_or_else(|| format!("stats must be text, json or prom, got '{mode}'"))?,
+            ),
         };
+        let mut ctx = QueryCtx::served(stats, flight.clone());
         let mut body = Vec::new();
-        match run_sql(
-            &self.table,
-            statement,
-            &self.options(mode),
-            Some(flight),
-            &mut body,
-        ) {
+        let outcome = run_sql(&self.table, statement, &self.options, &mut ctx, &mut body)
+            .and_then(|()| ctx.finish(&mut body));
+        *flight = ctx.into_flight();
+        match outcome {
             Ok(()) => String::from_utf8(body).map_err(|e| e.to_string()),
             Err(e) => Err(e.to_string()),
         }
@@ -155,8 +129,8 @@ impl QueryHandler for SqlHandler {
             }
         };
         mix_bytes(&mut h, statement.as_bytes());
-        mix_bytes(&mut h, &(self.pool.threads() as u64).to_le_bytes());
-        mix_bytes(&mut h, &self.seed.to_le_bytes());
+        mix_bytes(&mut h, &(self.options.pool.threads() as u64).to_le_bytes());
+        mix_bytes(&mut h, &self.options.seed.to_le_bytes());
         for text in statement.split(';') {
             let text = text.trim();
             if text.is_empty() {
@@ -170,9 +144,11 @@ impl QueryHandler for SqlHandler {
                 let bound = parsed.query.bind(&self.table).ok()?;
                 let plan = match semantics_of(parsed.kind) {
                     RankSemantics::Ptk => {
-                        PtkPlan::try_new(bound.k(), bound.threshold().value(), &self.engine)
+                        PtkPlan::try_new(bound.k(), bound.threshold().value(), &self.options.engine)
                     }
-                    semantics => PtkPlan::try_semantics(semantics, bound.k(), None, &self.engine),
+                    semantics => {
+                        PtkPlan::try_semantics(semantics, bound.k(), None, &self.options.engine)
+                    }
                 }
                 .ok()?;
                 mix_bytes(&mut h, &plan.fingerprint().to_le_bytes());

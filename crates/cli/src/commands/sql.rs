@@ -12,37 +12,16 @@ use std::io::Write;
 
 use ptk_core::{Selection, UncertainTable};
 use ptk_engine::{EngineOptions, PtkExecutor, PtkPlan, RankSemantics};
-use ptk_obs::{Noop, QueryFlight, Recorder};
 use ptk_par::ThreadPool;
 use ptk_sampling::{sample_ptk_recorded, SamplingOptions};
 use ptk_worlds::naive;
 
+use super::ctx::QueryCtx;
 use super::render::{
-    absorb_semantics_flight, answer_rows, ptk_header, registry, stats_mode, view_rows, write_audit,
-    write_batch_answers, write_ptk_rows, write_semantics_answer, write_snapshot, write_stats,
-    PtkRow, StatsMode,
+    answer_rows, ptk_header, view_rows, write_batch_answers, write_ptk_rows,
+    write_semantics_answer, PtkRow,
 };
 use super::{load_from_flags, pool_from_flags, CmdError, Flags};
-
-/// The flight record's width-independent fingerprint: FNV-1a over the
-/// statement (or command label) text plus each executed plan's
-/// [`PtkPlan::fingerprint`]. Deliberately narrower than the daemon's
-/// result-cache key, which also folds in the pool width and sampling
-/// seed: flight records must stay bit-identical across thread counts.
-pub(super) fn flight_fingerprint(label: &str, plan_fingerprints: &[u64]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in label.as_bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-    }
-    for fp in plan_fingerprints {
-        for b in fp.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-        }
-    }
-    h
-}
 
 /// EXPLAIN's name for the first stage of every exact plan: how the
 /// query's `P(T)` was selected from the table's shared ranked view.
@@ -67,14 +46,13 @@ pub(super) fn semantics_of(kind: ptk_sql::QueryKind) -> RankSemantics {
     }
 }
 
-/// Everything [`run_sql`] needs besides the table and the statement:
-/// the worker pool, engine options, the stats surface to append, and the
+/// Everything [`run_sql`] needs besides the table, the statement and the
+/// observability context: the worker pool, engine options and the
 /// sampling seed. One-shot invocations build it from flags; the daemon
-/// builds it once at startup and swaps `stats` per request.
+/// builds it once at startup.
 pub(super) struct SqlOptions {
     pub(super) pool: ThreadPool,
     pub(super) engine: EngineOptions,
-    pub(super) stats: Option<StatsMode>,
     pub(super) seed: u64,
 }
 
@@ -83,7 +61,6 @@ impl SqlOptions {
         Ok(SqlOptions {
             pool: pool_from_flags(flags)?,
             engine: super::engine_options_from_flags(flags),
-            stats: stats_mode(flags)?,
             seed: flags.get("seed")?.unwrap_or(0),
         })
     }
@@ -95,26 +72,21 @@ pub(super) fn cmd_sql(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError
         .get(2)
         .ok_or("usage: ptk sql <file.csv> '<statement>[; <statement> ...]'")?;
     let options = SqlOptions::from_flags(flags)?;
+    let mut ctx = QueryCtx::from_flags(flags, statement_text.clone())?;
     let table = load_from_flags(flags)?;
-    if flags.switch("audit") {
-        let mut flight = QueryFlight {
-            label: statement_text.clone(),
-            ..QueryFlight::default()
-        };
-        run_sql(&table, statement_text, &options, Some(&mut flight), out)?;
-        return write_audit(out, flight);
-    }
-    run_sql(&table, statement_text, &options, None, out)
+    run_sql(&table, statement_text, &options, &mut ctx, out)?;
+    ctx.finish(out)
 }
 
 /// Executes one `ptk sql` invocation body — single statement or
-/// `;`-separated batch — against an already-loaded table, writing exactly
-/// what the one-shot CLI prints. Shared by `ptk sql` and `ptk serve`.
+/// `;`-separated batch — against an already-loaded table, recording into
+/// `ctx` and writing exactly what the one-shot CLI prints before the
+/// context's views. Shared by `ptk sql` and `ptk serve`.
 pub(super) fn run_sql(
     table: &UncertainTable,
     statement_text: &str,
     options: &SqlOptions,
-    flight: Option<&mut QueryFlight>,
+    ctx: &mut QueryCtx,
     out: &mut dyn Write,
 ) -> Result<(), CmdError> {
     let statements: Vec<&str> = statement_text
@@ -124,8 +96,8 @@ pub(super) fn run_sql(
         .collect();
     match statements.as_slice() {
         [] => Err("empty statement".into()),
-        [single] => sql_single(table, single, options, flight, out),
-        many => sql_batch(table, options, flight, out, many),
+        [single] => sql_single(table, single, options, ctx, out),
+        many => sql_batch(table, options, ctx, out, many),
     }
 }
 
@@ -133,12 +105,9 @@ fn sql_single(
     table: &UncertainTable,
     statement_text: &str,
     options: &SqlOptions,
-    mut flight: Option<&mut QueryFlight>,
+    ctx: &mut QueryCtx,
     out: &mut dyn Write,
 ) -> Result<(), CmdError> {
-    // A single statement can still use the pool: with --no-prune the
-    // executor partitions the ranked scan itself at rule-closed cuts.
-    let pool = options.pool;
     let statement = ptk_sql::parse_statement(statement_text).map_err(|e| e.to_string())?;
     let parsed = statement.query.clone();
     let query = parsed.bind(table).map_err(|e| e.to_string())?;
@@ -148,6 +117,11 @@ fn sql_single(
 
     if statement.analyze && parsed.method != ptk_sql::Method::Exact {
         return Err("EXPLAIN ANALYZE requires the exact method (drop the USING clause)".into());
+    }
+    // EXPLAIN ANALYZE annotates the plan with the run's actual counters and
+    // phase timings.
+    if statement.analyze {
+        ctx.analyze();
     }
 
     let semantics = semantics_of(statement.kind);
@@ -160,44 +134,21 @@ fn sql_single(
             statement_text,
             &statement,
             options,
-            flight,
+            ctx,
             out,
         );
     }
 
-    let stats = options.stats;
-    // EXPLAIN ANALYZE annotates the plan with the run's actual counters and
-    // phase timings, so it records even without --stats; a flight record
-    // carries the per-query counter delta, so it forces recording too, of
-    // counters alone.
-    let metrics = registry(stats.is_some() || statement.analyze);
-    let recorder: &dyn Recorder = if stats.is_some() || statement.analyze || flight.is_some() {
-        &metrics
-    } else {
-        &Noop
-    };
-    if let Some(f) = flight.as_deref_mut() {
-        f.semantics = semantics.keyword().to_owned();
-        f.ks = vec![k as u64];
-        f.thresholds = vec![p];
-    }
-
+    let plan = PtkPlan::try_new(k, p, &options.engine).map_err(|e| e.to_string())?;
     let mut explain_note = String::new();
     let (rows, note): (Vec<PtkRow>, String) = match parsed.method {
         ptk_sql::Method::Exact => {
-            let plan = PtkPlan::try_new(k, p, &options.engine).map_err(|e| e.to_string())?;
-            if let Some(f) = flight.as_deref_mut() {
-                f.plan = plan.describe();
-                f.fingerprint = Some(flight_fingerprint(statement_text, &[plan.fingerprint()]));
-            }
-            let result =
-                PtkExecutor::with_recorder(&plan, recorder).execute_snapshot(&selection, &pool);
-            if let Some(f) = flight.as_deref_mut() {
-                f.stop = result
-                    .stats
-                    .stop
-                    .map_or(String::new(), |s| format!("{s:?}"));
-            }
+            ctx.plan_flight(std::slice::from_ref(&plan), statement_text);
+            // A single statement can still use the pool: with --no-prune
+            // the executor partitions the ranked scan itself at
+            // rule-closed cuts.
+            let result = PtkExecutor::with_recorder(&plan, ctx.recorder())
+                .execute_snapshot(&selection, &options.pool);
             let note = format!(
                 "exact; scanned {} of {} tuples",
                 result.stats.scanned,
@@ -207,7 +158,7 @@ fn sql_single(
                 // Per-stage annotation from the same counter names --stats
                 // renders, so the two outputs can never disagree.
                 explain_note = plan
-                    .explain_analyze(&metrics.snapshot(), true)
+                    .explain_analyze(&ctx.snapshot(), true)
                     .trim_end()
                     .to_owned();
             } else if statement.explain {
@@ -228,28 +179,29 @@ fn sql_single(
             (answer_rows(&result), note)
         }
         ptk_sql::Method::Sampling => {
-            if let Some(f) = flight.as_deref_mut() {
-                f.plan = format!("monte-carlo sampling (k={k})");
-            }
+            ctx.method_flight(&plan, format!("monte-carlo sampling (k={k})"));
             let sampling = SamplingOptions {
                 seed: options.seed,
                 ..Default::default()
             };
             let view = selection.materialize();
-            let (answers, estimate) = sample_ptk_recorded(&view, k, p, &sampling, recorder);
-            recorder.add(ptk_engine::counters::ANSWERS, answers.len() as u64);
+            let (answers, estimate) = sample_ptk_recorded(&view, k, p, &sampling, ctx.recorder());
+            ctx.recorder()
+                .add(ptk_engine::counters::ANSWERS, answers.len() as u64);
             (
                 view_rows(&view, &answers, &estimate.probabilities),
                 format!("sampling; {} units", estimate.units),
             )
         }
         ptk_sql::Method::Naive => {
-            if let Some(f) = flight.as_deref_mut() {
-                f.plan = format!("naive possible-world enumeration (k={k})");
+            if ctx.traced() {
+                return Err("--trace/--slow-ms: the naive method is not instrumented".into());
             }
+            ctx.method_flight(&plan, format!("naive possible-world enumeration (k={k})"));
             let view = selection.materialize();
             let pr = naive::topk_probabilities(&view, k).map_err(|e| e.to_string())?;
             let answers: Vec<usize> = (0..view.len()).filter(|&i| pr[i] >= p).collect();
+            let recorder = ctx.recorder();
             recorder.add(ptk_engine::counters::SCANNED, view.len() as u64);
             recorder.add(ptk_engine::counters::EVALUATED, view.len() as u64);
             recorder.add(ptk_engine::counters::ANSWERS, answers.len() as u64);
@@ -260,15 +212,12 @@ fn sql_single(
         }
     };
 
-    if let Some(f) = flight {
-        f.absorb_counters(&metrics.snapshot());
-    }
     writeln!(out, "{}", ptk_header(k, p, &note, rows.len()))?;
     write_ptk_rows(out, table, &rows)?;
     if !explain_note.is_empty() {
         writeln!(out, "{explain_note}")?;
     }
-    write_stats(out, stats, &metrics)
+    Ok(())
 }
 
 /// The non-PT-k single-statement path: one `RANK BY` (or legacy kind
@@ -284,36 +233,21 @@ fn sql_semantics(
     statement_text: &str,
     statement: &ptk_sql::Statement,
     options: &SqlOptions,
-    mut flight: Option<&mut QueryFlight>,
+    ctx: &mut QueryCtx,
     out: &mut dyn Write,
 ) -> Result<(), CmdError> {
     let plan =
         PtkPlan::try_semantics(semantics, k, None, &options.engine).map_err(|e| e.to_string())?;
-    let stats = options.stats;
-    let metrics = registry(stats.is_some() || statement.analyze);
-    let recorder: &dyn Recorder = if stats.is_some() || statement.analyze || flight.is_some() {
-        &metrics
-    } else {
-        &Noop
-    };
-    if let Some(f) = flight.as_deref_mut() {
-        f.plan = plan.describe();
-        f.semantics = semantics.keyword().to_owned();
-        f.ks = vec![k as u64];
-        f.fingerprint = Some(flight_fingerprint(statement_text, &[plan.fingerprint()]));
-    }
-    let answer = PtkExecutor::with_recorder(&plan, recorder)
+    ctx.plan_flight(std::slice::from_ref(&plan), statement_text);
+    let answer = PtkExecutor::with_recorder(&plan, ctx.recorder())
         .execute_semantics_snapshot(selection, &options.pool)
         .map_err(|e| e.to_string())?;
-    if let Some(f) = flight {
-        absorb_semantics_flight(f, &metrics.snapshot());
-    }
     write_semantics_answer(out, table, k, &answer)?;
     if statement.analyze {
         writeln!(
             out,
             "{}",
-            plan.explain_analyze(&metrics.snapshot(), true).trim_end()
+            plan.explain_analyze(&ctx.snapshot(), true).trim_end()
         )?;
     } else if statement.explain {
         writeln!(
@@ -330,7 +264,7 @@ fn sql_semantics(
             answer.answer_count()
         )?;
     }
-    write_stats(out, stats, &metrics)
+    Ok(())
 }
 
 /// The multi-statement path of `ptk sql`: `;`-separated `SELECT TOP`
@@ -341,7 +275,7 @@ fn sql_semantics(
 fn sql_batch(
     table: &UncertainTable,
     options: &SqlOptions,
-    mut flight: Option<&mut QueryFlight>,
+    ctx: &mut QueryCtx,
     out: &mut dyn Write,
     statements: &[&str],
 ) -> Result<(), CmdError> {
@@ -400,46 +334,15 @@ fn sql_batch(
         }
     }
     let selection = selection.expect("at least two statements were parsed");
-    let batch = PtkPlan::batch(&plans);
-    let pool = options.pool;
-    let stats = options.stats;
-    if let Some(f) = flight.as_deref_mut() {
-        f.plan = plans
-            .iter()
-            .map(PtkPlan::describe)
-            .collect::<Vec<_>>()
-            .join(" | ");
-        f.semantics = RankSemantics::Ptk.keyword().to_owned();
-        f.ks = labels.iter().map(|&(k, _)| k as u64).collect();
-        f.thresholds = labels.iter().map(|&(_, p)| p).collect();
-        let fingerprints: Vec<u64> = plans.iter().map(PtkPlan::fingerprint).collect();
-        f.fingerprint = Some(flight_fingerprint(&statements.join("; "), &fingerprints));
-    }
-
-    // A flight record alone keeps counters only, so it reads no clock.
-    let (results, snapshot) = if stats.is_some() {
-        let (results, snapshot) = PtkExecutor::execute_batch_recorded(&batch, &selection, &pool);
-        (results, Some(snapshot))
-    } else if flight.is_some() {
-        let (results, snapshot) = PtkExecutor::execute_batch_counted(&batch, &selection, &pool);
-        (results, Some(snapshot))
-    } else {
-        (PtkExecutor::execute_batch(&batch, &selection, &pool), None)
-    };
-    if let (Some(f), Some(snapshot)) = (flight, snapshot.as_ref()) {
-        f.absorb_counters(snapshot);
-    }
+    ctx.plan_flight(&plans, &statements.join("; "));
+    let results = ctx.run_batch(&PtkPlan::batch(&plans), &selection, &options.pool);
 
     writeln!(
         out,
         "batch of {} statements over {} tuples ({} threads)",
         results.len(),
         selection.len(),
-        pool.threads()
+        options.pool.threads()
     )?;
-    write_batch_answers(out, selection.len(), table, &results, &labels)?;
-    match snapshot {
-        Some(snapshot) => write_snapshot(out, stats, &snapshot),
-        None => Ok(()),
-    }
+    write_batch_answers(out, selection.len(), table, &results, &labels)
 }

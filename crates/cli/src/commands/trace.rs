@@ -13,13 +13,15 @@ use super::{CmdError, Flags};
 
 /// Per-query ring capacity for CLI-captured traces. Large enough for every
 /// realistic query (a traced scan emits a handful of events per answer plus
-/// a fixed number of phase spans); the ring drops oldest-first beyond it.
-pub(super) const RING_CAPACITY: usize = 65_536;
+/// a fixed number of phase spans); the ring drops a query's newest events
+/// beyond it.
+const RING_CAPACITY: usize = 65_536;
 
 /// How `--trace` renders the captured events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(super) enum TraceFormat {
     /// Chrome trace-event JSON (load in Perfetto / `chrome://tracing`).
+    #[default]
     Chrome,
     /// The timing-free logical-clock text rendering (bit-identical at
     /// every thread count).
@@ -27,8 +29,9 @@ pub(super) enum TraceFormat {
 }
 
 /// The trace-related flags of a query command: `--trace <file>`,
-/// `--trace-format chrome|logical` and `--slow-ms <N>`.
-#[derive(Debug)]
+/// `--trace-format chrome|logical` and `--slow-ms <N>`. The default traces
+/// nothing.
+#[derive(Debug, Default)]
 pub(super) struct TraceOpts {
     pub(super) path: Option<String>,
     pub(super) format: TraceFormat,
@@ -80,7 +83,8 @@ impl TraceOpts {
         self.path.is_some() || self.slow_ms.is_some()
     }
 
-    /// A fresh bounded sink for one traced run.
+    /// A fresh bounded sink for one traced run (a batch's queries share
+    /// it, each within its own capacity).
     pub(super) fn sink(&self) -> Arc<RingSink> {
         Arc::new(RingSink::new(RING_CAPACITY))
     }

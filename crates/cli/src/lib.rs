@@ -39,13 +39,17 @@ USAGE:
               [--stats text|json|prom] [--threads N] [--no-prune] [--explain]
               [--trace <file> [--trace-format chrome|logical]] [--slow-ms N]
               [--audit]
-  ptk utopk   <file.csv> --k <K> --rank-by <col> [--asc]
-  ptk ukranks <file.csv> --k <K> --rank-by <col> [--asc]
-  ptk erank   <file.csv> --k <K> --rank-by <col> [--asc]
+  ptk utopk | ukranks | erank <file.csv> --k <K> --rank-by <col> [--asc]
+              [--where <col><op><value>] [--threads N] [--no-prune]
+              [--stats text|json|prom]
+              [--trace <file> [--trace-format chrome|logical]] [--slow-ms N]
+              [--audit]
   ptk inspect <file.csv | file.run>
   ptk worlds  <file.csv> --rank-by <col> [--limit N] [--max-worlds N]
   ptk sql     <file.csv> '<[EXPLAIN [ANALYZE]] SELECT TOP k … statement>[; …]'
-              [--stats text|json|prom] [--threads N] [--no-prune] [--audit]
+              [--stats text|json|prom] [--threads N] [--no-prune]
+              [--trace <file> [--trace-format chrome|logical]] [--slow-ms N]
+              [--audit]
   ptk serve   <file.csv> [--addr HOST:PORT] [--threads N] [--queue N]
               [--timeout-ms N] [--cache N] [--seed S] [--no-prune]
               [--slow-ms N] [--flight-capacity N] [--ready-file <path>]
@@ -64,9 +68,11 @@ USAGE:
 The CSV must have a `prob` column (membership probability) and may have a
 `rule` column (tuples sharing a non-empty label are mutually exclusive).
 `--where` accepts one comparison, e.g. --where 'duration>=12' (operators:
-=, !=, <, <=, >, >=). `generate` writes CSV to stdout. `--stats` appends
-the run's metrics snapshot (counters, histograms, phase timings) after the
-answer, as aligned text, one JSON line, or a Prometheus exposition page.
+=, !=, <, <=, >, >=). `generate` writes CSV to stdout. `utopk`, `ukranks`
+and `erank` answer `query --semantics u_topk|u_kranks|expected_rank` with
+their own listings. `--stats` appends the run's metrics snapshot
+(counters, histograms, phase timings) after the answer, as aligned text,
+one JSON line, or a Prometheus exposition page.
 
 `--semantics` (query, scan) selects the ranking semantics the engine
 answers with: `ptk` (the default, needs `--p`), `u_topk`, `u_kranks`,
@@ -82,16 +88,20 @@ reads only the ranks its best-first search expands. EXPLAIN says which
 stop a plan runs. Thresholds (`--p` / `WITH PROBABILITY`) parameterize
 PT-k only.
 
-`--explain` (or the `EXPLAIN ANALYZE` statement prefix under `ptk sql`)
+`--explain` (query; the `EXPLAIN ANALYZE` statement prefix under `ptk sql`)
 executes the query and prints the plan annotated per stage with the run's
 actual counters and wall time — the same counter names `--stats` renders.
+Every query command (query, sql, scan, utopk, ukranks, erank) takes
+`--stats`, `--trace`, `--trace-format`, `--slow-ms` and `--audit`, and
+prints their views after the answer in that order: trace file and slow
+log, stats, audit line.
 `--trace <file>` captures a structured event trace of the run: `chrome`
 format is Chrome trace-event JSON (load it in Perfetto or chrome://tracing;
 validate it offline with `ptk trace-check`), `logical` is a timing-free
 text rendering that is bit-identical at every thread count. `--slow-ms N`
 (N >= 1 — the same validation `serve --slow-ms` runs) prints a per-stage
-trace summary to stderr when the run takes >= N ms. `--audit` (query, sql,
-scan) appends the query's flight record as one timing-free JSON line —
+trace summary to stderr when the run takes >= N ms. `--audit` appends the
+query's flight record as one timing-free JSON line —
 statement label, plan, semantics, k/thresholds, plan fingerprint, stop
 reason and the full per-query counter delta (pruning attribution included)
 — bit-identical at every thread count; the same record every served query
@@ -105,7 +115,8 @@ environment variable, else 1). Answers are bit-identical at every thread
 count — threads only change wall-clock time. Batched sql statements must
 be exact PT-k queries sharing one WHERE and ORDER BY.
 
-`--no-prune` (query, sql; exact method only) disables the paper's §4.4
+`--no-prune` (query, sql, utopk, ukranks, erank; exact method only)
+disables the paper's §4.4
 pruning rules and the Global-Topk / U-KRanks stop, so every tuple is
 evaluated and all answer probabilities are reported. Pruning-free scans are also the shape the executor can partition:
 with `--threads N` it splits even a single query's ranked scan at

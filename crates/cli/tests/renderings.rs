@@ -1,0 +1,246 @@
+//! Full-text goldens of the CLI's timing-free renderings: the `--audit`
+//! line of every query path and the `--trace-format logical` file of a
+//! single and a batch `ptk query`. Each must be byte-identical at every
+//! pool width, so every case that takes `--threads` runs at 1 and 4.
+//!
+//! The goldens live in `tests/goldens/`: `audit_lines.txt` holds one
+//! `<case>\t<audit line>` per line.
+
+use std::path::PathBuf;
+
+fn run(args: &[&str]) -> String {
+    let args: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
+    ptk_cli::run(&args).unwrap_or_else(|e| panic!("ptk {args:?}: {e}"))
+}
+
+/// A scratch directory holding a 200-tuple synthetic table and its v1 and
+/// v2 packings, removed on drop.
+struct Fixture(PathBuf);
+
+impl Fixture {
+    fn new(name: &str) -> Fixture {
+        let dir =
+            std::env::temp_dir().join(format!("ptk-renderings-{}-{name}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let fixture = Fixture(dir);
+        let csv = run(&[
+            "generate",
+            "synthetic",
+            "--tuples",
+            "200",
+            "--rules",
+            "30",
+            "--seed",
+            "7",
+        ]);
+        std::fs::write(fixture.path("t.csv"), csv).unwrap();
+        let table = fixture.path("t.csv");
+        run(&[
+            "pack",
+            &table,
+            "--rank-by",
+            "score",
+            "--out",
+            &fixture.path("t1.run"),
+        ]);
+        run(&[
+            "pack",
+            &table,
+            "--rank-by",
+            "score",
+            "--out",
+            &fixture.path("t2.run"),
+            "--block-size",
+            "512",
+        ]);
+        fixture
+    }
+
+    fn path(&self, file: &str) -> String {
+        self.0.join(file).to_str().unwrap().to_owned()
+    }
+}
+
+impl Drop for Fixture {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn panda_path() -> String {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../data/panda.csv");
+    path.to_str().unwrap().to_owned()
+}
+
+fn golden_audit(case: &str) -> &'static str {
+    include_str!("goldens/audit_lines.txt")
+        .lines()
+        .find_map(|line| line.strip_prefix(case)?.strip_prefix('\t'))
+        .unwrap_or_else(|| panic!("no golden for {case}"))
+}
+
+fn audit_line(args: &[&str]) -> String {
+    let out = run(args);
+    out.lines()
+        .find(|l| l.starts_with("audit: "))
+        .unwrap_or_else(|| panic!("no audit line in {out}"))
+        .to_owned()
+}
+
+#[test]
+fn audit_lines_match_their_goldens() {
+    let fx = Fixture::new("audit");
+    let table = fx.path("t.csv");
+    let panda = panda_path();
+    let mut cases: Vec<(String, Vec<String>)> = Vec::new();
+    let mut case = |name: &str, args: &[&str]| {
+        cases.push((
+            name.to_owned(),
+            args.iter().map(|s| (*s).to_owned()).collect(),
+        ));
+    };
+    case(
+        "query_exact",
+        &[
+            "query",
+            &table,
+            "--k",
+            "5",
+            "--p",
+            "0.3",
+            "--rank-by",
+            "score",
+        ],
+    );
+    case(
+        "query_batch",
+        &[
+            "query",
+            &table,
+            "--k",
+            "5,10",
+            "--p",
+            "0.3,0.5",
+            "--rank-by",
+            "score",
+        ],
+    );
+    for semantics in ["u_topk", "u_kranks", "global_topk", "expected_rank"] {
+        case(
+            &format!("query_{semantics}"),
+            &[
+                "query",
+                &table,
+                "--k",
+                "5",
+                "--rank-by",
+                "score",
+                "--semantics",
+                semantics,
+            ],
+        );
+    }
+    case(
+        "query_sampling",
+        &[
+            "query",
+            &table,
+            "--k",
+            "5",
+            "--p",
+            "0.3",
+            "--rank-by",
+            "score",
+            "--method",
+            "sampling",
+        ],
+    );
+    case(
+        "query_naive",
+        &[
+            "query",
+            &panda,
+            "--k",
+            "2",
+            "--p",
+            "0.35",
+            "--rank-by",
+            "duration",
+            "--method",
+            "naive",
+        ],
+    );
+    for (tag, filter) in [("plain", ""), ("where", " WHERE score <= 150")] {
+        let ptk = format!("SELECT TOP 5 FROM t{filter} ORDER BY score WITH PROBABILITY >= 0.3");
+        let rank_by = format!("SELECT TOP 5 FROM t{filter} ORDER BY score RANK BY U_KRANKS");
+        let batch =
+            format!("{ptk}; SELECT TOP 10 FROM t{filter} ORDER BY score WITH PROBABILITY >= 0.5");
+        case(&format!("sql_ptk_{tag}"), &["sql", &table, &ptk]);
+        case(&format!("sql_rankby_{tag}"), &["sql", &table, &rank_by]);
+        case(&format!("sql_batch_{tag}"), &["sql", &table, &batch]);
+    }
+    for threads in ["1", "4"] {
+        for (name, args) in &cases {
+            let mut argv: Vec<&str> = args.iter().map(String::as_str).collect();
+            argv.extend(["--audit", "--threads", threads]);
+            assert_eq!(
+                audit_line(&argv),
+                golden_audit(name),
+                "{name} at --threads {threads}"
+            );
+        }
+    }
+
+    for version in ["1", "2"] {
+        let file = fx.path(&format!("t{version}.run"));
+        for (name, extra) in [
+            ("scan_ptk", ["--p", "0.3"]),
+            ("scan_global_topk", ["--semantics", "global_topk"]),
+            ("scan_u_topk", ["--semantics", "u_topk"]),
+        ] {
+            let mut argv = vec!["scan", &file, "--k", "5"];
+            argv.extend(extra);
+            argv.push("--audit");
+            assert_eq!(
+                audit_line(&argv),
+                golden_audit(&format!("{name}_v{version}")),
+                "{name} over a v{version} run"
+            );
+        }
+    }
+}
+
+#[test]
+fn logical_traces_match_their_goldens() {
+    let fx = Fixture::new("trace");
+    let table = fx.path("t.csv");
+    let trace = fx.path("trace.txt");
+    for (golden, k, p) in [
+        (include_str!("goldens/query_trace.txt"), "5", "0.3"),
+        (include_str!("goldens/batch_trace.txt"), "5,10", "0.3,0.5"),
+    ] {
+        for threads in ["1", "4"] {
+            run(&[
+                "query",
+                &table,
+                "--k",
+                k,
+                "--p",
+                p,
+                "--rank-by",
+                "score",
+                "--threads",
+                threads,
+                "--trace",
+                &trace,
+                "--trace-format",
+                "logical",
+            ]);
+            assert_eq!(
+                std::fs::read_to_string(&trace).unwrap(),
+                golden,
+                "--k {k} --p {p} at --threads {threads}"
+            );
+        }
+    }
+}

@@ -19,15 +19,13 @@
 //! is order-independent).
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, HashMap};
-use std::sync::Arc;
-use std::time::Instant;
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
 use ptk_access::{RankedSource, RuleKey, SnapshotSource};
 use ptk_core::TupleId;
 use ptk_obs::{
-    Mark, Metrics, Noop, Payload, PhaseClock, PruneRule, Recorder, RingSink, SharedSink, Snapshot,
-    Stage, StopRule, TraceEvent, Tracer,
+    Mark, Metrics, Noop, Payload, PhaseClock, PruneRule, Recorder, Snapshot, Stage, StopRule,
+    Tracer,
 };
 use ptk_par::{StealStats, ThreadPool};
 
@@ -180,7 +178,6 @@ fn future_upper_bound(comp: &mut Compressor) -> f64 {
 pub struct PtkExecutor<'a> {
     plan: &'a PtkPlan,
     recorder: &'a dyn Recorder,
-    tracer: Option<&'a Tracer>,
 }
 
 impl<'a> PtkExecutor<'a> {
@@ -189,7 +186,6 @@ impl<'a> PtkExecutor<'a> {
         PtkExecutor {
             plan,
             recorder: &Noop,
-            tracer: None,
         }
     }
 
@@ -199,24 +195,16 @@ impl<'a> PtkExecutor<'a> {
     /// `engine.phase.dp`, `engine.phase.bound`, under an `engine.query`
     /// umbrella span) into `recorder`. With a disabled recorder no clock is
     /// ever read.
-    pub fn with_recorder(plan: &'a PtkPlan, recorder: &'a dyn Recorder) -> PtkExecutor<'a> {
-        PtkExecutor {
-            plan,
-            recorder,
-            tracer: None,
-        }
-    }
-
-    /// Attaches a structured trace emitter (see [`ptk_obs::Tracer`]): the
-    /// scan then emits a [`Stage::Query`] span, per-decision instants
+    ///
+    /// When `recorder` carries a tracer ([`Recorder::tracer`]), the scan
+    /// also emits a [`Stage::Query`] span, per-decision instants
     /// ([`Mark::Prune`] with the Theorem 3/4 rule that fired,
     /// [`Mark::Answer`], [`Mark::Stop`] with the Theorem 5 / upper-bound
     /// rule), and one synthetic span per plan phase laid out from the
-    /// accumulated [`PhaseClock`] totals. A disabled tracer costs one
-    /// branch per decision and reads no clock.
-    pub fn with_tracer(mut self, tracer: &'a Tracer) -> PtkExecutor<'a> {
-        self.tracer = Some(tracer);
-        self
+    /// accumulated [`PhaseClock`] totals. The tracer is looked up once per
+    /// scan; a recorder without one costs one branch per decision.
+    pub fn with_recorder(plan: &'a PtkPlan, recorder: &'a dyn Recorder) -> PtkExecutor<'a> {
+        PtkExecutor { plan, recorder }
     }
 
     /// The plan being executed.
@@ -236,7 +224,7 @@ impl<'a> PtkExecutor<'a> {
         let k = self.plan.k();
         let threshold = self.plan.scan_threshold();
         let recorder = self.recorder;
-        let tracer = self.tracer.filter(|t| t.enabled());
+        let tracer = recorder.tracer().filter(|t| t.enabled());
         let _query_span = ptk_obs::span(recorder, "engine.query");
         // Phase clocks also run when only a tracer is attached, so the
         // synthetic phase spans carry real totals without --stats.
@@ -641,7 +629,7 @@ impl<'a> PtkExecutor<'a> {
         let options = *self.plan.options();
         let k = self.plan.k();
         let recorder = self.recorder;
-        let tracer = self.tracer.filter(|t| t.enabled());
+        let tracer = recorder.tracer().filter(|t| t.enabled());
         let _query_span = ptk_obs::span(recorder, "engine.query");
         let clocks_live = recorder.enabled() || tracer.is_some();
         let mut dp_clock = PhaseClock::enabled_if(clocks_live);
@@ -947,7 +935,7 @@ impl<'a> PtkExecutor<'a> {
     ) -> PtkResult {
         let recorder = self.recorder;
         let _query_span = ptk_obs::span(recorder, "engine.query");
-        let tracer = self.tracer.filter(|t| t.enabled());
+        let tracer = recorder.tracer().filter(|t| t.enabled());
         let clocks_live = recorder.enabled() || tracer.is_some();
         let query_begin = tracer.map_or(0, |t| t.begin(Stage::Query));
         let plan = self.plan;
@@ -1023,97 +1011,82 @@ impl<'a> PtkExecutor<'a> {
         source: &S,
         pool: &ThreadPool,
     ) -> Vec<PtkResult> {
-        Self::batch_inner(batch, source, pool, Recording::Off).0
+        Self::execute_batch_with(batch, source, pool, &Noop).0
     }
 
-    /// Like [`PtkExecutor::execute_batch`], but recording: the returned
-    /// [`Snapshot`] merges every query's counters in plan order, so it is
+    /// Like [`PtkExecutor::execute_batch`], but recording every query into
+    /// one fresh registry: the returned [`Snapshot`]'s counters are
     /// identical at every pool width — only the wall-clock timing section
     /// and the `scheduler` section (workers spawned, steals, segments;
     /// runtime facts by nature) vary, and [`Snapshot::to_json`] already
-    /// excludes both from deterministic output.
-    ///
-    /// On a single-worker pool the batch runs as a plain sequential loop
-    /// recording into **one** shared registry — no per-query registries,
-    /// no merge, no pool; recording into one registry is bit-equal to the
-    /// merge because counters are sums either way. The snapshot's
-    /// `batch.workers_spawned` scheduler fact is then 0.
+    /// excludes both from deterministic output. On a single-worker pool
+    /// the `batch.workers_spawned` scheduler fact is 0.
     pub fn execute_batch_recorded<S: SnapshotSource + ?Sized>(
         batch: &PtkBatch,
         source: &S,
         pool: &ThreadPool,
     ) -> (Vec<PtkResult>, Snapshot) {
-        let (results, snapshot) = Self::batch_inner(batch, source, pool, Recording::Full);
-        (
-            results,
-            snapshot.expect("recorded batches always build a snapshot"),
-        )
+        let metrics = Metrics::new();
+        let (results, scheduler) = Self::execute_batch_with(batch, source, pool, &metrics);
+        let mut snapshot = metrics.snapshot();
+        snapshot.scheduler = scheduler;
+        (results, snapshot)
     }
 
-    /// Like [`PtkExecutor::execute_batch_recorded`], but recording into
-    /// [`Metrics::counters_only`] registries: no clock is read, and the
-    /// snapshot carries the same counters and no timings. For callers that
-    /// keep only counters, such as a flight record.
-    pub fn execute_batch_counted<S: SnapshotSource + ?Sized>(
+    /// The batch implementation behind [`PtkExecutor::execute_batch`] and
+    /// [`PtkExecutor::execute_batch_recorded`]: evaluates `batch`
+    /// recording every query straight into `recorder`, and returns the
+    /// results in plan order with the run's scheduler facts
+    /// (`batch.workers_spawned`, `batch.tasks`, `batch.steals`,
+    /// `batch.segments`, `batch.segmented_queries`) for a snapshot's
+    /// `scheduler` section. The engine records counters and timings only,
+    /// and both are sums, so what `recorder` ends up holding does not
+    /// depend on which worker ran what.
+    ///
+    /// When `recorder` carries a tracer, each query traces through its own
+    /// [`ptk_obs::query_recorder`]: query id = plan index, worker id = the
+    /// query's home lane (`i % lanes`, a pure function of
+    /// `(batch.len(), threads)`) whichever worker stole it, and the
+    /// tracer's epoch shared by all. A traced batch steals at whole-query
+    /// granularity only, never segmenting, so each query's event stream is
+    /// exactly its sequential one and the logical rendering
+    /// ([`ptk_obs::render_logical`]) is a pure function of the batch at
+    /// every pool width.
+    pub fn execute_batch_with<S: SnapshotSource + ?Sized>(
         batch: &PtkBatch,
         source: &S,
         pool: &ThreadPool,
-    ) -> (Vec<PtkResult>, Snapshot) {
-        let (results, snapshot) = Self::batch_inner(batch, source, pool, Recording::Counters);
-        (
-            results,
-            snapshot.expect("recorded batches always build a snapshot"),
-        )
-    }
-
-    /// The batch implementation shared by [`PtkExecutor::execute_batch`],
-    /// [`PtkExecutor::execute_batch_recorded`] and
-    /// [`PtkExecutor::execute_batch_counted`].
-    fn batch_inner<S: SnapshotSource + ?Sized>(
-        batch: &PtkBatch,
-        source: &S,
-        pool: &ThreadPool,
-        recording: Recording,
-    ) -> (Vec<PtkResult>, Option<Snapshot>) {
-        let record = recording != Recording::Off;
+        recorder: &dyn Recorder,
+    ) -> (Vec<PtkResult>, BTreeMap<&'static str, u64>) {
         let plans = batch.plans();
+        let traced = recorder.tracer().is_some_and(Tracer::enabled);
         // A materialized layout pays for itself when several queries share
         // it or a single deep scan can be partitioned over it; a lone
         // pruning query keeps the plain fork.
         let layout_pays = plans.len() >= 2 || plans.iter().any(|p| !p.options().pruning);
         if pool.threads() <= 1 || !layout_pays {
-            // Sequential short-circuit: no workers, no per-query
-            // registries, no merge — one shared registry accumulates every
-            // query, which is bit-equal to merging per-query snapshots.
-            let shared = recording.registry();
-            let mut results = Vec::with_capacity(plans.len());
-            for plan in plans {
-                let mut cursor = source.fork();
-                results.push(match &shared {
-                    Some(metrics) => {
-                        PtkExecutor::with_recorder(plan, metrics).execute(cursor.as_mut())
-                    }
-                    None => PtkExecutor::new(plan).execute(cursor.as_mut()),
-                });
-            }
-            let snapshot = shared.map(|metrics| {
-                let mut snap = metrics.snapshot();
-                let inline = StealStats {
-                    workers_spawned: 0,
-                    tasks: plans.len() as u64,
-                    stolen: 0,
-                };
-                publish_scheduler(&mut snap, inline, 0, 0);
-                snap
-            });
-            return (results, snapshot);
+            // Sequential short-circuit: no workers, no pool.
+            let results = plans
+                .iter()
+                .enumerate()
+                .map(|(i, plan)| {
+                    let recorder = ptk_obs::query_recorder(recorder, i as u32, 0);
+                    PtkExecutor::with_recorder(plan, &recorder).execute(source.fork().as_mut())
+                })
+                .collect();
+            let inline = StealStats {
+                workers_spawned: 0,
+                tasks: plans.len() as u64,
+                stolen: 0,
+            };
+            return (results, scheduler_facts(inline, 0, 0));
         }
 
         let layout = ScanLayout::materialize(source);
         let mut tasks: Vec<BatchTask> = Vec::new();
         let mut segmented_queries = 0u64;
         for (p, plan) in plans.iter().enumerate() {
-            let segs = if plan.options().pruning {
+            let segs = if traced || plan.options().pruning {
                 Vec::new()
             } else {
                 plan_segment_tasks(&layout, plan.k())
@@ -1133,39 +1106,34 @@ impl<'a> PtkExecutor<'a> {
             .filter(|t| matches!(t, BatchTask::Segment { .. }))
             .count() as u64;
 
+        let lanes = pool.threads().min(plans.len()) as u32;
         let layout_ref = &layout;
         let (outs, steal) = pool.parallel_map_stealing_stats(&tasks, |_, task| match task {
             BatchTask::Whole { plan_idx } => {
-                let plan = &plans[*plan_idx];
-                let mut cursor = LayoutCursor::new(layout_ref);
-                if let Some(metrics) = recording.registry() {
-                    let result = PtkExecutor::with_recorder(plan, &metrics).execute(&mut cursor);
-                    TaskOut::Whole(result, Some(metrics.snapshot()))
-                } else {
-                    TaskOut::Whole(PtkExecutor::new(plan).execute(&mut cursor), None)
-                }
+                let query = *plan_idx as u32;
+                let recorder = ptk_obs::query_recorder(recorder, query, query % lanes);
+                TaskOut::Whole(
+                    PtkExecutor::with_recorder(&plans[*plan_idx], &recorder)
+                        .execute(&mut LayoutCursor::new(layout_ref)),
+                )
             }
-            BatchTask::Segment { plan_idx, task } => {
-                let clocks_live = recording == Recording::Full;
-                TaskOut::Segment(run_segment(
-                    &plans[*plan_idx],
-                    layout_ref,
-                    task,
-                    clocks_live,
-                ))
-            }
+            BatchTask::Segment { plan_idx, task } => TaskOut::Segment(run_segment(
+                &plans[*plan_idx],
+                layout_ref,
+                task,
+                recorder.enabled(),
+            )),
         });
 
         // Reassemble per plan: whole results land directly, segment
         // outcomes stitch. Tasks were issued in plan order with segments
         // in rank order, so a linear walk preserves both.
-        let mut whole: Vec<Option<(PtkResult, Option<Snapshot>)>> =
-            (0..plans.len()).map(|_| None).collect();
+        let mut whole: Vec<Option<PtkResult>> = (0..plans.len()).map(|_| None).collect();
         let mut seg_outs: Vec<Vec<SegmentOutcome>> = (0..plans.len()).map(|_| Vec::new()).collect();
         for (task, out) in tasks.iter().zip(outs) {
             match (task, out) {
-                (BatchTask::Whole { plan_idx }, TaskOut::Whole(result, snap)) => {
-                    whole[*plan_idx] = Some((result, snap));
+                (BatchTask::Whole { plan_idx }, TaskOut::Whole(result)) => {
+                    whole[*plan_idx] = Some(result);
                 }
                 (BatchTask::Segment { plan_idx, .. }, TaskOut::Segment(outcome)) => {
                     seg_outs[*plan_idx].push(outcome);
@@ -1173,98 +1141,28 @@ impl<'a> PtkExecutor<'a> {
                 _ => unreachable!("task kinds round-trip through the pool"),
             }
         }
-        let mut merged = record.then(Snapshot::default);
-        let mut results = Vec::with_capacity(plans.len());
-        for (p, slot) in whole.into_iter().enumerate() {
-            let (result, snap) = match slot {
-                Some(pair) => pair,
-                None => {
-                    let (result, reorder_nanos, dp_nanos) =
-                        stitch_segments(layout.len(), std::mem::take(&mut seg_outs[p]));
-                    let snap = recording.registry().map(|metrics| {
-                        // Mirror what a sequential recorded run of this
-                        // plan would put in its registry: the exec
-                        // counters, the answer count, and the phase
-                        // timings (timings are non-deterministic and
-                        // excluded from deterministic renderings anyway).
-                        result.stats.record_to(&metrics);
-                        metrics.add(counters::ANSWERS, result.answers.len() as u64);
-                        metrics.record_nanos("engine.phase.reorder", reorder_nanos);
-                        metrics.record_nanos("engine.phase.dp", dp_nanos);
-                        metrics.record_nanos("engine.query", reorder_nanos + dp_nanos);
-                        metrics.snapshot()
-                    });
-                    (result, snap)
-                }
-            };
-            if let (Some(m), Some(s)) = (merged.as_mut(), snap.as_ref()) {
-                m.merge(s);
-            }
-            results.push(result);
-        }
-        if let Some(m) = merged.as_mut() {
-            publish_scheduler(m, steal, segment_count, segmented_queries);
-        }
-        (results, merged)
-    }
-
-    /// Like [`PtkExecutor::execute_batch_recorded`], but additionally
-    /// traces every query into its own bounded [`RingSink`] of `capacity`
-    /// events, returning the merged event stream alongside the results and
-    /// snapshot.
-    ///
-    /// Traced batches steal at **whole-query** granularity only (never
-    /// segmenting): keeping each query's scan sequential keeps its event
-    /// stream exactly the sequential one. Each query gets its own
-    /// [`Tracer`] whose query id is the plan index and whose sequence
-    /// numbers start at 0, and the per-query event runs are concatenated
-    /// in plan order — so the *logical* event stream
-    /// ([`ptk_obs::render_logical`]) is a pure function of the batch at
-    /// every pool width. The worker id stamped on the events is the
-    /// query's home lane (`i % workers`, a pure function of
-    /// `(batch.len(), threads)`) regardless of which worker stole it, and
-    /// all tracers share one epoch so the wall-clock export lines queries
-    /// up on a common timeline.
-    pub fn execute_batch_traced<S: SnapshotSource + ?Sized>(
-        batch: &PtkBatch,
-        source: &S,
-        pool: &ThreadPool,
-        capacity: usize,
-    ) -> (Vec<PtkResult>, Snapshot, Vec<TraceEvent>) {
-        let epoch = Instant::now();
-        let plans = batch.plans();
-        let lanes = pool.threads().min(plans.len()).max(1);
-        let layout =
-            (pool.threads() > 1 && plans.len() >= 2).then(|| ScanLayout::materialize(source));
-        let (per_query, steal) = pool.parallel_map_stealing_stats(plans, |i, plan| {
-            let sink = Arc::new(RingSink::new(capacity));
-            let tracer = Tracer::with_epoch(
-                Arc::clone(&sink) as SharedSink,
-                i as u32,
-                (i % lanes) as u32,
-                epoch,
-            );
-            let metrics = Metrics::new();
-            let executor = PtkExecutor::with_recorder(plan, &metrics).with_tracer(&tracer);
-            let result = match layout.as_ref() {
-                Some(l) => executor.execute(&mut LayoutCursor::new(l)),
-                None => {
-                    let mut cursor = source.fork();
-                    executor.execute(cursor.as_mut())
-                }
-            };
-            (result, metrics.snapshot(), sink.events())
-        });
-        let mut merged = Snapshot::default();
-        let mut results = Vec::with_capacity(per_query.len());
-        let mut events = Vec::new();
-        for (result, snapshot, run) in per_query {
-            merged.merge(&snapshot);
-            events.extend(run);
-            results.push(result);
-        }
-        publish_scheduler(&mut merged, steal, 0, 0);
-        (results, merged, events)
+        let results = whole
+            .into_iter()
+            .zip(seg_outs)
+            .map(|(slot, segments)| {
+                slot.unwrap_or_else(|| {
+                    let (result, reorder_nanos, dp_nanos) = stitch_segments(layout.len(), segments);
+                    // What a sequential recorded run of this plan records:
+                    // the exec counters, the answer count, and the phase
+                    // timings.
+                    result.stats.record_to(recorder);
+                    recorder.add(counters::ANSWERS, result.answers.len() as u64);
+                    recorder.record_nanos("engine.phase.reorder", reorder_nanos);
+                    recorder.record_nanos("engine.phase.dp", dp_nanos);
+                    recorder.record_nanos("engine.query", reorder_nanos + dp_nanos);
+                    result
+                })
+            })
+            .collect();
+        (
+            results,
+            scheduler_facts(steal, segment_count, segmented_queries),
+        )
     }
 }
 
@@ -1382,27 +1280,6 @@ fn k_best(n: usize, k: usize, order: impl Fn(&usize, &usize) -> Ordering) -> Vec
     best
 }
 
-/// What a batch records into its per-query registries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Recording {
-    Off,
-    /// Counters and histograms, no clock read.
-    Counters,
-    /// Counters, histograms and phase timings.
-    Full,
-}
-
-impl Recording {
-    /// A fresh registry for one query (or a whole sequential batch).
-    fn registry(self) -> Option<Metrics> {
-        match self {
-            Recording::Off => None,
-            Recording::Counters => Some(Metrics::counters_only()),
-            Recording::Full => Some(Metrics::new()),
-        }
-    }
-}
-
 /// Policy floor: partitioned scans aim for segments of at least this many
 /// ranks — below that the boundary bookkeeping outweighs the DP saved.
 const MIN_SEGMENT_TUPLES: usize = 128;
@@ -1451,28 +1328,25 @@ enum BatchTask {
 
 /// The result of one [`BatchTask`].
 enum TaskOut {
-    Whole(PtkResult, Option<Snapshot>),
+    Whole(PtkResult),
     Segment(SegmentOutcome),
 }
 
-/// Publishes runtime scheduling facts into a snapshot's `scheduler`
-/// section — diagnostics excluded from deterministic renderings, since
-/// steal counts depend on OS timing.
-fn publish_scheduler(
-    snapshot: &mut Snapshot,
+/// A batch run's scheduling facts, for a snapshot's `scheduler` section —
+/// diagnostics excluded from deterministic renderings, since steal counts
+/// depend on OS timing.
+fn scheduler_facts(
     steal: StealStats,
     segments: u64,
     segmented_queries: u64,
-) {
-    snapshot
-        .scheduler
-        .insert("batch.workers_spawned", steal.workers_spawned);
-    snapshot.scheduler.insert("batch.tasks", steal.tasks);
-    snapshot.scheduler.insert("batch.steals", steal.stolen);
-    snapshot.scheduler.insert("batch.segments", segments);
-    snapshot
-        .scheduler
-        .insert("batch.segmented_queries", segmented_queries);
+) -> BTreeMap<&'static str, u64> {
+    BTreeMap::from([
+        ("batch.workers_spawned", steal.workers_spawned),
+        ("batch.tasks", steal.tasks),
+        ("batch.steals", steal.stolen),
+        ("batch.segments", segments),
+        ("batch.segmented_queries", segmented_queries),
+    ])
 }
 
 /// Partitions `layout` at rule-closed cuts and seeds each non-initial

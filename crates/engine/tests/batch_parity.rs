@@ -2,11 +2,29 @@
 //! answers, stats and (timing-free) merged snapshots at every pool width,
 //! matching the sequential executor query for query.
 
+use std::sync::Arc;
+
 use ptk_core::rng::{RngExt, SeedableRng, StdRng};
 use ptk_core::RankedView;
-use ptk_engine::{EngineOptions, PtkExecutor, PtkPlan, PtkResult, SharingVariant};
-use ptk_obs::Metrics;
+use ptk_engine::{EngineOptions, PtkBatch, PtkExecutor, PtkPlan, PtkResult, SharingVariant};
+use ptk_obs::{Metrics, RingSink, SharedSink, Snapshot, TraceEvent, Tracer};
 use ptk_par::{threads_from_env, ThreadPool};
+
+/// Runs `batch` over `view` recording into a registry that carries a
+/// tracer over a ring of `capacity` events per query: the results, the
+/// registry's snapshot and the retained events.
+fn traced_batch(
+    batch: &PtkBatch,
+    view: &RankedView,
+    pool: &ThreadPool,
+    capacity: usize,
+) -> (Vec<PtkResult>, Snapshot, Vec<TraceEvent>) {
+    let sink = Arc::new(RingSink::new(capacity));
+    let tracer = Tracer::new(Arc::clone(&sink) as SharedSink, 0, 0);
+    let metrics = Metrics::new().with_tracer(tracer);
+    let (results, _) = PtkExecutor::execute_batch_with(batch, view, pool, &metrics);
+    (results, metrics.snapshot(), sink.events())
+}
 
 /// Generates a random small ranked view: up to `max_n` tuples, random
 /// probabilities, random disjoint rules of size 2–4.
@@ -138,7 +156,8 @@ fn merged_snapshot_is_identical_across_pool_widths() {
         let (results, merged) = PtkExecutor::execute_batch_recorded(&batch, &view, &pool);
         assert_eq!(results.len(), batch.len());
         // Timing-free rendering: identical to the sequential merge, at
-        // every width (per-query registries make the merge width-blind).
+        // every width (the engine records only sums, so which worker ran
+        // which query cannot show).
         assert_eq!(
             merged.to_json(false),
             reference.to_json(false),
@@ -160,15 +179,13 @@ fn traced_batch_logical_rendering_is_identical_across_pool_widths() {
     let batch = PtkPlan::batch(&matrix_batch(&mut rng));
 
     let pool = ThreadPool::new(1);
-    let (reference_results, _, reference_events) =
-        PtkExecutor::execute_batch_traced(&batch, &view, &pool, 4096);
+    let (reference_results, _, reference_events) = traced_batch(&batch, &view, &pool, 4096);
     let reference = ptk_obs::render_logical(&reference_events);
     assert!(reference.contains("B query"), "{reference}");
 
     for threads in [2usize, 4, 8] {
         let pool = ThreadPool::new(threads);
-        let (results, merged, events) =
-            PtkExecutor::execute_batch_traced(&batch, &view, &pool, 4096);
+        let (results, merged, events) = traced_batch(&batch, &view, &pool, 4096);
         assert_eq!(
             ptk_obs::render_logical(&events),
             reference,
@@ -180,6 +197,47 @@ fn traced_batch_logical_rendering_is_identical_across_pool_widths() {
         // Tracing includes recording: the merged snapshot is still present
         // and carries the engine counters.
         assert!(merged.counter("engine.scanned") > 0);
+    }
+}
+
+#[test]
+fn a_traced_batch_that_fills_its_rings_renders_the_same_at_every_width() {
+    // Each query keeps the first `capacity` events of its own stream, so
+    // what survives an overflow does not depend on how concurrent workers
+    // interleaved their queries.
+    let mut rng = StdRng::seed_from_u64(0x5eed_0b50);
+    let view = deep_view(&mut rng, 300);
+    let plans: Vec<PtkPlan> = [(5, 0.3), (10, 0.2), (3, 0.5), (20, 0.1)]
+        .iter()
+        .map(|&(k, p)| PtkPlan::try_new(k, p, &EngineOptions::default()).unwrap())
+        .collect();
+    let batch = PtkPlan::batch(&plans);
+    let capacity = 6;
+    let (_, _, full) = traced_batch(&batch, &view, &ThreadPool::new(1), 1 << 14);
+    let (_, _, reference) = traced_batch(&batch, &view, &ThreadPool::new(1), capacity);
+    for q in 0..plans.len() as u32 {
+        let kept: Vec<&TraceEvent> = reference.iter().filter(|e| e.query == q).collect();
+        let first: Vec<&TraceEvent> = full
+            .iter()
+            .filter(|e| e.query == q)
+            .take(capacity)
+            .collect();
+        assert_eq!(kept.len(), capacity, "query {q} overflowed its ring");
+        assert!(
+            kept.iter()
+                .zip(&first)
+                .all(|(a, b)| a.seq == b.seq && a.kind == b.kind),
+            "query {q} keeps the head of its own stream"
+        );
+    }
+    let reference = ptk_obs::render_logical(&reference);
+    for threads in [2usize, 4, 8] {
+        let (_, _, events) = traced_batch(&batch, &view, &ThreadPool::new(threads), capacity);
+        assert_eq!(
+            ptk_obs::render_logical(&events),
+            reference,
+            "threads {threads}"
+        );
     }
 }
 
@@ -311,8 +369,7 @@ fn skewed_batch_with_deep_scan_is_bit_identical_under_stealing() {
         let _ = PtkExecutor::with_recorder(plan, &metrics).execute(&mut source);
         reference.merge(&metrics.snapshot());
     }
-    let (_, _, trace_reference) =
-        PtkExecutor::execute_batch_traced(&batch, &view, &ThreadPool::new(1), 1 << 14);
+    let (_, _, trace_reference) = traced_batch(&batch, &view, &ThreadPool::new(1), 1 << 14);
     let trace_reference = ptk_obs::render_logical(&trace_reference);
 
     for threads in [1usize, 2, 4, 8] {
@@ -351,7 +408,7 @@ fn skewed_batch_with_deep_scan_is_bit_identical_under_stealing() {
             assert_eq!(merged.scheduler_value("batch.workers_spawned"), 0);
         }
 
-        let (traced, _, events) = PtkExecutor::execute_batch_traced(&batch, &view, &pool, 1 << 14);
+        let (traced, _, events) = traced_batch(&batch, &view, &pool, 1 << 14);
         for (q, (a, b)) in traced.iter().zip(&sequential).enumerate() {
             assert_results_bit_identical(
                 a,
@@ -428,11 +485,10 @@ fn partitioned_scan_records_and_traces_segments() {
     // at every parallel width (segment boundaries are a pure function of
     // the rule layout, never the pool width).
     let render_at = |threads: usize| {
-        let sink = std::sync::Arc::new(ptk_obs::RingSink::new(1 << 14));
-        let tracer =
-            ptk_obs::Tracer::new(std::sync::Arc::clone(&sink) as ptk_obs::SharedSink, 0, 0);
-        let _ = PtkExecutor::new(&plan)
-            .with_tracer(&tracer)
+        let sink = Arc::new(RingSink::new(1 << 14));
+        let tracer = Tracer::new(Arc::clone(&sink) as SharedSink, 0, 0);
+        let metrics = Metrics::counters_only().with_tracer(tracer);
+        let _ = PtkExecutor::with_recorder(&plan, &metrics)
             .execute_snapshot(&view, &ThreadPool::new(threads));
         ptk_obs::render_logical(&sink.events())
     };

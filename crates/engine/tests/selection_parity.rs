@@ -152,7 +152,9 @@ fn check_scans(got: &dyn SnapshotSource, want: &dyn SnapshotSource, n: usize, ct
         let batch = PtkPlan::batch(&plans);
         let (wanted, want_snap) = PtkExecutor::execute_batch_recorded(&batch, want, &pool);
         let (recorded, got_snap) = PtkExecutor::execute_batch_recorded(&batch, got, &pool);
-        let (counted, counted_snap) = PtkExecutor::execute_batch_counted(&batch, got, &pool);
+        let counting = Metrics::counters_only();
+        let (counted, _) = PtkExecutor::execute_batch_with(&batch, got, &pool, &counting);
+        let counted_snap = counting.snapshot();
         let wanted: Vec<Outcome> = wanted.iter().map(ptk_outcome).collect();
         assert_eq!(
             recorded.iter().map(ptk_outcome).collect::<Vec<_>>(),

@@ -8,6 +8,12 @@
 //! nothing else when nobody is listening — in particular no `Instant` is
 //! ever read while a recorder reports [`Recorder::enabled`] `false`.
 //!
+//! A recorder is also the one channel for structured tracing: it may carry
+//! a [`Tracer`] ([`Recorder::tracer`], [`Metrics::with_tracer`]), so every
+//! layer handed a recorder — executor, run source, sampler — traces
+//! through the same argument it records through, and a batch derives each
+//! query's view of it with [`query_recorder`].
+//!
 //! [`Metrics`] is the concrete registry. Its [`Metrics::snapshot`] returns
 //! a [`Snapshot`] whose counters and histograms are pure functions of the
 //! recorded values: bucket assignment uses the binary exponent of the
@@ -76,6 +82,13 @@ pub trait Recorder: Send + Sync {
     fn record_nanos(&self, name: &'static str, nanos: u64) {
         let _ = (name, nanos);
     }
+
+    /// The structured trace emitter riding on this recorder, if any (see
+    /// [`Metrics::with_tracer`]). Instrumented code reads it once per
+    /// scan or open, so a recorder without one costs a single branch.
+    fn tracer(&self) -> Option<&Tracer> {
+        None
+    }
 }
 
 /// The recorder that records nothing ([`Recorder::enabled`] is `false`).
@@ -87,6 +100,46 @@ impl Recorder for Noop {}
 /// A recorder shared across owners (e.g. a long-lived data source and the
 /// query that polls it).
 pub type SharedRecorder = Arc<dyn Recorder>;
+
+/// `recorder` as one query of a batch sees it: every counter, histogram
+/// and timing goes straight to `recorder`, and when `recorder` carries a
+/// tracer, trace events go to its [`Tracer::for_query`]`(query, worker)`
+/// — the same sink and epoch, stamped with the query's own id and
+/// sequence numbers.
+pub fn query_recorder(recorder: &dyn Recorder, query: u32, worker: u32) -> impl Recorder + '_ {
+    QueryRecorder {
+        inner: recorder,
+        tracer: recorder.tracer().map(|t| t.for_query(query, worker)),
+    }
+}
+
+/// See [`query_recorder`].
+struct QueryRecorder<'a> {
+    inner: &'a dyn Recorder,
+    tracer: Option<Tracer>,
+}
+
+impl Recorder for QueryRecorder<'_> {
+    fn enabled(&self) -> bool {
+        self.inner.enabled()
+    }
+
+    fn add(&self, name: &'static str, delta: u64) {
+        self.inner.add(name, delta);
+    }
+
+    fn observe(&self, name: &'static str, value: f64) {
+        self.inner.observe(name, value);
+    }
+
+    fn record_nanos(&self, name: &'static str, nanos: u64) {
+        self.inner.record_nanos(name, nanos);
+    }
+
+    fn tracer(&self) -> Option<&Tracer> {
+        self.tracer.as_ref()
+    }
+}
 
 /// Histogram buckets are powers of two: bucket `e` counts values in
 /// `[2^e, 2^(e+1))`. Exponents are clamped to this range, giving 64
@@ -149,14 +202,16 @@ struct Registry {
 }
 
 /// A concrete metrics registry: counters, histograms and span timings
-/// behind one mutex. Cheap enough for per-phase and per-unit recording;
-/// hot loops should accumulate locally (e.g. via [`PhaseClock`] or
-/// `ExecStats`-style structs) and flush once.
+/// behind one mutex, plus an optional [`Tracer`] that instrumented code
+/// finds through [`Recorder::tracer`]. Cheap enough for per-phase and
+/// per-unit recording; hot loops should accumulate locally (e.g. via
+/// [`PhaseClock`] or `ExecStats`-style structs) and flush once.
 #[derive(Debug)]
 pub struct Metrics {
     inner: Mutex<Registry>,
     /// Whether span timings are recorded (and so clocks read at all).
     timed: bool,
+    tracer: Option<Tracer>,
 }
 
 impl Default for Metrics {
@@ -171,6 +226,7 @@ impl Metrics {
         Metrics {
             inner: Mutex::default(),
             timed: true,
+            tracer: None,
         }
     }
 
@@ -182,7 +238,15 @@ impl Metrics {
         Metrics {
             inner: Mutex::default(),
             timed: false,
+            tracer: None,
         }
+    }
+
+    /// This registry carrying `tracer`: every layer handed the registry
+    /// as its recorder also emits its trace events through `tracer`.
+    pub fn with_tracer(mut self, tracer: Tracer) -> Metrics {
+        self.tracer = Some(tracer);
+        self
     }
 
     /// Takes a consistent snapshot of everything recorded so far.
@@ -252,6 +316,10 @@ impl Recorder for Metrics {
         let timing = inner.timings.entry(name).or_default();
         timing.count += 1;
         timing.total_nanos += nanos;
+    }
+
+    fn tracer(&self) -> Option<&Tracer> {
+        self.tracer.as_ref()
     }
 }
 
@@ -642,9 +710,7 @@ impl Snapshot {
     /// Merging is commutative and associative over the deterministic
     /// sections (counters and histogram counts/buckets are integer sums;
     /// histogram `sum` is an f64 accumulation, so merge in a fixed order —
-    /// e.g. worker index — when bit-stable output matters). This is how
-    /// the batch executor combines per-worker registries into one
-    /// [`Snapshot`] at the barrier.
+    /// e.g. worker index — when bit-stable output matters).
     pub fn merge(&mut self, other: &Snapshot) {
         for (&name, &value) in &other.counters {
             *self.counters.entry(name).or_insert(0) += value;
@@ -969,6 +1035,33 @@ mod tests {
         assert_eq!(clock.nanos(), 0);
         assert_eq!(s.counter("engine.scanned"), 3);
         assert_eq!(s.histogram("h").map(|h| h.count), Some(1));
+    }
+
+    #[test]
+    fn a_query_recorder_records_into_its_batch_and_traces_as_its_query() {
+        let sink = Arc::new(RingSink::new(16));
+        let metrics = Metrics::counters_only().with_tracer(Tracer::new(
+            Arc::clone(&sink) as SharedSink,
+            0,
+            0,
+        ));
+        let query = query_recorder(&metrics, 3, 1);
+        assert!(!query.enabled());
+        query.add("engine.scanned", 4);
+        query.record_nanos("engine.query", 9);
+        let tracer = query.tracer().expect("the batch's tracer is carried");
+        tracer.begin(Stage::Query);
+        tracer.end(Stage::Query, Payload::None);
+        assert_eq!(metrics.snapshot().counter("engine.scanned"), 4);
+        assert!(metrics.snapshot().timings.is_empty());
+        let events = sink.events();
+        assert_eq!(events.len(), 2);
+        assert!(events
+            .iter()
+            .enumerate()
+            .all(|(i, e)| e.query == 3 && e.worker == 1 && e.seq == i as u64));
+        // Without a tracer on the batch's recorder, a query has none.
+        assert!(query_recorder(&Noop, 0, 0).tracer().is_none());
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! assert!(render_logical(&events).starts_with("q0 #0 B query"));
 //! ```
 
-use std::collections::VecDeque;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -363,20 +363,25 @@ impl TraceSink for NoopSink {}
 
 #[derive(Debug, Default)]
 struct RingState {
-    events: VecDeque<TraceEvent>,
+    /// Retained events by query id, each query's in arrival order.
+    queries: BTreeMap<u32, Vec<TraceEvent>>,
     dropped: u64,
     depth: i64,
 }
 
-/// A bounded in-memory trace sink. When full, *new* events are dropped
-/// (and counted) so the retained prefix keeps its span structure — a
-/// truncated trace still renders, it just ends early.
+/// A bounded in-memory trace sink retaining at most `capacity` events per
+/// query. When a query's share is full, its *new* events are dropped (and
+/// counted) so the retained prefix keeps its span structure — a truncated
+/// trace still renders, it just ends early. Bounding each query on its
+/// own keeps what a batch retains a pure function of the batch: workers
+/// running queries concurrently fill disjoint shares, each in its query's
+/// own order.
 ///
 /// In debug builds, dropping a `RingSink` whose recorded begin/end events
 /// do not balance panics, so a missing `end` in instrumentation fails a
 /// test loudly instead of silently producing a truncated trace. The
 /// balance is tracked over *all* recorded events, including ones the ring
-/// evicted, so capacity overflow never trips the guard by itself.
+/// dropped, so capacity overflow never trips the guard by itself.
 #[derive(Debug)]
 pub struct RingSink {
     capacity: usize,
@@ -384,7 +389,7 @@ pub struct RingSink {
 }
 
 impl RingSink {
-    /// A sink retaining at most `capacity` events (minimum 1).
+    /// A sink retaining at most `capacity` events per query (minimum 1).
     pub fn new(capacity: usize) -> RingSink {
         RingSink {
             capacity: capacity.max(1),
@@ -392,16 +397,17 @@ impl RingSink {
         }
     }
 
-    /// The events recorded so far, in arrival order.
+    /// The events recorded so far: query by query in id order, each
+    /// query's in arrival order.
     ///
     /// # Panics
     /// Panics if a previous user of the sink panicked mid-record.
     pub fn events(&self) -> Vec<TraceEvent> {
         let inner = self.inner.lock().expect("trace sink poisoned");
-        inner.events.iter().copied().collect()
+        inner.queries.values().flatten().copied().collect()
     }
 
-    /// How many events were dropped because the ring was full.
+    /// How many events were dropped because their query's share was full.
     pub fn dropped(&self) -> u64 {
         self.inner.lock().expect("trace sink poisoned").dropped
     }
@@ -419,10 +425,11 @@ impl TraceSink for RingSink {
             EventKind::End(_, _) => inner.depth -= 1,
             EventKind::Instant(_) => {}
         }
-        if inner.events.len() >= self.capacity {
+        let retained = inner.queries.entry(event.query).or_default();
+        if retained.len() >= self.capacity {
             inner.dropped += 1;
         } else {
-            inner.events.push_back(event);
+            retained.push(event);
         }
     }
 }
@@ -451,7 +458,7 @@ pub type SharedSink = Arc<dyn TraceSink>;
 ///
 /// The enabled flag is cached at construction: when the sink is a
 /// [`NoopSink`] no clock is ever read and `record` is never called, so a
-/// `Tracer::disabled()` in a hot path costs one branch.
+/// disabled tracer in a hot path costs one branch.
 pub struct Tracer {
     sink: SharedSink,
     enabled: bool,
@@ -472,18 +479,6 @@ impl fmt::Debug for Tracer {
 }
 
 impl Tracer {
-    /// A tracer that emits nothing.
-    pub fn disabled() -> Tracer {
-        Tracer {
-            sink: Arc::new(NoopSink),
-            enabled: false,
-            query: 0,
-            worker: 0,
-            seq: AtomicU64::new(0),
-            epoch: None,
-        }
-    }
-
     /// A tracer for query `query` on worker `worker`, with its epoch at
     /// the moment of construction.
     pub fn new(sink: SharedSink, query: u32, worker: u32) -> Tracer {
@@ -498,18 +493,19 @@ impl Tracer {
         }
     }
 
-    /// Like [`Tracer::new`] with an explicit epoch — batch executors pass
-    /// one shared epoch so every query's wall-clock offsets share a zero
-    /// and the exported flame chart lines the workers up.
-    pub fn with_epoch(sink: SharedSink, query: u32, worker: u32, epoch: Instant) -> Tracer {
-        let enabled = sink.enabled();
+    /// A tracer for query `query` on worker `worker` into this tracer's
+    /// sink, on this tracer's epoch, with its own sequence numbers from 0.
+    /// A batch derives one per query this way, so every query's
+    /// wall-clock offsets share a zero and the exported flame chart lines
+    /// the workers up.
+    pub fn for_query(&self, query: u32, worker: u32) -> Tracer {
         Tracer {
-            sink,
-            enabled,
+            sink: Arc::clone(&self.sink),
+            enabled: self.enabled,
             query,
             worker,
             seq: AtomicU64::new(0),
-            epoch: enabled.then_some(epoch),
+            epoch: self.epoch,
         }
     }
 
@@ -986,7 +982,7 @@ mod tests {
 
     #[test]
     fn disabled_tracer_emits_nothing_and_reads_no_clock() {
-        let tracer = Tracer::disabled();
+        let tracer = Tracer::new(Arc::new(NoopSink), 0, 0);
         assert!(!tracer.enabled());
         tracer.begin(Stage::Query);
         tracer.instant(Mark::SourceFork);
@@ -1006,6 +1002,26 @@ mod tests {
         assert_eq!(sink.dropped(), 2);
         // The guard counts all events including evicted ones, so the
         // balanced stream above must not trip it at drop.
+    }
+
+    #[test]
+    fn ring_sink_bounds_each_query_on_its_own() {
+        let sink = Arc::new(RingSink::new(2));
+        let q1 = Tracer::new(Arc::clone(&sink) as SharedSink, 1, 0);
+        let q0 = q1.for_query(0, 1);
+        // Interleaved, the way concurrent workers fill one sink: each
+        // query keeps the head of its own stream.
+        for rank in 0..3 {
+            q1.instant(Mark::Answer { rank });
+            q0.instant(Mark::Answer { rank: 10 + rank });
+        }
+        let kept: Vec<(u32, u32, u64)> = sink
+            .events()
+            .iter()
+            .map(|e| (e.query, e.worker, e.seq))
+            .collect();
+        assert_eq!(kept, [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)]);
+        assert_eq!(sink.dropped(), 2);
     }
 
     #[cfg(debug_assertions)]

@@ -2,7 +2,7 @@
 
 use ptk_core::rng::{derive_seed, RngExt, SeedableRng, StdRng};
 use ptk_core::RankedView;
-use ptk_obs::{Mark, Noop, Payload, Recorder, Stage, Tracer};
+use ptk_obs::{Mark, Noop, Payload, Recorder, Stage};
 use ptk_par::ThreadPool;
 
 use crate::bounds::chernoff_sample_size;
@@ -139,29 +139,23 @@ pub fn sample_topk(view: &RankedView, k: usize, options: &SamplingOptions) -> Sa
 /// position counts ([`counters::UNITS`], [`counters::POSITIONS`]), the
 /// per-unit scan-length histogram ([`counters::UNIT_LEN`]), and a `1` on
 /// the `sampling.stop.*` counter matching the [`StopOutcome`].
+///
+/// When `recorder` carries a tracer ([`Recorder::tracer`]), the whole run
+/// also becomes a [`Stage::Sampling`] span carrying the drawn-unit and
+/// scanned-position totals, and every progressive-stop stability check
+/// emits a [`Mark::SampleCheckpoint`] instant with its decision — so a
+/// trace shows *when* the estimates settled, not just that they did.
+/// Tracing never changes the run.
 pub fn sample_topk_recorded(
     view: &RankedView,
     k: usize,
     options: &SamplingOptions,
     recorder: &dyn Recorder,
 ) -> SampleEstimate {
-    sample_topk_traced(view, k, options, recorder, &Tracer::disabled())
-}
-
-/// Like [`sample_topk_recorded`], additionally emitting structured trace
-/// events: the whole run becomes a [`Stage::Sampling`] span carrying the
-/// drawn-unit and scanned-position totals, and every progressive-stop
-/// stability check emits a [`Mark::SampleCheckpoint`] instant with its
-/// decision — so a trace shows *when* the estimates settled, not just that
-/// they did. A disabled tracer reduces to [`sample_topk_recorded`] exactly.
-pub fn sample_topk_traced(
-    view: &RankedView,
-    k: usize,
-    options: &SamplingOptions,
-    recorder: &dyn Recorder,
-    tracer: &Tracer,
-) -> SampleEstimate {
-    let _ = tracer.begin(Stage::Sampling);
+    let tracer = recorder.tracer();
+    if let Some(t) = tracer {
+        let _ = t.begin(Stage::Sampling);
+    }
     let mut rng = StdRng::seed_from_u64(options.seed);
     let mut sampler = WorldSampler::new(view, k);
     let mut counts = vec![0u64; view.len()];
@@ -200,7 +194,9 @@ pub fn sample_topk_traced(
             if drawn == snapshot_at + d {
                 let current: Vec<f64> = counts.iter().map(|&c| c as f64 / drawn as f64).collect();
                 let stable = !snapshot.is_empty() && stable_within(&current, &snapshot, phi);
-                tracer.instant(Mark::SampleCheckpoint { drawn, stable });
+                if let Some(t) = tracer {
+                    t.instant(Mark::SampleCheckpoint { drawn, stable });
+                }
                 if stable {
                     stable_stop = true;
                     break;
@@ -220,10 +216,12 @@ pub fn sample_topk_traced(
         if !stable_stop && !snapshot.is_empty() && drawn > snapshot_at {
             let current: Vec<f64> = counts.iter().map(|&c| c as f64 / drawn as f64).collect();
             stable_stop = stable_within(&current, &snapshot, phi);
-            tracer.instant(Mark::SampleCheckpoint {
-                drawn,
-                stable: stable_stop,
-            });
+            if let Some(t) = tracer {
+                t.instant(Mark::SampleCheckpoint {
+                    drawn,
+                    stable: stable_stop,
+                });
+            }
         }
     }
 
@@ -234,13 +232,15 @@ pub fn sample_topk_traced(
     recorder.add(counters::UNITS, drawn);
     recorder.add(counters::POSITIONS, sampler.positions_scanned());
     recorder.add(stop.counter(), 1);
-    tracer.end(
-        Stage::Sampling,
-        Payload::Sampling {
-            units: drawn,
-            positions: sampler.positions_scanned(),
-        },
-    );
+    if let Some(t) = tracer {
+        t.end(
+            Stage::Sampling,
+            Payload::Sampling {
+                units: drawn,
+                positions: sampler.positions_scanned(),
+            },
+        );
+    }
 
     SampleEstimate {
         probabilities: counts
@@ -503,7 +503,8 @@ mod tests {
     #[test]
     fn traced_run_matches_untraced_and_emits_balanced_span() {
         use ptk_obs::{
-            render_logical, to_chrome_json, validate_chrome_trace, RingSink, SharedSink,
+            render_logical, to_chrome_json, validate_chrome_trace, Metrics, RingSink, SharedSink,
+            Tracer,
         };
         use std::sync::Arc;
         let options = SamplingOptions {
@@ -517,7 +518,8 @@ mod tests {
         let view = RankedView::from_ranked_probs(&[1.0, 1.0, 1.0], &[]).unwrap();
         let sink = Arc::new(RingSink::new(1024));
         let tracer = Tracer::new(Arc::clone(&sink) as SharedSink, 0, 0);
-        let traced = sample_topk_traced(&view, 2, &options, &Noop, &tracer);
+        let recorder = Metrics::counters_only().with_tracer(tracer);
+        let traced = sample_topk_recorded(&view, 2, &options, &recorder);
         let plain = sample_topk(&view, 2, &options);
         assert_eq!(traced.units, plain.units, "tracing never changes the run");
         assert_eq!(traced.probabilities, plain.probabilities);

@@ -152,12 +152,11 @@ fn traced_panda_logical() -> String {
     let view = panda_view();
     let sink = Arc::new(ptk::obs::RingSink::new(1024));
     let tracer = ptk::obs::Tracer::new(Arc::clone(&sink) as ptk::obs::SharedSink, 0, 0);
+    let recorder = ptk::obs::Metrics::counters_only().with_tracer(tracer);
     let plan =
         ptk::engine::PtkPlan::try_new(2, 0.35, &ptk::engine::EngineOptions::default()).unwrap();
     let mut source = ptk::access::ViewSource::new(&view);
-    let _ = ptk::engine::PtkExecutor::new(&plan)
-        .with_tracer(&tracer)
-        .execute(&mut source);
+    let _ = ptk::engine::PtkExecutor::with_recorder(&plan, &recorder).execute(&mut source);
     ptk::obs::render_logical(&sink.events())
 }
 
