@@ -37,6 +37,9 @@ pub(super) fn cmd_generate(flags: &Flags, out: &mut dyn Write) -> Result<(), Cmd
             };
             SyntheticDataset::generate(&config).table
         }
+        "iip" if flags.named.contains_key("rule-span") => {
+            return Err("--rule-span applies to generate synthetic only".into())
+        }
         "iip" => {
             let config = IipConfig {
                 tuples: flags.get("tuples")?.unwrap_or(1_000),

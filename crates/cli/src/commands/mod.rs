@@ -6,7 +6,7 @@
 //! (dataset generation) — with the shared rendering helpers in `render`
 //! and the one observability context every query command records into in
 //! `ctx`. This module owns the flag parser, the error type, and the
-//! dispatcher.
+//! dispatcher, with the table of commands and the flags each one reads.
 
 use std::collections::HashMap;
 use std::io::{self, Write};
@@ -78,7 +78,8 @@ impl std::error::Error for CmdError {}
 struct Flags {
     positional: Vec<String>,
     named: HashMap<String, String>,
-    switches: Vec<String>,
+    /// Every flag name given, switches included, in command-line order.
+    given: Vec<String>,
 }
 
 /// Flags that take no value.
@@ -89,9 +90,8 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         if let Some(name) = arg.strip_prefix("--") {
-            if SWITCHES.contains(&name) {
-                flags.switches.push(name.to_owned());
-            } else {
+            flags.given.push(name.to_owned());
+            if !SWITCHES.contains(&name) {
                 let value = it
                     .next()
                     .ok_or_else(|| format!("--{name} requires a value"))?;
@@ -144,7 +144,7 @@ impl Flags {
     }
 
     fn switch(&self, name: &str) -> bool {
-        self.switches.iter().any(|s| s == name)
+        self.given.iter().any(|s| s == name)
     }
 }
 
@@ -243,31 +243,84 @@ fn load_from_flags(flags: &Flags) -> Result<UncertainTable, String> {
     load_table(&text)
 }
 
+/// The observability flags every query command reads (see `ctx`).
+const OBSERVE: &str = "stats audit trace trace-format slow-ms";
+/// What the ranking commands read besides [`OBSERVE`]. `utopk`, `ukranks`
+/// and `erank` read `--p`, `--semantics`, `--explain` and a non-exact
+/// `--method` only to refuse them with their own message.
+const RANK: &str = "k p rank-by asc where semantics method threads no-prune explain";
+
+/// What runs a command.
+type Run = fn(&Flags, &mut dyn Write) -> Result<(), CmdError>;
+
+/// Every command: its name, what runs it, and the flags it reads,
+/// switches included, in space-separated groups. A flag outside them is
+/// refused before the command runs, so one it cannot act on never passes
+/// silently; one it reads only to refuse (`scan --pool-frames` on a v1
+/// run file) keeps its own message.
+const COMMANDS: &[(&str, Run, &[&str])] = &[
+    ("query", query::cmd_query, &[RANK, "seed", OBSERVE]),
+    ("utopk", query::cmd_utopk, &[RANK, OBSERVE]),
+    ("ukranks", query::cmd_ukranks, &[RANK, OBSERVE]),
+    ("erank", query::cmd_erank, &[RANK, OBSERVE]),
+    ("inspect", query::cmd_inspect, &[]),
+    (
+        "worlds",
+        query::cmd_worlds,
+        &["rank-by asc limit max-worlds"],
+    ),
+    ("sql", sql::cmd_sql, &["threads no-prune seed", OBSERVE]),
+    (
+        "serve",
+        serve::cmd_serve,
+        &["addr threads queue timeout-ms cache seed no-prune slow-ms flight-capacity ready-file"],
+    ),
+    // A run file is always in descending score order: no `--asc`.
+    ("pack", scan::cmd_pack, &["rank-by out block-size"]),
+    (
+        "scan",
+        scan::cmd_scan,
+        &["k p semantics pool-frames", OBSERVE],
+    ),
+    ("trace-check", trace::cmd_trace_check, &[]),
+    (
+        "generate",
+        gen::cmd_generate,
+        &["tuples rules seed rule-span out block-size rank-by"],
+    ),
+    ("help", help, &[]),
+];
+
+fn help(_: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
+    Ok(out.write_all(USAGE.as_bytes())?)
+}
+
 /// Executes a full command line (without the program name), writing the
 /// result to `out`.
 ///
 /// # Errors
-/// [`CmdError::Usage`] for any parse, input or query failure;
-/// [`CmdError::Io`] when `out` rejects a write (check
-/// [`CmdError::is_broken_pipe`] to exit cleanly under `ptk … | head`).
+/// [`CmdError::Usage`] for any parse, input or query failure, and for a
+/// flag the command does not read; [`CmdError::Io`] when `out` rejects a
+/// write (check [`CmdError::is_broken_pipe`] to exit cleanly under
+/// `ptk … | head`).
 pub fn dispatch_to(args: &[String], out: &mut dyn Write) -> Result<(), CmdError> {
     let flags = parse_flags(args)?;
-    match flags.positional.first().map(String::as_str) {
-        Some("query") => query::cmd_query(&flags, out),
-        Some("utopk") => query::cmd_utopk(&flags, out),
-        Some("ukranks") => query::cmd_ukranks(&flags, out),
-        Some("inspect") => query::cmd_inspect(&flags, out),
-        Some("worlds") => query::cmd_worlds(&flags, out),
-        Some("erank") => query::cmd_erank(&flags, out),
-        Some("sql") => sql::cmd_sql(&flags, out),
-        Some("serve") => serve::cmd_serve(&flags, out),
-        Some("pack") => scan::cmd_pack(&flags, out),
-        Some("scan") => scan::cmd_scan(&flags, out),
-        Some("trace-check") => trace::cmd_trace_check(&flags, out),
-        Some("generate") => gen::cmd_generate(&flags, out),
-        Some("help") | None => Ok(out.write_all(USAGE.as_bytes())?),
-        Some(other) => Err(format!("unknown command '{other}'\n\n{USAGE}").into()),
+    let Some(name) = flags.positional.first() else {
+        return help(&flags, out);
+    };
+    let Some(&(_, run, reads)) = COMMANDS.iter().find(|(command, ..)| command == name) else {
+        return Err(format!("unknown command '{name}'\n\n{USAGE}").into());
+    };
+    let reads = |flag: &String| {
+        reads
+            .iter()
+            .flat_map(|group| group.split(' '))
+            .any(|f| f == flag)
+    };
+    if let Some(flag) = flags.given.iter().find(|flag| !reads(flag)) {
+        return Err(format!("{name} takes no --{flag} (see `ptk help`)").into());
     }
+    run(&flags, out)
 }
 
 /// Executes a full command line (without the program name) and returns the
@@ -1430,6 +1483,105 @@ mod tests {
         assert!(err.contains("unknown column"));
     }
 
+    #[test]
+    fn commands_refuse_flags_they_do_not_read() {
+        let (table, v1, _) = synthetic_runs();
+        // `scan` runs neither EXPLAIN, nor a pruning switch, nor a WHERE,
+        // nor a pool: the first of them is named, not dropped.
+        let err = dispatch(&args(&[
+            "scan",
+            v1.as_str(),
+            "--k",
+            "5",
+            "--p",
+            "0.3",
+            "--explain",
+            "--no-prune",
+            "--where",
+            "score<5",
+            "--threads",
+            "3",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("scan takes no --explain"), "{err}");
+        let err = dispatch(&args(&[
+            "query",
+            table.as_str(),
+            "--k",
+            "5",
+            "--p",
+            "0.3",
+            "--rank-by",
+            "score",
+            "--bogus",
+            "1",
+            "--pool-frames",
+            "3",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("query takes no --bogus"), "{err}");
+        // A flag a command reads only to refuse it keeps its own message.
+        let err = dispatch(&args(&[
+            "scan",
+            v1.as_str(),
+            "--k",
+            "5",
+            "--p",
+            "0.3",
+            "--pool-frames",
+            "3",
+        ]))
+        .unwrap_err();
+        assert!(
+            err.contains("applies to block-native (v2) run files"),
+            "{err}"
+        );
+        let err = dispatch(&args(&[
+            "utopk",
+            table.as_str(),
+            "--k",
+            "5",
+            "--rank-by",
+            "score",
+            "--semantics",
+            "u_kranks",
+        ]))
+        .unwrap_err();
+        assert!(
+            err.contains("--semantics belongs to query and scan"),
+            "{err}"
+        );
+        let err = dispatch(&args(&[
+            "query",
+            table.as_str(),
+            "--k",
+            "5",
+            "--p",
+            "0.3",
+            "--rank-by",
+            "score",
+            "--semantics",
+            "u_topk",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("takes no --p"), "{err}");
+        let err = dispatch(&args(&["generate", "iip", "--rule-span", "8"])).unwrap_err();
+        assert!(err.contains("generate synthetic only"), "{err}");
+        // A run file is always packed in descending score order.
+        let run = tempfile::path("run");
+        let err = dispatch(&args(&[
+            "pack",
+            table.as_str(),
+            "--rank-by",
+            "score",
+            "--asc",
+            "--out",
+            run.as_str(),
+        ]))
+        .unwrap_err();
+        assert!(err.contains("pack takes no --asc"), "{err}");
+    }
+
     fn query_args(file: &str, extra: &[&str]) -> Vec<String> {
         let mut base = args(&[
             "query",
@@ -1513,6 +1665,49 @@ mod tests {
             let body = |s: &str| s.rsplit_once('\n').map(|(b, _)| b.to_owned()).unwrap();
             let (a, b) = (body(sequential.trim_end()), body(wide.trim_end()));
             assert_eq!(a, b, "threads={threads}");
+        }
+
+        // A traced run is never split: the query and the same statement
+        // under `sql` write the same logical trace at every width.
+        let statement = "SELECT TOP 10 FROM t ORDER BY score WITH PROBABILITY >= 0.3";
+        for command in [
+            &[
+                "query",
+                file.as_str(),
+                "--k",
+                "10",
+                "--p",
+                "0.3",
+                "--rank-by",
+                "score",
+            ][..],
+            &["sql", file.as_str(), statement][..],
+        ] {
+            let trace_at = |threads: &str| {
+                let trace = tempfile::path("txt");
+                let mut argv = command.to_vec();
+                argv.extend([
+                    "--no-prune",
+                    "--threads",
+                    threads,
+                    "--trace",
+                    trace.as_str(),
+                    "--trace-format",
+                    "logical",
+                ]);
+                dispatch(&args(&argv)).unwrap();
+                std::fs::read_to_string(&trace.0).unwrap()
+            };
+            let sequential = trace_at("1");
+            assert!(sequential.contains("B retrieval"), "{sequential}");
+            for threads in ["2", "4"] {
+                assert_eq!(
+                    trace_at(threads),
+                    sequential,
+                    "{} at --threads {threads}",
+                    command[0]
+                );
+            }
         }
     }
 

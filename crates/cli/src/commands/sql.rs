@@ -145,7 +145,7 @@ fn sql_single(
         ptk_sql::Method::Exact => {
             ctx.plan_flight(std::slice::from_ref(&plan), statement_text);
             // A single statement can still use the pool: with --no-prune
-            // the executor partitions the ranked scan itself at
+            // an untraced run partitions the ranked scan itself at
             // rule-closed cuts.
             let result = PtkExecutor::with_recorder(&plan, ctx.recorder())
                 .execute_snapshot(&selection, &options.pool);

@@ -38,18 +38,18 @@ USAGE:
               [--method exact|sampling|naive] [--where <col><op><value>]
               [--stats text|json|prom] [--threads N] [--no-prune] [--explain]
               [--trace <file> [--trace-format chrome|logical]] [--slow-ms N]
-              [--audit]
+              [--audit] [--seed S]
   ptk utopk | ukranks | erank <file.csv> --k <K> --rank-by <col> [--asc]
               [--where <col><op><value>] [--threads N] [--no-prune]
               [--stats text|json|prom]
               [--trace <file> [--trace-format chrome|logical]] [--slow-ms N]
               [--audit]
   ptk inspect <file.csv | file.run>
-  ptk worlds  <file.csv> --rank-by <col> [--limit N] [--max-worlds N]
+  ptk worlds  <file.csv> --rank-by <col> [--asc] [--limit N] [--max-worlds N]
   ptk sql     <file.csv> '<[EXPLAIN [ANALYZE]] SELECT TOP k … statement>[; …]'
               [--stats text|json|prom] [--threads N] [--no-prune]
               [--trace <file> [--trace-format chrome|logical]] [--slow-ms N]
-              [--audit]
+              [--audit] [--seed S]
   ptk serve   <file.csv> [--addr HOST:PORT] [--threads N] [--queue N]
               [--timeout-ms N] [--cache N] [--seed S] [--no-prune]
               [--slow-ms N] [--flight-capacity N] [--ready-file <path>]
@@ -94,7 +94,7 @@ actual counters and wall time — the same counter names `--stats` renders.
 Every query command (query, sql, scan, utopk, ukranks, erank) takes
 `--stats`, `--trace`, `--trace-format`, `--slow-ms` and `--audit`, and
 prints their views after the answer in that order: trace file and slow
-log, stats, audit line.
+log, stats, audit line. A command refuses any flag it does not read.
 `--trace <file>` captures a structured event trace of the run: `chrome`
 format is Chrome trace-event JSON (load it in Perfetto or chrome://tracing;
 validate it offline with `ptk trace-check`), `logical` is a timing-free
@@ -109,8 +109,8 @@ leaves in the daemon's flight ring.
 
 Comma lists in --k/--p (query) or `;`-separated SELECT TOP statements
 (sql) form a batch: every (k, p) combination is planned up front and the
-batch executor evaluates the plans across a worker pool sharing one scan
-of the ranked view. `--threads` sizes the pool (default: the PTK_THREADS
+batch executor evaluates the plans across a worker pool sharing one
+ranked view. `--threads` sizes the pool (default: the PTK_THREADS
 environment variable, else 1). Answers are bit-identical at every thread
 count — threads only change wall-clock time. Batched sql statements must
 be exact PT-k queries sharing one WHERE and ORDER BY.
@@ -118,13 +118,16 @@ be exact PT-k queries sharing one WHERE and ORDER BY.
 `--no-prune` (query, sql, utopk, ukranks, erank; exact method only)
 disables the paper's §4.4
 pruning rules and the Global-Topk / U-KRanks stop, so every tuple is
-evaluated and all answer probabilities are reported. Pruning-free scans are also the shape the executor can partition:
-with `--threads N` it splits even a single query's ranked scan at
-rule-closed cuts and runs the per-segment dynamic programs on the pool,
-still bit-identical to the sequential answer. Such cuts exist when rules
-are rank-local; `generate synthetic --rule-span W` produces that regime
-(each rule's members inside a random W-rank window) where the default
-uniform scatter does not.
+evaluated and all answer probabilities are reported. Pruning-free PT-k
+scans are also the shape the executor can partition: with `--threads N`
+it splits even a single query's ranked scan at rule-closed cuts and runs
+the per-segment dynamic programs on the pool, still bit-identical to the
+sequential answer. A traced (`--trace`) or `--slow-ms` run is not
+partitioned: each query runs whole, so its trace is the same at every
+thread count. Such cuts exist when rules are rank-local;
+`generate synthetic --rule-span W` produces that regime (each rule's
+members inside a random W-rank window) where the default uniform
+scatter does not.
 
 `pack --block-size B` writes the block-native run format (v2): fixed
 B-byte blocks, each with a directory entry carrying its record count, max

@@ -35,7 +35,7 @@ use crate::gf::{
     Compressor, GfState, RankSemantics, ScanRecord, SemanticsAnswer, SemanticsError, SemanticsRow,
     RULE_MASS_SLACK, UTOPK_MAX_STATES,
 };
-use crate::layout::{LayoutCursor, ScanLayout, StableSeed};
+use crate::layout::{ScanLayout, StableSeed};
 use crate::plan::{PtkBatch, PtkPlan};
 use crate::stats::{counters, ExecStats, StopReason};
 
@@ -528,42 +528,25 @@ impl<'a> PtkExecutor<'a> {
         }
     }
 
-    /// Runs this executor's plan against a shared ranked snapshot, using
-    /// `pool` for **intra-query** parallelism when the plan is eligible.
-    ///
-    /// With one worker, or a plan that prunes (the §4.4 rules are
-    /// inherently sequential — what gets pruned depends on everything
-    /// scanned before it), this forks a cursor and runs the sequential
-    /// [`PtkExecutor::execute`]. Otherwise the scan layout is materialized
-    /// once, partitioned at rule-closed cuts into segments, and the
-    /// per-segment subset-probability DP runs on the pool's deterministic
-    /// stealing scheduler; prefix state is stitched at the boundaries, and
-    /// the answers, probabilities and [`ExecStats`] are **bit-identical**
-    /// to the sequential scan at every pool width (see
-    /// `Compressor::from_boundary` for the argument). Scans too small or
-    /// too rule-tangled to partition fall back to the whole-scan path.
-    ///
-    /// Tracing: a partitioned execution emits one [`Stage::Segment`] span
-    /// per segment — segment boundaries are a pure function of the rule
-    /// layout, never of the pool width — followed by the answer marks in
-    /// rank order, all under the [`Stage::Query`] span, instead of the
-    /// sequential per-phase spans.
+    /// Runs this executor's plan against a shared ranked snapshot on
+    /// `pool`: a one-plan batch through [`PtkExecutor::execute_batch_with`],
+    /// recording into this executor's recorder, so one rule decides how
+    /// the plan runs. A plan that prunes, a one-worker pool and a traced
+    /// run fork a cursor and run [`PtkExecutor::execute`]; an unpruned
+    /// plan on a wider pool runs its subset-probability DP from the
+    /// shared scan layout, split at rule-closed cuts across the pool when
+    /// the layout has usable ones. Either way the answers, probabilities
+    /// and [`ExecStats`] are **bit-identical** to the sequential scan at
+    /// every pool width, and a traced run's events are exactly the
+    /// sequential scan's (the query traces as query 0 of the batch).
     pub fn execute_snapshot<S: SnapshotSource + ?Sized>(
         &self,
         source: &S,
         pool: &ThreadPool,
     ) -> PtkResult {
-        if pool.threads() <= 1 || self.plan.options().pruning {
-            let mut cursor = source.fork();
-            return self.execute(cursor.as_mut());
-        }
-        let layout = ScanLayout::materialize(source);
-        let tasks = plan_segment_tasks(&layout, self.plan.k());
-        if tasks.len() < 2 {
-            let mut cursor = LayoutCursor::new(&layout);
-            return self.execute(&mut cursor);
-        }
-        self.run_partitioned(&layout, &tasks, pool)
+        let batch = PtkPlan::batch(std::slice::from_ref(self.plan));
+        let (mut results, _) = Self::execute_batch_with(&batch, source, pool, self.recorder);
+        results.pop().expect("a one-plan batch has one result")
     }
 
     /// Runs the plan under its [`RankSemantics`] over any [`RankedSource`].
@@ -599,9 +582,9 @@ impl<'a> PtkExecutor<'a> {
 
     /// Like [`PtkExecutor::execute_semantics`], over a shared snapshot.
     ///
-    /// PT-k keeps its partitioned [`PtkExecutor::execute_snapshot`] path.
-    /// The other semantics fork a cursor and run the sequential gf scan
-    /// whatever the pool width: their finishers are global functions of
+    /// PT-k runs as [`PtkExecutor::execute_snapshot`]. The other
+    /// semantics fork a cursor and run the sequential gf scan whatever
+    /// the pool width: their finishers are global functions of
     /// the whole scan (a vector search, a per-rank argmax, a top-k
     /// selection, an expectation), so one deterministic pass is both the
     /// simplest and a trivially bit-identical answer at every width.
@@ -926,86 +909,25 @@ impl<'a> PtkExecutor<'a> {
         Ok(answer)
     }
 
-    /// The partitioned deep-scan path of [`PtkExecutor::execute_snapshot`].
-    fn run_partitioned(
-        &self,
-        layout: &ScanLayout,
-        tasks: &[SegmentTask],
-        pool: &ThreadPool,
-    ) -> PtkResult {
-        let recorder = self.recorder;
-        let _query_span = ptk_obs::span(recorder, "engine.query");
-        let tracer = recorder.tracer().filter(|t| t.enabled());
-        let clocks_live = recorder.enabled() || tracer.is_some();
-        let query_begin = tracer.map_or(0, |t| t.begin(Stage::Query));
-        let plan = self.plan;
-        let outcomes = pool.parallel_map_stealing(tasks, |_, task| {
-            run_segment(plan, layout, task, clocks_live)
-        });
-        if let Some(t) = tracer {
-            // Segment spans laid back to back from the query's start, each
-            // sized by its measured DP time — the same synthetic layout the
-            // sequential path uses for its phase spans.
-            let mut at = query_begin;
-            for (s, (task, out)) in tasks.iter().zip(&outcomes).enumerate() {
-                let nanos = out.reorder_nanos + out.dp_nanos;
-                t.span_at(
-                    Stage::Segment,
-                    at,
-                    at + nanos,
-                    Payload::Segment {
-                        index: s as u64,
-                        start_rank: task.start as u64,
-                        tuples: (task.end - task.start) as u64,
-                    },
-                );
-                at += nanos;
-            }
-        }
-        let (result, reorder_nanos, dp_nanos) = stitch_segments(layout.len(), outcomes);
-        if let Some(t) = tracer {
-            for a in &result.answers {
-                t.instant(Mark::Answer {
-                    rank: a.rank as u64,
-                });
-            }
-            t.end(
-                Stage::Query,
-                Payload::Scan {
-                    scanned: result.stats.scanned as u64,
-                    evaluated: result.stats.evaluated as u64,
-                    pruned_membership: 0,
-                    pruned_rule: 0,
-                    answers: result.answers.len() as u64,
-                },
-            );
-        }
-        recorder.record_nanos("engine.phase.reorder", reorder_nanos);
-        recorder.record_nanos("engine.phase.dp", dp_nanos);
-        result.stats.record_to(recorder);
-        recorder.add(counters::ANSWERS, result.answers.len() as u64);
-        result
-    }
-
     /// Evaluates a batch of independent plans against one shared ranked
     /// snapshot on `pool`'s deterministic work-stealing scheduler.
     ///
-    /// The rule layout is compressed **once** against the shared source
-    /// (`ScanLayout`): each query replays the materialized scan instead
-    /// of forking its own cursor and re-deriving the layout tuple by
-    /// tuple, and plans whose scan can be partitioned at rule-closed cuts
-    /// (pruning off, scan deep enough) are split into per-segment DP tasks
-    /// so one expensive query no longer serializes the batch. Every
-    /// per-query answer — probabilities to the bit (`f64::to_bits`) and
-    /// the full [`ExecStats`] — is identical to a sequential evaluation of
-    /// that plan, at every pool width and under any steal interleaving:
-    /// the replay is exact, segment boundaries are a pure function of the
-    /// layout, and results are reassembled in plan order.
+    /// One rule decides how each plan runs. A plan that prunes runs whole
+    /// on its own forked cursor: what the §4.4 rules prune depends on
+    /// everything scanned before, and the scan may stop after a few ranks.
+    /// So does every plan on a one-worker pool and every plan of a traced
+    /// run. An unpruned plan on a wider pool evaluates all `n` tuples, the
+    /// shape that can be split *within* the query: its DP runs from a scan
+    /// layout materialized once for the batch, in per-segment tasks split
+    /// at rule-closed cuts (one segment when the layout has no usable
+    /// cut), so one expensive query no longer serializes the batch. A
+    /// layout is built only when some plan runs from it.
     ///
-    /// A single-worker pool short-circuits to a plain sequential loop that
-    /// never touches the pool; a lone pruning plan keeps its plain forked
-    /// cursor (materializing the layout would scan the whole source even
-    /// if the query stops early).
+    /// Every per-query answer — probabilities to the bit (`f64::to_bits`)
+    /// and the full [`ExecStats`] — is identical to a sequential
+    /// evaluation of that plan, at every pool width and under any steal
+    /// interleaving: segment boundaries are a pure function of the layout,
+    /// and results are reassembled in plan order.
     pub fn execute_batch<S: SnapshotSource + ?Sized>(
         batch: &PtkBatch,
         source: &S,
@@ -1033,25 +955,28 @@ impl<'a> PtkExecutor<'a> {
         (results, snapshot)
     }
 
-    /// The batch implementation behind [`PtkExecutor::execute_batch`] and
-    /// [`PtkExecutor::execute_batch_recorded`]: evaluates `batch`
-    /// recording every query straight into `recorder`, and returns the
-    /// results in plan order with the run's scheduler facts
-    /// (`batch.workers_spawned`, `batch.tasks`, `batch.steals`,
-    /// `batch.segments`, `batch.segmented_queries`) for a snapshot's
-    /// `scheduler` section. The engine records counters and timings only,
-    /// and both are sums, so what `recorder` ends up holding does not
-    /// depend on which worker ran what.
+    /// The one implementation behind [`PtkExecutor::execute_batch`],
+    /// [`PtkExecutor::execute_batch_recorded`] and
+    /// [`PtkExecutor::execute_snapshot`]: evaluates `batch` by the rule
+    /// of [`PtkExecutor::execute_batch`], recording every query straight
+    /// into `recorder`, and returns the results in plan order with the
+    /// run's scheduler facts (`batch.workers_spawned`, `batch.tasks`,
+    /// `batch.steals`, and `batch.segments` and
+    /// `batch.segmented_queries`, which count only plans split at a cut)
+    /// for a snapshot's `scheduler` section. The engine records counters
+    /// and timings only, and both are sums, so what `recorder` ends up
+    /// holding does not depend on which worker ran what. A pool of one
+    /// runs every task inline on the caller's thread
+    /// (`batch.workers_spawned = 0`).
     ///
-    /// When `recorder` carries a tracer, each query traces through its own
-    /// [`ptk_obs::query_recorder`]: query id = plan index, worker id = the
-    /// query's home lane (`i % lanes`, a pure function of
+    /// When `recorder` carries a tracer, every plan runs whole, so each
+    /// query's event stream is exactly its sequential one, traced through
+    /// its own [`ptk_obs::query_recorder`]: query id = plan index, worker
+    /// id = the query's home lane (`i % lanes`, a pure function of
     /// `(batch.len(), threads)`) whichever worker stole it, and the
-    /// tracer's epoch shared by all. A traced batch steals at whole-query
-    /// granularity only, never segmenting, so each query's event stream is
-    /// exactly its sequential one and the logical rendering
-    /// ([`ptk_obs::render_logical`]) is a pure function of the batch at
-    /// every pool width.
+    /// tracer's epoch shared by all. The logical rendering
+    /// ([`ptk_obs::render_logical`]) is then a pure function of the batch
+    /// at every pool width.
     pub fn execute_batch_with<S: SnapshotSource + ?Sized>(
         batch: &PtkBatch,
         source: &S,
@@ -1060,109 +985,69 @@ impl<'a> PtkExecutor<'a> {
     ) -> (Vec<PtkResult>, BTreeMap<&'static str, u64>) {
         let plans = batch.plans();
         let traced = recorder.tracer().is_some_and(Tracer::enabled);
-        // A materialized layout pays for itself when several queries share
-        // it or a single deep scan can be partitioned over it; a lone
-        // pruning query keeps the plain fork.
-        let layout_pays = plans.len() >= 2 || plans.iter().any(|p| !p.options().pruning);
-        if pool.threads() <= 1 || !layout_pays {
-            // Sequential short-circuit: no workers, no pool.
-            let results = plans
-                .iter()
-                .enumerate()
-                .map(|(i, plan)| {
-                    let recorder = ptk_obs::query_recorder(recorder, i as u32, 0);
-                    PtkExecutor::with_recorder(plan, &recorder).execute(source.fork().as_mut())
-                })
-                .collect();
-            let inline = StealStats {
-                workers_spawned: 0,
-                tasks: plans.len() as u64,
-                stolen: 0,
-            };
-            return (results, scheduler_facts(inline, 0, 0));
-        }
-
-        let layout = ScanLayout::materialize(source);
-        let mut tasks: Vec<BatchTask> = Vec::new();
-        let mut segmented_queries = 0u64;
+        // The rule of `execute_batch`: every other plan runs whole.
+        let from_layout = |plan: &PtkPlan| pool.threads() > 1 && !traced && !plan.options().pruning;
+        let layout = plans
+            .iter()
+            .any(from_layout)
+            .then(|| ScanLayout::materialize(source));
+        let n = layout.as_ref().map_or(0, ScanLayout::len);
+        let mut tasks: Vec<BatchTask> = Vec::with_capacity(plans.len());
+        let (mut segments, mut segmented_queries) = (0u64, 0u64);
         for (p, plan) in plans.iter().enumerate() {
-            let segs = if traced || plan.options().pruning {
-                Vec::new()
-            } else {
-                plan_segment_tasks(&layout, plan.k())
-            };
-            if segs.is_empty() {
-                tasks.push(BatchTask::Whole { plan_idx: p });
-            } else {
-                segmented_queries += 1;
-                tasks.extend(
-                    segs.into_iter()
-                        .map(|task| BatchTask::Segment { plan_idx: p, task }),
-                );
+            match &layout {
+                Some(layout) if from_layout(plan) => {
+                    let segs = plan_segment_tasks(layout, plan.k());
+                    if segs.len() > 1 {
+                        segments += segs.len() as u64;
+                        segmented_queries += 1;
+                    }
+                    tasks.extend(
+                        segs.into_iter()
+                            .map(|task| BatchTask::Segment { plan_idx: p, task }),
+                    );
+                }
+                _ => tasks.push(BatchTask::Whole { plan_idx: p }),
             }
         }
-        let segment_count = tasks
-            .iter()
-            .filter(|t| matches!(t, BatchTask::Segment { .. }))
-            .count() as u64;
 
         let lanes = pool.threads().min(plans.len()) as u32;
-        let layout_ref = &layout;
-        let (outs, steal) = pool.parallel_map_stealing_stats(&tasks, |_, task| match task {
+        let (outs, steal) = pool.parallel_map_stats(&tasks, |_, task| match task {
             BatchTask::Whole { plan_idx } => {
                 let query = *plan_idx as u32;
                 let recorder = ptk_obs::query_recorder(recorder, query, query % lanes);
                 TaskOut::Whole(
                     PtkExecutor::with_recorder(&plans[*plan_idx], &recorder)
-                        .execute(&mut LayoutCursor::new(layout_ref)),
+                        .execute(source.fork().as_mut()),
                 )
             }
             BatchTask::Segment { plan_idx, task } => TaskOut::Segment(run_segment(
                 &plans[*plan_idx],
-                layout_ref,
+                layout.as_ref().expect("segment tasks run over the layout"),
                 task,
                 recorder.enabled(),
             )),
         });
 
-        // Reassemble per plan: whole results land directly, segment
-        // outcomes stitch. Tasks were issued in plan order with segments
-        // in rank order, so a linear walk preserves both.
-        let mut whole: Vec<Option<PtkResult>> = (0..plans.len()).map(|_| None).collect();
-        let mut seg_outs: Vec<Vec<SegmentOutcome>> = (0..plans.len()).map(|_| Vec::new()).collect();
+        // Tasks are listed in plan order with each plan's segments in rank
+        // order, so one walk reassembles the results: a whole result lands
+        // as is, and a plan's segments stitch at its last one, which ends
+        // the scan.
+        let mut results = Vec::with_capacity(plans.len());
+        let mut pending = Vec::new();
         for (task, out) in tasks.iter().zip(outs) {
             match (task, out) {
-                (BatchTask::Whole { plan_idx }, TaskOut::Whole(result)) => {
-                    whole[*plan_idx] = Some(result);
-                }
-                (BatchTask::Segment { plan_idx, .. }, TaskOut::Segment(outcome)) => {
-                    seg_outs[*plan_idx].push(outcome);
+                (BatchTask::Whole { .. }, TaskOut::Whole(result)) => results.push(result),
+                (BatchTask::Segment { task, .. }, TaskOut::Segment(outcome)) => {
+                    pending.push(outcome);
+                    if task.end == n {
+                        results.push(stitch_segments(n, std::mem::take(&mut pending), recorder));
+                    }
                 }
                 _ => unreachable!("task kinds round-trip through the pool"),
             }
         }
-        let results = whole
-            .into_iter()
-            .zip(seg_outs)
-            .map(|(slot, segments)| {
-                slot.unwrap_or_else(|| {
-                    let (result, reorder_nanos, dp_nanos) = stitch_segments(layout.len(), segments);
-                    // What a sequential recorded run of this plan records:
-                    // the exec counters, the answer count, and the phase
-                    // timings.
-                    result.stats.record_to(recorder);
-                    recorder.add(counters::ANSWERS, result.answers.len() as u64);
-                    recorder.record_nanos("engine.phase.reorder", reorder_nanos);
-                    recorder.record_nanos("engine.phase.dp", dp_nanos);
-                    recorder.record_nanos("engine.query", reorder_nanos + dp_nanos);
-                    result
-                })
-            })
-            .collect();
-        (
-            results,
-            scheduler_facts(steal, segment_count, segmented_queries),
-        )
+        (results, scheduler_facts(steal, segments, segmented_queries))
     }
 }
 
@@ -1286,8 +1171,8 @@ const MIN_SEGMENT_TUPLES: usize = 128;
 /// Policy cap on segments per query, bounding boundary-row storage.
 const MAX_SEGMENTS: usize = 16;
 
-/// One segment of a partitioned scan: the rank range plus the seeded
-/// compressor state at its opening boundary (see
+/// One segment of an unpruned scan over the layout: the rank range plus
+/// the seeded compressor state at its opening boundary (see
 /// [`Compressor::from_boundary`]).
 #[derive(Debug)]
 struct SegmentTask {
@@ -1320,9 +1205,9 @@ struct SegmentOutcome {
 /// One unit of batch work for the stealing scheduler.
 #[derive(Debug)]
 enum BatchTask {
-    /// A plan that runs as one sequential scan over the shared layout.
+    /// A plan that runs as one sequential scan over its own fork.
     Whole { plan_idx: usize },
-    /// One segment of a partitioned plan.
+    /// One segment of a plan that runs from the shared layout.
     Segment { plan_idx: usize, task: SegmentTask },
 }
 
@@ -1353,13 +1238,10 @@ fn scheduler_facts(
 /// segment with its boundary DP row — one `O(n·k)` chain of exactly the
 /// convolutions the sequential scan performs over the stable items in
 /// availability order, so each seeded row is bit-identical to the
-/// sequential row it stands in for. Returns an empty vector when the
-/// layout is not worth partitioning.
+/// sequential row it stands in for. A layout not worth partitioning is
+/// one segment covering the whole scan.
 fn plan_segment_tasks(layout: &ScanLayout, k: usize) -> Vec<SegmentTask> {
     let cuts = layout.plan_segments(MIN_SEGMENT_TUPLES, MAX_SEGMENTS);
-    if cuts.is_empty() {
-        return Vec::new();
-    }
     let n = layout.len();
     let mut tasks = Vec::with_capacity(cuts.len() + 1);
     let mut row = dp::unit_row(k);
@@ -1450,9 +1332,11 @@ fn run_segment(
     }
 }
 
-/// Concatenates segment outcomes into the sequential result shape,
-/// returning the summed reorder / DP nanos alongside.
-fn stitch_segments(n: usize, segments: Vec<SegmentOutcome>) -> (PtkResult, u64, u64) {
+/// Concatenates the segment outcomes of one plan's `n`-rank scan into the
+/// sequential result shape, and records what a sequential recorded run of
+/// the plan records: the exec counters, the answer count, and the phase
+/// timings.
+fn stitch_segments(n: usize, segments: Vec<SegmentOutcome>, recorder: &dyn Recorder) -> PtkResult {
     let mut stats = ExecStats {
         scanned: n,
         evaluated: n,
@@ -1470,15 +1354,16 @@ fn stitch_segments(n: usize, segments: Vec<SegmentOutcome>) -> (PtkResult, u64, 
         reorder_nanos += seg.reorder_nanos;
         dp_nanos += seg.dp_nanos;
     }
-    (
-        PtkResult {
-            answers,
-            probabilities,
-            stats,
-        },
-        reorder_nanos,
-        dp_nanos,
-    )
+    stats.record_to(recorder);
+    recorder.add(counters::ANSWERS, answers.len() as u64);
+    recorder.record_nanos("engine.phase.reorder", reorder_nanos);
+    recorder.record_nanos("engine.phase.dp", dp_nanos);
+    recorder.record_nanos("engine.query", reorder_nanos + dp_nanos);
+    PtkResult {
+        answers,
+        probabilities,
+        stats,
+    }
 }
 
 #[cfg(test)]

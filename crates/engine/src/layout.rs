@@ -1,29 +1,22 @@
 //! The shared scan layout: one materialization of a ranked snapshot's scan,
-//! compressed rule bookkeeping included, reused by every query of a batch.
+//! read by the segment tasks of every unpruned plan of a batch.
 //!
-//! Before this module, every batch worker forked its own cursor and
-//! re-derived the rule layout tuple by tuple — per query, the executor made
-//! up to three virtual hint calls per scanned tuple (`rule_len`,
-//! `rule_member_rank`, `rule_mass`) and `ViewSource::new` re-ran its O(n)
-//! keyed check. [`ScanLayout::materialize`] performs that work *once per
-//! batch* against the shared [`SnapshotSource`]: it records, for every
-//! rank, exactly what a fresh sequential cursor would have answered at that
-//! rank. [`LayoutCursor`] then replays the recording as a
-//! [`RankedSource`], so the unchanged sequential executor runs over it
-//! *bit-identically* to a real fork — same tuples, same hint answers, same
-//! probabilities — while touching no virtual source and no per-query setup.
-//!
-//! The layout also precomputes what the intra-query parallel path needs:
-//! the availability-ordered *stable list* (independent tuples and completed
-//! rules, in the order they join the stable group of §4.3.2) and the
-//! *rule-closed cuts* — ranks `b` such that every rule with a member before
-//! `b` has **all** members before `b`. At such a cut the compressed
-//! dominant set is fully stable, which is what lets a segment worker resume
-//! the prefix-shared DP from a single boundary row (see `exec.rs`).
+//! An unpruned plan evaluates every tuple, so its scan can be split
+//! *within* the query (see `exec.rs`). [`ScanLayout::materialize`] reads
+//! the shared [`SnapshotSource`] once and records, for every rank, the
+//! tuple and the layout hints (`rule_len`, the next member's rank) a fresh
+//! sequential cursor would answer at that rank, so a segment absorbs
+//! exactly what the sequential scan absorbs. It also records what the
+//! split needs: the availability-ordered *stable list* (independent
+//! tuples and completed rules, in the order they join the stable group of
+//! §4.3.2) and the *rule-closed cuts* — ranks `b` such that every rule
+//! with a member before `b` has **all** members before `b`. At such a cut
+//! the compressed dominant set is fully stable, which is what lets a
+//! segment worker resume the prefix-shared DP from a single boundary row.
 
 use std::collections::HashMap;
 
-use ptk_access::{RankedSource, RuleKey, SnapshotSource, SourceTuple};
+use ptk_access::{RuleKey, SnapshotSource, SourceTuple};
 
 /// One rank of the materialized scan: the tuple plus the hint answers a
 /// fresh sequential cursor would give at this rank.
@@ -36,12 +29,6 @@ pub(crate) struct LayoutTuple {
     /// `source.rule_member_rank(rule, seen + 1)` at this rank — the scan
     /// rank of the rule's next member after this one.
     pub next_member_rank: Option<usize>,
-    /// The member ordinal the hint above was queried with (`seen + 1`),
-    /// for debug verification that a replay asks the recorded question.
-    pub hint_member: u32,
-    /// `source.rule_mass(rule)`, recorded at the rule's *first* member rank
-    /// only — the one rank at which the executor can ask it.
-    pub rule_mass: Option<f64>,
 }
 
 /// What a stable item is, with everything a segment worker needs to seed
@@ -131,8 +118,6 @@ impl ScanLayout {
                 tuple,
                 rule_len: None,
                 next_member_rank: None,
-                hint_member: 0,
-                rule_mass: None,
             };
             match tuple.rule {
                 None => layout.stable.push(StableRecord {
@@ -145,12 +130,8 @@ impl ScanLayout {
                 Some(key) => {
                     let rs = rules.entry(key).or_default();
                     // Ask the source exactly what a fresh query cursor at
-                    // this rank would ask, in the same order.
-                    if rs.seen == 0 {
-                        rec.rule_mass = cursor.rule_mass(key);
-                    }
+                    // this rank would ask.
                     rec.rule_len = cursor.rule_len(key);
-                    rec.hint_member = rs.seen + 1;
                     rec.next_member_rank = cursor.rule_member_rank(key, rs.seen as usize + 1);
                     // Mirror the compressor's absorption bookkeeping bit
                     // for bit: mass accumulates in scan order, clamped at 1
@@ -256,71 +237,6 @@ impl ScanLayout {
     }
 }
 
-/// A replaying [`RankedSource`] over a [`ScanLayout`]: answers every
-/// retrieval and hint query with what the materialization recorded at that
-/// rank, so the sequential executor over a `LayoutCursor` is bit-identical
-/// to the same executor over a fresh fork of the original source.
-///
-/// The hint methods answer *for the most recently delivered rank* — which
-/// is the only rank the executor ever asks about, immediately after
-/// retrieval. Debug builds verify the question matches the recording.
-#[derive(Debug)]
-pub(crate) struct LayoutCursor<'l> {
-    layout: &'l ScanLayout,
-    cursor: usize,
-}
-
-impl<'l> LayoutCursor<'l> {
-    pub(crate) fn new(layout: &'l ScanLayout) -> LayoutCursor<'l> {
-        LayoutCursor { layout, cursor: 0 }
-    }
-
-    /// The record of the most recently delivered rank.
-    fn last(&self) -> Option<&LayoutTuple> {
-        self.cursor
-            .checked_sub(1)
-            .and_then(|i| self.layout.tuples.get(i))
-    }
-}
-
-impl RankedSource for LayoutCursor<'_> {
-    fn next_ranked(&mut self) -> Option<SourceTuple> {
-        let rec = self.layout.tuples.get(self.cursor)?;
-        self.cursor += 1;
-        Some(rec.tuple)
-    }
-
-    fn rule_mass(&self, rule: RuleKey) -> Option<f64> {
-        let rec = self.last()?;
-        debug_assert_eq!(rec.tuple.rule, Some(rule), "mass asked off-rank");
-        rec.rule_mass
-    }
-
-    fn rule_len(&self, rule: RuleKey) -> Option<usize> {
-        let rec = self.last()?;
-        debug_assert_eq!(rec.tuple.rule, Some(rule), "len asked off-rank");
-        rec.rule_len
-    }
-
-    fn rule_member_rank(&self, rule: RuleKey, member: usize) -> Option<usize> {
-        let rec = self.last()?;
-        debug_assert_eq!(rec.tuple.rule, Some(rule), "member rank asked off-rank");
-        debug_assert_eq!(
-            member, rec.hint_member as usize,
-            "member ordinal differs from the recorded question"
-        );
-        rec.next_member_rank
-    }
-
-    fn len_hint(&self) -> Option<usize> {
-        Some(self.layout.len())
-    }
-
-    fn retrieved(&self) -> usize {
-        self.cursor
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,31 +260,27 @@ mod tests {
     }
 
     #[test]
-    fn cursor_replays_the_source_exactly() {
+    fn layout_records_what_a_fork_answers() {
         let src = demo_source();
         let layout = ScanLayout::materialize(&src);
         assert_eq!(layout.len(), 8);
-        let mut replay = LayoutCursor::new(&layout);
         let mut fork = src.fork();
-        loop {
-            let a = fork.next_ranked();
-            let b = replay.next_ranked();
-            match (a, b) {
-                (None, None) => break,
-                (Some(x), Some(y)) => {
-                    assert_eq!(x.id, y.id);
-                    assert_eq!(x.score.to_bits(), y.score.to_bits());
-                    assert_eq!(x.prob.to_bits(), y.prob.to_bits());
-                    assert_eq!(x.rule, y.rule);
-                    if let Some(key) = y.rule {
-                        assert_eq!(fork.rule_len(key), replay.rule_len(key));
-                    }
-                }
-                (a, b) => panic!("length mismatch: {a:?} vs {b:?}"),
+        let mut seen: HashMap<RuleKey, usize> = HashMap::new();
+        for rec in &layout.tuples {
+            let x = fork.next_ranked().expect("as long as the source");
+            let y = rec.tuple;
+            assert_eq!(x.id, y.id);
+            assert_eq!(x.score.to_bits(), y.score.to_bits());
+            assert_eq!(x.prob.to_bits(), y.prob.to_bits());
+            assert_eq!(x.rule, y.rule);
+            if let Some(key) = y.rule {
+                let member = seen.entry(key).or_default();
+                *member += 1;
+                assert_eq!(fork.rule_len(key), rec.rule_len);
+                assert_eq!(fork.rule_member_rank(key, *member), rec.next_member_rank);
             }
         }
-        assert_eq!(replay.len_hint(), Some(8));
-        assert_eq!(replay.retrieved(), 8);
+        assert!(fork.next_ranked().is_none());
     }
 
     #[test]

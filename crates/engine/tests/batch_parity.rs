@@ -4,6 +4,7 @@
 
 use std::sync::Arc;
 
+use ptk_access::SnapshotSource;
 use ptk_core::rng::{RngExt, SeedableRng, StdRng};
 use ptk_core::RankedView;
 use ptk_engine::{EngineOptions, PtkBatch, PtkExecutor, PtkPlan, PtkResult, SharingVariant};
@@ -457,7 +458,7 @@ fn partitioned_deep_scan_matches_sequential_for_every_variant() {
 }
 
 #[test]
-fn partitioned_scan_records_and_traces_segments() {
+fn partitioned_scan_records_its_segments_and_traces_as_a_fork() {
     let mut rng = StdRng::seed_from_u64(0x5eed_0b4e);
     let view = deep_view(&mut rng, 600);
     let plan = PtkPlan::try_new(
@@ -469,7 +470,8 @@ fn partitioned_scan_records_and_traces_segments() {
     let pool = ThreadPool::new(4);
 
     // Recorded: the partitioned path runs (it records the DP phase but has
-    // no retrieval phase of its own — the layout was shared).
+    // no retrieval phase of its own — the layout was shared), split at
+    // rule-closed cuts like the same plan as a one-plan batch.
     let metrics = Metrics::new();
     let _ = PtkExecutor::with_recorder(&plan, &metrics).execute_snapshot(&view, &pool);
     let snap = metrics.snapshot();
@@ -480,35 +482,40 @@ fn partitioned_scan_records_and_traces_segments() {
         "partitioned path should not have run the sequential scan"
     );
     assert!(snap.counter("engine.scanned") > 0);
+    let batch = PtkPlan::batch(std::slice::from_ref(&plan));
+    let (_, batched) = PtkExecutor::execute_batch_recorded(&batch, &view, &pool);
+    assert_eq!(batched.scheduler_value("batch.segmented_queries"), 1);
+    assert!(batched.scheduler_value("batch.segments") >= 2);
 
-    // Traced: segment spans appear, and the logical rendering is identical
-    // at every parallel width (segment boundaries are a pure function of
-    // the rule layout, never the pool width).
-    let render_at = |threads: usize| {
+    // Traced: the plan runs whole on its own fork at every width, so the
+    // logical rendering is exactly the sequential scan's.
+    let render = |run: &dyn Fn(&Metrics)| {
         let sink = Arc::new(RingSink::new(1 << 14));
         let tracer = Tracer::new(Arc::clone(&sink) as SharedSink, 0, 0);
         let metrics = Metrics::counters_only().with_tracer(tracer);
-        let _ = PtkExecutor::with_recorder(&plan, &metrics)
-            .execute_snapshot(&view, &ThreadPool::new(threads));
+        run(&metrics);
         ptk_obs::render_logical(&sink.events())
     };
-    let reference = render_at(2);
-    assert!(
-        reference.contains("B segment"),
-        "expected segment spans in: {reference}"
-    );
-    assert!(reference.contains("B query"));
-    for threads in [4usize, 8] {
-        assert_eq!(render_at(threads), reference, "threads {threads}");
+    let reference = render(&|metrics| {
+        let _ = PtkExecutor::with_recorder(&plan, metrics).execute(view.fork().as_mut());
+    });
+    assert!(reference.contains("B query"), "{reference}");
+    assert!(reference.contains("B retrieval"), "{reference}");
+    for threads in [1usize, 2, 4, 8] {
+        let traced = render(&|metrics| {
+            let _ = PtkExecutor::with_recorder(&plan, metrics)
+                .execute_snapshot(&view, &ThreadPool::new(threads));
+        });
+        assert_eq!(traced, reference, "threads {threads}");
     }
 }
 
 #[test]
 fn single_thread_recorded_batch_never_touches_the_pool() {
-    // Satellite: at one worker the batch executor short-circuits to a
-    // sequential loop with one shared registry — the scheduler section
-    // proves no worker was spawned, and the snapshot still matches the
-    // per-query merge bit for bit.
+    // At one worker the batch runs every task inline on the caller's
+    // thread with one shared registry — the scheduler section proves no
+    // worker was spawned, and the snapshot still matches the wide run's
+    // bit for bit.
     let mut rng = StdRng::seed_from_u64(0x5eed_0b4f);
     let view = random_view(&mut rng, 14);
     let batch = PtkPlan::batch(&matrix_batch(&mut rng));

@@ -52,11 +52,6 @@ pub enum Stage {
     SourceOpen,
     /// A sampling run (§5): unit generation and progressive stopping.
     Sampling,
-    /// One rule-closed segment of a partitioned deep scan: the per-segment
-    /// subset-probability DP of the intra-query parallel path. Segment
-    /// boundaries are a pure function of the rule layout, never of the
-    /// pool width, so segment spans are safe for the logical rendering.
-    Segment,
 }
 
 impl Stage {
@@ -70,7 +65,6 @@ impl Stage {
             Stage::Bound => "bound",
             Stage::SourceOpen => "source-open",
             Stage::Sampling => "sampling",
-            Stage::Segment => "segment",
         }
     }
 }
@@ -173,15 +167,6 @@ pub enum Payload {
         /// Ranked positions visited across all units.
         positions: u64,
     },
-    /// Per-segment totals for [`Stage::Segment`].
-    Segment {
-        /// Segment index within the partitioned scan.
-        index: u64,
-        /// First global rank covered by the segment.
-        start_rank: u64,
-        /// Tuples evaluated in the segment.
-        tuples: u64,
-    },
 }
 
 /// A point event — a decision or notable moment inside a span.
@@ -216,8 +201,6 @@ pub enum Mark {
         /// Bytes read.
         bytes: u64,
     },
-    /// A snapshot source handed out a fresh scan cursor.
-    SourceFork,
 }
 
 /// What a [`TraceEvent`] records.
@@ -294,15 +277,6 @@ fn for_each_field(kind: &EventKind, mut f: impl FnMut(&'static str, FieldVal)) {
                 f("units", FieldVal::U64(units));
                 f("positions", FieldVal::U64(positions));
             }
-            Payload::Segment {
-                index,
-                start_rank,
-                tuples,
-            } => {
-                f("index", FieldVal::U64(index));
-                f("start_rank", FieldVal::U64(start_rank));
-                f("tuples", FieldVal::U64(tuples));
-            }
         },
         EventKind::Instant(mark) => match *mark {
             Mark::Prune { rank, rule } => {
@@ -316,7 +290,6 @@ fn for_each_field(kind: &EventKind, mut f: impl FnMut(&'static str, FieldVal)) {
                 f("stable", FieldVal::Bool(stable));
             }
             Mark::FileRead { bytes } => f("bytes", FieldVal::U64(bytes)),
-            Mark::SourceFork => {}
         },
     }
 }
@@ -333,7 +306,6 @@ impl EventKind {
                 Mark::Answer { .. } => "answer",
                 Mark::SampleCheckpoint { .. } => "sample-checkpoint",
                 Mark::FileRead { .. } => "file-read",
-                Mark::SourceFork => "source-fork",
             },
         }
     }
@@ -985,7 +957,7 @@ mod tests {
         let tracer = Tracer::new(Arc::new(NoopSink), 0, 0);
         assert!(!tracer.enabled());
         tracer.begin(Stage::Query);
-        tracer.instant(Mark::SourceFork);
+        tracer.instant(Mark::FileRead { bytes: 8 });
         tracer.end(Stage::Query, Payload::None);
         assert_eq!(tracer.elapsed_nanos(), 0);
     }
@@ -995,7 +967,7 @@ mod tests {
         let sink = Arc::new(RingSink::new(2));
         let tracer = Tracer::new(Arc::clone(&sink) as SharedSink, 0, 0);
         tracer.begin(Stage::Query);
-        tracer.instant(Mark::SourceFork);
+        tracer.instant(Mark::FileRead { bytes: 8 });
         tracer.instant(Mark::Answer { rank: 1 });
         tracer.end(Stage::Query, Payload::None);
         assert_eq!(sink.events().len(), 2);

@@ -17,22 +17,15 @@
 //! without `'static` bounds, `Arc`, or unsafe lifetime erasure (the
 //! workspace forbids `unsafe`). A [`ThreadPool`] is thus a scheduling
 //! policy plus a thread budget, not a set of persistent OS threads; for the
-//! coarse-grained regions the PT-k stack runs (whole queries, sampling
-//! quotas), spawn cost is noise.
+//! coarse-grained regions the PT-k stack runs (whole queries, DP segments,
+//! sampling quotas, serve lanes), spawn cost is noise.
 //!
-//! Primitives:
-//!
-//! * [`ThreadPool::parallel_map`] — one result per item, contiguous
-//!   balanced chunks ([`chunk_ranges`]), results in item order;
-//! * [`ThreadPool::parallel_map_strided`] — one result per item, worker `w`
-//!   takes items `w, w + T, w + 2T, …` (better balance when item cost
-//!   grows monotonically along the slice), results still in item order;
-//! * [`ThreadPool::parallel_map_stealing`] — one result per item; workers
-//!   start from the strided assignment and then *steal* unclaimed items
-//!   from the other lanes in a fixed victim order, so skewed per-item
-//!   costs no longer serialize on the slowest lane;
-//! * [`ThreadPool::parallel_chunks`] — one result per *chunk*, for workers
-//!   that carry per-worker state (samplers, recorders) across their items.
+//! There is one primitive, [`ThreadPool::parallel_map`]: one result per
+//! item, in item order. Worker `w` of `T` starts on its own lane, items
+//! `w, w + T, w + 2T, …`, then *steals* unclaimed items from the other
+//! lanes in a fixed victim order, so skewed per-item costs do not
+//! serialize on the slowest lane. [`ThreadPool::parallel_map_stats`] is
+//! the same region reporting its [`StealStats`].
 //!
 //! ```
 //! use ptk_par::ThreadPool;
@@ -45,7 +38,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Once;
 
@@ -114,34 +106,7 @@ pub fn available_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// The deterministic contiguous partition of `n_items` into at most
-/// `threads` chunks: a pure function of `(n_items, threads)`. Chunks are
-/// balanced — the first `n_items % threads` chunks hold one extra item —
-/// non-empty, in item order, and cover `0..n_items` exactly. Fewer items
-/// than threads yields one chunk per item.
-///
-/// # Panics
-/// Panics if `threads == 0`.
-pub fn chunk_ranges(n_items: usize, threads: usize) -> Vec<Range<usize>> {
-    assert!(threads > 0, "at least one thread is required");
-    let chunks = threads.min(n_items);
-    if chunks == 0 {
-        return Vec::new();
-    }
-    let mut ranges = Vec::with_capacity(chunks);
-    let base = n_items / chunks;
-    let extra = n_items % chunks;
-    let mut start = 0;
-    for c in 0..chunks {
-        let len = base + usize::from(c < extra);
-        ranges.push(start..start + len);
-        start += len;
-    }
-    debug_assert_eq!(start, n_items);
-    ranges
-}
-
-/// Scheduling facts from one [`ThreadPool::parallel_map_stealing_stats`]
+/// Scheduling facts from one [`ThreadPool::parallel_map_stats`]
 /// region. These describe *runtime* behaviour — `stolen` depends on OS
 /// timing — so they are reported out-of-band and must never feed into
 /// deterministic results (the PT-k snapshot keeps them in a separate
@@ -185,108 +150,38 @@ impl ThreadPool {
         self.threads
     }
 
-    /// Applies `f` to every item, one result per item, in item order.
+    /// Applies `f` to every item, one result per item, in item order, on
+    /// the pool's **deterministic work-stealing** schedule. `f` receives
+    /// the item's index alongside the item.
     ///
-    /// Items are assigned to workers by [`chunk_ranges`] — contiguous
-    /// balanced chunks, fixed per `(len, threads)`. `f` receives the item's
-    /// index alongside the item. A single-worker pool (or a single chunk)
-    /// runs inline on the caller's thread, bit-identical to the spawned
-    /// path by construction: the same `f` runs on the same items in the
-    /// same order.
+    /// Scheduling is deterministic in the only sense that matters for this
+    /// stack: the *initial* lane assignment is a pure function of
+    /// `(len, threads)` (item `i` belongs to lane `i % workers`), the
+    /// *victim order* is a pure function of `(round, worker id)` — after
+    /// draining its own lane front to back, worker `w` steals from lane
+    /// `(w + r) % workers` in round `r`, scanning the victim's lane back to
+    /// front — and every item is claimed exactly once through an atomic
+    /// flag. Which worker ends up running an item *does* depend on timing,
+    /// but `f` must be a pure function of `(index, item)` (as everywhere in
+    /// this crate), and results are scattered back into item order, so the
+    /// returned vector is bit-identical across runs, pool widths, and steal
+    /// interleavings. A single-worker pool (or a single item) runs inline
+    /// on the caller's thread: the same `f` on the same items in the same
+    /// order.
     pub fn parallel_map<T: Sync, R: Send>(
         &self,
         items: &[T],
         f: impl Fn(usize, &T) -> R + Sync,
     ) -> Vec<R> {
-        let per_chunk = self.parallel_chunks(items, |_, range, chunk| {
-            range
-                .zip(chunk.iter())
-                .map(|(i, item)| f(i, item))
-                .collect::<Vec<R>>()
-        });
-        let mut out = Vec::with_capacity(items.len());
-        for chunk in per_chunk {
-            out.extend(chunk);
-        }
-        out
+        self.parallel_map_stats(items, f).0
     }
 
-    /// Like [`ThreadPool::parallel_map`], but worker `w` of `T` takes items
-    /// `w, w + T, w + 2T, …` instead of a contiguous block. Equally
-    /// deterministic (the stride assignment is fixed per `(len, threads)`);
-    /// preferable when item cost varies systematically along the slice —
-    /// e.g. a batch of queries sweeping `k` upward — where contiguous
-    /// chunks would hand one worker all the expensive items.
-    pub fn parallel_map_strided<T: Sync, R: Send>(
-        &self,
-        items: &[T],
-        f: impl Fn(usize, &T) -> R + Sync,
-    ) -> Vec<R> {
-        let workers = self.threads.min(items.len());
-        if workers <= 1 {
-            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-        }
-        let f = &f;
-        let mut per_worker: Vec<Vec<R>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        items
-                            .iter()
-                            .enumerate()
-                            .skip(w)
-                            .step_by(workers)
-                            .map(|(i, item)| f(i, item))
-                            .collect::<Vec<R>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("pool workers do not panic"))
-                .collect()
-        });
-        // Un-stride: item i was produced by worker i % workers, and each
-        // worker's results are already in its local item order.
-        let mut streams: Vec<_> = per_worker.drain(..).map(Vec::into_iter).collect();
-        let mut out = Vec::with_capacity(items.len());
-        for i in 0..items.len() {
-            out.push(streams[i % workers].next().expect("worker covered item"));
-        }
-        out
-    }
-
-    /// Like [`ThreadPool::parallel_map_strided`], but with **deterministic
-    /// work stealing**: after a worker drains its own strided lane it
-    /// claims leftover items from the other lanes instead of idling, so a
-    /// batch with skewed per-item costs (one deep-scan query among cheap
-    /// ones) no longer serializes on the slowest lane.
-    ///
-    /// Scheduling is deterministic in the only sense that matters for this
-    /// stack: the *initial* lane assignment is a pure function of
-    /// `(len, threads)` (item `i` belongs to lane `i % workers`), the
-    /// *victim order* is a pure function of `(round, worker id)` — worker
-    /// `w` steals from lane `(w + r) % workers` in round `r`, scanning the
-    /// victim's lane back to front — and every item is claimed exactly once
-    /// through an atomic flag. Which worker ends up running an item *does*
-    /// depend on timing, but `f` must be a pure function of `(index, item)`
-    /// (as everywhere in this crate), and results are scattered back into
-    /// item order, so the returned vector is bit-identical across runs,
-    /// pool widths, and steal interleavings.
-    pub fn parallel_map_stealing<T: Sync, R: Send>(
-        &self,
-        items: &[T],
-        f: impl Fn(usize, &T) -> R + Sync,
-    ) -> Vec<R> {
-        self.parallel_map_stealing_stats(items, f).0
-    }
-
-    /// [`ThreadPool::parallel_map_stealing`] plus a [`StealStats`] report
-    /// for observability: how many workers were actually spawned and how
-    /// many items ran on a thief instead of their home lane. The stats are
+    /// [`ThreadPool::parallel_map`] plus a [`StealStats`] report for
+    /// observability: how many workers were actually spawned and how many
+    /// items ran on a thief instead of their home lane. The stats are
     /// runtime scheduling facts — *not* deterministic — and must never be
     /// folded into deterministic outputs.
-    pub fn parallel_map_stealing_stats<T: Sync, R: Send>(
+    pub fn parallel_map_stats<T: Sync, R: Send>(
         &self,
         items: &[T],
         f: impl Fn(usize, &T) -> R + Sync,
@@ -368,77 +263,11 @@ impl ThreadPool {
         };
         (out, stats)
     }
-
-    /// Partitions `items` by [`chunk_ranges`] and applies `f` once per
-    /// chunk — `f(chunk_index, item_range, chunk_slice)` — returning the
-    /// chunk results in chunk order. This is the primitive for workers that
-    /// carry state across their items (a sampler, a metrics recorder): the
-    /// chunk index is a stable worker identity.
-    ///
-    /// With one worker (or one chunk) `f` runs inline on the caller's
-    /// thread.
-    pub fn parallel_chunks<T: Sync, R: Send>(
-        &self,
-        items: &[T],
-        f: impl Fn(usize, Range<usize>, &[T]) -> R + Sync,
-    ) -> Vec<R> {
-        let ranges = chunk_ranges(items.len(), self.threads);
-        if ranges.len() <= 1 {
-            return ranges
-                .into_iter()
-                .enumerate()
-                .map(|(c, range)| f(c, range.clone(), &items[range]))
-                .collect();
-        }
-        let f = &f;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .into_iter()
-                .enumerate()
-                .map(|(c, range)| {
-                    let chunk = &items[range.clone()];
-                    scope.spawn(move || f(c, range, chunk))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("pool workers do not panic"))
-                .collect()
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn chunk_ranges_balance_and_cover() {
-        assert_eq!(chunk_ranges(10, 3), vec![0..4, 4..7, 7..10]);
-        assert_eq!(chunk_ranges(4, 4), vec![0..1, 1..2, 2..3, 3..4]);
-        assert_eq!(chunk_ranges(2, 8), vec![0..1, 1..2]);
-        assert_eq!(chunk_ranges(0, 4), Vec::<Range<usize>>::new());
-        // Pure function of (n, t): chunk sizes differ by at most one.
-        for n in 0..50 {
-            for t in 1..9 {
-                let ranges = chunk_ranges(n, t);
-                assert_eq!(ranges.iter().map(Range::len).sum::<usize>(), n);
-                if let (Some(max), Some(min)) = (
-                    ranges.iter().map(Range::len).max(),
-                    ranges.iter().map(Range::len).min(),
-                ) {
-                    assert!(max - min <= 1, "n={n} t={t}: {ranges:?}");
-                    assert!(min >= 1, "n={n} t={t}: empty chunk");
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one thread")]
-    fn zero_threads_rejected() {
-        let _ = chunk_ranges(5, 0);
-    }
 
     #[test]
     #[should_panic(expected = "at least one thread")]
@@ -458,8 +287,6 @@ mod tests {
                 x * 3 + 1
             });
             assert_eq!(got, expect, "threads={threads}");
-            let got = pool.parallel_map_strided(&items, |_, &x| x * 3 + 1);
-            assert_eq!(got, expect, "strided threads={threads}");
         }
     }
 
@@ -468,18 +295,6 @@ mod tests {
         let data = vec![String::from("a"), String::from("bb")];
         let lens = ThreadPool::new(2).parallel_map(&data, |_, s| s.len());
         assert_eq!(lens, vec![1, 2]);
-    }
-
-    #[test]
-    fn parallel_chunks_sees_stable_worker_identity() {
-        let items: Vec<usize> = (0..10).collect();
-        let pool = ThreadPool::new(3);
-        let per_chunk = pool.parallel_chunks(&items, |c, range, chunk| {
-            assert_eq!(&items[range.clone()], chunk);
-            (c, range.start, chunk.iter().sum::<usize>())
-        });
-        // chunk_ranges(10, 3) = [0..4, 4..7, 7..10].
-        assert_eq!(per_chunk, vec![(0, 0, 6), (1, 4, 15), (2, 7, 24)]);
     }
 
     #[test]
@@ -557,7 +372,7 @@ mod tests {
         let reference: Vec<u64> = items.iter().enumerate().map(|(i, x)| work(i, x)).collect();
         for threads in [1, 2, 3, 8, 64] {
             let pool = ThreadPool::new(threads);
-            let (got, stats) = pool.parallel_map_stealing_stats(&items, work);
+            let (got, stats) = pool.parallel_map_stats(&items, work);
             assert_eq!(got, reference, "threads={threads}");
             assert_eq!(stats.tasks, items.len() as u64);
             assert!(stats.workers_spawned <= threads.min(items.len()) as u64);
@@ -567,16 +382,14 @@ mod tests {
                 assert_eq!(stats.stolen, 0);
             }
             // And repeated runs are bit-identical whatever was stolen.
-            assert_eq!(pool.parallel_map_stealing(&items, work), reference);
+            assert_eq!(pool.parallel_map(&items, work), reference);
         }
         // Degenerate shapes.
         let empty: Vec<f64> = Vec::new();
-        assert!(ThreadPool::new(4)
-            .parallel_map_stealing(&empty, work)
-            .is_empty());
+        assert!(ThreadPool::new(4).parallel_map(&empty, work).is_empty());
         let one = [2.0f64];
         assert_eq!(
-            ThreadPool::new(4).parallel_map_stealing(&one, work),
+            ThreadPool::new(4).parallel_map(&one, work),
             vec![work(0, &2.0)]
         );
     }
@@ -594,7 +407,7 @@ mod tests {
             |_: usize, &c: &u64| (0..c).fold(0u64, |acc, v| acc ^ v.wrapping_mul(2654435761));
         let reference: Vec<u64> = costs.iter().map(|c| work(0, c)).collect();
         for threads in [2, 4, 8] {
-            let got = ThreadPool::new(threads).parallel_map_stealing(&costs, work);
+            let got = ThreadPool::new(threads).parallel_map(&costs, work);
             assert_eq!(got, reference, "threads={threads}");
         }
     }
@@ -604,13 +417,12 @@ mod tests {
         use std::collections::HashSet;
         use std::sync::Mutex;
         use std::thread::ThreadId;
-        // Satellite pin for min(threads, n_items) scope sizing: with 3
-        // items and a 64-thread budget, every primitive must touch at most
-        // 3 distinct threads (workers run on their own thread; an inline
-        // region runs on the caller's, still one thread).
+        // Pin for min(threads, n_items) scope sizing: with 3 items and a
+        // 64-thread budget, a region must touch at most 3 distinct threads
+        // (workers run on their own thread; an inline region runs on the
+        // caller's, still one thread).
         let items = [10u8, 20, 30];
         let pool = ThreadPool::new(64);
-        assert_eq!(chunk_ranges(items.len(), 64).len(), items.len());
         let run = |region: &str, go: &dyn Fn(&(dyn Fn() + Sync))| {
             let seen: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
             let note = || {
@@ -627,15 +439,9 @@ mod tests {
         run("parallel_map", &|note| {
             pool.parallel_map(&items, |_, _| note());
         });
-        run("parallel_map_strided", &|note| {
-            pool.parallel_map_strided(&items, |_, _| note());
-        });
-        run("parallel_map_stealing", &|note| {
-            let (_, stats) = pool.parallel_map_stealing_stats(&items, |_, _| note());
+        run("parallel_map_stats", &|note| {
+            let (_, stats) = pool.parallel_map_stats(&items, |_, _| note());
             assert!(stats.workers_spawned <= items.len() as u64);
-        });
-        run("parallel_chunks", &|note| {
-            pool.parallel_chunks(&items, |_, _, _| note());
         });
     }
 
