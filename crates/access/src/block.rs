@@ -147,6 +147,48 @@ pub(crate) fn corrupt(
     ))
 }
 
+/// Largest rule mass a packer writes: members' probabilities may sum a
+/// few ulps above 1 (renormalized confidences), never more.
+pub(crate) const MAX_RULE_MASS: f64 = 1.0 + 1e-9;
+
+/// Validates rule `rule`'s mass, read at byte `offset` of a run file's
+/// header. The packers write the sum of the rule's member probabilities,
+/// so it is never NaN, never negative and never above [`MAX_RULE_MASS`].
+pub(crate) fn check_rule_mass(offset: u64, rule: u64, mass: f64) -> io::Result<f64> {
+    // NaN-safe: a NaN mass is in no range.
+    if (0.0..=MAX_RULE_MASS).contains(&mass) {
+        return Ok(mass);
+    }
+    Err(corrupt(
+        offset,
+        format!("rule {rule} mass"),
+        "a value in [0, 1 + 1e-9]",
+        format!("{mass:?}"),
+    ))
+}
+
+/// Validates the probability `prob` of record `record` (a member of rule
+/// `rule`, read at byte `offset`) against the rule's stored `mass`. The
+/// mass is a sum of non-negative terms, this probability among them, so
+/// no member of a valid file exceeds it: the check is exact.
+pub(crate) fn check_member(
+    offset: u64,
+    record: u64,
+    rule: u32,
+    prob: f64,
+    mass: f64,
+) -> io::Result<()> {
+    if prob <= mass {
+        return Ok(());
+    }
+    Err(corrupt(
+        offset,
+        format!("record {record} probability"),
+        format!("<= rule {rule} mass {mass:?}"),
+        prob,
+    ))
+}
+
 /// One entry of a v2 run file's block directory.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockMeta {
@@ -224,7 +266,7 @@ pub fn write_run_blocked(
         }
     }
     for (r, &mass) in masses.iter().enumerate() {
-        if mass > 1.0 + 1e-9 {
+        if mass > MAX_RULE_MASS {
             return Err(invalid(format!("rule {r} has total mass {mass} > 1")));
         }
     }
@@ -541,6 +583,9 @@ impl PagedRun {
     /// file length holds, and after the rule layout is read the exact file
     /// length (`prefix + blocks×block_size`) is enforced, so a truncated
     /// or inflated file is rejected at open instead of failing mid-scan.
+    /// No checksum covers the rule masses, so each must lie in
+    /// `[0, 1 + 1e-9]`, and the cursor fails on a rule member above its
+    /// rule's mass.
     ///
     /// # Errors
     /// Fails on IO errors or a malformed file.
@@ -652,14 +697,10 @@ impl PagedRun {
             })?;
         let mut rule_masses = Vec::with_capacity(rules as usize);
         for r in 0..rules {
-            rule_masses.push(read_f64(&mut reader).map_err(|_| {
-                corrupt(
-                    HEADER_BYTES + r * 8,
-                    format!("rule {r} mass"),
-                    "8 bytes",
-                    "end of file",
-                )
-            })?);
+            let at = HEADER_BYTES + r * 8;
+            let mass = read_f64(&mut reader)
+                .map_err(|_| corrupt(at, format!("rule {r} mass"), "8 bytes", "end of file"))?;
+            rule_masses.push(check_rule_mass(at, r, mass)?);
         }
         let mut off = HEADER_BYTES + mass_bytes;
         let mut rule_ranks: Vec<Vec<usize>> = Vec::with_capacity(rules as usize);
@@ -993,10 +1034,10 @@ impl<'r> PagedCursor<'r> {
     /// surfaced instead of ending the stream.
     ///
     /// # Errors
-    /// Fails on IO errors, checksum mismatches, or records contradicting
+    /// Fails on IO errors, checksum mismatches, records contradicting
     /// their block's directory entry (probability above the block maximum,
     /// score outside the block's range or out of order, a rule key missing
-    /// from the rule layout).
+    /// from the rule layout), or a rule member above its rule's mass.
     pub fn try_next(&mut self) -> io::Result<Option<SourceTuple>> {
         if self.dead || self.rank >= self.run.tuples {
             return Ok(None);
@@ -1062,6 +1103,13 @@ impl<'r> PagedCursor<'r> {
                     rule,
                 ));
             }
+            check_member(
+                rec_off + 16,
+                self.rank,
+                rule,
+                prob,
+                self.run.rule_masses[rule as usize],
+            )?;
         }
         self.last_score = score;
         self.rank += 1;
@@ -1551,6 +1599,48 @@ mod tests {
         std::fs::write(&f.0, &bytes).unwrap();
         let err = PagedRun::open(&f.0, small_pool()).unwrap_err();
         assert!(err.to_string().contains("at byte 20"), "{err}");
+    }
+
+    /// The block crc32 does not cover the header's rule masses: a mass
+    /// outside `[0, 1 + 1e-9]` fails the open, and one below a member's
+    /// probability fails the scan at that member.
+    #[test]
+    fn rule_masses_are_checked_at_open_and_against_their_members() {
+        let f = temp();
+        write_run_blocked(&f.0, &panda_rows(), 48).unwrap();
+        let clean = std::fs::read(&f.0).unwrap();
+        let with_mass = |rule: usize, mass: f64| {
+            let mut bytes = clean.clone();
+            let at = 24 + rule * 8;
+            bytes[at..at + 8].copy_from_slice(&mass.to_le_bytes());
+            std::fs::write(&f.0, &bytes).unwrap();
+        };
+        for bad in [f64::NAN, -1.0, 1.5, 1.0 + 1e-8] {
+            with_mass(1, bad);
+            let err = PagedRun::open(&f.0, small_pool()).unwrap_err();
+            assert!(err.to_string().contains("at byte 32: rule 1 mass"), "{err}");
+        }
+        // Rule 1 holds 0.8 (rank 2) and 0.2 (rank 5).
+        for understated in [0.0, 1e-300, 0.5] {
+            with_mass(1, understated);
+            let run = PagedRun::open(&f.0, small_pool()).unwrap();
+            let mut cur = run.cursor();
+            assert!(cur.try_next().unwrap().is_some());
+            assert!(cur.try_next().unwrap().is_some());
+            let err = cur.try_next().unwrap_err().to_string();
+            assert!(
+                err.contains(&format!(
+                    "record 2 probability: expected <= rule 1 mass {understated:?}, found 0.8"
+                )),
+                "{err}"
+            );
+        }
+        // A mass equal to its largest member passes: the check is exact.
+        with_mass(1, 0.8);
+        let run = PagedRun::open(&f.0, small_pool()).unwrap();
+        let mut cur = run.cursor();
+        assert_eq!(std::iter::from_fn(|| cur.next_ranked()).count(), 6);
+        assert!(cur.take_error().is_none());
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use ptk_core::TupleId;
 use ptk_obs::{Mark, Noop, Payload, SharedRecorder, Stage};
 
-use crate::block::corrupt;
+use crate::block::{check_member, check_rule_mass, corrupt, MAX_RULE_MASS};
 use crate::bytebuf::ByteBuf;
 use crate::counters;
 use crate::source::{RankedSource, RuleKey, SourceTuple};
@@ -70,7 +70,7 @@ pub fn write_run(path: &Path, rows: &[(f64, f64, Option<u32>)]) -> io::Result<()
         }
     }
     for (r, &mass) in masses.iter().enumerate() {
-        if mass > 1.0 + 1e-9 {
+        if mass > MAX_RULE_MASS {
             return Err(invalid(format!("rule {r} has total mass {mass} > 1")));
         }
     }
@@ -153,6 +153,9 @@ impl FileSource {
     /// actual file length (`header + rules×8 + tuples×24` must equal it
     /// exactly), so a corrupt or truncated file yields a decode error
     /// instead of an OOM-sized allocation or a short read mid-stream.
+    /// Nothing checksums the rule masses, so each must lie in
+    /// `[0, 1 + 1e-9]`, and [`FileSource::try_next`] fails on a rule
+    /// member above its rule's mass.
     ///
     /// # Errors
     /// Fails on IO errors or a malformed header.
@@ -239,7 +242,9 @@ impl FileSource {
             )
         })?;
         let mut masses = ByteBuf::from_vec(mass_bytes);
-        let rule_masses: Vec<f64> = (0..rule_count).map(|_| masses.get_f64_le()).collect();
+        let rule_masses = (0..rule_count as u64)
+            .map(|r| check_rule_mass(HEADER_BYTES + r * 8, r, masses.get_f64_le()))
+            .collect::<io::Result<Vec<f64>>>()?;
         recorder.add(counters::FILE_OPENS, 1);
         recorder.add(counters::FILE_BYTES_READ, HEADER_BYTES + rule_bytes);
         Ok(FileSource {
@@ -300,8 +305,9 @@ impl FileSource {
     /// surfaced instead of ending the stream.
     ///
     /// # Errors
-    /// Fails on IO errors, truncation, or a NaN or out-of-order score
-    /// (corruption).
+    /// Fails on IO errors, truncation, or corruption: a probability outside
+    /// `(0, 1]`, a NaN or out-of-order score, an unknown rule key, or a
+    /// rule member above its rule's mass.
     pub fn try_next(&mut self) -> io::Result<Option<SourceTuple>> {
         if self.dead || self.remaining == 0 {
             return Ok(None);
@@ -333,13 +339,16 @@ impl FileSource {
                 score,
             ));
         }
-        if rule != NO_RULE && rule as usize >= self.rule_masses.len() {
-            return Err(corrupt(
-                rec_off + 4,
-                format!("record {} rule key", self.retrieved),
-                format!("< {} or u32::MAX", self.rule_masses.len()),
-                rule,
-            ));
+        if rule != NO_RULE {
+            let Some(&mass) = self.rule_masses.get(rule as usize) else {
+                return Err(corrupt(
+                    rec_off + 4,
+                    format!("record {} rule key", self.retrieved),
+                    format!("< {} or u32::MAX", self.rule_masses.len()),
+                    rule,
+                ));
+            };
+            check_member(rec_off + 16, self.retrieved as u64, rule, prob, mass)?;
         }
         self.last_score = score;
         self.remaining -= 1;
@@ -636,6 +645,44 @@ mod tests {
             assert!(err.to_string().contains("record 2"), "{err}");
             assert!(src.take_error().is_none());
         }
+    }
+
+    /// A rule mass outside `[0, 1 + 1e-9]` fails the open, and one below a
+    /// member's probability fails the scan at that member.
+    #[test]
+    fn rule_masses_are_checked_at_open_and_against_their_members() {
+        let f = temp();
+        write_run(&f.0, &panda_rows()).unwrap();
+        let clean = std::fs::read(&f.0).unwrap();
+        let with_mass = |rule: usize, mass: f64| {
+            let mut bytes = clean.clone();
+            let at = 20 + rule * 8;
+            bytes[at..at + 8].copy_from_slice(&mass.to_le_bytes());
+            std::fs::write(&f.0, &bytes).unwrap();
+        };
+        for bad in [f64::NAN, -1.0, 1.5, 1.0 + 1e-8] {
+            with_mass(1, bad);
+            let err = FileSource::open(&f.0).unwrap_err();
+            assert!(err.to_string().contains("at byte 28: rule 1 mass"), "{err}");
+        }
+        // Rule 1 holds 0.8 (rank 2) and 0.2 (rank 5).
+        for understated in [0.0, 1e-300, 0.5] {
+            with_mass(1, understated);
+            let mut src = FileSource::open(&f.0).unwrap();
+            assert_eq!(std::iter::from_fn(|| src.next_ranked()).count(), 2);
+            let err = src.take_error().expect("the error is held").to_string();
+            assert!(
+                err.contains(&format!(
+                    "record 2 probability: expected <= rule 1 mass {understated:?}, found 0.8"
+                )),
+                "{err}"
+            );
+        }
+        // A mass equal to its largest member passes: the check is exact.
+        with_mass(1, 0.8);
+        let mut src = FileSource::open(&f.0).unwrap();
+        assert_eq!(std::iter::from_fn(|| src.next_ranked()).count(), 6);
+        assert!(src.take_error().is_none());
     }
 
     #[test]

@@ -951,6 +951,39 @@ mod tests {
         }
     }
 
+    /// No checksum covers a run file's rule masses. Overwritten with 0,
+    /// -1 or 1e-300 (the clean answer has 11 rows), every mass of a v1 or
+    /// v2 run fails the scan with an error naming a rule, never a
+    /// shorter answer.
+    #[test]
+    fn a_corrupt_rule_mass_fails_the_scan_instead_of_answering_wrong() {
+        let (_table, v1, v2) = synthetic_runs();
+        let scan = |run: &tempfile::TempPath| {
+            dispatch(&args(&["scan", run.as_str(), "--k", "10", "--p", "0.3"]))
+        };
+        // Rule count, then the masses: bytes 16 and 20 in v1, 20 and 24 in
+        // v2 (which adds a block size after the magic).
+        for (run, count_at) in [(&v1, 16), (&v2, 20)] {
+            let clean = std::fs::read(&run.0).unwrap();
+            let answer = scan(run).unwrap();
+            assert!(answer.contains("11 tuples pass"), "{answer}");
+            let rules = u32::from_le_bytes(clean[count_at..count_at + 4].try_into().unwrap());
+            for mass in [0.0, -1.0, 1e-300] {
+                let mut bytes = clean.clone();
+                for r in 0..rules as usize {
+                    let at = count_at + 4 + 8 * r;
+                    bytes[at..at + 8].copy_from_slice(&f64::to_le_bytes(mass));
+                }
+                std::fs::write(&run.0, &bytes).unwrap();
+                let err = scan(run).unwrap_err();
+                assert!(
+                    err.contains("corrupt run file") && err.contains(" rule "),
+                    "{mass}: {err}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn pack_and_scan_roundtrip() {
         let file = panda_file();
@@ -1580,6 +1613,87 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("pack takes no --asc"), "{err}");
+    }
+
+    /// `query` reads `--no-prune` and `--threads` on the exact engine only,
+    /// and `--seed` under sampling only: on every other path each is
+    /// refused, never dropped.
+    #[test]
+    fn query_refuses_flags_its_method_does_not_read() {
+        let csv = dispatch(&args(&[
+            "generate",
+            "synthetic",
+            "--tuples",
+            "500",
+            "--rules",
+            "60",
+            "--seed",
+            "11",
+        ]))
+        .unwrap();
+        let file = tempfile::csv(&csv);
+        let query = |extra: &[&str]| {
+            let mut argv = vec![
+                "query",
+                file.as_str(),
+                "--k",
+                "5",
+                "--p",
+                "0.3",
+                "--rank-by",
+                "score",
+            ];
+            argv.extend_from_slice(extra);
+            dispatch(&args(&argv))
+        };
+        for (extra, expected) in [
+            (
+                &["--method", "sampling", "--no-prune", "--threads", "3"][..],
+                "--no-prune requires --method exact",
+            ),
+            (
+                &["--method", "sampling", "--threads", "3"],
+                "--threads requires --method exact",
+            ),
+            (
+                &["--method", "naive", "--no-prune"],
+                "--no-prune requires --method exact",
+            ),
+            (
+                &["--method", "exact", "--seed", "9"],
+                "--seed requires --method sampling",
+            ),
+            (&["--seed", "9"], "--seed requires --method sampling"),
+            (
+                &["--method", "naive", "--seed", "9"],
+                "--seed requires --method sampling",
+            ),
+            (
+                &["--k", "5,10", "--seed", "9"],
+                "--seed requires --method sampling",
+            ),
+        ] {
+            let err = query(extra).unwrap_err();
+            assert!(err.contains(expected), "{extra:?}: {err}");
+        }
+        let err = dispatch(&args(&[
+            "query",
+            file.as_str(),
+            "--k",
+            "5",
+            "--rank-by",
+            "score",
+            "--semantics",
+            "u_topk",
+            "--seed",
+            "9",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--seed requires --method sampling"), "{err}");
+        // Each flag still runs where it is read.
+        query(&["--method", "sampling", "--seed", "9"]).unwrap();
+        query(&["--no-prune", "--threads", "3"]).unwrap();
+        query(&["--k", "5,10", "--no-prune", "--threads", "2"]).unwrap();
     }
 
     fn query_args(file: &str, extra: &[&str]) -> Vec<String> {

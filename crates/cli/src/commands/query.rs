@@ -19,6 +19,7 @@ use super::{
 };
 
 pub(super) fn cmd_query(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
+    let method = query_method(flags)?;
     let table = load_from_flags(flags)?;
     let semantics = semantics_from_flags(flags)?;
     if semantics != RankSemantics::Ptk {
@@ -51,7 +52,6 @@ pub(super) fn cmd_query(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErr
     let label = format!("query k={k} p={p}");
     let mut ctx = QueryCtx::from_flags(flags, label.clone())?;
     let explain = flags.switch("explain");
-    let method = flags.named.get("method").map_or("exact", String::as_str);
     if explain && method != "exact" {
         return Err("--explain (EXPLAIN ANALYZE) requires --method exact".into());
     }
@@ -116,6 +116,23 @@ pub(super) fn cmd_query(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErr
         write!(out, "{}", plan.explain_analyze(&ctx.snapshot(), true))?;
     }
     ctx.finish(out)
+}
+
+/// The `--method` of a `query`, refusing a flag that method does not
+/// read: `--no-prune` and `--threads` steer the exact engine, and
+/// `--seed` feeds sampling.
+fn query_method(flags: &Flags) -> Result<&str, String> {
+    let method = flags.named.get("method").map_or("exact", String::as_str);
+    for (flag, reader) in [
+        ("no-prune", "exact"),
+        ("threads", "exact"),
+        ("seed", "sampling"),
+    ] {
+        if method != reader && flags.switch(flag) {
+            return Err(format!("--{flag} requires --method {reader}"));
+        }
+    }
+    Ok(method)
 }
 
 /// The multi-query path of `ptk query`: comma lists in `--k`/`--p` form a

@@ -1,10 +1,12 @@
-//! A minimal CSV reader/writer.
+//! Minimal CSV field codec.
 //!
-//! Supports the subset of RFC 4180 the CLI needs: comma separation, `"`
-//! quoting with `""` escapes, and a header row. Kept dependency-free on
-//! purpose (the approved crate set has no CSV parser).
+//! Supports the subset of RFC 4180 the CLI needs: comma separation and `"`
+//! quoting with `""` escapes. Kept dependency-free on purpose (the approved
+//! crate set has no CSV parser). Documents are read and written a line at
+//! a time by [`crate::load`].
 
-/// Parses one CSV line into fields, honouring quotes.
+/// Parses one CSV line into fields, honouring quotes. A line without `"`
+/// parses to exactly its `,`-separated pieces.
 ///
 /// # Errors
 /// Returns a message for unterminated quotes or stray characters after a
@@ -51,57 +53,16 @@ pub fn parse_line(line: &str) -> Result<Vec<String>, String> {
     }
 }
 
-/// Parses a full CSV document into a header and rows.
-///
-/// # Errors
-/// Returns a message naming the offending line for any malformed row
-/// (quote errors or arity mismatches against the header). Empty lines are
-/// skipped.
-pub fn parse_document(text: &str) -> Result<(Vec<String>, Vec<Vec<String>>), String> {
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty());
-    let (_, header_line) = lines.next().ok_or("empty CSV document")?;
-    let header = parse_line(header_line).map_err(|e| format!("header: {e}"))?;
-    let mut rows = Vec::new();
-    for (idx, line) in lines {
-        let row = parse_line(line).map_err(|e| format!("line {}: {e}", idx + 1))?;
-        if row.len() != header.len() {
-            return Err(format!(
-                "line {}: {} fields, header has {}",
-                idx + 1,
-                row.len(),
-                header.len()
-            ));
-        }
-        rows.push(row);
-    }
-    Ok((header, rows))
-}
-
-/// Quotes a field if it contains commas, quotes or newlines.
-pub fn escape_field(field: &str) -> String {
-    if field.contains(',') || field.contains('"') || field.contains('\n') {
-        format!("\"{}\"", field.replace('"', "\"\""))
+/// Appends `field` to `out`, quoted if it contains commas, quotes or
+/// newlines.
+pub fn push_field(out: &mut String, field: &str) {
+    if field.contains([',', '"', '\n']) {
+        out.push('"');
+        out.push_str(&field.replace('"', "\"\""));
+        out.push('"');
     } else {
-        field.to_owned()
+        out.push_str(field);
     }
-}
-
-/// Serializes a header and rows as a CSV document.
-pub fn write_document(header: &[String], rows: &[Vec<String>]) -> String {
-    let mut out = String::new();
-    let emit = |out: &mut String, row: &[String]| {
-        let cells: Vec<String> = row.iter().map(|f| escape_field(f)).collect();
-        out.push_str(&cells.join(","));
-        out.push('\n');
-    };
-    emit(&mut out, header);
-    for row in rows {
-        emit(&mut out, row);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -131,26 +92,21 @@ mod tests {
     }
 
     #[test]
-    fn document_roundtrip() {
-        let doc = "a,b\n1,\"x,y\"\n2,z\n";
-        let (header, rows) = parse_document(doc).unwrap();
-        assert_eq!(header, vec!["a", "b"]);
-        assert_eq!(rows, vec![vec!["1", "x,y"], vec!["2", "z"]]);
-        let rewritten = write_document(&header, &rows);
-        let (h2, r2) = parse_document(&rewritten).unwrap();
-        assert_eq!(header, h2);
-        assert_eq!(rows, r2);
-    }
-
-    #[test]
-    fn document_errors() {
-        assert!(parse_document("").is_err());
-        assert!(parse_document("a,b\n1\n").is_err());
-    }
-
-    #[test]
-    fn skips_blank_lines() {
-        let (_, rows) = parse_document("a\n\n1\n\n2\n").unwrap();
-        assert_eq!(rows.len(), 2);
+    fn pushed_fields_parse_back() {
+        let mut line = String::new();
+        for (i, field) in ["1", "x,y", "he said \"hi\"", "", "a\nb"]
+            .iter()
+            .enumerate()
+        {
+            if i > 0 {
+                line.push(',');
+            }
+            push_field(&mut line, field);
+        }
+        assert_eq!(line, "1,\"x,y\",\"he said \"\"hi\"\"\",,\"a\nb\"");
+        assert_eq!(
+            parse_line(&line).unwrap(),
+            vec!["1", "x,y", "he said \"hi\"", "", "a\nb"]
+        );
     }
 }

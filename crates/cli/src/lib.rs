@@ -94,7 +94,9 @@ actual counters and wall time — the same counter names `--stats` renders.
 Every query command (query, sql, scan, utopk, ukranks, erank) takes
 `--stats`, `--trace`, `--trace-format`, `--slow-ms` and `--audit`, and
 prints their views after the answer in that order: trace file and slow
-log, stats, audit line. A command refuses any flag it does not read.
+log, stats, audit line. A command refuses any flag it does not read,
+and `query` any its method does not: `--threads` and `--no-prune` need
+`--method exact` (the default), `--seed` needs `--method sampling`.
 `--trace <file>` captures a structured event trace of the run: `chrome`
 format is Chrome trace-event JSON (load it in Perfetto or chrome://tracing;
 validate it offline with `ptk trace-check`), `logical` is a timing-free

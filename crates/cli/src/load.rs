@@ -1,6 +1,7 @@
-//! Loading uncertain tables from CSV text.
+//! Loading uncertain tables from CSV text, and writing them back.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 
 use ptk_core::{TupleId, UncertainTable, UncertainTableBuilder, Value};
 
@@ -26,85 +27,179 @@ pub fn parse_value(cell: &str) -> Value {
 ///
 /// The `prob` column (required) carries membership probabilities; the
 /// optional `rule` column groups mutually exclusive tuples by label; all
-/// remaining columns become table data in order of appearance.
+/// remaining columns become table data in order of appearance. Blank
+/// lines are skipped.
+///
+/// The text is read in one pass, each row straight into the table: a
+/// line without `"` is split on `,` in place, and one with a `"` goes
+/// through [`csv::parse_line`].
 ///
 /// # Errors
-/// Returns a message for CSV syntax errors, a missing `prob` column,
-/// unparsable probabilities, or rule/probability constraint violations.
+/// Returns one message, by precedence: a CSV syntax error or a field
+/// count that differs from the header's on any line (`line N`, counting
+/// every line of the text from 1, blank ones too); else a missing `prob`
+/// column or the first bad probability (`row N`, counting data rows from
+/// 1); else the first rule, in order of first appearance, whose members'
+/// probabilities sum above 1 (`rule '<label>'`).
 pub fn load_table(text: &str) -> Result<UncertainTable, String> {
-    let (header, rows) = csv::parse_document(text)?;
-    let prob_col = header
+    let mut lines = text
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| !l.trim().is_empty());
+    let (_, header_line) = lines.next().ok_or("empty CSV document")?;
+    let header = csv::parse_line(header_line).map_err(|e| format!("header: {e}"))?;
+    let width = header.len();
+    let mut rows = header
         .iter()
         .position(|h| h == "prob")
-        .ok_or("the CSV must have a `prob` column")?;
-    let rule_col = header.iter().position(|h| h == "rule");
-    let data_cols: Vec<usize> = (0..header.len())
-        .filter(|&i| i != prob_col && Some(i) != rule_col)
-        .collect();
-
-    let columns: Vec<String> = data_cols.iter().map(|&i| header[i].clone()).collect();
-    let mut builder = UncertainTableBuilder::new(columns);
-    let mut rule_groups: HashMap<String, Vec<TupleId>> = HashMap::new();
-    let mut rule_order: Vec<String> = Vec::new();
-
-    for (idx, row) in rows.iter().enumerate() {
-        let prob: f64 = row[prob_col]
-            .trim()
-            .parse()
-            .map_err(|_| format!("row {}: bad probability '{}'", idx + 1, row[prob_col]))?;
-        let attrs: Vec<Value> = data_cols.iter().map(|&c| parse_value(&row[c])).collect();
-        let id = builder
-            .push(prob, attrs)
-            .map_err(|e| format!("row {}: {e}", idx + 1))?;
-        if let Some(rc) = rule_col {
-            let label = row[rc].trim();
-            if !label.is_empty() {
-                let group = rule_groups.entry(label.to_owned()).or_insert_with(|| {
-                    rule_order.push(label.to_owned());
-                    Vec::new()
-                });
-                group.push(id);
+        .map(|prob_col| Rows::new(&header, prob_col))
+        .ok_or_else(|| "the CSV must have a `prob` column".to_owned());
+    let mut split: Vec<&str> = Vec::with_capacity(width);
+    for (row, (idx, line)) in lines.enumerate() {
+        let quoted: Vec<String>;
+        let unquoted: Vec<&str>;
+        let cells: &[&str] = if line.contains('"') {
+            quoted = csv::parse_line(line).map_err(|e| format!("line {}: {e}", idx + 1))?;
+            unquoted = quoted.iter().map(String::as_str).collect();
+            &unquoted
+        } else {
+            split.clear();
+            split.extend(line.split(','));
+            &split
+        };
+        if cells.len() != width {
+            return Err(format!(
+                "line {}: {} fields, header has {width}",
+                idx + 1,
+                cells.len()
+            ));
+        }
+        // After the first value error, later lines are only checked for
+        // syntax and arity, whose errors take precedence.
+        if let Ok(table) = &mut rows {
+            if let Err(e) = table.push(row + 1, cells) {
+                rows = Err(e);
             }
         }
     }
-    for label in &rule_order {
-        let members = &rule_groups[label];
-        if members.len() >= 2 {
-            builder
-                .exclusive(members)
-                .map_err(|e| format!("rule '{label}': {e}"))?;
+    rows?.finish()
+}
+
+/// The table a CSV's data rows are loaded into.
+struct Rows {
+    prob_col: usize,
+    rule_col: Option<usize>,
+    data_cols: Vec<usize>,
+    builder: UncertainTableBuilder,
+    /// Index into `groups` by rule label: a label is copied once, when it
+    /// first appears.
+    group_of: HashMap<String, usize>,
+    /// The members of each labelled group, in order of first appearance.
+    groups: Vec<Vec<TupleId>>,
+}
+
+impl Rows {
+    fn new(header: &[String], prob_col: usize) -> Rows {
+        let rule_col = header.iter().position(|h| h == "rule");
+        let data_cols: Vec<usize> = (0..header.len())
+            .filter(|&i| i != prob_col && Some(i) != rule_col)
+            .collect();
+        let columns = data_cols.iter().map(|&i| header[i].clone()).collect();
+        Rows {
+            prob_col,
+            rule_col,
+            data_cols,
+            builder: UncertainTableBuilder::new(columns),
+            group_of: HashMap::new(),
+            groups: Vec::new(),
         }
     }
-    builder.finish().map_err(|e| e.to_string())
+
+    /// Adds data row `row` (counted from 1), whose `cells` match the
+    /// header.
+    fn push(&mut self, row: usize, cells: &[&str]) -> Result<(), String> {
+        let prob_cell = cells[self.prob_col];
+        let prob: f64 = prob_cell
+            .trim()
+            .parse()
+            .map_err(|_| format!("row {row}: bad probability '{prob_cell}'"))?;
+        let attrs = self
+            .data_cols
+            .iter()
+            .map(|&c| parse_value(cells[c]))
+            .collect();
+        let id = self
+            .builder
+            .push(prob, attrs)
+            .map_err(|e| format!("row {row}: {e}"))?;
+        let label = self.rule_col.map(|c| cells[c].trim());
+        if let Some(label) = label.filter(|l| !l.is_empty()) {
+            let group = match self.group_of.get(label) {
+                Some(&group) => group,
+                None => {
+                    self.group_of.insert(label.to_owned(), self.groups.len());
+                    self.groups.push(Vec::new());
+                    self.groups.len() - 1
+                }
+            };
+            self.groups[group].push(id);
+        }
+        Ok(())
+    }
+
+    /// Declares every group of two or more tuples a generation rule.
+    fn finish(mut self) -> Result<UncertainTable, String> {
+        let mut labels = vec![String::new(); self.groups.len()];
+        for (label, group) in self.group_of {
+            labels[group] = label;
+        }
+        for (label, members) in labels.iter().zip(&self.groups) {
+            if members.len() >= 2 {
+                self.builder
+                    .exclusive(members)
+                    .map_err(|e| format!("rule '{label}': {e}"))?;
+            }
+        }
+        self.builder.finish().map_err(|e| e.to_string())
+    }
 }
 
 /// Serializes an uncertain table back to the CLI's CSV format.
 pub fn save_table(table: &UncertainTable) -> String {
-    let mut header = vec!["prob".to_owned(), "rule".to_owned()];
-    header.extend(table.columns().iter().cloned());
-    let rows: Vec<Vec<String>> = table
-        .tuples()
-        .iter()
-        .map(|t| {
-            let mut row = vec![
-                format!("{}", t.membership().value()),
-                table
-                    .rule_of(t.id())
-                    .map_or(String::new(), |r| format!("r{}", r.index())),
-            ];
-            row.extend(t.attrs().iter().map(|v| match v {
-                Value::Null => String::new(),
-                other => other.to_string(),
-            }));
-            row
-        })
-        .collect();
-    csv::write_document(&header, &rows)
+    let mut out = String::from("prob,rule");
+    for column in table.columns() {
+        out.push(',');
+        csv::push_field(&mut out, column);
+    }
+    out.push('\n');
+    for t in table.tuples() {
+        let _ = write!(out, "{},", t.membership().value());
+        if let Some(rule) = table.rule_of(t.id()) {
+            let _ = write!(out, "r{}", rule.index());
+        }
+        for value in t.attrs() {
+            out.push(',');
+            match value {
+                Value::Null => {}
+                Value::Text(text) => csv::push_field(&mut out, text),
+                // Numbers and booleans never need quoting.
+                other => {
+                    let _ = write!(out, "{other}");
+                }
+            }
+        }
+        out.push('\n');
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use ptk_core::check::{check, Config};
+    use ptk_core::prop_assert_eq;
+    use ptk_core::rng::{RngExt, StdRng};
 
     const PANDA: &str = "\
 prob,rule,duration,rid
@@ -115,6 +210,269 @@ prob,rule,duration,rid
 0.8,e,17,R5
 0.2,e,11,R6
 ";
+
+    /// The two-pass loader [`load_table`] replaced: the whole document
+    /// parsed into rows of owned cells first, then every row loaded. It
+    /// defines the tables and the error text (and its precedence) that
+    /// the one-pass loader must reproduce.
+    fn reference_load(text: &str) -> Result<UncertainTable, String> {
+        let (header, rows) = parse_document(text)?;
+        let prob_col = header
+            .iter()
+            .position(|h| h == "prob")
+            .ok_or("the CSV must have a `prob` column")?;
+        let rule_col = header.iter().position(|h| h == "rule");
+        let data_cols: Vec<usize> = (0..header.len())
+            .filter(|&i| i != prob_col && Some(i) != rule_col)
+            .collect();
+
+        let columns: Vec<String> = data_cols.iter().map(|&i| header[i].clone()).collect();
+        let mut builder = UncertainTableBuilder::new(columns);
+        let mut rule_groups: HashMap<String, Vec<TupleId>> = HashMap::new();
+        let mut rule_order: Vec<String> = Vec::new();
+
+        for (idx, row) in rows.iter().enumerate() {
+            let prob: f64 = row[prob_col]
+                .trim()
+                .parse()
+                .map_err(|_| format!("row {}: bad probability '{}'", idx + 1, row[prob_col]))?;
+            let attrs: Vec<Value> = data_cols.iter().map(|&c| parse_value(&row[c])).collect();
+            let id = builder
+                .push(prob, attrs)
+                .map_err(|e| format!("row {}: {e}", idx + 1))?;
+            if let Some(rc) = rule_col {
+                let label = row[rc].trim();
+                if !label.is_empty() {
+                    let group = rule_groups.entry(label.to_owned()).or_insert_with(|| {
+                        rule_order.push(label.to_owned());
+                        Vec::new()
+                    });
+                    group.push(id);
+                }
+            }
+        }
+        for label in &rule_order {
+            let members = &rule_groups[label];
+            if members.len() >= 2 {
+                builder
+                    .exclusive(members)
+                    .map_err(|e| format!("rule '{label}': {e}"))?;
+            }
+        }
+        builder.finish().map_err(|e| e.to_string())
+    }
+
+    /// The reference loader's first pass: a header and rows of owned
+    /// cells, or the first syntax or arity error.
+    fn parse_document(text: &str) -> Result<(Vec<String>, Vec<Vec<String>>), String> {
+        let mut lines = text
+            .lines()
+            .enumerate()
+            .filter(|(_, l)| !l.trim().is_empty());
+        let (_, header_line) = lines.next().ok_or("empty CSV document")?;
+        let header = csv::parse_line(header_line).map_err(|e| format!("header: {e}"))?;
+        let mut rows = Vec::new();
+        for (idx, line) in lines {
+            let row = csv::parse_line(line).map_err(|e| format!("line {}: {e}", idx + 1))?;
+            if row.len() != header.len() {
+                return Err(format!(
+                    "line {}: {} fields, header has {}",
+                    idx + 1,
+                    row.len(),
+                    header.len()
+                ));
+            }
+            rows.push(row);
+        }
+        Ok((header, rows))
+    }
+
+    /// Everything a loaded table holds, floats as bit patterns.
+    fn fingerprint(table: &UncertainTable) -> String {
+        let mut out = format!("{:?}\n", table.columns());
+        for t in table.tuples() {
+            let _ = write!(out, "{:016x}", t.membership().value().to_bits());
+            for value in t.attrs() {
+                match value {
+                    Value::Float(x) => {
+                        let _ = write!(out, " F{:016x}", x.to_bits());
+                    }
+                    other => {
+                        let _ = write!(out, " {other:?}");
+                    }
+                }
+            }
+            let _ = writeln!(out, " rule {:?}", table.rule_of(t.id()));
+        }
+        for rule in table.rules() {
+            let _ = writeln!(
+                out,
+                "{:?} {:?} {:016x}",
+                rule.id(),
+                rule.members(),
+                rule.mass().value().to_bits()
+            );
+        }
+        out
+    }
+
+    fn pick<'a>(rng: &mut StdRng, items: &[&'a str]) -> &'a str {
+        items[rng.random_range(0..items.len())]
+    }
+
+    /// A cell for a data column: numbers, text that needs quoting, empty
+    /// and blank cells.
+    fn data_cell(rng: &mut StdRng) -> String {
+        match rng.random_range(0..6u32) {
+            0 => rng.random_range(-1000..1000i64).to_string(),
+            1 => format!("{}", rng.random_range(-1e6..1e6f64)),
+            2 => String::new(),
+            3 => pick(rng, &[" ", "  7 ", "1e3", "NaN", "inf", "-0"]).to_owned(),
+            4 => pick(rng, &["a,b", "say \"hi\"", "\"", ",", "x y"]).to_owned(),
+            _ => format!("t{}", rng.random_range(0..50u32)),
+        }
+    }
+
+    /// A generated table as CSV text: a shuffled header with `prob`, maybe
+    /// `rule` and quoted column names; rows whose rule labels repeat
+    /// (some needing quotes); blank and CRLF lines.
+    fn table_text(rng: &mut StdRng, size: usize) -> String {
+        let mut header = vec!["prob".to_owned()];
+        if rng.random_bool(0.8) {
+            header.push("rule".to_owned());
+        }
+        for c in 0..rng.random_range(0..4usize) {
+            header.push(if rng.random_bool(0.3) {
+                format!("c,{c}")
+            } else {
+                format!("c{c}")
+            });
+        }
+        for i in (1..header.len()).rev() {
+            let j = rng.random_range(0..=i);
+            header.swap(i, j);
+        }
+        let labels = ["a", "b", " b ", "x,y", "q\"r", "long label"];
+        let mut lines = vec![header.iter().fold(String::new(), |mut line, name| {
+            if !line.is_empty() {
+                line.push(',');
+            }
+            csv::push_field(&mut line, name);
+            line
+        })];
+        for _ in 0..size {
+            let mut line = String::new();
+            for (c, name) in header.iter().enumerate() {
+                if c > 0 {
+                    line.push(',');
+                }
+                let cell = match name.as_str() {
+                    "prob" => {
+                        // At most a sixth: most rule groups stay within
+                        // a mass of 1.
+                        let p = rng.random_range(0.01..=1.0f64) / 6.0;
+                        if rng.random_bool(0.2) {
+                            format!(" {p} ")
+                        } else {
+                            format!("{p}")
+                        }
+                    }
+                    "rule" if rng.random_bool(0.6) => pick(rng, &labels).to_owned(),
+                    "rule" => String::new(),
+                    _ => data_cell(rng),
+                };
+                csv::push_field(&mut line, &cell);
+            }
+            lines.push(line);
+            if rng.random_bool(0.1) {
+                lines.push(pick(rng, &["", " ", "\t", " \t "]).to_owned());
+            }
+        }
+        let mut text = String::new();
+        for line in &lines {
+            text.push_str(line);
+            text.push_str(if rng.random_bool(0.2) { "\r\n" } else { "\n" });
+        }
+        text
+    }
+
+    /// `text` with up to three of: a truncated line, a stray quote or
+    /// comma, a bad or out-of-range probability, an overfull rule.
+    fn mutate(rng: &mut StdRng, text: &str) -> String {
+        let mut lines: Vec<String> = text.split('\n').map(str::to_owned).collect();
+        for _ in 0..rng.random_range(1..=3u32) {
+            let at = rng.random_range(0..lines.len());
+            let line = &mut lines[at];
+            let cut = rng.random_range(0..=line.len());
+            let cut = (0..=cut).rev().find(|&i| line.is_char_boundary(i)).unwrap();
+            match rng.random_range(0..5u32) {
+                0 => line.truncate(cut),
+                1 => line.insert(cut, '"'),
+                2 => line.insert(cut, ','),
+                3 => {
+                    let bad = pick(rng, &["x", " x ", "0", "1.5", "NaN", "-0.1", "", "1e-400"]);
+                    let Some(comma) = line.find(',') else {
+                        continue;
+                    };
+                    // The first cell is the probability on half the headers.
+                    line.replace_range(..comma, bad);
+                }
+                _ => {
+                    // Two members of one rule worth 0.7 each.
+                    let row = line.clone();
+                    line.replace_range(
+                        ..row.find(',').unwrap_or(row.len()),
+                        pick(rng, &["0.7", "0.9"]),
+                    );
+                    let copy = line.clone();
+                    lines.insert(at, copy);
+                }
+            }
+        }
+        lines.join("\n")
+    }
+
+    fn outcome(loaded: Result<UncertainTable, String>) -> Result<String, String> {
+        loaded.map(|table| fingerprint(&table))
+    }
+
+    #[test]
+    fn one_pass_loader_matches_the_reference_loader() {
+        check(
+            "load_table == reference_load",
+            Config::cases(400).sizes(1, 40).seed(0x00c5_710a),
+            |rng, size| {
+                let text = table_text(rng, size);
+                let text = if rng.random_bool(0.6) {
+                    mutate(rng, &text)
+                } else {
+                    text
+                };
+                prop_assert_eq!(
+                    outcome(load_table(&text)),
+                    outcome(reference_load(&text)),
+                    "text:\n{text}"
+                );
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn generated_tables_mostly_load() {
+        // The property above must not be all errors: most unmutated
+        // tables load, with rules.
+        let mut rng = <StdRng as ptk_core::rng::SeedableRng>::seed_from_u64(3);
+        let (mut loaded, mut with_rules) = (0, 0);
+        for _ in 0..50 {
+            let text = table_text(&mut rng, 20);
+            if let Ok(table) = load_table(&text) {
+                loaded += 1;
+                with_rules += usize::from(!table.rules().is_empty());
+            }
+        }
+        assert!(loaded >= 45 && with_rules >= 20, "{loaded} {with_rules}");
+    }
 
     #[test]
     fn loads_the_panda_table() {
@@ -143,6 +501,62 @@ prob,rule,duration,rid
     }
 
     #[test]
+    fn empty_documents_and_arity_errors() {
+        assert_eq!(load_table("").unwrap_err(), "empty CSV document");
+        assert_eq!(load_table("\n \n\t\n").unwrap_err(), "empty CSV document");
+        assert_eq!(
+            load_table("prob,b\n1\n").unwrap_err(),
+            "line 2: 1 fields, header has 2"
+        );
+        assert_eq!(
+            load_table("prob,b\n\n0.5,1,2\n").unwrap_err(),
+            "line 3: 3 fields, header has 2"
+        );
+        assert_eq!(
+            load_table("prob,b\n0.5,\"x\n").unwrap_err(),
+            "line 2: unterminated quoted field"
+        );
+        assert_eq!(
+            load_table("\"prob\nx\n").unwrap_err(),
+            "header: unterminated quoted field"
+        );
+    }
+
+    #[test]
+    fn skips_blank_lines() {
+        let table = load_table("prob\n\n0.5\n  \n0.25\r\n\n").unwrap();
+        assert_eq!(table.len(), 2);
+        assert_eq!(table.tuple(TupleId::new(1)).membership().value(), 0.25);
+        // Blank lines count for `line N`, not for `row N`.
+        assert_eq!(
+            load_table("prob\n\n0.5\n\nx\n").unwrap_err(),
+            "row 2: bad probability 'x'"
+        );
+        assert_eq!(
+            load_table("prob\n\n0.5\n\n1,2\n").unwrap_err(),
+            "line 5: 2 fields, header has 1"
+        );
+    }
+
+    #[test]
+    fn syntax_errors_beat_value_errors_which_beat_rule_errors() {
+        // A bad probability on row 1 and an arity error on line 4.
+        let text = "prob,rule\nx,a\n0.7,a\n0.7,a,extra\n";
+        assert_eq!(
+            load_table(text).unwrap_err(),
+            "line 4: 3 fields, header has 2"
+        );
+        // A missing `prob` column and a stray quote on line 3.
+        assert_eq!(
+            load_table("a\n1\n\"2\"x\n").unwrap_err(),
+            "line 3: unexpected 'x' after closing quote"
+        );
+        // An overfull rule and a bad probability after it.
+        let err = load_table("prob,rule\n0.7,a\n0.7,a\n2,b\n").unwrap_err();
+        assert!(err.starts_with("row 3: "), "{err}");
+    }
+
+    #[test]
     fn bad_probability_reports_row() {
         let err = load_table("prob,a\nx,1\n").unwrap_err();
         assert!(err.contains("row 1"), "{err}");
@@ -163,19 +577,32 @@ prob,rule,duration,rid
     }
 
     #[test]
+    fn quoted_cells_and_labels_load_unquoted() {
+        let table = load_table("prob,rule,\"a,b\"\n0.5,\"x,y\",\"1,2\"\n\"0.25\",x,3\n").unwrap();
+        assert_eq!(table.columns(), &["a,b".to_owned()]);
+        assert_eq!(
+            table.tuple(TupleId::new(0)).attrs(),
+            &[Value::Text("1,2".into())]
+        );
+        assert_eq!(table.tuple(TupleId::new(1)).membership().value(), 0.25);
+        // `"x,y"` is one label, not `x`.
+        assert_eq!(table.rules().len(), 0);
+    }
+
+    #[test]
     fn save_load_roundtrip() {
         let table = load_table(PANDA).unwrap();
         let saved = save_table(&table);
         let reloaded = load_table(&saved).unwrap();
-        assert_eq!(reloaded.len(), table.len());
-        assert_eq!(reloaded.rules().len(), table.rules().len());
-        for i in 0..table.len() {
-            let id = TupleId::new(i);
-            assert_eq!(
-                reloaded.tuple(id).membership(),
-                table.tuple(id).membership()
-            );
-            assert_eq!(reloaded.tuple(id).attrs(), table.tuple(id).attrs());
-        }
+        assert_eq!(fingerprint(&reloaded), fingerprint(&table));
+    }
+
+    #[test]
+    fn save_quotes_only_text_that_needs_it() {
+        let table = load_table("prob,\"n,m\",t\n0.5,,\"a,b\"\n1,2.5,\"say \"\"hi\"\"\"\n").unwrap();
+        assert_eq!(
+            save_table(&table),
+            "prob,rule,\"n,m\",t\n0.5,,,\"a,b\"\n1,,2.5,\"say \"\"hi\"\"\"\n"
+        );
     }
 }

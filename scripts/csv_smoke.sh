@@ -1,0 +1,87 @@
+#!/usr/bin/env bash
+# Hostile CSV input through `ptk query` and `ptk sql`, exactly as CI runs it.
+#
+# Each file of the corpus but the first (a valid table) carries one fault
+# the loader must report as a clean error: broken quoting, a wrong field
+# count, a missing `prob` column, an empty or header-only file, bad or
+# out-of-range probabilities, an overfull rule, invalid UTF-8, NUL bytes,
+# a 1 MB line, and a syntax error after a bad probability (the syntax
+# error wins). Both commands' stdout, stderr and exit code must match the
+# golden transcript next to this script byte for byte, and no run may
+# panic (exit 101).
+#
+# Usage: scripts/csv_smoke.sh [path-to-ptk-binary] [transcript-out]
+# With a second argument the transcript is written there instead of
+# compared, to capture a new golden.
+set -euo pipefail
+
+PTK="$(realpath "${1:-./target/release/ptk}")"
+GOLDEN="$(cd "$(dirname "$0")" && pwd)/csv_smoke.golden"
+OUT="${2:+$(realpath -m "$2")}"
+WORK="$(mktemp -d)"
+trap 'rm -rf "$WORK"' EXIT
+# Errors name the file as given: relative names read the same everywhere.
+cd "$WORK"
+
+printf 'prob,rule,score\n0.5,a,3\n0.4,a,2\n0.9,,1\n' > valid.csv
+printf 'prob,score\n0.5,"1\n' > unterminated_quote.csv
+printf 'prob,score\n0.5,"1"x\n' > text_after_quote.csv
+printf 'prob,score\n0.5\n' > arity.csv
+printf 'p,score\n0.5,1\n' > missing_prob.csv
+printf '' > empty.csv
+printf 'prob,score\n' > header_only.csv
+printf 'prob,score\nx,1\n' > prob_x.csv
+printf 'prob,score\n0,1\n' > prob_zero.csv
+printf 'prob,score\n1.5,1\n' > prob_above_one.csv
+printf 'prob,score\nNaN,1\n' > prob_nan.csv
+printf 'prob,rule,score\n0.7,a,1\n0.7,a,2\n' > overfull_rule.csv
+printf 'prob,score\n0.5,\xff\n' > invalid_utf8.csv
+printf 'prob,score\n0.5\0,1\n' > nul_bytes.csv
+{
+  printf 'prob,score\n0.5,'
+  head -c 1000000 /dev/zero | tr '\0' a
+  printf ',1\n'
+} > long_line.csv
+printf 'prob,score\nx,1\n0.5,1,2\n' > syntax_after_bad_prob.csv
+
+CASES=(valid unterminated_quote text_after_quote arity missing_prob empty
+  header_only prob_x prob_zero prob_above_one prob_nan overfull_rule
+  invalid_utf8 nul_bytes long_line syntax_after_bad_prob)
+STMT='SELECT TOP 2 FROM t ORDER BY score WITH PROBABILITY >= 0.3'
+
+panics=0
+for name in "${CASES[@]}"; do
+  for command in query sql; do
+    if [[ $command == query ]]; then
+      argv=(query "$name.csv" --k 2 --p 0.3 --rank-by score)
+    else
+      argv=(sql "$name.csv" "$STMT")
+    fi
+    code=0
+    "$PTK" "${argv[@]}" > stdout 2> stderr || code=$?
+    if [[ $code -eq 101 ]]; then
+      echo "PANIC: $name $command" >&2
+      panics=$((panics + 1))
+    fi
+    {
+      echo "== $name $command: exit $code"
+      echo "-- stdout"
+      cat stdout
+      echo "-- stderr"
+      cat stderr
+    } >> transcript
+  done
+done
+[[ $panics -eq 0 ]] || { echo "FAIL: $panics runs panicked" >&2; exit 1; }
+
+if [[ -n "$OUT" ]]; then
+  cp transcript "$OUT"
+  echo "csv smoke: transcript written to $OUT"
+  exit 0
+fi
+if ! cmp -s transcript "$GOLDEN"; then
+  echo "FAIL: output differs from $GOLDEN" >&2
+  diff -a "$GOLDEN" transcript | head -40 >&2 || true
+  exit 1
+fi
+echo "csv smoke: OK (${#CASES[@]} files, query and sql)"
