@@ -35,7 +35,7 @@ pub(super) fn cmd_generate(flags: &Flags, out: &mut dyn Write) -> Result<(), Cmd
                 placement,
                 ..Default::default()
             };
-            SyntheticDataset::generate(&config).table
+            SyntheticDataset::try_generate(&config)?.table
         }
         "iip" if flags.named.contains_key("rule-span") => {
             return Err("--rule-span applies to generate synthetic only".into())
@@ -46,7 +46,7 @@ pub(super) fn cmd_generate(flags: &Flags, out: &mut dyn Write) -> Result<(), Cmd
                 rules: flags.get("rules")?.unwrap_or(200),
                 seed,
             };
-            IipDataset::generate(&config).table
+            IipDataset::try_generate(&config)?.table
         }
         other => return Err(format!("unknown generator '{other}' (synthetic | iip)").into()),
     };

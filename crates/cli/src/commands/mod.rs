@@ -1615,6 +1615,42 @@ mod tests {
         assert!(err.contains("pack takes no --asc"), "{err}");
     }
 
+    /// A generator asked for more rule members than tuples refuses the
+    /// request (exit 1) instead of panicking (exit 101).
+    #[test]
+    fn generate_refuses_more_rule_members_than_tuples() {
+        let err = dispatch(&args(&[
+            "generate",
+            "synthetic",
+            "--tuples",
+            "5",
+            "--rules",
+            "2",
+        ]))
+        .unwrap_err();
+        assert!(
+            err.ends_with(" rule members exceed 5 tuples; lower `rules` or `rule_size_mean`"),
+            "{err}"
+        );
+        let err =
+            dispatch(&args(&["generate", "iip", "--tuples", "5", "--rules", "3"])).unwrap_err();
+        assert!(err.ends_with("rule members exceed 5 tuples"), "{err}");
+        // Packing straight to a run file checks first, too.
+        let run = tempfile::path("run");
+        let err = dispatch(&args(&[
+            "generate",
+            "synthetic",
+            "--tuples",
+            "5",
+            "--rules",
+            "2",
+            "--out",
+            run.as_str(),
+        ]))
+        .unwrap_err();
+        assert!(err.contains("exceed 5 tuples"), "{err}");
+    }
+
     /// `query` reads `--no-prune` and `--threads` on the exact engine only,
     /// and `--seed` under sampling only: on every other path each is
     /// refused, never dropped.

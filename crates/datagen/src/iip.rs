@@ -78,8 +78,15 @@ impl IipDataset {
     /// Generates the dataset.
     ///
     /// # Panics
-    /// Panics if the configuration would need more rule members than tuples.
+    /// Panics if the configuration would need more rule members than
+    /// tuples; see [`IipDataset::try_generate`].
     pub fn generate(config: &IipConfig) -> IipDataset {
+        IipDataset::try_generate(config).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`IipDataset::generate`], refusing a configuration whose drawn rule
+    /// sizes need more rule members than it has tuples.
+    pub fn try_generate(config: &IipConfig) -> Result<IipDataset, String> {
         let mut rng = StdRng::seed_from_u64(config.seed);
 
         // Rule sizes: mostly 2–3 co-sightings, occasionally up to 10
@@ -91,12 +98,12 @@ impl IipDataset {
             })
             .collect();
         let dependent: usize = sizes.iter().sum();
-        assert!(
-            dependent <= config.tuples,
-            "{} rule members exceed {} tuples",
-            dependent,
-            config.tuples
-        );
+        if dependent > config.tuples {
+            return Err(format!(
+                "{dependent} rule members exceed {} tuples",
+                config.tuples
+            ));
+        }
 
         let columns = vec![
             "drifted_days".to_owned(),
@@ -186,13 +193,26 @@ impl IipDataset {
         let table = builder.finish().expect("synthesized table is valid");
         let query = TopKQuery::top(1, Ranking::descending(0));
         let view = RankedView::build(&table, &query).expect("numeric drift column");
-        IipDataset { table, view }
+        Ok(IipDataset { table, view })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn try_generate_refuses_overfull_rules() {
+        let config = IipConfig {
+            tuples: 5,
+            rules: 3,
+            seed: 0,
+        };
+        let err = IipDataset::try_generate(&config).unwrap_err();
+        assert!(err.ends_with("rule members exceed 5 tuples"), "{err}");
+        let result = std::panic::catch_unwind(|| IipDataset::generate(&config));
+        assert!(result.is_err(), "generate keeps panicking");
+    }
 
     #[test]
     fn default_shape_matches_paper() {

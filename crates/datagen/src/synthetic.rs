@@ -132,8 +132,15 @@ impl SyntheticDataset {
     /// random weights either way.
     ///
     /// # Panics
-    /// Panics if `config` asks for more rule members than tuples.
+    /// Panics if `config` asks for more rule members than tuples; see
+    /// [`SyntheticDataset::try_generate`].
     pub fn generate(config: &SyntheticConfig) -> SyntheticDataset {
+        SyntheticDataset::try_generate(config).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`SyntheticDataset::generate`], refusing a `config` whose drawn rule
+    /// sizes need more rule members than it has tuples.
+    pub fn try_generate(config: &SyntheticConfig) -> Result<SyntheticDataset, String> {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let n = config.tuples;
 
@@ -146,12 +153,11 @@ impl SyntheticDataset {
             })
             .collect();
         let dependent: usize = sizes.iter().sum();
-        assert!(
-            dependent <= n,
-            "{} rule members exceed {} tuples; lower `rules` or `rule_size_mean`",
-            dependent,
-            n
-        );
+        if dependent > n {
+            return Err(format!(
+                "{dependent} rule members exceed {n} tuples; lower `rules` or `rule_size_mean`"
+            ));
+        }
 
         // Member placement. Both arms yield the rule member groups (each
         // sorted ascending) and the independent positions, in the exact
@@ -270,11 +276,11 @@ impl SyntheticDataset {
         let table = builder.finish().expect("generated table is valid");
         let query = TopKQuery::top(1, Ranking::descending(0));
         let view = RankedView::build(&table, &query).expect("single numeric column");
-        SyntheticDataset {
+        Ok(SyntheticDataset {
             table,
             view,
             config: *config,
-        }
+        })
     }
 }
 
@@ -473,6 +479,24 @@ mod tests {
             ..Default::default()
         };
         let _ = SyntheticDataset::generate(&config);
+    }
+
+    #[test]
+    fn try_generate_refuses_overfull_rules_and_matches_generate() {
+        let overfull = SyntheticConfig {
+            tuples: 10,
+            rules: 10,
+            ..Default::default()
+        };
+        let err = SyntheticDataset::try_generate(&overfull).unwrap_err();
+        assert!(err.ends_with("rule members exceed 10 tuples; lower `rules` or `rule_size_mean`"));
+        let config = SyntheticConfig {
+            tuples: 300,
+            rules: 20,
+            ..Default::default()
+        };
+        let tried = SyntheticDataset::try_generate(&config).unwrap();
+        assert_eq!(tried.view, SyntheticDataset::generate(&config).view);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!
 //! Rows are manipulated by three primitives:
 //! * [`convolve_in_place`] — add one element (`Pr(S ∪ {t}, ·)` from
-//!   `Pr(S, ·)`), the recurrence of Theorem 2;
+//!   `Pr(S, ·)`), the recurrence of Theorem 2; [`convolve_into`] writes the
+//!   same bits into another row;
 //! * [`deconvolve`] — remove one element, used to bound the top-k
 //!   probability of future tuples that exclude their own rule-tuple;
 //! * [`partial_sum`] — `Σ_{j<k} Pr(S, j)`, the factor in Eq. 4.
@@ -36,10 +37,33 @@ pub fn convolve_in_place(row: &mut [f64], q: f64) {
     row[0] *= not_q;
 }
 
+/// Out-of-place [`convolve_in_place`]: writes `Pr(S ∪ {t}, ·)` into `out`
+/// from `Pr(S, ·)` in `row`.
+///
+/// Each cell is the same two products and one sum, in the same order, as
+/// copying `row` into `out` and convolving the copy in place, so `out`
+/// holds exactly those bits (pinned in `tests/dp_convolve.rs`) without the
+/// copy.
+///
+/// # Panics
+/// Panics if the rows differ in length.
+#[inline]
+pub fn convolve_into(row: &[f64], out: &mut [f64], q: f64) {
+    debug_assert!((0.0..=1.0).contains(&q));
+    assert_eq!(row.len(), out.len(), "rows must have the same length");
+    let not_q = 1.0 - q;
+    if let (Some(first), Some(&head)) = (out.first_mut(), row.first()) {
+        *first = head * not_q;
+    }
+    for (cell, pair) in out.iter_mut().skip(1).zip(row.windows(2)) {
+        *cell = pair[0] * q + pair[1] * not_q;
+    }
+}
+
 /// Out-of-place version of [`convolve_in_place`].
 pub fn convolve(row: &[f64], q: f64) -> Vec<f64> {
-    let mut out = row.to_vec();
-    convolve_in_place(&mut out, q);
+    let mut out = vec![0.0; row.len()];
+    convolve_into(row, &mut out, q);
     out
 }
 

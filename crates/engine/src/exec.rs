@@ -245,8 +245,9 @@ impl<'a> PtkExecutor<'a> {
         // Theorem 3 state: the largest membership probability among failed
         // independent tuples scanned so far.
         let mut failed_member_max = 0.0f64;
-        // Theorem 3(2) / Theorem 4 state, per rule.
-        let mut rule_fail: HashMap<RuleKey, RuleFail> = HashMap::new();
+        // Theorem 3(2) / Theorem 4 state, per rule, by the rule's slot in
+        // the compressor.
+        let mut rule_fail: Vec<RuleFail> = Vec::new();
         let mut last_score = f64::INFINITY;
         // Probability stripe of block-skipped records (reused across skips).
         let mut skip_probs: Vec<f64> = Vec::new();
@@ -328,22 +329,29 @@ impl<'a> PtkExecutor<'a> {
             last_score = tuple.score;
             let rank = stats.scanned;
             stats.scanned += 1;
+            // The tuple's rule and its slot in the compressor, resolved
+            // once for every check below.
+            let rule = tuple.rule.map(|key| (key, comp.slot(key)));
+            let slot = rule.map(|(_, slot)| slot);
 
             // Pruning decision (Theorems 3 and 4).
             let mut pruned_membership = false;
             let mut pruned_rule = false;
             let mut prune_rule_fired = None;
             if options.pruning {
-                match tuple.rule {
+                match rule {
                     None => {
                         pruned_membership = tuple.prob <= failed_member_max;
                         if pruned_membership {
                             prune_rule_fired = Some(PruneRule::Theorem3Membership);
                         }
                     }
-                    Some(key) => {
-                        let first_encounter = comp.absorbed(key) == 0;
-                        let rf = rule_fail.entry(key).or_default();
+                    Some((key, slot)) => {
+                        let first_encounter = comp.slot_absorbed(slot) == 0;
+                        if rule_fail.len() <= slot as usize {
+                            rule_fail.resize(slot as usize + 1, RuleFail::default());
+                        }
+                        let rf = &mut rule_fail[slot as usize];
                         // First encounter of the rule: Theorem 3(2), when
                         // the source knows the rule's total mass.
                         if first_encounter {
@@ -384,7 +392,7 @@ impl<'a> PtkExecutor<'a> {
                 }
                 probabilities.push(None);
             } else {
-                comp.build_timed(tuple.rule, &mut reorder_clock, &mut dp_clock);
+                comp.build_timed(slot, &mut reorder_clock, &mut dp_clock);
                 let prk = tuple.prob * dp::partial_sum(comp.last_row());
                 stats.evaluated += 1;
                 probabilities.push(Some(prk));
@@ -400,10 +408,10 @@ impl<'a> PtkExecutor<'a> {
                         t.instant(Mark::Answer { rank: rank as u64 });
                     }
                 } else if options.pruning {
-                    match tuple.rule {
+                    match slot {
                         None => failed_member_max = failed_member_max.max(tuple.prob),
-                        Some(key) => {
-                            let rf = rule_fail.entry(key).or_default();
+                        Some(slot) => {
+                            let rf = &mut rule_fail[slot as usize];
                             rf.failed_member_max = rf.failed_member_max.max(tuple.prob);
                         }
                     }
@@ -412,20 +420,23 @@ impl<'a> PtkExecutor<'a> {
 
             // Fold the tuple into the pool, with whatever layout hints the
             // source can give.
-            let (rule_len, next_member_rank) = match tuple.rule {
-                Some(key) => (
+            let (rule_len, next_member_rank) = match rule {
+                Some((key, slot)) => (
                     source.rule_len(key),
-                    source.rule_member_rank(key, comp.absorbed(key) as usize + 1),
+                    source.rule_member_rank(key, comp.slot_absorbed(slot) as usize + 1),
                 ),
                 None => (None, None),
             };
-            comp.absorb(AbsorbSpec {
-                tag: rank,
-                prob: tuple.prob,
-                rule: tuple.rule,
-                rule_len,
-                next_member_rank,
-            });
+            comp.absorb_slot(
+                AbsorbSpec {
+                    tag: rank,
+                    prob: tuple.prob,
+                    rule: tuple.rule,
+                    rule_len,
+                    next_member_rank,
+                },
+                slot,
+            );
 
             if options.pruning {
                 // Theorem 5: the total top-k probability over all tuples is
@@ -1302,7 +1313,8 @@ fn run_segment(
     for rank in task.start..task.end {
         let rec = &layout.tuples[rank];
         let tuple = rec.tuple;
-        comp.build_timed(tuple.rule, &mut reorder_clock, &mut dp_clock);
+        let slot = tuple.rule.map(|key| comp.slot(key));
+        comp.build_timed(slot, &mut reorder_clock, &mut dp_clock);
         let prk = tuple.prob * dp::partial_sum(comp.last_row());
         probabilities.push(prk);
         if prk >= threshold {
@@ -1313,13 +1325,16 @@ fn run_segment(
                 probability: prk,
             });
         }
-        comp.absorb(AbsorbSpec {
-            tag: rank,
-            prob: tuple.prob,
-            rule: tuple.rule,
-            rule_len: rec.rule_len,
-            next_member_rank: rec.next_member_rank,
-        });
+        comp.absorb_slot(
+            AbsorbSpec {
+                tag: rank,
+                prob: tuple.prob,
+                rule: tuple.rule,
+                rule_len: rec.rule_len,
+                next_member_rank: rec.next_member_rank,
+            },
+            slot,
+        );
     }
     SegmentOutcome {
         probabilities,

@@ -313,15 +313,20 @@ pub(crate) struct Compressor {
     variant: SharingVariant,
     /// Entry list of the most recent *built* step.
     entries: Vec<PoolEntry>,
-    /// `rows[m]` is the DP row after `entries[..m]`; `rows.len() == entries.len() + 1`.
-    rows: Vec<Vec<f64>>,
+    /// The DP rows of the built list in one arena of `k`-cell rows: row
+    /// `m`, the DP row after `entries[..m]`, starts at cell
+    /// `(m − first_row)·k`, for `first_row ≤ m ≤ entries.len()`. The arena
+    /// never shrinks; cells past the last row are left over from a longer
+    /// list and never read, so a refold allocates only when the list
+    /// outgrows every earlier one.
+    rows: Vec<f64>,
+    /// The first stored row: 0, except in a compressor seeded at a segment
+    /// boundary, which stores the boundary row alone
+    /// ([`Compressor::from_boundary`]).
+    first_row: usize,
     /// `RC+LR` bookkeeping: `list_stable[m]` counts the stable items among
-    /// `entries[..m]`, so `list_stable.len() == rows.len()`.
+    /// `entries[..m]`, so `list_stable.len() == entries.len() + 1`.
     list_stable: Vec<usize>,
-    /// Freelist of retired row buffers (all length `k`), so recomputing a
-    /// suffix recycles the truncated rows' allocations instead of hitting
-    /// the allocator once per entry.
-    spare_rows: Vec<Vec<f64>>,
     /// Stable-group items in availability order.
     stable: Vec<StableItem>,
     /// [`Compressor::pool_row`]'s cache: the DP row of
@@ -365,9 +370,9 @@ impl Compressor {
             k,
             variant,
             entries: Vec::new(),
-            rows: vec![dp::unit_row(k)],
+            rows: dp::unit_row(k),
+            first_row: 0,
             list_stable: vec![0],
-            spare_rows: Vec::new(),
             stable: Vec::new(),
             stable_row: dp::unit_row(k),
             stable_folded: 0,
@@ -401,10 +406,10 @@ impl Compressor {
     /// every [`SharingVariant`]. That own rule completed at `boundary - 1`,
     /// so no open rule waits to be appended and none of the list's entries
     /// is stale: the sequential scan's next build keeps the whole list,
-    /// as this one's does. The DP rows *under* the last one are seeded as
-    /// placeholders: `RC` rebuilds from `rows[0]` (the unit row) anyway,
-    /// and the prefix-sharing variants keep `rows[..=entry_count]` intact
-    /// and only ever read the last, so no placeholder is read and the
+    /// as this one's does. Only that last DP row is stored
+    /// (`first_row = entry_count`): `RC` refolds from row 0, which restarts
+    /// at the unit row, and the prefix-sharing variants keep
+    /// `rows[..=entry_count]` intact and only ever read the last, so the
     /// forked state stays bit-identical to the sequential one.
     ///
     /// Counters start at zero: the seeded prefix's DP work was already
@@ -451,18 +456,47 @@ impl Compressor {
             comp.push_entry(entry, true);
         }
         if entry_count > 0 {
-            // `rows[0]` stays the unit row; only the last row is real.
-            comp.rows.extend((1..entry_count).map(|_| Vec::new()));
-            comp.rows.push(boundary_row.to_vec());
+            debug_assert_eq!(boundary_row.len(), k);
+            comp.rows = boundary_row.to_vec();
+            comp.first_row = entry_count;
         }
         comp
+    }
+
+    /// The dense slot of `rule`'s state, registering the rule at first
+    /// sight. A scan resolves each tuple's rule once and hands the slot to
+    /// [`Compressor::slot_absorbed`], [`Compressor::build_timed`] and
+    /// [`Compressor::absorb_slot`]. Every scanned tuple is absorbed, so a
+    /// rule's first sight is its first absorption and slots keep
+    /// first-absorption order; the rule opens when that absorption comes.
+    pub(crate) fn slot(&mut self, rule: RuleKey) -> u32 {
+        let states = &mut self.rule_states;
+        *self.rule_index.entry(rule).or_insert_with(|| {
+            states.push(RuleState {
+                key: rule,
+                mass: 0.0,
+                absorbed: 0,
+                last_touch: 0,
+                next_rank: None,
+                len: None,
+                completed: false,
+                list_pos: NOT_LISTED,
+                touched: false,
+            });
+            (states.len() - 1) as u32
+        })
     }
 
     /// How many members of `rule` have been absorbed so far.
     pub(crate) fn absorbed(&self, rule: RuleKey) -> u32 {
         self.rule_index
             .get(&rule)
-            .map_or(0, |&i| self.rule_states[i as usize].absorbed)
+            .map_or(0, |&i| self.slot_absorbed(i))
+    }
+
+    /// How many members of the rule at `slot` have been absorbed so far.
+    pub(crate) fn slot_absorbed(&self, slot: u32) -> u32 {
+        self.rule_states[slot as usize].absorbed
     }
 
     /// The absorbed mass of `rule` (0 when the rule has not been seen).
@@ -497,10 +531,16 @@ impl Compressor {
         &self.entries
     }
 
+    /// The DP row after `entries[..m]`, for `first_row ≤ m ≤ entries.len()`.
+    fn row(&self, m: usize) -> &[f64] {
+        let at = (m - self.first_row) * self.k;
+        &self.rows[at..at + self.k]
+    }
+
     /// The DP row of the most recently built step:
     /// `row[j] = Pr(T(t_i), j)` for `j < k`.
     pub(crate) fn last_row(&self) -> &[f64] {
-        self.rows.last().expect("rows never empty")
+        self.row(self.entries.len())
     }
 
     /// Builds the compressed dominant set of a tuple belonging to
@@ -508,24 +548,26 @@ impl Compressor {
     /// DP rows, reusing the rows of the longest prefix shared with the
     /// previous list (none under `RC`).
     pub(crate) fn build(&mut self, own_rule: Option<RuleKey>) {
-        let shared = self.reorder(own_rule);
+        let own = own_rule.and_then(|key| self.rule_index.get(&key).copied());
+        let shared = self.reorder(own);
         self.refold(shared);
     }
 
-    /// [`Compressor::build`], timing the list under `reorder_clock` and the
+    /// [`Compressor::build`] for a tuple of the rule at slot `own` (see
+    /// [`Compressor::slot`]), timing the list under `reorder_clock` and the
     /// DP rows under `dp_clock`.
     pub(crate) fn build_timed(
         &mut self,
-        own_rule: Option<RuleKey>,
+        own: Option<u32>,
         reorder_clock: &mut PhaseClock,
         dp_clock: &mut PhaseClock,
     ) {
-        let shared = reorder_clock.time(|| self.reorder(own_rule));
+        let shared = reorder_clock.time(|| self.reorder(own));
         dp_clock.time(|| self.refold(shared));
     }
 
-    /// Rewrites the entry list for a tuple of `own_rule` and returns how
-    /// many leading entries keep their DP rows.
+    /// Rewrites the entry list for a tuple of the rule at slot `own` and
+    /// returns how many leading entries keep their DP rows.
     ///
     /// The list is the whole pool in canonical order: the stable items in
     /// availability order, then the open rule-tuples other than the own
@@ -534,8 +576,7 @@ impl Compressor {
     /// and `RC+AR` rebuild it at every step; `RC+LR` keeps a prefix of the
     /// previous list and appends the rest in that order
     /// ([`Compressor::reorder_lazy`]).
-    fn reorder(&mut self, own_rule: Option<RuleKey>) -> usize {
-        let own = own_rule.and_then(|key| self.rule_index.get(&key).copied());
+    fn reorder(&mut self, own: Option<u32>) -> usize {
         match self.variant {
             SharingVariant::Rc => {
                 self.entries = self.canonical_list(own);
@@ -603,8 +644,13 @@ impl Compressor {
             let entry = self.stable_entry(self.stable[s]);
             self.push_entry(entry, true);
         }
+        // Only open rules are listed: neither a completed one nor one whose
+        // slot was resolved for a build ahead of its first absorption.
         let states = &self.rule_states;
-        queued.retain(|&idx| !states[idx as usize].completed && Some(idx) != own);
+        queued.retain(|&idx| {
+            let rs = &states[idx as usize];
+            rs.absorbed > 0 && !rs.completed && Some(idx) != own
+        });
         queued.sort_unstable_by_key(|&idx| self.open_order(idx));
         queued.dedup();
         for &idx in &queued {
@@ -632,28 +678,30 @@ impl Compressor {
     }
 
     /// Recomputes the DP rows of `entries[shared..]`, keeping
-    /// `rows[..=shared]`.
+    /// `rows[..=shared]`, each straight from its predecessor.
     fn refold(&mut self, shared: usize) {
-        let recomputed = self.entries.len() - shared;
+        let k = self.k;
+        let mut start = shared;
+        if start < self.first_row {
+            // A seeded compressor stores no row under its boundary: fold
+            // from the unit row (`RC` restarts at row 0 on every build).
+            self.rows[..k].fill(0.0);
+            self.rows[0] = 1.0;
+            self.first_row = 0;
+            start = 0;
+        }
+        let end = self.entries.len();
+        let recomputed = end - start;
         self.entries_recomputed += recomputed as u64;
-        self.dp_cells += (recomputed * self.k) as u64;
-        self.spare_rows.extend(self.rows.drain(shared + 1..));
-        for m in shared..self.entries.len() {
-            // Recycle a retired buffer when one is free; copying the last
-            // row into it is the same f64 sequence as cloning it, so the
-            // DP stays bit-identical either way.
-            let spare = self.spare_rows.pop();
-            let last = self.rows.last().expect("rows never empty");
-            let mut row = match spare {
-                Some(mut buf) => {
-                    buf.clear();
-                    buf.extend_from_slice(last);
-                    buf
-                }
-                None => last.clone(),
-            };
-            dp::convolve_in_place(&mut row, self.entries[m].mass());
-            self.rows.push(row);
+        self.dp_cells += (recomputed * k) as u64;
+        let cells = (end + 1 - self.first_row) * k;
+        if self.rows.len() < cells {
+            self.rows.resize(cells, 0.0);
+        }
+        for m in start..end {
+            let at = (m - self.first_row) * k;
+            let (done, next) = self.rows.split_at_mut(at + k);
+            dp::convolve_into(&done[at..], &mut next[..k], self.entries[m].mass());
         }
     }
 
@@ -690,35 +738,31 @@ impl Compressor {
     /// Folds a scanned tuple into the pool (after its evaluation, or as the
     /// only action when it was pruned).
     pub(crate) fn absorb(&mut self, spec: AbsorbSpec) {
+        let slot = spec.rule.map(|key| self.slot(key));
+        self.absorb_slot(spec, slot);
+    }
+
+    /// [`Compressor::absorb`] for a tuple of the rule at `slot` (see
+    /// [`Compressor::slot`]).
+    pub(crate) fn absorb_slot(&mut self, spec: AbsorbSpec, slot: Option<u32>) {
         self.step += 1;
-        match spec.rule {
+        debug_assert_eq!(
+            spec.rule,
+            slot.map(|idx| self.rule_states[idx as usize].key)
+        );
+        match slot {
             None => self.stable.push(StableItem::Indep {
                 tag: spec.tag,
                 prob: spec.prob,
             }),
-            Some(key) => {
-                let idx = match self.rule_index.get(&key) {
-                    Some(&i) => i,
-                    None => {
-                        let i = self.rule_states.len() as u32;
-                        self.rule_states.push(RuleState {
-                            key,
-                            mass: 0.0,
-                            absorbed: 0,
-                            last_touch: 0,
-                            next_rank: None,
-                            len: None,
-                            completed: false,
-                            list_pos: NOT_LISTED,
-                            touched: false,
-                        });
-                        let states = &self.rule_states;
-                        let pos = self.open.partition_point(|&j| states[j as usize].key < key);
-                        self.open.insert(pos, i);
-                        self.rule_index.insert(key, i);
-                        i
-                    }
-                };
+            Some(idx) => {
+                if self.rule_states[idx as usize].absorbed == 0 {
+                    // The rule's first member: it opens.
+                    let states = &self.rule_states;
+                    let key = states[idx as usize].key;
+                    let pos = self.open.partition_point(|&j| states[j as usize].key < key);
+                    self.open.insert(pos, idx);
+                }
                 let rs = &mut self.rule_states[idx as usize];
                 if rs.completed {
                     // The source understated the rule's length: a stable
@@ -1490,8 +1534,10 @@ pub(crate) mod tests {
     /// reference: `desired_list` rebuilt the whole list — under `RC+LR`
     /// the valid prefix found by walking the previous list, then every
     /// pool item not in it in canonical order — and `recompute` refolded
-    /// the rows after the longest common prefix.
-    fn reference_build(comp: &mut Compressor, own_rule: Option<RuleKey>) {
+    /// the rows after the longest common prefix, each a clone of its
+    /// predecessor convolved in place. `rows[m]` is the row after
+    /// `entries[..m]`; `comp`'s own arena is left alone.
+    fn reference_build(comp: &mut Compressor, rows: &mut Vec<Vec<f64>>, own_rule: Option<RuleKey>) {
         let desired = reference_desired_list(comp, own_rule);
         let prefix = match comp.variant {
             SharingVariant::Rc => 0,
@@ -1502,13 +1548,95 @@ pub(crate) mod tests {
         let recomputed = desired.len() - prefix;
         comp.entries_recomputed += recomputed as u64;
         comp.dp_cells += (recomputed * comp.k) as u64;
-        comp.rows.truncate(prefix + 1);
+        rows.truncate(prefix + 1);
         for e in &desired[prefix..] {
-            let mut row = comp.rows.last().expect("rows never empty").clone();
+            let mut row = rows.last().expect("rows never empty").clone();
             dp::convolve_in_place(&mut row, e.mass());
-            comp.rows.push(row);
+            rows.push(row);
         }
         comp.entries = desired;
+    }
+
+    /// A scan that ends at a rule-closed cut: independents, and rules
+    /// whose 1–3 members arrive back to back under their true length, so
+    /// each completes before the next item starts. Rule keys count up from
+    /// `first_key`.
+    fn closed_prefix(rng: &mut StdRng, size: usize, first_key: u32) -> Vec<AbsorbSpec> {
+        let mut specs: Vec<AbsorbSpec> = Vec::new();
+        for item in 0..rng.random_range(1..=size) as u32 {
+            let rank = specs.len();
+            if rng.random_bool(0.5) {
+                let prob = match rng.random_range(0..6u32) {
+                    0 => 1.0,
+                    1 => 1e-9,
+                    _ => rng.random_range(0.01..=1.0f64),
+                };
+                specs.push(AbsorbSpec {
+                    tag: rank,
+                    prob,
+                    rule: None,
+                    rule_len: None,
+                    next_member_rank: None,
+                });
+                continue;
+            }
+            let members = rng.random_range(1..=3usize);
+            let total = 1.0 - GUARD_DELTAS[rng.random_range(0..GUARD_DELTAS.len())];
+            let total = if rng.random_bool(0.5) {
+                total
+            } else {
+                rng.random_range(0.05..=1.0f64)
+            };
+            specs.extend((0..members).map(|m| AbsorbSpec {
+                tag: rank + m,
+                prob: total / members as f64,
+                rule: Some(RuleKey(first_key + item)),
+                rule_len: Some(members),
+                next_member_rank: (m + 1 < members).then_some(rank + m + 1),
+            }));
+        }
+        specs
+    }
+
+    /// A sequential compressor run through `prefix` with every tuple built
+    /// for (pruning off), through [`reference_build`], and the compressor
+    /// [`Compressor::from_boundary`] seeds at the end of it from the
+    /// sequential state: its stable items, its last list's length and its
+    /// last row.
+    fn seeded_at_cut(
+        k: usize,
+        variant: SharingVariant,
+        prefix: &[AbsorbSpec],
+    ) -> (Compressor, Vec<Vec<f64>>, Compressor) {
+        let mut sequential = Compressor::new(k, variant);
+        let mut rows = vec![dp::unit_row(k)];
+        let mut stables: Vec<StableRecord> = Vec::new();
+        for (rank, spec) in prefix.iter().enumerate() {
+            reference_build(&mut sequential, &mut rows, spec.rule);
+            sequential.absorb(*spec);
+            for item in &sequential.stable[stables.len()..] {
+                let seed = match *item {
+                    StableItem::Indep { tag, prob } => StableSeed::Indep { tag, prob },
+                    StableItem::CompletedRule(idx) => {
+                        let rs = &sequential.rule_states[idx as usize];
+                        StableSeed::Rule {
+                            key: rs.key,
+                            absorbed: rs.absorbed,
+                            mass: rs.mass,
+                        }
+                    }
+                };
+                stables.push(StableRecord {
+                    avail_rank: rank,
+                    seed,
+                });
+            }
+        }
+        assert!(!sequential.has_open_rule(), "the prefix ends at a cut");
+        let entry_count = sequential.entries.len();
+        let seeded =
+            Compressor::from_boundary(k, variant, &stables, entry_count, &rows[entry_count]);
+        (sequential, rows, seeded)
     }
 
     fn reference_desired_list(comp: &Compressor, own_rule: Option<RuleKey>) -> Vec<PoolEntry> {
@@ -1897,45 +2025,82 @@ pub(crate) mod tests {
     #[test]
     fn incremental_build_matches_the_rebuilding_reference() {
         let builds = Cell::new(0u64);
+        // Builds checked on a seeded compressor, per variant.
+        let seeded_builds = Cell::new([0u64; 3]);
         check(
             "build == desired_list + recompute: entries, row bits, counters",
             Config::cases(3000).sizes(1, 32).seed(0x9001_0004),
             |rng, size| {
-                let (k, specs) = random_scan(rng, size);
-                let variant = VARIANTS[rng.random_range(0..VARIANTS.len())];
-                let mut fast = Compressor::new(k, variant);
-                let mut slow = Compressor::new(k, variant);
-                let rules: Vec<RuleKey> = specs.iter().filter_map(|s| s.rule).collect();
+                let (k, mut specs) = random_scan(rng, size);
+                let v = rng.random_range(0..VARIANTS.len());
+                let variant = VARIANTS[v];
+                // Half the cases continue from a segment boundary: the
+                // scan seeded by `from_boundary` at a rule-closed cut
+                // against the sequential scan that reached it.
+                let (mut slow, mut slow_rows, mut fast) = if rng.random_bool(0.5) {
+                    let prefix = closed_prefix(rng, size, 1 << 20);
+                    for spec in &mut specs {
+                        spec.tag += prefix.len();
+                        spec.next_member_rank = spec.next_member_rank.map(|r| r + prefix.len());
+                    }
+                    seeded_at_cut(k, variant, &prefix)
+                } else {
+                    let fresh = Compressor::new(k, variant);
+                    (Compressor::new(k, variant), vec![dp::unit_row(k)], fresh)
+                };
+                let seeded = fast.first_row > 0;
+                let (cells0, entries0) = (slow.dp_cells(), slow.entries_recomputed());
+                let mut rules: Vec<RuleKey> = specs.iter().filter_map(|s| s.rule).collect();
+                rules.extend(slow.rule_states.iter().map(|rs| rs.key));
                 for spec in specs {
                     // Build for the tuple about to be absorbed, as a scan
-                    // does; or skip it, as for a pruned tuple; and build
-                    // again, for it or for a rule it does not belong to —
-                    // seen, unseen, or none — as `GfState`'s refold may.
+                    // does, through its rule's slot; or skip it, as for a
+                    // pruned tuple; and build again, for it or for a rule
+                    // it does not belong to — seen, unseen, or none — as
+                    // `GfState`'s refold may.
+                    let slot = spec.rule.map(|key| fast.slot(key));
                     let mut owns = Vec::new();
                     if rng.random_bool(0.7) {
-                        owns.push(spec.rule);
+                        owns.push((spec.rule, true));
                     }
                     while rng.random_bool(0.3) {
-                        owns.push(match rng.random_range(0..4u32) {
+                        let own = match rng.random_range(0..4u32) {
                             0 => None,
                             1 => spec.rule,
                             2 => Some(RuleKey(u32::MAX - 1)),
                             _ if rules.is_empty() => None,
                             _ => Some(rules[rng.random_range(0..rules.len())]),
-                        });
+                        };
+                        owns.push((own, false));
                     }
-                    for own in owns {
-                        fast.build(own);
-                        reference_build(&mut slow, own);
+                    for (own, by_slot) in owns {
+                        if by_slot {
+                            let mut off = PhaseClock::enabled_if(false);
+                            fast.build_timed(slot, &mut off, &mut PhaseClock::enabled_if(false));
+                        } else {
+                            fast.build(own);
+                        }
+                        reference_build(&mut slow, &mut slow_rows, own);
                         builds.set(builds.get() + 1);
+                        if seeded {
+                            let mut counts = seeded_builds.get();
+                            counts[v] += 1;
+                            seeded_builds.set(counts);
+                        }
                         prop_assert_eq!(fast.entries(), slow.entries(), "{variant:?} own={own:?}");
-                        let fast_rows: Vec<Vec<u64>> = fast.rows.iter().map(|r| bits(r)).collect();
-                        let slow_rows: Vec<Vec<u64>> = slow.rows.iter().map(|r| bits(r)).collect();
-                        prop_assert_eq!(fast_rows, slow_rows);
-                        prop_assert_eq!(fast.dp_cells(), slow.dp_cells());
-                        prop_assert_eq!(fast.entries_recomputed(), slow.entries_recomputed());
+                        prop_assert_eq!(slow_rows.len(), slow.entries.len() + 1);
+                        // Every row the arena stores has the bits of the
+                        // clone-and-convolve-in-place reference.
+                        for (m, row) in slow_rows.iter().enumerate().skip(fast.first_row) {
+                            prop_assert_eq!(bits(fast.row(m)), bits(row), "row {m}");
+                        }
+                        prop_assert_eq!(fast.dp_cells(), slow.dp_cells() - cells0);
+                        prop_assert_eq!(
+                            fast.entries_recomputed(),
+                            slow.entries_recomputed() - entries0
+                        );
                     }
-                    fast.absorb(spec);
+                    fast.absorb_slot(spec, slot);
                     slow.absorb(spec);
                 }
                 Ok(())
@@ -1945,6 +2110,11 @@ pub(crate) mod tests {
             builds.get() > 10_000,
             "only {} builds checked",
             builds.get()
+        );
+        let seeded = seeded_builds.get();
+        assert!(
+            seeded.iter().all(|&n| n > 1_000),
+            "seeded builds per variant: {seeded:?}"
         );
     }
 }
