@@ -65,6 +65,9 @@ fn flight_fingerprint(text: &str, plans: &[PtkPlan]) -> u64 {
     h
 }
 
+/// The span timing an answer listing's render.
+pub(super) const RENDER_SPAN: &str = "cli.render";
+
 /// What one query command records and renders. See the module docs.
 pub(super) struct QueryCtx {
     /// Names the run in the flight record and the slow-query log.
@@ -203,6 +206,17 @@ impl QueryCtx {
         } else {
             Arc::new(Noop)
         }
+    }
+
+    /// Runs `render`, which writes the answer listing, as the
+    /// `cli.render` span: timed beside the engine's phases when anything
+    /// reads the run's timings, and reading no clock otherwise.
+    pub(super) fn render(
+        &self,
+        render: impl FnOnce() -> Result<(), CmdError>,
+    ) -> Result<(), CmdError> {
+        let _span = ptk_obs::span(self.recorder(), RENDER_SPAN);
+        render()
     }
 
     /// Evaluates `batch` over `source` on `pool`, recording into this

@@ -1417,6 +1417,35 @@ mod tests {
         assert!(json.contains("\"engine.scanned\""), "{out}");
     }
 
+    /// A served statement times its listing only when `?stats=` asks: the
+    /// daemon's flight record alone keeps a counters-only recorder, which
+    /// reads no clock.
+    #[test]
+    fn a_served_statement_times_its_render_only_under_stats() {
+        let table =
+            crate::load::load_table(&std::fs::read_to_string(panda_file().as_str()).unwrap())
+                .unwrap();
+        let options = sql::SqlOptions {
+            pool: ptk_par::ThreadPool::new(1),
+            engine: ptk_engine::EngineOptions::default(),
+            seed: 0,
+        };
+        let statement = "SELECT TOP 2 FROM panda ORDER BY duration WITH PROBABILITY >= 0.35";
+        for stats in [None, Some(ctx::StatsMode::Json)] {
+            let mut ctx = ctx::QueryCtx::served(stats, ptk_obs::QueryFlight::default());
+            let mut body = Vec::new();
+            sql::run_sql(&table, statement, &options, &mut ctx, &mut body).unwrap();
+            let snapshot = ctx.snapshot();
+            assert!(snapshot.counter("engine.scanned") > 0, "{stats:?}");
+            assert_eq!(ctx.recorder().enabled(), stats.is_some(), "{stats:?}");
+            if stats.is_some() {
+                assert_eq!(snapshot.timings[ctx::RENDER_SPAN].count, 1);
+            } else {
+                assert!(snapshot.timings.is_empty(), "{:?}", snapshot.timings);
+            }
+        }
+    }
+
     #[test]
     fn erank_runs() {
         let file = panda_file();
@@ -2241,6 +2270,10 @@ mod tests {
             assert!(
                 out.contains("\ncounter   engine.scanned = "),
                 "{path}: no stats section in {out}"
+            );
+            assert!(
+                out.contains("\nspan      cli.render: count=1 "),
+                "{path}: no render span in {out}"
             );
             let audit = out.lines().last().unwrap();
             assert!(

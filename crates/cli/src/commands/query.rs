@@ -10,8 +10,8 @@ use ptk_worlds::naive;
 
 use super::ctx::QueryCtx;
 use super::render::{
-    answer_rows, attrs_of, ptk_header, view_rows, write_batch_answers, write_membership_row,
-    write_ptk_rows, write_semantics_answer, PtkRow,
+    answer_rows, ptk_header, view_rows, write_batch_answers, write_membership_row, write_ptk_rows,
+    write_semantics_answer, Attrs, Fixed, PtkRow,
 };
 use super::{
     build_ranking, engine_options_from_flags, load_from_flags, pool_from_flags,
@@ -110,8 +110,10 @@ pub(super) fn cmd_query(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErr
         other => return Err(format!("unknown --method '{other}' (exact|sampling|naive)").into()),
     };
 
-    writeln!(out, "{}", ptk_header(k, p, &note, rows.len()))?;
-    write_ptk_rows(out, &table, &rows)?;
+    ctx.render(|| {
+        writeln!(out, "{}", ptk_header(k, p, &note, rows.len()))?;
+        write_ptk_rows(out, &table, &rows)
+    })?;
     if explain {
         write!(out, "{}", plan.explain_analyze(&ctx.snapshot(), true))?;
     }
@@ -195,14 +197,16 @@ fn query_batch(
     ctx.plan_flight(&plans, &label);
     let results = ctx.run_batch(&batch, &view, &pool);
 
-    writeln!(
-        out,
-        "batch of {} queries over {} tuples ({} threads)",
-        results.len(),
-        view.len(),
-        pool.threads()
-    )?;
-    write_batch_answers(out, view.len(), table, &results, &labels)?;
+    ctx.render(|| {
+        writeln!(
+            out,
+            "batch of {} queries over {} tuples ({} threads)",
+            results.len(),
+            view.len(),
+            pool.threads()
+        )?;
+        write_batch_answers(out, view.len(), table, &results, &labels)
+    })?;
     ctx.finish(out)
 }
 
@@ -262,7 +266,7 @@ fn rank_query(
     let answer = PtkExecutor::with_recorder(&plan, ctx.recorder())
         .execute_semantics_snapshot(&view, &pool)
         .map_err(|e| e.to_string())?;
-    render(out, k, &answer)?;
+    ctx.render(|| render(out, k, &answer))?;
     if explain {
         write!(out, "{}", plan.explain_analyze(&ctx.snapshot(), true))?;
     }
@@ -313,7 +317,8 @@ pub(super) fn cmd_utopk(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErr
         };
         writeln!(
             out,
-            "most probable top-{k} vector (probability {probability:.6}, {states_explored} states explored):"
+            "most probable top-{k} vector (probability {}, {states_explored} states explored):",
+            Fixed(*probability, 6)
         )?;
         for row in rows {
             write_membership_row(out, table, row.position, row.id)?;
@@ -339,11 +344,11 @@ pub(super) fn cmd_erank(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErr
             for row in rows {
                 writeln!(
                     out,
-                    "  expected rank {:>8.2}  ranked position {:>4}  membership={:.3}  [{}]",
-                    row.value,
+                    "  expected rank {:>8}  ranked position {:>4}  membership={}  [{}]",
+                    Fixed(row.value, 2),
                     row.position + 1,
-                    row.membership,
-                    attrs_of(table, row.id)
+                    Fixed(row.membership, 3),
+                    Attrs::of(table, row.id)
                 )?;
             }
             Ok(())
@@ -371,13 +376,13 @@ pub(super) fn cmd_worlds(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdEr
             .iter()
             .map(|&pos| view.tuple(pos).id.to_string())
             .collect();
-        writeln!(out, "  Pr = {:.6}  {{{}}}", w.prob, ids.join(", "))?;
+        writeln!(out, "  Pr = {}  {{{}}}", Fixed(w.prob, 6), ids.join(", "))?;
     }
     if worlds.len() > limit {
         writeln!(out, "  … and {} more", worlds.len() - limit)?;
     }
     let total: f64 = worlds.iter().map(|w| w.prob).sum();
-    writeln!(out, "total probability: {total:.9}")?;
+    writeln!(out, "total probability: {}", Fixed(total, 9))?;
     Ok(())
 }
 

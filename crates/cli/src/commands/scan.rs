@@ -15,6 +15,7 @@ use ptk_engine::{EngineOptions, PtkExecutor, PtkPlan, RankSemantics, SemanticsAn
 use ptk_obs::SharedRecorder;
 
 use super::ctx::QueryCtx;
+use super::render::Fixed;
 use super::{build_ranking, load_from_flags, semantics_from_flags, CmdError, Flags};
 
 /// Run-file rows in CSV order: score from the ranked column, rule keys
@@ -160,30 +161,33 @@ pub(super) fn cmd_scan(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErro
     let mut run = Run::open(flags, path, ctx.shared_recorder())?;
     let (result, retrieved, total) =
         run.scan(|source| PtkExecutor::with_recorder(&plan, ctx.recorder()).execute(source))?;
-    writeln!(
-        out,
-        "{} tuples pass Pr^{k} >= {p} (streamed {retrieved} of {total} records{})",
-        result.answers.len(),
-        result
-            .stats
-            .stop
-            .map_or(String::new(), |s| format!(", stopped early: {s:?}"))
-    )?;
-    for a in &result.answers {
+    ctx.render(|| {
         writeln!(
             out,
-            "  row {:>6}  score {:>12.4}  Pr^k = {:.4}",
-            a.id.index(),
-            a.score,
-            a.probability
+            "{} tuples pass Pr^{k} >= {p} (streamed {retrieved} of {total} records{})",
+            result.answers.len(),
+            result
+                .stats
+                .stop
+                .map_or(String::new(), |s| format!(", stopped early: {s:?}"))
         )?;
-    }
+        for a in &result.answers {
+            writeln!(
+                out,
+                "  row {:>6}  score {:>12}  Pr^k = {}",
+                a.id.index(),
+                Fixed(a.score, 4),
+                Fixed(a.probability, 4)
+            )?;
+        }
+        Ok(())
+    })?;
     ctx.finish(out)
 }
 
 /// The `--semantics` path of `ptk scan`: progressive retrieval over the run
-/// file feeding the engine's generating-function scan. Run files carry no
-/// attribute columns, so rows render by CSV row id and score.
+/// file feeding the engine's generating-function scan, rendered by
+/// [`write_scan_answer`].
 fn scan_semantics(
     flags: &Flags,
     out: &mut dyn Write,
@@ -209,24 +213,38 @@ fn scan_semantics(
     })?;
     let answer = answer.map_err(|e| e.to_string())?;
     let streamed = format!("streamed {retrieved} of {total} records");
-    match &answer {
+    ctx.render(|| write_scan_answer(out, k, &answer, &streamed))?;
+    ctx.finish(out)
+}
+
+/// Renders a non-PT-k answer of `ptk scan --semantics`. Run files carry no
+/// attribute columns, so rows render by CSV row id and score; `streamed`
+/// says how much of the run the scan read.
+fn write_scan_answer(
+    out: &mut dyn Write,
+    k: usize,
+    answer: &SemanticsAnswer,
+    streamed: &str,
+) -> Result<(), CmdError> {
+    match answer {
         SemanticsAnswer::Ptk(_) => {
-            return Err("internal: PT-k scans take the threshold path".into())
+            return Err("internal: PT-k scans take the threshold path".into());
         }
         SemanticsAnswer::UTopK {
             rows, probability, ..
         } => {
             writeln!(
                 out,
-                "most probable top-{k} vector (probability {probability:.6}, {streamed}):"
+                "most probable top-{k} vector (probability {}, {streamed}):",
+                Fixed(*probability, 6)
             )?;
             for row in rows {
                 writeln!(
                     out,
-                    "  row {:>6}  score {:>12.4}  membership={:.3}",
+                    "  row {:>6}  score {:>12}  membership={}",
                     row.id.index(),
-                    row.score,
-                    row.membership
+                    Fixed(row.score, 4),
+                    Fixed(row.membership, 3)
                 )?;
             }
         }
@@ -235,11 +253,11 @@ fn scan_semantics(
             for (j, row) in rows.iter().enumerate() {
                 writeln!(
                     out,
-                    "  rank {:>3}: row {:>6}  score {:>12.4}  probability {:.4}",
+                    "  rank {:>3}: row {:>6}  score {:>12}  probability {}",
                     j + 1,
                     row.id.index(),
-                    row.score,
-                    row.value
+                    Fixed(row.score, 4),
+                    Fixed(row.value, 4)
                 )?;
             }
         }
@@ -248,10 +266,10 @@ fn scan_semantics(
             for row in rows {
                 writeln!(
                     out,
-                    "  Pr^k = {:.4}  row {:>6}  score {:>12.4}",
-                    row.value,
+                    "  Pr^k = {}  row {:>6}  score {:>12}",
+                    Fixed(row.value, 4),
                     row.id.index(),
-                    row.score
+                    Fixed(row.score, 4)
                 )?;
             }
         }
@@ -260,15 +278,15 @@ fn scan_semantics(
             for row in rows {
                 writeln!(
                     out,
-                    "  expected rank {:>8.2}  row {:>6}  score {:>12.4}",
-                    row.value,
+                    "  expected rank {:>8}  row {:>6}  score {:>12}",
+                    Fixed(row.value, 2),
                     row.id.index(),
-                    row.score
+                    Fixed(row.score, 4)
                 )?;
             }
         }
     }
-    ctx.finish(out)
+    Ok(())
 }
 
 /// The run-file half of `ptk inspect`: a v2 file prints its header and
@@ -327,9 +345,11 @@ pub(super) fn cmd_inspect_run(
         };
         writeln!(
             out,
-            "  block {b:>4}: ranks {first:>8}..{last:<8} scores {:>12.4}..{:<12.4} \
-             max-p {:.4}  {flags}",
-            meta.score_first, meta.score_last, meta.max_prob
+            "  block {b:>4}: ranks {first:>8}..{last:<8} scores {:>12}..{:<12} \
+             max-p {}  {flags}",
+            Fixed(meta.score_first, 4),
+            Fixed(meta.score_last, 4),
+            Fixed(meta.max_prob, 4)
         )?;
     }
     Ok(())

@@ -212,8 +212,10 @@ fn sql_single(
         }
     };
 
-    writeln!(out, "{}", ptk_header(k, p, &note, rows.len()))?;
-    write_ptk_rows(out, table, &rows)?;
+    ctx.render(|| {
+        writeln!(out, "{}", ptk_header(k, p, &note, rows.len()))?;
+        write_ptk_rows(out, table, &rows)
+    })?;
     if !explain_note.is_empty() {
         writeln!(out, "{explain_note}")?;
     }
@@ -242,7 +244,7 @@ fn sql_semantics(
     let answer = PtkExecutor::with_recorder(&plan, ctx.recorder())
         .execute_semantics_snapshot(selection, &options.pool)
         .map_err(|e| e.to_string())?;
-    write_semantics_answer(out, table, k, &answer)?;
+    ctx.render(|| write_semantics_answer(out, table, k, &answer))?;
     if statement.analyze {
         writeln!(
             out,
@@ -337,12 +339,14 @@ fn sql_batch(
     ctx.plan_flight(&plans, &statements.join("; "));
     let results = ctx.run_batch(&PtkPlan::batch(&plans), &selection, &options.pool);
 
-    writeln!(
-        out,
-        "batch of {} statements over {} tuples ({} threads)",
-        results.len(),
-        selection.len(),
-        options.pool.threads()
-    )?;
-    write_batch_answers(out, selection.len(), table, &results, &labels)
+    ctx.render(|| {
+        writeln!(
+            out,
+            "batch of {} statements over {} tuples ({} threads)",
+            results.len(),
+            selection.len(),
+            options.pool.threads()
+        )?;
+        write_batch_answers(out, selection.len(), table, &results, &labels)
+    })
 }

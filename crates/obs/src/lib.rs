@@ -592,6 +592,7 @@ fn metric_help(name: &str) -> &'static str {
         "batch.steals" => "Tasks stolen from another worker's deque.",
         "batch.segments" => "Rule-closed segments dispatched by intra-query partitioning.",
         "batch.segmented_queries" => "Queries executed through segment partitioning.",
+        "cli.render" => "Wall-clock time of writing the answer listing.",
         n if n.starts_with("engine.phase.") => "Wall-clock time of one engine phase.",
         n if n.starts_with("engine.") => "Engine execution metric.",
         n if n.starts_with("serve.") => "Daemon metric.",

@@ -51,10 +51,15 @@ pub enum ReadError {
 pub fn read_request(stream: &mut dyn Read, max_bytes: usize) -> Result<Request, ReadError> {
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 1024];
+    // Each terminator search resumes three bytes before where the last one
+    // stopped: a terminator split across reads is still found, and a head
+    // sent a byte at a time costs time linear in its length, not quadratic.
+    let mut searched = 0;
     let head_end = loop {
-        if let Some(end) = find_head_end(&buf) {
-            break end;
+        if let Some(end) = find_head_end(&buf[searched..]) {
+            break searched + end;
         }
+        searched = buf.len().saturating_sub(3);
         if buf.len() > max_bytes {
             return Err(ReadError::TooLarge);
         }
@@ -253,6 +258,52 @@ mod tests {
             Err(ReadError::BadRequest(_))
         ));
         assert!(matches!(read(b""), Err(ReadError::Disconnect)));
+    }
+
+    /// A reader handing out `bytes` at most `chunk` at a time.
+    struct Chunked<'a> {
+        bytes: &'a [u8],
+        chunk: usize,
+    }
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.chunk.min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn every_read_size_parses_to_the_same_request() {
+        let raw: &[u8] =
+            b"POST /sql?stats=json HTTP/1.1\r\nHost: x\r\nContent-Length: 11\r\n\r\nhello world";
+        let whole = read(raw).unwrap();
+        for chunk in 1..=raw.len() {
+            let mut reader = Chunked { bytes: raw, chunk };
+            assert_eq!(
+                read_request(&mut reader, 64 * 1024).unwrap(),
+                whole,
+                "{chunk}-byte reads"
+            );
+        }
+    }
+
+    #[test]
+    fn an_endless_head_a_byte_at_a_time_is_too_large() {
+        let cap = 64 * 1024;
+        let prefix = "GET / HTTP/1.1\r\nX-Pad: ";
+        let raw = format!("{prefix}{}", "a".repeat(cap + 8 - prefix.len()));
+        assert_eq!(raw.len(), cap + 8);
+        let mut reader = Chunked {
+            bytes: raw.as_bytes(),
+            chunk: 1,
+        };
+        assert!(matches!(
+            read_request(&mut reader, cap),
+            Err(ReadError::TooLarge)
+        ));
     }
 
     #[test]
