@@ -47,9 +47,10 @@ impl StatsMode {
 
 /// The flight record's width-independent fingerprint: FNV-1a over the
 /// statement (or command label) text plus each executed plan's
-/// [`PtkPlan::fingerprint`]. Deliberately narrower than the daemon's
-/// result-cache key, which also folds in the pool width and sampling
-/// seed: flight records must stay bit-identical across thread counts.
+/// [`PtkPlan::fingerprint`]. It identifies the run in the flight record
+/// only and folds in no pool width, so flight records stay bit-identical
+/// across thread counts; the daemon's result cache keys on the statement
+/// text itself.
 fn flight_fingerprint(text: &str, plans: &[PtkPlan]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -169,7 +170,10 @@ impl QueryCtx {
         self.timed() || self.flight.is_some()
     }
 
-    fn timed(&self) -> bool {
+    /// Whether anything reads the run's timings: `--stats` (the daemon's
+    /// `?stats=`), EXPLAIN ANALYZE or the trace. Only an untimed run's
+    /// output may be served from the daemon's cache.
+    pub(super) fn timed(&self) -> bool {
         self.stats.is_some() || self.analyze || self.traced()
     }
 

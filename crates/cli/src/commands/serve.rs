@@ -11,12 +11,11 @@
 use std::io::Write;
 
 use ptk_core::UncertainTable;
-use ptk_engine::{PtkPlan, RankSemantics};
 use ptk_obs::QueryFlight;
 use ptk_serve::{QueryHandler, Server, ServerConfig};
 
 use super::ctx::{QueryCtx, StatsMode};
-use super::sql::{run_sql, semantics_of, SqlOptions};
+use super::sql::{run_sql, SqlOptions};
 use super::trace::parse_slow_ms;
 use super::{load_from_flags, CmdError, Flags};
 
@@ -77,7 +76,10 @@ pub(super) fn cmd_serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErr
 
 /// The daemon's bridge to the CLI execution path: an immutable loaded
 /// table plus the per-daemon options, executing every statement through
-/// [`run_sql`] in a context built from the request.
+/// [`run_sql`] in a context built from the request. Table, pool width,
+/// sampling seed and engine options are fixed for the daemon's life, so a
+/// body that read no clock is a function of its statement text alone,
+/// which is what the daemon's cache keys on.
 struct SqlHandler {
     table: UncertainTable,
     options: SqlOptions,
@@ -89,7 +91,7 @@ impl QueryHandler for SqlHandler {
         statement: &str,
         stats: Option<&str>,
         flight: &mut QueryFlight,
-    ) -> Result<String, String> {
+    ) -> Result<(String, bool), String> {
         let stats = match stats {
             None => None,
             Some(mode) => Some(
@@ -101,59 +103,13 @@ impl QueryHandler for SqlHandler {
         let mut body = Vec::new();
         let outcome = run_sql(&self.table, statement, &self.options, &mut ctx, &mut body)
             .and_then(|()| ctx.finish(&mut body));
+        let timing_free = !ctx.timed();
         *flight = ctx.into_flight();
         match outcome {
-            Ok(()) => String::from_utf8(body).map_err(|e| e.to_string()),
+            Ok(()) => String::from_utf8(body)
+                .map(|body| (body, timing_free))
+                .map_err(|e| e.to_string()),
             Err(e) => Err(e.to_string()),
         }
-    }
-
-    /// Cache key material. `None` (uncacheable) whenever the response
-    /// embeds wall-clock timings (`?stats=`, `EXPLAIN ANALYZE`) or the
-    /// statement does not survive parse/bind — error responses are never
-    /// cached. Otherwise an FNV-1a hash folding the statement text, the
-    /// pool width (it appears in batch headers), the sampling seed, and
-    /// each exact statement's [`PtkPlan::fingerprint`] — which itself
-    /// covers the ranking semantics, so two statements differing only in
-    /// `RANK BY` can never share a cache slot.
-    fn fingerprint(&self, statement: &str, stats: Option<&str>) -> Option<u64> {
-        if stats.is_some() {
-            return None;
-        }
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mix_bytes = |h: &mut u64, bytes: &[u8]| {
-            for &b in bytes {
-                *h = (*h ^ u64::from(b)).wrapping_mul(PRIME);
-            }
-        };
-        mix_bytes(&mut h, statement.as_bytes());
-        mix_bytes(&mut h, &(self.options.pool.threads() as u64).to_le_bytes());
-        mix_bytes(&mut h, &self.options.seed.to_le_bytes());
-        for text in statement.split(';') {
-            let text = text.trim();
-            if text.is_empty() {
-                continue;
-            }
-            let parsed = ptk_sql::parse_statement(text).ok()?;
-            if parsed.analyze {
-                return None;
-            }
-            if parsed.query.method == ptk_sql::Method::Exact {
-                let bound = parsed.query.bind(&self.table).ok()?;
-                let plan = match semantics_of(parsed.kind) {
-                    RankSemantics::Ptk => {
-                        PtkPlan::try_new(bound.k(), bound.threshold().value(), &self.options.engine)
-                    }
-                    semantics => {
-                        PtkPlan::try_semantics(semantics, bound.k(), None, &self.options.engine)
-                    }
-                }
-                .ok()?;
-                mix_bytes(&mut h, &plan.fingerprint().to_le_bytes());
-            }
-        }
-        Some(h)
     }
 }

@@ -147,10 +147,10 @@ the body, optional `?stats=text|json|prom`), `GET /metrics` (Prometheus),
 `GET /health`. Responses are byte-identical to `ptk sql` output; errors are
 `{\"error\":{\"code\":…,\"message\":…}}`. `--queue` bounds the admission
 queue (overflow → 429), `--timeout-ms` bounds queue wait + request read
-(→ 408), `--cache` sizes the result cache keyed on (snapshot epoch, plan
-fingerprint). `--ready-file` writes the bound address after listen, for
-scripts using `--addr 127.0.0.1:0`. Every request (successes, errors,
-rejections) leaves a flight record in a bounded ring (`--flight-capacity`,
+(→ 408), `--cache` sizes the result cache keyed on the statement text.
+`--ready-file` writes the bound address after listen, for scripts using
+`--addr 127.0.0.1:0`. Every request (successes, errors, rejections)
+leaves a flight record in a bounded ring (`--flight-capacity`,
 default 256) served timing-free by `GET /debug/queries`, next to
 `GET /debug/pool` (pool/queue/cache occupancy) and `GET /debug/config`;
 `/metrics` adds per-request latency percentile gauges (p50/p95/p99/max),

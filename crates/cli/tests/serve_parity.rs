@@ -242,7 +242,7 @@ fn statements_differing_only_in_semantics_never_share_a_cache_slot() {
     let daemon = start_daemon(file.as_str(), 2, &[]);
     let addr = &daemon.addr;
     // Identical except for the RANK BY clause: each must miss on first
-    // sight (distinct plan fingerprints) and return distinct bodies.
+    // sight (distinct statements) and return distinct bodies.
     let ukranks = "SELECT TOP 2 FROM t ORDER BY duration DESC RANK BY U_KRANKS";
     let global = "SELECT TOP 2 FROM t ORDER BY duration DESC RANK BY GLOBAL_TOPK";
 
@@ -263,6 +263,103 @@ fn statements_differing_only_in_semantics_never_share_a_cache_slot() {
     let again = post_sql(addr, ukranks);
     assert!(again.contains("X-Ptk-Cache: hit\r\n"), "{again}");
     assert_eq!(body_of(&first), body_of(&again));
+    daemon.shutdown();
+}
+
+/// The value of counter `name` on a `/metrics` response, if it is there.
+fn counter<'a>(metrics: &'a str, name: &str) -> Option<&'a str> {
+    metrics
+        .lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+}
+
+#[test]
+fn only_a_timing_free_success_is_cached() {
+    let file = write_csv();
+    let daemon = start_daemon(file.as_str(), 2, &[]);
+    let addr = &daemon.addr;
+
+    // EXPLAIN ANALYZE prints the run's timings: never cached, at any
+    // semantics, however often it is asked.
+    for analyze in [
+        "EXPLAIN ANALYZE SELECT TOP 2 FROM t ORDER BY duration DESC WITH PROBABILITY >= 0.35",
+        "EXPLAIN ANALYZE SELECT TOP 2 FROM t ORDER BY duration DESC RANK BY U_KRANKS",
+    ] {
+        for _ in 0..2 {
+            let response = post_sql(addr, analyze);
+            assert_eq!(status_of(&response), 200, "{response}");
+            assert!(
+                response.contains("X-Ptk-Cache: uncacheable\r\n"),
+                "{response}"
+            );
+        }
+    }
+
+    // A `?stats=` request leaves nothing in the cache: the plain request
+    // after it misses, and its body is the one-shot output.
+    let stmt = STATEMENTS[1];
+    let stats = post_sql_at(addr, "/sql?stats=json", stmt);
+    assert_eq!(status_of(&stats), 200, "{stats}");
+    assert!(stats.contains("X-Ptk-Cache: uncacheable\r\n"), "{stats}");
+    let baseline = ptk_cli::run(&args(&["sql", file.as_str(), stmt, "--threads", "2"]))
+        .expect("one-shot baseline");
+    for disposition in ["miss", "hit"] {
+        let plain = post_sql(addr, stmt);
+        assert_eq!(status_of(&plain), 200, "{plain}");
+        assert!(
+            plain.contains(&format!("X-Ptk-Cache: {disposition}\r\n")),
+            "{plain}"
+        );
+        assert_eq!(body_of(&plain), baseline);
+    }
+
+    // A failed statement is never cached: it fails again.
+    for _ in 0..2 {
+        let response = post_sql(
+            addr,
+            "SELECT TOP 0 FROM t ORDER BY duration DESC WITH PROBABILITY >= 0.5",
+        );
+        assert_eq!(status_of(&response), 400, "{response}");
+        assert!(!response.contains("X-Ptk-Cache"), "{response}");
+    }
+
+    // An unknown `?stats=` mode is a query error.
+    let bad_stats = post_sql_at(addr, "/sql?stats=yaml", "x");
+    assert_eq!(status_of(&bad_stats), 400);
+    assert!(body_of(&bad_stats).contains("stats must be"), "{bad_stats}");
+    assert_eq!(
+        body_of(&bad_stats),
+        "{\"error\":{\"code\":\"query\",\"message\":\
+         \"stats must be text, json or prom, got 'yaml'\"}}\n"
+    );
+    let queries = http(addr, "GET /debug/queries HTTP/1.1\r\n\r\n");
+    assert!(
+        body_of(&queries)
+            .contains("\"outcome\":\"query_error\",\"cache\":\"none\",\"label\":\"x\""),
+        "{queries}"
+    );
+
+    let metrics = http(addr, "GET /metrics HTTP/1.1\r\n\r\n");
+    assert_eq!(
+        counter(&metrics, "ptk_serve_cache_hits"),
+        Some("1"),
+        "{metrics}"
+    );
+    assert_eq!(
+        counter(&metrics, "ptk_serve_cache_misses"),
+        Some("1"),
+        "{metrics}"
+    );
+    assert_eq!(
+        counter(&metrics, "ptk_serve_cache_uncacheable"),
+        Some("5"),
+        "{metrics}"
+    );
+    assert_eq!(
+        counter(&metrics, "ptk_serve_query_errors"),
+        Some("3"),
+        "{metrics}"
+    );
     daemon.shutdown();
 }
 

@@ -295,9 +295,10 @@ impl PtkPlan {
     /// A stable 64-bit fingerprint of the plan: FNV-1a over the ranking
     /// semantics, `k`, the thresholds (exact bit patterns, in the caller's
     /// order) and every [`EngineOptions`] field. Two plans with equal fingerprints execute
-    /// the identical stage pipeline over whatever source they are given,
-    /// so the fingerprint — combined with an identifier for the data
-    /// snapshot (the serve daemon's snapshot epoch) — keys a result cache.
+    /// the identical stage pipeline over whatever source they are given.
+    /// It keys only the flight record's `fingerprint` (folded with the
+    /// statement text), which the `--audit` goldens pin byte for byte;
+    /// the serve daemon's result cache keys on the statement text.
     pub fn fingerprint(&self) -> u64 {
         fn mix(h: &mut u64, v: u64) {
             const PRIME: u64 = 0x0000_0100_0000_01b3;

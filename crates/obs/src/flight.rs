@@ -40,9 +40,9 @@ pub struct QueryFlight {
     /// The probability threshold of each plan executed.
     pub thresholds: Vec<f64>,
     /// A width-independent fingerprint of the plan chain, when the
-    /// statement planned. This is *not* the result-cache key (which also
-    /// covers pool width and seed): flight records must be bit-identical
-    /// across thread widths.
+    /// statement planned: flight records must be bit-identical across
+    /// thread widths. It only labels the record; the serve daemon's
+    /// result cache keys on the statement text.
     pub fingerprint: Option<u64>,
     /// Why the scan stopped early (`total_topk`, `upper_bound`), or empty
     /// when it ran to exhaustion.

@@ -1,13 +1,12 @@
 //! The daemon's result cache.
 //!
-//! Responses are keyed on `(snapshot epoch, plan fingerprint)`. The epoch
-//! identifies the immutable data snapshot the daemon is serving (today it
-//! never changes after startup; the dynamic-updates roadmap item bumps it
-//! on every mutation, which implicitly invalidates all cached results).
-//! The fingerprint is supplied by the query handler — for PT-k statements
-//! it folds in `PtkPlan::fingerprint()`, which covers `k`, the thresholds
-//! and every engine option, plus a hash of the statement text for the
-//! predicate and ranking.
+//! Responses are keyed on the exact statement text, compared byte for
+//! byte: a hit needs an equal statement, not an equal hash. The text is a
+//! complete key because the daemon serves one snapshot loaded at startup,
+//! with its pool width, sampling seed and engine options fixed for its
+//! life, so a timing-free response is a function of its statement alone.
+//! Keys cost at most `capacity` times the request cap of memory (64 KiB
+//! by default).
 //!
 //! Eviction is FIFO with a fixed capacity: the workload this serves is
 //! "millions of users asking the same handful of dashboards", where
@@ -17,10 +16,7 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-/// The cache key: `(snapshot epoch, plan fingerprint)`.
-pub type CacheKey = (u64, u64);
-
-/// A bounded map from [`CacheKey`] to rendered response bodies.
+/// A bounded map from statement text to rendered response bodies.
 #[derive(Debug)]
 pub struct ResultCache {
     capacity: usize,
@@ -29,8 +25,8 @@ pub struct ResultCache {
 
 #[derive(Debug, Default)]
 struct Inner {
-    map: HashMap<CacheKey, Arc<String>>,
-    order: VecDeque<CacheKey>,
+    map: HashMap<Arc<str>, Arc<String>>,
+    order: VecDeque<Arc<str>>,
 }
 
 impl ResultCache {
@@ -43,25 +39,26 @@ impl ResultCache {
         }
     }
 
-    /// The cached body for `key`, if present.
-    pub fn get(&self, key: CacheKey) -> Option<Arc<String>> {
+    /// The cached body for `statement`, if present.
+    pub fn get(&self, statement: &str) -> Option<Arc<String>> {
         self.inner
             .lock()
             .expect("cache lock")
             .map
-            .get(&key)
+            .get(statement)
             .cloned()
     }
 
-    /// Inserts `body` under `key`, evicting the oldest entry at capacity.
-    /// Re-inserting an existing key refreshes the body without growing the
-    /// queue.
-    pub fn insert(&self, key: CacheKey, body: Arc<String>) {
+    /// Inserts `body` under `statement`, evicting the oldest entry at
+    /// capacity. Re-inserting an existing statement refreshes the body
+    /// without growing the queue.
+    pub fn insert(&self, statement: &str, body: Arc<String>) {
         if self.capacity == 0 {
             return;
         }
+        let key: Arc<str> = Arc::from(statement);
         let mut inner = self.inner.lock().expect("cache lock");
-        if inner.map.insert(key, body).is_none() {
+        if inner.map.insert(Arc::clone(&key), body).is_none() {
             inner.order.push_back(key);
             while inner.map.len() > self.capacity {
                 if let Some(oldest) = inner.order.pop_front() {
@@ -91,42 +88,48 @@ mod tests {
     }
 
     #[test]
-    fn hit_after_insert_and_epoch_separation() {
+    fn a_hit_needs_a_byte_equal_statement() {
         let cache = ResultCache::new(4);
-        cache.insert((1, 42), body("a"));
-        assert_eq!(cache.get((1, 42)).unwrap().as_str(), "a");
-        // A different epoch is a different snapshot: no hit.
-        assert!(cache.get((2, 42)).is_none());
-        assert!(cache.get((1, 43)).is_none());
+        cache.insert("SELECT TOP 2 FROM t", body("a"));
+        assert_eq!(cache.get("SELECT TOP 2 FROM t").unwrap().as_str(), "a");
+        for other in [
+            "select top 2 from t",
+            "SELECT TOP 2 FROM t ",
+            "SELECT  TOP 2 FROM t",
+            "SELECT TOP 3 FROM t",
+            "",
+        ] {
+            assert!(cache.get(other).is_none(), "{other:?}");
+        }
     }
 
     #[test]
     fn fifo_eviction_at_capacity() {
         let cache = ResultCache::new(2);
-        cache.insert((1, 1), body("a"));
-        cache.insert((1, 2), body("b"));
-        cache.insert((1, 3), body("c"));
+        cache.insert("a", body("a"));
+        cache.insert("b", body("b"));
+        cache.insert("c", body("c"));
         assert_eq!(cache.len(), 2);
-        assert!(cache.get((1, 1)).is_none(), "oldest evicted");
-        assert!(cache.get((1, 2)).is_some());
-        assert!(cache.get((1, 3)).is_some());
+        assert!(cache.get("a").is_none(), "oldest evicted");
+        assert!(cache.get("b").is_some());
+        assert!(cache.get("c").is_some());
     }
 
     #[test]
     fn reinsert_refreshes_without_duplicating() {
         let cache = ResultCache::new(2);
-        cache.insert((1, 1), body("a"));
-        cache.insert((1, 1), body("a2"));
-        cache.insert((1, 2), body("b"));
-        assert_eq!(cache.get((1, 1)).unwrap().as_str(), "a2");
+        cache.insert("a", body("a"));
+        cache.insert("a", body("a2"));
+        cache.insert("b", body("b"));
+        assert_eq!(cache.get("a").unwrap().as_str(), "a2");
         assert_eq!(cache.len(), 2);
     }
 
     #[test]
     fn zero_capacity_disables() {
         let cache = ResultCache::new(0);
-        cache.insert((1, 1), body("a"));
-        assert!(cache.get((1, 1)).is_none());
+        cache.insert("a", body("a"));
+        assert!(cache.get("a").is_none());
         assert!(cache.is_empty());
     }
 }

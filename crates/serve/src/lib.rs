@@ -12,8 +12,8 @@
 //!
 //! * [`http`] — a deliberately tiny HTTP/1.1 codec (one request per
 //!   connection, `Content-Length` framing, structured JSON errors);
-//! * [`cache`] — the result cache keyed on `(snapshot epoch, plan
-//!   fingerprint)` with FIFO eviction;
+//! * [`cache`] — the result cache keyed on the exact statement text with
+//!   FIFO eviction;
 //! * [`server`] — the daemon: bounded admission queue feeding workers on
 //!   the `ptk-par` pool, per-request timeouts (`408`), queue-overflow
 //!   rejection (`429`), `/sql` `/metrics` `/health` `/shutdown` routing,
@@ -25,7 +25,9 @@
 //! The daemon is generic over a [`QueryHandler`]; the `ptk` CLI supplies
 //! the implementation that owns the loaded snapshot and the SQL front-end,
 //! keeping this crate zero-dependency beyond the workspace's own
-//! observability and scheduling crates.
+//! observability and scheduling crates. The handler's execution returns
+//! each body with whether it is timing-free, which is all the cache needs:
+//! a timing-free body is stored under its statement text.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -34,6 +36,6 @@ pub mod cache;
 pub mod http;
 pub mod server;
 
-pub use cache::{CacheKey, ResultCache};
+pub use cache::ResultCache;
 pub use http::{error_body, json_escape, Request};
 pub use server::{counters, QueryHandler, Server, ServerConfig, ServerHandle};

@@ -1,5 +1,5 @@
 //! The resident query daemon: accept loop, admission control, worker pool,
-//! routing, and the result cache.
+//! routing, and the result cache, keyed on the statement text.
 //!
 //! ## Architecture
 //!
@@ -17,14 +17,15 @@
 //! admission control and cache stay zero-dependency; the `ptk serve` CLI
 //! command supplies the handler that parses the SQL dialect and routes
 //! statements through `PtkPlan`/`PtkExecutor`, byte-identical to the
-//! one-shot `ptk sql` path.
+//! one-shot `ptk sql` path. The handler's one execution also says whether
+//! its body may be cached: a miss runs the statement once, and nothing
+//! else decides what a served body depends on.
 
-use std::any::Any;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{self as unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -78,9 +79,18 @@ pub mod counters {
 /// from many worker threads at once (`Sync`).
 pub trait QueryHandler: Sync {
     /// Executes `statement`, returning the full response body — exactly
-    /// the text the one-shot CLI would print for the same statement.
-    /// `stats` is the validated `?stats=` parameter (`text`, `json` or
-    /// `prom`), appended to the body the same way the `--stats` flag is.
+    /// the text the one-shot CLI would print for the same statement —
+    /// and whether that body is timing-free. `stats` is the request's
+    /// `?stats=` parameter as sent: the handler appends the metrics
+    /// snapshot the same way the `--stats` flag does, or rejects a mode
+    /// it does not know as an error.
+    ///
+    /// The daemon caches a timing-free body under the statement text
+    /// alone, so such a body must depend on nothing else that can change
+    /// while the daemon runs. A body that embeds wall-clock timings
+    /// (`?stats=`, `EXPLAIN ANALYZE`) answers `false`; the daemon then
+    /// counts it uncacheable. A `?stats=` request never reads or fills
+    /// the cache, whatever the handler answers.
     ///
     /// `flight` is the request's flight record in progress: the handler
     /// fills in what only it can know — plan description, semantics,
@@ -90,24 +100,15 @@ pub trait QueryHandler: Sync {
     /// Implementations that track nothing can leave it untouched.
     ///
     /// # Errors
-    /// A human-readable message for any parse, bind, plan or execution
-    /// failure; the daemon renders it as a structured `400` JSON error.
+    /// A human-readable message for an unknown `stats` mode or any parse,
+    /// bind, plan or execution failure; the daemon renders it as a
+    /// structured `400` JSON error.
     fn execute(
         &self,
         statement: &str,
         stats: Option<&str>,
         flight: &mut QueryFlight,
-    ) -> Result<String, String>;
-
-    /// A stable fingerprint of the request, or `None` when the response is
-    /// not cacheable (it embeds wall-clock timings, or the statement does
-    /// not even parse). Combined with the snapshot epoch as the result
-    /// cache key, so it must cover everything the response depends on
-    /// besides the data snapshot.
-    fn fingerprint(&self, statement: &str, stats: Option<&str>) -> Option<u64> {
-        let _ = (statement, stats);
-        None
-    }
+    ) -> Result<(String, bool), String>;
 }
 
 /// Daemon tuning knobs.
@@ -121,7 +122,9 @@ pub struct ServerConfig {
     /// Per-request budget in milliseconds, covering admission-queue wait
     /// plus reading the request; exceeding it yields `408`.
     pub timeout_ms: u64,
-    /// Result-cache capacity in responses; `0` disables caching.
+    /// Result-cache capacity in responses; `0` disables caching. Keys are
+    /// statement texts, so they add at most this many times
+    /// `max_request_bytes` of memory.
     pub cache_capacity: usize,
     /// Upper bound on a request's total size in bytes.
     pub max_request_bytes: usize,
@@ -163,7 +166,6 @@ pub struct Server<H> {
     metrics: Metrics,
     cache: ResultCache,
     flight: FlightRecorder,
-    epoch: AtomicU64,
     stop: AtomicBool,
     queue: Mutex<VecDeque<(TcpStream, Instant)>>,
     available: Condvar,
@@ -179,18 +181,10 @@ impl<H: QueryHandler> Server<H> {
             metrics: Metrics::new(),
             cache: ResultCache::new(config.cache_capacity),
             flight: FlightRecorder::new(config.flight_capacity),
-            epoch: AtomicU64::new(1),
             stop: AtomicBool::new(false),
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
         }
-    }
-
-    /// The snapshot epoch the daemon is serving. Fixed at `1` today; the
-    /// dynamic-updates roadmap item bumps it on every mutation, which
-    /// implicitly invalidates the result cache (its key embeds the epoch).
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
     }
 
     /// A point-in-time copy of the daemon's metrics (what `/metrics`
@@ -434,9 +428,10 @@ impl<H: QueryHandler> Server<H> {
             ("GET", "/health") => {
                 self.metrics.add(counters::RESPONSES_OK, 1);
                 self.finish_control("ok", &label, queue_wait, enqueued);
+                // The snapshot never changes while the daemon runs, so its
+                // epoch is always 1.
                 let body = format!(
-                    "{{\"status\":\"ok\",\"epoch\":{},\"cached\":{}}}\n",
-                    self.epoch(),
+                    "{{\"status\":\"ok\",\"epoch\":1,\"cached\":{}}}\n",
                     self.cache.len()
                 );
                 self.respond(&mut stream, 200, "application/json", &[], &body);
@@ -546,52 +541,11 @@ impl<H: QueryHandler> Server<H> {
             );
             return;
         }
+        // A `?stats=` body carries the run's timings, so the request
+        // neither reads nor fills the cache. The handler validates the mode.
         let stats = request.param("stats");
-        if let Some(mode) = stats {
-            if !matches!(mode, "text" | "json" | "prom") {
-                self.metrics.add(counters::QUERY_ERRORS, 1);
-                self.finish(
-                    "query_error",
-                    "none",
-                    flight,
-                    queue_wait,
-                    Duration::ZERO,
-                    enqueued.elapsed(),
-                );
-                self.respond(
-                    stream,
-                    400,
-                    "application/json",
-                    &[],
-                    &http::error_body(
-                        "query",
-                        &format!("stats must be text, json or prom, got '{mode}'"),
-                    ),
-                );
-                return;
-            }
-        }
-
-        // A handler panic is isolated to its request: caught here, it
-        // becomes a 500 and a flight record, and the lane serves on.
-        let key = match unwind::catch_unwind(AssertUnwindSafe(|| {
-            self.handler.fingerprint(statement, stats)
-        })) {
-            Ok(fingerprint) => fingerprint.map(|fp| (self.epoch(), fp)),
-            Err(payload) => {
-                self.answer_panic(
-                    stream,
-                    flight,
-                    &*payload,
-                    queue_wait,
-                    Duration::ZERO,
-                    enqueued,
-                );
-                return;
-            }
-        };
-        if let Some(key) = key {
-            if let Some(body) = self.cache.get(key) {
+        if stats.is_none() {
+            if let Some(body) = self.cache.get(statement) {
                 self.metrics.add(counters::CACHE_HITS, 1);
                 self.metrics.add(counters::RESPONSES_OK, 1);
                 self.finish(
@@ -607,6 +561,8 @@ impl<H: QueryHandler> Server<H> {
             }
         }
 
+        // A handler panic is isolated to its request: caught here, it
+        // becomes a 500 and a flight record, and the lane serves on.
         let started = Instant::now();
         let outcome = unwind::catch_unwind(AssertUnwindSafe(|| {
             self.handler.execute(statement, stats, &mut flight)
@@ -617,17 +573,14 @@ impl<H: QueryHandler> Server<H> {
             u64::try_from(exec.as_nanos()).unwrap_or(u64::MAX),
         );
         match outcome {
-            Ok(Ok(body)) => {
-                let cache_state = match key {
-                    Some(key) => {
-                        self.metrics.add(counters::CACHE_MISSES, 1);
-                        self.cache.insert(key, Arc::new(body.clone()));
-                        "miss"
-                    }
-                    None => {
-                        self.metrics.add(counters::CACHE_UNCACHEABLE, 1);
-                        "uncacheable"
-                    }
+            Ok(Ok((body, timing_free))) => {
+                let cache_state = if timing_free && stats.is_none() {
+                    self.metrics.add(counters::CACHE_MISSES, 1);
+                    self.cache.insert(statement, Arc::new(body.clone()));
+                    "miss"
+                } else {
+                    self.metrics.add(counters::CACHE_UNCACHEABLE, 1);
+                    "uncacheable"
                 };
                 self.metrics.add(counters::RESPONSES_OK, 1);
                 self.finish(
@@ -665,43 +618,31 @@ impl<H: QueryHandler> Server<H> {
                 );
             }
             Err(payload) => {
-                self.answer_panic(stream, flight, &*payload, queue_wait, exec, enqueued);
+                // Counted, recorded with outcome `panic`, answered `500`,
+                // never cached.
+                self.metrics.add(counters::PANICS, 1);
+                self.finish(
+                    "panic",
+                    "none",
+                    flight,
+                    queue_wait,
+                    exec,
+                    enqueued.elapsed(),
+                );
+                let reason = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("non-string panic payload");
+                self.respond(
+                    stream,
+                    500,
+                    "application/json",
+                    &[],
+                    &http::error_body("internal", &format!("query handler panicked: {reason}")),
+                );
             }
         }
-    }
-
-    /// Answers a request whose handler panicked: counted, recorded with
-    /// outcome `panic`, answered `500`, never cached.
-    fn answer_panic(
-        &self,
-        stream: &mut TcpStream,
-        flight: QueryFlight,
-        payload: &(dyn Any + Send),
-        queue_wait: Duration,
-        exec: Duration,
-        enqueued: Instant,
-    ) {
-        self.metrics.add(counters::PANICS, 1);
-        self.finish(
-            "panic",
-            "none",
-            flight,
-            queue_wait,
-            exec,
-            enqueued.elapsed(),
-        );
-        let reason = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-            .unwrap_or("non-string panic payload");
-        self.respond(
-            stream,
-            500,
-            "application/json",
-            &[],
-            &http::error_body("internal", &format!("query handler panicked: {reason}")),
-        );
     }
 
     /// Records one finished request into the flight ring, feeds the

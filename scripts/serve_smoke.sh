@@ -82,6 +82,26 @@ code="$(curl -sS -o "$WORK/body" -w '%{http_code}' --data-binary "$STMT" "http:/
 grep -q '"engine.scanned"' "$WORK/body" || fail "stats body missing counters: $(cat "$WORK/body")"
 assert_up "good queries"
 
+echo "== cacheability"
+# The X-Ptk-Cache disposition of one request; $2 is an optional query string.
+cache_of() {
+  curl -sS -D - -o "$WORK/body" --data-binary "$1" "http://$ADDR/sql${2:-}" \
+    | tr -d '\r' | grep -i '^x-ptk-cache:' | cut -d' ' -f2 || true
+}
+# EXPLAIN ANALYZE prints the run's timings, so it is never cached.
+ANALYZE="EXPLAIN ANALYZE $STMT"
+for attempt in 1 2; do
+  state="$(cache_of "$ANALYZE")"
+  [[ "$state" == uncacheable ]] || fail "EXPLAIN ANALYZE attempt $attempt was '$state'"
+done
+# A ?stats= request leaves nothing in the cache for the plain request.
+FRESH='SELECT TOP 7 FROM t ORDER BY score DESC WITH PROBABILITY >= 0.25'
+state="$(cache_of "$FRESH" '?stats=json')"
+[[ "$state" == uncacheable ]] || fail "?stats=json request was '$state'"
+state="$(cache_of "$FRESH")"
+[[ "$state" == miss ]] || fail "plain request after ?stats=json was '$state', not a miss"
+assert_up "cacheability"
+
 echo "== malformed sweep"
 for bad in \
   'SELECT TOP 10 FROM t ORDER BY score DESC WITH PROBABILITY >= 0' \
