@@ -151,40 +151,21 @@ fn measure_semantics(view: &RankedView) {
         RankSemantics::GlobalTopk,
         RankSemantics::ExpectedRank,
     ] {
-        // U-TopK's best-first vector search is exponential in k on dense
-        // probability mass — k=200 exhausts any sane state cap. Bench it
-        // at the small-k regime the semantics is used in.
-        let k = match semantics {
-            RankSemantics::UTopK => 10,
-            _ => sweeps::DEFAULT_K,
-        };
+        let k = sweeps::DEFAULT_K;
         let plan = match semantics {
             RankSemantics::Ptk => PtkPlan::try_new(k, sweeps::DEFAULT_P, &options).unwrap(),
             other => PtkPlan::try_semantics(other, k, None, &options).unwrap(),
         };
         let executor = PtkExecutor::new(&plan);
         let mut laps = Vec::with_capacity(REPS);
-        let mut exhausted = false;
         for _ in 0..REPS {
             let mut source = ViewSource::new(view);
             let (answer, ms) = time_ms(|| executor.execute_semantics(&mut source));
-            match answer {
-                Ok(_) => {
-                    laps.push(ms);
-                    bench.lap_ms(ms);
-                }
-                Err(e) => {
-                    println!("{}: {e}", semantics.keyword());
-                    exhausted = true;
-                    break;
-                }
-            }
+            answer.expect("every semantics answers");
+            laps.push(ms);
+            bench.lap_ms(ms);
         }
         let label = format!("{} (k={k})", semantics.keyword().to_lowercase());
-        if exhausted {
-            report.row(&[&label, &"state cap"]);
-            continue;
-        }
         let med = median(&mut laps);
         if semantics == RankSemantics::Ptk {
             ptk_dispatched = med;

@@ -38,14 +38,11 @@ fn main() {
             .expect("k >= 1 and no threshold");
         PtkExecutor::new(&plan)
             .execute_semantics(&mut ViewSource::new(&ds.view))
-            .expect("search completes")
+            .expect("every semantics answers")
     };
 
     // U-TopK.
-    let SemanticsAnswer::UTopK {
-        rows, probability, ..
-    } = answer(RankSemantics::UTopK)
-    else {
+    let SemanticsAnswer::UTopK { rows, probability } = answer(RankSemantics::UTopK) else {
         unreachable!("a U-TopK plan answers U-TopK")
     };
     let ut_vector: Vec<usize> = rows.iter().map(|r| r.position).collect();

@@ -834,10 +834,22 @@ mod tests {
         };
         assert_eq!(
             run("utopk"),
-            "most probable top-2 vector (probability 0.280000, 6 states explored):\n\
+            "most probable top-2 vector (probability 0.280000):\n\
              \x20 rank    3  membership=0.800  [17, R5]\n\
              \x20 rank    4  membership=0.500  [13, R3]\n"
         );
+        let semantics_path = dispatch(&args(&[
+            "query",
+            file.as_str(),
+            "--k",
+            "2",
+            "--rank-by",
+            "duration",
+            "--semantics",
+            "u_topk",
+        ]))
+        .unwrap();
+        assert_eq!(run("utopk"), semantics_path);
         assert_eq!(
             run("ukranks"),
             "most probable tuple at each rank:\n\
@@ -2089,7 +2101,7 @@ mod tests {
         assert!(!out.contains("gf["), "{out}");
         assert!(out.contains("ranked-retrieval: scanned=4"), "{out}");
         assert!(
-            out.contains("\nu-topk[best-first vector]: answers=2"),
+            out.contains("\nu-topk[closed-form vector]: answers=2"),
             "{out}"
         );
         // U-KRanks maintains the row and names its stop with the depth.

@@ -10,7 +10,7 @@ use ptk_worlds::naive;
 
 use super::ctx::QueryCtx;
 use super::render::{
-    answer_rows, ptk_header, view_rows, write_batch_answers, write_membership_row, write_ptk_rows,
+    answer_rows, ptk_header, view_rows, write_batch_answers, write_ptk_rows,
     write_semantics_answer, Attrs, Fixed, PtkRow,
 };
 use super::{
@@ -306,25 +306,7 @@ fn rank_command(
 }
 
 pub(super) fn cmd_utopk(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
-    rank_command(flags, out, RankSemantics::UTopK, |out, table, k, answer| {
-        let SemanticsAnswer::UTopK {
-            rows,
-            probability,
-            states_explored,
-        } = answer
-        else {
-            return Err("internal: a U-TopK plan answered another semantics".into());
-        };
-        writeln!(
-            out,
-            "most probable top-{k} vector (probability {}, {states_explored} states explored):",
-            Fixed(*probability, 6)
-        )?;
-        for row in rows {
-            write_membership_row(out, table, row.position, row.id)?;
-        }
-        Ok(())
-    })
+    rank_command(flags, out, RankSemantics::UTopK, write_semantics_answer)
 }
 
 pub(super) fn cmd_ukranks(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {

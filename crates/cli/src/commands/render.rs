@@ -241,9 +241,7 @@ pub(super) fn write_semantics_answer(
         SemanticsAnswer::Ptk(_) => {
             Err("internal: PT-k answers render through write_ptk_rows".into())
         }
-        SemanticsAnswer::UTopK {
-            rows, probability, ..
-        } => {
+        SemanticsAnswer::UTopK { rows, probability } => {
             writeln!(
                 out,
                 "most probable top-{k} vector (probability {}):",

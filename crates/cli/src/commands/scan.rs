@@ -230,9 +230,7 @@ fn write_scan_answer(
         SemanticsAnswer::Ptk(_) => {
             return Err("internal: PT-k scans take the threshold path".into());
         }
-        SemanticsAnswer::UTopK {
-            rows, probability, ..
-        } => {
+        SemanticsAnswer::UTopK { rows, probability } => {
             writeln!(
                 out,
                 "most probable top-{k} vector (probability {}, {streamed}):",

@@ -69,8 +69,8 @@ The CSV must have a `prob` column (membership probability) and may have a
 `rule` column (tuples sharing a non-empty label are mutually exclusive).
 `--where` accepts one comparison, e.g. --where 'duration>=12' (operators:
 =, !=, <, <=, >, >=). `generate` writes CSV to stdout. `utopk`, `ukranks`
-and `erank` answer `query --semantics u_topk|u_kranks|expected_rank` with
-their own listings. `--stats` appends the run's metrics snapshot
+and `erank` answer `query --semantics u_topk|u_kranks|expected_rank`;
+`utopk` and `ukranks` print the same listing, `erank` its own. `--stats` appends the run's metrics snapshot
 (counters, histograms, phase timings) after the answer, as aligned text,
 one JSON line, or a Prometheus exposition page.
 
@@ -84,7 +84,7 @@ view. PT-k, `global_topk`, `u_kranks` and `expected_rank` stop early once
 no unseen tuple can change the answer (`--no-prune` scans in full, to the
 same answer) — `expected_rank` only over a table, since a run file does
 not carry the total mass it needs, so `scan` reads one in full; `u_topk`
-reads only the ranks its best-first search expands. EXPLAIN says which
+stops, pruning or not, once no vector ending deeper can beat its best. EXPLAIN says which
 stop a plan runs. Thresholds (`--p` / `WITH PROBABILITY`) parameterize
 PT-k only.
 

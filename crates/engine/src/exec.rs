@@ -31,9 +31,9 @@ use ptk_par::{StealStats, ThreadPool};
 
 use crate::dp;
 use crate::gf::{
-    expected_rank, expected_rank_slack, expected_ranks_closed, utopk_search, AbsorbSpec,
-    Compressor, GfState, RankSemantics, ScanRecord, SemanticsAnswer, SemanticsError, SemanticsRow,
-    RULE_MASS_SLACK, UTOPK_MAX_STATES,
+    expected_rank, expected_rank_slack, expected_ranks_closed, AbsorbSpec, Compressor, GfState,
+    RankSemantics, ScanRecord, SemanticsAnswer, SemanticsError, SemanticsRow, TopVector, TotalF64,
+    RULE_MASS_SLACK,
 };
 use crate::layout::{ScanLayout, StableSeed};
 use crate::plan::{PtkBatch, PtkPlan};
@@ -103,28 +103,6 @@ struct RuleFail {
     /// Largest membership probability among failed members seen so far
     /// (Theorem 4).
     failed_member_max: f64,
-}
-
-/// An `f64` ordered by `total_cmp`, so the running k best of Global-Topk and
-/// expected rank can sit in a [`BinaryHeap`].
-#[derive(Debug, Clone, Copy)]
-struct TotalF64(f64);
-
-impl PartialEq for TotalF64 {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for TotalF64 {}
-impl PartialOrd for TotalF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TotalF64 {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.total_cmp(&other.0)
-    }
 }
 
 /// PT-k's early-exit test (line 6 of Figure 3): whether some tuple not
@@ -572,12 +550,11 @@ impl<'a> PtkExecutor<'a> {
     /// Expected rank reads only the scan records and, with
     /// `options.pruning`, stops at its prefix-mass floor when the source
     /// knows its total mass ([`RankedSource::total_mass`]); over any other
-    /// source it scans in full. U-TopK's search pulls each record from the
-    /// source only when it first needs it, pruning or not, so the scan is
-    /// as deep as the search. Every answer is bit-identical to the full
-    /// scan's. Recording and tracing work as for PT-k (same counter names
-    /// and span layout, plus the `engine.gf.*` row counters and an
-    /// `engine.phase.finish` span).
+    /// source it scans in full. U-TopK's closed form ends the scan itself,
+    /// pruning or not, once no vector ending deeper can beat its best.
+    /// Every answer is bit-identical to the full scan's. Recording and
+    /// tracing work as for PT-k (same counter names and span layout, plus
+    /// the `engine.gf.*` row counters and an `engine.phase.finish` span).
     ///
     /// # Panics
     /// Panics if the source delivers scores out of order.
@@ -587,7 +564,7 @@ impl<'a> PtkExecutor<'a> {
     ) -> Result<SemanticsAnswer, SemanticsError> {
         match self.plan.semantics() {
             RankSemantics::Ptk => Ok(SemanticsAnswer::Ptk(self.execute(source))),
-            semantics => self.gf_scan(source, semantics),
+            semantics => Ok(self.gf_scan(source, semantics)),
         }
     }
 
@@ -596,7 +573,7 @@ impl<'a> PtkExecutor<'a> {
     /// PT-k runs as [`PtkExecutor::execute_snapshot`]. The other
     /// semantics fork a cursor and run the sequential gf scan whatever
     /// the pool width: their finishers are global functions of
-    /// the whole scan (a vector search, a per-rank argmax, a top-k
+    /// the whole scan (a most probable vector, a per-rank argmax, a top-k
     /// selection, an expectation), so one deterministic pass is both the
     /// simplest and a trivially bit-identical answer at every width.
     pub fn execute_semantics_snapshot<S: SnapshotSource + ?Sized>(
@@ -608,7 +585,7 @@ impl<'a> PtkExecutor<'a> {
             RankSemantics::Ptk => Ok(SemanticsAnswer::Ptk(self.execute_snapshot(source, pool))),
             semantics => {
                 let mut cursor = source.fork();
-                self.gf_scan(cursor.as_mut(), semantics)
+                Ok(self.gf_scan(cursor.as_mut(), semantics))
             }
         }
     }
@@ -618,7 +595,7 @@ impl<'a> PtkExecutor<'a> {
         &self,
         source: &mut S,
         semantics: RankSemantics,
-    ) -> Result<SemanticsAnswer, SemanticsError> {
+    ) -> SemanticsAnswer {
         debug_assert!(semantics != RankSemantics::Ptk);
         let options = *self.plan.options();
         let k = self.plan.k();
@@ -665,147 +642,152 @@ impl<'a> PtkExecutor<'a> {
         // k-th best.
         let mut ers: Vec<f64> = Vec::new();
         let mut best_ers: BinaryHeap<TotalF64> = BinaryHeap::new();
+        // U-TopK's closed form takes each record as it is scanned, and ends
+        // the scan itself once no deeper vector can win: that stop is the
+        // answer's own, not a pruning bound, so it holds unpruned too.
+        let mut top_vector = (semantics == RankSemantics::UTopK).then(|| TopVector::new(k));
 
-        // U-TopK's search pulls its records itself, on demand.
-        if semantics != RankSemantics::UTopK {
-            while let Some(record) = scan.pull() {
-                let rank = scan.scanned() - 1;
-                if let Some(gf) = gf.as_mut() {
-                    // The coefficient row over the dominant set T(t): the
-                    // pool so far, own rule excluded (Corollary 2).
-                    let row = dp_clock.time(|| gf.row_excluding(record.rule));
-                    if ukranks {
-                        // Rank j+1 needs j dominators present; past the
-                        // dominant set's size that is impossible, whatever
-                        // residue the row holds there.
-                        let max_degree = gf.max_degree(record.rule);
-                        for j in 0..k {
-                            let pr = if j > max_degree {
-                                0.0
-                            } else {
-                                record.prob * row[j]
-                            };
-                            if pr > ukr_best_prob[j] + 1e-15 {
-                                ukr_best_prob[j] = pr;
-                                ukr_best_pos[j] = rank;
-                            }
-                        }
-                    } else {
-                        let prk = record.prob * dp::partial_sum(&row);
-                        prks.push(prk);
-                        if stops_early {
-                            best_prks.push(Reverse(TotalF64(prk)));
-                            if best_prks.len() > k {
-                                best_prks.pop();
-                            }
+        while let Some(record) = scan.pull() {
+            let rank = scan.scanned() - 1;
+            if let Some(top_vector) = top_vector.as_mut() {
+                if !finish_clock.time(|| top_vector.push(rank, &record)) {
+                    break;
+                }
+            }
+            if let Some(gf) = gf.as_mut() {
+                // The coefficient row over the dominant set T(t): the
+                // pool so far, own rule excluded (Corollary 2).
+                let row = dp_clock.time(|| gf.row_excluding(record.rule));
+                if ukranks {
+                    // Rank j+1 needs j dominators present; past the
+                    // dominant set's size that is impossible, whatever
+                    // residue the row holds there.
+                    let max_degree = gf.max_degree(record.rule);
+                    for j in 0..k {
+                        let pr = if j > max_degree {
+                            0.0
+                        } else {
+                            record.prob * row[j]
+                        };
+                        if pr > ukr_best_prob[j] + 1e-15 {
+                            ukr_best_prob[j] = pr;
+                            ukr_best_pos[j] = rank;
                         }
                     }
-
-                    // Fold the tuple into the pool, with whatever layout
-                    // hints the source can give (they drive the refold
-                    // fallback's ordering and close completed rules for
-                    // the bound).
-                    let (rule_len, next_member_rank) = match record.rule {
-                        Some(key) => (
-                            scan.source.rule_len(key),
-                            scan.source
-                                .rule_member_rank(key, gf.absorbed(key) as usize + 1),
-                        ),
-                        None => (None, None),
-                    };
-                    dp_clock.time(|| {
-                        gf.absorb(AbsorbSpec {
-                            tag: rank,
-                            prob: record.prob,
-                            rule: record.rule,
-                            rule_len,
-                            next_member_rank,
-                        })
-                    });
-                }
-                if let Some(total) = total_mass {
-                    let rule_total = record.rule.map_or(0.0, |key| {
-                        scan.source
-                            .rule_mass(key)
-                            .expect("a source reporting its total mass reports every rule's")
-                    });
-                    let er = expected_rank(&record, total, rule_total);
-                    ers.push(er);
+                } else {
+                    let prk = record.prob * dp::partial_sum(&row);
+                    prks.push(prk);
                     if stops_early {
-                        best_ers.push(TotalF64(er));
-                        if best_ers.len() > k {
-                            best_ers.pop();
+                        best_prks.push(Reverse(TotalF64(prk)));
+                        if best_prks.len() > k {
+                            best_prks.pop();
                         }
                     }
                 }
 
-                // The stopping bound, checked periodically: stop once no
-                // unseen tuple can displace a row of the answer. Unseen
-                // tuples rank below every seen one, so they lose every tie
-                // and must beat the incumbent strictly.
-                if stops_early && scan.scanned().is_multiple_of(interval) {
-                    bound_checks += 1;
-                    let may_reach = bound_clock.time(|| match (semantics, gf.as_ref()) {
-                        (RankSemantics::UKRanks, Some(gf)) => {
-                            // Rank j+1 needs exactly j dominators, at most
-                            // `Σ_{i≤j}` of the row; beat the best at rank j+1.
-                            gf.unseen_may_reach(|row, slack| {
-                                let mut at_most = 0.0;
-                                row.iter().zip(&ukr_best_prob).any(|(&c, &best)| {
-                                    at_most += c;
-                                    at_most + slack >= best
-                                })
-                            })
-                        }
-                        // Global-Topk: beat the k-th best `Pr^k` seen.
-                        (RankSemantics::GlobalTopk, Some(gf)) => match best_prks.peek() {
-                            Some(&Reverse(TotalF64(kth))) if best_prks.len() == k => gf
-                                .unseen_may_reach(|row, slack| dp::partial_sum(row) + slack >= kth),
-                            _ => true,
-                        },
-                        // Expected rank: beat the k-th smallest seen. No
-                        // unseen tuple's is below the prefix's mass, up to
-                        // the slack (see `expected_rank_slack`).
-                        (RankSemantics::ExpectedRank, None) => {
-                            let total = total_mass.expect("expected rank stops only with a total");
-                            match best_ers.peek() {
-                                Some(&TotalF64(kth)) if best_ers.len() == k => {
-                                    kth + expected_rank_slack(total) > scan.prefix_mass
-                                }
-                                _ => true,
-                            }
-                        }
-                        other => unreachable!("{other:?} has no gf stopping bound"),
-                    });
-                    if !may_reach {
-                        stats.stop = Some(StopReason::UpperBound);
-                        if let Some(t) = tracer {
-                            t.instant(Mark::Stop {
-                                rule: StopRule::UpperBound,
-                            });
-                        }
-                        break;
+                // Fold the tuple into the pool, with whatever layout
+                // hints the source can give (they drive the refold
+                // fallback's ordering and close completed rules for
+                // the bound).
+                let (rule_len, next_member_rank) = match record.rule {
+                    Some(key) => (
+                        scan.source.rule_len(key),
+                        scan.source
+                            .rule_member_rank(key, gf.absorbed(key) as usize + 1),
+                    ),
+                    None => (None, None),
+                };
+                dp_clock.time(|| {
+                    gf.absorb(AbsorbSpec {
+                        tag: rank,
+                        prob: record.prob,
+                        rule: record.rule,
+                        rule_len,
+                        next_member_rank,
+                    })
+                });
+            }
+            if let Some(total) = total_mass {
+                let rule_total = record.rule.map_or(0.0, |key| {
+                    scan.source
+                        .rule_mass(key)
+                        .expect("a source reporting its total mass reports every rule's")
+                });
+                let er = expected_rank(&record, total, rule_total);
+                ers.push(er);
+                if stops_early {
+                    best_ers.push(TotalF64(er));
+                    if best_ers.len() > k {
+                        best_ers.pop();
                     }
+                }
+            }
+
+            // The stopping bound, checked periodically: stop once no
+            // unseen tuple can displace a row of the answer. Unseen
+            // tuples rank below every seen one, so they lose every tie
+            // and must beat the incumbent strictly.
+            if stops_early && scan.scanned().is_multiple_of(interval) {
+                bound_checks += 1;
+                let may_reach = bound_clock.time(|| match (semantics, gf.as_ref()) {
+                    (RankSemantics::UKRanks, Some(gf)) => {
+                        // Rank j+1 needs exactly j dominators, at most
+                        // `Σ_{i≤j}` of the row; beat the best at rank j+1.
+                        gf.unseen_may_reach(|row, slack| {
+                            let mut at_most = 0.0;
+                            row.iter().zip(&ukr_best_prob).any(|(&c, &best)| {
+                                at_most += c;
+                                at_most + slack >= best
+                            })
+                        })
+                    }
+                    // Global-Topk: beat the k-th best `Pr^k` seen.
+                    (RankSemantics::GlobalTopk, Some(gf)) => match best_prks.peek() {
+                        Some(&Reverse(TotalF64(kth))) if best_prks.len() == k => {
+                            gf.unseen_may_reach(|row, slack| dp::partial_sum(row) + slack >= kth)
+                        }
+                        _ => true,
+                    },
+                    // Expected rank: beat the k-th smallest seen. No
+                    // unseen tuple's is below the prefix's mass, up to
+                    // the slack (see `expected_rank_slack`).
+                    (RankSemantics::ExpectedRank, None) => {
+                        let total = total_mass.expect("expected rank stops only with a total");
+                        match best_ers.peek() {
+                            Some(&TotalF64(kth)) if best_ers.len() == k => {
+                                kth + expected_rank_slack(total) > scan.prefix_mass
+                            }
+                            _ => true,
+                        }
+                    }
+                    other => unreachable!("{other:?} has no gf stopping bound"),
+                });
+                if !may_reach {
+                    stats.stop = Some(StopReason::UpperBound);
+                    if let Some(t) = tracer {
+                        t.instant(Mark::Stop {
+                            rule: StopRule::UpperBound,
+                        });
+                    }
+                    break;
                 }
             }
         }
 
-        // U-TopK pulls inside the finisher; its pulls count as retrieval.
-        let pulled_before = scan.clock.nanos();
         let answer = finish_clock.time(|| match semantics {
             RankSemantics::UTopK => {
-                let (chosen, probability, states) =
-                    utopk_search(|pos| scan.get(pos), k, UTOPK_MAX_STATES)?;
-                Ok(SemanticsAnswer::UTopK {
+                let (chosen, probability) = top_vector
+                    .expect("a U-TopK scan feeds its finisher")
+                    .finish(&scan.records);
+                SemanticsAnswer::UTopK {
                     rows: chosen
                         .into_iter()
                         .map(|pos| semantics_row(&scan.records, pos, scan.records[pos].prob))
                         .collect(),
                     probability,
-                    states_explored: states,
-                })
+                }
             }
-            RankSemantics::UKRanks => Ok(SemanticsAnswer::UKRanks(if scan.records.is_empty() {
+            RankSemantics::UKRanks => SemanticsAnswer::UKRanks(if scan.records.is_empty() {
                 Vec::new()
             } else {
                 // One winner per rank, even when no tuple can occupy it
@@ -816,35 +798,32 @@ impl<'a> PtkExecutor<'a> {
                         semantics_row(&scan.records, ukr_best_pos[j], ukr_best_prob[j].max(0.0))
                     })
                     .collect()
-            })),
-            RankSemantics::GlobalTopk => Ok(SemanticsAnswer::GlobalTopk(
+            }),
+            RankSemantics::GlobalTopk => SemanticsAnswer::GlobalTopk(
                 k_best(prks.len(), k, |&a, &b| {
                     prks[b].total_cmp(&prks[a]).then(a.cmp(&b))
                 })
                 .into_iter()
                 .map(|pos| semantics_row(&scan.records, pos, prks[pos]))
                 .collect(),
-            )),
+            ),
             RankSemantics::ExpectedRank => {
                 let ranks = match total_mass {
                     Some(_) => ers,
                     None => expected_ranks_closed(&scan.records),
                 };
-                Ok(SemanticsAnswer::ExpectedRank(
+                SemanticsAnswer::ExpectedRank(
                     k_best(ranks.len(), k, |&a, &b| {
                         ranks[a].total_cmp(&ranks[b]).then(a.cmp(&b))
                     })
                     .into_iter()
                     .map(|pos| semantics_row(&scan.records, pos, ranks[pos]))
                     .collect(),
-                ))
+                )
             }
             RankSemantics::Ptk => unreachable!(),
         });
-        let answer = answer?;
-        let finish_nanos = finish_clock
-            .nanos()
-            .saturating_sub(scan.clock.nanos() - pulled_before);
+        let finish_nanos = finish_clock.nanos();
 
         // Counters report the work done: U-TopK and expected rank fold no
         // coefficients. Every semantics compresses each rule it meets.
@@ -917,7 +896,7 @@ impl<'a> PtkExecutor<'a> {
         recorder.add(counters::GF_ROWS_INCREMENTAL, rows_incremental);
         recorder.add(counters::GF_ROWS_REFOLDED, rows_refolded);
         recorder.add(counters::ANSWERS, answer.answer_count() as u64);
-        Ok(answer)
+        answer
     }
 
     /// Evaluates a batch of independent plans against one shared ranked
@@ -1062,9 +1041,8 @@ impl<'a> PtkExecutor<'a> {
     }
 }
 
-/// The records of one gf scan, each built once, when its tuple is pulled
-/// from the source: by the scan loop in rank order, or by the U-TopK
-/// search on demand.
+/// The records of one gf scan, each built once, in rank order, when its
+/// tuple is pulled from the source.
 struct RecordScan<'s, S: ?Sized> {
     source: &'s mut S,
     records: Vec<ScanRecord>,
@@ -1074,11 +1052,6 @@ struct RecordScan<'s, S: ?Sized> {
     /// the next record's `prefix_above`.
     prefix_mass: f64,
     last_score: f64,
-    /// Set once the source returns `None`; it is not asked again. The
-    /// U-TopK search may ask for the end rank more than once, and a source
-    /// may resume after a `None` (a v1 `FileSource` that met a corrupt
-    /// record reads on past it).
-    exhausted: bool,
     /// Time spent in the source.
     clock: PhaseClock,
 }
@@ -1091,7 +1064,6 @@ impl<'s, S: RankedSource + ?Sized> RecordScan<'s, S> {
             rule_seen: HashMap::new(),
             prefix_mass: 0.0,
             last_score: f64::INFINITY,
-            exhausted: false,
             clock,
         }
     }
@@ -1106,13 +1078,7 @@ impl<'s, S: RankedSource + ?Sized> RecordScan<'s, S> {
     /// # Panics
     /// Panics if the source delivers scores out of order.
     fn pull(&mut self) -> Option<ScanRecord> {
-        if self.exhausted {
-            return None;
-        }
-        let Some(tuple) = self.clock.time(|| self.source.next_ranked()) else {
-            self.exhausted = true;
-            return None;
-        };
+        let tuple = self.clock.time(|| self.source.next_ranked())?;
         assert!(
             tuple.score <= self.last_score + 1e-9,
             "source delivered scores out of order: {} after {}",
@@ -1139,15 +1105,6 @@ impl<'s, S: RankedSource + ?Sized> RecordScan<'s, S> {
         self.prefix_mass += tuple.prob;
         self.records.push(record);
         Some(record)
-    }
-
-    /// The record at scan rank `pos`, pulling up to it on first need;
-    /// `None` past the end of the source.
-    fn get(&mut self, pos: usize) -> Option<ScanRecord> {
-        while self.records.len() <= pos {
-            self.pull()?;
-        }
-        Some(self.records[pos])
     }
 }
 
@@ -1386,9 +1343,8 @@ mod tests {
     use ptk_access::ViewSource;
     use ptk_core::check::{check, Config};
     use ptk_core::prop_assert;
-    use ptk_core::rng::{RngExt, SeedableRng, StdRng};
+    use ptk_core::rng::{RngExt, StdRng};
     use ptk_core::RankedView;
-    use ptk_datagen::{RulePlacement, SyntheticConfig, SyntheticDataset};
 
     use super::*;
     use crate::gf::tests::{random_scan, reference_utopk_search};
@@ -1487,93 +1443,121 @@ mod tests {
 
     /// The semantics oracle's tables: the panda example, uniform random
     /// x-relations (rules of 2–4 members), and clustered synthetic views.
-    fn oracle_tables() -> Vec<RankedView> {
-        let mut views = vec![RankedView::from_ranked_probs(
-            &[0.3, 0.4, 0.8, 0.5, 1.0, 0.2],
-            &[vec![1, 3], vec![2, 5]],
-        )
-        .unwrap()];
-        let mut rng = StdRng::seed_from_u64(0x5eed_0011);
-        for _ in 0..60 {
-            let n = rng.random_range(1..=24usize);
-            let probs: Vec<f64> = (0..n)
-                .map(|_| match rng.random_range(0..5u32) {
-                    0 => 1.0,
-                    _ => rng.random_range(0.05..=1.0f64),
-                })
-                .collect();
-            let mut positions: Vec<usize> = (0..n).collect();
-            rng.shuffle(&mut positions);
-            let mut groups: Vec<Vec<usize>> = Vec::new();
-            for chunk in positions.chunks(rng.random_range(2..=4usize)) {
-                let mass: f64 = chunk.iter().map(|&p| probs[p]).sum();
-                if chunk.len() >= 2 && mass <= 1.0 && rng.random_bool(0.6) {
-                    groups.push(chunk.to_vec());
+    /// A random x-relation of at most `size` tuples (0 gives the empty
+    /// view): a third draw only dyadic probabilities, so exact ties occur;
+    /// rules take 2–3 members, some summing to exactly 1 or to 1 + 1 ulp.
+    fn random_x_relation(rng: &mut StdRng, size: usize) -> RankedView {
+        const DYADIC: [f64; 5] = [0.125, 0.25, 0.5, 0.75, 1.0];
+        let n = rng.random_range(0..=size);
+        let dyadic = rng.random_range(0..3u32) == 0;
+        let mut probs: Vec<f64> = (0..n)
+            .map(|_| match (dyadic, rng.random_range(0..6u32)) {
+                (true, _) => DYADIC[rng.random_range(0..DYADIC.len())],
+                (false, 0) => 1.0,
+                (false, _) => rng.random_range(0.05..=1.0f64),
+            })
+            .collect();
+        let mut positions: Vec<usize> = (0..n).collect();
+        rng.shuffle(&mut positions);
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut rest = positions.as_slice();
+        while rest.len() >= 2 {
+            let len = rng.random_range(2..=3usize).min(rest.len());
+            let (members, tail) = rest.split_at(len);
+            rest = tail;
+            if rng.random_bool(0.4) {
+                continue;
+            }
+            match rng.random_range(0..4u32) {
+                // Exactly 1: the last member takes what the others leave.
+                0 => {
+                    let (last, others) = members.split_last().unwrap();
+                    let share = 1.0 / len as f64;
+                    for &m in others {
+                        probs[m] = share;
+                    }
+                    probs[*last] = 1.0 - share * (len - 1) as f64;
+                }
+                // 1 + 1 ulp.
+                1 => {
+                    let (last, others) = members.split_last().unwrap();
+                    for &m in others {
+                        probs[m] = 0.5 / others.len() as f64;
+                    }
+                    probs[*last] = 0.5 + f64::EPSILON;
+                }
+                _ => {
+                    if members.iter().map(|&m| probs[m]).sum::<f64>() > 1.0 {
+                        continue;
+                    }
                 }
             }
-            views.push(RankedView::from_ranked_probs(&probs, &groups).unwrap());
+            groups.push(members.to_vec());
         }
-        for seed in [0x5eed_0012u64, 0x5eed_0013, 0x5eed_0014, 0x5eed_0015] {
-            let config = SyntheticConfig {
-                tuples: 200,
-                rules: 30,
-                seed,
-                rule_size_mean: 2.0,
-                rule_size_sd: 0.5,
-                placement: RulePlacement::Clustered { span: 4 },
-                ..SyntheticConfig::default()
-            };
-            views.push(SyntheticDataset::generate(&config).view);
+        RankedView::from_ranked_probs(&probs, &groups).unwrap()
+    }
+
+    /// U-TopK over `view` at every `k` up to `n + 1`, pruned and not,
+    /// against the best-first search: the same vector and probability bits,
+    /// or a tie (per-rank products within 1e-12) broken toward the smaller
+    /// vector, where the search breaks it by the bits of its products.
+    fn matches_the_search(view: &RankedView) -> Result<(), String> {
+        // The reference reads every record, built by one full scan.
+        let mut source = ViewSource::new(view);
+        let mut full = RecordScan::new(&mut source, PhaseClock::enabled_if(false));
+        while full.pull().is_some() {}
+        for k in 1..=view.len() + 1 {
+            let (want, want_prob, _) = reference_utopk_search(&full.records, k);
+            // Not a pruning bound: the same ranks with pruning off.
+            let mut depths = Vec::new();
+            for options in [
+                EngineOptions::default(),
+                EngineOptions::without_pruning(SharingVariant::Lazy),
+            ] {
+                let plan = PtkPlan::try_semantics(RankSemantics::UTopK, k, None, &options).unwrap();
+                let metrics = Metrics::new();
+                let answer = PtkExecutor::with_recorder(&plan, &metrics)
+                    .execute_semantics(&mut ViewSource::new(view))
+                    .unwrap();
+                let SemanticsAnswer::UTopK { rows, probability } = answer else {
+                    return Err(format!("k={k}: not a U-TopK answer"));
+                };
+                let got: Vec<usize> = rows.iter().map(|r| r.position).collect();
+                let ctx = format!(
+                    "k={k} view={view:?}: {got:?} ({probability:e}) \
+                     vs the search's {want:?} ({want_prob:e})"
+                );
+                if got == want {
+                    prop_assert!(probability.to_bits() == want_prob.to_bits(), "{ctx}");
+                } else {
+                    let scale = probability.max(want_prob);
+                    prop_assert!(
+                        (probability - want_prob).abs() <= 1e-12 * scale,
+                        "not a tie: {ctx}"
+                    );
+                    prop_assert!(got < want, "a tie to the larger vector: {ctx}");
+                }
+                let stats = ExecStats::from_snapshot(&metrics.snapshot());
+                prop_assert!(stats.stop.is_none(), "k={k}: {:?}", stats.stop);
+                depths.push(stats.scanned);
+            }
+            prop_assert!(depths[0] == depths[1], "k={k}: scanned {depths:?}");
         }
-        views
+        Ok(())
     }
 
     #[test]
-    fn utopk_on_demand_matches_the_search_over_a_full_scan() {
-        for (t, view) in oracle_tables().iter().enumerate() {
-            // The reference reads every record, built by one full scan.
-            let mut source = ViewSource::new(view);
-            let mut full = RecordScan::new(&mut source, PhaseClock::enabled_if(false));
-            while full.pull().is_some() {}
-            assert_eq!(full.scanned(), view.len());
-            for k in 1..=5 {
-                let (want, want_prob, want_states, deepest) =
-                    reference_utopk_search(&full.records, k, UTOPK_MAX_STATES).unwrap();
-                // Not a pruning bound: the same pulls with pruning off.
-                for options in [
-                    EngineOptions::default(),
-                    EngineOptions::without_pruning(SharingVariant::Lazy),
-                ] {
-                    let ctx = format!("table {t} n={} k={k}", view.len());
-                    let plan =
-                        PtkPlan::try_semantics(RankSemantics::UTopK, k, None, &options).unwrap();
-                    let metrics = Metrics::new();
-                    let answer = PtkExecutor::with_recorder(&plan, &metrics)
-                        .execute_semantics(&mut ViewSource::new(view))
-                        .unwrap();
-                    let SemanticsAnswer::UTopK {
-                        rows,
-                        probability,
-                        states_explored,
-                    } = answer
-                    else {
-                        panic!("{ctx}: not a U-TopK answer");
-                    };
-                    let got: Vec<usize> = rows.iter().map(|r| r.position).collect();
-                    assert_eq!(got, want, "{ctx}: vector");
-                    assert_eq!(probability.to_bits(), want_prob.to_bits(), "{ctx}");
-                    assert_eq!(states_explored, want_states, "{ctx}: states");
-                    let stats = ExecStats::from_snapshot(&metrics.snapshot());
-                    let bound = deepest.map_or(0, |d| d + 1);
-                    assert!(
-                        stats.scanned <= bound,
-                        "{ctx}: scanned {} past the deepest expanded rank {deepest:?} + 1",
-                        stats.scanned
-                    );
-                    assert_eq!(stats.stop, None, "{ctx}");
-                }
-            }
-        }
+    fn utopk_closed_form_matches_the_search_but_for_ties() {
+        // At k = 3 the best vector ends at rank 3 with both certain tuples
+        // and one of the two tuples of equal ratio before it: the earlier.
+        let probs = [1.0, 0.25, 0.25, 1.0, 0.125, 0.25, 0.5];
+        let tied_slot = RankedView::from_ranked_probs(&probs, &[]).unwrap();
+        matches_the_search(&tied_slot).unwrap();
+        check(
+            "U-TopK closed form == best-first search, ties aside",
+            Config::cases(3000).sizes(0, 10).seed(0x9001_0008),
+            |rng, size| matches_the_search(&random_x_relation(rng, size)),
+        );
     }
 
     #[test]
@@ -1678,8 +1662,8 @@ mod tests {
     #[test]
     fn a_source_that_ended_is_not_asked_again() {
         // Certain-free independents: U-TopK's vector needs more ranks than
-        // the 3 before the end, so the search asks for the end rank from
-        // several states.
+        // the 3 before the end, so the scan reads to the end, and must not
+        // read on once the source has said so.
         let tuples: Vec<ptk_access::SourceTuple> = (0..12)
             .map(|i| ptk_access::SourceTuple {
                 id: TupleId::new(i),

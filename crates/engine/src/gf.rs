@@ -16,7 +16,7 @@
 //!   rule out — falling back to the prefix-shared refold only when the
 //!   inversion cannot certify its accuracy ("where applicable");
 //! * [`RankSemantics`] and the per-semantics finishers (the U-TopK
-//!   best-first vector search, the U-KRanks argmax, the Global-Topk
+//!   x-relation closed form, the U-KRanks argmax, the Global-Topk
 //!   selection, the Cormode-style expected-rank closed form) that turn one
 //!   scan's coefficients into each answer shape.
 //!
@@ -32,12 +32,12 @@
 //! [`RULE_MASS_SLACK`]). So the pool's prefix sums bound every unseen
 //! tuple's `Pr^k` and its probability of any exact rank. Expected rank
 //! stops on a bound of its own: no unseen tuple's expected rank is below
-//! the scanned prefix's mass (see [`expected_rank_slack`]). U-TopK needs
-//! no bound: its best-first search reads each rank only when it first
-//! expands it ([`utopk_search`]), so the scan is as deep as the search.
+//! the scanned prefix's mass (see [`expected_rank_slack`]). U-TopK takes
+//! no pruning bound: its closed form ([`TopVector`]) ends the scan itself
+//! once no vector ending deeper can beat the best one so far.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use ptk_access::RuleKey;
 use ptk_core::TupleId;
@@ -122,8 +122,8 @@ impl RankSemantics {
 
     /// Whether the semantics reads per-rank coefficient rows: PT-k through
     /// its prefix-shared DP, U-KRanks and Global-Topk through the
-    /// incremental gf row. U-TopK's conditional factors and expected
-    /// rank's closed form need only the scan records.
+    /// incremental gf row. The U-TopK and expected-rank closed forms need
+    /// only the scan records.
     pub fn reads_gf_rows(self) -> bool {
         matches!(
             self,
@@ -146,7 +146,8 @@ impl RankSemantics {
     /// knows its total mass ahead of time, which a scanned tuple's
     /// expected rank needs. A U-TopK vector's probability is no function
     /// of one tuple's prefix quantities, so U-TopK has no stopping bound;
-    /// its search reads the source only as deep as it expands instead.
+    /// its closed form ends the scan itself, pruning or not, once no
+    /// vector ending deeper can beat its best.
     pub fn has_stopping_bound(self) -> bool {
         self != RankSemantics::UTopK
     }
@@ -155,7 +156,7 @@ impl RankSemantics {
     pub fn stage_label(self) -> &'static str {
         match self {
             RankSemantics::Ptk => "ptk[threshold emit]",
-            RankSemantics::UTopK => "u-topk[best-first vector]",
+            RankSemantics::UTopK => "u-topk[closed-form vector]",
             RankSemantics::UKRanks => "u-kranks[argmax per rank]",
             RankSemantics::GlobalTopk => "global-topk[top-k by Pr^k]",
             RankSemantics::ExpectedRank => "expected-rank[closed form]",
@@ -1055,8 +1056,6 @@ pub enum SemanticsAnswer {
         rows: Vec<SemanticsRow>,
         /// The probability that this vector is exactly the top-k list.
         probability: f64,
-        /// States popped by the best-first search.
-        states_explored: u64,
     },
     /// Per rank `j ∈ 1..=k` (in order), the winning tuple
     /// (`value` = probability of being ranked exactly `j`-th).
@@ -1104,32 +1103,18 @@ impl SemanticsAnswer {
     }
 }
 
-/// A semantics evaluation that could not complete.
+/// A semantics evaluation that could not complete. Every semantics answers,
+/// so the type has no values; the executor's signature keeps it for callers.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SemanticsError {
-    /// The U-TopK best-first search popped more than `max_states` states.
-    SearchExhausted {
-        /// The configured cap that was hit.
-        max_states: u64,
-    },
-}
+pub enum SemanticsError {}
 
 impl std::fmt::Display for SemanticsError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SemanticsError::SearchExhausted { max_states } => {
-                write!(f, "U-TopK search exceeded {max_states} states")
-            }
-        }
+    fn fmt(&self, _: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {}
     }
 }
 
 impl std::error::Error for SemanticsError {}
-
-/// Hard cap on states popped by the in-engine U-TopK search; the search is
-/// exponential in the worst case (inherent to the vector semantics), though
-/// it behaves well on realistic inputs.
-pub const UTOPK_MAX_STATES: u64 = 20_000_000;
 
 /// What the one gf scan records per rank, for the post-scan finishers.
 #[derive(Debug, Clone, Copy)]
@@ -1144,216 +1129,339 @@ pub(crate) struct ScanRecord {
     pub prefix_above: f64,
 }
 
-/// A partial state of the U-TopK best-first search: the scan has consumed
-/// ranks `0..depth`, the tuples in `chosen` are present, every other
-/// consumed tuple is absent. `prob` is the exact probability of that event,
-/// an upper bound on any completion (future factors are at most 1).
-#[derive(Debug, Clone)]
-struct VectorState {
-    depth: usize,
-    prob: f64,
-    chosen: Vec<usize>,
-    /// Rules with a chosen member.
-    rules_chosen: Vec<RuleKey>,
+/// A group whose scanned mass `q` leaves `1 − q` at most this is in every
+/// world: forced into every vector, while its later members join none. The
+/// conditional factors of [`vector_probability`] use the same guard.
+const FORCED: f64 = 1e-12;
+
+/// U-TopK candidates whose log probabilities lie this close are tied; the
+/// lexicographically smaller vector wins, as in the worlds oracle.
+const TIE: f64 = 1e-12;
+
+/// U-TopK by its closed form under the x-relation model (Yi, Li, Kollios
+/// and Srivastava, TKDE 2008), fed one scan record per rank (DESIGN.md §13).
+///
+/// Each rule, and each tuple outside a rule, is a *group* with scanned
+/// mass `q_h` and most probable scanned member `b_h`. The best vector
+/// ending at rank `i` is `t_i` plus the `k − 1` other groups with the
+/// largest ratio `p(b_h) / (1 − q_h)`, the forced ones among them. After a
+/// full read, the best world of fewer than `k` tuples is one more
+/// candidate. Candidates are ranked in log space. `O(log d)` per rank and `O(d)` memory over the
+/// `d` ranks read; nothing is sized by `k`.
+#[derive(Debug, Default)]
+pub(crate) struct TopVector {
+    k: usize,
+    /// Each rule's group; a tuple outside a rule is its own group, met once.
+    rules: HashMap<RuleKey, Group>,
+    ratios: Ratios,
+    /// The best member's position of each forced group.
+    forced: Vec<usize>,
+    /// `Σ ln(1 − q_h)` over the free groups.
+    log_absent: f64,
+    /// `Σ ln p(b_h)` over the forced groups.
+    log_forced: f64,
+    /// The best candidate's log probability so far.
+    best: f64,
+    /// Every candidate within [`TIE`] of `best`, in rank order: its end
+    /// rank (the number of ranks read, for a whole world) and log
+    /// probability.
+    tied: Vec<(usize, f64)>,
 }
 
-impl PartialEq for VectorState {
+/// One group of the scan: a rule, or a tuple outside one.
+#[derive(Debug, Clone, Copy)]
+struct Group {
+    /// The position and probability of its most probable scanned member
+    /// that may join a vector (the earliest, among ties).
+    best: (usize, f64),
+    /// `ln(1 − q)` and its ratio among the free groups, once scanned and
+    /// while free.
+    free: Option<(f64, Ratio)>,
+    forced: bool,
+}
+
+/// An `f64` ordered by `total_cmp`, so the running k best of Global-Topk and
+/// expected rank can sit in a [`BinaryHeap`](std::collections::BinaryHeap),
+/// and U-TopK's ratios in a [`BTreeSet`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TotalF64(pub(crate) f64);
+
+impl PartialEq for TotalF64 {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
-impl Eq for VectorState {}
-impl PartialOrd for VectorState {
+impl Eq for TotalF64 {}
+impl PartialOrd for TotalF64 {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for VectorState {
+impl Ord for TotalF64 {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Highest probability pops first; among equals, the
-        // lexicographically smaller vector pops first (deterministic
-        // tie-breaking, matching the enumeration oracle).
-        self.prob
-            .total_cmp(&other.prob)
-            .then_with(|| other.chosen.cmp(&self.chosen))
-            .then_with(|| other.depth.cmp(&self.depth))
+        self.0.total_cmp(&other.0)
     }
 }
 
-/// The U-TopK best-first vector search over one scan's records, read
-/// through `record(d)`: the record at scan rank `d`, or `None` past the
-/// end of the scan.
-///
-/// The search asks for rank `d` only once its greedy seed or a state at
-/// depth `d` needs it, and asks for a rank first only after every rank
-/// above it, so a caller can pull the records from its source on demand:
-/// the scan then reads no deeper than the search expands, plus the one
-/// rank that shows where the input ends.
-///
-/// The state probability is admissible (future factors ≤ 1), so the first
-/// complete state popped is optimal; a greedy completion seeds a lower
-/// bound that keeps the frontier small on high-probability inputs.
-pub(crate) fn utopk_search(
-    mut record: impl FnMut(usize) -> Option<ScanRecord>,
-    k: usize,
-    max_states: u64,
-) -> Result<(Vec<usize>, f64, u64), SemanticsError> {
-    // Seed a lower bound with the greedy completion (include every tuple
-    // the rules allow until the vector is full): any state whose upper
-    // bound falls below a known complete vector's probability can never be
-    // optimal, so it is not even pushed.
-    let lower_bound = {
-        let mut prob = 1.0f64;
-        let mut chosen = 0usize;
-        let mut taken: Vec<RuleKey> = Vec::new();
-        let mut pos = 0;
-        while chosen < k {
-            let Some(rec) = record(pos) else { break };
-            pos += 1;
-            let p = rec.prob;
-            match rec.rule {
-                None => {
-                    prob *= p;
-                    chosen += 1;
-                }
-                Some(key) => {
-                    if taken.contains(&key) {
-                        continue; // forced exclusion, factor 1
-                    }
-                    let remaining = 1.0 - rec.mates_above;
-                    if remaining > 1e-12 {
-                        prob *= (p / remaining).min(1.0);
-                        chosen += 1;
-                        taken.push(key);
-                    }
-                    // remaining ~ 0: the tuple cannot exist; skip.
+/// A free group's `ln(p(b_h) / (1 − q_h))` and its best member's position.
+/// Equal ratios order the earlier position as the larger, so a vector
+/// takes it and stays lexicographically small.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Ratio {
+    log: TotalF64,
+    pos: Reverse<usize>,
+}
+
+/// The free groups' ratios, split into the `slots` largest (`top`) and
+/// the rest, with running sums over the top.
+#[derive(Debug, Default)]
+struct Ratios {
+    top: BTreeSet<Ratio>,
+    rest: BTreeSet<Ratio>,
+    slots: usize,
+    /// `Σ` of the top's logs.
+    log_sum: f64,
+    /// `Σ` of the top's positive logs: its ratios above 1.
+    gain: f64,
+}
+
+impl Ratios {
+    /// Moves ratios across the split until the top holds the `slots`
+    /// largest.
+    fn balance(&mut self) {
+        while self.top.len() > self.slots {
+            self.demote();
+        }
+        while let Some(&best) = self.rest.last() {
+            if self.top.len() == self.slots {
+                match self.top.first() {
+                    Some(&worst) if best > worst => self.demote(),
+                    _ => return,
                 }
             }
-            if prob == 0.0 {
+            self.promote();
+        }
+    }
+
+    fn demote(&mut self) {
+        let worst = self.top.pop_first().expect("a ratio to demote");
+        self.log_sum -= worst.log.0;
+        self.gain -= worst.log.0.max(0.0);
+        self.rest.insert(worst);
+    }
+
+    fn promote(&mut self) {
+        let best = self.rest.pop_last().expect("a ratio to promote");
+        self.log_sum += best.log.0;
+        self.gain += best.log.0.max(0.0);
+        self.top.insert(best);
+    }
+}
+
+impl TopVector {
+    pub(crate) fn new(k: usize) -> Self {
+        TopVector {
+            k,
+            ratios: Ratios {
+                slots: k.saturating_sub(1),
+                ..Ratios::default()
+            },
+            best: f64::NEG_INFINITY,
+            ..TopVector::default()
+        }
+    }
+
+    /// Feeds the record at scan rank `pos`, the next one. Returns whether
+    /// a vector ending deeper may still win or tie; `false` ends the scan.
+    pub(crate) fn push(&mut self, pos: usize, record: &ScanRecord) -> bool {
+        let mut ending_here = None;
+        self.step(pos, record, |_, log| ending_here = Some(log));
+        if let Some(log) = ending_here {
+            self.offer(pos, log);
+        }
+        self.bound() >= self.best - TIE
+    }
+
+    /// The answer once the scan is over: the winning vector's positions,
+    /// ascending, and its probability. `records` are the pushed records.
+    /// A scan that [`TopVector::push`] did not end read the whole input, so
+    /// the best whole world is one more candidate.
+    pub(crate) fn finish(mut self, records: &[ScanRecord]) -> (Vec<usize>, f64) {
+        if self.forced.len() < self.k && self.bound() >= self.best - TIE {
+            self.offer(records.len(), self.bound());
+        }
+        // Replay the scan to list each tied candidate's vector.
+        let mut replay = TopVector::new(self.k);
+        let mut ends = self.tied.iter().map(|&(end, _)| end).peekable();
+        let mut vectors = Vec::new();
+        for (pos, record) in records.iter().enumerate() {
+            if ends.peek().is_none() {
                 break;
             }
+            replay.step(pos, record, |at, _| {
+                if ends.next_if_eq(&pos).is_some() {
+                    vectors.push(at.vector_ending_at(pos));
+                }
+            });
         }
-        prob
-    };
-
-    let push_state = |heap: &mut BinaryHeap<VectorState>, s: VectorState| {
-        if s.prob >= lower_bound {
-            heap.push(s);
+        if ends.next_if_eq(&records.len()).is_some() {
+            vectors.push(replay.world_vector());
         }
-    };
-    let mut heap = BinaryHeap::new();
-    heap.push(VectorState {
-        depth: 0,
-        prob: 1.0,
-        chosen: Vec::new(),
-        rules_chosen: Vec::new(),
-    });
-    let mut popped: u64 = 0;
-
-    while let Some(state) = heap.pop() {
-        popped += 1;
-        if popped > max_states {
-            return Err(SemanticsError::SearchExhausted { max_states });
-        }
-        if state.chosen.len() == k {
-            return Ok((state.chosen, state.prob, popped));
-        }
-        let pos = state.depth;
-        let Some(rec) = record(pos) else {
-            // The input ended before the vector filled.
-            return Ok((state.chosen, state.prob, popped));
+        let Some(vector) = vectors.into_iter().min() else {
+            return (Vec::new(), 0.0);
         };
-        let p = rec.prob;
-        match rec.rule {
-            None => {
-                // Include.
-                if p > 0.0 {
-                    let mut chosen = state.chosen.clone();
-                    chosen.push(pos);
-                    push_state(
-                        &mut heap,
-                        VectorState {
-                            depth: pos + 1,
-                            prob: state.prob * p,
-                            chosen,
-                            rules_chosen: state.rules_chosen.clone(),
-                        },
-                    );
-                }
-                // Exclude.
-                if p < 1.0 {
-                    push_state(
-                        &mut heap,
-                        VectorState {
-                            depth: pos + 1,
-                            prob: state.prob * (1.0 - p),
-                            chosen: state.chosen,
-                            rules_chosen: state.rules_chosen,
-                        },
-                    );
-                }
+        let end = match vector.last() {
+            Some(&last) if vector.len() == self.k => last + 1,
+            _ => records.len(),
+        };
+        let probability = vector_probability(&records[..end], &vector);
+        (vector, probability)
+    }
+
+    /// Folds the record at rank `pos` into its group. In between, with the
+    /// group out of the free ratios, it hands `ending_here` the log
+    /// probability of the best vector ending at `pos`, if one can.
+    fn step(&mut self, pos: usize, record: &ScanRecord, ending_here: impl FnOnce(&Self, f64)) {
+        // What the member can add to a vector: its rule's unscanned mass
+        // caps it, as in the conditional factors.
+        let prob = record.prob.min(1.0 - record.mates_above);
+        let fresh = Group {
+            best: (pos, prob),
+            free: None,
+            forced: false,
+        };
+        let mut group = record
+            .rule
+            .and_then(|key| self.rules.get(&key).copied())
+            .unwrap_or(fresh);
+        if group.forced {
+            return;
+        }
+        if let Some((log_absent, ratio)) = group.free.take() {
+            if self.ratios.top.remove(&ratio) {
+                self.ratios.log_sum -= ratio.log.0;
+                self.ratios.gain -= ratio.log.0.max(0.0);
+            } else {
+                self.ratios.rest.remove(&ratio);
             }
+            self.ratios.balance();
+            self.log_absent -= log_absent;
+        }
+        if self.forced.len() < self.k && self.ratios.top.len() == self.ratios.slots {
+            let log = self.log_absent + self.log_forced + prob.ln() + self.ratios.log_sum;
+            ending_here(self, log);
+        }
+
+        // A later member within a tie of the best leaves the earlier in.
+        if prob > group.best.1 * (1.0 + TIE) {
+            group.best = (pos, prob);
+        }
+        let (best_pos, best_prob) = group.best;
+        // A rule's mass is clamped as the scan clamps `mates_above`.
+        let mass = match record.rule {
+            Some(_) => (record.mates_above + record.prob).min(1.0),
+            None => record.prob,
+        };
+        if 1.0 - mass <= FORCED {
+            group.forced = true;
+            self.forced.push(best_pos);
+            self.log_forced += best_prob.ln();
+            self.ratios.slots = self.k.saturating_sub(1 + self.forced.len());
+            self.ratios.balance();
+        } else {
+            let log_absent = (1.0 - mass).ln();
+            let ratio = Ratio {
+                log: TotalF64(best_prob.ln() - log_absent),
+                pos: Reverse(best_pos),
+            };
+            group.free = Some((log_absent, ratio));
+            self.log_absent += log_absent;
+            self.ratios.rest.insert(ratio);
+            self.ratios.balance();
+        }
+        if let Some(key) = record.rule {
+            self.rules.insert(key, group);
+        }
+    }
+
+    /// The log of the most any vector ending below the pushed ranks can
+    /// reach, which is also the best whole world's after a full read.
+    fn bound(&self) -> f64 {
+        if self.forced.len() < self.k {
+            self.log_absent + self.log_forced + self.ratios.gain
+        } else {
+            f64::NEG_INFINITY
+        }
+    }
+
+    fn offer(&mut self, end: usize, log: f64) {
+        if log > self.best {
+            self.best = log;
+            self.tied.retain(|&(_, other)| other >= log - TIE);
+        }
+        if log >= self.best - TIE {
+            self.tied.push((end, log));
+        }
+    }
+
+    /// The best vector ending at the rank [`TopVector::step`] is folding.
+    fn vector_ending_at(&self, pos: usize) -> Vec<usize> {
+        let top = self.ratios.top.iter().map(|ratio| ratio.pos.0);
+        let mut vector: Vec<usize> = self.forced.iter().copied().chain(top).collect();
+        vector.push(pos);
+        vector.sort_unstable();
+        vector
+    }
+
+    /// The best whole world after a full read. A group whose ratio ties 1
+    /// leaves the probability as it is, so it joins only where that makes
+    /// the vector smaller, before its last member, while slots last.
+    fn world_vector(&self) -> Vec<usize> {
+        let above = self.ratios.top.iter().filter(|ratio| ratio.log.0 > TIE);
+        let mut vector = self.forced.clone();
+        vector.extend(above.map(|ratio| ratio.pos.0));
+        let last = vector.iter().max().copied();
+        let room = self.ratios.slots + self.forced.len() - vector.len();
+        let all = self.ratios.top.iter().chain(&self.ratios.rest);
+        let mut level: Vec<usize> = all
+            .filter(|ratio| ratio.log.0.abs() <= TIE && last.is_some_and(|l| ratio.pos.0 < l))
+            .map(|ratio| ratio.pos.0)
+            .collect();
+        level.sort_unstable();
+        vector.extend(level.into_iter().take(room));
+        vector.sort_unstable();
+        vector
+    }
+}
+
+/// The probability of `vector` (ascending positions) being the top list of
+/// the ranks in `records`: one conditional factor per rank, given the
+/// ranks above, multiplied in rank order. A member contributes `p`, or
+/// `min(p / r, 1)` in a rule whose unscanned mass is `r = 1 − mates_above`;
+/// an absent independent tuple `1 − p`; an absent rule member
+/// `max((r − p) / r, 0)`, or 1 once a mate is in or `r ≤ FORCED`.
+fn vector_probability(records: &[ScanRecord], vector: &[usize]) -> f64 {
+    let mut members = vector.iter().copied().peekable();
+    let mut taken: HashSet<RuleKey> = HashSet::new();
+    let mut prob = 1.0f64;
+    for (pos, record) in records.iter().enumerate() {
+        let member = members.next_if_eq(&pos).is_some();
+        let p = record.prob;
+        match record.rule {
+            None => prob *= if member { p } else { 1.0 - p },
+            Some(key) if taken.contains(&key) => {}
             Some(key) => {
-                if state.rules_chosen.contains(&key) {
-                    // Another member of the rule is already in the vector:
-                    // this tuple is absent with conditional probability 1.
-                    push_state(
-                        &mut heap,
-                        VectorState {
-                            depth: pos + 1,
-                            prob: state.prob,
-                            chosen: state.chosen,
-                            rules_chosen: state.rules_chosen,
-                        },
-                    );
-                } else {
-                    // No member chosen yet: condition on "no member of the
-                    // rule ranked above this one appeared".
-                    let remaining = 1.0 - rec.mates_above;
-                    debug_assert!(remaining > -1e-12);
-                    let include = if remaining > 1e-12 {
-                        p / remaining
-                    } else {
-                        0.0
-                    };
-                    if include > 0.0 {
-                        let mut chosen = state.chosen.clone();
-                        chosen.push(pos);
-                        let mut rules_chosen = state.rules_chosen.clone();
-                        rules_chosen.push(key);
-                        push_state(
-                            &mut heap,
-                            VectorState {
-                                depth: pos + 1,
-                                prob: state.prob * include.min(1.0),
-                                chosen,
-                                rules_chosen,
-                            },
-                        );
-                    }
-                    let exclude = if remaining > 1e-12 {
-                        ((remaining - p) / remaining).max(0.0)
-                    } else {
-                        1.0
-                    };
-                    if exclude > 0.0 {
-                        push_state(
-                            &mut heap,
-                            VectorState {
-                                depth: pos + 1,
-                                prob: state.prob * exclude,
-                                chosen: state.chosen,
-                                rules_chosen: state.rules_chosen,
-                            },
-                        );
-                    }
+                let remaining = 1.0 - record.mates_above;
+                if member {
+                    prob *= (p / remaining).min(1.0);
+                    taken.insert(key);
+                } else if remaining > FORCED {
+                    prob *= ((remaining - p) / remaining).max(0.0);
                 }
             }
         }
     }
-    // Heap drained without a complete state: only possible if every
-    // branch had probability zero — the empty vector.
-    Ok((Vec::new(), 0.0, popped))
+    prob
 }
 
 /// The Cormode et al. closed-form expected rank of one scanned tuple
@@ -1427,7 +1535,7 @@ pub(crate) fn expected_rank_slack(total: f64) -> f64 {
 #[cfg(test)]
 pub(crate) mod tests {
     use std::cell::Cell;
-    use std::collections::HashSet;
+    use std::collections::BinaryHeap;
 
     use ptk_core::check::{check, Config};
     use ptk_core::rng::{RngExt, StdRng};
@@ -1700,15 +1808,55 @@ pub(crate) mod tests {
         list
     }
 
-    /// The U-TopK search [`utopk_search`] replaced, kept as its reference:
-    /// it reads a fully materialized record slice, with rules numbered
-    /// densely by first appearance. Also returns the deepest rank a state
-    /// expanded.
+    /// A partial state of [`reference_utopk_search`]: the scan has
+    /// consumed ranks `0..depth`, the tuples in `chosen` are present, every
+    /// other consumed tuple is absent. `prob` is the exact probability of
+    /// that event, an upper bound on any completion (future factors are at
+    /// most 1).
+    #[derive(Debug, Clone)]
+    struct VectorState {
+        depth: usize,
+        prob: f64,
+        chosen: Vec<usize>,
+        /// Rules with a chosen member.
+        rules_chosen: Vec<RuleKey>,
+    }
+
+    impl PartialEq for VectorState {
+        fn eq(&self, other: &Self) -> bool {
+            self.cmp(other) == Ordering::Equal
+        }
+    }
+    impl Eq for VectorState {}
+    impl PartialOrd for VectorState {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for VectorState {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // Highest probability pops first; among equals, the
+            // lexicographically smaller vector pops first.
+            self.prob
+                .total_cmp(&other.prob)
+                .then_with(|| other.chosen.cmp(&self.chosen))
+                .then_with(|| other.depth.cmp(&self.depth))
+        }
+    }
+
+    /// The best-first U-TopK vector search [`TopVector`] replaced, kept as
+    /// its reference: it reads a fully materialized record slice, with
+    /// rules numbered densely by first appearance, and multiplies each
+    /// state's conditional factors as [`vector_probability`] does. The
+    /// state probability is admissible (future factors are at most 1), so
+    /// the first complete state popped is optimal; a greedy completion
+    /// seeds a lower bound that keeps the frontier small. Exponential in
+    /// `k` in the worst case. Returns the vector, its probability and the
+    /// deepest rank a state expanded.
     pub(crate) fn reference_utopk_search(
         records: &[ScanRecord],
         k: usize,
-        max_states: u64,
-    ) -> Result<(Vec<usize>, f64, u64, Option<usize>), SemanticsError> {
+    ) -> (Vec<usize>, f64, Option<usize>) {
         let n = records.len();
         // Rules by dense first-appearance index, so rule membership checks in
         // states are small-vector scans.
@@ -1773,16 +1921,11 @@ pub(crate) mod tests {
             chosen: Vec::new(),
             rules_chosen: Vec::new(),
         });
-        let mut popped: u64 = 0;
         let mut deepest: Option<usize> = None;
 
         while let Some(state) = heap.pop() {
-            popped += 1;
-            if popped > max_states {
-                return Err(SemanticsError::SearchExhausted { max_states });
-            }
             if state.chosen.len() == k || state.depth == n {
-                return Ok((state.chosen, state.prob, popped, deepest));
+                return (state.chosen, state.prob, deepest);
             }
             let pos = state.depth;
             deepest = deepest.max(Some(pos));
@@ -1874,10 +2017,9 @@ pub(crate) mod tests {
                 }
             }
         }
-        // Heap drained without a complete state: only possible on an empty scan
-        // (the initial state is complete there) or if every branch had
-        // probability zero — the empty vector.
-        Ok((Vec::new(), 0.0, popped, deepest))
+        // Heap drained without a complete state: only possible if every
+        // branch had probability zero — the empty vector.
+        (Vec::new(), 0.0, deepest)
     }
 
     /// The records a scan of `specs` builds, in scan order.
@@ -1905,25 +2047,6 @@ pub(crate) mod tests {
                 record
             })
             .collect()
-    }
-
-    #[test]
-    fn utopk_search_stops_at_its_state_cap() {
-        // Forty fair coins: the best top-10 vector lies far below the
-        // first states popped, so a cap of 5 is hit.
-        let specs: Vec<AbsorbSpec> = (0..40)
-            .map(|tag| AbsorbSpec {
-                tag,
-                prob: 0.5,
-                rule: None,
-                rule_len: None,
-                next_member_rank: None,
-            })
-            .collect();
-        let records = records_of(&specs);
-        let err = utopk_search(|d| records.get(d).copied(), 10, 5).unwrap_err();
-        assert_eq!(err, SemanticsError::SearchExhausted { max_states: 5 });
-        assert!(err.to_string().contains("5 states"), "{err}");
     }
 
     #[test]

@@ -73,7 +73,7 @@ mod stats;
 
 pub use exact::{evaluate_ptk, topk_probabilities};
 pub use exec::{AnswerTuple, PtkExecutor, PtkResult};
-pub use gf::{RankSemantics, SemanticsAnswer, SemanticsError, SemanticsRow, UTOPK_MAX_STATES};
+pub use gf::{RankSemantics, SemanticsAnswer, SemanticsError, SemanticsRow};
 pub use plan::{EngineOptions, PlanError, PlanStage, PtkBatch, PtkPlan, SharingVariant};
 pub use scanner::{Entry, Scanner, StepRow};
 pub use stats::{counters, ExecStats, StopReason};

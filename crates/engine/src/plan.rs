@@ -59,7 +59,7 @@ pub struct EngineOptions {
     /// upper bound) are applied, and the stopping bounds of Global-Topk,
     /// U-KRanks and expected rank. With pruning off the whole ranked list
     /// is scanned and every tuple's exact `Pr^k` is reported. (U-TopK's
-    /// search reads only the ranks it expands either way: that is no
+    /// closed form ends its scan at the same rank either way: that is no
     /// pruning bound.)
     pub pruning: bool,
     /// How often (in scanned tuples) the early-exit upper bound is
@@ -145,7 +145,7 @@ pub enum PlanStage {
     },
     /// The non-PT-k semantics' finisher over the scan: the per-rank rows
     /// (U-KRanks, Global-Topk) or the scan records alone (expected rank,
-    /// and U-TopK, whose search pulls the records it expands).
+    /// and U-TopK, whose closed form ends the scan itself).
     SemanticsFinish {
         /// The semantics being answered.
         semantics: RankSemantics,
@@ -266,8 +266,8 @@ impl PtkPlan {
     /// `p`"); every other semantics takes none — its answer shape is fixed
     /// by `k` alone. With `options.pruning`, Global-Topk, U-KRanks and
     /// expected rank stop at their stopping bounds (expected rank over a
-    /// source that knows its total mass); U-TopK has none, and reads only
-    /// the ranks its search expands.
+    /// source that knows its total mass); U-TopK has none, and its closed
+    /// form ends the scan itself.
     pub fn try_semantics(
         semantics: RankSemantics,
         k: usize,
@@ -710,7 +710,7 @@ mod tests {
             plan.describe(),
             "ranked-retrieval -> rule-compression -> expected-rank[closed form]"
         );
-        // U-TopK's search reads what it expands: no rows, no stop, pruning
+        // U-TopK's closed form ends its own scan: no rows, no stop, pruning
         // or not.
         let semantics = RankSemantics::UTopK;
         for options in [opts, unpruned] {
@@ -725,7 +725,7 @@ mod tests {
             );
             assert_eq!(
                 plan.describe(),
-                "ranked-retrieval -> rule-compression -> u-topk[best-first vector]"
+                "ranked-retrieval -> rule-compression -> u-topk[closed-form vector]"
             );
         }
     }

@@ -57,18 +57,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     // U-TopK: the most probable top-10 vector.
-    let SemanticsAnswer::UTopK {
-        rows,
-        probability,
-        states_explored,
-    } = answer(RankSemantics::UTopK)?
-    else {
+    let SemanticsAnswer::UTopK { rows, probability } = answer(RankSemantics::UTopK)? else {
         unreachable!("a U-TopK plan answers U-TopK")
     };
     let ut_vector: Vec<usize> = rows.iter().map(|r| r.position).collect();
-    println!(
-        "\nU-Top{k} answer (probability {probability:.4}, {states_explored} states explored):"
-    );
+    println!("\nU-Top{k} answer (probability {probability:.4}):");
     println!(
         "  ranks: {:?}",
         ut_vector.iter().map(|&v| v + 1).collect::<Vec<_>>()

@@ -97,10 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let plan = PtkPlan::try_semantics(semantics, 2, None, &ExactOptions::default())?;
         Ok(PtkExecutor::new(&plan).execute_semantics(&mut ViewSource::new(&view))?)
     };
-    let SemanticsAnswer::UTopK {
-        rows, probability, ..
-    } = answer(RankSemantics::UTopK)?
-    else {
+    let SemanticsAnswer::UTopK { rows, probability } = answer(RankSemantics::UTopK)? else {
         unreachable!("a U-TopK plan answers U-TopK")
     };
     let ut_names: Vec<String> = rows.iter().map(|r| name(r.position)).collect();

@@ -82,6 +82,22 @@ code="$(curl -sS -o "$WORK/body" -w '%{http_code}' --data-binary "$STMT" "http:/
 grep -q '"engine.scanned"' "$WORK/body" || fail "stats body missing counters: $(cat "$WORK/body")"
 assert_up "good queries"
 
+echo "== U-TopK at any k"
+# The most probable vector is a closed form over the ranks read, so a k
+# past the table's size answers in bounded memory, served bytes equal the
+# one-shot output, and the daemon answers the next request.
+for k in 20 1000000000; do
+  UT="SELECT TOP $k FROM t ORDER BY score DESC RANK BY U_TOPK"
+  code="$(post_sql "$UT")"
+  [[ "$code" == 200 ]] || fail "U-TopK TOP $k returned $code: $(cat "$WORK/body")"
+  "$PTK" sql "$CSV" "$UT" > "$WORK/oneshot"
+  cmp "$WORK/body" "$WORK/oneshot" || fail "served U-TopK TOP $k differs from one-shot ptk sql"
+  assert_up "U-TopK TOP $k"
+  code="$(post_sql "$STMT")"
+  [[ "$code" == 200 ]] || fail "the request after U-TopK TOP $k returned $code"
+  cmp "$WORK/body" "$WORK/first" || fail "the request after U-TopK TOP $k answered differently"
+done
+
 echo "== cacheability"
 # The X-Ptk-Cache disposition of one request; $2 is an optional query string.
 cache_of() {

@@ -14,7 +14,7 @@ pub fn semantics_answer(view: &RankedView, semantics: RankSemantics, k: usize) -
         .expect("a non-PT-k plan with k >= 1");
     PtkExecutor::new(&plan)
         .execute_semantics(&mut ViewSource::new(view))
-        .expect("the U-TopK search stays under its state cap")
+        .expect("every semantics answers")
 }
 
 /// The paper's running example (Table 1) in ranked order:
