@@ -81,10 +81,12 @@ pub const DEFAULT_POOL_FRAMES: usize = 64;
 /// block-size range; larger blocks need an explicitly larger frame).
 pub const DEFAULT_FRAME_BYTES: usize = 64 << 10;
 
-/// IEEE CRC-32 lookup table (polynomial `0xEDB88320`), built at compile
-/// time so the codec stays dependency-free.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// IEEE CRC-32 slice-by-16 lookup tables (polynomial `0xEDB88320`), built
+/// at compile time so the codec stays dependency-free. Table 0 is the
+/// classic byte-at-a-time table; table `t` gives a byte's contribution
+/// after `t` more zero bytes, so one step of [`crc32`] folds 16 bytes.
+static CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -97,10 +99,20 @@ const CRC_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
 /// Reads the 8-byte magic of `path` and reports which run-file format it
@@ -119,11 +131,26 @@ pub fn run_format(path: &Path) -> Option<u32> {
     }
 }
 
-/// IEEE CRC-32 of `bytes` (the checksum in each directory entry).
+/// IEEE CRC-32 of `bytes` (the checksum in each directory entry), 16 bytes
+/// per step: the running CRC is folded into the step's first four bytes,
+/// and byte `j` of the step is looked up in table `15 - j`. The tail
+/// shorter than a step goes a byte at a time.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut steps = bytes.chunks_exact(16);
+    for step in &mut steps {
+        let mut s = [0u8; 16];
+        s.copy_from_slice(step);
+        let head = c ^ u32::from_le_bytes([s[0], s[1], s[2], s[3]]);
+        s[..4].copy_from_slice(&head.to_le_bytes());
+        c = s
+            .iter()
+            .enumerate()
+            .fold(0, |acc, (j, &b)| acc ^ t[15 - j][b as usize]);
+    }
+    for &b in steps.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -227,11 +254,21 @@ impl BlockMeta {
 /// input order, exactly as [`crate::write_run`]) and writes them as a
 /// block-native v2 run file at `path`.
 ///
+/// The file is streamed: the header and rule layout, a zeroed directory
+/// placeholder, then each block through one reused frame buffer; the
+/// directory is written last, over its placeholder. Memory is the rows'
+/// sort order, the rule layout, the directory and one block, not the
+/// file. Every input check runs before the file is created, so a refused
+/// input leaves no file behind; an IO error mid-write leaves a short file
+/// or one whose directory is still zeroed, and [`PagedRun::open`] refuses
+/// both.
+///
 /// # Errors
 /// Fails on IO errors, a block size outside
-/// [`MIN_BLOCK_BYTES`]`..=`[`MAX_BLOCK_BYTES`], probabilities outside
-/// `(0, 1]`, a rule key equal to `u32::MAX` (reserved), or a rule whose
-/// total mass exceeds 1.
+/// [`MIN_BLOCK_BYTES`]`..=`[`MAX_BLOCK_BYTES`], more than `u32::MAX` rows
+/// (ids and rule member counts are stored as `u32`), probabilities
+/// outside `(0, 1]`, a rule key equal to `u32::MAX` (reserved), or a rule
+/// whose total mass exceeds 1.
 pub fn write_run_blocked(
     path: &Path,
     rows: &[(f64, f64, Option<u32>)],
@@ -241,6 +278,9 @@ pub fn write_run_blocked(
         return Err(invalid(format!(
             "block size {block_size} outside {MIN_BLOCK_BYTES}..={MAX_BLOCK_BYTES} bytes"
         )));
+    }
+    if u32::try_from(rows.len()).is_err() {
+        return Err(invalid("too many rows"));
     }
     let mut rule_count = 0u32;
     for (_, prob, rule) in rows {
@@ -294,18 +334,39 @@ pub fn write_run_blocked(
             }
         }
     }
-    let mut data = vec![0u8; blocks * block_size as usize];
-    let mut metas: Vec<BlockMeta> = Vec::with_capacity(blocks);
-    for b in 0..blocks {
+    let mut out = BufWriter::new(File::create(path)?);
+    let dir_start = {
+        let mut buf = ByteBuf::with_capacity(HEADER_BYTES as usize + masses.len() * 8);
+        buf.put_slice(MAGIC_V2);
+        buf.put_u32_le(block_size);
+        buf.put_u64_le(rows.len() as u64);
+        buf.put_u32_le(rule_count);
+        for &m in &masses {
+            buf.put_f64_le(m);
+        }
+        for ranks in &rule_ranks {
+            buf.put_u32_le(ranks.len() as u32);
+            for &r in ranks {
+                buf.put_u64_le(r);
+            }
+        }
+        out.write_all(buf.as_slice())?;
+        buf.len() as u64
+    };
+    let dir_bytes = blocks as u64 * DIR_ENTRY_BYTES;
+    io::copy(&mut io::repeat(0).take(dir_bytes), &mut out)?;
+
+    let mut directory = ByteBuf::with_capacity(dir_bytes as usize);
+    let mut frame = vec![0u8; block_size as usize];
+    for (b, &spans_boundary) in spanned.iter().enumerate() {
         let lo = b * capacity;
         let hi = (lo + capacity).min(rows.len());
-        let frame = &mut data[b * block_size as usize..(b + 1) * block_size as usize];
         let mut max_prob = 0.0f64;
         let mut rule_free = true;
         for (slot, rank) in (lo..hi).enumerate() {
             let i = order[rank];
             let (score, prob, rule) = rows[i];
-            let id = u32::try_from(i).map_err(|_| invalid("too many rows"))?;
+            let id = u32::try_from(i).expect("row count bounded above");
             let off = slot * RECORD_BYTES;
             frame[off..off + 4].copy_from_slice(&id.to_le_bytes());
             frame[off + 4..off + 8].copy_from_slice(&rule.unwrap_or(NO_RULE).to_le_bytes());
@@ -315,42 +376,29 @@ pub fn write_run_blocked(
             rule_free &= rule.is_none();
         }
         let records = hi - lo;
-        metas.push(BlockMeta {
+        // Zero-pad past the records: the frame still holds the previous
+        // block's bytes there.
+        frame[records * RECORD_BYTES..].fill(0);
+        let meta = BlockMeta {
             records: records as u32,
             rule_free,
-            rule_closed: !spanned[b],
+            rule_closed: !spans_boundary,
             max_prob,
             score_first: rows[order[lo]].0,
             score_last: rows[order[hi - 1]].0,
             crc: crc32(&frame[..records * RECORD_BYTES]),
-        });
+        };
+        directory.put_u32_le(meta.records);
+        directory.put_u32_le(meta.flags());
+        directory.put_f64_le(meta.max_prob);
+        directory.put_f64_le(meta.score_first);
+        directory.put_f64_le(meta.score_last);
+        directory.put_u32_le(meta.crc);
+        out.write_all(&frame)?;
     }
-
-    let mut out = BufWriter::new(File::create(path)?);
-    let mut buf = ByteBuf::with_capacity(HEADER_BYTES as usize + masses.len() * 8);
-    buf.put_slice(MAGIC_V2);
-    buf.put_u32_le(block_size);
-    buf.put_u64_le(rows.len() as u64);
-    buf.put_u32_le(rule_count);
-    for &m in &masses {
-        buf.put_f64_le(m);
-    }
-    for ranks in &rule_ranks {
-        buf.put_u32_le(ranks.len() as u32);
-        for &r in ranks {
-            buf.put_u64_le(r);
-        }
-    }
-    for m in &metas {
-        buf.put_u32_le(m.records);
-        buf.put_u32_le(m.flags());
-        buf.put_f64_le(m.max_prob);
-        buf.put_f64_le(m.score_first);
-        buf.put_f64_le(m.score_last);
-        buf.put_u32_le(m.crc);
-    }
-    out.write_all(buf.as_slice())?;
-    out.write_all(&data)?;
+    // `BufWriter` flushes the data blocks before it seeks.
+    out.seek(SeekFrom::Start(dir_start))?;
+    out.write_all(directory.as_slice())?;
     out.flush()
 }
 
@@ -1263,7 +1311,9 @@ mod tests {
         )
     }
 
-    fn panda_rows() -> Vec<(f64, f64, Option<u32>)> {
+    type Row = (f64, f64, Option<u32>);
+
+    fn panda_rows() -> Vec<Row> {
         vec![
             (25.0, 0.3, None),
             (21.0, 0.4, Some(0)),
@@ -1281,11 +1331,232 @@ mod tests {
         }
     }
 
+    /// The byte-at-a-time CRC-32 the sliced [`crc32`] must equal.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    /// The whole-buffer form of [`write_run_blocked`]: the data section is
+    /// built in memory, checksummed with [`crc32_bytewise`], and written
+    /// after the header and directory. The streaming writer must write
+    /// exactly its bytes.
+    fn write_run_blocked_whole(path: &Path, rows: &[Row], block_size: u32) -> io::Result<()> {
+        if !(MIN_BLOCK_BYTES..=MAX_BLOCK_BYTES).contains(&block_size) {
+            return Err(invalid("block size"));
+        }
+        let mut rule_count = 0u32;
+        for (_, prob, rule) in rows {
+            if !(*prob > 0.0 && *prob <= 1.0) {
+                return Err(invalid("membership probability"));
+            }
+            if let Some(r) = rule {
+                if *r == NO_RULE {
+                    return Err(invalid("rule key u32::MAX is reserved"));
+                }
+                rule_count = rule_count.max(r + 1);
+            }
+        }
+        let mut masses = vec![0.0f64; rule_count as usize];
+        for (_, prob, rule) in rows {
+            if let Some(r) = rule {
+                masses[*r as usize] += prob;
+            }
+        }
+        if masses.iter().any(|&m| m > MAX_RULE_MASS) {
+            return Err(invalid("rule mass"));
+        }
+        let mut order: Vec<usize> = (0..rows.len()).collect();
+        order.sort_by(|&a, &b| rows[b].0.total_cmp(&rows[a].0).then(a.cmp(&b)));
+        let mut rule_ranks: Vec<Vec<u64>> = vec![Vec::new(); rule_count as usize];
+        for (rank, &i) in order.iter().enumerate() {
+            if let Some(r) = rows[i].2 {
+                rule_ranks[r as usize].push(rank as u64);
+            }
+        }
+        let capacity = block_size as usize / RECORD_BYTES;
+        let blocks = rows.len().div_ceil(capacity);
+        let mut spanned = vec![false; blocks];
+        for ranks in &rule_ranks {
+            if let (Some(&first), Some(&last)) = (ranks.first(), ranks.last()) {
+                for flag in spanned
+                    .iter_mut()
+                    .take(last as usize / capacity)
+                    .skip(first as usize / capacity)
+                {
+                    *flag = true;
+                }
+            }
+        }
+        let mut data = vec![0u8; blocks * block_size as usize];
+        let mut metas: Vec<BlockMeta> = Vec::with_capacity(blocks);
+        for b in 0..blocks {
+            let lo = b * capacity;
+            let hi = (lo + capacity).min(rows.len());
+            let frame = &mut data[b * block_size as usize..(b + 1) * block_size as usize];
+            let mut max_prob = 0.0f64;
+            let mut rule_free = true;
+            for (slot, rank) in (lo..hi).enumerate() {
+                let i = order[rank];
+                let (score, prob, rule) = rows[i];
+                let off = slot * RECORD_BYTES;
+                frame[off..off + 4].copy_from_slice(&(i as u32).to_le_bytes());
+                frame[off + 4..off + 8].copy_from_slice(&rule.unwrap_or(NO_RULE).to_le_bytes());
+                frame[off + 8..off + 16].copy_from_slice(&score.to_le_bytes());
+                frame[off + 16..off + 24].copy_from_slice(&prob.to_le_bytes());
+                max_prob = max_prob.max(prob);
+                rule_free &= rule.is_none();
+            }
+            let records = hi - lo;
+            metas.push(BlockMeta {
+                records: records as u32,
+                rule_free,
+                rule_closed: !spanned[b],
+                max_prob,
+                score_first: rows[order[lo]].0,
+                score_last: rows[order[hi - 1]].0,
+                crc: crc32_bytewise(&frame[..records * RECORD_BYTES]),
+            });
+        }
+        let mut buf = ByteBuf::new();
+        buf.put_slice(MAGIC_V2);
+        buf.put_u32_le(block_size);
+        buf.put_u64_le(rows.len() as u64);
+        buf.put_u32_le(rule_count);
+        for &m in &masses {
+            buf.put_f64_le(m);
+        }
+        for ranks in &rule_ranks {
+            buf.put_u32_le(ranks.len() as u32);
+            for &r in ranks {
+                buf.put_u64_le(r);
+            }
+        }
+        for m in &metas {
+            buf.put_u32_le(m.records);
+            buf.put_u32_le(m.flags());
+            buf.put_f64_le(m.max_prob);
+            buf.put_f64_le(m.score_first);
+            buf.put_f64_le(m.score_last);
+            buf.put_u32_le(m.crc);
+        }
+        buf.put_slice(&data);
+        std::fs::write(path, buf.as_slice())
+    }
+
+    /// A seeded table: `head` rows with high scores, grouped into rules of
+    /// two to four members, then `tail` rule-free rows with low scores
+    /// and probabilities. Scores repeat, so ties reach the id order.
+    fn seeded_rows(seed: u64, head: usize, tail: usize) -> Vec<Row> {
+        use ptk_core::rng::{RngCore, SeedableRng, SplitMix64};
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let mut unit = move || (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+        let mut rows = Vec::with_capacity(head + tail);
+        let mut rule = 0u32;
+        while rows.len() < head {
+            let members = 2 + (unit() * 3.0) as usize;
+            for _ in 0..members.min(head - rows.len()) {
+                let score = 1000.0 + (unit() * 64.0).floor();
+                let prob = (1.0 - unit()) / members as f64;
+                let member_rule = (unit() < 0.8).then_some(rule);
+                rows.push((score, prob, member_rule));
+            }
+            rule += 1;
+        }
+        for _ in 0..tail {
+            let score = (unit() * 900.0).floor() / 4.0;
+            rows.push((score, (1.0 - unit()) * 0.2, None));
+        }
+        rows
+    }
+
+    /// FNV-1a over a file's bytes.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
-        // IEEE CRC-32 of "123456789" is the classic check value.
+        // IEEE CRC-32 of "123456789" is the classic check value; it is
+        // shorter than one 16-byte step.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        // Two steps and an 11-byte tail; then 256 steps and no tail (zlib's
+        // values).
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+        let ramp: Vec<u8> = (0..16).flat_map(|_| 0..=255u8).collect();
+        assert_eq!(crc32(&ramp), 0xA291_2082);
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_byte_loop_at_every_length_and_offset() {
+        use ptk_core::rng::{RngCore, SeedableRng, SplitMix64};
+        let mut rng = SplitMix64::seed_from_u64(0x5EED_C3C3);
+        let bytes: Vec<u8> = (0..(64 << 10) + 16).map(|_| rng.next_u64() as u8).collect();
+        let lengths = (0..=1100).chain((0..200).map(|_| (rng.next_u64() % (64 << 10)) as usize));
+        for len in lengths {
+            for start in 0..16 {
+                let s = &bytes[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "len {len} at offset {start}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_single_byte_flip_changes_the_checksum() {
+        let block: Vec<u8> = (0..4096u32).map(|i| (i * 31 % 251) as u8).collect();
+        let clean = crc32(&block);
+        let mut flipped = block.clone();
+        for pos in 0..block.len() {
+            flipped[pos] ^= 0xFF;
+            assert_ne!(crc32(&flipped), clean, "flip at byte {pos}");
+            flipped[pos] ^= 0xFF;
+        }
+    }
+
+    #[test]
+    fn streaming_writer_writes_the_whole_buffer_writers_bytes() {
+        let tables: [(&str, Vec<Row>); 4] = [
+            ("empty", Vec::new()),
+            ("one record", vec![(3.5, 0.25, Some(0))]),
+            ("rule-spanning", seeded_rows(7, 600, 0)),
+            ("strong head, long tail", seeded_rows(8, 40, 3000)),
+        ];
+        let (streamed, whole) = (temp(), temp());
+        for (name, rows) in &tables {
+            for bs in [24, 48, 100, 1024, 4096, 65536] {
+                write_run_blocked(&streamed.0, rows, bs).unwrap();
+                write_run_blocked_whole(&whole.0, rows, bs).unwrap();
+                let got = std::fs::read(&streamed.0).unwrap();
+                assert!(
+                    got == std::fs::read(&whole.0).unwrap(),
+                    "{name} at {bs} B blocks: {} bytes differ from the whole-buffer writer's",
+                    got.len()
+                );
+            }
+        }
+    }
+
+    /// The length and digest were recorded from the whole-buffer writer
+    /// before the writer streamed, so the writer and its test reference
+    /// cannot drift together.
+    #[test]
+    fn packed_seeded_table_keeps_its_digest() {
+        let f = temp();
+        write_run_blocked(&f.0, &seeded_rows(11, 300, 2700), 1024).unwrap();
+        let bytes = std::fs::read(&f.0).unwrap();
+        assert_eq!(
+            (bytes.len(), fnv1a(&bytes)),
+            (79_496, 0x015C_C4CC_5837_5814)
+        );
     }
 
     #[test]
@@ -1523,17 +1794,94 @@ mod tests {
         assert!(a.try_next().unwrap().is_some(), "pin released on drop");
     }
 
+    /// Every refused input is refused before the file is created, so none
+    /// leaves a file behind. The one check not exercised here is the row
+    /// count (more than `u32::MAX` rows), since such a table cannot be
+    /// built in a test; it runs with the others, ahead of `File::create`.
     #[test]
     fn write_validates_like_v1() {
         let f = temp();
-        assert!(write_run_blocked(&f.0, &[(1.0, 0.0, None)], 4096).is_err());
-        assert!(write_run_blocked(&f.0, &[(1.0, 1.5, None)], 4096).is_err());
-        assert!(write_run_blocked(&f.0, &[(1.0, 0.5, Some(u32::MAX))], 4096).is_err());
+        let refused: [(&[Row], u32); 6] = [
+            (&[(1.0, 0.0, None)], 4096),
+            (&[(1.0, 1.5, None)], 4096),
+            (&[(1.0, 0.5, Some(u32::MAX))], 4096),
+            (&[(1.0, 0.7, Some(0)), (2.0, 0.7, Some(0))], 4096),
+            (&panda_rows(), 23),
+            (&panda_rows(), MAX_BLOCK_BYTES + 1),
+        ];
+        for (rows, block_size) in refused {
+            assert!(write_run_blocked(&f.0, rows, block_size).is_err());
+            assert!(
+                !f.0.exists(),
+                "a refused pack ({} rows at {block_size} B) wrote a file",
+                rows.len()
+            );
+        }
+    }
+
+    /// The writer fills the directory last, over a zeroed placeholder: a
+    /// pack cut short after its data blocks leaves a file of the right
+    /// length that the open still refuses.
+    #[test]
+    fn an_unfilled_directory_is_refused_at_open() {
+        let f = temp();
+        write_run_blocked(&f.0, &panda_rows(), 48).unwrap();
+        let mut bytes = std::fs::read(&f.0).unwrap();
+        // Header 24 + masses 16 + layout 40: the directory is at 80..188.
+        bytes[80..188].fill(0);
+        std::fs::write(&f.0, &bytes).unwrap();
+        let err = PagedRun::open(&f.0, small_pool()).unwrap_err().to_string();
         assert!(
-            write_run_blocked(&f.0, &[(1.0, 0.7, Some(0)), (2.0, 0.7, Some(0))], 4096).is_err()
+            err.contains("at byte 80: block 0 record count: expected 2, found 0"),
+            "{err}"
         );
-        assert!(write_run_blocked(&f.0, &panda_rows(), 23).is_err());
-        assert!(write_run_blocked(&f.0, &panda_rows(), MAX_BLOCK_BYTES + 1).is_err());
+    }
+
+    /// One flipped byte anywhere in the data section: inside a block's
+    /// records the walk stops at that block on its checksum; inside a
+    /// frame's zero padding, which no checksum covers and no reader
+    /// decodes, the walk streams every record unchanged.
+    #[test]
+    fn a_flipped_data_byte_fails_its_block_or_changes_nothing() {
+        let f = temp();
+        let rows = seeded_rows(13, 60, 140);
+        assert_eq!(rows.len(), 200);
+        // 512-byte blocks: 21 records (504 B) and 8 B of padding each; the
+        // tenth block holds the last 11 records.
+        write_run_blocked(&f.0, &rows, 512).unwrap();
+        let mut bytes = std::fs::read(&f.0).unwrap();
+        let walk = |cur: &mut PagedCursor<'_>| {
+            std::iter::from_fn(|| cur.next_ranked())
+                .map(|t| (t.id, t.score.to_bits(), t.prob.to_bits(), t.rule))
+                .collect::<Vec<_>>()
+        };
+        let run = PagedRun::open(&f.0, small_pool()).unwrap();
+        assert_eq!(run.directory().len(), 10);
+        let all = walk(&mut run.cursor());
+        assert_eq!(all.len(), 200);
+        drop(run);
+        let data_start = bytes.len() - 10 * 512;
+        for pos in data_start..bytes.len() {
+            bytes[pos] ^= 0xFF;
+            std::fs::write(&f.0, &bytes).unwrap();
+            bytes[pos] ^= 0xFF;
+            let (block, at) = ((pos - data_start) / 512, (pos - data_start) % 512);
+            let records = if block == 9 { 11 } else { 21 };
+            let run = PagedRun::open(&f.0, small_pool()).unwrap();
+            let mut cur = run.cursor();
+            let streamed = walk(&mut cur);
+            if at < records * RECORD_BYTES {
+                assert_eq!(streamed[..], all[..block * 21], "flip at byte {pos}");
+                let err = cur.take_error().expect("a checksum error").to_string();
+                assert!(
+                    err.contains(&format!("block {block} checksum")),
+                    "flip at byte {pos}: {err}"
+                );
+            } else {
+                assert_eq!(streamed, all, "padding flip at byte {pos}");
+                assert!(cur.take_error().is_none(), "padding flip at byte {pos}");
+            }
+        }
     }
 
     #[test]
