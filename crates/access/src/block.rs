@@ -38,9 +38,11 @@
 //! consecutive rank ranges is detected at open.
 //!
 //! Reading is paged: [`PagedRun`] holds the directory, rule table and a
-//! small [`BufferPool`] of pinned frames; [`PagedCursor`] (a
-//! [`RankedSource`]) decodes records lazily from the pooled frames as the
-//! scan advances, so memory use is `O(pool + directory)`, not `O(file)`.
+//! small [`BufferPool`] of pinned frames, which evicts the deepest block
+//! first so the leading blocks every scan shares stay resident;
+//! [`PagedCursor`] (a [`RankedSource`]) decodes records lazily from the
+//! pooled frames as the scan advances, so memory use is
+//! `O(pool + directory)`, not `O(file)`.
 
 use std::cell::RefCell;
 use std::fs::File;
@@ -406,7 +408,8 @@ pub fn write_run_blocked(
 /// frame can hold. The product bounds the reader's paged memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolConfig {
-    /// Frame budget (at least 1 is always allocated).
+    /// Frame budget (at least 1). Frames are created as blocks are
+    /// fetched, so a budget above the run's block count costs nothing.
     pub frames: usize,
     /// Bytes per frame; opening a file whose block size exceeds this fails
     /// with a pointed error instead of silently blowing the budget.
@@ -427,49 +430,52 @@ struct Frame {
     block: u64,
     data: Vec<u8>,
     pins: u32,
-    last_use: u64,
 }
 
-/// A fixed-budget pool of block frames with pin/unpin and deterministic
-/// replacement: an empty frame (lowest index) is filled first; otherwise
-/// the least-recently-used *unpinned* frame is evicted, ties broken by
-/// lowest index. Pinned frames are never evicted, so a cursor can hold a
-/// decoded position across calls without copying.
+/// A pool of block frames, at most its budget of them, with pin/unpin
+/// and rank-priority replacement: a fetch takes an invalidated frame if
+/// there is one, else a new frame while the budget allows, else the
+/// *unpinned* frame holding the highest block number. Pinned frames are never
+/// evicted, so a cursor can hold a decoded position across calls without
+/// copying.
+///
+/// Block numbers are rank order, and a [`PagedCursor`] starts at rank 0
+/// and only moves forward: a scan that needs block `b + 1` has already
+/// needed block `b`, so the deepest resident block is the one the next
+/// scan needs last, if at all. Evicting it keeps the leading blocks every
+/// scan shares: with one scan at a time and `F` frames, the first `F - 1`
+/// blocks stay resident and one frame cycles through the deeper ones.
+/// Least-recently-used replacement keeps the previous scan's tail
+/// instead, which the next scan reads last. Frames are created on first
+/// use, so memory follows the blocks fetched, not the budget.
 pub struct BufferPool {
     frames: Vec<Frame>,
-    tick: u64,
+    budget: usize,
     evictions: u64,
 }
 
 impl std::fmt::Debug for BufferPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BufferPool")
-            .field("frames", &self.frames.len())
+            .field("frames", &self.budget)
             .field("resident", &self.resident())
             .finish_non_exhaustive()
     }
 }
 
 impl BufferPool {
-    /// A pool with `config.frames.max(1)` empty frames.
+    /// An empty pool with a budget of `config.frames.max(1)` frames.
     pub fn new(config: &PoolConfig) -> BufferPool {
         BufferPool {
-            frames: (0..config.frames.max(1))
-                .map(|_| Frame {
-                    block: EMPTY_FRAME,
-                    data: Vec::new(),
-                    pins: 0,
-                    last_use: 0,
-                })
-                .collect(),
-            tick: 0,
+            frames: Vec::new(),
+            budget: config.frames.max(1),
             evictions: 0,
         }
     }
 
     /// Total frame budget.
     pub fn frames(&self) -> usize {
-        self.frames.len()
+        self.budget
     }
 
     /// Frames currently holding a block.
@@ -480,17 +486,10 @@ impl BufferPool {
             .count()
     }
 
-    fn touch(&mut self, idx: usize) {
-        self.tick += 1;
-        self.frames[idx].last_use = self.tick;
-    }
-
-    /// The frame holding `block`, if resident (bumps its recency).
-    pub fn get(&mut self, block: u64) -> Option<usize> {
+    /// The frame holding `block`, if resident.
+    pub fn get(&self, block: u64) -> Option<usize> {
         debug_assert_ne!(block, EMPTY_FRAME);
-        let idx = self.frames.iter().position(|f| f.block == block)?;
-        self.touch(idx);
-        Some(idx)
+        self.frames.iter().position(|f| f.block == block)
     }
 
     /// Claims a frame for `block`, evicting deterministically (see the
@@ -499,31 +498,37 @@ impl BufferPool {
     /// # Errors
     /// Fails when every frame is pinned.
     pub fn assign(&mut self, block: u64) -> io::Result<usize> {
-        let mut victim: Option<usize> = None;
-        for (i, f) in self.frames.iter().enumerate() {
-            if f.pins > 0 {
-                continue;
+        // `EMPTY_FRAME` is the highest block number, so an invalidated
+        // frame is taken ahead of every resident one.
+        let deepest = self
+            .frames
+            .iter()
+            .enumerate()
+            .filter(|(_, f)| f.pins == 0)
+            .max_by_key(|(_, f)| f.block)
+            .map(|(i, f)| (i, f.block));
+        let idx = match deepest {
+            Some((i, EMPTY_FRAME)) => i,
+            _ if self.frames.len() < self.budget => {
+                self.frames.push(Frame {
+                    block: EMPTY_FRAME,
+                    data: Vec::new(),
+                    pins: 0,
+                });
+                self.frames.len() - 1
             }
-            if f.block == EMPTY_FRAME {
-                victim = Some(i);
-                break;
+            Some((i, _)) => {
+                self.evictions += 1;
+                i
             }
-            victim = match victim {
-                Some(v) if self.frames[v].last_use <= f.last_use => Some(v),
-                _ => Some(i),
-            };
-        }
-        let Some(idx) = victim else {
-            return Err(io::Error::other(format!(
-                "buffer pool exhausted: all {} frames are pinned; raise --pool-frames",
-                self.frames.len()
-            )));
+            None => {
+                return Err(io::Error::other(format!(
+                    "buffer pool exhausted: all {} frames are pinned; raise --pool-frames",
+                    self.budget
+                )))
+            }
         };
-        if self.frames[idx].block != EMPTY_FRAME {
-            self.evictions += 1;
-        }
         self.frames[idx].block = block;
-        self.touch(idx);
         Ok(idx)
     }
 
@@ -581,6 +586,9 @@ fn read_f64(r: &mut impl Read) -> io::Result<f64> {
 /// table and a [`BufferPool`] in memory, record data on disk. Hand out
 /// scan cursors with [`PagedRun::cursor`]; each cursor pins the frame it
 /// is positioned in, so concurrent cursors need at most one frame each.
+/// The pool outlives the cursors: it keeps the run's leading blocks, the
+/// ones every scan starts with, resident from one scan to the next, and
+/// a block fetched again after its eviction is checksummed again.
 pub struct PagedRun {
     file: RefCell<File>,
     pool: RefCell<BufferPool>,
@@ -1688,8 +1696,11 @@ mod tests {
         assert_eq!(snap.counter(counters::POOL_HIT), 3);
     }
 
+    /// A case where rank priority and least-recently-used replacement
+    /// disagree: block 11 was used last, block 10 first, and rank priority
+    /// still evicts block 11, the deeper one.
     #[test]
-    fn eviction_is_deterministic_lru() {
+    fn eviction_takes_the_deepest_block_not_the_least_recent() {
         let mut pool = BufferPool::new(&PoolConfig {
             frames: 2,
             frame_bytes: 64,
@@ -1697,12 +1708,100 @@ mod tests {
         let a = pool.assign(10).unwrap();
         let b = pool.assign(11).unwrap();
         assert_ne!(a, b, "empty frames fill before any eviction");
-        // Touch block 10 so block 11 becomes the LRU victim.
-        assert_eq!(pool.get(10), Some(a));
+        assert_eq!(pool.get(11), Some(b));
         let c = pool.assign(12).unwrap();
-        assert_eq!(c, b, "LRU frame evicted");
+        assert_eq!(c, b, "the frame of the deepest block is evicted");
         assert_eq!(pool.get(11), None, "evicted block is gone");
-        assert_eq!(pool.get(10), Some(a), "recently-used frame survives");
+        assert_eq!(pool.get(10), Some(a), "the leading block survives");
+        assert_eq!(pool.evictions(), 1);
+    }
+
+    /// Frames are created on first use: a budget far above the blocks
+    /// fetched allocates only the frames they take, and an invalidated
+    /// frame is reused before the pool grows.
+    #[test]
+    fn frames_are_created_as_blocks_arrive() {
+        let mut pool = BufferPool::new(&PoolConfig {
+            frames: usize::MAX,
+            frame_bytes: 64,
+        });
+        assert_eq!((pool.frames(), pool.resident()), (usize::MAX, 0));
+        for block in 0..5 {
+            assert_eq!(pool.assign(block).unwrap(), block as usize);
+        }
+        pool.invalidate(2);
+        assert_eq!(pool.assign(7).unwrap(), 2, "the invalidated frame first");
+        assert_eq!(pool.assign(8).unwrap(), 5, "then a new frame");
+        assert_eq!((pool.frames.len(), pool.resident()), (6, 6));
+        assert_eq!(pool.evictions(), 0);
+    }
+
+    /// A second full scan finds the first `frames - 1` blocks resident:
+    /// the deepest block is evicted each time, so the leading blocks
+    /// survive the first scan's tail.
+    #[test]
+    fn a_second_scan_hits_the_resident_prefix() {
+        use ptk_obs::Metrics;
+        let f = temp();
+        let rows: Vec<Row> = (0..50).map(|i| (50.0 - i as f64, 0.5, None)).collect();
+        // 48-byte blocks: two records per block, 25 blocks.
+        write_run_blocked(&f.0, &rows, 48).unwrap();
+        let metrics = Arc::new(Metrics::new());
+        let run = PagedRun::open_recorded(
+            &f.0,
+            PoolConfig {
+                frames: 8,
+                frame_bytes: DEFAULT_FRAME_BYTES,
+            },
+            Arc::clone(&metrics) as SharedRecorder,
+        )
+        .unwrap();
+        let scan = || {
+            let before = metrics.snapshot();
+            let mut cur = run.cursor();
+            assert_eq!(std::iter::from_fn(|| cur.next_ranked()).count(), 50);
+            let after = metrics.snapshot();
+            let delta = |name| after.counter(name) - before.counter(name);
+            (delta(counters::POOL_HIT), delta(counters::POOL_MISS))
+        };
+        assert_eq!(scan(), (0, 25));
+        assert_eq!(scan(), (7, 18));
+        assert_eq!(scan(), (7, 18));
+        // 25 + 18 + 18 misses, of which the first 8 filled empty frames.
+        assert_eq!(metrics.snapshot().counter(counters::POOL_EVICT), 53);
+    }
+
+    /// A block evicted after a clean scan is read and checksummed again on
+    /// its next fetch: a byte flipped on disk since then fails that scan at
+    /// the block.
+    #[test]
+    fn a_refetched_block_is_checksummed_again() {
+        let f = temp();
+        let rows: Vec<Row> = (0..50).map(|i| (50.0 - i as f64, 0.5, None)).collect();
+        write_run_blocked(&f.0, &rows, 48).unwrap();
+        let len = std::fs::metadata(&f.0).unwrap().len();
+        let run = PagedRun::open(
+            &f.0,
+            PoolConfig {
+                frames: 8,
+                frame_bytes: DEFAULT_FRAME_BYTES,
+            },
+        )
+        .unwrap();
+        let mut cur = run.cursor();
+        assert_eq!(std::iter::from_fn(|| cur.next_ranked()).count(), 50);
+        assert!(cur.take_error().is_none());
+        drop(cur);
+        // Blocks 0-6 and 24 are resident; flip a probability byte of block
+        // 10's first record, which the next scan must fetch again.
+        let at = len - 25 * 48 + 10 * 48 + 16;
+        let mut file = std::fs::OpenOptions::new().write(true).open(&f.0).unwrap();
+        file.seek(SeekFrom::Start(at)).unwrap();
+        file.write_all(&[0xFF]).unwrap();
+        let mut cur = run.cursor();
+        assert_eq!(std::iter::from_fn(|| cur.next_ranked()).count(), 20);
+        let err = cur.take_error().expect("a checksum error").to_string();
+        assert!(err.contains("block 10 checksum"), "{err}");
     }
 
     #[test]

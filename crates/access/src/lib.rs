@@ -27,7 +27,10 @@
 //!   fixed-size blocks carrying per-block record counts, max membership
 //!   probability, score ranges and rule flags, read through a pinned
 //!   [`BufferPool`] so the executor can *skip a block's decode* when the
-//!   paper's Theorem 3(1) bound already prunes everything in it;
+//!   paper's Theorem 3(1) bound already prunes everything in it. Every
+//!   scan reads a prefix of the ranked run, so the pool evicts the
+//!   deepest block first and the leading blocks stay resident across
+//!   scans;
 //! * [`ByteBuf`] — the in-repo byte read/write cursor behind the run-file
 //!   codec (the workspace builds hermetically, without the `bytes` crate).
 //!

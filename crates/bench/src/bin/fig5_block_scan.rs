@@ -4,14 +4,20 @@
 //! membership bound over the whole tail, after which every rule-free
 //! low-probability block can skip its full decode (only the 8-byte
 //! probability stripe of each record is read, of 24). The run reports,
-//! per block size, the blocks read vs. skipped and the decoded bytes
-//! against what a skip-free scan of the same depth would decode, and
-//! writes `BENCH_block_scan.json`.
+//! per block size, the blocks read vs. skipped, the decoded bytes against
+//! what a skip-free scan of the same depth would decode, and each lap's
+//! buffer-pool hits and misses, and writes `BENCH_block_scan.json`.
 //!
-//! Gate (enforced when `PTK_BENCH_GATE` is set, reported otherwise):
-//! at the default 4 KiB block size the paged scan must skip at least one
-//! block and decode <= 70% of the bytes a full decode of the same scan
-//! depth costs — i.e. the stripe-skip must save >= 30%.
+//! Gates (enforced when `PTK_BENCH_GATE` is set, reported otherwise), at
+//! the default 4 KiB block size:
+//! * the paged scan must skip at least one block and decode <= 70% of the
+//!   bytes a full decode of the same scan depth costs — i.e. the
+//!   stripe-skip must save >= 30%;
+//! * the pool must keep the scan's leading blocks resident: the laps
+//!   share one `PagedRun`, and every lap after the first hits exactly
+//!   `min(D, POOL_FRAMES - 1)` blocks and misses the other
+//!   `max(0, D - (POOL_FRAMES - 1))`, where `D` is the first lap's miss
+//!   count (the blocks the scan touches).
 
 use std::sync::Arc;
 
@@ -27,7 +33,9 @@ use ptk_obs::{Metrics, SharedRecorder};
 const K: usize = 100;
 const P: f64 = 0.5;
 const REPS: usize = 5;
-/// Small on purpose: fewer frames than blocks, so the pool evicts.
+/// Small on purpose: fewer frames than the blocks a scan touches, so the
+/// pool evicts; rank-priority replacement keeps the first
+/// `POOL_FRAMES - 1` of them resident from one lap to the next.
 const POOL_FRAMES: usize = 8;
 
 fn main() {
@@ -64,11 +72,15 @@ fn main() {
             "decoded B",
             "full-decode B",
             "saved",
+            "pool hits per lap",
+            "pool misses per lap",
             "median_ms",
         ],
     );
     report.row(&[
         &"in-memory",
+        &"-",
+        &"-",
         &"-",
         &"-",
         &"-",
@@ -80,6 +92,8 @@ fn main() {
     let mut bench = BenchRecord::new("block_scan");
     let mut gate_saved = f64::NAN;
     let mut gate_skips = 0u64;
+    let mut gate_pool = (Vec::new(), Vec::new());
+    let mut pool_json = Vec::new();
     for block_size in [1u32 << 10, 4 << 10, 64 << 10] {
         let path = std::env::temp_dir().join(format!(
             "ptk-bench-block-scan-{}-{block_size}.run",
@@ -97,10 +111,16 @@ fn main() {
         )
         .unwrap();
         let mut laps = Vec::with_capacity(REPS);
+        let (mut hits, mut misses) = (Vec::with_capacity(REPS), Vec::with_capacity(REPS));
         for _ in 0..REPS {
+            let before = metrics.snapshot();
             let mut cursor = run.cursor();
             let (result, ms) = time_ms(|| executor.execute(&mut cursor));
             laps.push(ms);
+            let after = metrics.snapshot();
+            let delta = |name| after.counter(name) - before.counter(name);
+            hits.push(delta(counters::POOL_HIT));
+            misses.push(delta(counters::POOL_MISS));
             if block_size == 4 << 10 {
                 bench.lap_ms(ms);
             }
@@ -126,11 +146,10 @@ fn main() {
         let decoded = snapshot.counter(counters::BLOCK_DECODE_BYTES) / REPS as u64;
         let full = oracle_depth as u64 * 24;
         let saved = 1.0 - decoded as f64 / full as f64;
-        if block_size == 4 << 10 {
-            bench.set_metrics(snapshot);
-            gate_saved = saved;
-            gate_skips = skipped;
-        }
+        // A `Vec<u64>`'s debug form is a JSON array.
+        pool_json.push(format!(
+            "\"{block_size}\":{{\"hit\":{hits:?},\"miss\":{misses:?}}}"
+        ));
         report.row(&[
             &format!("{block_size} B"),
             &read,
@@ -138,17 +157,40 @@ fn main() {
             &decoded,
             &full,
             &format!("{:.1}%", saved * 100.0),
+            &spaced(&hits),
+            &spaced(&misses),
             &format!("{:.1}", median(&mut laps)),
         ]);
+        if block_size == 4 << 10 {
+            bench.set_metrics(snapshot);
+            gate_saved = saved;
+            gate_skips = skipped;
+            gate_pool = (hits, misses);
+        }
         let _ = std::fs::remove_file(&path);
     }
     report.finish();
+    bench.field("pool", format!("{{{}}}", pool_json.join(",")));
     bench.write();
 
     println!(
         "\nblock skip at 4 KiB: {gate_skips} blocks skipped, {:.1}% of decode bytes saved \
          (gate: skips > 0, saved >= 30%)",
         gate_saved * 100.0
+    );
+    // The first lap fetches every block it touches; later laps find the
+    // leading `POOL_FRAMES - 1` of them resident.
+    let (hits, misses) = gate_pool;
+    let touched = misses[0];
+    let resident = touched.min(POOL_FRAMES as u64 - 1);
+    let kept = hits[1..].iter().all(|&h| h == resident)
+        && misses[1..].iter().all(|&m| m == touched - resident);
+    println!(
+        "pool at 4 KiB: the first lap misses {touched} blocks; later laps hit {:?} and miss {:?} \
+         (gate: hit {resident}, miss {} each)",
+        &hits[1..],
+        &misses[1..],
+        touched - resident
     );
     if std::env::var_os("PTK_BENCH_GATE").is_some() {
         assert!(
@@ -159,6 +201,10 @@ fn main() {
             gate_saved >= 0.30,
             "decode-byte saving {:.1}% < 30%",
             gate_saved * 100.0
+        );
+        assert!(
+            kept,
+            "the pool did not keep the leading {resident} blocks resident across laps"
         );
     }
     println!("fig5_block_scan: done");
@@ -171,6 +217,13 @@ fn layout_free(stats: &ExecStats) -> ExecStats {
         pruned_membership_block: 0,
         ..*stats
     }
+}
+
+/// `values` separated by spaces: a table cell the report's CSV keeps
+/// whole.
+fn spaced(values: &[u64]) -> String {
+    let text: Vec<String> = values.iter().map(u64::to_string).collect();
+    text.join(" ")
 }
 
 fn median(laps: &mut [f64]) -> f64 {

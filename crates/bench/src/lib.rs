@@ -192,6 +192,8 @@ pub struct BenchRecord {
     experiment: String,
     laps_ms: Vec<f64>,
     metrics: Option<ptk_obs::Snapshot>,
+    /// Experiment-specific members, each a name and a raw JSON value.
+    fields: Vec<(String, String)>,
 }
 
 impl BenchRecord {
@@ -201,6 +203,7 @@ impl BenchRecord {
             experiment: experiment.to_owned(),
             laps_ms: Vec::new(),
             metrics: None,
+            fields: Vec::new(),
         }
     }
 
@@ -220,6 +223,12 @@ impl BenchRecord {
     /// serialization time to keep the artifact deterministic).
     pub fn set_metrics(&mut self, snapshot: ptk_obs::Snapshot) {
         self.metrics = Some(snapshot);
+    }
+
+    /// Adds the member `name` to the record, holding `json`, which must
+    /// be one JSON value.
+    pub fn field(&mut self, name: &str, json: String) {
+        self.fields.push((name.to_owned(), json));
     }
 
     /// Linear-interpolation quantile of the recorded laps (`q` in `[0, 1]`).
@@ -259,6 +268,9 @@ impl BenchRecord {
         if let Some(snapshot) = &self.metrics {
             out.push_str(",\"metrics\":");
             out.push_str(&snapshot.to_json(false));
+        }
+        for (name, json) in &self.fields {
+            out.push_str(&format!(",\"{name}\":{json}"));
         }
         out.push('}');
         out
@@ -344,6 +356,7 @@ mod tests {
         metrics.add("engine.scanned", 7);
         metrics.record_nanos("engine.query", 1_000);
         record.set_metrics(metrics.snapshot());
+        record.field("pool", "{\"hit\":[0,7]}".into());
 
         let json = record.to_json();
         assert!(
@@ -355,6 +368,7 @@ mod tests {
         assert!(json.contains("\"engine.scanned\":7"), "{json}");
         // Timing sections are dropped for determinism.
         assert!(!json.contains("nanos"), "{json}");
+        assert!(json.ends_with(",\"pool\":{\"hit\":[0,7]}}"), "{json}");
 
         let path = record.write().unwrap();
         let content = std::fs::read_to_string(&path).unwrap();

@@ -235,13 +235,15 @@ impl<'a> PtkExecutor<'a> {
             // that every remaining record in its current block is rule-free
             // with membership probability at most `failed_member_max`, the
             // per-tuple path below would prune each of them — so skip the
-            // block's decode and replay exactly the effects the per-tuple
-            // path would have had: per-record scan/prune counters, a `None`
-            // probability, absorption into the pool (pruned tuples are in
-            // later tuples' dominant sets), and the periodic upper-bound
-            // check at the very same ranks. Theorem 5 cannot newly fire
-            // here (the answer mass is unchanged), so answers, stats and
-            // stop reasons stay bit-identical to the in-memory path.
+            // block's decode and replay, for the whole stripe at once,
+            // exactly the effects the per-tuple path would have had: the
+            // scan/prune counters, a `None` probability and a prune mark
+            // per record, absorption into the pool as independents
+            // (pruned tuples are in later tuples' dominant sets), and the
+            // periodic upper-bound check at the very same ranks. Theorem 5
+            // cannot newly fire here (the answer mass is unchanged), so
+            // answers, stats and stop reasons stay bit-identical to the
+            // in-memory path.
             if options.pruning && failed_member_max > 0.0 {
                 while let Some(bounds) = source.block_bounds() {
                     if bounds.records == 0
@@ -262,26 +264,20 @@ impl<'a> PtkExecutor<'a> {
                     if taken == 0 {
                         break;
                     }
-                    for &prob in &skip_probs[..taken] {
-                        let rank = stats.scanned;
-                        stats.scanned += 1;
-                        stats.pruned_membership += 1;
-                        stats.pruned_membership_block += 1;
-                        if let Some(t) = tracer {
+                    let first = stats.scanned;
+                    stats.scanned += taken;
+                    stats.pruned_membership += taken;
+                    stats.pruned_membership_block += taken;
+                    if let Some(t) = tracer {
+                        for rank in first..stats.scanned {
                             t.instant(Mark::Prune {
                                 rank: rank as u64,
                                 rule: PruneRule::Theorem3Membership,
                             });
                         }
-                        probabilities.push(None);
-                        comp.absorb(AbsorbSpec {
-                            tag: rank,
-                            prob,
-                            rule: None,
-                            rule_len: None,
-                            next_member_rank: None,
-                        });
                     }
+                    probabilities.resize(probabilities.len() + taken, None);
+                    comp.absorb_independents(first, &skip_probs[..taken]);
                     if stats.scanned % interval == 0 {
                         bound_checks += 1;
                         if !bound_clock.time(|| unseen_may_pass(&mut comp, threshold)) {

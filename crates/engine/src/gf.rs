@@ -743,6 +743,18 @@ impl Compressor {
         self.absorb_slot(spec, slot);
     }
 
+    /// Folds independent tuples scanned at ranks `first_rank..` with
+    /// membership probabilities `probs` into the pool: the state one
+    /// [`Compressor::absorb`] per tuple leaves, in one call.
+    pub(crate) fn absorb_independents(&mut self, first_rank: usize, probs: &[f64]) {
+        self.step += probs.len();
+        self.stable.extend(
+            (first_rank..)
+                .zip(probs)
+                .map(|(tag, &prob)| StableItem::Indep { tag, prob }),
+        );
+    }
+
     /// [`Compressor::absorb`] for a tuple of the rule at `slot` (see
     /// [`Compressor::slot`]).
     pub(crate) fn absorb_slot(&mut self, spec: AbsorbSpec, slot: Option<u32>) {
@@ -2119,6 +2131,54 @@ pub(crate) mod tests {
                 Ok(())
             },
         );
+    }
+
+    #[test]
+    fn bulk_absorbed_independents_leave_the_per_record_state() {
+        let bulk_runs = Cell::new(0u64);
+        check(
+            "absorb_independents == one absorb per independent, bit for bit",
+            Config::cases(500).sizes(1, 32).seed(0x9001_0007),
+            |rng, size| {
+                let (k, specs) = random_scan(rng, size);
+                let variant = VARIANTS[rng.random_range(0..VARIANTS.len())];
+                let mut bulk = Compressor::new(k, variant);
+                let mut single = Compressor::new(k, variant);
+                let mut at = 0;
+                while at < specs.len() {
+                    // Cut a run of consecutive independents at a random
+                    // length, as a skipped stripe ends at a checkpoint.
+                    let run = specs[at..].iter().take_while(|s| s.rule.is_none()).count();
+                    let run = rng.random_range(0..=run);
+                    if run == 0 {
+                        bulk.absorb(specs[at]);
+                        single.absorb(specs[at]);
+                        at += 1;
+                    } else {
+                        let probs: Vec<f64> = specs[at..at + run].iter().map(|s| s.prob).collect();
+                        bulk.absorb_independents(specs[at].tag, &probs);
+                        for &spec in &specs[at..at + run] {
+                            single.absorb(spec);
+                        }
+                        bulk_runs.set(bulk_runs.get() + 1);
+                        at += run;
+                    }
+                    prop_assert_eq!(bulk.step, single.step);
+                    prop_assert_eq!(format!("{:?}", bulk.stable), format!("{:?}", single.stable));
+                    prop_assert_eq!(bits(&bulk.pool_row()), bits(&single.pool_row()));
+                    if rng.random_bool(0.5) {
+                        let own = specs.get(at).and_then(|s| s.rule);
+                        bulk.build(own);
+                        single.build(own);
+                        prop_assert_eq!(bits(bulk.last_row()), bits(single.last_row()));
+                    }
+                }
+                prop_assert_eq!(bulk.dp_cells(), single.dp_cells());
+                prop_assert_eq!(bulk.entries_recomputed(), single.entries_recomputed());
+                Ok(())
+            },
+        );
+        assert!(bulk_runs.get() > 0, "no case absorbed a run in bulk");
     }
 
     #[test]

@@ -12,8 +12,10 @@ use std::sync::Arc;
 use ptk_access::{counters, PagedRun, PoolConfig, RankedSource, SortedVecSource};
 use ptk_core::rng::{RngExt, SeedableRng, StdRng};
 use ptk_core::RankedView;
-use ptk_engine::{evaluate_ptk, EngineOptions, ExecStats, PtkExecutor, PtkPlan, SharingVariant};
-use ptk_obs::{Metrics, SharedRecorder};
+use ptk_engine::{
+    evaluate_ptk, EngineOptions, ExecStats, PtkExecutor, PtkPlan, PtkResult, SharingVariant,
+};
+use ptk_obs::{Metrics, RingSink, SharedRecorder, SharedSink, Tracer};
 
 struct TempFile(PathBuf);
 impl Drop for TempFile {
@@ -336,4 +338,61 @@ fn skip_decisions_respect_upper_bound_checkpoints() {
             check_cell(&rows, 3, 0.85, &options, 1 << 10, &ctx);
         }
     }
+}
+
+/// Runs `plan` over `source` with a tracer attached: the result and the
+/// scan's logical trace.
+fn traced_scan<S: RankedSource + ?Sized>(plan: &PtkPlan, source: &mut S) -> (PtkResult, String) {
+    let sink = Arc::new(RingSink::new(1 << 12));
+    let tracer = Tracer::new(Arc::clone(&sink) as SharedSink, 0, 0);
+    let metrics = Metrics::counters_only().with_tracer(tracer);
+    let result = PtkExecutor::with_recorder(plan, &metrics).execute(source);
+    (result, ptk_obs::render_logical(&sink.events()))
+}
+
+#[test]
+fn a_traced_block_skip_renders_the_in_memory_trace() {
+    // A skipped stripe is replayed in one step, with one prune mark per
+    // record: the paged scan's logical trace must equal the in-memory
+    // scan's, mark for mark and rank for rank.
+    let mut rng = StdRng::seed_from_u64(0xb10f);
+    let mut block_pruned = 0usize;
+    for trial in 0..8 {
+        let rows = skewed_rows(&mut rng, 300);
+        let k = rng.random_range(2..=4usize);
+        let p = rng.random_range(0.75..0.95f64);
+        for variant in [
+            SharingVariant::Rc,
+            SharingVariant::Aggressive,
+            SharingVariant::Lazy,
+        ] {
+            let options = EngineOptions {
+                variant,
+                pruning: true,
+                ub_check_interval: 64,
+            };
+            let plan = PtkPlan::try_new(k, p, &options).unwrap();
+            let mut memory = SortedVecSource::from_unsorted(rows.clone()).unwrap();
+            let (_, reference) = traced_scan(&plan, &mut memory);
+            assert!(reference.contains("i prune"), "{reference}");
+            for bs in [1 << 10, 4 << 10] {
+                let ctx = format!("trial {trial} k={k} p={p:.3} {variant:?} bs={bs}");
+                let f = temp();
+                ptk_access::write_run_blocked(&f.0, &rows, bs).unwrap();
+                let run = PagedRun::open(
+                    &f.0,
+                    PoolConfig {
+                        frames: 2,
+                        frame_bytes: 64 << 10,
+                    },
+                )
+                .unwrap();
+                let (paged, trace) = traced_scan(&plan, &mut run.cursor());
+                assert_eq!(trace, reference, "{ctx}");
+                block_pruned += paged.stats.pruned_membership_block;
+            }
+        }
+    }
+    // 528 records are pruned at block grain across the cells.
+    assert!(block_pruned > 0, "no traced scan skipped a block");
 }
