@@ -1,17 +1,14 @@
-//! Block-native run files (format v2): paged ranked retrieval through a
-//! pinned buffer pool.
+//! Run files: paged ranked retrieval through a pinned buffer pool.
 //!
-//! The v1 format ([`crate::file`]) streams records through a bounded
-//! buffer, but its decode cost is proportional to how far the scan reaches
-//! — every record up to the stop rank is fully decoded. This module
-//! restructures the run into fixed-size **blocks** carrying per-block
-//! bounds (record count, max membership probability, score range, rule
-//! flags), so the executor can consult the bounds *before* decoding and
-//! skip a block's decode entirely when Theorem 3(1) certifies every record
-//! in it would be pruned (only the 8-byte probability stripe is read then,
-//! since pruned tuples still join later tuples' dominant sets).
+//! A run holds a table's tuples in ranking order, split into fixed-size
+//! **blocks** carrying per-block bounds (record count, max membership
+//! probability, score range, rule flags), so the executor can consult the
+//! bounds *before* decoding and skip a block's decode entirely when
+//! Theorem 3(1) certifies every record in it would be pruned (only the
+//! 8-byte probability stripe is read then, since pruned tuples still join
+//! later tuples' dominant sets).
 //!
-//! ## Format v2 (little-endian)
+//! ## Format (little-endian)
 //!
 //! ```text
 //! magic       8 bytes   b"PTKRUN02"
@@ -27,10 +24,13 @@
 //!                        score_first: f64, score_last: f64, crc32: u32 }
 //!                       (36 bytes per entry)
 //! data        blocks × block_size bytes; each frame holds `records`
-//!                       v1-shaped 24-byte records { id: u32, rule: u32,
+//!                       24-byte records { id: u32, rule: u32,
 //!                       score: f64, prob: f64 }, zero-padded to the
 //!                       frame size; crc32 (IEEE) covers the record bytes
 //! ```
+//!
+//! A file of the retired flat format, with no block directory, is refused
+//! at open with a hint to repack it from its CSV.
 //!
 //! `blocks = ceil(tuples / (block_size / 24))`; every block is full except
 //! possibly the last. Scores are non-increasing across the whole file;
@@ -45,6 +45,7 @@
 //! `O(pool + directory)`, not `O(file)`.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -118,9 +119,10 @@ static CRC_TABLES: [[u32; 256]; 16] = {
 };
 
 /// Reads the 8-byte magic of `path` and reports which run-file format it
-/// carries: `Some(2)` for the block-native v2 format, `Some(1)` for v1,
-/// `None` for anything else — including unreadable or too-short files,
-/// so callers route to an opener whose error names the real problem.
+/// carries: `Some(2)` for a run [`PagedRun`] reads, `Some(1)` for the
+/// retired flat format it refuses with a repack hint, `None` for anything
+/// else — including unreadable or too-short files, so callers route to an
+/// opener whose error names the real problem.
 pub fn run_format(path: &Path) -> Option<u32> {
     let mut magic = [0u8; 8];
     File::open(path)
@@ -163,9 +165,8 @@ fn invalid(msg: impl Into<String>) -> io::Error {
 
 /// Every validation failure names the offending byte offset and what was
 /// expected vs. found there, so a corrupt file can be diagnosed with a hex
-/// dump instead of a debugger. Shared with the v1 reader in
-/// [`crate::file`].
-pub(crate) fn corrupt(
+/// dump instead of a debugger.
+fn corrupt(
     offset: u64,
     field: impl std::fmt::Display,
     expected: impl std::fmt::Display,
@@ -178,12 +179,12 @@ pub(crate) fn corrupt(
 
 /// Largest rule mass a packer writes: members' probabilities may sum a
 /// few ulps above 1 (renormalized confidences), never more.
-pub(crate) const MAX_RULE_MASS: f64 = 1.0 + 1e-9;
+const MAX_RULE_MASS: f64 = 1.0 + 1e-9;
 
 /// Validates rule `rule`'s mass, read at byte `offset` of a run file's
 /// header. The packers write the sum of the rule's member probabilities,
 /// so it is never NaN, never negative and never above [`MAX_RULE_MASS`].
-pub(crate) fn check_rule_mass(offset: u64, rule: u64, mass: f64) -> io::Result<f64> {
+fn check_rule_mass(offset: u64, rule: u64, mass: f64) -> io::Result<f64> {
     // NaN-safe: a NaN mass is in no range.
     if (0.0..=MAX_RULE_MASS).contains(&mass) {
         return Ok(mass);
@@ -200,13 +201,7 @@ pub(crate) fn check_rule_mass(offset: u64, rule: u64, mass: f64) -> io::Result<f
 /// `rule`, read at byte `offset`) against the rule's stored `mass`. The
 /// mass is a sum of non-negative terms, this probability among them, so
 /// no member of a valid file exceeds it: the check is exact.
-pub(crate) fn check_member(
-    offset: u64,
-    record: u64,
-    rule: u32,
-    prob: f64,
-    mass: f64,
-) -> io::Result<()> {
+fn check_member(offset: u64, record: u64, rule: u32, prob: f64, mass: f64) -> io::Result<()> {
     if prob <= mass {
         return Ok(());
     }
@@ -218,7 +213,7 @@ pub(crate) fn check_member(
     ))
 }
 
-/// One entry of a v2 run file's block directory.
+/// One entry of a run file's block directory.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockMeta {
     /// Records stored in the block (equal to the block capacity for every
@@ -253,8 +248,8 @@ impl BlockMeta {
 }
 
 /// Sorts `rows` (`(score, probability, rule)` triples; ids are assigned by
-/// input order, exactly as [`crate::write_run`]) and writes them as a
-/// block-native v2 run file at `path`.
+/// input order) and writes them as a run file of `block_size`-byte blocks
+/// at `path`.
 ///
 /// The file is streamed: the header and rule layout, a zeroed directory
 /// placeholder, then each block through one reused frame buffer; the
@@ -299,8 +294,8 @@ pub fn write_run_blocked(
         }
     }
     // Masses accumulate in input order — the same float-summation order as
-    // write_run and SortedVecSource, so Theorem 3(2) sees bit-identical
-    // rule masses on every path.
+    // SortedVecSource, so Theorem 3(2) sees bit-identical rule masses on
+    // every path.
     let mut masses = vec![0.0f64; rule_count as usize];
     for (_, prob, rule) in rows {
         if let Some(r) = rule {
@@ -448,8 +443,18 @@ struct Frame {
 /// Least-recently-used replacement keeps the previous scan's tail
 /// instead, which the next scan reads last. Frames are created on first
 /// use, so memory follows the blocks fetched, not the budget.
+///
+/// Lookups and replacement read an index, never the frames: a map from
+/// each resident block to its frame, in block order, and a free list of
+/// invalidated frames. A lookup is one map probe, and an eviction walks
+/// the map from its deepest end past the pinned frames (one per live
+/// cursor), so a block costs the same at any budget.
 pub struct BufferPool {
     frames: Vec<Frame>,
+    /// Resident block -> the frame holding it.
+    by_block: BTreeMap<u64, usize>,
+    /// Invalidated frames, taken before the pool grows.
+    free: Vec<usize>,
     budget: usize,
     evictions: u64,
 }
@@ -468,6 +473,8 @@ impl BufferPool {
     pub fn new(config: &PoolConfig) -> BufferPool {
         BufferPool {
             frames: Vec::new(),
+            by_block: BTreeMap::new(),
+            free: Vec::new(),
             budget: config.frames.max(1),
             evictions: 0,
         }
@@ -480,55 +487,50 @@ impl BufferPool {
 
     /// Frames currently holding a block.
     pub fn resident(&self) -> usize {
-        self.frames
-            .iter()
-            .filter(|f| f.block != EMPTY_FRAME)
-            .count()
+        self.by_block.len()
     }
 
     /// The frame holding `block`, if resident.
     pub fn get(&self, block: u64) -> Option<usize> {
-        debug_assert_ne!(block, EMPTY_FRAME);
-        self.frames.iter().position(|f| f.block == block)
+        self.by_block.get(&block).copied()
     }
 
-    /// Claims a frame for `block`, evicting deterministically (see the
-    /// type docs). The caller fills the frame via `frame_mut`.
+    /// Claims a frame for `block`, which is not resident, evicting
+    /// deterministically (see the type docs). The caller fills the frame
+    /// via `frame_mut`.
     ///
     /// # Errors
     /// Fails when every frame is pinned.
     pub fn assign(&mut self, block: u64) -> io::Result<usize> {
-        // `EMPTY_FRAME` is the highest block number, so an invalidated
-        // frame is taken ahead of every resident one.
-        let deepest = self
-            .frames
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.pins == 0)
-            .max_by_key(|(_, f)| f.block)
-            .map(|(i, f)| (i, f.block));
-        let idx = match deepest {
-            Some((i, EMPTY_FRAME)) => i,
-            _ if self.frames.len() < self.budget => {
-                self.frames.push(Frame {
-                    block: EMPTY_FRAME,
-                    data: Vec::new(),
-                    pins: 0,
-                });
-                self.frames.len() - 1
-            }
-            Some((i, _)) => {
-                self.evictions += 1;
-                i
-            }
-            None => {
+        debug_assert!(block != EMPTY_FRAME && !self.by_block.contains_key(&block));
+        let idx = if let Some(idx) = self.free.pop() {
+            idx
+        } else if self.frames.len() < self.budget {
+            self.frames.push(Frame {
+                block: EMPTY_FRAME,
+                data: Vec::new(),
+                pins: 0,
+            });
+            self.frames.len() - 1
+        } else {
+            let deepest = self
+                .by_block
+                .iter()
+                .rev()
+                .find(|&(_, &i)| self.frames[i].pins == 0)
+                .map(|(&b, &i)| (b, i));
+            let Some((evicted, idx)) = deepest else {
                 return Err(io::Error::other(format!(
                     "buffer pool exhausted: all {} frames are pinned; raise --pool-frames",
                     self.budget
-                )))
-            }
+                )));
+            };
+            self.by_block.remove(&evicted);
+            self.evictions += 1;
+            idx
         };
         self.frames[idx].block = block;
+        self.by_block.insert(block, idx);
         Ok(idx)
     }
 
@@ -538,8 +540,10 @@ impl BufferPool {
         self.evictions
     }
 
-    /// Pins frame `idx` (a pinned frame is never evicted).
+    /// Pins frame `idx`, which holds a block (a pinned frame is never
+    /// evicted).
     pub fn pin(&mut self, idx: usize) {
+        debug_assert_ne!(self.frames[idx].block, EMPTY_FRAME);
         self.frames[idx].pins += 1;
     }
 
@@ -557,10 +561,16 @@ impl BufferPool {
         &mut self.frames[idx].data
     }
 
-    /// Marks frame `idx` empty (used when a fill fails mid-way, so a
-    /// half-written frame is never served as a hit).
+    /// Marks frame `idx`, which is unpinned, empty (used when a fill fails
+    /// mid-way, so a half-written frame is never served as a hit).
     pub fn invalidate(&mut self, idx: usize) {
-        self.frames[idx].block = EMPTY_FRAME;
+        let frame = &mut self.frames[idx];
+        debug_assert_eq!(frame.pins, 0, "an invalidated frame is unpinned");
+        if frame.block != EMPTY_FRAME {
+            self.by_block.remove(&frame.block);
+            frame.block = EMPTY_FRAME;
+            self.free.push(idx);
+        }
     }
 }
 
@@ -582,7 +592,7 @@ fn read_f64(r: &mut impl Read) -> io::Result<f64> {
     Ok(f64::from_le_bytes(b))
 }
 
-/// A block-native v2 run file opened for paged reading: directory, rule
+/// A run file opened for paged reading: directory, rule
 /// table and a [`BufferPool`] in memory, record data on disk. Hand out
 /// scan cursors with [`PagedRun::cursor`]; each cursor pins the frame it
 /// is positioned in, so concurrent cursors need at most one frame each.
@@ -615,7 +625,7 @@ impl std::fmt::Debug for PagedRun {
 }
 
 impl PagedRun {
-    /// Opens a v2 run file and validates its header, rule layout and block
+    /// Opens a run file and validates its header, rule layout and block
     /// directory (see [`PagedRun::open_recorded`]).
     ///
     /// # Errors
@@ -690,8 +700,8 @@ impl PagedRun {
         head.copy_to_slice(&mut magic);
         if &magic == MAGIC_V1 {
             return Err(invalid(
-                "version 1 run file (magic PTKRUN01): the paged reader needs the block-native \
-                 v2 format — open it with FileSource, or repack with `ptk pack --block-size`",
+                "flat run file (magic PTKRUN01): this format is no longer read — repack the \
+                 table from its CSV with `ptk pack`",
             ));
         }
         if &magic != MAGIC_V2 {
@@ -1033,9 +1043,8 @@ pub struct PagedCursor<'r> {
     last_score: f64,
     /// `(block, frame index)` of the pinned frame, if any.
     pinned: Option<(u64, usize)>,
-    /// A decode or IO error ends the stream permanently (matching the v1
-    /// source's swallow-and-stop contract; use [`PagedCursor::try_next`]
-    /// to observe errors as they happen, or
+    /// A decode or IO error ends the stream permanently (use
+    /// [`PagedCursor::try_next`] to observe errors as they happen, or
     /// [`PagedCursor::take_error`] after a scan).
     dead: bool,
     /// The error that killed the stream, held for [`PagedCursor::take_error`].
@@ -1568,7 +1577,7 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_matches_v1_order_across_block_sizes() {
+    fn roundtrip_preserves_rank_order_across_block_sizes() {
         for bs in [MIN_BLOCK_BYTES, 48, 1024, DEFAULT_BLOCK_BYTES] {
             let f = temp();
             write_run_blocked(&f.0, &panda_rows(), bs).unwrap();
@@ -1688,6 +1697,12 @@ mod tests {
         let snap = metrics.snapshot();
         assert_eq!(snap.counter(counters::POOL_MISS), 3);
         assert_eq!(snap.counter(counters::POOL_HIT), 0);
+        // The file counters: one open, six records, and the bytes before
+        // the data section (header 24 + masses 16 + layout 40 + directory
+        // 108) plus three 48-byte blocks.
+        assert_eq!(snap.counter(counters::FILE_OPENS), 1);
+        assert_eq!(snap.counter(counters::FILE_RECORDS), 6);
+        assert_eq!(snap.counter(counters::FILE_BYTES_READ), 188 + 3 * 48);
         // A second scan finds all three blocks resident.
         let mut again = run.cursor();
         while again.next_ranked().is_some() {}
@@ -1804,6 +1819,120 @@ mod tests {
         assert!(err.contains("block 10 checksum"), "{err}");
     }
 
+    /// The pool before its index: every lookup and every replacement scans
+    /// the created frames. [`BufferPool`] must make the same choices.
+    struct LinearPool {
+        /// `(block, pins)` per created frame.
+        frames: Vec<(u64, u32)>,
+        budget: usize,
+        evictions: u64,
+    }
+
+    impl LinearPool {
+        fn get(&self, block: u64) -> Option<usize> {
+            self.frames.iter().position(|f| f.0 == block)
+        }
+
+        fn assign(&mut self, block: u64) -> Option<usize> {
+            // `EMPTY_FRAME` is the highest block number, so an invalidated
+            // frame is taken ahead of every resident one.
+            let deepest = self
+                .frames
+                .iter()
+                .enumerate()
+                .filter(|(_, f)| f.1 == 0)
+                .max_by_key(|(_, f)| f.0)
+                .map(|(i, f)| (i, f.0));
+            let idx = match deepest {
+                Some((i, EMPTY_FRAME)) => i,
+                _ if self.frames.len() < self.budget => {
+                    self.frames.push((EMPTY_FRAME, 0));
+                    self.frames.len() - 1
+                }
+                Some((i, _)) => {
+                    self.evictions += 1;
+                    i
+                }
+                None => return None,
+            };
+            self.frames[idx].0 = block;
+            Some(idx)
+        }
+
+        /// Resident blocks with their pins, in block order.
+        fn resident(&self) -> Vec<(u64, u32)> {
+            let mut held: Vec<_> = self
+                .frames
+                .iter()
+                .copied()
+                .filter(|f| f.0 != EMPTY_FRAME)
+                .collect();
+            held.sort_unstable();
+            held
+        }
+    }
+
+    /// Seeded random sequences of `assign`, `get`, `pin`, `unpin` and
+    /// `invalidate`, each addressed by block as the paged reader uses
+    /// them (a block is assigned only when not resident, a frame is
+    /// invalidated only when unpinned): after every operation both pools
+    /// hold the same blocks with the same pins and have evicted as often.
+    #[test]
+    fn the_indexed_pool_chooses_like_the_linear_scan() {
+        use ptk_core::rng::{RngCore, SeedableRng, SplitMix64};
+        for budget in [1, 2, 3, 5, 8] {
+            for seed in 0..8u64 {
+                let mut rng = SplitMix64::seed_from_u64(seed * 31 + budget as u64);
+                let mut pool = BufferPool::new(&PoolConfig {
+                    frames: budget,
+                    frame_bytes: 64,
+                });
+                let mut linear = LinearPool {
+                    frames: Vec::new(),
+                    budget,
+                    evictions: 0,
+                };
+                let blocks = 2 * budget as u64 + 4;
+                for step in 0..2_000 {
+                    let block = rng.next_u64() % blocks;
+                    let ctx = format!("budget {budget} seed {seed} step {step} block {block}");
+                    match (rng.next_u64() % 5, linear.get(block)) {
+                        (0, None) => {
+                            let got = pool.assign(block).ok().map(|_| ());
+                            assert_eq!(got, linear.assign(block).map(|_| ()), "{ctx}: assign");
+                        }
+                        (1, held) => assert_eq!(pool.get(block).is_some(), held.is_some(), "{ctx}"),
+                        (2, Some(i)) => {
+                            pool.pin(pool.get(block).unwrap());
+                            linear.frames[i].1 += 1;
+                        }
+                        (3, Some(i)) => {
+                            pool.unpin(pool.get(block).unwrap());
+                            linear.frames[i].1 = linear.frames[i].1.saturating_sub(1);
+                        }
+                        (4, Some(i)) if linear.frames[i].1 == 0 => {
+                            pool.invalidate(pool.get(block).unwrap());
+                            linear.frames[i].0 = EMPTY_FRAME;
+                        }
+                        _ => continue,
+                    }
+                    let held: Vec<_> = pool
+                        .by_block
+                        .iter()
+                        .map(|(&b, &i)| (b, pool.frames[i].pins))
+                        .collect();
+                    assert_eq!(held, linear.resident(), "{ctx}: resident blocks");
+                    assert_eq!(pool.resident(), held.len(), "{ctx}");
+                    assert_eq!(pool.evictions(), linear.evictions, "{ctx}: evictions");
+                }
+                assert!(
+                    linear.evictions > 0,
+                    "budget {budget} seed {seed}: no eviction"
+                );
+            }
+        }
+    }
+
     #[test]
     fn pinned_frames_are_never_evicted() {
         let mut pool = BufferPool::new(&PoolConfig {
@@ -1898,7 +2027,7 @@ mod tests {
     /// count (more than `u32::MAX` rows), since such a table cannot be
     /// built in a test; it runs with the others, ahead of `File::create`.
     #[test]
-    fn write_validates_like_v1() {
+    fn write_validates_its_input() {
         let f = temp();
         let refused: [(&[Row], u32); 6] = [
             (&[(1.0, 0.0, None)], 4096),
@@ -1995,13 +2124,96 @@ mod tests {
         assert!(cur.block_bounds().is_none());
     }
 
+    /// A flat-format file is refused by its magic. Its header is written
+    /// by hand: the magic, a record count and a rule count (20 bytes),
+    /// then one rule mass, so the file passes the 24-byte header read and
+    /// reaches the magic check.
     #[test]
     fn open_rejects_v1_files_with_a_pointed_error() {
         let f = temp();
-        crate::file::write_run(&f.0, &panda_rows()).unwrap();
+        let mut header = ByteBuf::new();
+        header.put_slice(b"PTKRUN01");
+        header.put_u64_le(0);
+        header.put_u32_le(1);
+        header.put_f64_le(0.5);
+        std::fs::write(&f.0, header.as_slice()).unwrap();
         let err = PagedRun::open(&f.0, small_pool()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("PTKRUN01"), "{err}");
-        assert!(err.to_string().contains("--block-size"), "{err}");
+        assert!(err.to_string().contains("`ptk pack`"), "{err}");
+        assert_eq!(run_format(&f.0), Some(1));
+    }
+
+    #[test]
+    fn open_rejects_trailing_garbage() {
+        let f = temp();
+        write_run_blocked(&f.0, &panda_rows(), 48).unwrap();
+        let mut bytes = std::fs::read(&f.0).unwrap();
+        bytes.extend_from_slice(b"junk");
+        std::fs::write(&f.0, &bytes).unwrap();
+        let err = PagedRun::open(&f.0, small_pool()).unwrap_err();
+        assert!(err.to_string().contains("corrupt run file"), "{err}");
+    }
+
+    #[test]
+    fn a_traced_open_closes_the_span_on_error() {
+        use ptk_obs::{Metrics, RingSink, SharedSink, Tracer};
+        let f = temp();
+        std::fs::write(&f.0, b"NOTARUN!xxxxxxxxxxxxxxxxxxx").unwrap();
+        let sink = Arc::new(RingSink::new(8));
+        let tracer = Tracer::new(Arc::clone(&sink) as SharedSink, 0, 0);
+        let recorder = Arc::new(Metrics::counters_only().with_tracer(tracer));
+        assert!(PagedRun::open_recorded(&f.0, small_pool(), recorder).is_err());
+        // The debug drop guard would panic here if the span leaked open.
+        let events = sink.events();
+        assert_eq!(events.len(), 2, "begin + end despite the error");
+    }
+
+    /// Overwrites 8 bytes at `field` (8: score, 16: probability) of the
+    /// record at `rank` in a packed file, and rewrites its block's
+    /// checksum in the directory, so the record checks, not the checksum,
+    /// must catch the value.
+    fn rewrite_record(bytes: &mut [u8], rank: usize, field: usize, value: f64) {
+        let block_size = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+        let tuples = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
+        let capacity = block_size / RECORD_BYTES;
+        let blocks = tuples.div_ceil(capacity);
+        let data_start = bytes.len() - blocks * block_size;
+        let (b, slot) = (rank / capacity, rank % capacity);
+        let frame = data_start + b * block_size;
+        let at = frame + slot * RECORD_BYTES + field;
+        bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        let entry = data_start - (blocks - b) * DIR_ENTRY_BYTES as usize;
+        let records = u32::from_le_bytes(bytes[entry..entry + 4].try_into().unwrap()) as usize;
+        let crc = crc32(&bytes[frame..frame + records * RECORD_BYTES]);
+        bytes[entry + 32..entry + 36].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// Record 2's score, then its probability, with the checksum made to
+    /// match: a NaN score slips past a plain `>` order check, and the
+    /// record after the corrupt one is intact, so a reader that skipped on
+    /// would deliver it.
+    #[test]
+    fn a_corrupt_record_ends_the_stream_for_good() {
+        for (field, value) in [(8, f64::NAN), (16, 2.0)] {
+            let f = temp();
+            write_run_blocked(&f.0, &panda_rows(), DEFAULT_BLOCK_BYTES).unwrap();
+            let mut bytes = std::fs::read(&f.0).unwrap();
+            rewrite_record(&mut bytes, 2, field, value);
+            std::fs::write(&f.0, &bytes).unwrap();
+            let run = PagedRun::open(&f.0, small_pool()).unwrap();
+            let mut cur = run.cursor();
+            assert!(cur.take_error().is_none());
+            assert!(cur.next_ranked().is_some());
+            assert!(cur.next_ranked().is_some());
+            assert!(cur.next_ranked().is_none(), "{value}");
+            assert!(cur.next_ranked().is_none(), "{value}: read past the error");
+            assert_eq!(cur.retrieved(), 2);
+            let err = cur.take_error().expect("the error is held");
+            assert!(err.to_string().contains("record 2"), "{err}");
+            assert!(!err.to_string().contains("checksum"), "{err}");
+            assert!(cur.take_error().is_none());
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! A minimal byte read/write cursor replacing the `bytes` crate.
 //!
-//! The run-file codec ([`crate::file`]) needs exactly four things: append
-//! little-endian primitives to a growable buffer, hand the accumulated
-//! bytes to `Write::write_all`, consume little-endian primitives from the
-//! front, and reuse the allocation across chunks. [`ByteBuf`] provides
-//! that in ~100 lines: a `Vec<u8>` plus a read cursor. Consuming reads
+//! The run-file codec ([`crate::block`]) needs exactly three things:
+//! append little-endian primitives to a growable buffer, hand the
+//! accumulated bytes to `Write::write_all`, and consume little-endian
+//! primitives from the front. [`ByteBuf`] provides that in ~100 lines: a
+//! `Vec<u8>` plus a read cursor. Consuming reads
 //! advance the cursor without shifting bytes; [`ByteBuf::clear`] and the
 //! writers reclaim the dead prefix, so a steady fill/drain cycle does not
 //! grow the allocation.

@@ -20,17 +20,15 @@
 //!   TA: several per-attribute sorted lists, a monotone aggregation
 //!   function, and an emit-in-order loop that only descends the lists as
 //!   far as the consumer actually pulls;
-//! * [`FileSource`] / [`write_run`] — on-disk sorted runs in a compact
-//!   binary format (v1), streamed back with a bounded read buffer, so
-//!   tables larger than memory can still be scanned in ranking order;
-//! * [`PagedRun`] / [`write_run_blocked`] — block-native runs (format v2):
-//!   fixed-size blocks carrying per-block record counts, max membership
-//!   probability, score ranges and rule flags, read through a pinned
-//!   [`BufferPool`] so the executor can *skip a block's decode* when the
-//!   paper's Theorem 3(1) bound already prunes everything in it. Every
-//!   scan reads a prefix of the ranked run, so the pool evicts the
-//!   deepest block first and the leading blocks stay resident across
-//!   scans;
+//! * [`PagedRun`] / [`write_run_blocked`] — on-disk sorted runs, so
+//!   tables larger than memory can still be scanned in ranking order. A
+//!   run (format `PTKRUN02`) is a sequence of fixed-size blocks carrying
+//!   per-block record counts, max membership probability, score ranges
+//!   and rule flags, read through a pinned [`BufferPool`] so the executor
+//!   can *skip a block's decode* when the paper's Theorem 3(1) bound
+//!   already prunes everything in it. Every scan reads a prefix of the
+//!   ranked run, so the pool evicts the deepest block first and the
+//!   leading blocks stay resident across scans;
 //! * [`ByteBuf`] — the in-repo byte read/write cursor behind the run-file
 //!   codec (the workspace builds hermetically, without the `bytes` crate).
 //!
@@ -52,7 +50,6 @@
 
 mod block;
 mod bytebuf;
-mod file;
 mod source;
 mod ta;
 
@@ -65,12 +62,12 @@ pub mod counters {
     pub const FILE_RECORDS: &str = "access.file.records";
     /// Run files opened.
     pub const FILE_OPENS: &str = "access.file.opens";
-    /// Blocks of a v2 run file entered for full decode.
+    /// Blocks of a run file entered for full decode.
     pub const BLOCK_READ: &str = "access.block.read";
-    /// Blocks of a v2 run file whose decode was skipped (only the
+    /// Blocks of a run file whose decode was skipped (only the
     /// probability stripe was read, under a block-level pruning bound).
     pub const BLOCK_SKIP: &str = "access.block.skip";
-    /// Bytes actually decoded from v2 block frames (24 per full record,
+    /// Bytes actually decoded from block frames (24 per full record,
     /// 8 per stripe-skipped record) — the savings a block skip buys.
     pub const BLOCK_DECODE_BYTES: &str = "access.block.decode_bytes";
     /// Buffer-pool lookups served by a resident frame.
@@ -96,7 +93,6 @@ pub use block::{
     MIN_BLOCK_BYTES,
 };
 pub use bytebuf::ByteBuf;
-pub use file::{write_run, FileSource};
 pub use source::{
     BlockBounds, RankedSource, RuleKey, SelectionSource, SnapshotSource, SortedVecCursor,
     SortedVecSource, SourceTuple, ViewSource,

@@ -1,5 +1,5 @@
 //! The `generate` command: synthetic and IIP dataset generation to CSV,
-//! or straight to a block-native run file with `--out` (+ `--block-size`).
+//! or straight to a run file with `--out` (+ `--block-size`).
 
 use std::io::Write;
 
@@ -50,8 +50,8 @@ pub(super) fn cmd_generate(flags: &Flags, out: &mut dyn Write) -> Result<(), Cmd
         }
         other => return Err(format!("unknown generator '{other}' (synthetic | iip)").into()),
     };
-    // `--out <file.run>` packs the dataset directly into a block-native
-    // run file (default block size, override with --block-size), skipping
+    // `--out <file.run>` packs the dataset directly into a run file
+    // (default block size, override with --block-size), skipping
     // the CSV round-trip `ptk generate … | ptk pack` would take.
     if let Some(out_path) = flags.get::<String>("out")? {
         let block_size = flags.get("block-size")?.unwrap_or(DEFAULT_BLOCK_BYTES);
@@ -63,7 +63,7 @@ pub(super) fn cmd_generate(flags: &Flags, out: &mut dyn Write) -> Result<(), Cmd
         let query = TopKQuery::new(1, Predicate::True, ranking).map_err(|e| e.to_string())?;
         let view = RankedView::build(&table, &query).map_err(|e| e.to_string())?;
         let rows = super::scan::rows_of_view(&view)?;
-        let shape = super::scan::write_packed(&out_path, &rows, Some(block_size))?;
+        let shape = super::scan::write_packed(&out_path, &rows, block_size)?;
         writeln!(
             out,
             "generated and packed {} tuples ({} rules) into {out_path} ({shape})",

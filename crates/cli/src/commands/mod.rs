@@ -256,8 +256,8 @@ type Run = fn(&Flags, &mut dyn Write) -> Result<(), CmdError>;
 /// Every command: its name, what runs it, and the flags it reads,
 /// switches included, in space-separated groups. A flag outside them is
 /// refused before the command runs, so one it cannot act on never passes
-/// silently; one it reads only to refuse (`scan --pool-frames` on a v1
-/// run file) keeps its own message.
+/// silently; one it reads only to refuse (`--rule-span` on `generate
+/// iip`) keeps its own message.
 const COMMANDS: &[(&str, Run, &[&str])] = &[
     ("query", query::cmd_query, &[RANK, "seed", OBSERVE]),
     ("utopk", query::cmd_utopk, &[RANK, OBSERVE]),
@@ -909,36 +909,32 @@ mod tests {
         assert_eq!(semantics, expected);
     }
 
+    /// Overwrites 8 bytes at `field` (8: score, 16: probability) of the
+    /// record at `rank` in a run file, and rewrites its block's checksum
+    /// in the directory, so the record checks, not the checksum, must
+    /// catch the value. A run ends with its blocks, each directory entry
+    /// (36 bytes, checksum last) sits before them, and the header holds
+    /// the block size at byte 8 and the record count at byte 12.
+    fn rewrite_record(bytes: &mut [u8], rank: usize, field: usize, value: f64) {
+        let block_size = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+        let tuples = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
+        let capacity = block_size / 24;
+        let blocks = tuples.div_ceil(capacity);
+        let data_start = bytes.len() - blocks * block_size;
+        let (b, slot) = (rank / capacity, rank % capacity);
+        let frame = data_start + b * block_size;
+        let at = frame + slot * 24 + field;
+        bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        let entry = data_start - (blocks - b) * 36;
+        let records = u32::from_le_bytes(bytes[entry..entry + 4].try_into().unwrap()) as usize;
+        let crc = ptk_access::crc32(&bytes[frame..frame + records * 24]);
+        bytes[entry + 32..entry + 36].copy_from_slice(&crc.to_le_bytes());
+    }
+
     #[test]
-    fn a_corrupt_v1_run_fails_the_scan_instead_of_answering_short() {
-        let csv = dispatch(&args(&[
-            "generate",
-            "synthetic",
-            "--tuples",
-            "2000",
-            "--rules",
-            "200",
-            "--seed",
-            "13",
-        ]))
-        .unwrap();
-        let table = tempfile::csv(&csv);
-        let run = tempfile::path("run");
-        dispatch(&args(&[
-            "pack",
-            table.as_str(),
-            "--rank-by",
-            "score",
-            "--out",
-            run.as_str(),
-        ]))
-        .unwrap();
+    fn a_corrupt_record_fails_the_scan_instead_of_answering_short() {
+        let (_table, run) = synthetic_run();
         let clean = std::fs::read(&run.0).unwrap();
-        // v1 layout: a 20-byte header (magic, record count, rule count),
-        // 8 bytes per rule mass, then 24-byte records of id, rule, score
-        // and probability.
-        let rules = u32::from_le_bytes(clean[16..20].try_into().unwrap()) as usize;
-        let record5 = 20 + 8 * rules + 5 * 24;
         let scans: [&[&str]; 2] = [
             &["--k", "10", "--p", "0.3"],
             &["--k", "10", "--semantics", "global_topk"],
@@ -948,51 +944,47 @@ mod tests {
             argv.extend_from_slice(scan);
             assert!(dispatch(&args(&argv)).is_ok(), "clean file: {scan:?}");
         }
-        // A probability above 1 and a NaN score fail both scans: neither
-        // may pass for a clean early stop.
-        for (offset, value) in [(record5 + 16, 2.0), (record5 + 8, f64::NAN)] {
+        // A probability above 1 and a NaN score, under a checksum that
+        // matches, fail both scans: neither may pass for a clean early stop.
+        for (field, value) in [(16, 2.0), (8, f64::NAN)] {
             let mut bytes = clean.clone();
-            bytes[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
+            rewrite_record(&mut bytes, 5, field, value);
             std::fs::write(&run.0, &bytes).unwrap();
             for scan in scans {
                 let mut argv = vec!["scan", run.as_str()];
                 argv.extend_from_slice(scan);
                 let err = dispatch(&args(&argv)).unwrap_err();
                 assert!(err.contains("record 5"), "{value} {scan:?}: {err}");
+                assert!(!err.contains("checksum"), "{value} {scan:?}: {err}");
             }
         }
     }
 
     /// No checksum covers a run file's rule masses. Overwritten with 0,
-    /// -1 or 1e-300 (the clean answer has 11 rows), every mass of a v1 or
-    /// v2 run fails the scan with an error naming a rule, never a
-    /// shorter answer.
+    /// -1 or 1e-300 (the clean answer has 11 rows), every mass of a run
+    /// fails the scan with an error naming a rule, never a shorter
+    /// answer.
     #[test]
     fn a_corrupt_rule_mass_fails_the_scan_instead_of_answering_wrong() {
-        let (_table, v1, v2) = synthetic_runs();
-        let scan = |run: &tempfile::TempPath| {
-            dispatch(&args(&["scan", run.as_str(), "--k", "10", "--p", "0.3"]))
-        };
-        // Rule count, then the masses: bytes 16 and 20 in v1, 20 and 24 in
-        // v2 (which adds a block size after the magic).
-        for (run, count_at) in [(&v1, 16), (&v2, 20)] {
-            let clean = std::fs::read(&run.0).unwrap();
-            let answer = scan(run).unwrap();
-            assert!(answer.contains("11 tuples pass"), "{answer}");
-            let rules = u32::from_le_bytes(clean[count_at..count_at + 4].try_into().unwrap());
-            for mass in [0.0, -1.0, 1e-300] {
-                let mut bytes = clean.clone();
-                for r in 0..rules as usize {
-                    let at = count_at + 4 + 8 * r;
-                    bytes[at..at + 8].copy_from_slice(&f64::to_le_bytes(mass));
-                }
-                std::fs::write(&run.0, &bytes).unwrap();
-                let err = scan(run).unwrap_err();
-                assert!(
-                    err.contains("corrupt run file") && err.contains(" rule "),
-                    "{mass}: {err}"
-                );
+        let (_table, run) = synthetic_run();
+        let scan = || dispatch(&args(&["scan", run.as_str(), "--k", "10", "--p", "0.3"]));
+        let clean = std::fs::read(&run.0).unwrap();
+        let answer = scan().unwrap();
+        assert!(answer.contains("11 tuples pass"), "{answer}");
+        // The rule count sits at byte 20, the masses follow it.
+        let rules = u32::from_le_bytes(clean[20..24].try_into().unwrap());
+        for mass in [0.0, -1.0, 1e-300] {
+            let mut bytes = clean.clone();
+            for r in 0..rules as usize {
+                let at = 24 + 8 * r;
+                bytes[at..at + 8].copy_from_slice(&f64::to_le_bytes(mass));
             }
+            std::fs::write(&run.0, &bytes).unwrap();
+            let err = scan().unwrap_err();
+            assert!(
+                err.contains("corrupt run file") && err.contains(" rule "),
+                "{mass}: {err}"
+            );
         }
     }
 
@@ -1027,22 +1019,37 @@ mod tests {
         let json = out.lines().last().unwrap();
         assert!(json.contains("\"access.file.bytes_read\""), "{out}");
         assert!(json.contains("\"engine.scanned\""), "{out}");
+        // An empty table packs into no block, and says so.
+        let empty = tempfile::csv("prob,duration\n");
+        let out = dispatch(&args(&[
+            "pack",
+            empty.as_str(),
+            "--rank-by",
+            "duration",
+            "--out",
+            &run_str,
+        ]))
+        .unwrap();
+        assert!(out.contains("packed 0 tuples (0 rules)"), "{out}");
+        assert!(out.contains("(0 blocks of 4096 B)"), "{out}");
         let _ = std::fs::remove_file(&run_path);
     }
 
     #[test]
-    fn pack_block_size_scans_paged_and_bit_identical_to_v1() {
+    fn pack_block_size_scans_paged_and_bit_identical_to_one_block() {
         let file = panda_file();
-        let (v1, v2) = (tempfile::path("run"), tempfile::path("run"));
-        dispatch(&args(&[
+        let (one, v2) = (tempfile::path("run"), tempfile::path("run"));
+        let out = dispatch(&args(&[
             "pack",
             file.as_str(),
             "--rank-by",
             "duration",
             "--out",
-            v1.as_str(),
+            one.as_str(),
         ]))
         .unwrap();
+        // The default block size holds the whole table.
+        assert!(out.contains("(1 blocks of 4096 B)"), "{out}");
         let out = dispatch(&args(&[
             "pack",
             file.as_str(),
@@ -1064,14 +1071,14 @@ mod tests {
             argv.extend(extra.iter().map(|s| (*s).to_owned()));
             dispatch(&argv)
         };
-        // The paged scan answers byte-for-byte like the flat scan.
+        // Three blocks answer byte-for-byte like one.
         assert_eq!(
-            scan(v1.as_str(), &[]).unwrap(),
+            scan(one.as_str(), &[]).unwrap(),
             scan(v2.as_str(), &[]).unwrap()
         );
         // Even with a single-frame pool forcing eviction on every block.
         assert_eq!(
-            scan(v1.as_str(), &[]).unwrap(),
+            scan(one.as_str(), &[]).unwrap(),
             scan(v2.as_str(), &["--pool-frames", "1"]).unwrap()
         );
         // Stats surface the block counters.
@@ -1083,9 +1090,7 @@ mod tests {
         // Flag validation.
         let err = scan(v2.as_str(), &["--pool-frames", "0"]).unwrap_err();
         assert!(err.contains("--pool-frames must be at least 1"), "{err}");
-        let err = scan(v1.as_str(), &["--pool-frames", "2"]).unwrap_err();
-        assert!(err.contains("applies to block-native"), "{err}");
-        // The semantics path pages too, identically to the flat file.
+        // The semantics path pages too, identically to the one block.
         let sem = |run: &str| {
             dispatch(&args(&[
                 "scan",
@@ -1099,7 +1104,7 @@ mod tests {
             ]))
             .unwrap()
         };
-        let (a, b) = (sem(v1.as_str()), sem(v2.as_str()));
+        let (a, b) = (sem(one.as_str()), sem(v2.as_str()));
         assert_eq!(a.lines().next().unwrap(), b.lines().next().unwrap());
         assert!(
             b.lines().last().unwrap().contains("access.block.read"),
@@ -1234,20 +1239,71 @@ mod tests {
         assert!(out.contains("block    0: ranks        0..1"), "{out}");
         assert!(out.contains("max-p 0.4000"), "{out}");
         assert!(out.contains("rule-closed"), "{out}");
-        // A v1 file reports its shape and the repack hint.
+        // A file of the retired flat format fails with the repack hint:
+        // its 20-byte header (magic, record count, rule count), then one
+        // rule mass.
         let v1 = tempfile::path("run");
-        dispatch(&args(&[
-            "pack",
-            file.as_str(),
-            "--rank-by",
-            "duration",
-            "--out",
-            v1.as_str(),
-        ]))
-        .unwrap();
-        let out = dispatch(&args(&["inspect", v1.as_str()])).unwrap();
-        assert!(out.contains("run file (v1, flat)"), "{out}");
-        assert!(out.contains("repack with `ptk pack --block-size`"), "{out}");
+        let mut header = b"PTKRUN01".to_vec();
+        header.extend(0u64.to_le_bytes());
+        header.extend(1u32.to_le_bytes());
+        header.extend(0.5f64.to_le_bytes());
+        std::fs::write(&v1.0, header).unwrap();
+        let err = dispatch(&args(&["inspect", v1.as_str()])).unwrap_err();
+        assert!(err.contains("PTKRUN01"), "{err}");
+        assert!(
+            err.contains("repack the table from its CSV with `ptk pack`"),
+            "{err}"
+        );
+    }
+
+    /// A frame holds a block of any size `pack` writes: runs packed at
+    /// 128 KiB and at the 1 MiB ceiling scan like a 4 KiB packing, and
+    /// `inspect` prints their directory.
+    #[test]
+    fn a_run_of_any_packable_block_size_scans_and_inspects() {
+        let (table, small) = synthetic_run();
+        let scans: [&[&str]; 2] = [
+            &["--k", "10", "--p", "0.3"],
+            &[
+                "--k",
+                "10",
+                "--semantics",
+                "global_topk",
+                "--pool-frames",
+                "2",
+            ],
+        ];
+        let scan = |run: &str, extra: &[&str]| {
+            let mut argv = vec!["scan", run];
+            argv.extend_from_slice(extra);
+            dispatch(&args(&argv)).unwrap()
+        };
+        for size in ["131072", "1048576"] {
+            let big = tempfile::path("run");
+            let out = dispatch(&args(&[
+                "pack",
+                table.as_str(),
+                "--rank-by",
+                "score",
+                "--out",
+                big.as_str(),
+                "--block-size",
+                size,
+            ]))
+            .unwrap();
+            assert!(out.contains(&format!("(1 blocks of {size} B)")), "{out}");
+            for extra in scans {
+                assert_eq!(
+                    scan(big.as_str(), extra),
+                    scan(small.as_str(), extra),
+                    "{size}"
+                );
+            }
+            let out = dispatch(&args(&["inspect", big.as_str()])).unwrap();
+            assert!(out.contains(&format!("block size: {size} B")), "{out}");
+            assert!(out.contains("blocks:     1\n"), "{out}");
+            assert!(out.contains("block    0: ranks        0..1999"), "{out}");
+        }
     }
 
     #[test]
@@ -1559,12 +1615,12 @@ mod tests {
 
     #[test]
     fn commands_refuse_flags_they_do_not_read() {
-        let (table, v1, _) = synthetic_runs();
+        let (table, run) = synthetic_run();
         // `scan` runs neither EXPLAIN, nor a pruning switch, nor a WHERE,
         // nor a pool: the first of them is named, not dropped.
         let err = dispatch(&args(&[
             "scan",
-            v1.as_str(),
+            run.as_str(),
             "--k",
             "5",
             "--p",
@@ -1595,21 +1651,6 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("query takes no --bogus"), "{err}");
         // A flag a command reads only to refuse it keeps its own message.
-        let err = dispatch(&args(&[
-            "scan",
-            v1.as_str(),
-            "--k",
-            "5",
-            "--p",
-            "0.3",
-            "--pool-frames",
-            "3",
-        ]))
-        .unwrap_err();
-        assert!(
-            err.contains("applies to block-native (v2) run files"),
-            "{err}"
-        );
         let err = dispatch(&args(&[
             "utopk",
             table.as_str(),
@@ -2153,9 +2194,9 @@ mod tests {
         assert!(err.contains("missing trace file"), "{err}");
     }
 
-    /// A synthetic CSV table with its v1 and v2 packings, kept alive
-    /// together for the scan tests.
-    fn synthetic_runs() -> (tempfile::TempPath, tempfile::TempPath, tempfile::TempPath) {
+    /// A synthetic CSV table with its packing at the default block size,
+    /// kept alive together for the scan tests.
+    fn synthetic_run() -> (tempfile::TempPath, tempfile::TempPath) {
         let csv = dispatch(&args(&[
             "generate",
             "synthetic",
@@ -2168,55 +2209,48 @@ mod tests {
         ]))
         .unwrap();
         let table = tempfile::csv(&csv);
-        let (v1, v2) = (tempfile::path("run"), tempfile::path("run"));
-        for (run, extra) in [(&v1, None), (&v2, Some("4096"))] {
-            let mut argv = vec![
-                "pack",
-                table.as_str(),
-                "--rank-by",
-                "score",
-                "--out",
-                run.as_str(),
-            ];
-            if let Some(size) = extra {
-                argv.extend(["--block-size", size]);
-            }
-            dispatch(&args(&argv)).unwrap();
-        }
-        (table, v1, v2)
+        let run = tempfile::path("run");
+        dispatch(&args(&[
+            "pack",
+            table.as_str(),
+            "--rank-by",
+            "score",
+            "--out",
+            run.as_str(),
+        ]))
+        .unwrap();
+        (table, run)
     }
 
     /// `ptk scan --trace` traces the engine's decisions, not only the run
     /// source: the query span, its stop mark and the file reads share one
-    /// trace, over a flat and a block-native run alike.
+    /// trace.
     #[test]
-    fn scan_trace_reaches_the_executor_on_both_run_formats() {
-        let (_table, v1, v2) = synthetic_runs();
-        for run in [&v1, &v2] {
-            let (logical, chrome) = (tempfile::path("txt"), tempfile::path("json"));
-            for (trace, format) in [(&logical, "logical"), (&chrome, "chrome")] {
-                dispatch(&args(&[
-                    "scan",
-                    run.as_str(),
-                    "--k",
-                    "5",
-                    "--p",
-                    "0.3",
-                    "--trace",
-                    trace.as_str(),
-                    "--trace-format",
-                    format,
-                ]))
-                .unwrap();
-            }
-            let text = std::fs::read_to_string(&logical.0).unwrap();
-            assert!(text.contains("q0 #2 B query"), "{text}");
-            assert!(text.contains("i stop rule=upper-bound"), "{text}");
-            assert!(text.contains("i file-read"), "{text}");
-            assert!(text.contains("E query scanned=64"), "{text}");
-            let report = dispatch(&args(&["trace-check", chrome.as_str()])).unwrap();
-            assert!(report.contains("valid Chrome trace"), "{report}");
+    fn scan_trace_reaches_the_executor() {
+        let (_table, run) = synthetic_run();
+        let (logical, chrome) = (tempfile::path("txt"), tempfile::path("json"));
+        for (trace, format) in [(&logical, "logical"), (&chrome, "chrome")] {
+            dispatch(&args(&[
+                "scan",
+                run.as_str(),
+                "--k",
+                "5",
+                "--p",
+                "0.3",
+                "--trace",
+                trace.as_str(),
+                "--trace-format",
+                format,
+            ]))
+            .unwrap();
         }
+        let text = std::fs::read_to_string(&logical.0).unwrap();
+        assert!(text.contains("q0 #2 B query"), "{text}");
+        assert!(text.contains("i stop rule=upper-bound"), "{text}");
+        assert!(text.contains("i file-read"), "{text}");
+        assert!(text.contains("E query scanned=64"), "{text}");
+        let report = dispatch(&args(&["trace-check", chrome.as_str()])).unwrap();
+        assert!(report.contains("valid Chrome trace"), "{report}");
     }
 
     /// Every query command honours `--stats`, `--audit`, `--trace`,
@@ -2225,7 +2259,7 @@ mod tests {
     /// audit line follow the answer, and a bad trace format is refused.
     #[test]
     fn every_query_path_honours_the_observability_flags() {
-        let (table, v1, v2) = synthetic_runs();
+        let (table, run) = synthetic_run();
         let table = table.as_str();
         let ptk = "SELECT TOP 5 FROM t ORDER BY score WITH PROBABILITY >= 0.3";
         let batch = format!("{ptk}; SELECT TOP 9 FROM t ORDER BY score WITH PROBABILITY >= 0.2");
@@ -2250,13 +2284,10 @@ mod tests {
                 ],
             ),
             ("sql batch", vec!["sql", table, &batch]),
+            ("scan", vec!["scan", run.as_str(), "--k", "5", "--p", "0.3"]),
             (
-                "scan v1",
-                vec!["scan", v1.as_str(), "--k", "5", "--p", "0.3"],
-            ),
-            (
-                "scan v2 --semantics",
-                vec!["scan", v2.as_str(), "--k", "5", "--semantics", "u_kranks"],
+                "scan --semantics",
+                vec!["scan", run.as_str(), "--k", "5", "--semantics", "u_kranks"],
             ),
             ("utopk", vec!["utopk", table, "--k", "3"]),
             ("ukranks", vec!["ukranks", table, "--k", "3"]),
@@ -2309,7 +2340,7 @@ mod tests {
     /// flags they cannot honour are refused.
     #[test]
     fn ranking_commands_honour_where_and_refuse_what_they_cannot_run() {
-        let (table, _v1, _v2) = synthetic_runs();
+        let (table, _run) = synthetic_run();
         let table = table.as_str();
         let ranked = |argv: &[&str]| {
             let mut argv = argv.to_vec();

@@ -369,11 +369,12 @@ pub(super) fn cmd_worlds(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdEr
 }
 
 pub(super) fn cmd_inspect(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
-    // A run-file argument (either format, by magic) prints the file's
-    // shape — for v2, the block directory — instead of table statistics.
+    // A run-file argument (by magic) prints the file's header and block
+    // directory instead of table statistics; a file of the retired flat
+    // format gets the reader's repack hint.
     if let Some(path) = flags.positional.get(1) {
-        if let Some(format) = ptk_access::run_format(std::path::Path::new(path)) {
-            return super::scan::cmd_inspect_run(path, format, out);
+        if ptk_access::run_format(std::path::Path::new(path)).is_some() {
+            return super::scan::cmd_inspect_run(path, out);
         }
     }
     let table = load_from_flags(flags)?;

@@ -1,14 +1,14 @@
-//! Packed run files: `pack` (CSV -> binary run, v1 or block-native v2),
-//! `scan` (progressive PT-k retrieval over a run file without
-//! materializing a view; v2 files stream through the pinned buffer pool)
-//! and the run-file half of `inspect` (header + block directory).
+//! Packed run files: `pack` (CSV -> run file of fixed-size blocks),
+//! `scan` (progressive retrieval over a run file through the pinned
+//! buffer pool, without materializing a view) and the run-file half of
+//! `inspect` (header + block directory).
 
 use std::io::Write;
 use std::path::Path;
 
 use ptk_access::{
-    run_format, write_run, write_run_blocked, FileSource, PagedRun, PoolConfig, RankedSource,
-    DEFAULT_FRAME_BYTES, DEFAULT_POOL_FRAMES,
+    write_run_blocked, PagedCursor, PagedRun, PoolConfig, RankedSource, DEFAULT_BLOCK_BYTES,
+    DEFAULT_POOL_FRAMES, MAX_BLOCK_BYTES,
 };
 use ptk_core::{Predicate, RankedView, TopKQuery};
 use ptk_engine::{EngineOptions, PtkExecutor, PtkPlan, RankSemantics, SemanticsAnswer};
@@ -33,26 +33,16 @@ pub(super) fn rows_of_view(view: &RankedView) -> Result<Vec<(f64, f64, Option<u3
     Ok(rows)
 }
 
-/// Writes `rows` at `out_path` — block-native v2 when a block size is
-/// given, the flat v1 format otherwise — and describes the file written.
+/// Writes `rows` at `out_path` in blocks of `block_size` bytes and
+/// describes the file written.
 pub(super) fn write_packed(
     out_path: &str,
     rows: &[(f64, f64, Option<u32>)],
-    block_size: Option<u32>,
+    block_size: u32,
 ) -> Result<String, String> {
-    let path = std::path::Path::new(out_path);
-    match block_size {
-        Some(size) => {
-            write_run_blocked(path, rows, size).map_err(|e| e.to_string())?;
-            let capacity = size as usize / 24;
-            let blocks = rows.len().div_ceil(capacity).max(1);
-            Ok(format!("{blocks} blocks of {size} B"))
-        }
-        None => {
-            write_run(path, rows).map_err(|e| e.to_string())?;
-            Ok("v1".to_owned())
-        }
-    }
+    write_run_blocked(Path::new(out_path), rows, block_size).map_err(|e| e.to_string())?;
+    let blocks = rows.len().div_ceil(block_size as usize / 24);
+    Ok(format!("{blocks} blocks of {block_size} B"))
 }
 
 pub(super) fn cmd_pack(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
@@ -62,7 +52,8 @@ pub(super) fn cmd_pack(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErro
     let query = TopKQuery::new(1, Predicate::True, ranking).map_err(|e| e.to_string())?;
     let view = RankedView::build(&table, &query).map_err(|e| e.to_string())?;
     let rows = rows_of_view(&view)?;
-    let shape = write_packed(&out_path, &rows, flags.get("block-size")?)?;
+    let block_size = flags.get("block-size")?.unwrap_or(DEFAULT_BLOCK_BYTES);
+    let shape = write_packed(&out_path, &rows, block_size)?;
     writeln!(
         out,
         "packed {} tuples ({} rules) into {out_path} ({shape})",
@@ -72,75 +63,41 @@ pub(super) fn cmd_pack(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErro
     Ok(())
 }
 
-/// A run file opened for one scan: a block-native (v2) file through the
-/// buffer pool, a flat (v1) file as a stream.
-enum Run {
-    Paged(PagedRun),
-    Flat(FileSource),
+/// A pool whose frames hold a block of any size a packer writes: each
+/// frame is sized to the run's own blocks when it is filled, so the
+/// ceiling costs nothing.
+fn pool_of(frames: usize) -> PoolConfig {
+    PoolConfig {
+        frames,
+        frame_bytes: MAX_BLOCK_BYTES as usize,
+    }
 }
 
-impl Run {
-    /// Opens the run at `path` by its format, recording into `recorder`.
-    /// `--pool-frames` bounds a v2 file's resident frames (default
-    /// [`DEFAULT_POOL_FRAMES`]); the frame size stays at
-    /// [`DEFAULT_FRAME_BYTES`], so a run packed with larger blocks gets the
-    /// reader's pointed repack-or-raise error. A v1 file refuses the flag,
-    /// so it is never a silent no-op.
-    fn open(flags: &Flags, path: &str, recorder: SharedRecorder) -> Result<Run, String> {
-        let path = Path::new(path);
-        let opened = if run_format(path) == Some(2) {
-            let frames = match flags.get::<usize>("pool-frames")? {
-                Some(0) => return Err("--pool-frames must be at least 1".into()),
-                Some(n) => n,
-                None => DEFAULT_POOL_FRAMES,
-            };
-            let pool = PoolConfig {
-                frames,
-                frame_bytes: DEFAULT_FRAME_BYTES,
-            };
-            PagedRun::open_recorded(path, pool, recorder).map(Run::Paged)
-        } else if flags.named.contains_key("pool-frames") {
-            return Err(
-                "--pool-frames applies to block-native (v2) run files; repack this file with \
-                 `ptk pack --block-size` first"
-                    .into(),
-            );
-        } else {
-            FileSource::open_recorded(path, recorder).map(Run::Flat)
-        };
-        opened.map_err(|e| e.to_string())
-    }
+/// Opens the run at `path` for one scan, recording into `recorder`.
+/// `--pool-frames` bounds its resident frames (default
+/// [`DEFAULT_POOL_FRAMES`]).
+fn open_run(flags: &Flags, path: &str, recorder: SharedRecorder) -> Result<PagedRun, String> {
+    let frames = match flags.get::<usize>("pool-frames")? {
+        Some(0) => return Err("--pool-frames must be at least 1".into()),
+        Some(n) => n,
+        None => DEFAULT_POOL_FRAMES,
+    };
+    PagedRun::open_recorded(Path::new(path), pool_of(frames), recorder).map_err(|e| e.to_string())
+}
 
-    /// Runs `scan` over the run's records, returning its outcome with the
-    /// records it streamed and the run's total. The engine sees an IO or
-    /// corruption error as end-of-stream, so one that ended the stream
-    /// fails the scan: a silent short answer must not pass for a clean
-    /// early stop.
-    fn scan<T>(
-        &mut self,
-        scan: impl FnOnce(&mut dyn RankedSource) -> T,
-    ) -> Result<(T, usize, u64), CmdError> {
-        let (outcome, retrieved, total, error) = match self {
-            Run::Paged(run) => {
-                let mut cursor = run.cursor();
-                let outcome = scan(&mut cursor);
-                (
-                    outcome,
-                    cursor.retrieved(),
-                    run.tuples(),
-                    cursor.take_error(),
-                )
-            }
-            Run::Flat(file) => {
-                let total = file.remaining();
-                let outcome = scan(file);
-                (outcome, file.retrieved(), total, file.take_error())
-            }
-        };
-        match error {
-            Some(e) => Err(e.to_string().into()),
-            None => Ok((outcome, retrieved, total)),
-        }
+/// Runs `scan` over a fresh cursor of `run`, returning its outcome with
+/// the records it streamed. The engine sees an IO or corruption error as
+/// end-of-stream, so one that ended the stream fails the scan: a silent
+/// short answer must not pass for a clean early stop.
+fn scan_run<T>(
+    run: &PagedRun,
+    scan: impl FnOnce(&mut PagedCursor<'_>) -> T,
+) -> Result<(T, usize), CmdError> {
+    let mut cursor = run.cursor();
+    let outcome = scan(&mut cursor);
+    match cursor.take_error() {
+        Some(e) => Err(e.to_string().into()),
+        None => Ok((outcome, cursor.retrieved())),
     }
 }
 
@@ -158,9 +115,11 @@ pub(super) fn cmd_scan(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErro
     let label = format!("scan k={k} p={p}");
     let mut ctx = QueryCtx::from_flags(flags, label.clone())?;
     ctx.plan_flight(std::slice::from_ref(&plan), &label);
-    let mut run = Run::open(flags, path, ctx.shared_recorder())?;
-    let (result, retrieved, total) =
-        run.scan(|source| PtkExecutor::with_recorder(&plan, ctx.recorder()).execute(source))?;
+    let run = open_run(flags, path, ctx.shared_recorder())?;
+    let (result, retrieved) = scan_run(&run, |cursor| {
+        PtkExecutor::with_recorder(&plan, ctx.recorder()).execute(cursor)
+    })?;
+    let total = run.tuples();
     ctx.render(|| {
         writeln!(
             out,
@@ -207,12 +166,12 @@ fn scan_semantics(
     let label = format!("scan --semantics {} k={k}", semantics.keyword());
     let mut ctx = QueryCtx::from_flags(flags, label.clone())?;
     ctx.plan_flight(std::slice::from_ref(&plan), &label);
-    let mut run = Run::open(flags, path, ctx.shared_recorder())?;
-    let (answer, retrieved, total) = run.scan(|source| {
-        PtkExecutor::with_recorder(&plan, ctx.recorder()).execute_semantics(source)
+    let run = open_run(flags, path, ctx.shared_recorder())?;
+    let (answer, retrieved) = scan_run(&run, |cursor| {
+        PtkExecutor::with_recorder(&plan, ctx.recorder()).execute_semantics(cursor)
     })?;
     let answer = answer.map_err(|e| e.to_string())?;
-    let streamed = format!("streamed {retrieved} of {total} records");
+    let streamed = format!("streamed {retrieved} of {} records", run.tuples());
     ctx.render(|| write_scan_answer(out, k, &answer, &streamed))?;
     ctx.finish(out)
 }
@@ -287,35 +246,12 @@ fn write_scan_answer(
     Ok(())
 }
 
-/// The run-file half of `ptk inspect`: a v2 file prints its header and
-/// block directory (per block: rank range, score range, max membership
+/// The run-file half of `ptk inspect`: prints the run's header and block
+/// directory (per block: rank range, score range, max membership
 /// probability and rule flags — exactly what the executor's block-level
-/// Theorem 3 bound consults); a v1 file prints its shape and how to
-/// repack it.
-pub(super) fn cmd_inspect_run(
-    path: &str,
-    format: u32,
-    out: &mut dyn Write,
-) -> Result<(), CmdError> {
-    let file_path = Path::new(path);
-    if format == 1 {
-        let source = FileSource::open(file_path).map_err(|e| e.to_string())?;
-        writeln!(out, "run file (v1, flat)")?;
-        writeln!(out, "tuples:     {}", source.remaining())?;
-        writeln!(
-            out,
-            "no block directory; repack with `ptk pack --block-size` for paged scans"
-        )?;
-        return Ok(());
-    }
-    let run = PagedRun::open(
-        file_path,
-        PoolConfig {
-            frames: 1,
-            frame_bytes: DEFAULT_FRAME_BYTES,
-        },
-    )
-    .map_err(|e| e.to_string())?;
+/// Theorem 3 bound consults).
+pub(super) fn cmd_inspect_run(path: &str, out: &mut dyn Write) -> Result<(), CmdError> {
+    let run = PagedRun::open(Path::new(path), pool_of(1)).map_err(|e| e.to_string())?;
     let capacity = (run.block_size() / 24).max(1) as u64;
     writeln!(out, "run file (v2, block-native)")?;
     writeln!(out, "tuples:     {}", run.tuples())?;

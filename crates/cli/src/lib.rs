@@ -131,15 +131,15 @@ thread count. Such cuts exist when rules are rank-local;
 members inside a random W-rank window) where the default uniform
 scatter does not.
 
-`pack --block-size B` writes the block-native run format (v2): fixed
-B-byte blocks, each with a directory entry carrying its record count, max
-membership probability, score range and rule flags. `scan` detects the
-format by magic; v2 files stream through a pinned buffer pool
-(`--pool-frames` bounds resident frames) and the PT-k executor skips the
-full decode of rule-free blocks whose max probability is already under
-the Theorem 3(1) bound — bit-identical answers, fewer decoded bytes
-(`--stats` counters `access.block.*`). `inspect <file.run>` prints the
-block directory. `generate … --out file.run` packs a dataset directly.
+`pack` writes a run file of fixed B-byte blocks (`--block-size B`,
+default 4096), each with a directory entry carrying its record count, max
+membership probability, score range and rule flags. `scan` streams a run
+through a pinned buffer pool (`--pool-frames` bounds resident frames) and
+the PT-k executor skips the full decode of rule-free blocks whose max
+probability is already under the Theorem 3(1) bound — bit-identical
+answers, fewer decoded bytes (`--stats` counters `access.block.*`).
+`inspect <file.run>` prints the block directory. `generate … --out
+file.run` packs a dataset directly.
 
 `serve` loads the CSV once and answers the same SQL dialect over a minimal
 HTTP/1.1 + JSON surface until `POST /shutdown`: `POST /sql` (statement in

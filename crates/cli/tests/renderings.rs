@@ -16,8 +16,8 @@ fn run(args: &[&str]) -> String {
     ptk_cli::run(&args).unwrap_or_else(|e| panic!("ptk {args:?}: {e}"))
 }
 
-/// A scratch directory holding a 200-tuple synthetic table and its v1 and
-/// v2 packings, removed on drop.
+/// A scratch directory holding a 200-tuple synthetic table and its packing
+/// in 512-byte blocks, removed on drop.
 struct Fixture(PathBuf);
 
 impl Fixture {
@@ -38,14 +38,6 @@ impl Fixture {
         ]);
         std::fs::write(fixture.path("t.csv"), csv).unwrap();
         let table = fixture.path("t.csv");
-        run(&[
-            "pack",
-            &table,
-            "--rank-by",
-            "score",
-            "--out",
-            &fixture.path("t1.run"),
-        ]);
         run(&[
             "pack",
             &table,
@@ -198,22 +190,16 @@ fn audit_lines_match_their_goldens() {
         }
     }
 
-    for version in ["1", "2"] {
-        let file = fx.path(&format!("t{version}.run"));
-        for (name, extra) in [
-            ("scan_ptk", ["--p", "0.3"]),
-            ("scan_global_topk", ["--semantics", "global_topk"]),
-            ("scan_u_topk", ["--semantics", "u_topk"]),
-        ] {
-            let mut argv = vec!["scan", &file, "--k", "5"];
-            argv.extend(extra);
-            argv.push("--audit");
-            assert_eq!(
-                audit_line(&argv),
-                golden_audit(&format!("{name}_v{version}")),
-                "{name} over a v{version} run"
-            );
-        }
+    let file = fx.path("t2.run");
+    for (name, extra) in [
+        ("scan_ptk_v2", ["--p", "0.3"]),
+        ("scan_global_topk_v2", ["--semantics", "global_topk"]),
+        ("scan_u_topk_v2", ["--semantics", "u_topk"]),
+    ] {
+        let mut argv = vec!["scan", &file, "--k", "5"];
+        argv.extend(extra);
+        argv.push("--audit");
+        assert_eq!(audit_line(&argv), golden_audit(name), "{name}");
     }
 }
 
@@ -384,18 +370,13 @@ fn listing_cases(fx: &Fixture) -> Vec<(String, Vec<String>)> {
             "naive",
         ],
     );
-    for version in ["1", "2"] {
-        let file = fx.path(&format!("t{version}.run"));
+    let file = fx.path("t2.run");
+    case("scan_ptk_v2", &["scan", &file, "--k", "5", "--p", "0.3"]);
+    for semantics in ["u_topk", "u_kranks", "global_topk", "expected_rank"] {
         case(
-            &format!("scan_ptk_v{version}"),
-            &["scan", &file, "--k", "5", "--p", "0.3"],
+            &format!("scan_{semantics}_v2"),
+            &["scan", &file, "--k", "5", "--semantics", semantics],
         );
-        for semantics in ["u_topk", "u_kranks", "global_topk", "expected_rank"] {
-            case(
-                &format!("scan_{semantics}_v{version}"),
-                &["scan", &file, "--k", "5", "--semantics", semantics],
-            );
-        }
     }
     case(
         "worlds_panda",

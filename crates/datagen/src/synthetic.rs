@@ -327,7 +327,7 @@ impl Default for DeepScanConfig {
 }
 
 /// Generates `(score, probability, rule)` run rows (ready for
-/// `ptk_access::write_run` / `write_run_blocked`) in strictly decreasing
+/// `ptk_access::write_run_blocked`) in strictly decreasing
 /// score order per [`DeepScanConfig`]. Pair a `head` of `H` strong
 /// tuples with `k` well above the head's probability mass (e.g.
 /// `k >= 2 × H`) so the scan has to dig into the tail before the

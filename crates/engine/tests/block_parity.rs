@@ -1,9 +1,10 @@
-//! Block-boundary pruning parity: a paged scan over a block-native v2 run
-//! file must be bit-identical to the in-memory paths — same answers, same
-//! `Pr^k` bits, same `ExecStats` (scan depth, prune counters, stop reason)
-//! — across RC / RC+AR / RC+LR × pruning on/off × block sizes
-//! {1 KiB, 4 KiB, 64 KiB}, and the block-skip fast path must actually
-//! fire (non-vacuously) on the skewed workload.
+//! Block-boundary pruning parity: a paged scan over a run file must be
+//! bit-identical to the in-memory paths — same answers, same `Pr^k` bits,
+//! same `ExecStats` (scan depth, prune counters, stop reason) — across
+//! RC / RC+AR / RC+LR × pruning on/off × block sizes {1 KiB, 4 KiB,
+//! 64 KiB}, and the block-skip fast path must actually fire
+//! (non-vacuously) on the skewed workload. The other ranking semantics
+//! page to the in-memory source's bits too.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -12,8 +13,10 @@ use std::sync::Arc;
 use ptk_access::{counters, PagedRun, PoolConfig, RankedSource, SortedVecSource};
 use ptk_core::rng::{RngExt, SeedableRng, StdRng};
 use ptk_core::RankedView;
+use ptk_datagen::{RulePlacement, SyntheticConfig, SyntheticDataset};
 use ptk_engine::{
-    evaluate_ptk, EngineOptions, ExecStats, PtkExecutor, PtkPlan, PtkResult, SharingVariant,
+    evaluate_ptk, EngineOptions, ExecStats, PtkExecutor, PtkPlan, PtkResult, RankSemantics,
+    SemanticsAnswer, SharingVariant,
 };
 use ptk_obs::{Metrics, RingSink, SharedRecorder, SharedSink, Tracer};
 
@@ -395,4 +398,128 @@ fn a_traced_block_skip_renders_the_in_memory_trace() {
     }
     // 528 records are pruned at block grain across the cells.
     assert!(block_pruned > 0, "no traced scan skipped a block");
+}
+
+/// Runs `semantics` over `source`: the answer's rows as `(position, id,
+/// value bits)`, U-TopK's vector probability bits (0 otherwise) and the
+/// run's stats.
+fn semantics_run(
+    source: &mut dyn RankedSource,
+    semantics: RankSemantics,
+    k: usize,
+    options: &EngineOptions,
+) -> (Vec<(usize, usize, u64)>, u64, ExecStats) {
+    let plan = PtkPlan::try_semantics(semantics, k, None, options).unwrap();
+    let metrics = Metrics::new();
+    let answer = PtkExecutor::with_recorder(&plan, &metrics)
+        .execute_semantics(source)
+        .unwrap();
+    let rows = answer
+        .rows()
+        .expect("non-PT-k answer")
+        .iter()
+        .map(|r| (r.position, r.id.index(), r.value.to_bits()))
+        .collect();
+    let probability = match answer {
+        SemanticsAnswer::UTopK { probability, .. } => probability.to_bits(),
+        _ => 0,
+    };
+    (
+        rows,
+        probability,
+        ExecStats::from_snapshot(&metrics.snapshot()),
+    )
+}
+
+/// U-TopK, U-KRanks, Global-Topk and expected rank over a paged run with
+/// two frames answer like a `SortedVecSource` over the same rows: answer
+/// rows (position, id, value bits) and `ExecStats` equal at every block
+/// size, under RC+LR pruned and unpruned and under RC, on synthetic tables
+/// with uniform and clustered rules.
+#[test]
+fn paged_semantics_scans_match_the_in_memory_source() {
+    let semantics = [
+        RankSemantics::UTopK,
+        RankSemantics::UKRanks,
+        RankSemantics::GlobalTopk,
+        RankSemantics::ExpectedRank,
+    ];
+    let options = [
+        ("RC+LR", EngineOptions::default()),
+        (
+            "RC+LR unpruned",
+            EngineOptions::without_pruning(SharingVariant::Lazy),
+        ),
+        (
+            "RC",
+            EngineOptions {
+                variant: SharingVariant::Rc,
+                ..EngineOptions::default()
+            },
+        ),
+    ];
+    let mut stopped = 0;
+    for seed in 0..6u64 {
+        let placement = if seed % 2 == 0 {
+            RulePlacement::Uniform
+        } else {
+            RulePlacement::Clustered { span: 12 }
+        };
+        let view = SyntheticDataset::generate(&SyntheticConfig {
+            tuples: 400,
+            rules: 50,
+            seed: 0xb111 + seed,
+            rule_size_mean: 3.0,
+            rule_size_sd: 1.0,
+            placement,
+            ..SyntheticConfig::default()
+        })
+        .view;
+        // Scores fall with the position, so the run's order is the view's.
+        let n = view.len();
+        let rows: Vec<(f64, f64, Option<u32>)> = (0..n)
+            .map(|pos| {
+                let t = view.tuple(pos);
+                ((n - pos) as f64, t.prob, t.rule.map(|h| h.index() as u32))
+            })
+            .collect();
+        let files: Vec<TempFile> = BLOCK_SIZES
+            .iter()
+            .map(|&bs| {
+                let f = temp();
+                ptk_access::write_run_blocked(&f.0, &rows, bs).unwrap();
+                f
+            })
+            .collect();
+        let runs: Vec<PagedRun> = files
+            .iter()
+            .map(|f| {
+                let pool = PoolConfig {
+                    frames: 2,
+                    frame_bytes: 64 << 10,
+                };
+                PagedRun::open(&f.0, pool).unwrap()
+            })
+            .collect();
+        for k in [1, 5, 20] {
+            for (name, options) in &options {
+                for semantics in semantics {
+                    let mut memory = SortedVecSource::from_unsorted(rows.clone()).unwrap();
+                    let reference = semantics_run(&mut memory, semantics, k, options);
+                    stopped += usize::from(reference.2.scanned < n);
+                    for (run, bs) in runs.iter().zip(BLOCK_SIZES) {
+                        let ctx = format!("seed {seed} k={k} {name} {semantics:?} bs={bs}");
+                        let mut cursor = run.cursor();
+                        let paged = semantics_run(&mut cursor, semantics, k, options);
+                        assert_eq!(paged.0, reference.0, "{ctx}: answer rows");
+                        assert_eq!(paged.1, reference.1, "{ctx}: vector probability");
+                        assert_eq!(paged.2, reference.2, "{ctx}: stats");
+                        assert_eq!(cursor.retrieved(), memory.retrieved(), "{ctx}: depth");
+                        assert!(cursor.take_error().is_none(), "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+    assert!(stopped > 0, "no semantics scan stopped early");
 }

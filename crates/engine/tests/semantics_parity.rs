@@ -13,15 +13,19 @@
 //! `SortedVecSource`, which does not, scan in full and must rank every
 //! tuple to the same bits. U-TopK and expected rank read only the scan
 //! records, so they report no coefficient work.
+//!
+//! A source that reports no rule layout (no `rule_len`, no member ranks)
+//! keeps every rule it has met open: every semantics answers over it with
+//! the rows and the scan depth of the same source with its layout.
 
 use std::collections::HashSet;
 
-use ptk_access::{RankedSource, SnapshotSource, SortedVecSource, ViewSource};
+use ptk_access::{RankedSource, RuleKey, SnapshotSource, SortedVecSource, SourceTuple, ViewSource};
 use ptk_core::rng::{RngExt, SeedableRng, StdRng};
 use ptk_core::{ComparisonOp, Predicate, RankedView, Ranking, Selection, TopKQuery};
 use ptk_datagen::{RulePlacement, SyntheticConfig, SyntheticDataset};
 use ptk_engine::{
-    counters, EngineOptions, ExecStats, PtkExecutor, PtkPlan, RankSemantics, SemanticsAnswer,
+    counters, dp, EngineOptions, ExecStats, PtkExecutor, PtkPlan, RankSemantics, SemanticsAnswer,
     SharingVariant, StopReason,
 };
 use ptk_obs::Metrics;
@@ -468,4 +472,118 @@ fn row_free_semantics_fold_no_rows_and_read_a_prefix() {
         assert_eq!(stats.rules_compressed, reference, "{semantics:?}");
         assert!(stats.dp_cells > 0, "{semantics:?}");
     }
+}
+
+/// A `SortedVecSource` that forwards only the records, the rule masses
+/// and the scan depth: no rule layout, no length or total-mass hint.
+struct NoLayout(SortedVecSource);
+
+impl RankedSource for NoLayout {
+    fn next_ranked(&mut self) -> Option<SourceTuple> {
+        self.0.next_ranked()
+    }
+
+    fn rule_mass(&self, rule: RuleKey) -> Option<f64> {
+        self.0.rule_mass(rule)
+    }
+
+    fn retrieved(&self) -> usize {
+        self.0.retrieved()
+    }
+}
+
+/// Every semantics over a `SortedVecSource`, with and without its rule
+/// layout: the same positions, ids and scan depth. The values keep their
+/// bits too, except where the run without the layout refolds a row: the
+/// exact refold folds the open rules in another order, so there they need
+/// only agree within the deconvolution's certified mass error.
+#[test]
+fn a_source_without_a_rule_layout_answers_every_semantics() {
+    let semantics = [
+        RankSemantics::UTopK,
+        RankSemantics::UKRanks,
+        RankSemantics::GlobalTopk,
+        RankSemantics::ExpectedRank,
+    ];
+    let options = [
+        EngineOptions::default(),
+        EngineOptions::without_pruning(SharingVariant::Lazy),
+        EngineOptions {
+            variant: SharingVariant::Rc,
+            ..EngineOptions::default()
+        },
+    ];
+    let mut rng = StdRng::seed_from_u64(0x5eed_0110);
+    let mut views: Vec<RankedView> = (0..12).map(|_| random_view(&mut rng, 60)).collect();
+    // Rules of mass near or at 1 as well: removing such a rule from a row
+    // is the ill-conditioned deconvolution that falls back to a refold.
+    for seed in 0..8u64 {
+        let placement = if seed % 2 == 0 {
+            RulePlacement::Uniform
+        } else {
+            RulePlacement::Clustered { span: 8 }
+        };
+        let rule_prob_mean = if seed < 4 { 0.5 } else { 0.97 };
+        let config = SyntheticConfig {
+            tuples: 500,
+            rules: 60,
+            seed: 0x5eed_0111 + seed,
+            rule_size_mean: 3.0,
+            rule_size_sd: 1.0,
+            rule_prob_mean,
+            rule_prob_sd: 0.05,
+            placement,
+            ..SyntheticConfig::default()
+        };
+        views.push(SyntheticDataset::generate(&config).view);
+    }
+    let mut refolded = 0;
+    for (v, view) in views.iter().enumerate() {
+        for k in [1, 5, 20] {
+            for options in &options {
+                for semantics in semantics {
+                    let ctx = format!("view {v} k={k} {:?} {semantics:?}", options.variant);
+                    let (with, with_stats, _) =
+                        run_on(&mut sorted_vec(view), semantics, k, options);
+                    let mut bare = NoLayout(sorted_vec(view));
+                    let (without, without_stats, metrics) =
+                        run_on(&mut bare, semantics, k, options);
+                    assert_eq!(without_stats.scanned, with_stats.scanned, "{ctx}: depth");
+                    assert_eq!(bare.retrieved(), with_stats.scanned, "{ctx}: depth");
+                    let (a, b) = (row_bits(&with), row_bits(&without));
+                    let key = |rows: &[(usize, usize, u64)]| -> Vec<(usize, usize)> {
+                        rows.iter().map(|&(p, id, _)| (p, id)).collect()
+                    };
+                    assert_eq!(key(&a), key(&b), "{ctx}: positions and ids");
+                    let mut values = a
+                        .iter()
+                        .zip(&b)
+                        .map(|(x, y)| (x.2, y.2))
+                        .collect::<Vec<_>>();
+                    if let (
+                        SemanticsAnswer::UTopK { probability: x, .. },
+                        SemanticsAnswer::UTopK { probability: y, .. },
+                    ) = (&with, &without)
+                    {
+                        values.push((x.to_bits(), y.to_bits()));
+                    }
+                    if metrics.snapshot().counter(counters::GF_ROWS_REFOLDED) > 0 {
+                        refolded += 1;
+                        for (x, y) in values {
+                            let (x, y) = (f64::from_bits(x), f64::from_bits(y));
+                            assert!(
+                                (x - y).abs() <= dp::DECONVOLVE_MAX_MASS_ERROR,
+                                "{ctx}: {x} vs {y}"
+                            );
+                        }
+                    } else {
+                        for (x, y) in values {
+                            assert_eq!(x, y, "{ctx}: value bits");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(refolded > 0, "no run without a rule layout refolded a row");
 }

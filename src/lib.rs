@@ -72,9 +72,7 @@ pub use ptk_serve as serve;
 pub use ptk_sql as sql;
 pub use ptk_worlds as worlds;
 
-pub use ptk_access::{
-    write_run, AggregateFn, FileSource, RankedSource, SortedVecSource, TaSource, ViewSource,
-};
+pub use ptk_access::{AggregateFn, RankedSource, SortedVecSource, TaSource, ViewSource};
 pub use ptk_core::{
     ComparisonOp, GenerationRule, ModelError, Predicate, Probability, PtkQuery, RankedView,
     Ranking, Result, RuleId, SortDirection, TopKQuery, Tuple, TupleId, UncertainTable,

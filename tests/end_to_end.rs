@@ -168,7 +168,7 @@ fn file_backed_run_answers_like_the_view_engine() {
     // Write the panda example to a run file, stream the PT-k query from
     // disk, and compare against the in-memory engine.
     let dir = std::env::temp_dir().join(format!("ptk-e2e-{}.run", std::process::id()));
-    ptk::write_run(
+    ptk::access::write_run_blocked(
         &dir,
         &[
             (25.0, 0.3, None),
@@ -178,11 +178,12 @@ fn file_backed_run_answers_like_the_view_engine() {
             (17.0, 0.8, Some(1)),
             (11.0, 0.2, Some(1)),
         ],
+        ptk::access::DEFAULT_BLOCK_BYTES,
     )
     .unwrap();
-    let mut source = ptk::FileSource::open(&dir).unwrap();
+    let run = ptk::access::PagedRun::open(&dir, ptk::access::PoolConfig::default()).unwrap();
     let plan = PtkPlan::try_new(2, 0.35, &ExactOptions::default()).unwrap();
-    let result = PtkExecutor::new(&plan).execute(&mut source);
+    let result = PtkExecutor::new(&plan).execute(&mut run.cursor());
     let ids: Vec<usize> = result.answers.iter().map(|a| a.id.index()).collect();
     assert_eq!(ids, vec![1, 4, 2]); // R2, R5, R3
     assert!((result.answers[1].probability - 0.704).abs() < 1e-12);
