@@ -221,10 +221,12 @@ pub struct BlockMeta {
     pub records: u32,
     /// No record in the block belongs to a generation rule — the
     /// precondition for skipping the block's decode under Theorem 3(1).
+    /// [`PagedRun::open`] refuses the flag on a block holding a rank that
+    /// the rule layout lists.
     pub rule_free: bool,
     /// No generation rule spans the block's trailing boundary (every rule
-    /// seen at or before this block has all members at or before it) — a
-    /// valid cut point for segmented execution.
+    /// seen at or before this block has all members at or before it), as
+    /// `ptk inspect` reports. No reader depends on it.
     pub rule_closed: bool,
     /// Largest membership probability among the block's records.
     pub max_prob: f64,
@@ -913,6 +915,22 @@ impl PagedRun {
                 score_last,
                 crc,
             });
+        }
+        // The block-skip path absorbs a rule-free block's records as
+        // independents, so the flag must not cover a rank the layout lists.
+        for (r, ranks) in rule_ranks.iter().enumerate() {
+            for &rank in ranks {
+                let b = rank as u64 / capacity;
+                let meta = &directory[b as usize];
+                if meta.rule_free {
+                    return Err(corrupt(
+                        dir_start + b * DIR_ENTRY_BYTES + 4,
+                        format!("block {b} flags"),
+                        format!("no rule-free bit, as rule {r} lists rank {rank} in the block"),
+                        meta.flags(),
+                    ));
+                }
+            }
         }
         recorder.add(counters::FILE_OPENS, 1);
         recorder.add(counters::FILE_BYTES_READ, data_start);
@@ -2169,11 +2187,11 @@ mod tests {
         assert_eq!(events.len(), 2, "begin + end despite the error");
     }
 
-    /// Overwrites 8 bytes at `field` (8: score, 16: probability) of the
-    /// record at `rank` in a packed file, and rewrites its block's
-    /// checksum in the directory, so the record checks, not the checksum,
-    /// must catch the value.
-    fn rewrite_record(bytes: &mut [u8], rank: usize, field: usize, value: f64) {
+    /// Overwrites the bytes at `field` (4: rule, 8: score, 16:
+    /// probability) of the record at `rank` in a packed file, and rewrites
+    /// its block's checksum in the directory, so the record checks, not
+    /// the checksum, must catch the value.
+    fn rewrite_record(bytes: &mut [u8], rank: usize, field: usize, value: &[u8]) {
         let block_size = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
         let tuples = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
         let capacity = block_size / RECORD_BYTES;
@@ -2182,7 +2200,7 @@ mod tests {
         let (b, slot) = (rank / capacity, rank % capacity);
         let frame = data_start + b * block_size;
         let at = frame + slot * RECORD_BYTES + field;
-        bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        bytes[at..at + value.len()].copy_from_slice(value);
         let entry = data_start - (blocks - b) * DIR_ENTRY_BYTES as usize;
         let records = u32::from_le_bytes(bytes[entry..entry + 4].try_into().unwrap()) as usize;
         let crc = crc32(&bytes[frame..frame + records * RECORD_BYTES]);
@@ -2199,7 +2217,7 @@ mod tests {
             let f = temp();
             write_run_blocked(&f.0, &panda_rows(), DEFAULT_BLOCK_BYTES).unwrap();
             let mut bytes = std::fs::read(&f.0).unwrap();
-            rewrite_record(&mut bytes, 2, field, value);
+            rewrite_record(&mut bytes, 2, field, &value.to_le_bytes());
             std::fs::write(&f.0, &bytes).unwrap();
             let run = PagedRun::open(&f.0, small_pool()).unwrap();
             let mut cur = run.cursor();
@@ -2300,6 +2318,55 @@ mod tests {
         let mut cur = run.cursor();
         assert_eq!(std::iter::from_fn(|| cur.next_ranked()).count(), 6);
         assert!(cur.take_error().is_none());
+    }
+
+    /// The panda rows at 48 B blocks: rule 0 lists ranks 1 and 3, rule 1
+    /// ranks 2 and 5, so every block holds a rule member. A rule-free flag
+    /// set on any of them is refused at open, naming the block, the rule
+    /// and the rank, before the block-skip path can absorb that member as
+    /// an independent.
+    #[test]
+    fn open_refuses_a_rule_free_flag_over_a_listed_rank() {
+        let f = temp();
+        write_run_blocked(&f.0, &panda_rows(), 48).unwrap();
+        let clean = std::fs::read(&f.0).unwrap();
+        // The directory follows header 24 + masses 16 + layout 40 bytes;
+        // each entry's flags sit 4 bytes in.
+        for (b, rule, rank) in [(0, 0, 1), (1, 0, 3), (2, 1, 5)] {
+            let at = 80 + 36 * b + 4;
+            let mut bytes = clean.clone();
+            assert_eq!(bytes[at] & 1, 0, "block {b} holds a rule member");
+            bytes[at] |= 1;
+            std::fs::write(&f.0, &bytes).unwrap();
+            let err = PagedRun::open(&f.0, small_pool()).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!(
+                    "at byte {at}: block {b} flags: expected no rule-free bit, \
+                     as rule {rule} lists rank {rank} in the block"
+                )),
+                "{err}"
+            );
+        }
+    }
+
+    /// A record naming a rule whose layout does not list its rank, under a
+    /// checksum that matches, ends the stream with an error naming it.
+    #[test]
+    fn a_record_outside_its_rules_layout_is_rejected() {
+        let f = temp();
+        write_run_blocked(&f.0, &panda_rows(), 48).unwrap();
+        let mut bytes = std::fs::read(&f.0).unwrap();
+        // Rank 0 is independent; rule 0 lists ranks 1 and 3.
+        rewrite_record(&mut bytes, 0, 4, &0u32.to_le_bytes());
+        std::fs::write(&f.0, &bytes).unwrap();
+        let run = PagedRun::open(&f.0, small_pool()).unwrap();
+        let mut cur = run.cursor();
+        let err = cur.try_next().unwrap_err().to_string();
+        assert!(
+            err.contains("record 0 rule: expected a rule whose layout lists rank 0, found 0"),
+            "{err}"
+        );
+        assert!(cur.next_ranked().is_none());
     }
 
     #[test]

@@ -89,7 +89,9 @@ pub trait RankedSource {
     /// The number of members of a rule, if the source knows it ahead of
     /// time. Lets the executor detect when a rule-tuple has absorbed its
     /// last member (it then joins the stable group of §4.3.2); returning
-    /// `None` is always safe — the rule-tuple simply stays "open".
+    /// `None` is always safe — the rule-tuple simply stays "open". A
+    /// length below the members the source delivers is not: the executor
+    /// panics at the first member past it.
     fn rule_len(&self, rule: RuleKey) -> Option<usize> {
         let _ = rule;
         None
@@ -107,11 +109,9 @@ pub trait RankedSource {
     }
 
     /// The total number of tuples this source will deliver, if known ahead
-    /// of time. A *segment hint*: the batch executor uses it to size the
-    /// materialized scan layout and to decide whether a deep scan is worth
-    /// partitioning into rule-closed segments. Returning `None` is always
-    /// safe — the layout simply grows as the scan proceeds. The hint never
-    /// affects answers, only allocation and scheduling.
+    /// of time: a sizing hint for a caller that buffers a whole scan. No
+    /// executor reads it, and returning `None` is always safe — the hint
+    /// never affects answers.
     fn len_hint(&self) -> Option<usize> {
         None
     }
@@ -694,7 +694,7 @@ mod tests {
         assert!((a.rule_mass(RuleKey(0)).unwrap() - 0.9).abs() < 1e-12);
         assert_eq!(b.rule_len(RuleKey(0)), Some(2));
         assert_eq!(b.rule_member_rank(RuleKey(0), 1), Some(1));
-        assert_eq!(a.len_hint(), Some(3), "segment hint survives the fork");
+        assert_eq!(a.len_hint(), Some(3), "length hint survives the fork");
 
         let view = RankedView::from_ranked_probs(&[0.3, 0.4], &[]).unwrap();
         let mut va = view.fork();

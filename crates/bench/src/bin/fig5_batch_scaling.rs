@@ -1,6 +1,5 @@
 //! Batch-executor thread scaling on the Figure 5 default workload, plus a
-//! deep-scan (pruning-off) workload that exercises intra-query DP
-//! partitioning.
+//! deep-scan (pruning-off) workload of a few expensive plans.
 //!
 //! Two batches run over the default synthetic dataset:
 //!
@@ -9,17 +8,13 @@
 //!   plans are claimed by workers through the deterministic work-stealing
 //!   scheduler.
 //! * **deep scan** — pruning disabled (`EngineOptions::without_pruning`),
-//!   so every plan evaluates all tuples. These scans are the shape the
-//!   executor can partition *within* a query: the ranked scan splits at
-//!   rule-closed cuts and the per-segment subset-probability DPs run on the
-//!   pool, stitched back bit-identically. The deep batch runs over a
-//!   *clustered* variant of the dataset (`RulePlacement::Clustered`, rule
-//!   members inside random `DEEP_SPAN`-rank windows) — the rank-local
-//!   regime of entity-grouped x-relations. The paper's uniform member
-//!   scatter leaves essentially every rank interior to some rule, so the
-//!   default dataset has **no** rule-closed cuts and partitioning cannot
-//!   engage there at all (measured, not assumed: the run asserts the
-//!   clustered deep batch segments and would catch a uniform one).
+//!   so every plan evaluates all tuples: four long plans, each a task of
+//!   its own, so the batch splits across at most four workers. The deep
+//!   batch runs over a *clustered* variant of the dataset
+//!   (`RulePlacement::Clustered`, rule members inside random
+//!   `DEEP_SPAN`-rank windows) — the rank-local regime of entity-grouped
+//!   x-relations, where each scan's DP arena stays a short stretch of rows
+//!   however deep the scan goes.
 //!
 //! Every width must return bit-identical answers — the pool only changes
 //! wall-clock time — and the run asserts exactly that against the
@@ -27,10 +22,8 @@
 //!
 //! Writes `target/experiments/BENCH_batch_scaling.json`: per-width laps
 //! with median/IQR for both workloads, the speedup of each width over one
-//! thread, the deterministic scheduler shape of the deep batch (segments,
-//! segmented queries, tasks), and the timing-free merged metrics snapshot
-//! (identical at every width, so the artifact stays diffable across
-//! machines).
+//! thread, and the timing-free merged metrics snapshot (identical at every
+//! width, so the artifact stays diffable across machines).
 //!
 //! Set `PTK_ASSERT_SCALING=<ratio>` to fail the run unless the 4-thread
 //! median of **each** workload is at least `<ratio>`× faster than 1 thread
@@ -207,8 +200,7 @@ fn main() {
     } else {
         sweeps::dataset(0.5, 5.0)
     };
-    // The deep-scan dataset: same scale, rank-local (clustered) rules so
-    // rule-closed cuts exist for intra-query partitioning.
+    // The deep-scan dataset: same scale, rank-local (clustered) rules.
     let deep_ds = SyntheticDataset::generate(&SyntheticConfig {
         tuples: if smoke { SMOKE_TUPLES } else { 20_000 },
         rules: if smoke { SMOKE_RULES } else { 2_000 },
@@ -267,22 +259,6 @@ fn main() {
     deep_sweep.report(deep_batch.len(), &mut deep_report);
     deep_report.finish();
 
-    // The deep batch must actually have exercised intra-query partitioning
-    // — otherwise the "deep scan" numbers measure nothing new.
-    let segments = deep_sweep.wide_snapshot.scheduler_value("batch.segments");
-    let segmented_queries = deep_sweep
-        .wide_snapshot
-        .scheduler_value("batch.segmented_queries");
-    assert!(
-        segmented_queries as usize == deep_batch.len() && segments >= segmented_queries,
-        "deep batch did not partition: {segmented_queries} of {} queries segmented \
-         into {segments} segments",
-        deep_batch.len()
-    );
-    println!(
-        "deep batch partitioned {segmented_queries} queries into {segments} rule-closed segments"
-    );
-
     // The batch's snapshot is deterministic at any width (the engine
     // records only sums); record it timing-free.
     let (_, snapshot) = PtkExecutor::execute_batch_recorded(&batch, view, &ThreadPool::new(1));
@@ -312,10 +288,7 @@ fn main() {
         deep_sweep.speedup_of(4),
         deep_sweep.speedup_of(8),
     ));
-    json.push_str(&format!(
-        "\"deep_rule_span\":{DEEP_SPAN},\"deep_segments\":{segments},\
-         \"deep_segmented_queries\":{segmented_queries},"
-    ));
+    json.push_str(&format!("\"deep_rule_span\":{DEEP_SPAN},"));
     json.push_str(&format!("\"metrics\":{}}}", snapshot.to_json(false)));
 
     let dir = PathBuf::from("target/experiments");

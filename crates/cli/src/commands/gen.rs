@@ -20,8 +20,7 @@ pub(super) fn cmd_generate(flags: &Flags, out: &mut dyn Write) -> Result<(), Cmd
     let table = match kind.as_str() {
         "synthetic" => {
             // --rule-span W clusters each rule's members inside a random
-            // W-rank window (rank-local rules admit the rule-closed cuts
-            // that intra-query partitioning needs); default is the paper's
+            // W-rank window (rank-local rules); default is the paper's
             // uniform scatter.
             let placement = match flags.get::<usize>("rule-span")? {
                 Some(0) => return Err("--rule-span must be at least 1".into()),

@@ -163,10 +163,9 @@ fn pool_from_flags(flags: &Flags) -> Result<ptk_par::ThreadPool, String> {
 }
 
 /// Engine options from flags: `--no-prune` turns off the §4.4 pruning rules
-/// so every tuple of the ranked view is evaluated. Full scans cost more
-/// sequentially, but they are exactly the shape the executor can partition
-/// across threads (segmented DP is pruning-free by construction), so the
-/// flag pairs with `--threads N` to trade scan length for parallelism.
+/// so every tuple of the ranked view is evaluated and every probability is
+/// reported. Each query still runs as one scan; `--threads N` spreads the
+/// queries of a batch, not one query's scan.
 fn engine_options_from_flags(flags: &Flags) -> ptk_engine::EngineOptions {
     if flags.switch("no-prune") {
         ptk_engine::EngineOptions::without_pruning(ptk_engine::SharingVariant::Lazy)
@@ -1682,6 +1681,18 @@ mod tests {
         assert!(err.contains("takes no --p"), "{err}");
         let err = dispatch(&args(&["generate", "iip", "--rule-span", "8"])).unwrap_err();
         assert!(err.contains("generate synthetic only"), "{err}");
+        let err = dispatch(&args(&[
+            "generate",
+            "synthetic",
+            "--tuples",
+            "100",
+            "--rules",
+            "5",
+            "--rule-span",
+            "0",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--rule-span must be at least 1"), "{err}");
         // A run file is always packed in descending score order.
         let run = tempfile::path("run");
         let err = dispatch(&args(&[
@@ -1854,9 +1865,8 @@ mod tests {
 
     #[test]
     fn no_prune_single_query_is_identical_at_every_thread_count() {
-        // A dataset large enough (>= 128 ranks per segment) and with
-        // rank-local rules (rule-closed cuts exist) so the executor
-        // actually partitions the scan across the pool.
+        // A dataset with rank-local rules, the regime where the DP arena
+        // keeps only the rows after the first open rule-tuple.
         let csv = dispatch(&args(&[
             "generate",
             "synthetic",
@@ -1899,8 +1909,8 @@ mod tests {
             assert_eq!(a, b, "threads={threads}");
         }
 
-        // A traced run is never split: the query and the same statement
-        // under `sql` write the same logical trace at every width.
+        // The query and the same statement under `sql` write the same
+        // logical trace at every width.
         let statement = "SELECT TOP 10 FROM t ORDER BY score WITH PROBABILITY >= 0.3";
         for command in [
             &[
@@ -1941,71 +1951,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn rule_span_dataset_segments_where_uniform_cannot() {
-        let generate = |extra: &[&str]| {
-            let mut argv = vec![
-                "generate",
-                "synthetic",
-                "--tuples",
-                "2000",
-                "--rules",
-                "200",
-                "--seed",
-                "5",
-            ];
-            argv.extend_from_slice(extra);
-            tempfile::csv(&dispatch(&args(&argv)).unwrap())
-        };
-        let segments = |file: &str| {
-            let out = dispatch(&args(&[
-                "query",
-                file,
-                "--k",
-                "10,20",
-                "--p",
-                "0.3,0.5",
-                "--rank-by",
-                "score",
-                "--no-prune",
-                "--threads",
-                "2",
-                "--stats",
-                "prom",
-            ]))
-            .unwrap();
-            out.lines()
-                .find_map(|l| l.strip_prefix("ptk_batch_segments "))
-                .map(|v| v.parse::<u64>().unwrap())
-        };
-        // Rank-local rules admit rule-closed cuts throughout the scan:
-        // every query partitions into near the per-query segment cap.
-        let clustered = segments(generate(&["--rule-span", "8"]).as_str()).unwrap();
-        assert!(clustered >= 40, "clustered: {clustered}");
-        // The paper's uniform scatter leaves nearly every rank inside some
-        // rule span: at most a stray cut near the scan's edges survives
-        // (at full 20k x 2k scale, none do), so the same batch splits into
-        // far fewer, degenerate segments.
-        let uniform = segments(generate(&[]).as_str()).unwrap();
-        assert!(
-            uniform < clustered / 2,
-            "uniform {uniform} vs clustered {clustered}"
-        );
-        // --rule-span must be positive.
-        let err = dispatch(&args(&[
-            "generate",
-            "synthetic",
-            "--tuples",
-            "100",
-            "--rules",
-            "5",
-            "--rule-span",
-            "0",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("at least 1"), "{err}");
     }
 
     #[test]

@@ -35,8 +35,8 @@ pub(super) fn cmd_query(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErr
     if ks.len() > 1 || ps.len() > 1 {
         return query_batch(flags, out, &table, &ks, &ps, predicate, ranking);
     }
-    // A single query can still use the pool: with --no-prune an untraced
-    // run partitions the ranked scan itself at rule-closed cuts.
+    // A single query runs inline as a one-plan batch: the same rule as a
+    // batch of them.
     let pool = pool_from_flags(flags)?;
     let (k, p) = (ks[0], ps[0]);
     let query = TopKQuery::new(k, predicate, ranking).map_err(|e| e.to_string())?;

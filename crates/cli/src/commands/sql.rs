@@ -144,9 +144,8 @@ fn sql_single(
     let (rows, note): (Vec<PtkRow>, String) = match parsed.method {
         ptk_sql::Method::Exact => {
             ctx.plan_flight(std::slice::from_ref(&plan), statement_text);
-            // A single statement can still use the pool: with --no-prune
-            // an untraced run partitions the ranked scan itself at
-            // rule-closed cuts.
+            // A single statement runs inline as a one-plan batch: the
+            // same rule as a batch of them.
             let result = PtkExecutor::with_recorder(&plan, ctx.recorder())
                 .execute_snapshot(&selection, &options.pool);
             let note = format!(

@@ -120,16 +120,13 @@ be exact PT-k queries sharing one WHERE and ORDER BY.
 `--no-prune` (query, sql, utopk, ukranks, erank; exact method only)
 disables the paper's §4.4
 pruning rules and the Global-Topk / U-KRanks stop, so every tuple is
-evaluated and all answer probabilities are reported. Pruning-free PT-k
-scans are also the shape the executor can partition: with `--threads N`
-it splits even a single query's ranked scan at rule-closed cuts and runs
-the per-segment dynamic programs on the pool, still bit-identical to the
-sequential answer. A traced (`--trace`) or `--slow-ms` run is not
-partitioned: each query runs whole, so its trace is the same at every
-thread count. Such cuts exist when rules are rank-local;
-`generate synthetic --rule-span W` produces that regime (each rule's
-members inside a random W-rank window) where the default uniform
-scatter does not.
+evaluated and all answer probabilities are reported. Each query runs as
+one scan whatever `--threads` says, so its answer, counters and trace are
+the same at every thread count. Its memory follows the rules still open
+at each rank, not the scan depth: on rank-local rules, which
+`generate synthetic --rule-span W` produces (each rule's members inside a
+random W-rank window), a full scan keeps only a short stretch of DP
+rows.
 
 `pack` writes a run file of fixed B-byte blocks (`--block-size B`,
 default 4096), each with a directory entry carrying its record count, max

@@ -29,12 +29,13 @@ pub enum ScoreProbCorrelation {
 /// The paper's workload scatters members uniformly, which makes rule
 /// *spans* (first member rank → last member rank) enormous: with the
 /// default 2,000 rules over 20,000 tuples, essentially every rank is
-/// interior to some rule, so no rule-closed cut exists and the engine's
-/// intra-query DP partitioning cannot engage. Real x-relations are often
-/// the opposite — the tuples of one rule describe the same real-world
-/// entity (the paper's iceberg-sighting example) and carry similar
-/// scores, so rules are rank-local and rule-closed cuts are plentiful.
-/// `Clustered` models that regime.
+/// interior to some rule, so an unpruned scan keeps a rule open at almost
+/// every rank and its DP arena holds almost the whole list. Real
+/// x-relations are often the opposite — the tuples of one rule describe
+/// the same real-world entity (the paper's iceberg-sighting example) and
+/// carry similar scores, so rules are rank-local, each closes soon after
+/// it opens, and the arena stays a short stretch of rows. `Clustered`
+/// models that regime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RulePlacement {
     /// Members at uniformly random ranks (the paper's setting).

@@ -25,7 +25,6 @@ use ptk_access::{RankedSource, RuleKey, SnapshotSource};
 use ptk_core::TupleId;
 use ptk_obs::{
     Mark, Metrics, Noop, Payload, PhaseClock, PruneRule, Recorder, Snapshot, Stage, StopRule,
-    Tracer,
 };
 use ptk_par::{StealStats, ThreadPool};
 
@@ -35,7 +34,6 @@ use crate::gf::{
     RankSemantics, ScanRecord, SemanticsAnswer, SemanticsError, SemanticsRow, TopVector, TotalF64,
     RULE_MASS_SLACK,
 };
-use crate::layout::{ScanLayout, StableSeed};
 use crate::plan::{PtkBatch, PtkPlan};
 use crate::stats::{counters, ExecStats, StopReason};
 
@@ -196,7 +194,8 @@ impl<'a> PtkExecutor<'a> {
     /// certify that no further tuple can pass the scan threshold.
     ///
     /// # Panics
-    /// Panics if the source delivers scores out of order.
+    /// Panics if the source delivers scores out of order, or more members
+    /// of a rule than its [`RankedSource::rule_len`] reported.
     pub fn execute<S: RankedSource + ?Sized>(&self, source: &mut S) -> PtkResult {
         let options = *self.plan.options();
         let k = self.plan.k();
@@ -516,14 +515,11 @@ impl<'a> PtkExecutor<'a> {
     /// Runs this executor's plan against a shared ranked snapshot on
     /// `pool`: a one-plan batch through [`PtkExecutor::execute_batch_with`],
     /// recording into this executor's recorder, so one rule decides how
-    /// the plan runs. A plan that prunes, a one-worker pool and a traced
-    /// run fork a cursor and run [`PtkExecutor::execute`]; an unpruned
-    /// plan on a wider pool runs its subset-probability DP from the
-    /// shared scan layout, split at rule-closed cuts across the pool when
-    /// the layout has usable ones. Either way the answers, probabilities
-    /// and [`ExecStats`] are **bit-identical** to the sequential scan at
-    /// every pool width, and a traced run's events are exactly the
-    /// sequential scan's (the query traces as query 0 of the batch).
+    /// the plan runs: inline, on a forked cursor, through
+    /// [`PtkExecutor::execute`]. The answers, probabilities and
+    /// [`ExecStats`] are therefore **bit-identical** to the sequential
+    /// scan at every pool width, and a traced run's events are exactly
+    /// the sequential scan's (the query traces as query 0 of the batch).
     pub fn execute_snapshot<S: SnapshotSource + ?Sized>(
         &self,
         source: &S,
@@ -553,7 +549,9 @@ impl<'a> PtkExecutor<'a> {
     /// the `engine.gf.*` row counters and an `engine.phase.finish` span).
     ///
     /// # Panics
-    /// Panics if the source delivers scores out of order.
+    /// Panics if the source delivers scores out of order, or, for
+    /// U-KRanks and Global-Topk, more members of a rule than its
+    /// [`RankedSource::rule_len`] reported.
     pub fn execute_semantics<S: RankedSource + ?Sized>(
         &self,
         source: &mut S,
@@ -898,22 +896,17 @@ impl<'a> PtkExecutor<'a> {
     /// Evaluates a batch of independent plans against one shared ranked
     /// snapshot on `pool`'s deterministic work-stealing scheduler.
     ///
-    /// One rule decides how each plan runs. A plan that prunes runs whole
-    /// on its own forked cursor: what the §4.4 rules prune depends on
-    /// everything scanned before, and the scan may stop after a few ranks.
-    /// So does every plan on a one-worker pool and every plan of a traced
-    /// run. An unpruned plan on a wider pool evaluates all `n` tuples, the
-    /// shape that can be split *within* the query: its DP runs from a scan
-    /// layout materialized once for the batch, in per-segment tasks split
-    /// at rule-closed cuts (one segment when the layout has no usable
-    /// cut), so one expensive query no longer serializes the batch. A
-    /// layout is built only when some plan runs from it.
+    /// One rule decides how each plan runs: whole, on its own forked
+    /// cursor, through [`PtkExecutor::execute`], as one task of the pool.
+    /// The plans of a batch run in parallel; one plan's scan does not
+    /// split, and its DP arena keeps only the rows from the frozen
+    /// frontier on, so an unpruned scan over rank-local rules costs
+    /// memory by its open rules, not by its depth.
     ///
     /// Every per-query answer — probabilities to the bit (`f64::to_bits`)
     /// and the full [`ExecStats`] — is identical to a sequential
     /// evaluation of that plan, at every pool width and under any steal
-    /// interleaving: segment boundaries are a pure function of the layout,
-    /// and results are reassembled in plan order.
+    /// interleaving: results are reassembled in plan order.
     pub fn execute_batch<S: SnapshotSource + ?Sized>(
         batch: &PtkBatch,
         source: &S,
@@ -925,7 +918,7 @@ impl<'a> PtkExecutor<'a> {
     /// Like [`PtkExecutor::execute_batch`], but recording every query into
     /// one fresh registry: the returned [`Snapshot`]'s counters are
     /// identical at every pool width — only the wall-clock timing section
-    /// and the `scheduler` section (workers spawned, steals, segments;
+    /// and the `scheduler` section (workers spawned, tasks, steals;
     /// runtime facts by nature) vary, and [`Snapshot::to_json`] already
     /// excludes both from deterministic output. On a single-worker pool
     /// the `batch.workers_spawned` scheduler fact is 0.
@@ -947,17 +940,15 @@ impl<'a> PtkExecutor<'a> {
     /// of [`PtkExecutor::execute_batch`], recording every query straight
     /// into `recorder`, and returns the results in plan order with the
     /// run's scheduler facts (`batch.workers_spawned`, `batch.tasks`,
-    /// `batch.steals`, and `batch.segments` and
-    /// `batch.segmented_queries`, which count only plans split at a cut)
-    /// for a snapshot's `scheduler` section. The engine records counters
-    /// and timings only, and both are sums, so what `recorder` ends up
-    /// holding does not depend on which worker ran what. A pool of one
-    /// runs every task inline on the caller's thread
-    /// (`batch.workers_spawned = 0`).
+    /// `batch.steals`) for a snapshot's `scheduler` section. The engine
+    /// records counters and timings only, and both are sums, so what
+    /// `recorder` ends up holding does not depend on which worker ran
+    /// what. A pool of one runs every plan inline on the caller's thread
+    /// (`batch.workers_spawned = 0`), and so does a one-plan batch.
     ///
-    /// When `recorder` carries a tracer, every plan runs whole, so each
-    /// query's event stream is exactly its sequential one, traced through
-    /// its own [`ptk_obs::query_recorder`]: query id = plan index, worker
+    /// When `recorder` carries a tracer, each query's event stream is
+    /// exactly its sequential one, traced through its own
+    /// [`ptk_obs::query_recorder`]: query id = plan index, worker
     /// id = the query's home lane (`i % lanes`, a pure function of
     /// `(batch.len(), threads)`) whichever worker stole it, and the
     /// tracer's epoch shared by all. The logical rendering
@@ -970,70 +961,13 @@ impl<'a> PtkExecutor<'a> {
         recorder: &dyn Recorder,
     ) -> (Vec<PtkResult>, BTreeMap<&'static str, u64>) {
         let plans = batch.plans();
-        let traced = recorder.tracer().is_some_and(Tracer::enabled);
-        // The rule of `execute_batch`: every other plan runs whole.
-        let from_layout = |plan: &PtkPlan| pool.threads() > 1 && !traced && !plan.options().pruning;
-        let layout = plans
-            .iter()
-            .any(from_layout)
-            .then(|| ScanLayout::materialize(source));
-        let n = layout.as_ref().map_or(0, ScanLayout::len);
-        let mut tasks: Vec<BatchTask> = Vec::with_capacity(plans.len());
-        let (mut segments, mut segmented_queries) = (0u64, 0u64);
-        for (p, plan) in plans.iter().enumerate() {
-            match &layout {
-                Some(layout) if from_layout(plan) => {
-                    let segs = plan_segment_tasks(layout, plan.k());
-                    if segs.len() > 1 {
-                        segments += segs.len() as u64;
-                        segmented_queries += 1;
-                    }
-                    tasks.extend(
-                        segs.into_iter()
-                            .map(|task| BatchTask::Segment { plan_idx: p, task }),
-                    );
-                }
-                _ => tasks.push(BatchTask::Whole { plan_idx: p }),
-            }
-        }
-
         let lanes = pool.threads().min(plans.len()) as u32;
-        let (outs, steal) = pool.parallel_map_stats(&tasks, |_, task| match task {
-            BatchTask::Whole { plan_idx } => {
-                let query = *plan_idx as u32;
-                let recorder = ptk_obs::query_recorder(recorder, query, query % lanes);
-                TaskOut::Whole(
-                    PtkExecutor::with_recorder(&plans[*plan_idx], &recorder)
-                        .execute(source.fork().as_mut()),
-                )
-            }
-            BatchTask::Segment { plan_idx, task } => TaskOut::Segment(run_segment(
-                &plans[*plan_idx],
-                layout.as_ref().expect("segment tasks run over the layout"),
-                task,
-                recorder.enabled(),
-            )),
+        let (results, steal) = pool.parallel_map_stats(plans, |p, plan| {
+            let query = p as u32;
+            let recorder = ptk_obs::query_recorder(recorder, query, query % lanes);
+            PtkExecutor::with_recorder(plan, &recorder).execute(source.fork().as_mut())
         });
-
-        // Tasks are listed in plan order with each plan's segments in rank
-        // order, so one walk reassembles the results: a whole result lands
-        // as is, and a plan's segments stitch at its last one, which ends
-        // the scan.
-        let mut results = Vec::with_capacity(plans.len());
-        let mut pending = Vec::new();
-        for (task, out) in tasks.iter().zip(outs) {
-            match (task, out) {
-                (BatchTask::Whole { .. }, TaskOut::Whole(result)) => results.push(result),
-                (BatchTask::Segment { task, .. }, TaskOut::Segment(outcome)) => {
-                    pending.push(outcome);
-                    if task.end == n {
-                        results.push(stitch_segments(n, std::mem::take(&mut pending), recorder));
-                    }
-                }
-                _ => unreachable!("task kinds round-trip through the pool"),
-            }
-        }
-        (results, scheduler_facts(steal, segments, segmented_queries))
+        (results, scheduler_facts(steal))
     }
 }
 
@@ -1129,209 +1063,15 @@ fn k_best(n: usize, k: usize, order: impl Fn(&usize, &usize) -> Ordering) -> Vec
     best
 }
 
-/// Policy floor: partitioned scans aim for segments of at least this many
-/// ranks — below that the boundary bookkeeping outweighs the DP saved.
-const MIN_SEGMENT_TUPLES: usize = 128;
-/// Policy cap on segments per query, bounding boundary-row storage.
-const MAX_SEGMENTS: usize = 16;
-
-/// One segment of an unpruned scan over the layout: the rank range plus
-/// the seeded compressor state at its opening boundary (see
-/// [`Compressor::from_boundary`]).
-#[derive(Debug)]
-struct SegmentTask {
-    start: usize,
-    end: usize,
-    /// Stable items available before `start - 1` — the length of the
-    /// sequential entry list at the boundary.
-    entry_count: usize,
-    /// DP row of that entry list. Empty for the first segment.
-    boundary_row: Vec<f64>,
-}
-
-/// What one segment run reports back for stitching.
-#[derive(Debug)]
-struct SegmentOutcome {
-    /// `Pr^k` per rank of the segment (pruning is off, so every rank has
-    /// an exact probability).
-    probabilities: Vec<f64>,
-    answers: Vec<AnswerTuple>,
-    dp_cells: u64,
-    entries_recomputed: u64,
-    /// Rules first absorbed inside this segment. Rule closure makes rule
-    /// sets disjoint across segments, so these sum to the sequential
-    /// `rules_compressed`.
-    new_rules: u64,
-    reorder_nanos: u64,
-    dp_nanos: u64,
-}
-
-/// One unit of batch work for the stealing scheduler.
-#[derive(Debug)]
-enum BatchTask {
-    /// A plan that runs as one sequential scan over its own fork.
-    Whole { plan_idx: usize },
-    /// One segment of a plan that runs from the shared layout.
-    Segment { plan_idx: usize, task: SegmentTask },
-}
-
-/// The result of one [`BatchTask`].
-enum TaskOut {
-    Whole(PtkResult),
-    Segment(SegmentOutcome),
-}
-
 /// A batch run's scheduling facts, for a snapshot's `scheduler` section —
 /// diagnostics excluded from deterministic renderings, since steal counts
 /// depend on OS timing.
-fn scheduler_facts(
-    steal: StealStats,
-    segments: u64,
-    segmented_queries: u64,
-) -> BTreeMap<&'static str, u64> {
+fn scheduler_facts(steal: StealStats) -> BTreeMap<&'static str, u64> {
     BTreeMap::from([
         ("batch.workers_spawned", steal.workers_spawned),
         ("batch.tasks", steal.tasks),
         ("batch.steals", steal.stolen),
-        ("batch.segments", segments),
-        ("batch.segmented_queries", segmented_queries),
     ])
-}
-
-/// Partitions `layout` at rule-closed cuts and seeds each non-initial
-/// segment with its boundary DP row — one `O(n·k)` chain of exactly the
-/// convolutions the sequential scan performs over the stable items in
-/// availability order, so each seeded row is bit-identical to the
-/// sequential row it stands in for. A layout not worth partitioning is
-/// one segment covering the whole scan.
-fn plan_segment_tasks(layout: &ScanLayout, k: usize) -> Vec<SegmentTask> {
-    let cuts = layout.plan_segments(MIN_SEGMENT_TUPLES, MAX_SEGMENTS);
-    let n = layout.len();
-    let mut tasks = Vec::with_capacity(cuts.len() + 1);
-    let mut row = dp::unit_row(k);
-    let mut folded = 0usize;
-    let mut start = 0usize;
-    for &end in cuts.iter().chain(std::iter::once(&n)) {
-        let (entry_count, boundary_row) = if start == 0 {
-            (0, Vec::new())
-        } else {
-            let m = layout.stable_before(start - 1);
-            while folded < m {
-                let mass = match layout.stable[folded].seed {
-                    StableSeed::Indep { prob, .. } => prob,
-                    StableSeed::Rule { mass, .. } => mass,
-                };
-                dp::convolve_in_place(&mut row, mass);
-                folded += 1;
-            }
-            (m, row.clone())
-        };
-        tasks.push(SegmentTask {
-            start,
-            end,
-            entry_count,
-            boundary_row,
-        });
-        start = end;
-    }
-    tasks
-}
-
-/// Runs one segment of a pruning-off scan over the shared layout,
-/// replaying the recorded per-rank hints. Bit-identical to the sequential
-/// scan over the same ranks by the [`Compressor::from_boundary`] argument.
-fn run_segment(
-    plan: &PtkPlan,
-    layout: &ScanLayout,
-    task: &SegmentTask,
-    clocks_live: bool,
-) -> SegmentOutcome {
-    let threshold = plan.scan_threshold();
-    let mut comp = if task.start == 0 {
-        Compressor::new(plan.k(), plan.options().variant)
-    } else {
-        Compressor::from_boundary(
-            plan.k(),
-            plan.options().variant,
-            &layout.stable[..layout.stable_before(task.start)],
-            task.entry_count,
-            &task.boundary_row,
-        )
-    };
-    let seeded_rules = comp.rules_compressed();
-    let mut reorder_clock = PhaseClock::enabled_if(clocks_live);
-    let mut dp_clock = PhaseClock::enabled_if(clocks_live);
-    let mut probabilities = Vec::with_capacity(task.end - task.start);
-    let mut answers = Vec::new();
-    for rank in task.start..task.end {
-        let rec = &layout.tuples[rank];
-        let tuple = rec.tuple;
-        let slot = tuple.rule.map(|key| comp.slot(key));
-        comp.build_timed(slot, &mut reorder_clock, &mut dp_clock);
-        let prk = tuple.prob * dp::partial_sum(comp.last_row());
-        probabilities.push(prk);
-        if prk >= threshold {
-            answers.push(AnswerTuple {
-                rank,
-                id: tuple.id,
-                score: tuple.score,
-                probability: prk,
-            });
-        }
-        comp.absorb_slot(
-            AbsorbSpec {
-                tag: rank,
-                prob: tuple.prob,
-                rule: tuple.rule,
-                rule_len: rec.rule_len,
-                next_member_rank: rec.next_member_rank,
-            },
-            slot,
-        );
-    }
-    SegmentOutcome {
-        probabilities,
-        answers,
-        dp_cells: comp.dp_cells(),
-        entries_recomputed: comp.entries_recomputed(),
-        new_rules: comp.rules_compressed() - seeded_rules,
-        reorder_nanos: reorder_clock.nanos(),
-        dp_nanos: dp_clock.nanos(),
-    }
-}
-
-/// Concatenates the segment outcomes of one plan's `n`-rank scan into the
-/// sequential result shape, and records what a sequential recorded run of
-/// the plan records: the exec counters, the answer count, and the phase
-/// timings.
-fn stitch_segments(n: usize, segments: Vec<SegmentOutcome>, recorder: &dyn Recorder) -> PtkResult {
-    let mut stats = ExecStats {
-        scanned: n,
-        evaluated: n,
-        ..ExecStats::default()
-    };
-    let mut probabilities = Vec::with_capacity(n);
-    let mut answers = Vec::new();
-    let (mut reorder_nanos, mut dp_nanos) = (0u64, 0u64);
-    for seg in segments {
-        stats.dp_cells += seg.dp_cells;
-        stats.entries_recomputed += seg.entries_recomputed;
-        stats.rules_compressed += seg.new_rules;
-        probabilities.extend(seg.probabilities.into_iter().map(Some));
-        answers.extend(seg.answers);
-        reorder_nanos += seg.reorder_nanos;
-        dp_nanos += seg.dp_nanos;
-    }
-    stats.record_to(recorder);
-    recorder.add(counters::ANSWERS, answers.len() as u64);
-    recorder.record_nanos("engine.phase.reorder", reorder_nanos);
-    recorder.record_nanos("engine.phase.dp", dp_nanos);
-    recorder.record_nanos("engine.query", reorder_nanos + dp_nanos);
-    PtkResult {
-        answers,
-        probabilities,
-        stats,
-    }
 }
 
 #[cfg(test)]
@@ -1629,6 +1369,48 @@ mod tests {
             }
         }
         let _ = PtkExecutor::new(&ptk_plan(2, 0.5)).execute(&mut Rising(0));
+    }
+
+    /// Five tuples whose ranks 0, 2 and 4 are members of rule 0, from a
+    /// source that reports the rule one member short.
+    struct Understating {
+        next: usize,
+    }
+
+    impl RankedSource for Understating {
+        fn next_ranked(&mut self) -> Option<ptk_access::SourceTuple> {
+            let rank = self.next;
+            self.next += usize::from(rank < 5);
+            (rank < 5).then(|| ptk_access::SourceTuple {
+                id: TupleId::new(rank),
+                score: -(rank as f64),
+                prob: 0.3,
+                rule: rank.is_multiple_of(2).then_some(RuleKey(0)),
+            })
+        }
+
+        fn rule_len(&self, _: RuleKey) -> Option<usize> {
+            Some(2)
+        }
+
+        fn retrieved(&self) -> usize {
+            self.next
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "more members of rule 0 than the 2 its layout reported")]
+    fn a_ptk_scan_refuses_a_source_that_understates_a_rule() {
+        let _ = PtkExecutor::new(&ptk_plan(2, 0.1)).execute(&mut Understating { next: 0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "more members of rule 0 than the 2 its layout reported")]
+    fn a_gf_scan_refuses_a_source_that_understates_a_rule() {
+        let plan =
+            PtkPlan::try_semantics(RankSemantics::UKRanks, 2, None, &EngineOptions::default())
+                .unwrap();
+        let _ = PtkExecutor::new(&plan).execute_semantics(&mut Understating { next: 0 });
     }
 
     /// A source that returns `None` once, at rank `end`, then goes on.

@@ -45,7 +45,6 @@ use ptk_obs::PhaseClock;
 
 use crate::dp;
 use crate::exec::PtkResult;
-use crate::layout::{StableRecord, StableSeed};
 use crate::plan::SharingVariant;
 
 /// The ranking semantics a plan answers — which consumer of the
@@ -308,26 +307,33 @@ pub(crate) struct AbsorbSpec {
 ///   or has absorbed a member since the build — so the kept prefix ends at
 ///   the first entry of one of those rules, found through
 ///   `RuleState::list_pos` without walking the list.
+///
+/// The arena keeps only the DP rows from the frozen frontier on
+/// (DESIGN.md §3.1), so on rank-local rules its size follows the open
+/// rules, not the scan depth. That rests on a completed rule never
+/// absorbing again, which [`Compressor::absorb_slot`] asserts.
 #[derive(Debug)]
 pub(crate) struct Compressor {
     k: usize,
     variant: SharingVariant,
     /// Entry list of the most recent *built* step.
     entries: Vec<PoolEntry>,
-    /// The DP rows of the built list in one arena of `k`-cell rows: row
-    /// `m`, the DP row after `entries[..m]`, starts at cell
+    /// The live DP rows of the built list in one arena of `k`-cell rows:
+    /// row `m`, the DP row after `entries[..m]`, starts at cell
     /// `(m − first_row)·k`, for `first_row ≤ m ≤ entries.len()`. The arena
     /// never shrinks; cells past the last row are left over from a longer
-    /// list and never read, so a refold allocates only when the list
-    /// outgrows every earlier one.
+    /// list and never read, so a refold allocates only when the live rows
+    /// outgrow every earlier stretch of them.
     rows: Vec<f64>,
-    /// The first stored row: 0, except in a compressor seeded at a segment
-    /// boundary, which stores the boundary row alone
-    /// ([`Compressor::from_boundary`]).
+    /// The first stored row, at or below the frozen frontier
+    /// ([`Compressor::frontier`]): no later build reads a row before it.
     first_row: usize,
     /// `RC+LR` bookkeeping: `list_stable[m]` counts the stable items among
     /// `entries[..m]`, so `list_stable.len() == entries.len() + 1`.
     list_stable: Vec<usize>,
+    /// `RC+LR` bookkeeping: the length of the list's leading run of stable
+    /// entries, the largest `m` with `list_stable[m] == m`.
+    stable_run: usize,
     /// Stable-group items in availability order.
     stable: Vec<StableItem>,
     /// [`Compressor::pool_row`]'s cache: the DP row of
@@ -374,6 +380,7 @@ impl Compressor {
             rows: dp::unit_row(k),
             first_row: 0,
             list_stable: vec![0],
+            stable_run: 0,
             stable: Vec::new(),
             stable_row: dp::unit_row(k),
             stable_folded: 0,
@@ -388,80 +395,6 @@ impl Compressor {
             entries_recomputed: 0,
             step: 0,
         }
-    }
-
-    /// A compressor positioned exactly where a sequential scan would be
-    /// after absorbing ranks `0..boundary` at a **rule-closed cut**: every
-    /// absorbed tuple is stable (an independent or a completed rule), and
-    /// the last *built* entry list is the availability-ordered stable
-    /// prefix `stables[..entry_count]` — the `entry_count` items available
-    /// before rank `boundary - 1` — whose DP row is `boundary_row`.
-    ///
-    /// Why that is the sequential state: with pruning off, the list built
-    /// while evaluating the tuple at `boundary - 1` excludes that tuple's
-    /// own rule (Corollary 2) and contains no other open rule (any rule
-    /// open after rank `boundary - 2` must have its next member at
-    /// `boundary - 1` — making it the own rule — or at `>= boundary`,
-    /// contradicting rule closure), so it is precisely the stable items
-    /// available through rank `boundary - 2`, in availability order, for
-    /// every [`SharingVariant`]. That own rule completed at `boundary - 1`,
-    /// so no open rule waits to be appended and none of the list's entries
-    /// is stale: the sequential scan's next build keeps the whole list,
-    /// as this one's does. Only that last DP row is stored
-    /// (`first_row = entry_count`): `RC` refolds from row 0, which restarts
-    /// at the unit row, and the prefix-sharing variants keep
-    /// `rows[..=entry_count]` intact and only ever read the last, so the
-    /// forked state stays bit-identical to the sequential one.
-    ///
-    /// Counters start at zero: the seeded prefix's DP work was already
-    /// counted by whoever produced `boundary_row` (the preceding
-    /// segments), so per-segment counters sum to the sequential totals.
-    pub(crate) fn from_boundary(
-        k: usize,
-        variant: SharingVariant,
-        stables: &[StableRecord],
-        entry_count: usize,
-        boundary_row: &[f64],
-    ) -> Compressor {
-        let mut comp = Compressor::new(k, variant);
-        for rec in stables {
-            match rec.seed {
-                StableSeed::Indep { tag, prob } => {
-                    comp.stable.push(StableItem::Indep { tag, prob });
-                }
-                StableSeed::Rule {
-                    key,
-                    absorbed,
-                    mass,
-                } => {
-                    let idx = comp.rule_states.len() as u32;
-                    comp.rule_states.push(RuleState {
-                        key,
-                        mass,
-                        absorbed,
-                        last_touch: 0,
-                        next_rank: None,
-                        len: Some(absorbed as usize),
-                        completed: true,
-                        list_pos: NOT_LISTED,
-                        touched: false,
-                    });
-                    comp.rule_index.insert(key, idx);
-                    comp.stable.push(StableItem::CompletedRule(idx));
-                }
-            }
-        }
-        debug_assert!(entry_count <= comp.stable.len());
-        for s in 0..entry_count {
-            let entry = comp.stable_entry(comp.stable[s]);
-            comp.push_entry(entry, true);
-        }
-        if entry_count > 0 {
-            debug_assert_eq!(boundary_row.len(), k);
-            comp.rows = boundary_row.to_vec();
-            comp.first_row = entry_count;
-        }
-        comp
     }
 
     /// The dense slot of `rule`'s state, registering the rule at first
@@ -627,6 +560,7 @@ impl Compressor {
         queued.clear();
         dropped.extend(self.entries.drain(kept..));
         self.list_stable.truncate(kept + 1);
+        self.stable_run = self.stable_run.min(kept);
         for e in &dropped {
             if let PoolEntry::Rule { idx, .. } = *e {
                 self.rule_states[idx as usize].list_pos = NOT_LISTED;
@@ -679,13 +613,16 @@ impl Compressor {
     }
 
     /// Recomputes the DP rows of `entries[shared..]`, keeping
-    /// `rows[..=shared]`, each straight from its predecessor.
+    /// `rows[..=shared]`, each straight from its predecessor, then drops
+    /// the rows below the frozen frontier once they are at least half of
+    /// the rows stored.
     fn refold(&mut self, shared: usize) {
         let k = self.k;
         let mut start = shared;
         if start < self.first_row {
-            // A seeded compressor stores no row under its boundary: fold
-            // from the unit row (`RC` restarts at row 0 on every build).
+            // Only `RC` starts below the stored rows: it folds every list
+            // from the unit row.
+            debug_assert_eq!(self.variant, SharingVariant::Rc);
             self.rows[..k].fill(0.0);
             self.rows[0] = 1.0;
             self.first_row = 0;
@@ -695,20 +632,43 @@ impl Compressor {
         let recomputed = end - start;
         self.entries_recomputed += recomputed as u64;
         self.dp_cells += (recomputed * k) as u64;
-        let cells = (end + 1 - self.first_row) * k;
-        if self.rows.len() < cells {
-            self.rows.resize(cells, 0.0);
+        let stored = end + 1 - self.first_row;
+        if self.rows.len() < stored * k {
+            self.rows.resize(stored * k, 0.0);
         }
         for m in start..end {
             let at = (m - self.first_row) * k;
             let (done, next) = self.rows.split_at_mut(at + k);
             dp::convolve_into(&done[at..], &mut next[..k], self.entries[m].mass());
         }
+        let dead = self.frontier() - self.first_row;
+        if dead > 0 && 2 * dead >= stored {
+            // Move the live rows down in place: each keeps its bits.
+            self.rows.copy_within(dead * k..stored * k, 0);
+            self.first_row += dead;
+        }
     }
 
-    /// Appends `entry` to the built list, keeping `list_stable` and the
-    /// rule's `list_pos` in step.
+    /// The frozen frontier of the built list: the first row a later build
+    /// can start from. Stable items never change, so every later list
+    /// begins with the stable items that begin this one, and its shared
+    /// prefix covers them (§4.3.2). `RC+LR` keeps the list's leading run of
+    /// stable entries; `RC+AR` lists every stable item first; `RC` refolds
+    /// from the unit row, so only its last row is live.
+    fn frontier(&self) -> usize {
+        match self.variant {
+            SharingVariant::Rc => self.entries.len(),
+            SharingVariant::Aggressive => self.stable.len(),
+            SharingVariant::Lazy => self.stable_run,
+        }
+    }
+
+    /// Appends `entry` to the built list, keeping `list_stable`,
+    /// `stable_run` and the rule's `list_pos` in step.
     fn push_entry(&mut self, entry: PoolEntry, stable: bool) {
+        if stable && self.stable_run == self.entries.len() {
+            self.stable_run += 1;
+        }
         if let PoolEntry::Rule { idx, .. } = entry {
             self.rule_states[idx as usize].list_pos = self.entries.len() as u32;
         }
@@ -757,6 +717,10 @@ impl Compressor {
 
     /// [`Compressor::absorb`] for a tuple of the rule at `slot` (see
     /// [`Compressor::slot`]).
+    ///
+    /// # Panics
+    /// Panics if the rule already completed: its source reported a rule
+    /// length below the members it delivers.
     pub(crate) fn absorb_slot(&mut self, spec: AbsorbSpec, slot: Option<u32>) {
         self.step += 1;
         debug_assert_eq!(
@@ -777,19 +741,19 @@ impl Compressor {
                     self.open.insert(pos, idx);
                 }
                 let rs = &mut self.rule_states[idx as usize];
-                if rs.completed {
-                    // The source understated the rule's length: a stable
-                    // rule-tuple's mass changes after all, so the cached
-                    // stable fold is stale.
-                    self.stable_row = dp::unit_row(self.k);
-                    self.stable_folded = 0;
-                }
+                // A completed rule-tuple is stable: the rows before the
+                // frozen frontier, the pool row's stable fold and every
+                // list's shared prefix rest on its mass never changing.
+                assert!(
+                    !rs.completed,
+                    "source delivered more members of rule {} than the {} its layout reported",
+                    rs.key.0, rs.absorbed
+                );
                 // A rule's mass is a probability: member probabilities that
                 // mathematically sum to 1 can overshoot by an ulp in f64,
                 // and the DP rejects q > 1. Clamp exactly as the view does
                 // (`RankedView` tolerates mass <= 1 + 1e-9 and stores
-                // `min(1.0)`). `ScanLayout::materialize` mirrors this
-                // operation bit for bit.
+                // `min(1.0)`).
                 rs.mass = (rs.mass + spec.prob).min(1.0);
                 rs.absorbed += 1;
                 rs.last_touch = self.step;
@@ -1550,7 +1514,7 @@ pub(crate) mod tests {
     use std::collections::BinaryHeap;
 
     use ptk_core::check::{check, Config};
-    use ptk_core::rng::{RngExt, StdRng};
+    use ptk_core::rng::{RngExt, SeedableRng, StdRng};
     use ptk_core::{prop_assert, prop_assert_eq};
 
     use super::*;
@@ -1564,9 +1528,10 @@ pub(crate) mod tests {
     /// A random scan to feed a [`Compressor`]: a depth `k` and the absorb
     /// sequence. Independents are random, certain or tiny. Rules take 2–4
     /// members, and about half of them total a mass just under 1, around
-    /// the deconvolve guard, or one ulp over. Each rule declares its length (so it
-    /// completes), leaves it unknown (so it stays open), or understates it
-    /// by one, as a source lying about its layout would.
+    /// the deconvolve guard, or one ulp over. Each rule declares its true
+    /// length (so it completes) or leaves it unknown (so it stays open), as
+    /// every in-repo source does; one that understates it is refused
+    /// (`Compressor::absorb_slot`).
     pub(crate) fn random_scan(rng: &mut StdRng, size: usize) -> (usize, Vec<AbsorbSpec>) {
         let k = rng.random_range(1..=8usize);
         let mut events: Vec<(Option<u32>, f64)> = (0..rng.random_range(0..=size))
@@ -1595,7 +1560,6 @@ pub(crate) mod tests {
             events.extend(weights.iter().map(|w| (Some(rule), total * w / sum)));
             declared.push(match rng.random_range(0..4u32) {
                 0 => None,
-                1 => Some(members - 1),
                 _ => Some(members),
             });
         }
@@ -1675,88 +1639,6 @@ pub(crate) mod tests {
             rows.push(row);
         }
         comp.entries = desired;
-    }
-
-    /// A scan that ends at a rule-closed cut: independents, and rules
-    /// whose 1–3 members arrive back to back under their true length, so
-    /// each completes before the next item starts. Rule keys count up from
-    /// `first_key`.
-    fn closed_prefix(rng: &mut StdRng, size: usize, first_key: u32) -> Vec<AbsorbSpec> {
-        let mut specs: Vec<AbsorbSpec> = Vec::new();
-        for item in 0..rng.random_range(1..=size) as u32 {
-            let rank = specs.len();
-            if rng.random_bool(0.5) {
-                let prob = match rng.random_range(0..6u32) {
-                    0 => 1.0,
-                    1 => 1e-9,
-                    _ => rng.random_range(0.01..=1.0f64),
-                };
-                specs.push(AbsorbSpec {
-                    tag: rank,
-                    prob,
-                    rule: None,
-                    rule_len: None,
-                    next_member_rank: None,
-                });
-                continue;
-            }
-            let members = rng.random_range(1..=3usize);
-            let total = 1.0 - GUARD_DELTAS[rng.random_range(0..GUARD_DELTAS.len())];
-            let total = if rng.random_bool(0.5) {
-                total
-            } else {
-                rng.random_range(0.05..=1.0f64)
-            };
-            specs.extend((0..members).map(|m| AbsorbSpec {
-                tag: rank + m,
-                prob: total / members as f64,
-                rule: Some(RuleKey(first_key + item)),
-                rule_len: Some(members),
-                next_member_rank: (m + 1 < members).then_some(rank + m + 1),
-            }));
-        }
-        specs
-    }
-
-    /// A sequential compressor run through `prefix` with every tuple built
-    /// for (pruning off), through [`reference_build`], and the compressor
-    /// [`Compressor::from_boundary`] seeds at the end of it from the
-    /// sequential state: its stable items, its last list's length and its
-    /// last row.
-    fn seeded_at_cut(
-        k: usize,
-        variant: SharingVariant,
-        prefix: &[AbsorbSpec],
-    ) -> (Compressor, Vec<Vec<f64>>, Compressor) {
-        let mut sequential = Compressor::new(k, variant);
-        let mut rows = vec![dp::unit_row(k)];
-        let mut stables: Vec<StableRecord> = Vec::new();
-        for (rank, spec) in prefix.iter().enumerate() {
-            reference_build(&mut sequential, &mut rows, spec.rule);
-            sequential.absorb(*spec);
-            for item in &sequential.stable[stables.len()..] {
-                let seed = match *item {
-                    StableItem::Indep { tag, prob } => StableSeed::Indep { tag, prob },
-                    StableItem::CompletedRule(idx) => {
-                        let rs = &sequential.rule_states[idx as usize];
-                        StableSeed::Rule {
-                            key: rs.key,
-                            absorbed: rs.absorbed,
-                            mass: rs.mass,
-                        }
-                    }
-                };
-                stables.push(StableRecord {
-                    avail_rank: rank,
-                    seed,
-                });
-            }
-        }
-        assert!(!sequential.has_open_rule(), "the prefix ends at a cut");
-        let entry_count = sequential.entries.len();
-        let seeded =
-            Compressor::from_boundary(k, variant, &stables, entry_count, &rows[entry_count]);
-        (sequential, rows, seeded)
     }
 
     fn reference_desired_list(comp: &Compressor, own_rule: Option<RuleKey>) -> Vec<PoolEntry> {
@@ -2208,33 +2090,20 @@ pub(crate) mod tests {
     #[test]
     fn incremental_build_matches_the_rebuilding_reference() {
         let builds = Cell::new(0u64);
-        // Builds checked on a seeded compressor, per variant.
-        let seeded_builds = Cell::new([0u64; 3]);
+        // Builds after which compaction had moved the first stored row, per
+        // variant.
+        let compacted = Cell::new([0u64; 3]);
         check(
             "build == desired_list + recompute: entries, row bits, counters",
             Config::cases(3000).sizes(1, 32).seed(0x9001_0004),
             |rng, size| {
-                let (k, mut specs) = random_scan(rng, size);
+                let (k, specs) = random_scan(rng, size);
                 let v = rng.random_range(0..VARIANTS.len());
                 let variant = VARIANTS[v];
-                // Half the cases continue from a segment boundary: the
-                // scan seeded by `from_boundary` at a rule-closed cut
-                // against the sequential scan that reached it.
-                let (mut slow, mut slow_rows, mut fast) = if rng.random_bool(0.5) {
-                    let prefix = closed_prefix(rng, size, 1 << 20);
-                    for spec in &mut specs {
-                        spec.tag += prefix.len();
-                        spec.next_member_rank = spec.next_member_rank.map(|r| r + prefix.len());
-                    }
-                    seeded_at_cut(k, variant, &prefix)
-                } else {
-                    let fresh = Compressor::new(k, variant);
-                    (Compressor::new(k, variant), vec![dp::unit_row(k)], fresh)
-                };
-                let seeded = fast.first_row > 0;
-                let (cells0, entries0) = (slow.dp_cells(), slow.entries_recomputed());
-                let mut rules: Vec<RuleKey> = specs.iter().filter_map(|s| s.rule).collect();
-                rules.extend(slow.rule_states.iter().map(|rs| rs.key));
+                let mut fast = Compressor::new(k, variant);
+                let mut slow = Compressor::new(k, variant);
+                let mut slow_rows = vec![dp::unit_row(k)];
+                let rules: Vec<RuleKey> = specs.iter().filter_map(|s| s.rule).collect();
                 for spec in specs {
                     // Build for the tuple about to be absorbed, as a scan
                     // does, through its rule's slot; or skip it, as for a
@@ -2257,6 +2126,7 @@ pub(crate) mod tests {
                         owns.push((own, false));
                     }
                     for (own, by_slot) in owns {
+                        let first_row = fast.first_row;
                         if by_slot {
                             let mut off = PhaseClock::enabled_if(false);
                             fast.build_timed(slot, &mut off, &mut PhaseClock::enabled_if(false));
@@ -2265,23 +2135,26 @@ pub(crate) mod tests {
                         }
                         reference_build(&mut slow, &mut slow_rows, own);
                         builds.set(builds.get() + 1);
-                        if seeded {
-                            let mut counts = seeded_builds.get();
+                        if fast.first_row != first_row {
+                            let mut counts = compacted.get();
                             counts[v] += 1;
-                            seeded_builds.set(counts);
+                            compacted.set(counts);
                         }
                         prop_assert_eq!(fast.entries(), slow.entries(), "{variant:?} own={own:?}");
                         prop_assert_eq!(slow_rows.len(), slow.entries.len() + 1);
+                        if variant == SharingVariant::Lazy {
+                            let run = (1..=fast.entries.len())
+                                .take_while(|&m| fast.list_stable[m] == m)
+                                .count();
+                            prop_assert_eq!(fast.stable_run, run);
+                        }
                         // Every row the arena stores has the bits of the
                         // clone-and-convolve-in-place reference.
                         for (m, row) in slow_rows.iter().enumerate().skip(fast.first_row) {
                             prop_assert_eq!(bits(fast.row(m)), bits(row), "row {m}");
                         }
-                        prop_assert_eq!(fast.dp_cells(), slow.dp_cells() - cells0);
-                        prop_assert_eq!(
-                            fast.entries_recomputed(),
-                            slow.entries_recomputed() - entries0
-                        );
+                        prop_assert_eq!(fast.dp_cells(), slow.dp_cells());
+                        prop_assert_eq!(fast.entries_recomputed(), slow.entries_recomputed());
                     }
                     fast.absorb_slot(spec, slot);
                     slow.absorb(spec);
@@ -2294,10 +2167,79 @@ pub(crate) mod tests {
             "only {} builds checked",
             builds.get()
         );
-        let seeded = seeded_builds.get();
+        let compacted = compacted.get();
         assert!(
-            seeded.iter().all(|&n| n > 1_000),
-            "seeded builds per variant: {seeded:?}"
+            compacted.iter().all(|&n| n > 1_000),
+            "compacting builds per variant: {compacted:?}"
         );
+    }
+
+    /// An unpruned scan of `n` tuples over rank-local rules: 2–4 members
+    /// inside one 32-rank window each, their layout known, and about half
+    /// the ranks rule members.
+    fn rank_local_scan(rng: &mut StdRng, n: usize) -> Vec<AbsorbSpec> {
+        let mut rule_of: Vec<Option<u32>> = vec![None; n];
+        let mut rules = 0u32;
+        for window in (0..n).step_by(32) {
+            let end = (window + 32).min(n);
+            for _ in 0..4 {
+                let members = rng.random_range(2..=4usize);
+                let mut free: Vec<usize> =
+                    (window..end).filter(|&r| rule_of[r].is_none()).collect();
+                if free.len() < members {
+                    break;
+                }
+                rng.shuffle(&mut free);
+                for &rank in &free[..members] {
+                    rule_of[rank] = Some(rules);
+                }
+                rules += 1;
+            }
+        }
+        let mut members: Vec<Vec<usize>> = vec![Vec::new(); rules as usize];
+        for (rank, rule) in rule_of.iter().enumerate() {
+            if let Some(r) = rule {
+                members[*r as usize].push(rank);
+            }
+        }
+        (0..n)
+            .map(|rank| {
+                let prob = rng.random_range(0.05..=0.25f64);
+                let rule = rule_of[rank];
+                let layout = rule.map(|r| &members[r as usize]);
+                AbsorbSpec {
+                    tag: rank,
+                    prob,
+                    rule: rule.map(RuleKey),
+                    rule_len: layout.map(Vec::len),
+                    next_member_rank: layout
+                        .and_then(|ranks| ranks.iter().copied().find(|&member| member > rank)),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_arena_stays_bounded_on_rank_local_rules() {
+        // The most DP rows the arena holds over a scan with a build for
+        // every tuple; a scan that keeps every row holds the whole list.
+        let peak_rows = |variant: SharingVariant, n: usize| {
+            let specs = rank_local_scan(&mut StdRng::seed_from_u64(0x9001_0009), n);
+            let mut comp = Compressor::new(4, variant);
+            let mut peak = 0;
+            for spec in specs {
+                comp.build(spec.rule);
+                peak = peak.max(comp.entries.len() + 1 - comp.first_row);
+                comp.absorb(spec);
+            }
+            peak
+        };
+        for variant in [SharingVariant::Aggressive, SharingVariant::Lazy] {
+            let (small, large) = (peak_rows(variant, 1_000), peak_rows(variant, 8_000));
+            assert!(
+                large < 2 * small,
+                "{variant:?}: peak rows {small} over 1,000 tuples, {large} over 8,000"
+            );
+        }
     }
 }

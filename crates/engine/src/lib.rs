@@ -66,7 +66,6 @@ pub mod dp;
 mod exact;
 mod exec;
 mod gf;
-mod layout;
 mod plan;
 mod scanner;
 mod stats;

@@ -296,10 +296,9 @@ fn batch_works_over_sorted_vec_snapshots() {
     }
 }
 
-/// A deep ranked view with *clustered* rules (members a few ranks apart),
-/// so the scan has plenty of rule-closed cuts and the partitioned DP path
-/// actually engages — wide random rules would keep some rule open across
-/// every candidate boundary.
+/// A deep ranked view with *clustered* rules (members a few ranks apart):
+/// rank-local rules, on which the DP arena keeps only the rows after the
+/// first open rule-tuple and compacts many times over one scan.
 fn deep_view(rng: &mut StdRng, n: usize) -> RankedView {
     let mut probs: Vec<f64> = (0..n).map(|_| rng.random_range(0.05..=0.95f64)).collect();
     let mut groups: Vec<Vec<usize>> = Vec::new();
@@ -324,11 +323,10 @@ fn deep_view(rng: &mut StdRng, n: usize) -> RankedView {
 
 #[test]
 fn skewed_batch_with_deep_scan_is_bit_identical_under_stealing() {
-    // The issue's adversarial shape: one k=50 pruning-off deep scan among
-    // cheap k=2 queries. The deep query is partitioned into segment tasks
-    // and the cheap ones run whole; under deterministic stealing the
-    // answers, stats, merged snapshot and logical traces must all be
-    // bit-identical at every pool width.
+    // The adversarial shape: one k=50 pruning-off deep scan among cheap
+    // k=2 queries, every plan a task of its own; under deterministic
+    // stealing the answers, stats, merged snapshot and logical traces must
+    // all be bit-identical at every pool width.
     let mut rng = StdRng::seed_from_u64(0x5eed_0b4c);
     let view = deep_view(&mut rng, 600);
     let plans = vec![
@@ -393,19 +391,7 @@ fn skewed_batch_with_deep_scan_is_bit_identical_under_stealing() {
             reference.to_json(false),
             "skewed merged snapshot, threads {threads}"
         );
-        if threads > 1 {
-            // The four pruning-off plans really were partitioned.
-            assert_eq!(
-                merged.scheduler_value("batch.segmented_queries"),
-                4,
-                "threads {threads}"
-            );
-            assert!(
-                merged.scheduler_value("batch.segments") >= 8,
-                "threads {threads}: {}",
-                merged.scheduler_value("batch.segments")
-            );
-        } else {
+        if threads == 1 {
             assert_eq!(merged.scheduler_value("batch.workers_spawned"), 0);
         }
 
@@ -426,12 +412,12 @@ fn skewed_batch_with_deep_scan_is_bit_identical_under_stealing() {
 }
 
 #[test]
-fn partitioned_deep_scan_matches_sequential_for_every_variant() {
-    // Intra-query parallelism: a single pruning-off deep scan, partitioned
-    // at rule-closed cuts, must reproduce the sequential executor bit for
-    // bit — probabilities, answers, and the full ExecStats (dp_cells,
-    // entries_recomputed, rules_compressed), whose sums are the sharp
-    // check of the boundary-row seeding — for all three sharing variants.
+fn deep_snapshot_scan_matches_sequential_for_every_variant() {
+    // A single pruning-off deep scan over a shared snapshot must reproduce
+    // the sequential executor bit for bit at every pool width —
+    // probabilities, answers, and the full ExecStats (dp_cells,
+    // entries_recomputed, rules_compressed) — for all three sharing
+    // variants.
     let mut rng = StdRng::seed_from_u64(0x5eed_0b4d);
     let view = deep_view(&mut rng, 640);
     for variant in [
@@ -458,7 +444,7 @@ fn partitioned_deep_scan_matches_sequential_for_every_variant() {
 }
 
 #[test]
-fn partitioned_scan_records_its_segments_and_traces_as_a_fork() {
+fn snapshot_scan_records_and_traces_as_a_fork() {
     let mut rng = StdRng::seed_from_u64(0x5eed_0b4e);
     let view = deep_view(&mut rng, 600);
     let plan = PtkPlan::try_new(
@@ -469,23 +455,18 @@ fn partitioned_scan_records_its_segments_and_traces_as_a_fork() {
     .unwrap();
     let pool = ThreadPool::new(4);
 
-    // Recorded: the partitioned path runs (it records the DP phase but has
-    // no retrieval phase of its own — the layout was shared), split at
-    // rule-closed cuts like the same plan as a one-plan batch.
+    // Recorded: the plan runs the sequential scan on its own fork, inline
+    // even on a wide pool, as a one-plan batch.
     let metrics = Metrics::new();
     let _ = PtkExecutor::with_recorder(&plan, &metrics).execute_snapshot(&view, &pool);
     let snap = metrics.snapshot();
     assert!(snap.timings.contains_key("engine.query"));
     assert!(snap.timings.contains_key("engine.phase.dp"));
-    assert!(
-        !snap.timings.contains_key("engine.phase.retrieval"),
-        "partitioned path should not have run the sequential scan"
-    );
+    assert!(snap.timings.contains_key("engine.phase.retrieval"));
     assert!(snap.counter("engine.scanned") > 0);
     let batch = PtkPlan::batch(std::slice::from_ref(&plan));
     let (_, batched) = PtkExecutor::execute_batch_recorded(&batch, &view, &pool);
-    assert_eq!(batched.scheduler_value("batch.segmented_queries"), 1);
-    assert!(batched.scheduler_value("batch.segments") >= 2);
+    assert_eq!(batched.scheduler_value("batch.workers_spawned"), 0);
 
     // Traced: the plan runs whole on its own fork at every width, so the
     // logical rendering is exactly the sequential scan's.

@@ -60,7 +60,7 @@ fn random_view(rng: &mut StdRng, max_n: usize) -> RankedView {
 }
 
 /// Small clustered synthetic views: rule members land inside a narrow
-/// rank window, the regime the segmented batch executor partitions.
+/// rank window, the regime where the DP arena stays bounded.
 fn clustered_view(seed: u64, tuples: usize, rules: usize, span: usize) -> RankedView {
     let config = SyntheticConfig {
         tuples,

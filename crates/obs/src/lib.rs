@@ -497,8 +497,8 @@ pub struct Snapshot {
     pub histograms: BTreeMap<&'static str, HistogramSnapshot>,
     /// Span timings by name (wall-clock; never part of golden output).
     pub timings: BTreeMap<&'static str, TimingSnapshot>,
-    /// Runtime scheduling facts by name (workers spawned, items stolen,
-    /// segments dispatched, …). Like `timings`, these describe *how* the
+    /// Runtime scheduling facts by name (workers spawned, tasks, items
+    /// stolen). Like `timings`, these describe *how* the
     /// run was scheduled, not *what* it computed, and depend on OS timing —
     /// so they are excluded from the deterministic rendering
     /// ([`Snapshot::to_json`] with `include_timings = false`) and may
@@ -588,10 +588,8 @@ fn metric_help(name: &str) -> &'static str {
         "access.block.pin" => "Frame pins taken by scan cursors.",
         "access.block.evict" => "Resident frames evicted to make room for a fetch.",
         "batch.workers_spawned" => "Worker threads the batch scheduler spawned.",
-        "batch.tasks" => "Tasks executed by the batch scheduler.",
+        "batch.tasks" => "Tasks executed by the batch scheduler, one per query.",
         "batch.steals" => "Tasks stolen from another worker's deque.",
-        "batch.segments" => "Rule-closed segments dispatched by intra-query partitioning.",
-        "batch.segmented_queries" => "Queries executed through segment partitioning.",
         "cli.render" => "Wall-clock time of writing the answer listing.",
         n if n.starts_with("engine.phase.") => "Wall-clock time of one engine phase.",
         n if n.starts_with("engine.") => "Engine execution metric.",

@@ -17,8 +17,8 @@
 //! without `'static` bounds, `Arc`, or unsafe lifetime erasure (the
 //! workspace forbids `unsafe`). A [`ThreadPool`] is thus a scheduling
 //! policy plus a thread budget, not a set of persistent OS threads; for the
-//! coarse-grained regions the PT-k stack runs (whole queries, DP segments,
-//! sampling quotas, serve lanes), spawn cost is noise.
+//! coarse-grained regions the PT-k stack runs (whole queries, sampling
+//! quotas, serve lanes), spawn cost is noise.
 //!
 //! There is one primitive, [`ThreadPool::parallel_map`]: one result per
 //! item, in item order. Worker `w` of `T` starts on its own lane, items
