@@ -1554,6 +1554,30 @@ mod tests {
         let out = dispatch(&args(&["inspect", file.as_str()])).unwrap();
         assert!(out.contains("tuples:            6"), "{out}");
         assert!(out.contains("multi-tuple rules: 2"), "{out}");
+        assert!(out.contains("possible worlds:   1.200e1\n"), "{out}");
+    }
+
+    #[test]
+    fn world_counts_past_f64_render_from_logs() {
+        // 1141 independents and 10 rules: about 1.464e348 worlds, past
+        // f64::MAX, which a product in f64 printed as `inf`.
+        let text = dispatch(&args(&[
+            "generate",
+            "synthetic",
+            "--tuples",
+            "1200",
+            "--rules",
+            "10",
+        ]))
+        .unwrap();
+        let file = tempfile::csv(&text);
+        let out = dispatch(&args(&["inspect", file.as_str()])).unwrap();
+        assert!(out.contains("possible worlds:   1.464e348\n"), "{out}");
+        let err = dispatch(&args(&["worlds", file.as_str(), "--rank-by", "score"])).unwrap_err();
+        assert!(
+            err.starts_with("enumeration of 1.464e348 possible worlds exceeds the budget of 10000"),
+            "{err}"
+        );
     }
 
     #[test]

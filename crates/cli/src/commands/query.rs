@@ -387,6 +387,6 @@ pub(super) fn cmd_inspect(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdE
     writeln!(out, "multi-tuple rules: {}", table.rules().len())?;
     writeln!(out, "independent:       {independent}")?;
     writeln!(out, "largest rule:      {max_rule}")?;
-    writeln!(out, "possible worlds:   {:.3e}", table.world_count())?;
+    writeln!(out, "possible worlds:   {}", table.world_count())?;
     Ok(())
 }

@@ -113,9 +113,12 @@ Comma lists in --k/--p (query) or `;`-separated SELECT TOP statements
 (sql) form a batch: every (k, p) combination is planned up front and the
 batch executor evaluates the plans across a worker pool sharing one
 ranked view. `--threads` sizes the pool (default: the PTK_THREADS
-environment variable, else 1). Answers are bit-identical at every thread
-count — threads only change wall-clock time. Batched sql statements must
-be exact PT-k queries sharing one WHERE and ORDER BY.
+environment variable, else 1), as it sizes `serve`'s workers. A single
+statement (one k and one p, or one SELECT) is a one-plan batch: it runs
+on the calling thread and starts no worker, whatever `--threads` says.
+Answers are bit-identical at every thread count — threads only change
+wall-clock time. Batched sql statements must be exact PT-k queries
+sharing one WHERE and ORDER BY.
 
 `--no-prune` (query, sql, utopk, ukranks, erank; exact method only)
 disables the paper's §4.4

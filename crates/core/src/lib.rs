@@ -28,9 +28,9 @@
 //! use ptk_core::{UncertainTableBuilder, Value, TopKQuery, Ranking, SortDirection, PtkQuery};
 //!
 //! let mut b = UncertainTableBuilder::new(vec!["duration".into()]);
-//! let r1 = b.push(0.3, vec![Value::from(25.0)]).unwrap();
-//! let r2 = b.push(0.4, vec![Value::from(21.0)]).unwrap();
-//! let r3 = b.push(0.5, vec![Value::from(13.0)]).unwrap();
+//! let r1 = b.push(0.3, [Value::from(25.0)]).unwrap();
+//! let r2 = b.push(0.4, [Value::from(21.0)]).unwrap();
+//! let r3 = b.push(0.5, [Value::from(13.0)]).unwrap();
 //! b.exclusive(&[r2, r3]).unwrap();
 //! let table = b.finish().unwrap();
 //!
@@ -45,6 +45,7 @@
 #![forbid(unsafe_code)]
 
 pub mod check;
+mod count;
 mod error;
 mod prob;
 mod query;
@@ -56,6 +57,7 @@ mod table;
 mod tuple;
 mod value;
 
+pub use count::WorldCount;
 pub use error::ModelError;
 pub use prob::Probability;
 pub use query::{ComparisonOp, Predicate, PtkQuery, Ranking, SortDirection, TopKQuery};
@@ -68,3 +70,11 @@ pub use value::Value;
 
 /// Result alias used throughout the crate.
 pub type Result<T, E = ModelError> = std::result::Result<T, E>;
+
+/// `index + 1` as a [`NonZeroU32`](std::num::NonZeroU32): how the crate's
+/// dense rule ids and handles are stored, so an optional one takes four
+/// bytes. `None` past `u32::MAX - 1`.
+fn index_plus_one(index: usize) -> Option<std::num::NonZeroU32> {
+    let index = u32::try_from(index).ok()?;
+    std::num::NonZeroU32::new(index.checked_add(1)?)
+}

@@ -105,7 +105,7 @@ impl Predicate {
     /// column the tuple does not have. Comparisons against `Null` are false
     /// for every operator except `Ne`, mirroring SQL's null semantics
     /// approximately while staying two-valued.
-    pub fn eval(&self, tuple: &Tuple) -> Result<bool> {
+    pub fn eval(&self, tuple: Tuple<'_>) -> Result<bool> {
         match self {
             Predicate::True => Ok(true),
             Predicate::Compare { column, op, value } => {
@@ -181,7 +181,7 @@ impl Ranking {
     ///
     /// # Errors
     /// Fails if either tuple lacks the ranked column.
-    pub fn compare(&self, a: &Tuple, b: &Tuple) -> Result<Ordering> {
+    pub fn compare(&self, a: Tuple<'_>, b: Tuple<'_>) -> Result<Ordering> {
         let va = a
             .attr(self.column)
             .ok_or(ModelError::UnknownColumn(self.column))?;
@@ -198,7 +198,7 @@ impl Ranking {
     /// Extracts the numeric rank key of a tuple (used by reports; ranking
     /// itself goes through [`Ranking::compare`], which also supports
     /// non-numeric columns).
-    pub fn key(&self, tuple: &Tuple) -> Result<f64> {
+    pub fn key(&self, tuple: Tuple<'_>) -> Result<f64> {
         let v = tuple
             .attr(self.column)
             .ok_or(ModelError::UnknownColumn(self.column))?;
@@ -299,17 +299,19 @@ impl PtkQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{TupleId, UncertainTableBuilder};
+    use crate::{TupleId, UncertainTable, UncertainTableBuilder};
 
-    fn tuple(attrs: Vec<Value>) -> Tuple {
+    /// A one-tuple table holding `attrs`.
+    fn table(attrs: Vec<Value>) -> UncertainTable {
         let mut b = UncertainTableBuilder::new((0..attrs.len()).map(|i| format!("c{i}")).collect());
         b.push(0.5, attrs).unwrap();
-        b.finish().unwrap().tuple(TupleId::new(0)).clone()
+        b.finish().unwrap()
     }
 
     #[test]
     fn comparison_operators() {
-        let t = tuple(vec![Value::Int(5)]);
+        let table = table(vec![Value::Int(5)]);
+        let t = table.tuple(TupleId::new(0));
         for (op, expect) in [
             (ComparisonOp::Eq, false),
             (ComparisonOp::Ne, true),
@@ -319,7 +321,7 @@ mod tests {
             (ComparisonOp::Ge, false),
         ] {
             let p = Predicate::compare(0, op, 7i64);
-            assert_eq!(p.eval(&t).unwrap(), expect, "{op:?}");
+            assert_eq!(p.eval(t).unwrap(), expect, "{op:?}");
         }
     }
 
@@ -339,34 +341,37 @@ mod tests {
 
     #[test]
     fn boolean_combinators() {
-        let t = tuple(vec![Value::Int(5), Value::from("x")]);
+        let table = table(vec![Value::Int(5), Value::from("x")]);
+        let t = table.tuple(TupleId::new(0));
         let a = Predicate::compare(0, ComparisonOp::Gt, 1i64);
         let b = Predicate::compare(1, ComparisonOp::Eq, "x");
-        assert!(a.clone().and(b.clone()).eval(&t).unwrap());
-        assert!(a.clone().or(b.clone().not()).eval(&t).unwrap());
-        assert!(!a.and(b.not()).eval(&t).unwrap());
-        assert!(Predicate::True.eval(&t).unwrap());
+        assert!(a.clone().and(b.clone()).eval(t).unwrap());
+        assert!(a.clone().or(b.clone().not()).eval(t).unwrap());
+        assert!(!a.and(b.not()).eval(t).unwrap());
+        assert!(Predicate::True.eval(t).unwrap());
     }
 
     #[test]
     fn null_comparisons_are_mostly_false() {
-        let t = tuple(vec![Value::Null]);
+        let table = table(vec![Value::Null]);
+        let t = table.tuple(TupleId::new(0));
         assert!(!Predicate::compare(0, ComparisonOp::Eq, 1i64)
-            .eval(&t)
+            .eval(t)
             .unwrap());
         assert!(!Predicate::compare(0, ComparisonOp::Lt, 1i64)
-            .eval(&t)
+            .eval(t)
             .unwrap());
         assert!(Predicate::compare(0, ComparisonOp::Ne, 1i64)
-            .eval(&t)
+            .eval(t)
             .unwrap());
     }
 
     #[test]
     fn unknown_column_errors() {
-        let t = tuple(vec![Value::Int(5)]);
+        let table = table(vec![Value::Int(5)]);
+        let t = table.tuple(TupleId::new(0));
         assert!(matches!(
-            Predicate::compare(3, ComparisonOp::Eq, 1i64).eval(&t),
+            Predicate::compare(3, ComparisonOp::Eq, 1i64).eval(t),
             Err(ModelError::UnknownColumn(3))
         ));
     }
@@ -394,9 +399,10 @@ mod tests {
 
     #[test]
     fn rank_key_requires_numeric() {
-        let t = tuple(vec![Value::from("abc")]);
+        let table = table(vec![Value::from("abc")]);
+        let t = table.tuple(TupleId::new(0));
         assert!(matches!(
-            Ranking::descending(0).key(&t),
+            Ranking::descending(0).key(t),
             Err(ModelError::NonNumericRankKey { .. })
         ));
     }

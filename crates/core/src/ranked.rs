@@ -12,6 +12,8 @@
 //! a query's `P(T)` is a [`Selection`](crate::Selection) over that shared
 //! view, and [`RankedView::build`] materializes the selection.
 
+use std::fmt;
+use std::num::NonZeroU32;
 use std::sync::Arc;
 
 use crate::{ModelError, Probability, Ranking, Result, RuleId, TopKQuery, TupleId, UncertainTable};
@@ -19,15 +21,16 @@ use crate::{ModelError, Probability, Ranking, Result, RuleId, TopKQuery, TupleId
 /// Index of a projected rule inside a [`RankedView`].
 ///
 /// Distinct from [`RuleId`]: projection drops rules whose membership shrinks
-/// to one tuple or fewer, so handles are re-numbered densely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct RuleHandle(u32);
+/// to one tuple or fewer, so handles are re-numbered densely. Stored as the
+/// index plus one, so `Option<RuleHandle>` takes four bytes.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct RuleHandle(NonZeroU32);
 
 impl RuleHandle {
     /// The dense index into [`RankedView::rules`].
     #[inline]
     pub fn index(self) -> usize {
-        self.0 as usize
+        (self.0.get() - 1) as usize
     }
 
     /// Reconstructs a handle from a dense index previously obtained via
@@ -35,11 +38,17 @@ impl RuleHandle {
     /// for the view it is used with.
     #[inline]
     pub fn from_index(index: usize) -> RuleHandle {
-        RuleHandle(u32::try_from(index).expect("rule index fits u32"))
+        RuleHandle(crate::index_plus_one(index).expect("rule index fits u32"))
     }
 }
 
-/// One tuple of the ranked view.
+impl fmt::Debug for RuleHandle {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("RuleHandle").field(&self.index()).finish()
+    }
+}
+
+/// One tuple of the ranked view: 32 bytes, in one shared array per view.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankedTuple {
     /// The tuple's id in the source [`UncertainTable`], for reporting.
@@ -140,7 +149,7 @@ pub struct RankedView {
 
 impl Default for RankedView {
     fn default() -> RankedView {
-        RankedView::from_parts(Vec::new(), Vec::new())
+        RankedView::from_parts(Arc::from([]), Vec::new())
     }
 }
 
@@ -175,15 +184,16 @@ impl RankedView {
     /// Panics if a tuple lacks the ranked column; callers check the column
     /// against the schema first.
     pub(crate) fn rank(table: &UncertainTable, ranking: &Ranking) -> (RankedView, bool) {
-        let mut order: Vec<TupleId> = table.tuples().iter().map(|t| t.id()).collect();
+        let mut order: Vec<TupleId> = (0..table.len()).map(TupleId::new).collect();
         order.sort_by(|&a, &b| {
             ranking
                 .compare(table.tuple(a), table.tuple(b))
                 .expect("the ranked column is in the schema")
         });
-        let mut position_of = vec![0usize; table.len()];
+        let mut position_of = vec![0u32; table.len()];
         for (pos, &id) in order.iter().enumerate() {
-            position_of[id.index()] = pos;
+            // Positions count tuples, and `TupleId` caps those at `u32`.
+            position_of[id.index()] = pos as u32;
         }
         let prob = |pos: usize| table.tuple(order[pos]).membership().value();
 
@@ -193,7 +203,7 @@ impl RankedView {
             let mut members: Vec<usize> = rule
                 .members()
                 .iter()
-                .map(|m| position_of[m.index()])
+                .map(|m| position_of[m.index()] as usize)
                 .collect();
             members.sort_unstable();
             let survivors = members.into_iter().map(|pos| (pos, prob(pos)));
@@ -205,9 +215,13 @@ impl RankedView {
                 rules.push(projection);
             }
         }
+        drop(position_of);
 
         let mut column_type = None;
         let mut single_numeric = true;
+        // A zip of two exact-length iterators, mapped: the `Arc` allocates
+        // once, at its final length, and the tuples are written straight
+        // into it.
         let tuples = order
             .iter()
             .zip(rule_at)
@@ -231,11 +245,11 @@ impl RankedView {
     }
 
     /// Assembles a view from its ranked tuples and projected rules.
-    pub(crate) fn from_parts(tuples: Vec<RankedTuple>, rules: Vec<RuleProjection>) -> RankedView {
-        let keys_descend = keys_descend(&tuples);
+    pub(crate) fn from_parts(tuples: Arc<[RankedTuple]>, rules: Vec<RuleProjection>) -> RankedView {
+        let keys_descend = keys_descend(tuples.iter());
         let total_mass = tuples.iter().fold(0.0, |mass, t| mass + t.prob);
         RankedView {
-            tuples: tuples.into(),
+            tuples,
             rules: rules.into(),
             keys_descend,
             total_mass,
@@ -385,12 +399,12 @@ mod tests {
     /// The panda example of Table 1, ranked by duration descending.
     fn panda_view(k: usize) -> (UncertainTable, RankedView) {
         let mut b = UncertainTableBuilder::new(vec!["duration".into()]);
-        let r1 = b.push(0.3, vec![Value::Float(25.0)]).unwrap();
-        let r2 = b.push(0.4, vec![Value::Float(21.0)]).unwrap();
-        let r3 = b.push(0.5, vec![Value::Float(13.0)]).unwrap();
-        let r4 = b.push(1.0, vec![Value::Float(12.0)]).unwrap();
-        let r5 = b.push(0.8, vec![Value::Float(17.0)]).unwrap();
-        let r6 = b.push(0.2, vec![Value::Float(11.0)]).unwrap();
+        let r1 = b.push(0.3, [Value::Float(25.0)]).unwrap();
+        let r2 = b.push(0.4, [Value::Float(21.0)]).unwrap();
+        let r3 = b.push(0.5, [Value::Float(13.0)]).unwrap();
+        let r4 = b.push(1.0, [Value::Float(12.0)]).unwrap();
+        let r5 = b.push(0.8, [Value::Float(17.0)]).unwrap();
+        let r6 = b.push(0.2, [Value::Float(11.0)]).unwrap();
         b.exclusive(&[r2, r3]).unwrap();
         b.exclusive(&[r5, r6]).unwrap();
         let table = b.finish().unwrap();
@@ -436,12 +450,12 @@ mod tests {
         // R5⊕R6 loses R6 and degenerates to a single member, so it is no
         // longer a projected rule; R5 becomes independent.
         let mut b = UncertainTableBuilder::new(vec!["duration".into()]);
-        let _r1 = b.push(0.3, vec![Value::Float(25.0)]).unwrap();
-        let r2 = b.push(0.4, vec![Value::Float(21.0)]).unwrap();
-        let r3 = b.push(0.5, vec![Value::Float(13.0)]).unwrap();
-        let _r4 = b.push(1.0, vec![Value::Float(12.0)]).unwrap();
-        let r5 = b.push(0.8, vec![Value::Float(17.0)]).unwrap();
-        let r6 = b.push(0.2, vec![Value::Float(11.0)]).unwrap();
+        let _r1 = b.push(0.3, [Value::Float(25.0)]).unwrap();
+        let r2 = b.push(0.4, [Value::Float(21.0)]).unwrap();
+        let r3 = b.push(0.5, [Value::Float(13.0)]).unwrap();
+        let _r4 = b.push(1.0, [Value::Float(12.0)]).unwrap();
+        let r5 = b.push(0.8, [Value::Float(17.0)]).unwrap();
+        let r6 = b.push(0.2, [Value::Float(11.0)]).unwrap();
         b.exclusive(&[r2, r3]).unwrap();
         b.exclusive(&[r5, r6]).unwrap();
         let table = b.finish().unwrap();
@@ -483,6 +497,18 @@ mod tests {
         assert!(
             RankedView::from_ranked_probs(&[0.5, 0.5, 0.5], &[vec![0, 1], vec![1, 2]]).is_err()
         );
+    }
+
+    #[test]
+    fn resident_layouts_are_pinned() {
+        // A view holds one `RankedTuple` per tuple; the rule link must not
+        // grow it past 32 bytes.
+        assert_eq!(std::mem::size_of::<Option<RuleHandle>>(), 4);
+        assert!(std::mem::size_of::<RankedTuple>() <= 32);
+        let handle = RuleHandle::from_index(7);
+        assert_eq!(handle.index(), 7);
+        assert_eq!(format!("{handle:?}"), "RuleHandle(7)");
+        assert!(RuleHandle::from_index(0) < handle);
     }
 
     #[test]

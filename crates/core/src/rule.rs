@@ -1,30 +1,40 @@
 //! Generation rules: sets of mutually exclusive tuples.
 
 use std::fmt;
+use std::num::NonZeroU32;
 
 use crate::{Probability, TupleId};
 
 /// Identifies a generation rule within its table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct RuleId(u32);
+///
+/// Stored as the index plus one, so `Option<RuleId>` — a table's per-tuple
+/// rule link — takes four bytes.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct RuleId(NonZeroU32);
 
 impl RuleId {
     /// Creates a rule id from a raw index.
     #[inline]
     pub fn new(index: usize) -> Self {
-        RuleId(u32::try_from(index).expect("tables are limited to u32::MAX rules"))
+        RuleId(crate::index_plus_one(index).expect("tables are limited to u32::MAX - 1 rules"))
     }
 
     /// The raw index into the table's rule storage.
     #[inline]
     pub fn index(self) -> usize {
-        self.0 as usize
+        (self.0.get() - 1) as usize
+    }
+}
+
+impl fmt::Debug for RuleId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("RuleId").field(&self.index()).finish()
     }
 }
 
 impl fmt::Display for RuleId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "R{}", self.0)
+        write!(f, "R{}", self.index())
     }
 }
 
@@ -143,6 +153,16 @@ mod tests {
         assert_eq!(r.len(), 3);
         assert!(!r.is_empty());
         assert!(r.mass().is_certain());
+    }
+
+    #[test]
+    fn optional_ids_take_four_bytes() {
+        // A table keeps one `Option<RuleId>` per tuple.
+        assert_eq!(std::mem::size_of::<Option<RuleId>>(), 4);
+        let id = RuleId::new(3);
+        assert_eq!(id.index(), 3);
+        assert_eq!(format!("{id} {id:?}"), "R3 RuleId(3)");
+        assert!(RuleId::new(0) < id);
     }
 
     #[test]

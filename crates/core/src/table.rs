@@ -4,7 +4,7 @@ use std::sync::OnceLock;
 
 use crate::{
     GenerationRule, ModelError, Probability, RankedView, Ranking, Result, RuleId, SortDirection,
-    Tuple, TupleId, Value,
+    Tuple, TupleId, Value, WorldCount,
 };
 
 /// Tolerance used when checking that a rule's membership probabilities sum to
@@ -19,7 +19,10 @@ const RULE_MASS_EPS: f64 = 1e-9;
 #[derive(Debug, Clone)]
 pub struct UncertainTableBuilder {
     columns: Vec<String>,
-    tuples: Vec<Tuple>,
+    memberships: Vec<Probability>,
+    /// Every tuple's attribute row, back to back: tuple `i` holds
+    /// `values[i * arity..(i + 1) * arity]`.
+    values: Vec<Value>,
     rules: Vec<GenerationRule>,
     /// `rule_of[i]` is the multi-tuple rule containing tuple `i`, if any.
     rule_of: Vec<Option<RuleId>>,
@@ -30,7 +33,8 @@ impl UncertainTableBuilder {
     pub fn new(columns: Vec<String>) -> Self {
         UncertainTableBuilder {
             columns,
-            tuples: Vec::new(),
+            memberships: Vec::new(),
+            values: Vec::new(),
             rules: Vec::new(),
             rule_of: Vec::new(),
         }
@@ -43,28 +47,39 @@ impl UncertainTableBuilder {
     }
 
     /// Appends a tuple with membership probability `membership` and the given
-    /// attribute row; returns its id.
+    /// attribute row; returns its id. The row's values go straight into
+    /// the table's value array: a row is never a collection of its own.
     ///
     /// # Errors
     /// Fails if the probability is outside `(0, 1]` or the row arity does not
-    /// match the schema.
-    pub fn push(&mut self, membership: f64, attrs: Vec<Value>) -> Result<TupleId> {
+    /// match the schema; the table is then unchanged.
+    pub fn push(
+        &mut self,
+        membership: f64,
+        attrs: impl IntoIterator<Item = Value>,
+    ) -> Result<TupleId> {
         let membership = Probability::new_membership(membership)?;
-        if attrs.len() != self.columns.len() {
+        let arity = self.columns.len();
+        let start = self.values.len();
+        let mut attrs = attrs.into_iter();
+        self.values.extend(attrs.by_ref().take(arity));
+        let actual = self.values.len() - start + attrs.count();
+        if actual != arity {
+            self.values.truncate(start);
             return Err(ModelError::ArityMismatch {
-                expected: self.columns.len(),
-                actual: attrs.len(),
+                expected: arity,
+                actual,
             });
         }
-        let id = TupleId::new(self.tuples.len());
-        self.tuples.push(Tuple::new(id, membership, attrs));
+        let id = TupleId::new(self.memberships.len());
+        self.memberships.push(membership);
         self.rule_of.push(None);
         Ok(id)
     }
 
     /// Convenience for single-column tables: pushes `(membership, score)`.
     pub fn push_scored(&mut self, membership: f64, score: f64) -> Result<TupleId> {
-        self.push(membership, vec![Value::Float(score)])
+        self.push(membership, [Value::Float(score)])
     }
 
     /// Declares the given tuples mutually exclusive (a multi-tuple generation
@@ -80,8 +95,8 @@ impl UncertainTableBuilder {
         let mut seen = std::collections::HashSet::with_capacity(members.len());
         let mut mass = 0.0;
         for &m in members {
-            let tuple = self
-                .tuples
+            let membership = self
+                .memberships
                 .get(m.index())
                 .ok_or(ModelError::UnknownTuple(m))?;
             if !seen.insert(m) {
@@ -90,7 +105,7 @@ impl UncertainTableBuilder {
             if let Some(existing) = self.rule_of[m.index()] {
                 return Err(ModelError::TupleInMultipleRules { tuple: m, existing });
             }
-            mass += tuple.membership().value();
+            mass += membership.value();
         }
         if mass > 1.0 + RULE_MASS_EPS {
             return Err(ModelError::RuleMassExceedsOne {
@@ -112,12 +127,12 @@ impl UncertainTableBuilder {
 
     /// Number of tuples pushed so far.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.memberships.len()
     }
 
     /// Whether no tuples have been pushed yet.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.memberships.is_empty()
     }
 
     /// Finalizes the table.
@@ -129,7 +144,8 @@ impl UncertainTableBuilder {
         Ok(UncertainTable {
             ranked: self.columns.iter().map(|_| Default::default()).collect(),
             columns: self.columns,
-            tuples: self.tuples,
+            memberships: self.memberships,
+            values: self.values,
             rules: self.rules,
             rule_of: self.rule_of,
         })
@@ -142,13 +158,20 @@ impl UncertainTableBuilder {
 /// Tuples not covered by any multi-tuple rule are *independent*; the paper's
 /// conceptual singleton rules are not materialized.
 ///
+/// The tuples live in three flat arrays indexed by [`TupleId::index`] —
+/// memberships, attribute values (row-major, one row of `columns().len()`
+/// values per tuple) and rule links — so a table makes a handful of
+/// allocations however many rows it holds, and [`Tuple`] is a borrow into
+/// them.
+///
 /// The table also keeps its predicate-free ranked view per ranking, built on
 /// first use (see [`UncertainTable::ranked`]). The table is immutable, so a
 /// kept view never goes stale, and the table can be shared across threads.
 #[derive(Debug, Clone)]
 pub struct UncertainTable {
     columns: Vec<String>,
-    tuples: Vec<Tuple>,
+    memberships: Vec<Probability>,
+    values: Vec<Value>,
     rules: Vec<GenerationRule>,
     rule_of: Vec<Option<RuleId>>,
     /// `ranked[c][d]`: the ranked view by column `c`, descending (`d = 0`)
@@ -170,25 +193,31 @@ impl UncertainTable {
 
     /// Number of tuples.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.memberships.len()
     }
 
     /// Whether the table has no tuples.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.memberships.is_empty()
     }
 
-    /// All tuples, indexed by [`TupleId::index`].
-    pub fn tuples(&self) -> &[Tuple] {
-        &self.tuples
+    /// All tuples, in [`TupleId::index`] order.
+    pub fn tuples(&self) -> impl ExactSizeIterator<Item = Tuple<'_>> + '_ {
+        (0..self.len()).map(|i| self.tuple(TupleId::new(i)))
     }
 
     /// The tuple with the given id.
     ///
     /// # Panics
     /// Panics if the id does not belong to this table.
-    pub fn tuple(&self, id: TupleId) -> &Tuple {
-        &self.tuples[id.index()]
+    pub fn tuple(&self, id: TupleId) -> Tuple<'_> {
+        let arity = self.columns.len();
+        let row = id.index() * arity;
+        Tuple::new(
+            id,
+            self.memberships[id.index()],
+            &self.values[row..row + arity],
+        )
     }
 
     /// All multi-tuple generation rules.
@@ -250,28 +279,24 @@ impl UncertainTable {
 
     /// The number of possible worlds:
     /// `Π_{Pr(R)=1} |R| · Π_{Pr(R)<1} (|R|+1)`, counting independent tuples as
-    /// singleton rules (§2). Saturates at `f64` precision — on large tables
-    /// this is astronomically big, which is exactly the paper's point.
-    pub fn world_count(&self) -> f64 {
-        let mut count = 1.0f64;
-        for rule in &self.rules {
-            let options = if rule.mass().is_certain() {
-                rule.len() as f64
+    /// singleton rules (§2). On large tables this is astronomically big —
+    /// past `f64::MAX` from about a thousand uncertain independents — which
+    /// is exactly the paper's point; [`WorldCount`] still renders it.
+    pub fn world_count(&self) -> WorldCount {
+        let rules = self.rules.iter().map(|rule| {
+            if rule.mass().is_certain() {
+                rule.len()
             } else {
-                rule.len() as f64 + 1.0
-            };
-            count *= options;
-        }
-        for (i, t) in self.tuples.iter().enumerate() {
-            if self.rule_of[i].is_none() {
-                count *= if t.membership().is_certain() {
-                    1.0
-                } else {
-                    2.0
-                };
+                rule.len() + 1
             }
-        }
-        count
+        });
+        let independents = self
+            .memberships
+            .iter()
+            .zip(&self.rule_of)
+            .filter(|(_, rule)| rule.is_none())
+            .map(|(membership, _)| if membership.is_certain() { 1 } else { 2 });
+        WorldCount::product(rules.chain(independents))
     }
 }
 
@@ -301,15 +326,28 @@ mod tests {
     #[test]
     fn push_rejects_bad_probability_and_arity() {
         let mut b = UncertainTableBuilder::new(vec!["a".into(), "b".into()]);
-        assert!(b.push(0.0, vec![Value::Int(1), Value::Int(2)]).is_err());
-        assert!(b.push(1.5, vec![Value::Int(1), Value::Int(2)]).is_err());
+        assert!(b.push(0.0, [Value::Int(1), Value::Int(2)]).is_err());
+        assert!(b.push(1.5, [Value::Int(1), Value::Int(2)]).is_err());
         assert!(matches!(
-            b.push(0.5, vec![Value::Int(1)]),
+            b.push(0.5, [Value::Int(1)]),
             Err(ModelError::ArityMismatch {
                 expected: 2,
                 actual: 1
             })
         ));
+        assert!(matches!(
+            b.push(0.5, (0..5).map(Value::Int)),
+            Err(ModelError::ArityMismatch {
+                expected: 2,
+                actual: 5
+            })
+        ));
+        // A refused row leaves nothing behind.
+        let id = b.push(0.5, [Value::Int(7), Value::Null]).unwrap();
+        assert_eq!(id.index(), 0);
+        let t = b.finish().unwrap();
+        assert_eq!(t.tuple(id).attrs(), &[Value::Int(7), Value::Null]);
+        assert_eq!(t.tuples().len(), 1);
     }
 
     #[test]
@@ -392,13 +430,14 @@ mod tests {
         // (certain), rule R2⊕R3 has mass 0.9 < 1 so contributes |R|+1 = 3,
         // rule R5⊕R6 has mass 1.0 so contributes |R| = 2: 2·1·3·2 = 12,
         // matching the 12 possible worlds of Table 2.
-        assert_eq!(t.world_count(), 12.0);
+        assert_eq!(t.world_count().as_f64(), 12.0);
+        assert_eq!(t.world_count().to_string(), "1.200e1");
     }
 
     #[test]
     fn empty_table_has_one_world() {
         let t = UncertainTableBuilder::single_column().finish().unwrap();
         assert!(t.is_empty());
-        assert_eq!(t.world_count(), 1.0);
+        assert_eq!(t.world_count().as_f64(), 1.0);
     }
 }

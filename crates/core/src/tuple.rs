@@ -32,16 +32,18 @@ impl fmt::Display for TupleId {
 }
 
 /// An uncertain tuple: a row of attribute [`Value`]s plus a membership
-/// [`Probability`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct Tuple {
+/// [`Probability`], borrowed from its table's flat arrays (see
+/// [`UncertainTable::tuple`](crate::UncertainTable::tuple)). Copying it
+/// copies the borrow, not the row.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Tuple<'a> {
     id: TupleId,
     membership: Probability,
-    attrs: Vec<Value>,
+    attrs: &'a [Value],
 }
 
-impl Tuple {
-    pub(crate) fn new(id: TupleId, membership: Probability, attrs: Vec<Value>) -> Self {
+impl<'a> Tuple<'a> {
+    pub(crate) fn new(id: TupleId, membership: Probability, attrs: &'a [Value]) -> Self {
         Tuple {
             id,
             membership,
@@ -51,25 +53,25 @@ impl Tuple {
 
     /// The tuple's identifier within its table.
     #[inline]
-    pub fn id(&self) -> TupleId {
+    pub fn id(self) -> TupleId {
         self.id
     }
 
     /// The probability that this tuple exists (`Pr(t)` in the paper).
     #[inline]
-    pub fn membership(&self) -> Probability {
+    pub fn membership(self) -> Probability {
         self.membership
     }
 
     /// The attribute values, in schema column order.
     #[inline]
-    pub fn attrs(&self) -> &[Value] {
-        &self.attrs
+    pub fn attrs(self) -> &'a [Value] {
+        self.attrs
     }
 
     /// The value in column `col`, if the column exists.
     #[inline]
-    pub fn attr(&self, col: usize) -> Option<&Value> {
+    pub fn attr(self, col: usize) -> Option<&'a Value> {
         self.attrs.get(col)
     }
 }
@@ -93,10 +95,11 @@ mod tests {
 
     #[test]
     fn tuple_accessors() {
+        let attrs = [Value::from(10i64), Value::from("loc-A")];
         let t = Tuple::new(
             TupleId::new(0),
             Probability::new_membership(0.4).unwrap(),
-            vec![Value::from(10i64), Value::from("loc-A")],
+            &attrs,
         );
         assert_eq!(t.id().index(), 0);
         assert_eq!(t.membership().value(), 0.4);

@@ -41,7 +41,7 @@ fn gen_table(rng: &mut StdRng, size: usize) -> TableSpec {
 fn build(rows: &[(f64, f64)], pairs: &[(usize, usize)]) -> ptk_core::UncertainTable {
     let mut b = UncertainTableBuilder::single_column();
     for (prob, score) in rows {
-        b.push(*prob, vec![Value::Float(*score)]).unwrap();
+        b.push(*prob, [Value::Float(*score)]).unwrap();
     }
     for (i, j) in pairs {
         b.exclusive(&[TupleId::new(*i), TupleId::new(*j)]).unwrap();
@@ -59,7 +59,7 @@ fn builder_ids_are_dense() {
             let (rows, pairs) = gen_table(rng, size);
             let table = build(&rows, &pairs);
             prop_assert_eq!(table.len(), rows.len());
-            for (i, t) in table.tuples().iter().enumerate() {
+            for (i, t) in table.tuples().enumerate() {
                 prop_assert_eq!(t.id().index(), i);
                 prop_assert!((t.membership().value() - rows[i].0).abs() < 1e-15);
             }
@@ -137,7 +137,7 @@ fn predicates_satisfy_de_morgan() {
         let c1 = rng.random_range(-100.0..100.0f64);
         let c2 = rng.random_range(-100.0..100.0f64);
         let mut b = UncertainTableBuilder::single_column();
-        b.push(0.5, vec![Value::Float(score)]).unwrap();
+        b.push(0.5, [Value::Float(score)]).unwrap();
         let table = b.finish().unwrap();
         let t = table.tuple(TupleId::new(0));
         let a = Predicate::compare(0, ComparisonOp::Gt, c1);
@@ -195,7 +195,7 @@ fn world_count_bounds() {
         |rng, size| {
             let (rows, pairs) = gen_table(rng, size);
             let table = build(&rows, &pairs);
-            let count = table.world_count();
+            let count = table.world_count().as_f64();
             prop_assert!(count >= 1.0);
             // Upper bound: every tuple independent and uncertain.
             prop_assert!(count <= 2f64.powi(rows.len() as i32) + 1e-9);

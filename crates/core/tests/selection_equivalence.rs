@@ -4,7 +4,10 @@
 //! is kept here as the reference. The selection itself (its length, every
 //! position, its score flag, total mass and rule projections) is checked
 //! against the reference too, whether it is a ranked range or took the
-//! predicate pass.
+//! predicate pass. Tables come in two shapes: six typed columns built for
+//! the ranked-range edge cases, or zero to four columns whose cells are of
+//! any kind (`Null`, `Bool`, `Int`, `Float`, `Text`); every table must
+//! also hand back exactly the rows pushed into it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -14,8 +17,8 @@ use ptk_core::rng::{RngExt, StdRng};
 
 use ptk_core::{
     ComparisonOp, ModelError, Predicate, RankedTuple, RankedView, Ranking, RuleHandle,
-    RuleProjection, Selection, SortDirection, TopKQuery, UncertainTable, UncertainTableBuilder,
-    Value,
+    RuleProjection, Selection, SortDirection, TopKQuery, TupleId, UncertainTable,
+    UncertainTableBuilder, Value,
 };
 
 /// The reference: filter in table order, sort the survivors, project each
@@ -90,12 +93,39 @@ fn reference_build(
     Ok((tuples, rules))
 }
 
-/// Columns: 0 `score` (floats and ints with ties), 1 `label` (text),
-/// 2 `maybe` (numeric or NULL), 3 `row` (the row index), 4 `big` (ints
-/// only, beyond ±2^53 too), 5 `real` (floats only, with NaN, ±0.0, ±∞).
-/// Comparisons of a ranked `row`, `big` or `real` with a number select a
-/// ranked range; every other predicate takes the predicate pass.
+/// Columns of the wide shape: 0 `score` (floats and ints with ties), 1
+/// `label` (text), 2 `maybe` (numeric or NULL), 3 `row` (the row index), 4
+/// `big` (ints only, beyond ±2^53 too), 5 `real` (floats only, with NaN,
+/// ±0.0, ±∞). Comparisons of a ranked `row`, `big` or `real` with a number
+/// select a ranked range; every other predicate takes the predicate pass.
 const COLUMNS: usize = 6;
+
+/// The columns of a generated table.
+#[derive(Clone, Copy)]
+enum Shape {
+    /// The [`COLUMNS`] typed columns.
+    Wide,
+    /// `arity` columns of cells of any kind, or each of one numeric kind.
+    /// At arity 0 nothing can be ranked: every query ranks by a missing
+    /// column.
+    Narrow { arity: usize },
+}
+
+impl Shape {
+    fn arity(self) -> usize {
+        match self {
+            Shape::Wide => COLUMNS,
+            Shape::Narrow { arity } => arity,
+        }
+    }
+}
+
+/// A generated table and the rows pushed into it, in push order.
+struct Generated {
+    table: UncertainTable,
+    shape: Shape,
+    rows: Vec<(f64, Vec<Value>)>,
+}
 
 const TWO_53: i64 = 1 << 53;
 
@@ -127,41 +157,88 @@ const REAL: [f64; 9] = [
 /// `1 + 1 ulp`, which the builder accepts and projection must clamp.
 const HALF_UP: f64 = 0.500_000_000_000_000_2;
 
-fn gen_table(rng: &mut StdRng, size: usize) -> UncertainTable {
+/// A membership probability: certain, a half, two ulps above a half, or
+/// uniform.
+fn gen_prob(rng: &mut StdRng) -> f64 {
+    match rng.random_range(0..7u32) {
+        0 => 1.0,
+        1 => HALF_UP,
+        2 => 0.5,
+        _ => rng.random_range(0.01..=0.6f64),
+    }
+}
+
+/// A row of the wide shape.
+fn gen_wide_row(rng: &mut StdRng, i: usize) -> Vec<Value> {
+    // Scores from a small set, so ties are common; ints and floats mix.
+    let score = match rng.random_range(0..3u32) {
+        0 => Value::Int(rng.random_range(0..6i64)),
+        _ => Value::Float(f64::from(rng.random_range(0..8u32)) * 0.5),
+    };
+    let label = Value::Text(format!("{}", (b'a' + rng.random_range(0..4u8)) as char));
+    let maybe = if rng.random_bool(0.3) {
+        Value::Null
+    } else {
+        Value::Float(rng.random_range(-5.0..5.0f64))
+    };
+    let big = Value::Int(BIG[rng.random_range(0..BIG.len())]);
+    let real = Value::Float(REAL[rng.random_range(0..REAL.len())]);
+    vec![score, label, maybe, Value::Int(i as i64), big, real]
+}
+
+/// A cell of kind `kind` (0 `Null`, 1 `Bool`, 2 `Int`, 3 `Float`, 4
+/// `Text`), or of a random kind. Ints and floats share values, so mixed
+/// columns tie across kinds.
+fn gen_cell(rng: &mut StdRng, kind: Option<u32>) -> Value {
+    match kind.unwrap_or_else(|| rng.random_range(0..5u32)) {
+        0 => Value::Null,
+        1 => Value::Bool(rng.random_bool(0.5)),
+        2 => Value::Int(rng.random_range(-3..=3i64)),
+        3 => Value::Float(f64::from(rng.random_range(-6..=6i32)) * 0.5),
+        _ => Value::from(["", "a", "b", "b c", "z"][rng.random_range(0..5usize)]),
+    }
+}
+
+fn gen_table(rng: &mut StdRng, size: usize) -> Generated {
     let n = rng.random_range(0..=size.max(1) * 2);
-    let mut b = UncertainTableBuilder::new(vec![
-        "score".into(),
-        "label".into(),
-        "maybe".into(),
-        "row".into(),
-        "big".into(),
-        "real".into(),
-    ]);
+    let shape = if rng.random_bool(0.7) {
+        Shape::Wide
+    } else {
+        Shape::Narrow {
+            arity: rng.random_range(0..=4usize),
+        }
+    };
+    let mut b = match shape {
+        Shape::Wide => UncertainTableBuilder::new(vec![
+            "score".into(),
+            "label".into(),
+            "maybe".into(),
+            "row".into(),
+            "big".into(),
+            "real".into(),
+        ]),
+        Shape::Narrow { arity } => {
+            UncertainTableBuilder::new((0..arity).map(|c| format!("c{c}")).collect())
+        }
+    };
+    // Per narrow column: one numeric kind (so a comparison of it, ranked,
+    // can be a ranked range) or any kind per cell.
+    let kinds: Vec<Option<u32>> = (0..shape.arity())
+        .map(|_| match rng.random_range(0..4u32) {
+            0 => Some(2),
+            1 => Some(3),
+            _ => None,
+        })
+        .collect();
+    let mut rows = Vec::with_capacity(n);
     for i in 0..n {
-        // Scores from a small set, so ties are common; ints and floats mix.
-        let score = match rng.random_range(0..3u32) {
-            0 => Value::Int(rng.random_range(0..6i64)),
-            _ => Value::Float(f64::from(rng.random_range(0..8u32)) * 0.5),
+        let attrs = match shape {
+            Shape::Wide => gen_wide_row(rng, i),
+            Shape::Narrow { .. } => kinds.iter().map(|&kind| gen_cell(rng, kind)).collect(),
         };
-        let label = Value::Text(format!("{}", (b'a' + rng.random_range(0..4u8)) as char));
-        let maybe = if rng.random_bool(0.3) {
-            Value::Null
-        } else {
-            Value::Float(rng.random_range(-5.0..5.0f64))
-        };
-        let prob = match rng.random_range(0..7u32) {
-            0 => 1.0,
-            1 => HALF_UP,
-            2 => 0.5,
-            _ => rng.random_range(0.01..=0.6f64),
-        };
-        let big = Value::Int(BIG[rng.random_range(0..BIG.len())]);
-        let real = Value::Float(REAL[rng.random_range(0..REAL.len())]);
-        b.push(
-            prob,
-            vec![score, label, maybe, Value::Int(i as i64), big, real],
-        )
-        .expect("valid row");
+        let prob = gen_prob(rng);
+        b.push(prob, attrs.iter().cloned()).expect("valid row");
+        rows.push((prob, attrs));
     }
     // Disjoint rules of 2..=4 random members, kept when the builder
     // accepts their mass (up to 1 + 1e-9, so 1 + 1 ulp passes).
@@ -169,15 +246,53 @@ fn gen_table(rng: &mut StdRng, size: usize) -> UncertainTable {
     rng.shuffle(&mut free);
     while free.len() >= 2 && rng.random_bool(0.7) {
         let take = rng.random_range(2..=4usize).min(free.len());
-        let members: Vec<_> = free.drain(..take).map(ptk_core::TupleId::new).collect();
+        let members: Vec<_> = free.drain(..take).map(TupleId::new).collect();
         let _ = b.exclusive(&members);
     }
-    b.finish().expect("builder invariants hold")
+    let table = b.finish().expect("builder invariants hold");
+    Generated { table, shape, rows }
 }
 
-/// A comparison of `column` with a constant of the column's kind; `big`
-/// and `real` also meet constants of the other numeric type.
-fn gen_compare_on(rng: &mut StdRng, column: usize, n: usize) -> Predicate {
+/// Whether two values are the same, floats bit for bit.
+fn same_value(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        _ => a == b,
+    }
+}
+
+/// The table hands back exactly the rows pushed into it, through
+/// `tuples()` and `tuple(id)` alike.
+fn same_rows(table: &UncertainTable, rows: &[(f64, Vec<Value>)]) -> Result<(), String> {
+    prop_assert_eq!(table.tuples().len(), rows.len());
+    for (i, (t, (prob, attrs))) in table.tuples().zip(rows).enumerate() {
+        prop_assert_eq!(t.id(), TupleId::new(i));
+        let by_id = table.tuple(t.id());
+        prop_assert_eq!(
+            (by_id.membership(), by_id.attrs().as_ptr()),
+            (t.membership(), t.attrs().as_ptr()),
+            "tuple {}",
+            i
+        );
+        prop_assert_eq!(t.membership().value().to_bits(), prob.to_bits());
+        prop_assert_eq!(t.attrs().len(), attrs.len(), "arity of {}", i);
+        for (col, want) in attrs.iter().enumerate() {
+            let got = t.attr(col).expect("column in the schema");
+            if !same_value(got, want) {
+                return Err(format!(
+                    "tuple {i} column {col}: {got:?} vs pushed {want:?}"
+                ));
+            }
+        }
+        prop_assert_eq!(t.attr(attrs.len()), None, "past the arity of {}", i);
+    }
+    Ok(())
+}
+
+/// A comparison of `column` with a constant of the column's kind (on the
+/// wide shape; `big` and `real` also meet constants of the other numeric
+/// type), or of any kind (on the narrow one).
+fn gen_compare_on(rng: &mut StdRng, shape: Shape, column: usize, n: usize) -> Predicate {
     let op = [
         ComparisonOp::Eq,
         ComparisonOp::Ne,
@@ -186,6 +301,9 @@ fn gen_compare_on(rng: &mut StdRng, column: usize, n: usize) -> Predicate {
         ComparisonOp::Gt,
         ComparisonOp::Ge,
     ][rng.random_range(0..6usize)];
+    if let Shape::Narrow { .. } = shape {
+        return Predicate::compare(column, op, gen_cell(rng, None));
+    }
     let value = match column {
         0 => Value::Float(f64::from(rng.random_range(0..8u32)) * 0.5),
         1 => Value::from("b"),
@@ -212,28 +330,35 @@ fn gen_compare_on(rng: &mut StdRng, column: usize, n: usize) -> Predicate {
     Predicate::compare(column, op, value)
 }
 
-fn gen_compare(rng: &mut StdRng, n: usize) -> Predicate {
-    let column = rng.random_range(0..COLUMNS);
-    gen_compare_on(rng, column, n)
-}
-
-fn gen_predicate(rng: &mut StdRng, n: usize) -> Predicate {
-    match rng.random_range(0..8u32) {
-        0 => Predicate::True,
-        1 => gen_compare(rng, n).and(gen_compare(rng, n)),
-        2 => gen_compare(rng, n).or(gen_compare(rng, n)),
-        3 => gen_compare(rng, n).not(),
-        // Rarely, a column the schema lacks: the error must match too.
-        4 if rng.random_bool(0.1) => Predicate::compare(COLUMNS, ComparisonOp::Gt, 0.0),
-        _ => gen_compare(rng, n),
+fn gen_compare(rng: &mut StdRng, shape: Shape, n: usize) -> Predicate {
+    match shape.arity() {
+        // No column to compare: the predicate pass meets a missing one.
+        0 => Predicate::compare(0, ComparisonOp::Ne, Value::Null),
+        arity => {
+            let column = rng.random_range(0..arity);
+            gen_compare_on(rng, shape, column, n)
+        }
     }
 }
 
-fn gen_query(rng: &mut StdRng, n: usize) -> TopKQuery {
-    let column = if rng.random_bool(0.05) {
-        COLUMNS
+fn gen_predicate(rng: &mut StdRng, shape: Shape, n: usize) -> Predicate {
+    match rng.random_range(0..8u32) {
+        0 => Predicate::True,
+        1 => gen_compare(rng, shape, n).and(gen_compare(rng, shape, n)),
+        2 => gen_compare(rng, shape, n).or(gen_compare(rng, shape, n)),
+        3 => gen_compare(rng, shape, n).not(),
+        // Rarely, a column the schema lacks: the error must match too.
+        4 if rng.random_bool(0.1) => Predicate::compare(shape.arity(), ComparisonOp::Gt, 0.0),
+        _ => gen_compare(rng, shape, n),
+    }
+}
+
+fn gen_query(rng: &mut StdRng, shape: Shape, n: usize) -> TopKQuery {
+    let arity = shape.arity();
+    let column = if arity == 0 || rng.random_bool(0.05) {
+        arity
     } else {
-        rng.random_range(0..COLUMNS)
+        rng.random_range(0..arity)
     };
     let direction = if rng.random_bool(0.5) {
         SortDirection::Descending
@@ -244,9 +369,9 @@ fn gen_query(rng: &mut StdRng, n: usize) -> TopKQuery {
     // `big` and `real` that is a ranked range (on a missing column, the
     // same error as the predicate pass).
     let predicate = if rng.random_bool(1.0 / 3.0) {
-        gen_compare_on(rng, column, n)
+        gen_compare_on(rng, shape, column, n)
     } else {
-        gen_predicate(rng, n)
+        gen_predicate(rng, shape, n)
     };
     TopKQuery::new(1 + n / 2, predicate, Ranking::by_column(column, direction)).expect("k >= 1")
 }
@@ -339,18 +464,30 @@ fn build_equals_the_filter_sort_project_reference() {
     // Filtered selections found as a proper ranked range, neither empty
     // nor the whole table: the generator must reach them.
     let proper_ranges = AtomicUsize::new(0);
+    // Narrow tables by arity: at 0 every table, above it the non-empty
+    // views built. Every arity must be reached.
+    let narrow: [AtomicUsize; 5] = Default::default();
     check(
         "build_equals_the_filter_sort_project_reference",
         Config::cases(400).sizes(1, 40).seed(0x005e_1ec7),
         |rng, size| {
-            let table = gen_table(rng, size);
+            let Generated { table, shape, rows } = gen_table(rng, size);
+            same_rows(&table, &rows)?;
+            if let Shape::Narrow { arity: 0 } = shape {
+                narrow[0].fetch_add(1, Ordering::Relaxed);
+            }
             // Several queries per table, so later ones reuse the kept views.
             for _ in 0..4 {
-                let query = gen_query(rng, table.len());
+                let query = gen_query(rng, shape, table.len());
                 let want = reference_build(&table, &query);
                 let got = RankedView::build(&table, &query);
                 match (got, want) {
                     (Ok(view), Ok((tuples, rules))) => {
+                        if let Shape::Narrow { arity } = shape {
+                            if !view.is_empty() {
+                                narrow[arity].fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
                         same_tuples(view.tuples(), &tuples)?;
                         same_rules(view.rules(), &rules)?;
                         let selection =
@@ -382,6 +519,11 @@ fn build_equals_the_filter_sort_project_reference() {
     );
     let proper_ranges = proper_ranges.into_inner();
     assert!(proper_ranges >= 50, "{proper_ranges} proper ranked ranges");
+    let narrow = narrow.map(AtomicUsize::into_inner);
+    assert!(
+        narrow.iter().all(|&n| n >= 10),
+        "narrow tables by arity: {narrow:?}"
+    );
 }
 
 #[test]
@@ -461,7 +603,7 @@ fn a_mixed_numeric_column_takes_the_predicate_pass() {
         Value::Int(TWO_53 + 1),
         Value::Float(TWO_53 as f64),
     ] {
-        b.push(0.5, vec![value]).unwrap();
+        b.push(0.5, [value]).unwrap();
     }
     let table = b.finish().unwrap();
     let ranking = Ranking::descending(0);
@@ -493,8 +635,7 @@ fn a_mixed_numeric_column_takes_the_predicate_pass() {
 fn single_type_comparisons_of_the_ranked_column_select_a_range() {
     let mut b = UncertainTableBuilder::new(vec!["big".into(), "real".into()]);
     for (big, real) in BIG.iter().zip(REAL) {
-        b.push(0.5, vec![Value::Int(*big), Value::Float(real)])
-            .unwrap();
+        b.push(0.5, [Value::Int(*big), Value::Float(real)]).unwrap();
     }
     let table = b.finish().unwrap();
     for (column, value) in [(0, Value::Float(TWO_53 as f64)), (1, Value::Int(0))] {

@@ -156,7 +156,7 @@ impl IipDataset {
                 let id = builder
                     .push(
                         membership,
-                        vec![
+                        [
                             Value::Float(drift),
                             Value::from(source),
                             Value::Float(base_lat + rng.random_range(-0.005..0.005f64)),
@@ -179,7 +179,7 @@ impl IipDataset {
             builder
                 .push(
                     conf,
-                    vec![
+                    [
                         Value::Float(drift),
                         Value::from(source),
                         Value::Float(rng.random_range(40.0..52.0f64)),

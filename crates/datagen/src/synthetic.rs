@@ -1,9 +1,7 @@
 //! Synthetic uncertain tables per §6.2 of the paper.
 
 use ptk_core::rng::{RngExt, SeedableRng, StdRng};
-use ptk_core::{
-    RankedView, Ranking, TopKQuery, TupleId, UncertainTable, UncertainTableBuilder, Value,
-};
+use ptk_core::{RankedView, Ranking, TopKQuery, TupleId, UncertainTable, UncertainTableBuilder};
 
 use crate::normal::{sample_normal, sample_normal_clamped};
 
@@ -265,7 +263,7 @@ impl SyntheticDataset {
         let mut builder = UncertainTableBuilder::single_column();
         for (i, &p) in probs.iter().enumerate() {
             builder
-                .push(p, vec![Value::Float((n - i) as f64)])
+                .push_scored(p, (n - i) as f64)
                 .expect("generated probabilities are valid");
         }
         for group in &groups {

@@ -327,8 +327,7 @@ fn random_table(rng: &mut StdRng) -> UncertainTable {
             _ => rng.random_range(0.05..=0.5f64),
         };
         let tied = Value::Int(rng.random_range(0..6i64));
-        b.push(prob, vec![score, Value::Int(i as i64), tied])
-            .unwrap();
+        b.push(prob, [score, Value::Int(i as i64), tied]).unwrap();
     }
     let mut free: Vec<usize> = (0..n).collect();
     rng.shuffle(&mut free);

@@ -432,7 +432,7 @@ mod tests {
     #[test]
     fn conditions_at_the_depth_limit_parse_bind_and_evaluate() {
         let mut b = ptk_core::UncertainTableBuilder::single_column();
-        b.push(0.5, vec![ptk_core::Value::Int(1)]).unwrap();
+        b.push(0.5, [ptk_core::Value::Int(1)]).unwrap();
         let table = b.finish().unwrap();
         let tuple = table.tuple(ptk_core::TupleId::new(0));
         for condition in nested_conditions(MAX_CONDITION_DEPTH) {

@@ -1,6 +1,6 @@
 //! Exhaustive enumeration of possible worlds.
 
-use ptk_core::RankedView;
+use ptk_core::{RankedView, WorldCount};
 
 use crate::{PossibleWorld, TooManyWorlds};
 
@@ -92,9 +92,9 @@ impl WorldEnumerator {
         WorldEnumerator { choices, digits }
     }
 
-    /// The exact number of worlds this enumerator will produce.
-    pub fn num_worlds(&self) -> f64 {
-        self.choices.iter().map(|c| c.arity() as f64).product()
+    /// The number of worlds this enumerator will produce.
+    pub fn num_worlds(&self) -> WorldCount {
+        WorldCount::product(self.choices.iter().map(Choice::arity))
     }
 }
 
@@ -135,7 +135,7 @@ impl Iterator for WorldEnumerator {
 
 /// The number of possible worlds of `view` (the paper's `|W|` formula, over
 /// the projected rules and independent tuples of the view).
-pub fn world_count(view: &RankedView) -> f64 {
+pub fn world_count(view: &RankedView) -> WorldCount {
     WorldEnumerator::new(view).num_worlds()
 }
 
@@ -150,7 +150,7 @@ pub fn try_enumerate(
 ) -> Result<Vec<PossibleWorld>, TooManyWorlds> {
     let e = WorldEnumerator::new(view);
     let count = e.num_worlds();
-    if count > max_worlds as f64 {
+    if count.exceeds(max_worlds) {
         return Err(TooManyWorlds {
             worlds: count,
             budget: max_worlds,
@@ -182,7 +182,7 @@ mod tests {
     #[test]
     fn panda_has_twelve_worlds() {
         let view = panda();
-        assert_eq!(world_count(&view), 12.0);
+        assert_eq!(world_count(&view).as_f64(), 12.0);
         let worlds = enumerate(&view).unwrap();
         assert_eq!(worlds.len(), 12);
         let total: f64 = worlds.iter().map(|w| w.prob).sum();
@@ -247,7 +247,7 @@ mod tests {
         let probs = vec![0.5; 30];
         let view = RankedView::from_ranked_probs(&probs, &[]).unwrap();
         let err = try_enumerate(&view, 1000).unwrap_err();
-        assert_eq!(err.worlds, 2f64.powi(30));
+        assert_eq!(err.worlds.as_f64(), 2f64.powi(30));
         assert_eq!(err.budget, 1000);
         assert!(err.to_string().contains("budget"));
     }

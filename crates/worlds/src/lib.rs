@@ -36,10 +36,10 @@ pub use enumerator::{enumerate, try_enumerate, world_count, WorldEnumerator};
 pub use world::PossibleWorld;
 
 /// Error raised when enumeration would exceed the configured world budget.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct TooManyWorlds {
     /// The number of possible worlds the view has.
-    pub worlds: f64,
+    pub worlds: ptk_core::WorldCount,
     /// The configured budget.
     pub budget: u64,
 }

@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (rid, loc, sensor, duration, conf) in rows {
         ids.push(builder.push(
             conf,
-            vec![
+            [
                 Value::Float(duration),
                 Value::from(rid),
                 Value::from(loc),

@@ -13,18 +13,18 @@ fn main() -> ptk::Result<(), Box<dyn std::error::Error>> {
     // probability) each. Readings 1 and 2 came from co-located sensors at
     // the same moment, so at most one of them is real — a generation rule.
     let mut builder = UncertainTableBuilder::new(vec!["reading".into(), "sensor".into()]);
-    let t0 = builder.push(0.9, vec![Value::Float(84.2), Value::from("s-101")])?;
-    let t1 = builder.push(0.5, vec![Value::Float(79.9), Value::from("s-206")])?;
-    let t2 = builder.push(0.45, vec![Value::Float(78.1), Value::from("s-231")])?;
-    let t3 = builder.push(0.7, vec![Value::Float(71.3), Value::from("s-063")])?;
-    let t4 = builder.push(1.0, vec![Value::Float(65.0), Value::from("s-104")])?;
+    let t0 = builder.push(0.9, [Value::Float(84.2), Value::from("s-101")])?;
+    let t1 = builder.push(0.5, [Value::Float(79.9), Value::from("s-206")])?;
+    let t2 = builder.push(0.45, [Value::Float(78.1), Value::from("s-231")])?;
+    let t3 = builder.push(0.7, [Value::Float(71.3), Value::from("s-063")])?;
+    let t4 = builder.push(1.0, [Value::Float(65.0), Value::from("s-104")])?;
     builder.exclusive(&[t1, t2])?;
     let table = builder.finish()?;
     println!(
         "table: {} tuples, {} rules, {} possible worlds",
         table.len(),
         table.rules().len(),
-        table.world_count()
+        table.world_count().as_f64()
     );
 
     // "Which readings have probability >= 0.4 of being among the top-2?"

@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let speed = rng.random_range(60.0..140.0f64);
         builder.push(
             rng.random_range(0.5..0.95f64),
-            vec![
+            [
                 Value::Float(speed),
                 Value::Text(format!("V{:03}", i % 80)),
                 Value::Text(format!("S{}", rng.random_range(1..9u32))),
@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let vehicle = format!("V{:03}", 80 + i);
         let a = builder.push(
             rng.random_range(0.3..0.6f64),
-            vec![
+            [
                 Value::Float(base + rng.random_range(0.0..8.0f64)),
                 Value::Text(vehicle.clone()),
                 Value::Text("S3".into()),
@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )?;
         let b = builder.push(
             rng.random_range(0.2..0.4f64),
-            vec![
+            [
                 Value::Float(base - rng.random_range(0.0..8.0f64)),
                 Value::Text(vehicle),
                 Value::Text("S4".into()),

@@ -6,9 +6,12 @@
 # count, a missing `prob` column, an empty or header-only file, bad or
 # out-of-range probabilities, an overfull rule, invalid UTF-8, NUL bytes,
 # a 1 MB line, and a syntax error after a bad probability (the syntax
-# error wins). Both commands' stdout, stderr and exit code must match the
-# golden transcript next to this script byte for byte, and no run may
-# panic (exit 101).
+# error wins). Three more files probe the edges of the table's flat row
+# store through `inspect` and `sql`: no data column at all, quoted text
+# beside empty (null) cells under a WHERE on an unranked column, and a
+# short row after valid multi-column rows. Every run's stdout, stderr and
+# exit code must match the golden transcript next to this script byte
+# for byte, and no run may panic (exit 101).
 #
 # Usage: scripts/csv_smoke.sh [path-to-ptk-binary] [transcript-out]
 # With a second argument the transcript is written there instead of
@@ -43,35 +46,49 @@ printf 'prob,score\n0.5\0,1\n' > nul_bytes.csv
   printf ',1\n'
 } > long_line.csv
 printf 'prob,score\nx,1\n0.5,1,2\n' > syntax_after_bad_prob.csv
+printf 'prob,rule\n0.5,a\n0.4,a\n0.9,\n' > no_data_column.csv
+printf 'prob,rule,score,name,note\n0.5,a,3,"Smith, J.",\n0.4,a,2,"say ""hi""",x\n0.9,,1,,"two, words"\n0.7,,5,plain,\n' > quoted_and_null.csv
+printf 'prob,rule,score,name\n0.5,a,3,x\n0.4,a,2,y\n0.9,,1\n' > short_row.csv
 
 CASES=(valid unterminated_quote text_after_quote arity missing_prob empty
   header_only prob_x prob_zero prob_above_one prob_nan overfull_rule
   invalid_utf8 nul_bytes long_line syntax_after_bad_prob)
 STMT='SELECT TOP 2 FROM t ORDER BY score WITH PROBABILITY >= 0.3'
 
+WHERE_STMT="SELECT TOP 2 FROM t WHERE name != 'plain' ORDER BY score WITH PROBABILITY >= 0.3"
+
 panics=0
+runs=0
+# run NAME LABEL ARGV...: runs `ptk ARGV...` and appends its exit code,
+# stdout and stderr to the transcript under "== NAME LABEL".
+run() {
+  local name=$1 label=$2 code=0
+  shift 2
+  "$PTK" "$@" > stdout 2> stderr || code=$?
+  runs=$((runs + 1))
+  if [[ $code -eq 101 ]]; then
+    echo "PANIC: $name $label" >&2
+    panics=$((panics + 1))
+  fi
+  {
+    echo "== $name $label: exit $code"
+    echo "-- stdout"
+    cat stdout
+    echo "-- stderr"
+    cat stderr
+  } >> transcript
+}
+
 for name in "${CASES[@]}"; do
-  for command in query sql; do
-    if [[ $command == query ]]; then
-      argv=(query "$name.csv" --k 2 --p 0.3 --rank-by score)
-    else
-      argv=(sql "$name.csv" "$STMT")
-    fi
-    code=0
-    "$PTK" "${argv[@]}" > stdout 2> stderr || code=$?
-    if [[ $code -eq 101 ]]; then
-      echo "PANIC: $name $command" >&2
-      panics=$((panics + 1))
-    fi
-    {
-      echo "== $name $command: exit $code"
-      echo "-- stdout"
-      cat stdout
-      echo "-- stderr"
-      cat stderr
-    } >> transcript
-  done
+  run "$name" query query "$name.csv" --k 2 --p 0.3 --rank-by score
+  run "$name" sql sql "$name.csv" "$STMT"
 done
+run no_data_column inspect inspect no_data_column.csv
+run quoted_and_null inspect inspect quoted_and_null.csv
+run quoted_and_null sql-where sql quoted_and_null.csv "$WHERE_STMT"
+run short_row inspect inspect short_row.csv
+run short_row query query short_row.csv --k 2 --p 0.3 --rank-by score
+run short_row sql sql short_row.csv "$STMT"
 [[ $panics -eq 0 ]] || { echo "FAIL: $panics runs panicked" >&2; exit 1; }
 
 if [[ -n "$OUT" ]]; then
@@ -84,4 +101,4 @@ if ! cmp -s transcript "$GOLDEN"; then
   diff -a "$GOLDEN" transcript | head -40 >&2 || true
   exit 1
 fi
-echo "csv smoke: OK (${#CASES[@]} files, query and sql)"
+echo "csv smoke: OK ($runs runs over $((${#CASES[@]} + 3)) files)"

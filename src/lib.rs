@@ -20,12 +20,12 @@
 //!
 //! // Table 1 of the paper: panda sightings with exclusive co-detections.
 //! let mut b = UncertainTableBuilder::new(vec!["duration".into()]);
-//! let r1 = b.push(0.3, vec![Value::Float(25.0)]).unwrap();
-//! let r2 = b.push(0.4, vec![Value::Float(21.0)]).unwrap();
-//! let r3 = b.push(0.5, vec![Value::Float(13.0)]).unwrap();
-//! let r4 = b.push(1.0, vec![Value::Float(12.0)]).unwrap();
-//! let r5 = b.push(0.8, vec![Value::Float(17.0)]).unwrap();
-//! let r6 = b.push(0.2, vec![Value::Float(11.0)]).unwrap();
+//! let r1 = b.push(0.3, [Value::Float(25.0)]).unwrap();
+//! let r2 = b.push(0.4, [Value::Float(21.0)]).unwrap();
+//! let r3 = b.push(0.5, [Value::Float(13.0)]).unwrap();
+//! let r4 = b.push(1.0, [Value::Float(12.0)]).unwrap();
+//! let r5 = b.push(0.8, [Value::Float(17.0)]).unwrap();
+//! let r6 = b.push(0.2, [Value::Float(11.0)]).unwrap();
 //! b.exclusive(&[r2, r3]).unwrap();
 //! b.exclusive(&[r5, r6]).unwrap();
 //! let table = b.finish().unwrap();
@@ -76,7 +76,7 @@ pub use ptk_access::{AggregateFn, RankedSource, SortedVecSource, TaSource, ViewS
 pub use ptk_core::{
     ComparisonOp, GenerationRule, ModelError, Predicate, Probability, PtkQuery, RankedView,
     Ranking, Result, RuleId, SortDirection, TopKQuery, Tuple, TupleId, UncertainTable,
-    UncertainTableBuilder, Value,
+    UncertainTableBuilder, Value, WorldCount,
 };
 pub use ptk_engine::{
     AnswerTuple, EngineOptions as ExactOptions, ExecStats, PtkBatch, PtkExecutor, PtkPlan,
@@ -161,12 +161,12 @@ mod tests {
 
     fn panda() -> UncertainTable {
         let mut b = UncertainTableBuilder::new(vec!["duration".into()]);
-        let _r1 = b.push(0.3, vec![Value::Float(25.0)]).unwrap();
-        let r2 = b.push(0.4, vec![Value::Float(21.0)]).unwrap();
-        let r3 = b.push(0.5, vec![Value::Float(13.0)]).unwrap();
-        let _r4 = b.push(1.0, vec![Value::Float(12.0)]).unwrap();
-        let r5 = b.push(0.8, vec![Value::Float(17.0)]).unwrap();
-        let r6 = b.push(0.2, vec![Value::Float(11.0)]).unwrap();
+        let _r1 = b.push(0.3, [Value::Float(25.0)]).unwrap();
+        let r2 = b.push(0.4, [Value::Float(21.0)]).unwrap();
+        let r3 = b.push(0.5, [Value::Float(13.0)]).unwrap();
+        let _r4 = b.push(1.0, [Value::Float(12.0)]).unwrap();
+        let r5 = b.push(0.8, [Value::Float(17.0)]).unwrap();
+        let r6 = b.push(0.2, [Value::Float(11.0)]).unwrap();
         b.exclusive(&[r2, r3]).unwrap();
         b.exclusive(&[r5, r6]).unwrap();
         b.finish().unwrap()

@@ -17,24 +17,12 @@ use ptk::{
 /// Builds the panda table (Table 1) at the table level.
 fn panda_table() -> ptk::UncertainTable {
     let mut b = UncertainTableBuilder::new(vec!["duration".into(), "loc".into()]);
-    let _r1 = b
-        .push(0.3, vec![Value::Float(25.0), Value::from("A")])
-        .unwrap();
-    let r2 = b
-        .push(0.4, vec![Value::Float(21.0), Value::from("B")])
-        .unwrap();
-    let r3 = b
-        .push(0.5, vec![Value::Float(13.0), Value::from("B")])
-        .unwrap();
-    let _r4 = b
-        .push(1.0, vec![Value::Float(12.0), Value::from("A")])
-        .unwrap();
-    let r5 = b
-        .push(0.8, vec![Value::Float(17.0), Value::from("E")])
-        .unwrap();
-    let r6 = b
-        .push(0.2, vec![Value::Float(11.0), Value::from("E")])
-        .unwrap();
+    let _r1 = b.push(0.3, [Value::Float(25.0), Value::from("A")]).unwrap();
+    let r2 = b.push(0.4, [Value::Float(21.0), Value::from("B")]).unwrap();
+    let r3 = b.push(0.5, [Value::Float(13.0), Value::from("B")]).unwrap();
+    let _r4 = b.push(1.0, [Value::Float(12.0), Value::from("A")]).unwrap();
+    let r5 = b.push(0.8, [Value::Float(17.0), Value::from("E")]).unwrap();
+    let r6 = b.push(0.2, [Value::Float(11.0), Value::from("E")]).unwrap();
     b.exclusive(&[r2, r3]).unwrap();
     b.exclusive(&[r5, r6]).unwrap();
     b.finish().unwrap()
