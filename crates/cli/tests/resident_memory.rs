@@ -12,6 +12,10 @@
 //! * the peak stays within a per-tuple budget set from the flat layout: 36
 //!   bytes of table and 32 of view per tuple, the view's 12 bytes of
 //!   transients, and the growth slack of the table's arrays.
+//!
+//! A third load keeps the rows and quadruples the rules: a rule costs the
+//! list of its members and its label's copy, not a collection per group
+//! while loading and a set per rule to check it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -103,11 +107,12 @@ static ALLOCATOR: Counting = Counting;
 /// drawn sizes, so the rule bookkeeping allocates alike in both.
 const RULES: usize = 500;
 
-/// The CSV text of a synthetic table of `tuples` rows (one score column).
-fn csv(tuples: usize) -> String {
+/// The CSV text of a synthetic table of `tuples` rows (one score column)
+/// with `rules` rules.
+fn csv(tuples: usize, rules: usize) -> String {
     let dataset = SyntheticDataset::generate(&SyntheticConfig {
         tuples,
-        rules: RULES,
+        rules,
         ..SyntheticConfig::default()
     });
     save_table(&dataset.table)
@@ -127,7 +132,7 @@ fn load_and_rank(text: &str) -> Tally {
 
 #[test]
 fn doubling_the_rows_adds_regrowths_not_allocations_per_row() {
-    let (small, large) = (csv(10_000), csv(20_000));
+    let (small, large) = (csv(10_000, RULES), csv(20_000, RULES));
     let small = load_and_rank(&small);
     let large = load_and_rank(&large);
     // Each growing array doubles once more; allow a few more for the
@@ -142,7 +147,7 @@ fn doubling_the_rows_adds_regrowths_not_allocations_per_row() {
 #[test]
 fn peak_heap_per_tuple_fits_the_flat_layout() {
     for tuples in [10_000, 20_000] {
-        let text = csv(tuples);
+        let text = csv(tuples, RULES);
         let tally = load_and_rank(&text);
         let per_tuple = tally.peak as f64 / tuples as f64;
         // 36 B of table arrays at up to 1.64x capacity (59 B), 32 B of
@@ -154,4 +159,24 @@ fn peak_heap_per_tuple_fits_the_flat_layout() {
             "{tuples} rows peaked at {per_tuple:.1} B a tuple ({tally:?})"
         );
     }
+}
+
+#[test]
+fn a_rule_costs_at_most_three_allocations() {
+    let (few, many) = (RULES, 4 * RULES);
+    let load = |rules: usize| {
+        let text = csv(20_000, rules);
+        reset();
+        let table = load_table(&text).expect("a saved table loads");
+        let loaded = tally();
+        assert_eq!(table.rules().len(), rules);
+        loaded
+    };
+    let (few_tally, many_tally) = (load(few), load(many));
+    let extra = many_tally.allocations.saturating_sub(few_tally.allocations);
+    let added = (many - few) as u64;
+    assert!(
+        extra <= 3 * added,
+        "{added} more rules made {extra} more allocations ({few_tally:?} vs {many_tally:?})"
+    );
 }

@@ -6,7 +6,7 @@
 //! error bodies. No chunked encoding, no keep-alive, no TLS — the point is
 //! zero dependencies and a codec small enough to audit.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// A parsed request: method, path, query string, body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -175,8 +175,18 @@ pub fn write_response(
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    // Head and body leave in one vectored write where the stream takes
+    // them whole, so the client wakes once for the data.
+    let mut parts = [IoSlice::new(head.as_bytes()), IoSlice::new(body.as_bytes())];
+    let mut unsent = &mut parts[..];
+    while !unsent.is_empty() {
+        match stream.write_vectored(unsent) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut unsent, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     stream.flush()
 }
 
@@ -359,6 +369,74 @@ mod tests {
         assert!(text.contains("Connection: close\r\n"), "{text}");
         assert!(text.contains("X-Ptk-Cache: hit\r\n"), "{text}");
         assert!(text.ends_with("\r\n\r\nok\n"), "{text}");
+    }
+
+    /// A writer that takes at most `limit` bytes per call and counts its
+    /// calls.
+    struct Counted {
+        out: Vec<u8>,
+        calls: usize,
+        limit: usize,
+    }
+
+    impl Write for Counted {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let before = self.out.len();
+            for buf in bufs {
+                let room = self.limit - (self.out.len() - before);
+                self.out.extend_from_slice(&buf[..buf.len().min(room)]);
+            }
+            Ok(self.out.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write_when_the_stream_takes_it_whole() {
+        let respond = |limit: usize, body: &str| {
+            let mut out = Counted {
+                out: Vec::new(),
+                calls: 0,
+                limit,
+            };
+            write_response(&mut out, 200, "text/plain", &[("X-Ptk-Cache", "hit")], body).unwrap();
+            (String::from_utf8(out.out).unwrap(), out.calls)
+        };
+        let (whole, calls) = respond(usize::MAX, "ok\n");
+        assert_eq!(calls, 1);
+        assert!(whole.ends_with("\r\n\r\nok\n"), "{whole}");
+        // A stream that takes a few bytes at a time still gets every byte,
+        // in order, and an empty body costs no extra call.
+        for limit in [1, 2, 7, whole.len() - 1] {
+            let (bytes, calls) = respond(limit, "ok\n");
+            assert_eq!(bytes, whole, "{limit}-byte writes");
+            assert_eq!(calls, whole.len().div_ceil(limit), "{limit}-byte writes");
+        }
+        let (empty, calls) = respond(usize::MAX, "");
+        assert!(
+            empty.ends_with("Content-Length: 0\r\nConnection: close\r\nX-Ptk-Cache: hit\r\n\r\n"),
+            "{empty}"
+        );
+        assert_eq!(calls, 1);
+    }
+
+    #[test]
+    fn a_stream_that_takes_nothing_is_an_error() {
+        let mut out = Counted {
+            out: Vec::new(),
+            calls: 0,
+            limit: 0,
+        };
+        let err = write_response(&mut out, 200, "text/plain", &[], "ok").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
     }
 
     #[test]
