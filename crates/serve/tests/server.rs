@@ -290,6 +290,48 @@ fn client_disconnect_mid_request_keeps_daemon_serving() {
 }
 
 #[test]
+fn client_hanging_up_before_its_response_is_counted() {
+    let handler = leak_handler();
+    // One worker, so the hung-up request is answered before the next.
+    let config = ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    };
+    let handle = spawn(handler, config);
+    let addr = handle.addr();
+
+    // The whole request is read, and the client hangs up while the
+    // handler is held: the 200 then goes to a closed socket, whose reset
+    // the daemon must see although its one write of the response succeeds.
+    handler.close_gate();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .write_all(b"POST /sql HTTP/1.1\r\nContent-Length: 8\r\n\r\nSELECT 1")
+        .expect("send request");
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while handler.entered.load(Ordering::SeqCst) == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "worker never picked up the request"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    drop(stream);
+    handler.open_gate();
+
+    let ok = post_sql(addr, "SELECT survived");
+    assert_eq!(status_of(&ok), 200);
+    let metrics = metrics_text(addr);
+    assert_eq!(
+        metric_value(&metrics, "ptk_serve_client_disconnects"),
+        1,
+        "{metrics}"
+    );
+
+    handle.shutdown().expect("clean shutdown");
+}
+
+#[test]
 fn full_queue_rejects_with_429() {
     let handler = leak_handler();
     let config = ServerConfig {
